@@ -131,10 +131,12 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
+        # cell i's members, in sample order, are grouped[bounds[i]:bounds[i + 1]]
+        grouped = data[np.argsort(assign, kind="stable")]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=n_codevectors))))
         for i in range(n_codevectors):
-            members = data[assign == i]
-            if members.shape[0] > 0:
-                centroids[i] = members.mean(axis=0)
+            if bounds[i + 1] > bounds[i]:
+                centroids[i] = grouped[bounds[i] : bounds[i + 1]].mean(axis=0)
             else:
                 # dead cell: reseed at the currently worst-represented point
                 worst = int(np.argmax(dist))

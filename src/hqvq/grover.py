@@ -54,10 +54,6 @@ class QueryMeter:
     grover_iterations: int = 0
     classical_distance_evals: int = 0
 
-    def merge(self, other: "QueryMeter") -> None:
-        self.grover_iterations += other.grover_iterations
-        self.classical_distance_evals += other.classical_distance_evals
-
 
 @dataclass(frozen=True)
 class GroverDistribution:

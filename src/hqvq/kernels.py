@@ -1,140 +1,107 @@
-"""Hot numeric kernels: distances from a query to a whole codebook.
+"""Hot numeric kernels: Euclidean distances between queries and a codebook.
 
-Every distance the package computes goes through one of these functions, so
-index decisions (argmin, threshold tests) are bit-consistent across the
-encoder, the full-search baseline and the statistics code.
+Every distance the package computes goes through one numpy kernel,
+``_sq_dists``, so index decisions (argmin, threshold tests) are bit-consistent
+across the encoder, the full-search baseline, training, the neighbor table and
+the statistics code. There is one implementation.
 
-Two implementations are provided: plain numpy and numba ``@njit``.  The JIT
-path is active by default; set ``HQVQ_NO_NUMBA=1`` to force the numpy
-fallback (the package also falls back automatically when numba is missing).
-``benchmarks/kernel_bench.py`` compares both.
+Summation order: the kernel adds ``(v_d - q_d)**2`` one dimension at a time,
+in index order, ``((s_0 + s_1) + s_2) + ...``, and the callers then take
+``sqrt``. Every caller therefore sees the same bits for the same pair.
+
+Tiling: the batched functions (``nearest_many``, ``min_pairwise``,
+``within_radius``) process ``TILE`` query rows at a time against all N
+codevectors, so they have no per-query Python loop and never hold more than
+two ``TILE`` x N float64 buffers, never an M x N matrix.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("HQVQ_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG in ("1", "true", "yes", "on")
+# named in run reports next to the package versions
+ACTIVE_IMPL = "numpy"
+
+# Query rows per tile: a tile holds TILE x N float64 sums plus one scratch
+# buffer of the same size.
+TILE = 64
 
 
-def _dist_to_all_loop(x, vectors):
-    n, k = vectors.shape
-    out = np.empty(n)
-    for i in range(n):
-        s = 0.0
-        for d in range(k):
-            diff = vectors[i, d] - x[d]
-            s += diff * diff
-        out[i] = np.sqrt(s)
+def _sq_dists(vcols, qcols, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the sum over d of ``(vcols[d] - qcols[d])**2``.
+
+    ``vcols[d]`` is dimension d of all N codevectors, shape (N,). ``qcols[d]``
+    is dimension d of the queries: a scalar for one query (``out`` of shape
+    (N,)) or a (T, 1) column for a tile (``out`` of shape (T, N)). The sum runs
+    sequentially, ``((s_0 + s_1) + s_2) + ...``; ``tmp`` is scratch of
+    ``out``'s shape.
+    """
+    np.subtract(vcols[0], qcols[0], out=out)
+    np.multiply(out, out, out=out)
+    for d in range(1, len(vcols)):
+        np.subtract(vcols[d], qcols[d], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(out, tmp, out=out)
     return out
 
 
-def _min_pairwise_loop(vectors):
-    n, k = vectors.shape
-    best = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = 0.0
-            for d in range(k):
-                diff = vectors[i, d] - vectors[j, d]
-                s += diff * diff
-            if s < best:
-                best = s
-    return np.sqrt(best)
-
-
-def _nearest_many_loop(queries, vectors):
+def _tiles(queries: np.ndarray, n: int):
+    """Yield (start, stop, qcols, out, tmp) over ``queries`` in TILE-row steps."""
     m = queries.shape[0]
-    n, k = vectors.shape
-    idx = np.empty(m, dtype=np.int64)
-    dist = np.empty(m)
-    for q in range(m):
-        best = np.inf
-        arg = 0
-        for i in range(n):
-            s = 0.0
-            for d in range(k):
-                diff = vectors[i, d] - queries[q, d]
-                s += diff * diff
-            if s < best:
-                best = s
-                arg = i
-        idx[q] = arg
-        dist[q] = np.sqrt(best)
-    return idx, dist
+    rows = min(TILE, m)
+    out = np.empty((rows, n))
+    tmp = np.empty((rows, n))
+    for start in range(0, m, TILE):
+        stop = min(start + TILE, m)
+        qcols = queries[start:stop].T[:, :, np.newaxis]
+        yield start, stop, qcols, out[: stop - start], tmp[: stop - start]
 
 
-def dist_to_all_numpy(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def dist_to_all(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Euclidean distance from ``x`` (k,) to every row of ``vectors`` (n, k)."""
-    diff = vectors - x
-    return np.sqrt((diff * diff).sum(axis=1))
+    n = vectors.shape[0]
+    out = _sq_dists(vectors.T, x, np.empty(n), np.empty(n))
+    return np.sqrt(out, out=out)
 
 
-def min_pairwise_numpy(vectors: np.ndarray) -> float:
-    """Minimum Euclidean distance over all distinct row pairs (n >= 2)."""
-    best = np.inf
-    for i in range(vectors.shape[0] - 1):
-        diff = vectors[i + 1 :] - vectors[i]
-        d2 = (diff * diff).sum(axis=1).min()
-        if d2 < best:
-            best = d2
-    return float(np.sqrt(best))
-
-
-def nearest_many_numpy(queries: np.ndarray, vectors: np.ndarray):
+def nearest_many(queries: np.ndarray, vectors: np.ndarray):
     """Nearest row of ``vectors`` for each row of ``queries``.
 
     Returns (indices, distances); ties resolve to the smallest index.
     """
-    m = queries.shape[0]
+    m, n = queries.shape[0], vectors.shape[0]
+    vcols = np.ascontiguousarray(vectors.T)
     idx = np.empty(m, dtype=np.int64)
     dist = np.empty(m)
-    for q in range(m):
-        d = dist_to_all_numpy(queries[q], vectors)
-        a = int(np.argmin(d))
-        idx[q] = a
-        dist[q] = d[a]
+    for start, stop, qcols, out, tmp in _tiles(queries, n):
+        d = np.sqrt(_sq_dists(vcols, qcols, out, tmp), out=out)
+        arg = d.argmin(axis=1)
+        idx[start:stop] = arg
+        dist[start:stop] = d[np.arange(stop - start), arg]
     return idx, dist
 
 
-HAVE_NUMBA = False
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    dist_to_all_jit = njit(cache=True)(_dist_to_all_loop)
-    min_pairwise_jit = njit(cache=True)(_min_pairwise_loop)
-    nearest_many_jit = njit(cache=True)(_nearest_many_loop)
-
-    dist_to_all = dist_to_all_jit
-    min_pairwise = min_pairwise_jit
-    nearest_many = nearest_many_jit
-    ACTIVE_IMPL = "numba"
-else:
-    dist_to_all_jit = None
-    min_pairwise_jit = None
-    nearest_many_jit = None
-
-    dist_to_all = dist_to_all_numpy
-    min_pairwise = min_pairwise_numpy
-    nearest_many = nearest_many_numpy
-    ACTIVE_IMPL = "numpy"
+def min_pairwise(vectors: np.ndarray) -> float:
+    """Minimum Euclidean distance over all distinct row pairs (n >= 2)."""
+    n = vectors.shape[0]
+    vcols = np.ascontiguousarray(vectors.T)
+    best = np.inf
+    for start, stop, qcols, out, tmp in _tiles(vectors[:-1], n - 1):
+        # rows i = start..stop-1 against columns j = start+1..n-1; keep j > i
+        width = n - 1 - start
+        sq = _sq_dists(vcols[:, start + 1 :], qcols, out[:, :width], tmp[:, :width])
+        sq[np.tril_indices(stop - start, -1, width)] = np.inf
+        best = min(best, sq.min())
+    return float(np.sqrt(best))
 
 
-def warmup() -> None:
-    """Trigger JIT compilation so first real calls are not skewed."""
-    if not HAVE_NUMBA:
-        return
-    v = np.array([[0.0, 0.0], [1.0, 1.0]])
-    q = np.array([[0.5, 0.5]])
-    dist_to_all_jit(q[0], v)
-    min_pairwise_jit(v)
-    nearest_many_jit(q, v)
+def within_radius(vectors: np.ndarray, radius: float) -> list:
+    """For each row i, the ascending indices j with d(vectors[i], vectors[j]) < radius."""
+    n = vectors.shape[0]
+    vcols = np.ascontiguousarray(vectors.T)
+    lists = []
+    for start, stop, qcols, out, tmp in _tiles(vectors, n):
+        d = np.sqrt(_sq_dists(vcols, qcols, out, tmp), out=out)
+        rows, cols = np.nonzero(d < radius)
+        lists.extend(np.split(cols.astype(np.int64), np.searchsorted(rows, np.arange(1, stop - start))))
+    return lists

@@ -47,12 +47,9 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
             f"delta_hat {delta_hat} is below delta0/2 = {half_delta0}"
         )
     radius = 2.0 * float(delta_hat)
-    lists = []
-    for i in range(codebook.n):
-        d = kernels.dist_to_all(codebook.vectors[i], codebook.vectors)
-        members = np.nonzero(d < radius)[0].astype(np.int64)
+    lists = kernels.within_radius(codebook.vectors, radius)
+    for members in lists:
         members.setflags(write=False)
-        lists.append(members)
     inf_omega = min(len(l) for l in lists)
     return NeighborhoodTable(radius_threshold=radius, lists=tuple(lists), inf_omega=inf_omega)
 
