@@ -8,7 +8,6 @@ query-count behavior can be measured against the O(N) full-search baseline.
 
 from .codebook import (
     Codebook,
-    compute_delta0,
     distance,
     full_search,
     load_codebook,
@@ -16,12 +15,9 @@ from .codebook import (
     train_codebook,
 )
 from .encoder import (
-    EncodeOutcome,
     EncodePath,
     EncoderConfig,
-    Region,
     choose_delta_hat,
-    classify_region,
     encode,
     encode_sub1,
     encode_sub2,
@@ -37,10 +33,9 @@ from .grover import (
     statevector_distribution,
 )
 from .image import BlockGeometry, blockify, deblockify, load_pgm, psnr, save_pgm
-from .neighborhood import NeighborhoodTable, build_neighborhoods, space_bits
+from .neighborhood import build_neighborhoods, space_bits
 from .pipeline import (
     IndexStream,
-    PartitionStats,
     clustered_dataset,
     decode_image,
     encode_image,
@@ -54,22 +49,16 @@ from .pipeline import (
 __all__ = [
     "BlockGeometry",
     "Codebook",
-    "EncodeOutcome",
     "EncodePath",
     "EncoderConfig",
     "GroverDistribution",
     "IndexStream",
     "MarkedSet",
-    "NeighborhoodTable",
-    "PartitionStats",
     "QueryMeter",
-    "Region",
     "blockify",
     "build_neighborhoods",
     "choose_delta_hat",
-    "classify_region",
     "clustered_dataset",
-    "compute_delta0",
     "deblockify",
     "decode_image",
     "derive_rng",

@@ -5,8 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import kernels
 from .codebook import load_codebook, save_codebook, train_codebook
 from .encoder import EncoderConfig, choose_delta_hat
@@ -19,6 +17,7 @@ from .pipeline import (
     encode_vectors,
     grid_codebook,
     parse_stream,
+    region_fractions,
     report,
     serialize_stream,
 )
@@ -102,18 +101,17 @@ def cmd_stats(args) -> int:
     delta_hat = _resolve_delta_hat(args, codebook, vectors)
     table = build_neighborhoods(codebook, delta_hat)
     _, nearest = kernels.nearest_many(vectors, codebook.vectors)
-    half = codebook.delta0 / 2.0
-    total = nearest.size
+    frac_s, frac_t_minus_s, frac_i_minus_t = region_fractions(nearest, codebook.delta0, delta_hat)
     sizes = table.sizes()
     lines = [
         f"n={codebook.n}",
         f"k={codebook.k}",
-        f"vectors={total}",
+        f"vectors={nearest.size}",
         f"delta0={codebook.delta0!r}",
         f"delta_hat={delta_hat!r}",
-        f"frac_s={float((nearest < half).mean())!r}",
-        f"frac_t_minus_s={float(((nearest >= half) & (nearest < delta_hat)).mean())!r}",
-        f"frac_i_minus_t={float((nearest >= delta_hat).mean())!r}",
+        f"frac_s={frac_s!r}",
+        f"frac_t_minus_s={frac_t_minus_s!r}",
+        f"frac_i_minus_t={frac_i_minus_t!r}",
         f"inf_omega={table.inf_omega}",
         f"max_omega={int(sizes.max())}",
         f"mean_omega={float(sizes.mean())!r}",

@@ -87,17 +87,6 @@ def full_search(x, codebook: Codebook) -> tuple[int, float]:
     return i, float(d[i])
 
 
-def compute_delta0(codebook_or_vectors) -> float:
-    """Minimum pairwise distance over all unordered codevector pairs."""
-    if isinstance(codebook_or_vectors, Codebook):
-        arr = codebook_or_vectors.vectors
-    else:
-        arr = np.asarray(codebook_or_vectors, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise ValueError("need at least 2 codevectors")
-    return float(kernels.min_pairwise(arr))
-
-
 def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -> Codebook:
     """Train an N-entry codebook with seeded Lloyd (k-means) iterations.
 
@@ -150,7 +139,7 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
 def _separate_duplicates(centroids: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     scale = max(float(np.abs(centroids).max()), 1.0)
     for _ in range(100):
-        if compute_delta0(centroids) > 0.0:
+        if kernels.min_pairwise(centroids) > 0.0:
             return centroids
         _, first = np.unique(centroids, axis=0, return_index=True)
         dup = np.setdiff1d(np.arange(centroids.shape[0]), first)

@@ -24,19 +24,15 @@ from .codebook import Codebook, distances_to_codebook, full_search
 from .grover import QueryMeter, marked_set_from_distances, measure
 from .neighborhood import NeighborhoodTable
 
+# Factor that grows the stage-2 iteration cutoff m after each failed round
+# (Boyer, Brassard, Hoyer and Tapp's lambda, any value in (1, 4/3) works).
+BBHT_GROWTH = 6.0 / 5.0
+
 
 class EncodePath(enum.Enum):
     SUB1 = "sub1"
     SUB2 = "sub2"
     CLASSICAL_FALLBACK = "fallback"
-
-
-class Region(enum.Enum):
-    """Input classification by oracle nearest distance (diagnostic only)."""
-
-    S = "s"
-    T_MINUS_S = "t_minus_s"
-    I_MINUS_T = "i_minus_t"
 
 
 @dataclass(frozen=True)
@@ -45,22 +41,18 @@ class EncoderConfig:
 
     ``delta_hat`` is the stage-2 verification threshold (must be at least half
     the codebook's minimum pairwise distance; checked against the table at
-    encode time).  ``bbht_growth`` scales the iteration cutoff after each
-    failed stage-2 round.  ``bbht_budget_factor`` bounds the total stage-2
+    encode time).  ``bbht_budget_factor`` bounds the total stage-2
     search iterations per vector at ceil(factor * sqrt(N)); the schedule alone
     has no stopping rule when no solution exists.
     """
 
     delta_hat: float
-    bbht_growth: float = 6.0 / 5.0
     bbht_budget_factor: float = 3.0
     master_seed: int = 0
 
     def __post_init__(self):
         if not self.delta_hat > 0:
             raise ValueError("delta_hat must be > 0")
-        if not self.bbht_growth > 1:
-            raise ValueError("bbht_growth must be > 1")
         if not self.bbht_budget_factor > 0:
             raise ValueError("bbht_budget_factor must be > 0")
 
@@ -159,7 +151,7 @@ def encode_sub2(
             meter.classical_distance_evals += len(neighbors)
             local = np.argmin(dvec[neighbors])
             return int(neighbors[local])
-        m = min(cfg.bbht_growth * m, sqrt_n)
+        m = min(BBHT_GROWTH * m, sqrt_n)
     return None
 
 
@@ -185,20 +177,6 @@ def encode(
     i, d = full_search(x, codebook)
     meter.classical_distance_evals += codebook.n
     return EncodeOutcome(index=i, dist=d, path=EncodePath.CLASSICAL_FALLBACK, meter=meter)
-
-
-def classify_region(x, codebook: Codebook, delta_hat: float) -> Region:
-    """Region of the input by its oracle nearest distance (uses full search)."""
-    _, d = full_search(x, codebook)
-    return region_of(d, codebook.delta0, delta_hat)
-
-
-def region_of(nearest_dist: float, delta0: float, delta_hat: float) -> Region:
-    if nearest_dist < delta0 / 2.0:
-        return Region.S
-    if nearest_dist < delta_hat:
-        return Region.T_MINUS_S
-    return Region.I_MINUS_T
 
 
 def choose_delta_hat(codebook: Codebook, training_sample, percentile: float = 99.0) -> float:

@@ -27,11 +27,14 @@ class MarkedSet:
     """Indices accepted by the search oracle: {i : d(x, c[i]) < delta}."""
 
     n: int
-    indices: np.ndarray  # sorted 1-D int64
+    indices: np.ndarray  # strictly increasing 1-D int64
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        idx = np.unique(idx)
+        idx = np.array(self.indices, dtype=np.int64)  # own copy: frozen below
+        if idx.ndim != 1:
+            raise ValueError("marked indices must be 1-D")
+        if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
+            raise ValueError("marked indices must be sorted and unique")
         if idx.size and (idx[0] < 0 or idx[-1] >= self.n):
             raise ValueError("marked indices out of range")
         idx.setflags(write=False)
@@ -85,7 +88,7 @@ def marked_set(x, codebook: Codebook, delta: float) -> MarkedSet:
 
 
 def marked_set_from_distances(distances: np.ndarray, delta: float) -> MarkedSet:
-    idx = np.nonzero(distances < delta)[0].astype(np.int64)
+    idx = np.flatnonzero(distances < delta)
     return MarkedSet(n=int(distances.shape[0]), indices=idx)
 
 

@@ -27,6 +27,14 @@ class BlockGeometry:
     def k(self) -> int:
         return self.block_w * self.block_h
 
+    def grid(self, width: int, height: int) -> tuple[int, int]:
+        """Block rows and columns covering a width x height image.
+
+        Partial blocks at the right and bottom edges count (they are padded),
+        so an image has rows * cols blocks.
+        """
+        return math.ceil(height / self.block_h), math.ceil(width / self.block_w)
+
 
 def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:
     # whitespace-separated tokens; '#' starts a comment running to end of line
@@ -131,8 +139,7 @@ def deblockify(vectors: np.ndarray, geom: BlockGeometry, width: int, height: int
     Components are rounded half-away-from-zero and clamped to [0, 255].
     """
     arr = np.asarray(vectors, dtype=np.float64)
-    rows = math.ceil(height / geom.block_h)
-    cols = math.ceil(width / geom.block_w)
+    rows, cols = geom.grid(width, height)
     if arr.shape != (rows * cols, geom.k):
         raise ValueError(
             f"expected {rows * cols} vectors of dimension {geom.k}, got shape {arr.shape}"

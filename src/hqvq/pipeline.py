@@ -9,13 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, distances_to_codebook
-from .encoder import (
-    EncodePath,
-    EncoderConfig,
-    Region,
-    encode,
-    region_of,
-)
+from .encoder import EncodePath, EncoderConfig, encode
 from .grover import derive_rng
 from .image import BlockGeometry, blockify, deblockify
 from .neighborhood import NeighborhoodTable
@@ -27,7 +21,12 @@ MAX_CODEBOOK_SIZE = 65536
 
 @dataclass(frozen=True, eq=False)
 class IndexStream:
-    """Encoded image: one codebook index per block, plus geometry to invert it."""
+    """Encoded image: one codebook index per block, plus geometry to invert it.
+
+    Construction enforces the stream format, so every ``IndexStream`` can be
+    serialized and decoded: 1 <= N <= MAX_CODEBOOK_SIZE, a positive image
+    size, one index per block and every index in [0, N).
+    """
 
     n_codevectors: int
     block_w: int
@@ -37,7 +36,22 @@ class IndexStream:
     indices: np.ndarray  # 1-D uint16, row-major block order
 
     def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.uint16)  # own copy: frozen below
+        n = self.n_codevectors
+        if not 1 <= n <= MAX_CODEBOOK_SIZE:
+            raise ValueError(f"codebook size {n} outside 1..{MAX_CODEBOOK_SIZE}")
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"bad image size {self.width}x{self.height}")
+        rows, cols = self.geometry.grid(self.width, self.height)
+        raw = np.asarray(self.indices)
+        if raw.shape != (rows * cols,) or not np.issubdtype(raw.dtype, np.integer):
+            raise ValueError(
+                f"expected {rows * cols} integer indices, one per block, "
+                f"got {raw.dtype} of shape {raw.shape}"
+            )
+        lo, hi = int(raw.min()), int(raw.max())
+        if lo < 0 or hi >= n:
+            raise ValueError(f"index {lo if lo < 0 else hi} out of range for codebook of {n}")
+        idx = np.array(raw, dtype=np.uint16)  # own copy: frozen below
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
@@ -54,16 +68,9 @@ class IndexStream:
     def geometry(self) -> BlockGeometry:
         return BlockGeometry(block_w=self.block_w, block_h=self.block_h)
 
-    def expected_blocks(self) -> int:
-        return math.ceil(self.height / self.block_h) * math.ceil(self.width / self.block_w)
-
 
 def serialize_stream(stream: IndexStream) -> bytes:
     """Bit-exact binary format: magic, six u32 LE fields, then u16 LE indices."""
-    if stream.n_codevectors > MAX_CODEBOOK_SIZE:
-        raise ValueError(f"codebook size {stream.n_codevectors} exceeds {MAX_CODEBOOK_SIZE}")
-    if stream.indices.size != stream.expected_blocks():
-        raise ValueError("index count does not match image geometry")
     header = STREAM_MAGIC + struct.pack(
         "<6I",
         STREAM_VERSION,
@@ -77,6 +84,7 @@ def serialize_stream(stream: IndexStream) -> bytes:
 
 
 def parse_stream(data: bytes) -> IndexStream:
+    """Inverse of serialize_stream; ``IndexStream`` checks the fields it reads."""
     if data[:4] != STREAM_MAGIC:
         raise ValueError("bad magic: not an index stream")
     if len(data) < 4 + 24:
@@ -84,13 +92,10 @@ def parse_stream(data: bytes) -> IndexStream:
     version, n, bw, bh, w, h = struct.unpack("<6I", data[4:28])
     if version != STREAM_VERSION:
         raise ValueError(f"unsupported stream version {version}")
-    if bw < 1 or bh < 1 or w < 1 or h < 1:
-        raise ValueError("bad geometry fields")
-    blocks = math.ceil(h / bh) * math.ceil(w / bw)
     body = data[28:]
-    if len(body) != 2 * blocks:
-        raise ValueError(f"expected {2 * blocks} index bytes, got {len(body)}")
-    indices = np.frombuffer(body, dtype="<u2").astype(np.uint16)
+    if len(body) % 2:
+        raise ValueError(f"odd number of index bytes: {len(body)}")
+    indices = np.frombuffer(body, dtype="<u2")
     return IndexStream(
         n_codevectors=n, block_w=bw, block_h=bh, width=w, height=h, indices=indices
     )
@@ -113,15 +118,29 @@ class PartitionStats:
     max_classical_evals: int
 
 
-def _build_stats(regions, paths, grover_counts, classical_counts) -> PartitionStats:
-    total = len(regions)
-    grover = np.asarray(grover_counts, dtype=np.float64)
-    classical = np.asarray(classical_counts, dtype=np.float64)
+def region_fractions(nearest, delta0: float, delta_hat: float) -> tuple[float, float, float]:
+    """Shares of inputs in S, T \\ S and I \\ T, from nearest-codevector distances.
+
+    S holds inputs closer than delta0/2 to some codevector and T those closer
+    than delta_hat (both strict <); I \\ T is everything else.
+    """
+    nearest = np.asarray(nearest)
+    total = nearest.size
+    if total == 0:
+        raise ValueError("no distances to classify")
+    in_s = nearest < delta0 / 2.0
+    n_s = int(np.count_nonzero(in_s))
+    n_t = int(np.count_nonzero(in_s | (nearest < delta_hat)))
+    return n_s / total, (n_t - n_s) / total, (total - n_t) / total
+
+
+def _build_stats(outcomes, fractions) -> PartitionStats:
+    paths = [o.path for o in outcomes]
+    grover = np.array([o.meter.grover_iterations for o in outcomes], dtype=np.float64)
+    classical = np.array([o.meter.classical_distance_evals for o in outcomes], dtype=np.float64)
+    a, b, c = fractions
     return PartitionStats(
-        n_vectors=total,
-        a=regions.count(Region.S) / total,
-        b=regions.count(Region.T_MINUS_S) / total,
-        c=regions.count(Region.I_MINUS_T) / total,
+        n_vectors=len(outcomes), a=a, b=b, c=c,
         count_sub1=paths.count(EncodePath.SUB1),
         count_sub2=paths.count(EncodePath.SUB2),
         count_fallback=paths.count(EncodePath.CLASSICAL_FALLBACK),
@@ -140,27 +159,25 @@ def encode_vectors(
 ) -> tuple[np.ndarray, PartitionStats, list]:
     """Encode a batch of vectors; each gets its own rng stream by ordinal.
 
-    Returns (indices, stats, outcomes).  Region classification reuses the
-    distance vector the simulator already needs, so it adds no metered work.
+    Returns (indices, stats, outcomes), with one ``EncodeOutcome`` per vector.
+    The region fractions in ``stats`` come from ``region_fractions`` over each
+    vector's nearest distance, taken from the distance vector the simulator
+    already needs, so they add no metered work.
     """
     if vectors.shape[0] < 1:
         raise ValueError("no vectors to encode")
     indices = np.empty(vectors.shape[0], dtype=np.int64)
-    regions, paths, grover_counts, classical_counts = [], [], [], []
+    nearest = np.empty(vectors.shape[0])
     outcomes = []
-    half = codebook.delta0 / 2.0
     for ordinal in range(vectors.shape[0]):
         x = vectors[ordinal]
         dvec = distances_to_codebook(x, codebook)
         rng = derive_rng(cfg.master_seed, ordinal)
         outcome = encode(x, codebook, table, cfg, rng, dvec=dvec)
         indices[ordinal] = outcome.index
-        regions.append(region_of(float(dvec.min()), codebook.delta0, cfg.delta_hat))
-        paths.append(outcome.path)
-        grover_counts.append(outcome.meter.grover_iterations)
-        classical_counts.append(outcome.meter.classical_distance_evals)
+        nearest[ordinal] = dvec.min()
         outcomes.append(outcome)
-    stats = _build_stats(regions, paths, grover_counts, classical_counts)
+    stats = _build_stats(outcomes, region_fractions(nearest, codebook.delta0, cfg.delta_hat))
     return indices, stats, outcomes
 
 
@@ -175,8 +192,6 @@ def encode_image(
         raise ValueError(
             f"block geometry gives dimension {geom.k}, codebook has {codebook.k}"
         )
-    if codebook.n > MAX_CODEBOOK_SIZE:
-        raise ValueError(f"codebook size {codebook.n} exceeds {MAX_CODEBOOK_SIZE}")
     vectors = blockify(img, geom)
     indices, stats, _ = encode_vectors(vectors, codebook, table, cfg)
     h, w = np.asarray(img).shape
@@ -186,7 +201,7 @@ def encode_image(
         block_h=geom.block_h,
         width=w,
         height=h,
-        indices=indices.astype(np.uint16),
+        indices=indices,
     )
     return stream, stats
 
@@ -200,10 +215,7 @@ def decode_image(stream: IndexStream, codebook: Codebook) -> np.ndarray:
     geom = stream.geometry
     if geom.k != codebook.k:
         raise ValueError("stream block geometry does not match codebook dimension")
-    idx = np.asarray(stream.indices, dtype=np.int64)
-    if idx.size and int(idx.max()) >= codebook.n:
-        raise ValueError(f"index {int(idx.max())} out of range for codebook of {codebook.n}")
-    vectors = codebook.vectors[idx]
+    vectors = codebook.vectors[stream.indices]
     return deblockify(vectors, geom, stream.width, stream.height)
 
 

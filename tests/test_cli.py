@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hqvq import load_pgm, save_pgm
+from hqvq import load_codebook, load_pgm, save_pgm
 from hqvq.cli import main
 
 
@@ -79,6 +79,28 @@ class TestWorkflow:
         assert "space_bits=" in out
         assert "frac_s=" in out
         assert "0:" in out
+
+    @pytest.mark.parametrize("explicit_delta_hat", [False, True])
+    def test_stats_and_encode_report_same_region_fractions(
+        self, tmp_path, image_path, capsys, explicit_delta_hat
+    ):
+        cb = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0
+        threshold = []
+        if explicit_delta_hat:
+            threshold = ["--delta-hat", repr(0.75 * load_codebook(cb).delta0)]
+        capsys.readouterr()
+        assert main(["stats", str(image_path), str(cb)] + threshold) == 0
+        stats_out = capsys.readouterr().out
+        rep = tmp_path / "report.txt"
+        args = ["encode", str(image_path), str(cb), "-o", str(tmp_path / "s.vqix")]
+        assert main(args + ["--report", str(rep)] + threshold) == 0
+
+        def fractions(text):
+            return [ln for ln in text.splitlines() if ln.startswith("frac_")]
+
+        assert len(fractions(stats_out)) == 3
+        assert fractions(stats_out) == fractions(rep.read_text())
 
     def test_bench_command(self, tmp_path, capsys):
         assert main(["bench", "--sizes", "16,64", "--vectors", "400", "--seed", "1"]) == 0

@@ -7,13 +7,13 @@ import pytest
 
 from hqvq import (
     Codebook,
-    compute_delta0,
     distance,
     full_search,
     load_codebook,
     save_codebook,
     train_codebook,
 )
+from hqvq import kernels
 
 
 def brute_nearest(x, vectors):
@@ -96,19 +96,17 @@ class TestFullSearch:
 class TestDelta0:
     def test_three_point_example(self):
         # pairs: d01=5, d02=10, d12=5  ->  min 5
-        assert compute_delta0([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]]) == 5.0
+        assert Codebook([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]]).delta0 == 5.0
 
     def test_single_pair(self):
-        assert compute_delta0([[0.0], [10.0]]) == 10.0
+        assert Codebook([[0.0], [10.0]]).delta0 == 10.0
 
     def test_duplicates_rejected_at_construction(self):
-        assert compute_delta0([[1.0, 1.0], [1.0, 1.0]]) == 0.0
+        assert kernels.min_pairwise(np.array([[1.0, 1.0], [1.0, 1.0]])) == 0.0
         with pytest.raises(ValueError, match="duplicate"):
             Codebook([[1.0, 1.0], [1.0, 1.0]])
 
     def test_fewer_than_two_rejected(self):
-        with pytest.raises(ValueError):
-            compute_delta0([[1.0, 2.0]])
         with pytest.raises(ValueError, match="at least 2"):
             Codebook([[1.0, 2.0]])
 

@@ -10,10 +10,8 @@ from hqvq import (
     EncodePath,
     EncoderConfig,
     QueryMeter,
-    Region,
     build_neighborhoods,
     choose_delta_hat,
-    classify_region,
     derive_rng,
     encode,
     encode_sub1,
@@ -23,6 +21,7 @@ from hqvq import (
     marked_set,
 )
 from hqvq.encoder import sub1_iterations, sub2_budget
+from hqvq.pipeline import region_fractions
 
 
 def make_setup(n=64, delta_hat_factor=1.2, seed=0):
@@ -206,16 +205,19 @@ class TestEncode:
 class TestClassifyRegion:
     def test_on_codevector(self):
         cb, cfg, _ = make_setup(16)
-        assert classify_region(cb.vectors[0], cb, cfg.delta_hat) == Region.S
+        _, d = full_search(cb.vectors[0], cb)
+        assert region_fractions([d], cb.delta0, cfg.delta_hat) == (1.0, 0.0, 0.0)
 
     def test_boundary_is_shell(self):
         cb = Codebook([[0.0], [10.0]])
         # min distance exactly delta0/2: strict < pushes it out of the core
-        assert classify_region([5.0], cb, 6.0) == Region.T_MINUS_S
+        _, d = full_search([5.0], cb)
+        assert region_fractions([d], cb.delta0, 6.0) == (0.0, 1.0, 0.0)
 
     def test_beyond_threshold(self):
         cb = Codebook([[0.0], [10.0]])
-        assert classify_region([30.0], cb, 6.0) == Region.I_MINUS_T
+        _, d = full_search([30.0], cb)
+        assert region_fractions([d], cb.delta0, 6.0) == (0.0, 0.0, 1.0)
 
 
 class TestChooseDeltaHat:
@@ -250,11 +252,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             EncoderConfig(delta_hat=0.0)
         with pytest.raises(ValueError):
-            EncoderConfig(delta_hat=1.0, bbht_growth=1.0)
-        with pytest.raises(ValueError):
             EncoderConfig(delta_hat=1.0, bbht_budget_factor=0.0)
 
     def test_defaults(self):
         cfg = EncoderConfig(delta_hat=1.0)
-        assert cfg.bbht_growth == pytest.approx(1.2)
         assert cfg.bbht_budget_factor == 3.0

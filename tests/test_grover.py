@@ -45,6 +45,11 @@ class TestMarkedSet:
         with pytest.raises(ValueError, match="range"):
             MarkedSet(n=4, indices=np.array([5]))
 
+    @pytest.mark.parametrize("indices", [[3, 1], [0, 2, 2]], ids=["unsorted", "duplicate"])
+    def test_unsorted_or_duplicate_rejected(self, indices):
+        with pytest.raises(ValueError, match="sorted and unique"):
+            MarkedSet(n=4, indices=np.array(indices))
+
 
 class TestClosedForm:
     def test_exact_quarter_case(self):

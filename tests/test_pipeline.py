@@ -82,12 +82,61 @@ class TestStream:
 
     def test_decode_rejects_out_of_range_index(self):
         cb = Codebook([[0.0, 0.0], [1.0, 1.0]])
-        stream = IndexStream(
-            n_codevectors=2, block_w=2, block_h=1, width=2, height=1,
-            indices=np.array([7], dtype=np.uint16),
-        )
         with pytest.raises(ValueError, match="out of range"):
+            stream = IndexStream(
+                n_codevectors=2, block_w=2, block_h=1, width=2, height=1,
+                indices=np.array([7], dtype=np.uint16),
+            )
             decode_image(stream, cb)
+
+    @pytest.mark.parametrize(
+        "n, indices",
+        [
+            (0, [0]),
+            (65537, [0]),
+            (4, [-1]),
+            (4, [4]),
+            (65536, [-65535]),  # would wrap to 1 as uint16
+            (65536, [69999]),  # would wrap to 4463 as uint16
+            (4, [0, 1]),  # one 2x1 block, two indices
+            (4, []),
+        ],
+        ids=[
+            "n-zero", "n-over-limit", "index-negative", "index-n",
+            "wraps-to-1", "wraps-to-4463", "two-indices-one-block", "no-indices",
+        ],
+    )
+    def test_construction_rejects_malformed(self, n, indices):
+        with pytest.raises(ValueError):
+            IndexStream(
+                n_codevectors=n, block_w=2, block_h=1, width=2, height=1,
+                indices=np.array(indices, dtype=np.int64),
+            )
+
+    def test_parse_rejects_codebook_size_over_limit(self):
+        header = b"VQIX" + b"".join(v.to_bytes(4, "little") for v in (1, 70000, 2, 1, 2, 1))
+        with pytest.raises(ValueError, match="codebook size"):
+            parse_stream(header + (3).to_bytes(2, "little"))
+
+    def test_parse_rejects_index_not_below_n(self):
+        stream = IndexStream(
+            n_codevectors=3, block_w=2, block_h=1, width=4, height=1,
+            indices=np.array([0, 2], dtype=np.uint16),
+        )
+        data = serialize_stream(stream)
+        with pytest.raises(ValueError, match="out of range"):
+            parse_stream(data[:-2] + (3).to_bytes(2, "little"))
+
+    def test_largest_codebook_round_trips(self):
+        stream = IndexStream(
+            n_codevectors=65536, block_w=1, block_h=1, width=3, height=1,
+            indices=np.array([0, 65535, 12345]),
+        )
+        data = serialize_stream(stream)
+        back = parse_stream(data)
+        assert back == stream
+        assert serialize_stream(back) == data
+        assert data[-4:-2] == (65535).to_bytes(2, "little")
 
     def test_decode_rejects_wrong_codebook_size(self):
         cb = Codebook([[0.0, 0.0], [1.0, 1.0]])
