@@ -7,7 +7,7 @@ import sys
 
 from . import kernels
 from .codebook import load_codebook, save_codebook, train_codebook
-from .encoder import EncoderConfig, choose_delta_hat
+from .encoder import EncoderConfig, choose_delta_hat, delta_hat_from_nearest
 from .image import BlockGeometry, blockify, load_pgm, psnr, save_pgm
 from .neighborhood import build_neighborhoods, dump_table, space_bits
 from .pipeline import (
@@ -39,12 +39,6 @@ def _add_threshold_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_delta_hat(args, codebook, vectors) -> float:
-    if args.delta_hat is not None:
-        return args.delta_hat
-    return choose_delta_hat(codebook, vectors, percentile=args.delta_hat_percentile)
-
-
 def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
@@ -68,12 +62,10 @@ def cmd_encode(args) -> int:
     codebook = load_codebook(args.codebook)
     geom = BlockGeometry(block_w=args.block_w, block_h=args.block_h)
     vectors = blockify(img, geom)
-    delta_hat = _resolve_delta_hat(args, codebook, vectors)
-    cfg = EncoderConfig(
-        delta_hat=delta_hat,
-        bbht_budget_factor=args.budget_factor,
-        master_seed=args.seed,
-    )
+    delta_hat = args.delta_hat
+    if delta_hat is None:
+        delta_hat = choose_delta_hat(codebook, vectors, percentile=args.delta_hat_percentile)
+    cfg = EncoderConfig(delta_hat=delta_hat, master_seed=args.seed)
     table = build_neighborhoods(codebook, delta_hat)
     stream, stats = encode_image(img, codebook, table, cfg, geom=geom)
     with open(args.output, "wb") as fh:
@@ -98,9 +90,13 @@ def cmd_stats(args) -> int:
     codebook = load_codebook(args.codebook)
     geom = BlockGeometry(block_w=args.block_w, block_h=args.block_h)
     vectors = blockify(img, geom)
-    delta_hat = _resolve_delta_hat(args, codebook, vectors)
-    table = build_neighborhoods(codebook, delta_hat)
+    codebook.check_dim(vectors[0])
+    # one nearest-codevector pass feeds both the threshold and the fractions
     _, nearest = kernels.nearest_many(vectors, codebook.vectors)
+    delta_hat = args.delta_hat
+    if delta_hat is None:
+        delta_hat = delta_hat_from_nearest(nearest, codebook.delta0, args.delta_hat_percentile)
+    table = build_neighborhoods(codebook, delta_hat)
     frac_s, frac_t_minus_s, frac_i_minus_t = region_fractions(nearest, codebook.delta0, delta_hat)
     sizes = table.sizes()
     lines = [
@@ -131,11 +127,7 @@ def cmd_bench(args) -> int:
         codebook = grid_codebook(n)
         delta_hat = 0.6 * codebook.delta0
         data = clustered_dataset(codebook, delta_hat, args.vectors, seed=args.seed)
-        cfg = EncoderConfig(
-            delta_hat=delta_hat,
-            bbht_budget_factor=args.budget_factor,
-            master_seed=args.seed,
-        )
+        cfg = EncoderConfig(delta_hat=delta_hat, master_seed=args.seed)
         table = build_neighborhoods(codebook, delta_hat)
         _, stats, _ = encode_vectors(data, codebook, table, cfg)
         blocks.append(report(stats, n))
@@ -164,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="index stream to write")
     p.add_argument("--report", default=None, help="write the stats report here instead of stdout")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-factor", type=float, default=3.0)
     _add_block_args(p)
     _add_threshold_args(p)
     p.set_defaults(func=cmd_encode)
@@ -188,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="64,256,1024", help="comma-separated codebook sizes")
     p.add_argument("--vectors", type=int, default=2000, help="synthetic vectors per size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-factor", type=float, default=3.0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_bench)
 

@@ -54,9 +54,6 @@ class Codebook:
     def k(self) -> int:
         return self.vectors.shape[1]
 
-    def __len__(self) -> int:
-        return self.n
-
     def check_dim(self, x: np.ndarray) -> None:
         if x.shape[0] != self.k:
             raise ValueError(f"dimension mismatch: vector has {x.shape[0]}, codebook has {self.k}")

@@ -28,6 +28,10 @@ from .neighborhood import NeighborhoodTable
 # (Boyer, Brassard, Hoyer and Tapp's lambda, any value in (1, 4/3) works).
 BBHT_GROWTH = 6.0 / 5.0
 
+# Stage 2 spends at most ceil(BBHT_BUDGET_FACTOR * sqrt(N)) search iterations
+# per vector; the schedule alone has no stopping rule when no solution exists.
+BBHT_BUDGET_FACTOR = 3.0
+
 
 class EncodePath(enum.Enum):
     SUB1 = "sub1"
@@ -37,30 +41,24 @@ class EncodePath(enum.Enum):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Knobs for the hybrid encoder.
+    """Settings of one encode run.
 
     ``delta_hat`` is the stage-2 verification threshold (must be at least half
     the codebook's minimum pairwise distance; checked against the table at
-    encode time).  ``bbht_budget_factor`` bounds the total stage-2
-    search iterations per vector at ceil(factor * sqrt(N)); the schedule alone
-    has no stopping rule when no solution exists.
+    encode time).  ``master_seed`` keys every vector's random stream.
     """
 
     delta_hat: float
-    bbht_budget_factor: float = 3.0
     master_seed: int = 0
 
     def __post_init__(self):
         if not self.delta_hat > 0:
             raise ValueError("delta_hat must be > 0")
-        if not self.bbht_budget_factor > 0:
-            raise ValueError("bbht_budget_factor must be > 0")
 
 
 @dataclass(frozen=True)
 class EncodeOutcome:
     index: int
-    dist: float
     path: EncodePath
     meter: QueryMeter
 
@@ -70,26 +68,23 @@ def sub1_iterations(n: int) -> int:
     return math.floor(math.pi / 4.0 * math.sqrt(n))
 
 
-def sub2_budget(n: int, budget_factor: float) -> int:
-    return math.ceil(budget_factor * math.sqrt(n))
+def sub2_budget(n: int) -> int:
+    return math.ceil(BBHT_BUDGET_FACTOR * math.sqrt(n))
 
 
 def encode_sub1(
-    x,
+    dvec: np.ndarray,
     codebook: Codebook,
     rng: np.random.Generator,
     meter: QueryMeter,
-    dvec: np.ndarray | None = None,
 ) -> int | None:
     """Single amplified search at threshold delta0/2, then classical verification.
 
-    Returns the measured index when its verified distance is strictly below
-    delta0/2 (it is then the unique global optimum), else None.  ``dvec``
-    optionally supplies the precomputed distances the simulator's oracle
-    needs; it is never charged to the meter.
+    ``dvec`` holds the input's distances to every codevector; the simulator's
+    oracle reads it without charge, and the meter counts only the one
+    verification.  Returns the measured index when its verified distance is
+    strictly below delta0/2 (it is then the unique global optimum), else None.
     """
-    if dvec is None:
-        dvec = distances_to_codebook(x, codebook)
     half_delta0 = codebook.delta0 / 2.0
     marked = marked_set_from_distances(dvec, half_delta0)
     i0 = measure(marked, sub1_iterations(codebook.n), rng, meter)
@@ -101,13 +96,11 @@ def encode_sub1(
 
 
 def encode_sub2(
-    x,
-    codebook: Codebook,
+    dvec: np.ndarray,
     table: NeighborhoodTable,
     cfg: EncoderConfig,
     rng: np.random.Generator,
     meter: QueryMeter,
-    dvec: np.ndarray | None = None,
     trace: list | None = None,
 ) -> int | None:
     """Randomized-cutoff search rounds, each finished by a neighbor-list scan.
@@ -119,17 +112,17 @@ def encode_sub2(
     delta_hat, so the scan's argmin is the global optimum.  Rounds stop and
     None is returned (caller falls back) once the next draw would push the
     per-call iteration total past the budget.
+
+    ``dvec`` is read as in ``encode_sub1``.
     """
-    if table.radius_threshold != 2.0 * cfg.delta_hat:
+    if table.delta_hat != cfg.delta_hat:
         raise ValueError(
-            f"neighborhood table radius {table.radius_threshold} does not match "
-            f"2 * delta_hat = {2.0 * cfg.delta_hat}"
+            f"neighborhood table delta_hat {table.delta_hat} does not match "
+            f"the encoder's delta_hat {cfg.delta_hat}"
         )
-    if dvec is None:
-        dvec = distances_to_codebook(x, codebook)
-    n = codebook.n
+    n = dvec.shape[0]
     sqrt_n = math.sqrt(n)
-    budget = sub2_budget(n, cfg.bbht_budget_factor)
+    budget = sub2_budget(n)
     marked = marked_set_from_distances(dvec, cfg.delta_hat)
 
     m = 1.0
@@ -164,36 +157,49 @@ def encode(
     dvec: np.ndarray | None = None,
     trace: list | None = None,
 ) -> EncodeOutcome:
-    """Full hybrid encode: stage 1, then stage 2, then classical fallback."""
+    """Full hybrid encode: stage 1, then stage 2, then classical fallback.
+
+    ``dvec``, the distances from ``x`` to every codevector, is computed here
+    when the caller does not pass it.
+    """
     if dvec is None:
         dvec = distances_to_codebook(x, codebook)
     meter = QueryMeter()
-    i = encode_sub1(x, codebook, rng, meter, dvec=dvec)
+    i = encode_sub1(dvec, codebook, rng, meter)
     if i is not None:
-        return EncodeOutcome(index=i, dist=float(dvec[i]), path=EncodePath.SUB1, meter=meter)
-    i = encode_sub2(x, codebook, table, cfg, rng, meter, dvec=dvec, trace=trace)
+        return EncodeOutcome(index=i, path=EncodePath.SUB1, meter=meter)
+    i = encode_sub2(dvec, table, cfg, rng, meter, trace=trace)
     if i is not None:
-        return EncodeOutcome(index=i, dist=float(dvec[i]), path=EncodePath.SUB2, meter=meter)
-    i, d = full_search(x, codebook)
+        return EncodeOutcome(index=i, path=EncodePath.SUB2, meter=meter)
+    i, _ = full_search(x, codebook)
     meter.classical_distance_evals += codebook.n
-    return EncodeOutcome(index=i, dist=d, path=EncodePath.CLASSICAL_FALLBACK, meter=meter)
+    return EncodeOutcome(index=i, path=EncodePath.CLASSICAL_FALLBACK, meter=meter)
 
 
 def choose_delta_hat(codebook: Codebook, training_sample, percentile: float = 99.0) -> float:
     """Pick the stage-2 threshold so it covers the given share of real inputs.
 
-    Returns the nearest-rank percentile of the sample's nearest-codevector
-    distances, clamped to stay strictly above delta0/2.
+    Runs one nearest-codevector pass over the sample and hands its distances
+    to ``delta_hat_from_nearest``.
     """
-    if not 0 < percentile <= 100:
-        raise ValueError("percentile must be in (0, 100]")
     sample = np.asarray(training_sample, dtype=np.float64)
     if sample.ndim != 2 or sample.shape[0] < 1:
         raise ValueError("training sample must be a non-empty (M, k) array")
     codebook.check_dim(sample[0])
-    _, dists = kernels.nearest_many(sample, codebook.vectors)
-    dists = np.sort(dists)
+    _, nearest = kernels.nearest_many(sample, codebook.vectors)
+    return delta_hat_from_nearest(nearest, codebook.delta0, percentile)
+
+
+def delta_hat_from_nearest(nearest, delta0: float, percentile: float = 99.0) -> float:
+    """Nearest-rank percentile of nearest-codevector distances, kept above delta0/2.
+
+    The result is clamped to the next float above delta0/2, so the threshold
+    is always valid for ``build_neighborhoods``.
+    """
+    if not 0 < percentile <= 100:
+        raise ValueError("percentile must be in (0, 100]")
+    dists = np.sort(np.asarray(nearest, dtype=np.float64))
     rank = math.ceil(percentile / 100.0 * dists.size)  # nearest-rank, 1-based
     value = float(dists[max(rank, 1) - 1])
-    floor_value = float(np.nextafter(codebook.delta0 / 2.0, math.inf))
+    floor_value = float(np.nextafter(delta0 / 2.0, math.inf))
     return max(floor_value, value)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .codebook import Codebook, as_vector
+from .codebook import Codebook, distances_to_codebook
 
 STATEVECTOR_CAP = 4096
 
@@ -81,10 +80,7 @@ def marked_set(x, codebook: Codebook, delta: float) -> MarkedSet:
     """Enumerate the oracle's accepting set for threshold ``delta`` (strict <)."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    v = as_vector(x)
-    codebook.check_dim(v)
-    d = kernels.dist_to_all(v, codebook.vectors)
-    return marked_set_from_distances(d, delta)
+    return marked_set_from_distances(distances_to_codebook(x, codebook), delta)
 
 
 def marked_set_from_distances(distances: np.ndarray, delta: float) -> MarkedSet:

@@ -17,13 +17,14 @@ from .codebook import Codebook
 
 @dataclass(frozen=True)
 class NeighborhoodTable:
-    """Sorted index lists: ``lists[i]`` holds every j with d(c[i], c[j]) < radius_threshold.
+    """Sorted index lists: ``lists[i]`` holds every j with d(c[i], c[j]) < 2 * delta_hat.
 
-    The threshold is twice the encoder threshold, so each codevector is always
-    its own neighbor (d == 0) and ``inf_omega >= 1``.
+    ``delta_hat`` is the encoder threshold the table was built for; the radius
+    is positive, so each codevector is always its own neighbor (d == 0) and
+    ``inf_omega >= 1``.
     """
 
-    radius_threshold: float
+    delta_hat: float
     lists: tuple  # tuple of 1-D int64 arrays, each sorted ascending
     inf_omega: int
 
@@ -51,7 +52,7 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     for members in lists:
         members.setflags(write=False)
     inf_omega = min(len(l) for l in lists)
-    return NeighborhoodTable(radius_threshold=radius, lists=tuple(lists), inf_omega=inf_omega)
+    return NeighborhoodTable(delta_hat=float(delta_hat), lists=tuple(lists), inf_omega=inf_omega)
 
 
 def space_bits(table: NeighborhoodTable, n: int) -> int:

@@ -245,16 +245,16 @@ def report(stats: PartitionStats, n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def grid_codebook(n: int, spacing: float = 10.0) -> Codebook:
-    """Square-lattice codebook in 2-D; n must be a perfect square.
+def grid_codebook(n: int) -> Codebook:
+    """Square-lattice codebook in 2-D with spacing 10; n must be a perfect square.
 
-    Every pairwise distance is at least ``spacing``, so delta0 == spacing and
-    all three encoder regions are realizable inside the lattice.
+    Every pairwise distance is at least 10, so delta0 == 10 and all three
+    encoder regions are realizable inside the lattice.
     """
     side = round(math.sqrt(n))
     if side * side != n:
         raise ValueError(f"{n} is not a perfect square")
-    coords = np.arange(side, dtype=np.float64) * spacing
+    coords = np.arange(side, dtype=np.float64) * 10.0
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
     return Codebook(np.column_stack([xx.ravel(), yy.ravel()]))
 
@@ -264,14 +264,13 @@ def clustered_dataset(
     delta_hat: float,
     n_vectors: int,
     seed: int,
-    weights: tuple[float, float, float] = (0.90, 0.09, 0.01),
 ) -> np.ndarray:
     """Synthetic inputs matching the three-region mixture around a grid codebook.
 
     Vectors are placed at controlled radii along diagonal directions from a
     random codevector: inside delta0/2, in the shell [delta0/2, delta_hat), or
-    past delta_hat from every codevector (cell centers).  The beyond-threshold
-    count is kept strictly under 1% of the total.
+    past delta_hat from every codevector (cell centers), in a 90/9/1 mixture.
+    The beyond-threshold count is kept strictly under 1% of the total.
     """
     if codebook.k != 2:
         raise ValueError("clustered dataset generator expects a 2-D grid codebook")
@@ -282,8 +281,8 @@ def clustered_dataset(
             "for the grid geometry"
         )
     rng = np.random.default_rng(seed)
-    n_core = round(weights[0] * n_vectors)
-    n_far = max(1, math.ceil(weights[2] * n_vectors) - 1)  # strictly below 1%
+    n_core = round(0.90 * n_vectors)
+    n_far = max(1, math.ceil(0.01 * n_vectors) - 1)  # strictly below 1%
     n_shell = n_vectors - n_core - n_far
     diag = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float64) / math.sqrt(2.0)
 

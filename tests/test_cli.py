@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hqvq import load_codebook, load_pgm, save_pgm
+from hqvq import kernels, load_codebook, load_pgm, save_pgm
 from hqvq.cli import main
 
 
@@ -102,6 +102,21 @@ class TestWorkflow:
         assert len(fractions(stats_out)) == 3
         assert fractions(stats_out) == fractions(rep.read_text())
 
+    @pytest.mark.parametrize("threshold", [[], ["--delta-hat", "1e9"]])
+    def test_stats_makes_one_nearest_pass(self, tmp_path, image_path, monkeypatch, threshold):
+        cb = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0
+        rows = []
+        nearest_many = kernels.nearest_many
+
+        def counting(queries, vectors):
+            rows.append(queries.shape[0])
+            return nearest_many(queries, vectors)
+
+        monkeypatch.setattr(kernels, "nearest_many", counting)
+        assert main(["stats", str(image_path), str(cb)] + threshold) == 0
+        assert sum(rows) == 16 * 16 // 2  # one row per 2x1 block of the 16x16 image
+
     def test_bench_command(self, tmp_path, capsys):
         assert main(["bench", "--sizes", "16,64", "--vectors", "400", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -134,3 +149,14 @@ class TestErrors:
         )
         assert code == 1
         assert "delta0/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", [["2", "2"], ["1", "1"]])
+    @pytest.mark.parametrize("threshold", [[], ["--delta-hat", "1e9"]])
+    def test_stats_block_dimension_mismatch(self, tmp_path, image_path, capsys, block, threshold):
+        # the codebook holds 2x1 blocks (k = 2); 2x2 and 1x1 blocks must be refused
+        cb = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0
+        capsys.readouterr()
+        geometry = ["--block-w", block[0], "--block-h", block[1]]
+        assert main(["stats", str(image_path), str(cb)] + geometry + threshold) == 1
+        assert "dimension mismatch" in capsys.readouterr().err

@@ -37,7 +37,7 @@ class TestBuild:
         table = build_neighborhoods(cb, 1.5)
         assert [list(l) for l in table.lists] == [[0, 1, 2], [0, 1, 2], [0, 1, 2], [3]]
         assert table.inf_omega == 1
-        assert table.radius_threshold == 3.0
+        assert table.delta_hat == 1.5
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(31)

@@ -195,11 +195,7 @@ class TestCodec:
 
     def test_different_seed_may_change_cost_not_result(self, small_setup):
         img, cb, table, cfg = small_setup
-        other = EncoderConfig(
-            delta_hat=cfg.delta_hat,
-            bbht_budget_factor=cfg.bbht_budget_factor,
-            master_seed=cfg.master_seed + 1,
-        )
+        other = EncoderConfig(delta_hat=cfg.delta_hat, master_seed=cfg.master_seed + 1)
         s1, _ = encode_image(img, cb, table, cfg)
         s2, _ = encode_image(img, cb, table, other)
         np.testing.assert_array_equal(s1.indices, s2.indices)
