@@ -17,18 +17,16 @@ from .codebook import (
 from .encoder import (
     EncodePath,
     EncoderConfig,
+    QueryMeter,
     choose_delta_hat,
     encode,
     encode_sub1,
     encode_sub2,
 )
 from .grover import (
-    GroverDistribution,
     MarkedSet,
-    QueryMeter,
     derive_rng,
     grover_distribution,
-    marked_set,
     measure,
     statevector_distribution,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "Codebook",
     "EncodePath",
     "EncoderConfig",
-    "GroverDistribution",
     "IndexStream",
     "MarkedSet",
     "QueryMeter",
@@ -73,7 +70,6 @@ __all__ = [
     "grover_distribution",
     "load_codebook",
     "load_pgm",
-    "marked_set",
     "measure",
     "parse_stream",
     "psnr",

@@ -8,7 +8,8 @@ the search is embedded in a growing-cutoff schedule for an unknown number of
 solutions; any verified hit is finished by a classical scan of that
 codevector's neighbor list, which provably contains the global optimum.
 Anything else falls back to the exhaustive classical search.  Every path is
-exact; randomness only affects cost, never the returned index.
+exact; randomness only affects cost, never the returned index.  This module
+is the only one that charges the meter.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .codebook import Codebook, distances_to_codebook, full_search
-from .grover import QueryMeter, marked_set_from_distances, measure
+from .grover import marked_set_from_distances, measure
 from .neighborhood import NeighborhoodTable
 
 # Factor that grows the stage-2 iteration cutoff m after each failed round
@@ -56,6 +57,19 @@ class EncoderConfig:
             raise ValueError("delta_hat must be > 0")
 
 
+@dataclass
+class QueryMeter:
+    """Operation counters for one encode call.
+
+    One search iteration = one quantum operation; every charged classical
+    distance evaluation counts separately.  Marked-set enumeration inside the
+    simulator is never charged (it stands in for the oracle's parallelism).
+    """
+
+    grover_iterations: int = 0
+    classical_distance_evals: int = 0
+
+
 @dataclass(frozen=True)
 class EncodeOutcome:
     index: int
@@ -81,13 +95,16 @@ def encode_sub1(
     """Single amplified search at threshold delta0/2, then classical verification.
 
     ``dvec`` holds the input's distances to every codevector; the simulator's
-    oracle reads it without charge, and the meter counts only the one
-    verification.  Returns the measured index when its verified distance is
-    strictly below delta0/2 (it is then the unique global optimum), else None.
+    oracle reads it without charge.  The meter counts the search iterations
+    and the one verification.  Returns the measured index when its verified
+    distance is strictly below delta0/2 (it is then the unique global
+    optimum), else None.
     """
     half_delta0 = codebook.delta0 / 2.0
     marked = marked_set_from_distances(dvec, half_delta0)
-    i0 = measure(marked, sub1_iterations(codebook.n), rng, meter)
+    j = sub1_iterations(codebook.n)
+    i0 = measure(marked, j, rng)
+    meter.grover_iterations += j
     d0 = float(dvec[i0])
     meter.classical_distance_evals += 1
     if d0 < half_delta0:
@@ -109,9 +126,10 @@ def encode_sub2(
     iterations, and classically checks the outcome h.  A verified h
     (d(x, c[h]) < delta_hat) is finished by scanning the neighbors of h: by
     the triangle inequality any codevector outside that list is farther than
-    delta_hat, so the scan's argmin is the global optimum.  Rounds stop and
-    None is returned (caller falls back) once the next draw would push the
-    per-call iteration total past the budget.
+    delta_hat, so the scan's argmin is the global optimum.  The budget is the
+    only stopping rule: once the next draw would push the per-call iteration
+    total past it, None is returned (caller falls back).  Every round draws
+    j >= 1 with probability at least 1/2, so the loop ends with probability 1.
 
     ``dvec`` is read as in ``encode_sub1``.
     """
@@ -127,13 +145,12 @@ def encode_sub2(
 
     m = 1.0
     spent = 0
-    # safety net: the budget only advances on nonzero draws, so bound rounds too
-    max_rounds = 64 + 16 * max(1, n.bit_length())
-    for _ in range(max_rounds):
+    while True:
         j = int(rng.integers(0, math.floor(m) + 1))
         if spent + j > budget:
             return None
-        h = measure(marked, j, rng, meter)
+        h = measure(marked, j, rng)
+        meter.grover_iterations += j
         spent += j
         y0 = float(dvec[h])
         meter.classical_distance_evals += 1
@@ -145,7 +162,6 @@ def encode_sub2(
             local = np.argmin(dvec[neighbors])
             return int(neighbors[local])
         m = min(BBHT_GROWTH * m, sqrt_n)
-    return None
 
 
 def encode(

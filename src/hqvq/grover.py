@@ -6,7 +6,8 @@ subspace spanned by the marked and unmarked uniform components, so the
 post-iteration measurement distribution has a closed form: every marked index
 carries sin^2((2j+1)*theta)/t with sin(theta) = sqrt(t/N).  The closed form is
 the production path; an explicit statevector iteration is kept as a slow,
-size-capped cross-validation oracle.
+size-capped cross-validation oracle.  Nothing here counts cost: the encoder
+charges every iteration it asks ``measure`` to simulate.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .codebook import Codebook, distances_to_codebook
 
 STATEVECTOR_CAP = 4096
 
@@ -44,52 +43,13 @@ class MarkedSet:
         return int(self.indices.size)
 
 
-@dataclass
-class QueryMeter:
-    """Operation counters for one encode call.
-
-    One search iteration = one quantum operation; every charged classical
-    distance evaluation counts separately.  Marked-set enumeration inside the
-    simulator is never charged (it stands in for the oracle's parallelism).
-    """
-
-    grover_iterations: int = 0
-    classical_distance_evals: int = 0
-
-
-@dataclass(frozen=True)
-class GroverDistribution:
-    """Measurement distribution after j iterations on n indices with t marked."""
-
-    n: int
-    t: int
-    j: int
-    p_marked_each: float
-    p_unmarked_each: float
-
-    def total_marked(self) -> float:
-        return self.t * self.p_marked_each
-
-    def as_array(self, marked: np.ndarray) -> np.ndarray:
-        probs = np.full(self.n, self.p_unmarked_each)
-        probs[marked] = self.p_marked_each
-        return probs
-
-
-def marked_set(x, codebook: Codebook, delta: float) -> MarkedSet:
-    """Enumerate the oracle's accepting set for threshold ``delta`` (strict <)."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    return marked_set_from_distances(distances_to_codebook(x, codebook), delta)
-
-
 def marked_set_from_distances(distances: np.ndarray, delta: float) -> MarkedSet:
     idx = np.flatnonzero(distances < delta)
     return MarkedSet(n=int(distances.shape[0]), indices=idx)
 
 
-def grover_distribution(t: int, n: int, j: int) -> GroverDistribution:
-    """Closed-form per-index probabilities after j search iterations.
+def grover_distribution(t: int, n: int, j: int) -> tuple[float, float]:
+    """Closed-form (p_marked_each, p_unmarked_each) after j search iterations.
 
     t == 0 leaves the uniform state fixed (oracle is the identity); t == n is
     uniform over the marked set (only a global phase accumulates).
@@ -101,21 +61,15 @@ def grover_distribution(t: int, n: int, j: int) -> GroverDistribution:
     if j < 0:
         raise ValueError("iteration count must be >= 0")
     if t == 0:
-        return GroverDistribution(n=n, t=t, j=j, p_marked_each=0.0, p_unmarked_each=1.0 / n)
+        return 0.0, 1.0 / n
     if t == n:
-        return GroverDistribution(n=n, t=t, j=j, p_marked_each=1.0 / n, p_unmarked_each=0.0)
+        return 1.0 / n, 0.0
     theta = math.asin(math.sqrt(t / n))
     total = math.sin((2 * j + 1) * theta) ** 2
-    return GroverDistribution(
-        n=n,
-        t=t,
-        j=j,
-        p_marked_each=total / t,
-        p_unmarked_each=(1.0 - total) / (n - t),
-    )
+    return total / t, (1.0 - total) / (n - t)
 
 
-def statevector_distribution(marked: MarkedSet, j: int, cap: int = STATEVECTOR_CAP) -> np.ndarray:
+def statevector_distribution(marked: MarkedSet, j: int) -> np.ndarray:
     """Reference implementation: apply the iteration j times to real amplitudes.
 
     Each iteration flips the sign of the marked amplitudes and reflects about
@@ -123,8 +77,8 @@ def statevector_distribution(marked: MarkedSet, j: int, cap: int = STATEVECTOR_C
     cross-check the closed form.
     """
     n = marked.n
-    if n > cap:
-        raise ValueError(f"statevector size {n} exceeds cap {cap}")
+    if n > STATEVECTOR_CAP:
+        raise ValueError(f"statevector size {n} exceeds cap {STATEVECTOR_CAP}")
     amp = np.full(n, 1.0 / math.sqrt(n))
     for _ in range(j):
         amp[marked.indices] *= -1.0
@@ -132,20 +86,20 @@ def statevector_distribution(marked: MarkedSet, j: int, cap: int = STATEVECTOR_C
     return amp * amp
 
 
-def measure(marked: MarkedSet, j: int, rng: np.random.Generator, meter: QueryMeter) -> int:
-    """Sample one index from the post-iteration distribution; meters j iterations.
+def measure(marked: MarkedSet, j: int, rng: np.random.Generator) -> int:
+    """Sample one index from the distribution after j search iterations.
 
     Sampling uses the closed form directly: a biased coin picks the marked or
-    unmarked class, then a uniform draw picks within the class.
+    unmarked class, then a uniform draw picks within the class.  Charging the
+    j iterations is the caller's job.
     """
-    meter.grover_iterations += j
     n, t = marked.n, marked.t
     if t == 0:
         return int(rng.integers(0, n))
     if t == n:
         return int(marked.indices[rng.integers(0, t)])
-    dist = grover_distribution(t, n, j)
-    if rng.random() < dist.total_marked():
+    p_marked_each, _ = grover_distribution(t, n, j)
+    if rng.random() < t * p_marked_each:
         return int(marked.indices[rng.integers(0, t)])
     return _nth_unmarked(marked, int(rng.integers(0, n - t)))
 

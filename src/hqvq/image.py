@@ -136,7 +136,7 @@ def blockify(img: np.ndarray, geom: BlockGeometry) -> np.ndarray:
 def deblockify(vectors: np.ndarray, geom: BlockGeometry, width: int, height: int) -> np.ndarray:
     """Inverse of blockify for the original (pre-padding) dimensions.
 
-    Components are rounded half-away-from-zero and clamped to [0, 255].
+    Components are rounded half up, then clamped to [0, 255].
     """
     arr = np.asarray(vectors, dtype=np.float64)
     rows, cols = geom.grid(width, height)
@@ -150,8 +150,7 @@ def deblockify(vectors: np.ndarray, geom: BlockGeometry, width: int, height: int
         .transpose(0, 2, 1, 3)
         .reshape(rows * by, cols * bx)
     )
-    rounded = np.where(padded >= 0, np.floor(padded + 0.5), np.ceil(padded - 0.5))
-    clamped = np.clip(rounded, 0, 255).astype(np.uint8)
+    clamped = np.clip(np.floor(padded + 0.5), 0, 255).astype(np.uint8)
     return clamped[:height, :width]
 
 

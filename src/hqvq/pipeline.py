@@ -270,7 +270,9 @@ def clustered_dataset(
     Vectors are placed at controlled radii along diagonal directions from a
     random codevector: inside delta0/2, in the shell [delta0/2, delta_hat), or
     past delta_hat from every codevector (cell centers), in a 90/9/1 mixture.
-    The beyond-threshold count is kept strictly under 1% of the total.
+    For n_vectors > 100 the beyond-threshold count is kept strictly under 1%
+    of the total; at least one such vector is always kept, so smaller sets
+    carry a larger share (5% of 20, 1% of 100).
     """
     if codebook.k != 2:
         raise ValueError("clustered dataset generator expects a 2-D grid codebook")
@@ -282,7 +284,7 @@ def clustered_dataset(
         )
     rng = np.random.default_rng(seed)
     n_core = round(0.90 * n_vectors)
-    n_far = max(1, math.ceil(0.01 * n_vectors) - 1)  # strictly below 1%
+    n_far = max(1, math.ceil(0.01 * n_vectors) - 1)  # below 1% when n_vectors > 100
     n_shell = n_vectors - n_core - n_far
     diag = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float64) / math.sqrt(2.0)
 

@@ -160,8 +160,9 @@ def test_criterion_5_simulator_cross_validation():
             ms = MarkedSet(n=n, indices=idx)
             for j in range(max_j + 1):
                 probs = statevector_distribution(ms, j)
-                d = grover_distribution(t, n, j)
-                expect = d.as_array(ms.indices)
+                p_marked_each, p_unmarked_each = grover_distribution(t, n, j)
+                expect = np.full(n, p_unmarked_each)
+                expect[ms.indices] = p_marked_each
                 worst_gap = max(worst_gap, float(np.abs(probs - expect).max()))
                 worst_norm = max(worst_norm, abs(float(probs.sum()) - 1.0))
     _verdict(

@@ -18,10 +18,10 @@ from hqvq import (
     encode_sub2,
     full_search,
     grid_codebook,
-    marked_set,
 )
 from hqvq.codebook import distances_to_codebook
 from hqvq.encoder import sub1_iterations, sub2_budget
+from hqvq.grover import marked_set_from_distances
 from hqvq.pipeline import region_fractions
 
 
@@ -31,6 +31,14 @@ def make_setup(n=64, delta_hat_factor=1.2, seed=0):
     cfg = EncoderConfig(delta_hat=delta_hat, master_seed=seed)
     table = build_neighborhoods(cb, delta_hat)
     return cb, cfg, table
+
+
+def marked_count(x, cb: Codebook, delta: float) -> int:
+    return marked_set_from_distances(distances_to_codebook(x, cb), delta).t
+
+
+def line_codebook(n: int) -> Codebook:
+    return Codebook(np.arange(n, dtype=np.float64)[:, None] * 10.0)
 
 
 class TestSub1:
@@ -69,7 +77,7 @@ class TestSub1:
             if got is not None:
                 oi, _ = full_search(x, cb)
                 assert got == oi
-                assert marked_set(x, cb, cb.delta0 / 2).t == 1
+                assert marked_count(x, cb, cb.delta0 / 2) == 1
 
     def test_marked_set_at_half_delta0_never_exceeds_one(self):
         rng = np.random.default_rng(45)
@@ -77,7 +85,7 @@ class TestSub1:
             cb = Codebook(rng.uniform(0, 40, size=(24, 2)))
             for _ in range(40):
                 x = rng.uniform(-5, 45, size=2)
-                assert marked_set(x, cb, cb.delta0 / 2).t <= 1
+                assert marked_count(x, cb, cb.delta0 / 2) <= 1
 
 
 class TestSub2:
@@ -96,16 +104,41 @@ class TestSub2:
                 assert got == 3
 
     def test_empty_marked_set_exhausts_budget(self):
+        # the budget is stage 2's only stopping rule; small N hold the fewest
+        # iterations per round, so they run the most rounds before it binds
+        for n in (2, 3, 64):
+            cb = grid_codebook(n) if n == 64 else line_codebook(n)
+            delta_hat = 1.2 * cb.delta0 / 2.0
+            cfg = EncoderConfig(delta_hat=delta_hat, master_seed=0)
+            table = build_neighborhoods(cb, delta_hat)
+            x = np.full(cb.k, 305.0)  # far beyond every codevector's threshold
+            assert marked_count(x, cb, cfg.delta_hat) == 0
+            budget = sub2_budget(n)
+            dvec = distances_to_codebook(x, cb)
+            for i in range(200):
+                meter = QueryMeter()
+                trace = []
+                got = encode_sub2(dvec, table, cfg, derive_rng(6, i), meter, trace=trace)
+                assert got is None
+                assert meter.grover_iterations <= budget
+                assert meter.classical_distance_evals == len(trace)
+
+    def test_meter_charges_every_drawn_iteration(self):
+        # encode_sub2 is the only place stage-2 iterations are charged: the
+        # meter equals the sum of the traced draws, which never exceeds the budget
         cb, cfg, table = make_setup(64)
-        x = np.array([305.0, 305.0])  # far beyond every codevector's threshold
-        assert marked_set(x, cb, cfg.delta_hat).t == 0
         budget = sub2_budget(64)
-        dvec = distances_to_codebook(x, cb)
-        for i in range(50):
-            meter = QueryMeter()
-            got = encode_sub2(dvec, table, cfg, derive_rng(6, i), meter)
-            assert got is None
-            assert meter.grover_iterations <= budget
+        rng = np.random.default_rng(53)
+        shell = cb.vectors[20] + (cb.delta0 / 2.0) * 1.1 / math.sqrt(2.0)
+        points = [shell, np.array([305.0, 305.0]), *rng.uniform(-20, 100, size=(8, 2))]
+        for p, x in enumerate(points):
+            dvec = distances_to_codebook(x, cb)
+            for i in range(50):
+                meter = QueryMeter()
+                trace = []
+                encode_sub2(dvec, table, cfg, derive_rng(15, 50 * p + i), meter, trace=trace)
+                assert meter.grover_iterations == sum(r["j"] for r in trace)
+                assert meter.grover_iterations <= budget
 
     def test_success_charges_neighborhood_scan(self):
         cb = Codebook([[0.0], [1.0], [2.0], [100.0]])
@@ -130,12 +163,12 @@ class TestSub2:
     def test_mean_iterations_within_bbht_bound(self):
         # smaller cousin of the acceptance check: t=4 solutions out of n=256
         n, t = 256, 4
-        cb = Codebook(np.arange(n, dtype=np.float64)[:, None] * 10.0)
+        cb = line_codebook(n)
         delta_hat = 10.0 * t - 5.0  # marks exactly the first t codevectors of x=0
         cfg = EncoderConfig(delta_hat=delta_hat, master_seed=0)
         table = build_neighborhoods(cb, delta_hat)
         x = np.array([0.0])
-        assert marked_set(x, cb, delta_hat).t == t
+        assert marked_count(x, cb, delta_hat) == t
         dvec = distances_to_codebook(x, cb)
         spent = []
         for i in range(400):
@@ -204,7 +237,7 @@ class TestEncode:
             a, b = rng.normal(size=(2, 3))
             cb = Codebook([a, b])
             x = (a + b) / 2
-            if marked_set(x, cb, cb.delta0 / 2).t == 2:
+            if marked_count(x, cb, cb.delta0 / 2) == 2:
                 break
         cfg = EncoderConfig(delta_hat=cb.delta0, master_seed=0)
         table = build_neighborhoods(cb, cb.delta0)
