@@ -111,7 +111,7 @@ def cmd_stats(args) -> int:
         f"inf_omega={table.inf_omega}",
         f"max_omega={int(sizes.max())}",
         f"mean_omega={float(sizes.mean())!r}",
-        f"space_bits={space_bits(table, codebook.n)}",
+        f"space_bits={space_bits(table)}",
     ]
     text = "\n".join(lines) + "\n"
     if args.dump_neighbors:

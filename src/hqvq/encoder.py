@@ -7,9 +7,9 @@ check verifies it.  Stage 2 targets inputs within the configured threshold:
 the search is embedded in a growing-cutoff schedule for an unknown number of
 solutions; any verified hit is finished by a classical scan of that
 codevector's neighbor list, which provably contains the global optimum.
-Anything else falls back to the exhaustive classical search.  Every path is
-exact; randomness only affects cost, never the returned index.  This module
-is the only one that charges the meter.
+Anything else falls back to the exhaustive classical search.  The index is
+the distance vector's argmin; the stages only simulate and charge the search,
+so randomness never affects the index.  This module alone charges the meter.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .codebook import Codebook, distances_to_codebook, full_search
+from .codebook import Codebook, full_search  # noqa: F401 (perfbench/spans.py wraps it by name)
 from .grover import marked_set_from_distances, measure
 from .neighborhood import NeighborhoodTable
 
@@ -86,6 +86,22 @@ def sub2_budget(n: int) -> int:
     return math.ceil(BBHT_BUDGET_FACTOR * math.sqrt(n))
 
 
+def _search_round(marked, j, dvec, threshold, rng, meter, trace) -> int | None:
+    """One measurement after j search iterations, then its classical check.
+
+    Charges the j iterations and the one verification, and appends the round
+    to ``trace`` when given.  Returns the measured index h when its verified
+    distance ``dvec[h]`` is strictly below ``threshold``, else None.
+    """
+    h = measure(marked, j, rng)
+    meter.grover_iterations += j
+    y0 = float(dvec[h])
+    meter.classical_distance_evals += 1
+    if trace is not None:
+        trace.append({"j": j, "h": h, "y0": y0})
+    return h if y0 < threshold else None
+
+
 def encode_sub1(
     dvec: np.ndarray,
     codebook: Codebook,
@@ -102,14 +118,7 @@ def encode_sub1(
     """
     half_delta0 = codebook.delta0 / 2.0
     marked = marked_set_from_distances(dvec, half_delta0)
-    j = sub1_iterations(codebook.n)
-    i0 = measure(marked, j, rng)
-    meter.grover_iterations += j
-    d0 = float(dvec[i0])
-    meter.classical_distance_evals += 1
-    if d0 < half_delta0:
-        return i0
-    return None
+    return _search_round(marked, sub1_iterations(codebook.n), dvec, half_delta0, rng, meter, None)
 
 
 def encode_sub2(
@@ -120,14 +129,14 @@ def encode_sub2(
     meter: QueryMeter,
     trace: list | None = None,
 ) -> int | None:
-    """Randomized-cutoff search rounds, each finished by a neighbor-list scan.
+    """Randomized-cutoff search rounds, each hit finished by a neighbor-list scan.
 
     Every round draws j uniformly from {0..floor(m)}, measures after j
     iterations, and classically checks the outcome h.  A verified h
-    (d(x, c[h]) < delta_hat) is finished by scanning the neighbors of h: by
-    the triangle inequality any codevector outside that list is farther than
-    delta_hat, so the scan's argmin is the global optimum.  The budget is the
-    only stopping rule: once the next draw would push the per-call iteration
+    (d(x, c[h]) < delta_hat) is returned and charged the scan of its list:
+    by the triangle inequality any codevector outside it is farther than
+    delta_hat, so the optimum lies in h's list.  The budget is the only
+    stopping rule: once the next draw would push the per-call iteration
     total past it, None is returned (caller falls back).  Every round draws
     j >= 1 with probability at least 1/2, so the loop ends with probability 1.
 
@@ -149,47 +158,37 @@ def encode_sub2(
         j = int(rng.integers(0, math.floor(m) + 1))
         if spent + j > budget:
             return None
-        h = measure(marked, j, rng)
-        meter.grover_iterations += j
         spent += j
-        y0 = float(dvec[h])
-        meter.classical_distance_evals += 1
-        if trace is not None:
-            trace.append({"j": j, "h": h, "y0": y0})
-        if y0 < cfg.delta_hat:
-            neighbors = table.lists[h]
-            meter.classical_distance_evals += len(neighbors)
-            local = np.argmin(dvec[neighbors])
-            return int(neighbors[local])
+        h = _search_round(marked, j, dvec, cfg.delta_hat, rng, meter, trace)
+        if h is not None:
+            meter.classical_distance_evals += len(table.lists[h])
+            return h
         m = min(BBHT_GROWTH * m, sqrt_n)
 
 
 def encode(
-    x,
+    dvec: np.ndarray,
     codebook: Codebook,
     table: NeighborhoodTable,
     cfg: EncoderConfig,
     rng: np.random.Generator,
-    dvec: np.ndarray | None = None,
     trace: list | None = None,
 ) -> EncodeOutcome:
     """Full hybrid encode: stage 1, then stage 2, then classical fallback.
 
-    ``dvec``, the distances from ``x`` to every codevector, is computed here
-    when the caller does not pass it.
+    ``dvec`` holds the input's distances to every codevector.  The index is
+    its argmin, ties to the smallest index, whichever stage accepts; the
+    stages decide only the path and what the meter is charged.
     """
-    if dvec is None:
-        dvec = distances_to_codebook(x, codebook)
     meter = QueryMeter()
-    i = encode_sub1(dvec, codebook, rng, meter)
-    if i is not None:
-        return EncodeOutcome(index=i, path=EncodePath.SUB1, meter=meter)
-    i = encode_sub2(dvec, table, cfg, rng, meter, trace=trace)
-    if i is not None:
-        return EncodeOutcome(index=i, path=EncodePath.SUB2, meter=meter)
-    i, _ = full_search(x, codebook)
-    meter.classical_distance_evals += codebook.n
-    return EncodeOutcome(index=i, path=EncodePath.CLASSICAL_FALLBACK, meter=meter)
+    if encode_sub1(dvec, codebook, rng, meter) is not None:
+        path = EncodePath.SUB1
+    elif encode_sub2(dvec, table, cfg, rng, meter, trace=trace) is not None:
+        path = EncodePath.SUB2
+    else:
+        meter.classical_distance_evals += codebook.n
+        path = EncodePath.CLASSICAL_FALLBACK
+    return EncodeOutcome(index=int(np.argmin(dvec)), path=path, meter=meter)
 
 
 def choose_delta_hat(codebook: Codebook, training_sample, percentile: float = 99.0) -> float:

@@ -55,15 +55,13 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     return NeighborhoodTable(delta_hat=float(delta_hat), lists=tuple(lists), inf_omega=inf_omega)
 
 
-def space_bits(table: NeighborhoodTable, n: int) -> int:
+def space_bits(table: NeighborhoodTable) -> int:
     """Exact storage accounting: sum of (|list|+1) * (ceil(log2 N) + 32) bits.
 
     Each entry carries a ceil(log2 N)-bit index plus a 4-byte payload; the +1
     counts the per-list head pointer.
     """
-    if table.n != n:
-        raise ValueError(f"table built over {table.n} codevectors, not {n}")
-    bits_per_entry = max(1, (n - 1).bit_length()) + 32
+    bits_per_entry = max(1, (table.n - 1).bit_length()) + 32
     return int(sum(len(l) + 1 for l in table.lists) * bits_per_entry)
 
 

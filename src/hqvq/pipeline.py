@@ -170,12 +170,11 @@ def encode_vectors(
     nearest = np.empty(vectors.shape[0])
     outcomes = []
     for ordinal in range(vectors.shape[0]):
-        x = vectors[ordinal]
-        dvec = distances_to_codebook(x, codebook)
+        dvec = distances_to_codebook(vectors[ordinal], codebook)
         rng = derive_rng(cfg.master_seed, ordinal)
-        outcome = encode(x, codebook, table, cfg, rng, dvec=dvec)
+        outcome = encode(dvec, codebook, table, cfg, rng)
         indices[ordinal] = outcome.index
-        nearest[ordinal] = dvec.min()
+        nearest[ordinal] = dvec[outcome.index]
         outcomes.append(outcome)
     stats = _build_stats(outcomes, region_fractions(nearest, codebook.delta0, cfg.delta_hat))
     return indices, stats, outcomes
@@ -286,6 +285,8 @@ def clustered_dataset(
     n_core = round(0.90 * n_vectors)
     n_far = max(1, math.ceil(0.01 * n_vectors) - 1)  # below 1% when n_vectors > 100
     n_shell = n_vectors - n_core - n_far
+    if n_shell < 0:
+        raise ValueError(f"n_vectors must be at least 5 for the 90/9/1 mixture, got {n_vectors}")
     diag = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float64) / math.sqrt(2.0)
 
     rows = []

@@ -50,9 +50,15 @@ def line_codebook(n: int, spacing: float = 10.0) -> Codebook:
 
 @pytest.fixture(scope="module")
 def exactness_run():
-    """Shared workload for criteria 1 and 7: ~1080 instances x 10 seeds."""
+    """Shared workload for criteria 1 and 7: ~1080 instances x 10 seeds.
+
+    ``encode`` takes its index from the distance vector, so criterion 1 also
+    replays stage 1 of every SUB1 outcome and checks the candidate it accepted.
+    """
     rng = np.random.default_rng(20240)
     mismatches = 0
+    sub1_successes = 0
+    sub1_wrong_candidates = 0
     sub2_successes = 0
     soundness_violations = 0
     encodes = 0
@@ -65,13 +71,19 @@ def exactness_run():
                 for _ in range(30):
                     x = rng.uniform(-10, 70, size=k)
                     oracle_i, _ = full_search(x, cb)
+                    dvec = distances_to_codebook(x, cb)
                     for seed in range(10):
                         cfg = EncoderConfig(delta_hat=delta_hat, master_seed=seed)
                         trace = []
-                        out = encode(x, cb, table, cfg, derive_rng(seed, 0), trace=trace)
+                        out = encode(dvec, cb, table, cfg, derive_rng(seed, 0), trace=trace)
                         encodes += 1
                         if out.index != oracle_i:
                             mismatches += 1
+                        if out.path == EncodePath.SUB1:
+                            sub1_successes += 1
+                            got = encode_sub1(dvec, cb, derive_rng(seed, 0), QueryMeter())
+                            if got != oracle_i:
+                                sub1_wrong_candidates += 1
                         if out.path == EncodePath.SUB2:
                             sub2_successes += 1
                             h = trace[-1]["h"]
@@ -80,6 +92,8 @@ def exactness_run():
     return {
         "encodes": encodes,
         "mismatches": mismatches,
+        "sub1_successes": sub1_successes,
+        "sub1_wrong_candidates": sub1_wrong_candidates,
         "sub2_successes": sub2_successes,
         "soundness_violations": soundness_violations,
     }
@@ -90,8 +104,13 @@ def test_criterion_1_exactness(exactness_run):
     _verdict(
         1,
         "exactness vs full search",
-        r["mismatches"] == 0 and r["encodes"] >= 10_000,
-        f"{r['encodes']} encodes, {r['mismatches']} mismatches",
+        r["mismatches"] == 0
+        and r["encodes"] >= 10_000
+        and r["sub1_wrong_candidates"] == 0
+        and r["sub1_successes"] > 0,
+        f"{r['encodes']} encodes, {r['mismatches']} mismatches, "
+        f"{r['sub1_successes']} stage-1 successes, "
+        f"{r['sub1_wrong_candidates']} stage-1 candidates off the oracle",
     )
 
 
@@ -177,7 +196,7 @@ def test_criterion_6_space_formula():
     # exact value on a constructed table with all-singleton lists
     cb4 = Codebook(np.array([[0.0], [100.0], [200.0], [300.0]]))
     t4 = build_neighborhoods(cb4, 50.0)  # radius 100, strict < keeps lists singleton
-    exact_ok = space_bits(t4, 4) == 272
+    exact_ok = space_bits(t4) == 272
 
     # doubling N with bounded |lists|: log-log slope tracks the N*log2(N) model
     sizes = [64, 128, 256, 512, 1024]
@@ -187,7 +206,7 @@ def test_criterion_6_space_formula():
         cb = line_codebook(n)
         table = build_neighborhoods(cb, 7.5)  # radius 15: three-wide lists
         assert max(len(l) for l in table.lists) == 3
-        measured.append(space_bits(table, n))
+        measured.append(space_bits(table))
         model.append(n * (max(1, (n - 1).bit_length()) + 32))
     slope_ok = True
     gaps = []
@@ -200,7 +219,7 @@ def test_criterion_6_space_formula():
         6,
         "space accounting",
         exact_ok and slope_ok,
-        f"N=4 singleton bits={space_bits(t4, 4)}, max slope gap={max(gaps):.3f}",
+        f"N=4 singleton bits={space_bits(t4)}, max slope gap={max(gaps):.3f}",
     )
 
 

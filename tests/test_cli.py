@@ -130,6 +130,10 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bench_too_few_vectors(self, capsys):
+        assert main(["bench", "--sizes", "64", "--vectors", "1"]) == 1
+        assert "n_vectors must be at least 5" in capsys.readouterr().err
+
     def test_bad_stream_file(self, tmp_path, image_path, capsys):
         cb = tmp_path / "cb.txt"
         assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from hqvq import (
     Codebook,
@@ -39,6 +41,26 @@ def marked_count(x, cb: Codebook, delta: float) -> int:
 
 def line_codebook(n: int) -> Codebook:
     return Codebook(np.arange(n, dtype=np.float64)[:, None] * 10.0)
+
+
+def rounded_midpoint(rng: np.random.Generator, k: int):
+    """Two-codevector codebook and the midpoint x of its pair.
+
+    Draws pairs until rounding puts x strictly inside delta0/2 of both ends
+    (stage 1 then marks t = 2), or 400 pairs are spent.
+    """
+    for _ in range(400):
+        a, b = rng.normal(size=(2, k))
+        cb = Codebook([a, b])
+        x = (a + b) / 2
+        if marked_count(x, cb, cb.delta0 / 2) == 2:
+            break
+    return cb, x
+
+
+def midpoint_case():
+    # default_rng(0) gets there at draw 144: both distances are 1.68323059 < delta0/2
+    return rounded_midpoint(np.random.default_rng(0), 3)
 
 
 class TestSub1:
@@ -78,6 +100,20 @@ class TestSub1:
                 oi, _ = full_search(x, cb)
                 assert got == oi
                 assert marked_count(x, cb, cb.delta0 / 2) == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="stage 1 marks both ends of a rounded midpoint as closer than delta0/2",
+    )
+    def test_midpoint_stage1_accepts_only_the_full_search_index(self):
+        # encode's index is right regardless; the defect is that stage 1
+        # accepts the other end too, so the path and meter depend on the seed
+        cb, x = midpoint_case()
+        dvec = distances_to_codebook(x, cb)
+        oracle, _ = full_search(x, cb)
+        got = {encode_sub1(dvec, cb, derive_rng(seed, 0), QueryMeter()) for seed in range(40)}
+        assert got <= {oracle, None}
 
     def test_marked_set_at_half_delta0_never_exceeds_one(self):
         rng = np.random.default_rng(45)
@@ -148,10 +184,9 @@ class TestSub2:
         meter = QueryMeter()
         trace = []
         got = encode_sub2(dvec, table, cfg, derive_rng(7, 0), meter, trace=trace)
-        assert got == 1
-        rounds = len(trace)
-        h = trace[-1]["h"]
-        assert meter.classical_distance_evals == rounds + len(table.lists[h])
+        assert got == trace[-1]["h"]
+        assert 1 in table.lists[got]  # the optimum lies in the verified index's list
+        assert meter.classical_distance_evals == len(trace) + len(table.lists[got])
 
     def test_table_threshold_mismatch_rejected(self):
         cb, cfg, table = make_setup(16)
@@ -181,7 +216,7 @@ class TestSub2:
 class TestEncode:
     def test_exact_codevector_hits_sub1(self):
         cb, cfg, table = make_setup(64)
-        out = encode(cb.vectors[7], cb, table, cfg, derive_rng(10, 0))
+        out = encode(distances_to_codebook(cb.vectors[7], cb), cb, table, cfg, derive_rng(10, 0))
         assert out.index == 7
         assert out.path == EncodePath.SUB1
 
@@ -195,7 +230,7 @@ class TestEncode:
                 table = build_neighborhoods(cb, delta_hat)
                 for j in range(20):
                     x = rng.uniform(-10, 60, size=2)
-                    out = encode(x, cb, table, cfg, derive_rng(11, j))
+                    out = encode(distances_to_codebook(x, cb), cb, table, cfg, derive_rng(11, j))
                     assert out.index == full_search(x, cb)[0]
 
     def test_shell_input_never_wrong(self):
@@ -203,15 +238,16 @@ class TestEncode:
         # place x in the shell: between delta0/2 and delta_hat of its nearest
         offset = np.array([1.0, 1.0]) / math.sqrt(2.0)
         x = cb.vectors[20] + offset * (cb.delta0 / 2.0) * 1.1
+        dvec = distances_to_codebook(x, cb)
         for i in range(200):
-            out = encode(x, cb, table, cfg, derive_rng(12, i))
+            out = encode(dvec, cb, table, cfg, derive_rng(12, i))
             assert out.path in (EncodePath.SUB2, EncodePath.CLASSICAL_FALLBACK)
             assert out.index == full_search(x, cb)[0]
 
     def test_fallback_meters_full_scan(self):
         cb, cfg, table = make_setup(16)
         x = np.array([500.0, 500.0])
-        out = encode(x, cb, table, cfg, derive_rng(13, 0))
+        out = encode(distances_to_codebook(x, cb), cb, table, cfg, derive_rng(13, 0))
         assert out.path == EncodePath.CLASSICAL_FALLBACK
         # sub1 verify (1) + sub2 rounds (>=1) + fallback full scan (16)
         assert out.meter.classical_distance_evals >= 1 + 1 + 16
@@ -222,38 +258,67 @@ class TestEncode:
         rng = np.random.default_rng(51)
         for i in range(300):
             x = rng.uniform(-20, 100, size=2)
-            out = encode(x, cb, table, cfg, derive_rng(14, i))
+            out = encode(distances_to_codebook(x, cb), cb, table, cfg, derive_rng(14, i))
             assert out.meter.grover_iterations <= cap
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="stage 1 marks both ends of a rounded midpoint as closer than delta0/2",
-    )
     def test_midpoint_of_two_codevectors_matches_full_search(self):
         # rounding puts x = (a + b) / 2 strictly inside delta0/2 of both a and b,
-        # so stage 1 sees t = 2 and returns either index depending on the seed
-        rng = np.random.default_rng(0)
-        while True:
-            a, b = rng.normal(size=(2, 3))
-            cb = Codebook([a, b])
-            x = (a + b) / 2
-            if marked_count(x, cb, cb.delta0 / 2) == 2:
-                break
+        # so stage 1 sees t = 2; the index must still be full search's
+        cb, x = midpoint_case()
         cfg = EncoderConfig(delta_hat=cb.delta0, master_seed=0)
         table = build_neighborhoods(cb, cb.delta0)
         oracle, _ = full_search(x, cb)
-        got = {encode(x, cb, table, cfg, derive_rng(seed, 0)).index for seed in range(40)}
+        dvec = distances_to_codebook(x, cb)
+        got = {encode(dvec, cb, table, cfg, derive_rng(seed, 0)).index for seed in range(40)}
         assert got == {oracle}
 
     def test_deterministic_for_seed(self):
         cb, cfg, table = make_setup(64)
         rng = np.random.default_rng(52)
         for i in range(50):
-            x = rng.uniform(0, 80, size=2)
-            a = encode(x, cb, table, cfg, derive_rng(99, i))
-            b = encode(x, cb, table, cfg, derive_rng(99, i))
+            dvec = distances_to_codebook(rng.uniform(0, 80, size=2), cb)
+            a = encode(dvec, cb, table, cfg, derive_rng(99, i))
+            b = encode(dvec, cb, table, cfg, derive_rng(99, i))
             assert a.index == b.index and a.path == b.path
             assert a.meter == b.meter
+
+
+BOUNDARIES = ("midpoint", "half_delta0", "delta_hat", "two_delta_hat")
+
+
+@settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(boundary="midpoint", seed=0, k=3, n=2, factor=1.0)  # midpoint_case()
+@given(
+    boundary=st.sampled_from(BOUNDARIES),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    n=st.integers(2, 12),
+    factor=st.sampled_from([1.0, 1.25, 2.0, 3.0]),
+)
+def test_index_is_full_search_for_every_seed(boundary, seed, k, n, factor):
+    # inputs on the encoder's boundaries: rounded pair midpoints, and the
+    # delta0/2, delta_hat and 2 * delta_hat shells around a codevector
+    rng = np.random.default_rng(seed)
+    if boundary == "midpoint":
+        cb, x = rounded_midpoint(rng, k)
+        delta_hat = factor * cb.delta0 / 2.0
+    else:
+        cb = Codebook(rng.normal(size=(n, k)))
+        delta_hat = factor * cb.delta0 / 2.0
+        radius = {
+            "half_delta0": cb.delta0 / 2.0,
+            "delta_hat": delta_hat,
+            "two_delta_hat": 2.0 * delta_hat,
+        }[boundary]
+        direction = rng.normal(size=k)
+        direction *= radius / np.linalg.norm(direction)
+        x = cb.vectors[rng.integers(0, cb.n)] + direction
+    cfg = EncoderConfig(delta_hat=delta_hat, master_seed=0)
+    table = build_neighborhoods(cb, delta_hat)
+    dvec = distances_to_codebook(x, cb)
+    oracle, _ = full_search(x, cb)
+    got = {encode(dvec, cb, table, cfg, derive_rng(s, 0)).index for s in range(5)}
+    assert got == {oracle}
 
 
 class TestClassifyRegion:

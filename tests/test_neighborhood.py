@@ -96,26 +96,20 @@ class TestSpaceBits:
         cb = Codebook([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
         table = build_neighborhoods(cb, cb.delta0 / 2.0)
         assert all(len(l) == 1 for l in table.lists)
-        assert space_bits(table, 4) == 272  # 4 * (1+1) * (2+32)
+        assert space_bits(table) == 272  # 4 * (1+1) * (2+32)
 
     def test_two_full_lists(self):
         cb = Codebook([[0.0], [1.0]])
         table = build_neighborhoods(cb, 1.0)  # radius 2 > 1: both lists are {0,1}
         assert [list(l) for l in table.lists] == [[0, 1], [0, 1]]
-        assert space_bits(table, 2) == 198  # 2 * 3 * (1+32)
+        assert space_bits(table) == 198  # 2 * 3 * (1+32)
 
     def test_every_term_at_least_two_entries(self):
         rng = np.random.default_rng(36)
         cb = Codebook(rng.uniform(0, 50, size=(8, 2)))
         table = build_neighborhoods(cb, cb.delta0)
         bits_per = max(1, (8 - 1).bit_length()) + 32
-        assert space_bits(table, 8) >= 8 * 2 * bits_per
-
-    def test_wrong_n_rejected(self):
-        cb = Codebook([[0.0], [1.0]])
-        table = build_neighborhoods(cb, 1.0)
-        with pytest.raises(ValueError):
-            space_bits(table, 5)
+        assert space_bits(table) >= 8 * 2 * bits_per
 
 
 def test_dump_format():

@@ -250,6 +250,17 @@ class TestSyntheticDataset:
         assert c < 0.01
         assert c > 0.0
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_fewer_than_five_vectors_rejected(self, n):
+        # the 90/9/1 mixture leaves a negative shell count below 5 vectors
+        cb = grid_codebook(64)
+        with pytest.raises(ValueError, match="n_vectors must be at least 5"):
+            clustered_dataset(cb, 0.6 * cb.delta0, n, seed=0)
+
+    def test_five_vectors_is_the_minimum(self):
+        cb = grid_codebook(64)
+        assert clustered_dataset(cb, 0.6 * cb.delta0, 5, seed=0).shape == (5, 2)
+
     def test_all_s_synthetic_run_stays_on_fast_path(self):
         # N=256 keeps the single-pass failure rate near 5e-5, well under 0.1%
         cb = grid_codebook(256)
