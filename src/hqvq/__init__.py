@@ -23,13 +23,7 @@ from .encoder import (
     encode_sub1,
     encode_sub2,
 )
-from .grover import (
-    MarkedSet,
-    derive_rng,
-    grover_distribution,
-    measure,
-    statevector_distribution,
-)
+from .grover import derive_rng
 from .image import BlockGeometry, blockify, deblockify, load_pgm, psnr, save_pgm
 from .neighborhood import build_neighborhoods, space_bits
 from .pipeline import (
@@ -50,7 +44,6 @@ __all__ = [
     "EncodePath",
     "EncoderConfig",
     "IndexStream",
-    "MarkedSet",
     "QueryMeter",
     "blockify",
     "build_neighborhoods",
@@ -67,10 +60,8 @@ __all__ = [
     "encode_vectors",
     "full_search",
     "grid_codebook",
-    "grover_distribution",
     "load_codebook",
     "load_pgm",
-    "measure",
     "parse_stream",
     "psnr",
     "report",
@@ -78,7 +69,6 @@ __all__ = [
     "save_pgm",
     "serialize_stream",
     "space_bits",
-    "statevector_distribution",
     "train_codebook",
 ]
 

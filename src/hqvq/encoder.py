@@ -45,8 +45,9 @@ class EncoderConfig:
     """Settings of one encode run.
 
     ``delta_hat`` is the stage-2 verification threshold (must be at least half
-    the codebook's minimum pairwise distance; checked against the table at
-    encode time).  ``master_seed`` keys every vector's random stream.
+    the codebook's minimum pairwise distance; ``encode_vectors`` checks that
+    it is the one the neighborhood table was built for).  ``master_seed``
+    keys every vector's random stream.
     """
 
     delta_hat: float
@@ -93,7 +94,7 @@ def _search_round(marked, j, dvec, threshold, rng, meter, trace) -> int | None:
     to ``trace`` when given.  Returns the measured index h when its verified
     distance ``dvec[h]`` is strictly below ``threshold``, else None.
     """
-    h = measure(marked, j, rng)
+    h = measure(marked, dvec.shape[0], j, rng)
     meter.grover_iterations += j
     y0 = float(dvec[h])
     meter.classical_distance_evals += 1
@@ -124,7 +125,6 @@ def encode_sub1(
 def encode_sub2(
     dvec: np.ndarray,
     table: NeighborhoodTable,
-    cfg: EncoderConfig,
     rng: np.random.Generator,
     meter: QueryMeter,
     trace: list | None = None,
@@ -140,17 +140,13 @@ def encode_sub2(
     total past it, None is returned (caller falls back).  Every round draws
     j >= 1 with probability at least 1/2, so the loop ends with probability 1.
 
-    ``dvec`` is read as in ``encode_sub1``.
+    ``dvec`` is read as in ``encode_sub1``; delta_hat is the table's.
     """
-    if table.delta_hat != cfg.delta_hat:
-        raise ValueError(
-            f"neighborhood table delta_hat {table.delta_hat} does not match "
-            f"the encoder's delta_hat {cfg.delta_hat}"
-        )
+    delta_hat = table.delta_hat
     n = dvec.shape[0]
     sqrt_n = math.sqrt(n)
     budget = sub2_budget(n)
-    marked = marked_set_from_distances(dvec, cfg.delta_hat)
+    marked = marked_set_from_distances(dvec, delta_hat)
 
     m = 1.0
     spent = 0
@@ -159,7 +155,7 @@ def encode_sub2(
         if spent + j > budget:
             return None
         spent += j
-        h = _search_round(marked, j, dvec, cfg.delta_hat, rng, meter, trace)
+        h = _search_round(marked, j, dvec, delta_hat, rng, meter, trace)
         if h is not None:
             meter.classical_distance_evals += len(table.lists[h])
             return h
@@ -170,20 +166,20 @@ def encode(
     dvec: np.ndarray,
     codebook: Codebook,
     table: NeighborhoodTable,
-    cfg: EncoderConfig,
     rng: np.random.Generator,
     trace: list | None = None,
 ) -> EncodeOutcome:
     """Full hybrid encode: stage 1, then stage 2, then classical fallback.
 
-    ``dvec`` holds the input's distances to every codevector.  The index is
-    its argmin, ties to the smallest index, whichever stage accepts; the
-    stages decide only the path and what the meter is charged.
+    ``dvec`` holds the input's distances to every codevector, and stage 2
+    runs at the table's delta_hat.  The index is the argmin of ``dvec``,
+    ties to the smallest index, whichever stage accepts; the stages decide
+    only the path and what the meter is charged.
     """
     meter = QueryMeter()
     if encode_sub1(dvec, codebook, rng, meter) is not None:
         path = EncodePath.SUB1
-    elif encode_sub2(dvec, table, cfg, rng, meter, trace=trace) is not None:
+    elif encode_sub2(dvec, table, rng, meter, trace=trace) is not None:
         path = EncodePath.SUB2
     else:
         meter.classical_distance_evals += codebook.n

@@ -13,39 +13,15 @@ charges every iteration it asks ``measure`` to simulate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 STATEVECTOR_CAP = 4096
 
 
-@dataclass(frozen=True)
-class MarkedSet:
-    """Indices accepted by the search oracle: {i : d(x, c[i]) < delta}."""
-
-    n: int
-    indices: np.ndarray  # strictly increasing 1-D int64
-
-    def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.int64)  # own copy: frozen below
-        if idx.ndim != 1:
-            raise ValueError("marked indices must be 1-D")
-        if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
-            raise ValueError("marked indices must be sorted and unique")
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.n):
-            raise ValueError("marked indices out of range")
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def t(self) -> int:
-        return int(self.indices.size)
-
-
-def marked_set_from_distances(distances: np.ndarray, delta: float) -> MarkedSet:
-    idx = np.flatnonzero(distances < delta)
-    return MarkedSet(n=int(distances.shape[0]), indices=idx)
+def marked_set_from_distances(distances: np.ndarray, delta: float) -> np.ndarray:
+    """Indices accepted by the search oracle, {i : distances[i] < delta}, ascending."""
+    return np.flatnonzero(distances < delta)
 
 
 def grover_distribution(t: int, n: int, j: int) -> tuple[float, float]:
@@ -69,44 +45,45 @@ def grover_distribution(t: int, n: int, j: int) -> tuple[float, float]:
     return total / t, (1.0 - total) / (n - t)
 
 
-def statevector_distribution(marked: MarkedSet, j: int) -> np.ndarray:
+def statevector_distribution(marked: np.ndarray, n: int, j: int) -> np.ndarray:
     """Reference implementation: apply the iteration j times to real amplitudes.
 
-    Each iteration flips the sign of the marked amplitudes and reflects about
-    the uniform vector.  O(j * n); capped because it exists only to
-    cross-check the closed form.
+    ``marked`` holds the ascending marked indices out of ``n``.  Each iteration
+    flips the sign of the marked amplitudes and reflects about the uniform
+    vector.  O(j * n); capped because it exists only to cross-check the
+    closed form.
     """
-    n = marked.n
     if n > STATEVECTOR_CAP:
         raise ValueError(f"statevector size {n} exceeds cap {STATEVECTOR_CAP}")
     amp = np.full(n, 1.0 / math.sqrt(n))
     for _ in range(j):
-        amp[marked.indices] *= -1.0
+        amp[marked] *= -1.0
         amp = 2.0 * amp.mean() - amp
     return amp * amp
 
 
-def measure(marked: MarkedSet, j: int, rng: np.random.Generator) -> int:
-    """Sample one index from the distribution after j search iterations.
+def measure(marked: np.ndarray, n: int, j: int, rng: np.random.Generator) -> int:
+    """Sample one index out of ``n`` from the distribution after j search iterations.
 
-    Sampling uses the closed form directly: a biased coin picks the marked or
-    unmarked class, then a uniform draw picks within the class.  Charging the
-    j iterations is the caller's job.
+    ``marked`` holds the ascending marked indices, as
+    ``marked_set_from_distances`` returns them.  Sampling uses the closed form
+    directly: a biased coin picks the marked or unmarked class, then a uniform
+    draw picks within the class.  Charging the j iterations is the caller's job.
     """
-    n, t = marked.n, marked.t
+    t = marked.size
     if t == 0:
         return int(rng.integers(0, n))
     if t == n:
-        return int(marked.indices[rng.integers(0, t)])
+        return int(marked[rng.integers(0, t)])
     p_marked_each, _ = grover_distribution(t, n, j)
     if rng.random() < t * p_marked_each:
-        return int(marked.indices[rng.integers(0, t)])
+        return int(marked[rng.integers(0, t)])
     return _nth_unmarked(marked, int(rng.integers(0, n - t)))
 
 
-def _nth_unmarked(marked: MarkedSet, r: int) -> int:
-    # r-th smallest index not in the marked set
-    for v in marked.indices:
+def _nth_unmarked(marked: np.ndarray, r: int) -> int:
+    # r-th smallest index not in the ascending marked array
+    for v in marked:
         if v <= r:
             r += 1
         else:

@@ -26,11 +26,15 @@ class NeighborhoodTable:
 
     delta_hat: float
     lists: tuple  # tuple of 1-D int64 arrays, each sorted ascending
-    inf_omega: int
 
     @property
     def n(self) -> int:
         return len(self.lists)
+
+    @property
+    def inf_omega(self) -> int:
+        """Size of the shortest neighbor list."""
+        return min(len(l) for l in self.lists)
 
     def sizes(self) -> np.ndarray:
         return np.array([len(l) for l in self.lists], dtype=np.int64)
@@ -51,8 +55,7 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     lists = kernels.within_radius(codebook.vectors, radius)
     for members in lists:
         members.setflags(write=False)
-    inf_omega = min(len(l) for l in lists)
-    return NeighborhoodTable(delta_hat=float(delta_hat), lists=tuple(lists), inf_omega=inf_omega)
+    return NeighborhoodTable(delta_hat=float(delta_hat), lists=tuple(lists))
 
 
 def space_bits(table: NeighborhoodTable) -> int:

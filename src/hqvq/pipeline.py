@@ -162,17 +162,24 @@ def encode_vectors(
     Returns (indices, stats, outcomes), with one ``EncodeOutcome`` per vector.
     The region fractions in ``stats`` come from ``region_fractions`` over each
     vector's nearest distance, taken from the distance vector the simulator
-    already needs, so they add no metered work.
+    already needs, so they add no metered work.  ``cfg.delta_hat`` must be
+    the threshold ``table`` was built for.
     """
-    if vectors.shape[0] < 1:
-        raise ValueError("no vectors to encode")
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[0] < 1:
+        raise ValueError(f"expected a non-empty (M, k) array of vectors, got shape {vectors.shape}")
+    if table.delta_hat != cfg.delta_hat:
+        raise ValueError(
+            f"neighborhood table delta_hat {table.delta_hat} does not match "
+            f"the encoder's delta_hat {cfg.delta_hat}"
+        )
     indices = np.empty(vectors.shape[0], dtype=np.int64)
     nearest = np.empty(vectors.shape[0])
     outcomes = []
     for ordinal in range(vectors.shape[0]):
         dvec = distances_to_codebook(vectors[ordinal], codebook)
         rng = derive_rng(cfg.master_seed, ordinal)
-        outcome = encode(dvec, codebook, table, cfg, rng)
+        outcome = encode(dvec, codebook, table, rng)
         indices[ordinal] = outcome.index
         nearest[ordinal] = dvec[outcome.index]
         outcomes.append(outcome)

@@ -12,7 +12,6 @@ from hqvq import (
     Codebook,
     EncodePath,
     EncoderConfig,
-    MarkedSet,
     QueryMeter,
     build_neighborhoods,
     clustered_dataset,
@@ -25,17 +24,16 @@ from hqvq import (
     encode_vectors,
     full_search,
     grid_codebook,
-    grover_distribution,
     load_pgm,
     parse_stream,
     report,
     save_pgm,
     serialize_stream,
     space_bits,
-    statevector_distribution,
     train_codebook,
 )
 from hqvq.codebook import distances_to_codebook
+from hqvq.grover import grover_distribution, statevector_distribution
 from hqvq.image import BlockGeometry, blockify, deblockify
 
 
@@ -73,9 +71,8 @@ def exactness_run():
                     oracle_i, _ = full_search(x, cb)
                     dvec = distances_to_codebook(x, cb)
                     for seed in range(10):
-                        cfg = EncoderConfig(delta_hat=delta_hat, master_seed=seed)
                         trace = []
-                        out = encode(dvec, cb, table, cfg, derive_rng(seed, 0), trace=trace)
+                        out = encode(dvec, cb, table, derive_rng(seed, 0), trace=trace)
                         encodes += 1
                         if out.index != oracle_i:
                             mismatches += 1
@@ -153,13 +150,12 @@ def test_criterion_4_bbht_bound():
     details = []
     for t in (1, 4, 16):
         delta_hat = 10.0 * t - 5.0  # marks exactly the t codevectors nearest to x=0
-        cfg = EncoderConfig(delta_hat=delta_hat, master_seed=0)
         table = build_neighborhoods(cb, delta_hat)
         dvec = distances_to_codebook([0.0], cb)
         spent = []
         for i in range(1000):
             meter = QueryMeter()
-            encode_sub2(dvec, table, cfg, derive_rng(t, i), meter)
+            encode_sub2(dvec, table, derive_rng(t, i), meter)
             spent.append(meter.grover_iterations)
         mean = float(np.mean(spent))
         bound = 1.1 * (9.0 / 4.0) * math.sqrt(n / t)
@@ -176,12 +172,11 @@ def test_criterion_5_simulator_cross_validation():
         max_j = int(2 * math.sqrt(n))
         for t in range(n + 1):
             idx = np.sort(rng.choice(n, size=t, replace=False))
-            ms = MarkedSet(n=n, indices=idx)
             for j in range(max_j + 1):
-                probs = statevector_distribution(ms, j)
+                probs = statevector_distribution(idx, n, j)
                 p_marked_each, p_unmarked_each = grover_distribution(t, n, j)
                 expect = np.full(n, p_unmarked_each)
-                expect[ms.indices] = p_marked_each
+                expect[idx] = p_marked_each
                 worst_gap = max(worst_gap, float(np.abs(probs - expect).max()))
                 worst_norm = max(worst_norm, abs(float(probs.sum()) - 1.0))
     _verdict(

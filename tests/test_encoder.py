@@ -27,16 +27,15 @@ from hqvq.grover import marked_set_from_distances
 from hqvq.pipeline import region_fractions
 
 
-def make_setup(n=64, delta_hat_factor=1.2, seed=0):
+def make_setup(n=64, delta_hat_factor=1.2):
     cb = grid_codebook(n)
     delta_hat = delta_hat_factor * cb.delta0 / 2.0
-    cfg = EncoderConfig(delta_hat=delta_hat, master_seed=seed)
     table = build_neighborhoods(cb, delta_hat)
-    return cb, cfg, table
+    return cb, table
 
 
 def marked_count(x, cb: Codebook, delta: float) -> int:
-    return marked_set_from_distances(distances_to_codebook(x, cb), delta).t
+    return marked_set_from_distances(distances_to_codebook(x, cb), delta).size
 
 
 def line_codebook(n: int) -> Codebook:
@@ -76,14 +75,14 @@ class TestSub1:
         assert hits / trials >= 0.999  # closed form: ~0.99995
 
     def test_far_input_never_found(self):
-        cb, _, _ = make_setup(16)
+        cb, _ = make_setup(16)
         x = cb.vectors[0] + np.array([4.9, 4.9])  # min distance > delta0/2 = 5
         dvec = distances_to_codebook(x, cb)
         for i in range(200):
             assert encode_sub1(dvec, cb, derive_rng(2, i), QueryMeter()) is None
 
     def test_meter_contract(self):
-        cb, _, _ = make_setup(64)
+        cb, _ = make_setup(64)
         meter = QueryMeter()
         encode_sub1(distances_to_codebook(cb.vectors[3], cb), cb, derive_rng(3, 0), meter)
         assert meter.grover_iterations == sub1_iterations(64) == math.floor(math.pi / 4 * 8)
@@ -128,14 +127,12 @@ class TestSub2:
     def test_singleton_neighborhood_returns_it(self):
         # isolated codevector far from the cluster: its list is {itself}
         cb = Codebook([[0.0], [1.0], [2.0], [100.0]])
-        delta_hat = 1.5
-        cfg = EncoderConfig(delta_hat=delta_hat, master_seed=0)
-        table = build_neighborhoods(cb, delta_hat)
+        table = build_neighborhoods(cb, 1.5)
         assert list(table.lists[3]) == [3]
         dvec = distances_to_codebook([100.6], cb)  # inside the shell of codevector 3 only
         for i in range(100):
             meter = QueryMeter()
-            got = encode_sub2(dvec, table, cfg, derive_rng(5, i), meter)
+            got = encode_sub2(dvec, table, derive_rng(5, i), meter)
             if got is not None:
                 assert got == 3
 
@@ -145,16 +142,15 @@ class TestSub2:
         for n in (2, 3, 64):
             cb = grid_codebook(n) if n == 64 else line_codebook(n)
             delta_hat = 1.2 * cb.delta0 / 2.0
-            cfg = EncoderConfig(delta_hat=delta_hat, master_seed=0)
             table = build_neighborhoods(cb, delta_hat)
             x = np.full(cb.k, 305.0)  # far beyond every codevector's threshold
-            assert marked_count(x, cb, cfg.delta_hat) == 0
+            assert marked_count(x, cb, delta_hat) == 0
             budget = sub2_budget(n)
             dvec = distances_to_codebook(x, cb)
             for i in range(200):
                 meter = QueryMeter()
                 trace = []
-                got = encode_sub2(dvec, table, cfg, derive_rng(6, i), meter, trace=trace)
+                got = encode_sub2(dvec, table, derive_rng(6, i), meter, trace=trace)
                 assert got is None
                 assert meter.grover_iterations <= budget
                 assert meter.classical_distance_evals == len(trace)
@@ -162,7 +158,7 @@ class TestSub2:
     def test_meter_charges_every_drawn_iteration(self):
         # encode_sub2 is the only place stage-2 iterations are charged: the
         # meter equals the sum of the traced draws, which never exceeds the budget
-        cb, cfg, table = make_setup(64)
+        cb, table = make_setup(64)
         budget = sub2_budget(64)
         rng = np.random.default_rng(53)
         shell = cb.vectors[20] + (cb.delta0 / 2.0) * 1.1 / math.sqrt(2.0)
@@ -172,35 +168,26 @@ class TestSub2:
             for i in range(50):
                 meter = QueryMeter()
                 trace = []
-                encode_sub2(dvec, table, cfg, derive_rng(15, 50 * p + i), meter, trace=trace)
+                encode_sub2(dvec, table, derive_rng(15, 50 * p + i), meter, trace=trace)
                 assert meter.grover_iterations == sum(r["j"] for r in trace)
                 assert meter.grover_iterations <= budget
 
     def test_success_charges_neighborhood_scan(self):
         cb = Codebook([[0.0], [1.0], [2.0], [100.0]])
-        cfg = EncoderConfig(delta_hat=1.5, master_seed=0)
         table = build_neighborhoods(cb, 1.5)
         dvec = distances_to_codebook([0.7], cb)
         meter = QueryMeter()
         trace = []
-        got = encode_sub2(dvec, table, cfg, derive_rng(7, 0), meter, trace=trace)
+        got = encode_sub2(dvec, table, derive_rng(7, 0), meter, trace=trace)
         assert got == trace[-1]["h"]
         assert 1 in table.lists[got]  # the optimum lies in the verified index's list
         assert meter.classical_distance_evals == len(trace) + len(table.lists[got])
-
-    def test_table_threshold_mismatch_rejected(self):
-        cb, cfg, table = make_setup(16)
-        other = EncoderConfig(delta_hat=cfg.delta_hat * 1.01, master_seed=0)
-        with pytest.raises(ValueError, match="does not match"):
-            dvec = distances_to_codebook(cb.vectors[0], cb)
-            encode_sub2(dvec, table, other, derive_rng(8, 0), QueryMeter())
 
     def test_mean_iterations_within_bbht_bound(self):
         # smaller cousin of the acceptance check: t=4 solutions out of n=256
         n, t = 256, 4
         cb = line_codebook(n)
         delta_hat = 10.0 * t - 5.0  # marks exactly the first t codevectors of x=0
-        cfg = EncoderConfig(delta_hat=delta_hat, master_seed=0)
         table = build_neighborhoods(cb, delta_hat)
         x = np.array([0.0])
         assert marked_count(x, cb, delta_hat) == t
@@ -208,15 +195,15 @@ class TestSub2:
         spent = []
         for i in range(400):
             meter = QueryMeter()
-            encode_sub2(dvec, table, cfg, derive_rng(9, i), meter)
+            encode_sub2(dvec, table, derive_rng(9, i), meter)
             spent.append(meter.grover_iterations)
         assert np.mean(spent) <= 1.1 * 2.25 * math.sqrt(n / t)
 
 
 class TestEncode:
     def test_exact_codevector_hits_sub1(self):
-        cb, cfg, table = make_setup(64)
-        out = encode(distances_to_codebook(cb.vectors[7], cb), cb, table, cfg, derive_rng(10, 0))
+        cb, table = make_setup(64)
+        out = encode(distances_to_codebook(cb.vectors[7], cb), cb, table, derive_rng(10, 0))
         assert out.index == 7
         assert out.path == EncodePath.SUB1
 
@@ -226,59 +213,57 @@ class TestEncode:
             for _ in range(10):
                 cb = Codebook(rng.uniform(0, 50, size=(n, 2)))
                 delta_hat = cb.delta0 / 2 * rng.uniform(1.0, 3.0)
-                cfg = EncoderConfig(delta_hat=delta_hat, master_seed=0)
                 table = build_neighborhoods(cb, delta_hat)
                 for j in range(20):
                     x = rng.uniform(-10, 60, size=2)
-                    out = encode(distances_to_codebook(x, cb), cb, table, cfg, derive_rng(11, j))
+                    out = encode(distances_to_codebook(x, cb), cb, table, derive_rng(11, j))
                     assert out.index == full_search(x, cb)[0]
 
     def test_shell_input_never_wrong(self):
-        cb, cfg, table = make_setup(64)
+        cb, table = make_setup(64)
         # place x in the shell: between delta0/2 and delta_hat of its nearest
         offset = np.array([1.0, 1.0]) / math.sqrt(2.0)
         x = cb.vectors[20] + offset * (cb.delta0 / 2.0) * 1.1
         dvec = distances_to_codebook(x, cb)
         for i in range(200):
-            out = encode(dvec, cb, table, cfg, derive_rng(12, i))
+            out = encode(dvec, cb, table, derive_rng(12, i))
             assert out.path in (EncodePath.SUB2, EncodePath.CLASSICAL_FALLBACK)
             assert out.index == full_search(x, cb)[0]
 
     def test_fallback_meters_full_scan(self):
-        cb, cfg, table = make_setup(16)
+        cb, table = make_setup(16)
         x = np.array([500.0, 500.0])
-        out = encode(distances_to_codebook(x, cb), cb, table, cfg, derive_rng(13, 0))
+        out = encode(distances_to_codebook(x, cb), cb, table, derive_rng(13, 0))
         assert out.path == EncodePath.CLASSICAL_FALLBACK
         # sub1 verify (1) + sub2 rounds (>=1) + fallback full scan (16)
         assert out.meter.classical_distance_evals >= 1 + 1 + 16
 
     def test_total_iteration_budget(self):
-        cb, cfg, table = make_setup(64)
+        cb, table = make_setup(64)
         cap = sub1_iterations(64) + sub2_budget(64)
         rng = np.random.default_rng(51)
         for i in range(300):
             x = rng.uniform(-20, 100, size=2)
-            out = encode(distances_to_codebook(x, cb), cb, table, cfg, derive_rng(14, i))
+            out = encode(distances_to_codebook(x, cb), cb, table, derive_rng(14, i))
             assert out.meter.grover_iterations <= cap
 
     def test_midpoint_of_two_codevectors_matches_full_search(self):
         # rounding puts x = (a + b) / 2 strictly inside delta0/2 of both a and b,
         # so stage 1 sees t = 2; the index must still be full search's
         cb, x = midpoint_case()
-        cfg = EncoderConfig(delta_hat=cb.delta0, master_seed=0)
         table = build_neighborhoods(cb, cb.delta0)
         oracle, _ = full_search(x, cb)
         dvec = distances_to_codebook(x, cb)
-        got = {encode(dvec, cb, table, cfg, derive_rng(seed, 0)).index for seed in range(40)}
+        got = {encode(dvec, cb, table, derive_rng(seed, 0)).index for seed in range(40)}
         assert got == {oracle}
 
     def test_deterministic_for_seed(self):
-        cb, cfg, table = make_setup(64)
+        cb, table = make_setup(64)
         rng = np.random.default_rng(52)
         for i in range(50):
             dvec = distances_to_codebook(rng.uniform(0, 80, size=2), cb)
-            a = encode(dvec, cb, table, cfg, derive_rng(99, i))
-            b = encode(dvec, cb, table, cfg, derive_rng(99, i))
+            a = encode(dvec, cb, table, derive_rng(99, i))
+            b = encode(dvec, cb, table, derive_rng(99, i))
             assert a.index == b.index and a.path == b.path
             assert a.meter == b.meter
 
@@ -313,19 +298,18 @@ def test_index_is_full_search_for_every_seed(boundary, seed, k, n, factor):
         direction = rng.normal(size=k)
         direction *= radius / np.linalg.norm(direction)
         x = cb.vectors[rng.integers(0, cb.n)] + direction
-    cfg = EncoderConfig(delta_hat=delta_hat, master_seed=0)
     table = build_neighborhoods(cb, delta_hat)
     dvec = distances_to_codebook(x, cb)
     oracle, _ = full_search(x, cb)
-    got = {encode(dvec, cb, table, cfg, derive_rng(s, 0)).index for s in range(5)}
+    got = {encode(dvec, cb, table, derive_rng(s, 0)).index for s in range(5)}
     assert got == {oracle}
 
 
 class TestClassifyRegion:
     def test_on_codevector(self):
-        cb, cfg, _ = make_setup(16)
+        cb, table = make_setup(16)
         _, d = full_search(cb.vectors[0], cb)
-        assert region_fractions([d], cb.delta0, cfg.delta_hat) == (1.0, 0.0, 0.0)
+        assert region_fractions([d], cb.delta0, table.delta_hat) == (1.0, 0.0, 0.0)
 
     def test_boundary_is_shell(self):
         cb = Codebook([[0.0], [10.0]])

@@ -4,57 +4,71 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from hqvq import (
-    Codebook,
-    MarkedSet,
+from hqvq import Codebook
+from hqvq.codebook import distances_to_codebook
+from hqvq.grover import (
+    STATEVECTOR_CAP,
     grover_distribution,
+    marked_set_from_distances,
     measure,
     statevector_distribution,
 )
-from hqvq.codebook import distances_to_codebook
-from hqvq.grover import STATEVECTOR_CAP, marked_set_from_distances
 
 # sin^2(25 * asin(1/16)), frozen from a 50-digit mpmath evaluation
 P_MARKED_N256_J12 = 0.9999470421032737
 
 
-def closed_form_array(ms: MarkedSet, j: int) -> np.ndarray:
-    p_marked_each, p_unmarked_each = grover_distribution(ms.t, ms.n, j)
-    probs = np.full(ms.n, p_unmarked_each)
-    probs[ms.indices] = p_marked_each
+def closed_form_array(marked: np.ndarray, n: int, j: int) -> np.ndarray:
+    p_marked_each, p_unmarked_each = grover_distribution(marked.size, n, j)
+    probs = np.full(n, p_unmarked_each)
+    probs[marked] = p_marked_each
     return probs
 
 
-def marked_at(x, cb: Codebook, delta: float) -> MarkedSet:
+def marked_at(x, cb: Codebook, delta: float) -> np.ndarray:
     return marked_set_from_distances(distances_to_codebook(x, cb), delta)
 
 
-class TestMarkedSet:
+# a few exact values, so distances tie with each other and with delta
+TIE_VALUES = [0.0, 0.5, 1.0, 2.5, 4.0]
+
+
+class TestMarkedIndices:
     def test_threshold_example(self):
         cb = Codebook([[0.0, 1.0], [5.0, 5.0], [1.0, 0.0]])
-        ms = marked_at([0.0, 0.0], cb, 2.0)  # distances 1, sqrt(50), 1
-        assert list(ms.indices) == [0, 2]
-        assert ms.t == 2
+        marked = marked_at([0.0, 0.0], cb, 2.0)  # distances 1, sqrt(50), 1
+        assert list(marked) == [0, 2]
 
     def test_zero_threshold_is_empty(self):
         cb = Codebook([[0.0, 1.0], [5.0, 5.0], [1.0, 0.0]])
-        assert marked_at([0.0, 1.0], cb, 0.0).t == 0  # strict <, even at d == 0
+        assert marked_at([0.0, 1.0], cb, 0.0).size == 0  # strict <, even at d == 0
 
     def test_huge_threshold_marks_all(self):
         cb = Codebook([[0.0, 1.0], [5.0, 5.0], [1.0, 0.0]])
-        ms = marked_at([0.0, 0.0], cb, 100.0)
-        assert list(ms.indices) == [0, 1, 2]
+        assert list(marked_at([0.0, 0.0], cb, 100.0)) == [0, 1, 2]
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="range"):
-            MarkedSet(n=4, indices=np.array([5]))
-
-    @pytest.mark.parametrize("indices", [[3, 1], [0, 2, 2]], ids=["unsorted", "duplicate"])
-    def test_unsorted_or_duplicate_rejected(self, indices):
-        with pytest.raises(ValueError, match="sorted and unique"):
-            MarkedSet(n=4, indices=np.array(indices))
+    @settings(max_examples=200, deadline=None)
+    @example(distances=[1.0, 0.5, 1.0, 2.5], delta=1.0)  # ties exactly at delta stay out
+    @example(distances=[0.0, 0.5], delta=0.0)  # delta <= 0 marks nothing
+    @example(distances=[0.0, 0.5], delta=-1.0)
+    @example(distances=[4.0, 0.0, 2.5], delta=5.0)  # every index marked
+    @given(
+        distances=st.lists(
+            st.sampled_from(TIE_VALUES) | st.floats(0.0, 5.0), min_size=1, max_size=40
+        ),
+        delta=st.sampled_from(TIE_VALUES) | st.floats(-1.0, 6.0),
+    )
+    def test_ascending_in_range_and_exact(self, distances, delta):
+        n = len(distances)
+        marked = marked_set_from_distances(np.array(distances), delta)
+        assert marked.ndim == 1 and np.issubdtype(marked.dtype, np.integer)
+        assert (np.diff(marked) > 0).all()
+        assert ((marked >= 0) & (marked < n)).all()
+        assert set(marked.tolist()) == {i for i, d in enumerate(distances) if d < delta}
 
 
 class TestClosedForm:
@@ -107,19 +121,18 @@ class TestClosedForm:
 
 class TestStatevector:
     def test_zero_iterations_uniform(self):
-        probs = statevector_distribution(MarkedSet(n=10, indices=np.array([2, 7])), 0)
+        probs = statevector_distribution(np.array([2, 7]), 10, 0)
         np.testing.assert_allclose(probs, np.full(10, 0.1), atol=1e-15)
 
     def test_exact_case_point_mass(self):
-        probs = statevector_distribution(MarkedSet(n=4, indices=np.array([3])), 1)
+        probs = statevector_distribution(np.array([3]), 4, 1)
         np.testing.assert_allclose(probs, [0, 0, 0, 1], atol=1e-12)
 
     def test_cap_enforced(self):
-        big = MarkedSet(n=STATEVECTOR_CAP + 1, indices=np.array([1]))
         with pytest.raises(ValueError, match="cap"):
-            statevector_distribution(big, 1)
-        at_cap = MarkedSet(n=STATEVECTOR_CAP, indices=np.array([1]))
-        assert statevector_distribution(at_cap, 0).shape == (STATEVECTOR_CAP,)
+            statevector_distribution(np.array([1]), STATEVECTOR_CAP + 1, 1)
+        at_cap = statevector_distribution(np.array([1]), STATEVECTOR_CAP, 0)
+        assert at_cap.shape == (STATEVECTOR_CAP,)
 
     def test_agrees_with_closed_form_sample(self):
         rng = np.random.default_rng(41)
@@ -127,61 +140,59 @@ class TestStatevector:
             max_j = int(2 * math.sqrt(n))
             for t in range(n + 1):
                 idx = np.sort(rng.choice(n, size=t, replace=False))
-                ms = MarkedSet(n=n, indices=idx)
                 for j in (0, 1, max_j):
-                    probs = statevector_distribution(ms, j)
+                    probs = statevector_distribution(idx, n, j)
                     np.testing.assert_allclose(
-                        probs, closed_form_array(ms, j), atol=1e-9, rtol=0
+                        probs, closed_form_array(idx, n, j), atol=1e-9, rtol=0
                     )
                     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_marked_symmetry(self):
-        ms = MarkedSet(n=32, indices=np.array([1, 9, 30]))
-        probs = statevector_distribution(ms, 4)
-        marked_vals = probs[ms.indices]
-        assert np.ptp(marked_vals) < 1e-12
-        unmarked = np.delete(probs, ms.indices)
+        marked = np.array([1, 9, 30])
+        probs = statevector_distribution(marked, 32, 4)
+        assert np.ptp(probs[marked]) < 1e-12
+        unmarked = np.delete(probs, marked)
         assert np.ptp(unmarked) < 1e-12
 
 
 class TestMeasure:
     def test_point_mass_always_hits(self):
-        ms = MarkedSet(n=4, indices=np.array([3]))
+        marked = np.array([3])
         rng = np.random.default_rng(0)
         for _ in range(200):
-            assert measure(ms, 1, rng) == 3
+            assert measure(marked, 4, 1, rng) == 3
 
     def test_zero_iterations_uniform_chi_square(self):
-        ms = MarkedSet(n=8, indices=np.array([2, 5]))
+        marked = np.array([2, 5])
         rng = np.random.default_rng(7)
-        draws = np.array([measure(ms, 0, rng) for _ in range(100_000)])
+        draws = np.array([measure(marked, 8, 0, rng) for _ in range(100_000)])
         counts = np.bincount(draws, minlength=8)
         _, p = sstats.chisquare(counts)
         assert p > 0.01
 
     def test_high_success_frequency(self):
-        ms = MarkedSet(n=256, indices=np.array([17]))
+        marked = np.array([17])
         rng = np.random.default_rng(3)
-        hits = sum(measure(ms, 12, rng) == 17 for _ in range(10_000))
+        hits = sum(measure(marked, 256, 12, rng) == 17 for _ in range(10_000))
         assert hits / 10_000 >= 0.999  # closed form predicts 0.99995
 
     def test_empty_marked_uniform(self):
-        ms = MarkedSet(n=16, indices=np.array([], dtype=np.int64))
+        marked = np.array([], dtype=np.int64)
         rng = np.random.default_rng(9)
-        draws = {measure(ms, 3, rng) for _ in range(2000)}
+        draws = {measure(marked, 16, 3, rng) for _ in range(2000)}
         assert draws == set(range(16))
 
     def test_unmarked_sampling_skips_marked(self):
         # iterate enough that unmarked mass dominates is hard; force with j chosen
         # at the anti-phase: for t=1,n=4 two iterations rotate back past uniform
-        ms = MarkedSet(n=4, indices=np.array([1]))
+        marked = np.array([1])
         rng = np.random.default_rng(11)
-        draws = [measure(ms, 3, rng) for _ in range(4000)]
+        draws = [measure(marked, 4, 3, rng) for _ in range(4000)]
         # j=3: (2j+1)theta = 7pi/6, sin^2 = 1/4 -> unmarked seen often
         assert {0, 2, 3} <= set(draws)
 
     def test_deterministic_given_seed(self):
-        ms = MarkedSet(n=64, indices=np.array([5, 40]))
-        a = [measure(ms, 4, np.random.default_rng(123)) for _ in range(1)]
-        b = [measure(ms, 4, np.random.default_rng(123)) for _ in range(1)]
+        marked = np.array([5, 40])
+        a = [measure(marked, 64, 4, np.random.default_rng(123)) for _ in range(1)]
+        b = [measure(marked, 64, 4, np.random.default_rng(123)) for _ in range(1)]
         assert a == b

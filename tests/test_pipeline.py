@@ -201,6 +201,41 @@ class TestCodec:
         np.testing.assert_array_equal(s1.indices, s2.indices)
 
 
+def grid64_setup():
+    cb = grid_codebook(64)
+    table = build_neighborhoods(cb, 0.6 * cb.delta0)
+    return cb, table, EncoderConfig(delta_hat=table.delta_hat, master_seed=0)
+
+
+class TestEncodeVectors:
+    def test_table_threshold_mismatch_rejected_before_any_block(self):
+        # every block sits on a codevector, so all of them take stage 1 and
+        # none reaches stage 2; the mismatch is still rejected up front
+        cb, table, _ = grid64_setup()
+        cfg = EncoderConfig(delta_hat=0.7 * cb.delta0, master_seed=0)
+        with pytest.raises(ValueError, match="does not match"):
+            encode_vectors(cb.vectors[:8], cb, table, cfg)
+
+    def test_nested_list_encodes_like_an_array(self):
+        cb, table, cfg = grid64_setup()
+        rows = [[0.0, 0.0], [31.0, 9.0]]
+        from_list, stats_list, _ = encode_vectors(rows, cb, table, cfg)
+        from_array, stats_array, _ = encode_vectors(np.array(rows), cb, table, cfg)
+        np.testing.assert_array_equal(from_list, from_array)
+        assert list(from_list) == [full_search(x, cb)[0] for x in rows]
+        assert stats_list == stats_array
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [np.array([0.0, 0.0]), np.zeros((1, 1, 2)), np.empty((0, 2)), 3.0],
+        ids=["1-d", "3-d", "empty", "scalar"],
+    )
+    def test_non_matrix_input_rejected(self, vectors):
+        cb, table, cfg = grid64_setup()
+        with pytest.raises(ValueError, match=r"\(M, k\)"):
+            encode_vectors(vectors, cb, table, cfg)
+
+
 class TestReport:
     def make_stats(self, mean_grover):
         return PartitionStats(
