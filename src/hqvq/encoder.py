@@ -8,21 +8,29 @@ the search is embedded in a growing-cutoff schedule for an unknown number of
 solutions; any verified hit is finished by a classical scan of that
 codevector's neighbor list, which provably contains the global optimum.
 Anything else falls back to the exhaustive classical search.  The index is
-the distance vector's argmin; the stages only simulate and charge the search,
+the distance row's argmin; the stages only simulate and charge the search,
 so randomness never affects the index.  This module alone charges the meter.
+
+``encode`` works on a batch.  One tiled pass over the distance rows reduces
+each block to a few facts (``BlockFacts``).  A measured index passes its
+classical check exactly when it is marked, so every search round is a coin
+with the closed-form success probability, and stage 1 and the stage-2 rounds
+run for all blocks at once on those facts.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .codebook import Codebook, full_search  # noqa: F401 (perfbench/spans.py wraps it by name)
-from .grover import marked_set_from_distances, measure
+from .grover import marked_probability
+from .grover import marked_set_from_distances, measure  # noqa: F401 (perfbench/spans.py wraps them by name)
 from .neighborhood import NeighborhoodTable
 
 # Factor that grows the stage-2 iteration cutoff m after each failed round
@@ -33,11 +41,20 @@ BBHT_GROWTH = 6.0 / 5.0
 # per vector; the schedule alone has no stopping rule when no solution exists.
 BBHT_BUDGET_FACTOR = 3.0
 
+# Draw slots (see ``grover.derive_rng``): the stage-1 coin, the marked index a
+# stage-2 hit measures, then stage-2 round r's j at slot 2r+2 and coin at 2r+3.
+SUB1_SLOT = 0
+PICK_SLOT = 1
+
 
 class EncodePath(enum.Enum):
     SUB1 = "sub1"
     SUB2 = "sub2"
     CLASSICAL_FALLBACK = "fallback"
+
+
+# EncodeBatch.path holds positions in this tuple
+PATHS = tuple(EncodePath)
 
 
 @dataclass(frozen=True)
@@ -46,8 +63,8 @@ class EncoderConfig:
 
     ``delta_hat`` is the stage-2 verification threshold (must be at least half
     the codebook's minimum pairwise distance; ``encode_vectors`` checks that
-    it is the one the neighborhood table was built for).  ``master_seed``
-    keys every vector's random stream.
+    it is the one the neighborhood table was built for).  ``master_seed``, a
+    non-negative int, keys every random draw of the run.
     """
 
     delta_hat: float
@@ -56,11 +73,14 @@ class EncoderConfig:
     def __post_init__(self):
         if not self.delta_hat > 0:
             raise ValueError("delta_hat must be > 0")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"master_seed must be a non-negative int, got {seed!r}")
 
 
 @dataclass
 class QueryMeter:
-    """Operation counters for one encode call.
+    """Operation counters: ints for one block, (M,) int64 arrays for a batch.
 
     One search iteration = one quantum operation; every charged classical
     distance evaluation counts separately.  Marked-set enumeration inside the
@@ -78,6 +98,38 @@ class EncodeOutcome:
     meter: QueryMeter
 
 
+@dataclass(frozen=True)
+class BlockFacts:
+    """What the search simulation reads from each block's distance row, as (M,) arrays."""
+
+    index: np.ndarray  # argmin of the row, ties to the smallest index
+    nearest: np.ndarray  # the row's minimum
+    t_s: np.ndarray  # marked at delta0/2: #{i : d_i < delta0/2}
+    t: np.ndarray  # marked at delta_hat: #{i : d_i < delta_hat}
+    pick_size: np.ndarray  # list size of the marked index a stage-2 hit measures; 0 if t == 0
+
+
+@dataclass(frozen=True)
+class EncodeBatch:
+    """Result of one batch encode, block by block in input order."""
+
+    facts: BlockFacts
+    path: np.ndarray  # int8 positions in PATHS
+    meter: QueryMeter  # (M,) int64 arrays
+
+    def outcomes(self) -> list[EncodeOutcome]:
+        """One ``EncodeOutcome`` per block, with plain ints."""
+        return [
+            EncodeOutcome(i, PATHS[p], QueryMeter(g, c))
+            for i, p, g, c in zip(
+                self.facts.index.tolist(),
+                self.path.tolist(),
+                self.meter.grover_iterations.tolist(),
+                self.meter.classical_distance_evals.tolist(),
+            )
+        ]
+
+
 def sub1_iterations(n: int) -> int:
     """Fixed stage-1 iteration count: floor(pi/4 * sqrt(N))."""
     return math.floor(math.pi / 4.0 * math.sqrt(n))
@@ -87,104 +139,132 @@ def sub2_budget(n: int) -> int:
     return math.ceil(BBHT_BUDGET_FACTOR * math.sqrt(n))
 
 
-def _search_round(marked, j, dvec, threshold, rng, meter, trace) -> int | None:
-    """One measurement after j search iterations, then its classical check.
-
-    Charges the j iterations and the one verification, and appends the round
-    to ``trace`` when given.  Returns the measured index h when its verified
-    distance ``dvec[h]`` is strictly below ``threshold``, else None.
-    """
-    h = measure(marked, dvec.shape[0], j, rng)
-    meter.grover_iterations += j
-    y0 = float(dvec[h])
-    meter.classical_distance_evals += 1
-    if trace is not None:
-        trace.append({"j": j, "h": h, "y0": y0})
-    return h if y0 < threshold else None
-
-
-def encode_sub1(
-    dvec: np.ndarray,
+def block_facts(
+    vectors: np.ndarray,
     codebook: Codebook,
-    rng: np.random.Generator,
-    meter: QueryMeter,
-) -> int | None:
-    """Single amplified search at threshold delta0/2, then classical verification.
+    table: NeighborhoodTable,
+    pick: np.ndarray,
+) -> BlockFacts:
+    """One tiled pass over the blocks' distance rows, kept as ``BlockFacts``.
 
-    ``dvec`` holds the input's distances to every codevector; the simulator's
-    oracle reads it without charge.  The meter counts the search iterations
-    and the one verification.  Returns the measured index when its verified
-    distance is strictly below delta0/2 (it is then the unique global
-    optimum), else None.
+    ``vectors`` is a finite (M, k) float64 array of the codebook's dimension.
+    ``pick`` holds each block's uniform draw in [0, 1) for the marked index a
+    stage-2 hit measures: the one at position floor(pick * t) of the t
+    marked indices in ascending order, uniform among them.  No M x N matrix
+    is kept.
     """
+    m, n = vectors.shape[0], codebook.n
     half_delta0 = codebook.delta0 / 2.0
-    marked = marked_set_from_distances(dvec, half_delta0)
-    return _search_round(marked, sub1_iterations(codebook.n), dvec, half_delta0, rng, meter, None)
+    sizes = table.sizes()
+    index = np.empty(m, dtype=np.int64)
+    nearest = np.empty(m)
+    t_s = np.empty(m, dtype=np.int64)
+    t = np.empty(m, dtype=np.int64)
+    pick_size = np.zeros(m, dtype=np.int64)
+    for start, stop, d in kernels.distance_tiles(vectors, codebook.vectors):
+        arg = d.argmin(axis=1)
+        index[start:stop] = arg
+        nearest[start:stop] = d[np.arange(stop - start), arg]
+        t_s[start:stop] = np.count_nonzero(d < half_delta0, axis=1)
+        marked = d < table.delta_hat
+        count = np.count_nonzero(marked, axis=1)
+        t[start:stop] = count
+        # row-major flat positions list each row's marked columns in ascending order
+        first = np.cumsum(count) - count
+        k = np.minimum((pick[start:stop] * count).astype(np.int64), count - 1)
+        hit = count > 0
+        h = np.flatnonzero(marked)[first[hit] + k[hit]] % n
+        pick_size[start:stop][hit] = sizes[h]
+    return BlockFacts(index=index, nearest=nearest, t_s=t_s, t=t, pick_size=pick_size)
+
+
+def encode_sub1(facts: BlockFacts, n: int, draw, meter: QueryMeter) -> np.ndarray:
+    """Stage 1 for every block: one amplified search at delta0/2, then one verification.
+
+    ``draw(slot)`` returns one uniform draw in [0, 1) per block.  Each block
+    is charged the fixed iteration count and one evaluation.  Returns the
+    mask of blocks whose measured index is marked, i.e. verified strictly
+    below delta0/2 (it is then the unique global optimum).
+    """
+    j = sub1_iterations(n)
+    meter.grover_iterations += j
+    meter.classical_distance_evals += 1
+    return draw(SUB1_SLOT) < marked_probability(facts.t_s, n, j)
 
 
 def encode_sub2(
-    dvec: np.ndarray,
-    table: NeighborhoodTable,
-    rng: np.random.Generator,
+    facts: BlockFacts,
+    blocks: np.ndarray,
+    n: int,
+    draw,
     meter: QueryMeter,
-    trace: list | None = None,
-) -> int | None:
-    """Randomized-cutoff search rounds, each hit finished by a neighbor-list scan.
+) -> np.ndarray:
+    """Randomized-cutoff search rounds for ``blocks``, all in lockstep.
 
-    Every round draws j uniformly from {0..floor(m)}, measures after j
-    iterations, and classically checks the outcome h.  A verified h
-    (d(x, c[h]) < delta_hat) is returned and charged the scan of its list:
-    by the triangle inequality any codevector outside it is farther than
-    delta_hat, so the optimum lies in h's list.  The budget is the only
-    stopping rule: once the next draw would push the per-call iteration
-    total past it, None is returned (caller falls back).  Every round draws
-    j >= 1 with probability at least 1/2, so the loop ends with probability 1.
+    Round r draws each live block's j uniformly from {0..floor(m)}, charges
+    the j iterations and one verification, and accepts the block when its
+    coin lands on the marked set (the measured index h then verifies below
+    delta_hat).  An accepted block is charged the scan of h's neighbor list,
+    ``facts.pick_size``: by the triangle inequality any codevector outside
+    it is farther than delta_hat, so the optimum lies in h's list.  The
+    budget is the only stopping rule: a block whose next draw would push its
+    iteration total past it leaves unaccepted (caller falls back).  Every
+    round draws j >= 1 with probability at least 1/2, so the rounds end with
+    probability 1.  The cutoff m is the same for every block in a round.
 
-    ``dvec`` is read as in ``encode_sub1``; delta_hat is the table's.
+    ``draw`` is as in ``encode_sub1``; ``blocks`` holds the ordinals of the
+    blocks that enter stage 2.  Returns the mask of accepted blocks over the
+    whole batch.
     """
-    delta_hat = table.delta_hat
-    n = dvec.shape[0]
     sqrt_n = math.sqrt(n)
     budget = sub2_budget(n)
-    marked = marked_set_from_distances(dvec, delta_hat)
-
+    accepted = np.zeros(facts.t.size, dtype=bool)
+    spent = np.zeros(facts.t.size, dtype=np.int64)
+    live = blocks  # ordinals of the blocks still searching
     m = 1.0
-    spent = 0
-    while True:
-        j = int(rng.integers(0, math.floor(m) + 1))
-        if spent + j > budget:
-            return None
-        spent += j
-        h = _search_round(marked, j, dvec, delta_hat, rng, meter, trace)
-        if h is not None:
-            meter.classical_distance_evals += len(table.lists[h])
-            return h
+    r = 0
+    while live.size:
+        cutoff = math.floor(m) + 1
+        j = np.minimum((draw(2 * r + 2)[live] * cutoff).astype(np.int64), cutoff - 1)
+        within = spent[live] + j <= budget
+        live, j = live[within], j[within]
+        spent[live] += j
+        meter.grover_iterations[live] += j
+        meter.classical_distance_evals[live] += 1
+        hit = draw(2 * r + 3)[live] < marked_probability(facts.t[live], n, j)
+        meter.classical_distance_evals[live[hit]] += facts.pick_size[live[hit]]
+        accepted[live[hit]] = True
+        live = live[~hit]
         m = min(BBHT_GROWTH * m, sqrt_n)
+        r += 1
+    return accepted
 
 
 def encode(
-    dvec: np.ndarray,
+    vectors: np.ndarray,
     codebook: Codebook,
     table: NeighborhoodTable,
-    rng: np.random.Generator,
-    trace: list | None = None,
-) -> EncodeOutcome:
-    """Full hybrid encode: stage 1, then stage 2, then classical fallback.
+    draw,
+) -> EncodeBatch:
+    """Full hybrid encode of a batch: stage 1, then stage 2, then classical fallback.
 
-    ``dvec`` holds the input's distances to every codevector, and stage 2
-    runs at the table's delta_hat.  The index is the argmin of ``dvec``,
-    ties to the smallest index, whichever stage accepts; the stages decide
-    only the path and what the meter is charged.
+    ``vectors`` is a finite (M, k) float64 array of the codebook's dimension
+    (``encode_vectors`` checks it).  ``draw(slot)`` returns one uniform draw
+    in [0, 1) per block for each slot.  Stage 2 runs at the table's
+    delta_hat.  Each block's index is the argmin of its distance row, ties to
+    the smallest index, whichever stage accepts; the stages decide only the
+    path and what the meter is charged.
     """
-    meter = QueryMeter()
-    if encode_sub1(dvec, codebook, rng, meter) is not None:
-        path = EncodePath.SUB1
-    elif encode_sub2(dvec, table, rng, meter, trace=trace) is not None:
-        path = EncodePath.SUB2
-    else:
-        meter.classical_distance_evals += codebook.n
-        path = EncodePath.CLASSICAL_FALLBACK
-    return EncodeOutcome(index=int(np.argmin(dvec)), path=path, meter=meter)
+    facts = block_facts(vectors, codebook, table, draw(PICK_SLOT))
+    size = vectors.shape[0]
+    meter = QueryMeter(np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64))
+    path = np.full(size, PATHS.index(EncodePath.CLASSICAL_FALLBACK), dtype=np.int8)
+    sub1 = encode_sub1(facts, codebook.n, draw, meter)
+    path[sub1] = PATHS.index(EncodePath.SUB1)
+    sub2 = encode_sub2(facts, np.flatnonzero(~sub1), codebook.n, draw, meter)
+    path[sub2] = PATHS.index(EncodePath.SUB2)
+    meter.classical_distance_evals[~(sub1 | sub2)] += codebook.n
+    return EncodeBatch(facts=facts, path=path, meter=meter)
 
 
 def choose_delta_hat(codebook: Codebook, training_sample, percentile: float = 99.0) -> float:

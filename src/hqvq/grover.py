@@ -5,9 +5,12 @@ then reflection about the uniform superposition) preserves the two-dimensional
 subspace spanned by the marked and unmarked uniform components, so the
 post-iteration measurement distribution has a closed form: every marked index
 carries sin^2((2j+1)*theta)/t with sin(theta) = sqrt(t/N).  The closed form is
-the production path; an explicit statevector iteration is kept as a slow,
+the production path: the batch encoder needs only ``marked_probability``, the
+chance that a measurement lands in the marked set, since a measured index
+passes its classical check exactly when it is marked.  ``measure`` samples one
+index per call, and an explicit statevector iteration is kept as a slow,
 size-capped cross-validation oracle.  Nothing here counts cost: the encoder
-charges every iteration it asks ``measure`` to simulate.
+charges every iteration it simulates.
 """
 
 from __future__ import annotations
@@ -43,6 +46,17 @@ def grover_distribution(t: int, n: int, j: int) -> tuple[float, float]:
     theta = math.asin(math.sqrt(t / n))
     total = math.sin((2 * j + 1) * theta) ** 2
     return total / t, (1.0 - total) / (n - t)
+
+
+def marked_probability(t, n: int, j) -> np.ndarray:
+    """Chance that the measurement after j search iterations is one of t marked indices.
+
+    Elementwise over arrays ``t`` and ``j``: sin^2((2j+1)*theta) with
+    sin(theta) = sqrt(t/n).  It is 0 when t == 0 and exactly 1 when t == n.
+    """
+    t = np.asarray(t)
+    p = np.sin((2 * np.asarray(j) + 1) * np.arcsin(np.sqrt(t / n))) ** 2
+    return np.where(t == n, 1.0, p)
 
 
 def statevector_distribution(marked: np.ndarray, n: int, j: int) -> np.ndarray:
@@ -91,6 +105,14 @@ def _nth_unmarked(marked: np.ndarray, r: int) -> int:
     return int(r)
 
 
-def derive_rng(master_seed: int, ordinal: int) -> np.random.Generator:
-    """Independent per-vector stream so encoding order never affects results."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(ordinal,)))
+def derive_rng(master_seed: int, slot: int) -> np.random.Generator:
+    """Independent stream number ``slot`` of the run keyed by ``master_seed``.
+
+    The batch encoder gives each random decision of a block a slot (the
+    stage-1 coin, the marked pick, each stage-2 round's j and coin) and reads
+    the block's draw for it as element ``ordinal`` of
+    ``derive_rng(master_seed, slot).random(M)``.  A prefix of that array does
+    not depend on M, so a block's draws depend only on (seed, slot, ordinal),
+    never on the batch size, the chunking or the other blocks.
+    """
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(slot,)))

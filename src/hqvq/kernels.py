@@ -10,9 +10,10 @@ in index order, ``((s_0 + s_1) + s_2) + ...``, and the callers then take
 ``sqrt``. Every caller therefore sees the same bits for the same pair.
 
 Tiling: the batched functions (``nearest_many``, ``min_pairwise``,
-``within_radius``) process ``TILE`` query rows at a time against all N
-codevectors, so they have no per-query Python loop and never hold more than
-two ``TILE`` x N float64 buffers, never an M x N matrix.
+``within_radius``) and the batch encoder process ``TILE`` query rows at a time
+against all N codevectors, so they have no per-query Python loop and never
+hold more than two ``TILE`` x N float64 buffers, never an M x N matrix.
+``distance_tiles`` is the one tile loop that hands out distances.
 """
 
 from __future__ import annotations
@@ -57,6 +58,17 @@ def _tiles(queries: np.ndarray, n: int):
         yield start, stop, qcols, out[: stop - start], tmp[: stop - start]
 
 
+def distance_tiles(queries: np.ndarray, vectors: np.ndarray):
+    """Yield (start, stop, d) over ``queries`` in TILE-row steps.
+
+    ``d[i, j]`` is the distance from ``queries[start + i]`` to ``vectors[j]``.
+    ``d`` is a buffer reused by the next step: read it before advancing.
+    """
+    vcols = np.ascontiguousarray(vectors.T)
+    for start, stop, qcols, out, tmp in _tiles(queries, vectors.shape[0]):
+        yield start, stop, np.sqrt(_sq_dists(vcols, qcols, out, tmp), out=out)
+
+
 def dist_to_all(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Euclidean distance from ``x`` (k,) to every row of ``vectors`` (n, k)."""
     n = vectors.shape[0]
@@ -69,12 +81,10 @@ def nearest_many(queries: np.ndarray, vectors: np.ndarray):
 
     Returns (indices, distances); ties resolve to the smallest index.
     """
-    m, n = queries.shape[0], vectors.shape[0]
-    vcols = np.ascontiguousarray(vectors.T)
+    m = queries.shape[0]
     idx = np.empty(m, dtype=np.int64)
     dist = np.empty(m)
-    for start, stop, qcols, out, tmp in _tiles(queries, n):
-        d = np.sqrt(_sq_dists(vcols, qcols, out, tmp), out=out)
+    for start, stop, d in distance_tiles(queries, vectors):
         arg = d.argmin(axis=1)
         idx[start:stop] = arg
         dist[start:stop] = d[np.arange(stop - start), arg]
@@ -97,11 +107,8 @@ def min_pairwise(vectors: np.ndarray) -> float:
 
 def within_radius(vectors: np.ndarray, radius: float) -> list:
     """For each row i, the ascending indices j with d(vectors[i], vectors[j]) < radius."""
-    n = vectors.shape[0]
-    vcols = np.ascontiguousarray(vectors.T)
     lists = []
-    for start, stop, qcols, out, tmp in _tiles(vectors, n):
-        d = np.sqrt(_sq_dists(vcols, qcols, out, tmp), out=out)
+    for start, stop, d in distance_tiles(vectors, vectors):
         rows, cols = np.nonzero(d < radius)
         lists.extend(np.split(cols.astype(np.int64), np.searchsorted(rows, np.arange(1, stop - start))))
     return lists

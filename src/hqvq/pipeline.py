@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, distances_to_codebook
-from .encoder import EncodePath, EncoderConfig, encode
+from .codebook import Codebook, distances_to_codebook  # noqa: F401 (perfbench/spans.py wraps it by name)
+from .encoder import PATHS, EncodeBatch, EncodePath, EncoderConfig, encode
 from .grover import derive_rng
 from .image import BlockGeometry, blockify, deblockify
 from .neighborhood import NeighborhoodTable
@@ -134,16 +134,16 @@ def region_fractions(nearest, delta0: float, delta_hat: float) -> tuple[float, f
     return n_s / total, (n_t - n_s) / total, (total - n_t) / total
 
 
-def _build_stats(outcomes, fractions) -> PartitionStats:
-    paths = [o.path for o in outcomes]
-    grover = np.array([o.meter.grover_iterations for o in outcomes], dtype=np.float64)
-    classical = np.array([o.meter.classical_distance_evals for o in outcomes], dtype=np.float64)
+def _build_stats(batch: EncodeBatch, fractions) -> PartitionStats:
+    counts = dict(zip(PATHS, np.bincount(batch.path, minlength=len(PATHS)).tolist()))
+    grover = batch.meter.grover_iterations
+    classical = batch.meter.classical_distance_evals
     a, b, c = fractions
     return PartitionStats(
-        n_vectors=len(outcomes), a=a, b=b, c=c,
-        count_sub1=paths.count(EncodePath.SUB1),
-        count_sub2=paths.count(EncodePath.SUB2),
-        count_fallback=paths.count(EncodePath.CLASSICAL_FALLBACK),
+        n_vectors=int(batch.path.size), a=a, b=b, c=c,
+        count_sub1=counts[EncodePath.SUB1],
+        count_sub2=counts[EncodePath.SUB2],
+        count_fallback=counts[EncodePath.CLASSICAL_FALLBACK],
         mean_grover_iterations=float(grover.mean()),
         max_grover_iterations=int(grover.max()),
         mean_classical_evals=float(classical.mean()),
@@ -157,34 +157,37 @@ def encode_vectors(
     table: NeighborhoodTable,
     cfg: EncoderConfig,
 ) -> tuple[np.ndarray, PartitionStats, list]:
-    """Encode a batch of vectors; each gets its own rng stream by ordinal.
+    """Encode a batch of vectors in one ``encode`` call.
 
     Returns (indices, stats, outcomes), with one ``EncodeOutcome`` per vector.
-    The region fractions in ``stats`` come from ``region_fractions`` over each
-    vector's nearest distance, taken from the distance vector the simulator
-    already needs, so they add no metered work.  ``cfg.delta_hat`` must be
-    the threshold ``table`` was built for.
+    Block ``ordinal``'s draw for slot s is element ``ordinal`` of
+    ``derive_rng(cfg.master_seed, s).random(M)``, so its outcome does not
+    depend on M or on the other vectors.  The region fractions in ``stats``
+    come from ``region_fractions`` over each vector's nearest distance,
+    taken from the distance pass the simulator already needs, so they add no
+    metered work.  ``vectors`` must be a finite, non-empty (M, k) array of
+    the codebook's dimension, and ``cfg.delta_hat`` the threshold ``table``
+    was built for.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] < 1:
         raise ValueError(f"expected a non-empty (M, k) array of vectors, got shape {vectors.shape}")
+    codebook.check_dim(vectors[0])
+    if not np.all(np.isfinite(vectors)):
+        raise ValueError("vectors have non-finite components")
     if table.delta_hat != cfg.delta_hat:
         raise ValueError(
             f"neighborhood table delta_hat {table.delta_hat} does not match "
             f"the encoder's delta_hat {cfg.delta_hat}"
         )
-    indices = np.empty(vectors.shape[0], dtype=np.int64)
-    nearest = np.empty(vectors.shape[0])
-    outcomes = []
-    for ordinal in range(vectors.shape[0]):
-        dvec = distances_to_codebook(vectors[ordinal], codebook)
-        rng = derive_rng(cfg.master_seed, ordinal)
-        outcome = encode(dvec, codebook, table, rng)
-        indices[ordinal] = outcome.index
-        nearest[ordinal] = dvec[outcome.index]
-        outcomes.append(outcome)
-    stats = _build_stats(outcomes, region_fractions(nearest, codebook.delta0, cfg.delta_hat))
-    return indices, stats, outcomes
+    size = vectors.shape[0]
+
+    def draw(slot: int) -> np.ndarray:
+        return derive_rng(cfg.master_seed, slot).random(size)
+
+    batch = encode(vectors, codebook, table, draw)
+    fractions = region_fractions(batch.facts.nearest, codebook.delta0, cfg.delta_hat)
+    return batch.facts.index, _build_stats(batch, fractions), batch.outcomes()
 
 
 def encode_image(

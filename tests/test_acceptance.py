@@ -8,19 +8,17 @@ import math
 import numpy as np
 import pytest
 
+from reference_encoder import run_stage, seeded_draws, trials
+
 from hqvq import (
     Codebook,
     EncodePath,
     EncoderConfig,
-    QueryMeter,
     build_neighborhoods,
     clustered_dataset,
     decode_image,
-    derive_rng,
     encode,
     encode_image,
-    encode_sub1,
-    encode_sub2,
     encode_vectors,
     full_search,
     grid_codebook,
@@ -33,7 +31,7 @@ from hqvq import (
     train_codebook,
 )
 from hqvq.codebook import distances_to_codebook
-from hqvq.grover import grover_distribution, statevector_distribution
+from hqvq.grover import grover_distribution, marked_set_from_distances, statevector_distribution
 from hqvq.image import BlockGeometry, blockify, deblockify
 
 
@@ -50,8 +48,10 @@ def line_codebook(n: int, spacing: float = 10.0) -> Codebook:
 def exactness_run():
     """Shared workload for criteria 1 and 7: ~1080 instances x 10 seeds.
 
-    ``encode`` takes its index from the distance vector, so criterion 1 also
-    replays stage 1 of every SUB1 outcome and checks the candidate it accepted.
+    ``encode`` takes its index from the distance row, so criterion 1 also
+    checks that every SUB1 block's only mark at delta0/2 is the oracle, and
+    criterion 7 that every index marked at delta_hat of a SUB2 block lists
+    the oracle among its neighbors.
     """
     rng = np.random.default_rng(20240)
     mismatches = 0
@@ -66,26 +66,25 @@ def exactness_run():
                 cb = Codebook(rng.uniform(0, 60, size=(n, k)))
                 delta_hat = cb.delta0 / 2 * rng.uniform(1.05, 3.0)
                 table = build_neighborhoods(cb, delta_hat)
-                for _ in range(30):
-                    x = rng.uniform(-10, 70, size=k)
-                    oracle_i, _ = full_search(x, cb)
-                    dvec = distances_to_codebook(x, cb)
-                    for seed in range(10):
-                        trace = []
-                        out = encode(dvec, cb, table, derive_rng(seed, 0), trace=trace)
+                xs = rng.uniform(-10, 70, size=(30, k))
+                oracle = [full_search(x, cb)[0] for x in xs]
+                dvecs = [distances_to_codebook(x, cb) for x in xs]
+                for seed in range(10):
+                    outcomes = encode(xs, cb, table, seeded_draws(seed, len(xs))).outcomes()
+                    for oracle_i, dvec, out in zip(oracle, dvecs, outcomes):
                         encodes += 1
                         if out.index != oracle_i:
                             mismatches += 1
                         if out.path == EncodePath.SUB1:
                             sub1_successes += 1
-                            got = encode_sub1(dvec, cb, derive_rng(seed, 0), QueryMeter())
-                            if got != oracle_i:
+                            marks = marked_set_from_distances(dvec, cb.delta0 / 2)
+                            if marks.tolist() != [oracle_i]:
                                 sub1_wrong_candidates += 1
                         if out.path == EncodePath.SUB2:
                             sub2_successes += 1
-                            h = trace[-1]["h"]
-                            if oracle_i not in set(int(v) for v in table.lists[h]):
-                                soundness_violations += 1
+                            for h in marked_set_from_distances(dvec, table.delta_hat):
+                                if oracle_i not in set(int(v) for v in table.lists[h]):
+                                    soundness_violations += 1
     return {
         "encodes": encodes,
         "mismatches": mismatches,
@@ -107,18 +106,18 @@ def test_criterion_1_exactness(exactness_run):
         and r["sub1_successes"] > 0,
         f"{r['encodes']} encodes, {r['mismatches']} mismatches, "
         f"{r['sub1_successes']} stage-1 successes, "
-        f"{r['sub1_wrong_candidates']} stage-1 candidates off the oracle",
+        f"{r['sub1_wrong_candidates']} stage-1 blocks whose only mark is not the oracle",
     )
 
 
 def test_criterion_2_sub1_success_rate():
     cb = grid_codebook(256)
-    dvec = distances_to_codebook(cb.vectors[40] + np.array([0.013, -0.009]), cb)
-    trials = 10_000
-    hits = 0
-    for i in range(trials):
-        hits += encode_sub1(dvec, cb, derive_rng(77, i), QueryMeter()) == 40
-    freq = hits / trials
+    table = build_neighborhoods(cb, 0.6 * cb.delta0)
+    x = cb.vectors[40] + np.array([0.013, -0.009])
+    assert full_search(x, cb)[0] == 40
+    count = 10_000
+    _, accepted, _ = run_stage(1, trials(x, count), cb, table, 77)
+    freq = int(np.count_nonzero(accepted)) / count
     # closed form: sin^2(25 asin(1/16)) ~ 0.99995
     _verdict(2, "stage-1 success rate at N=256", freq >= 0.999, f"freq={freq}")
 
@@ -151,13 +150,8 @@ def test_criterion_4_bbht_bound():
     for t in (1, 4, 16):
         delta_hat = 10.0 * t - 5.0  # marks exactly the t codevectors nearest to x=0
         table = build_neighborhoods(cb, delta_hat)
-        dvec = distances_to_codebook([0.0], cb)
-        spent = []
-        for i in range(1000):
-            meter = QueryMeter()
-            encode_sub2(dvec, table, derive_rng(t, i), meter)
-            spent.append(meter.grover_iterations)
-        mean = float(np.mean(spent))
+        _, _, meter = run_stage(2, trials([0.0], 1000), cb, table, t)
+        mean = float(np.mean(meter.grover_iterations))
         bound = 1.1 * (9.0 / 4.0) * math.sqrt(n / t)
         ok &= mean <= bound
         details.append(f"t={t}: mean={mean:.2f} bound={bound:.2f}")

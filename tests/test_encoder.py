@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
+from reference_encoder import (
+    block_draws,
+    reference_encode,
+    reference_stage2,
+    run_stage,
+    seeded_draws,
+    trials,
+)
 
 from hqvq import (
     Codebook,
@@ -14,15 +22,15 @@ from hqvq import (
     QueryMeter,
     build_neighborhoods,
     choose_delta_hat,
-    derive_rng,
+    clustered_dataset,
     encode,
-    encode_sub1,
-    encode_sub2,
+    encode_vectors,
     full_search,
     grid_codebook,
+    kernels,
 )
 from hqvq.codebook import distances_to_codebook
-from hqvq.encoder import sub1_iterations, sub2_budget
+from hqvq.encoder import PICK_SLOT, sub1_iterations, sub2_budget
 from hqvq.grover import marked_set_from_distances
 from hqvq.pipeline import region_fractions
 
@@ -62,43 +70,48 @@ def midpoint_case():
     return rounded_midpoint(np.random.default_rng(0), 3)
 
 
+def stage2_rounds(x, cb, table, draw, ordinal) -> list:
+    """The j of every stage-2 round the per-block reference runs for this block."""
+    rounds = []
+    reference_stage2(distances_to_codebook(x, cb), table, block_draws(draw, ordinal), QueryMeter(), rounds)
+    return rounds
+
+
+def encode_rows(rows, cb, table, seed):
+    rows = np.asarray(rows, dtype=np.float64)
+    return encode(rows, cb, table, seeded_draws(seed, rows.shape[0])).outcomes()
+
+
 class TestSub1:
     def test_near_codevector_found_with_high_frequency(self):
-        cb = grid_codebook(256)
-        dvec = distances_to_codebook(cb.vectors[5] + np.array([0.01, -0.02]), cb)
-        hits = 0
-        trials = 10_000
-        for i in range(trials):
-            meter = QueryMeter()
-            got = encode_sub1(dvec, cb, derive_rng(1, i), meter)
-            hits += got == 5
-        assert hits / trials >= 0.999  # closed form: ~0.99995
+        cb, table = make_setup(256)
+        x = cb.vectors[5] + np.array([0.01, -0.02])
+        facts, accepted, _ = run_stage(1, trials(x, 10_000), cb, table, 1)
+        assert np.all(facts.index == 5)
+        assert accepted.mean() >= 0.999  # closed form: ~0.99995
 
     def test_far_input_never_found(self):
-        cb, _ = make_setup(16)
+        cb, table = make_setup(16)
         x = cb.vectors[0] + np.array([4.9, 4.9])  # min distance > delta0/2 = 5
-        dvec = distances_to_codebook(x, cb)
-        for i in range(200):
-            assert encode_sub1(dvec, cb, derive_rng(2, i), QueryMeter()) is None
+        _, accepted, _ = run_stage(1, trials(x, 200), cb, table, 2)
+        assert not accepted.any()
 
     def test_meter_contract(self):
-        cb, _ = make_setup(64)
-        meter = QueryMeter()
-        encode_sub1(distances_to_codebook(cb.vectors[3], cb), cb, derive_rng(3, 0), meter)
-        assert meter.grover_iterations == sub1_iterations(64) == math.floor(math.pi / 4 * 8)
-        assert meter.classical_distance_evals == 1
+        cb, table = make_setup(64)
+        _, _, meter = run_stage(1, cb.vectors[3:4], cb, table, 3)
+        assert meter.grover_iterations.tolist() == [sub1_iterations(64)]
+        assert sub1_iterations(64) == math.floor(math.pi / 4 * 8)
+        assert meter.classical_distance_evals.tolist() == [1]
 
     def test_returned_index_is_unique_optimum(self):
         rng = np.random.default_rng(44)
         cb = Codebook(rng.uniform(0, 100, size=(32, 2)))
-        for i in range(300):
-            x = rng.uniform(0, 100, size=2)
-            meter = QueryMeter()
-            got = encode_sub1(distances_to_codebook(x, cb), cb, derive_rng(4, i), meter)
-            if got is not None:
-                oi, _ = full_search(x, cb)
-                assert got == oi
-                assert marked_count(x, cb, cb.delta0 / 2) == 1
+        table = build_neighborhoods(cb, cb.delta0)
+        xs = rng.uniform(0, 100, size=(300, 2))
+        facts, accepted, _ = run_stage(1, xs, cb, table, 4)
+        for x, index, t_s in zip(xs[accepted], facts.index[accepted], facts.t_s[accepted]):
+            assert index == full_search(x, cb)[0]
+            assert t_s == marked_count(x, cb, cb.delta0 / 2) == 1
 
     @pytest.mark.xfail(
         strict=True,
@@ -107,12 +120,12 @@ class TestSub1:
     )
     def test_midpoint_stage1_accepts_only_the_full_search_index(self):
         # encode's index is right regardless; the defect is that stage 1
-        # accepts the other end too, so the path and meter depend on the seed
+        # marks both ends (t_s = 2 = N), so it accepts the block for every
+        # seed where a rounding margin would leave it to stage 2
         cb, x = midpoint_case()
-        dvec = distances_to_codebook(x, cb)
-        oracle, _ = full_search(x, cb)
-        got = {encode_sub1(dvec, cb, derive_rng(seed, 0), QueryMeter()) for seed in range(40)}
-        assert got <= {oracle, None}
+        table = build_neighborhoods(cb, cb.delta0)
+        accepted = [run_stage(1, [x], cb, table, seed)[1][0] for seed in range(40)]
+        assert not any(accepted)
 
     def test_marked_set_at_half_delta0_never_exceeds_one(self):
         rng = np.random.default_rng(45)
@@ -129,12 +142,15 @@ class TestSub2:
         cb = Codebook([[0.0], [1.0], [2.0], [100.0]])
         table = build_neighborhoods(cb, 1.5)
         assert list(table.lists[3]) == [3]
-        dvec = distances_to_codebook([100.6], cb)  # inside the shell of codevector 3 only
-        for i in range(100):
-            meter = QueryMeter()
-            got = encode_sub2(dvec, table, derive_rng(5, i), meter)
-            if got is not None:
-                assert got == 3
+        x = [100.6]  # inside the shell of codevector 3 only
+        facts, accepted, meter = run_stage(2, trials(x, 100), cb, table, 5)
+        assert np.all(facts.index == 3) and np.all(facts.t == 1)
+        assert np.all(facts.pick_size == 1)  # a hit measures 3 and scans its list
+        assert accepted.any()
+        draw = seeded_draws(5, 100)
+        for ordinal in np.flatnonzero(accepted):
+            rounds = stage2_rounds(x, cb, table, draw, ordinal)
+            assert meter.classical_distance_evals[ordinal] == len(rounds) + 1
 
     def test_empty_marked_set_exhausts_budget(self):
         # the budget is stage 2's only stopping rule; small N hold the fewest
@@ -146,42 +162,44 @@ class TestSub2:
             x = np.full(cb.k, 305.0)  # far beyond every codevector's threshold
             assert marked_count(x, cb, delta_hat) == 0
             budget = sub2_budget(n)
-            dvec = distances_to_codebook(x, cb)
-            for i in range(200):
-                meter = QueryMeter()
-                trace = []
-                got = encode_sub2(dvec, table, derive_rng(6, i), meter, trace=trace)
-                assert got is None
-                assert meter.grover_iterations <= budget
-                assert meter.classical_distance_evals == len(trace)
+            _, accepted, meter = run_stage(2, trials(x, 200), cb, table, 6)
+            assert not accepted.any()
+            assert np.all(meter.grover_iterations <= budget)
+            draw = seeded_draws(6, 200)
+            for ordinal in range(200):
+                rounds = stage2_rounds(x, cb, table, draw, ordinal)
+                assert meter.classical_distance_evals[ordinal] == len(rounds)
 
     def test_meter_charges_every_drawn_iteration(self):
         # encode_sub2 is the only place stage-2 iterations are charged: the
-        # meter equals the sum of the traced draws, which never exceeds the budget
+        # meter equals the sum of the drawn j, which never exceeds the budget
         cb, table = make_setup(64)
         budget = sub2_budget(64)
         rng = np.random.default_rng(53)
         shell = cb.vectors[20] + (cb.delta0 / 2.0) * 1.1 / math.sqrt(2.0)
         points = [shell, np.array([305.0, 305.0]), *rng.uniform(-20, 100, size=(8, 2))]
-        for p, x in enumerate(points):
-            dvec = distances_to_codebook(x, cb)
-            for i in range(50):
-                meter = QueryMeter()
-                trace = []
-                encode_sub2(dvec, table, derive_rng(15, 50 * p + i), meter, trace=trace)
-                assert meter.grover_iterations == sum(r["j"] for r in trace)
-                assert meter.grover_iterations <= budget
+        rows = np.repeat(np.array(points), 50, axis=0)
+        _, _, meter = run_stage(2, rows, cb, table, 15)
+        draw = seeded_draws(15, rows.shape[0])
+        for ordinal, x in enumerate(rows):
+            rounds = stage2_rounds(x, cb, table, draw, ordinal)
+            assert meter.grover_iterations[ordinal] == sum(rounds)
+        assert np.all(meter.grover_iterations <= budget)
 
     def test_success_charges_neighborhood_scan(self):
         cb = Codebook([[0.0], [1.0], [2.0], [100.0]])
         table = build_neighborhoods(cb, 1.5)
-        dvec = distances_to_codebook([0.7], cb)
-        meter = QueryMeter()
-        trace = []
-        got = encode_sub2(dvec, table, derive_rng(7, 0), meter, trace=trace)
-        assert got == trace[-1]["h"]
-        assert 1 in table.lists[got]  # the optimum lies in the verified index's list
-        assert meter.classical_distance_evals == len(trace) + len(table.lists[got])
+        x = [0.7]
+        dvec = distances_to_codebook(x, cb)
+        marked = marked_set_from_distances(dvec, table.delta_hat)
+        draw = seeded_draws(7, 1)
+        facts, accepted, meter = run_stage(2, [x], cb, table, 7)
+        assert accepted[0]
+        h = marked[int(draw(PICK_SLOT)[0] * marked.size)]  # the index the hit measures
+        assert 1 in table.lists[h]  # the optimum lies in the verified index's list
+        assert facts.pick_size[0] == len(table.lists[h])
+        rounds = stage2_rounds(x, cb, table, draw, 0)
+        assert meter.classical_distance_evals[0] == len(rounds) + len(table.lists[h])
 
     def test_mean_iterations_within_bbht_bound(self):
         # smaller cousin of the acceptance check: t=4 solutions out of n=256
@@ -191,19 +209,14 @@ class TestSub2:
         table = build_neighborhoods(cb, delta_hat)
         x = np.array([0.0])
         assert marked_count(x, cb, delta_hat) == t
-        dvec = distances_to_codebook(x, cb)
-        spent = []
-        for i in range(400):
-            meter = QueryMeter()
-            encode_sub2(dvec, table, derive_rng(9, i), meter)
-            spent.append(meter.grover_iterations)
-        assert np.mean(spent) <= 1.1 * 2.25 * math.sqrt(n / t)
+        _, _, meter = run_stage(2, trials(x, 400), cb, table, 9)
+        assert np.mean(meter.grover_iterations) <= 1.1 * 2.25 * math.sqrt(n / t)
 
 
 class TestEncode:
     def test_exact_codevector_hits_sub1(self):
         cb, table = make_setup(64)
-        out = encode(distances_to_codebook(cb.vectors[7], cb), cb, table, derive_rng(10, 0))
+        (out,) = encode_rows(cb.vectors[7:8], cb, table, 10)
         assert out.index == 7
         assert out.path == EncodePath.SUB1
 
@@ -214,9 +227,8 @@ class TestEncode:
                 cb = Codebook(rng.uniform(0, 50, size=(n, 2)))
                 delta_hat = cb.delta0 / 2 * rng.uniform(1.0, 3.0)
                 table = build_neighborhoods(cb, delta_hat)
-                for j in range(20):
-                    x = rng.uniform(-10, 60, size=2)
-                    out = encode(distances_to_codebook(x, cb), cb, table, derive_rng(11, j))
+                xs = rng.uniform(-10, 60, size=(20, 2))
+                for x, out in zip(xs, encode_rows(xs, cb, table, 11)):
                     assert out.index == full_search(x, cb)[0]
 
     def test_shell_input_never_wrong(self):
@@ -224,16 +236,13 @@ class TestEncode:
         # place x in the shell: between delta0/2 and delta_hat of its nearest
         offset = np.array([1.0, 1.0]) / math.sqrt(2.0)
         x = cb.vectors[20] + offset * (cb.delta0 / 2.0) * 1.1
-        dvec = distances_to_codebook(x, cb)
-        for i in range(200):
-            out = encode(dvec, cb, table, derive_rng(12, i))
+        for out in encode_rows(trials(x, 200), cb, table, 12):
             assert out.path in (EncodePath.SUB2, EncodePath.CLASSICAL_FALLBACK)
             assert out.index == full_search(x, cb)[0]
 
     def test_fallback_meters_full_scan(self):
         cb, table = make_setup(16)
-        x = np.array([500.0, 500.0])
-        out = encode(distances_to_codebook(x, cb), cb, table, derive_rng(13, 0))
+        (out,) = encode_rows([[500.0, 500.0]], cb, table, 13)
         assert out.path == EncodePath.CLASSICAL_FALLBACK
         # sub1 verify (1) + sub2 rounds (>=1) + fallback full scan (16)
         assert out.meter.classical_distance_evals >= 1 + 1 + 16
@@ -241,10 +250,8 @@ class TestEncode:
     def test_total_iteration_budget(self):
         cb, table = make_setup(64)
         cap = sub1_iterations(64) + sub2_budget(64)
-        rng = np.random.default_rng(51)
-        for i in range(300):
-            x = rng.uniform(-20, 100, size=2)
-            out = encode(distances_to_codebook(x, cb), cb, table, derive_rng(14, i))
+        xs = np.random.default_rng(51).uniform(-20, 100, size=(300, 2))
+        for out in encode_rows(xs, cb, table, 14):
             assert out.meter.grover_iterations <= cap
 
     def test_midpoint_of_two_codevectors_matches_full_search(self):
@@ -253,19 +260,15 @@ class TestEncode:
         cb, x = midpoint_case()
         table = build_neighborhoods(cb, cb.delta0)
         oracle, _ = full_search(x, cb)
-        dvec = distances_to_codebook(x, cb)
-        got = {encode(dvec, cb, table, derive_rng(seed, 0)).index for seed in range(40)}
+        got = {encode_rows([x], cb, table, seed)[0].index for seed in range(40)}
         assert got == {oracle}
 
     def test_deterministic_for_seed(self):
         cb, table = make_setup(64)
-        rng = np.random.default_rng(52)
-        for i in range(50):
-            dvec = distances_to_codebook(rng.uniform(0, 80, size=2), cb)
-            a = encode(dvec, cb, table, derive_rng(99, i))
-            b = encode(dvec, cb, table, derive_rng(99, i))
-            assert a.index == b.index and a.path == b.path
-            assert a.meter == b.meter
+        xs = np.random.default_rng(52).uniform(0, 80, size=(50, 2))
+        a = encode_rows(xs, cb, table, 99)
+        b = encode_rows(xs, cb, table, 99)
+        assert a == b
 
 
 BOUNDARIES = ("midpoint", "half_delta0", "delta_hat", "two_delta_hat")
@@ -299,10 +302,91 @@ def test_index_is_full_search_for_every_seed(boundary, seed, k, n, factor):
         direction *= radius / np.linalg.norm(direction)
         x = cb.vectors[rng.integers(0, cb.n)] + direction
     table = build_neighborhoods(cb, delta_hat)
-    dvec = distances_to_codebook(x, cb)
     oracle, _ = full_search(x, cb)
-    got = {encode(dvec, cb, table, derive_rng(s, 0)).index for s in range(5)}
+    got = {encode_rows([x], cb, table, s)[0].index for s in range(5)}
     assert got == {oracle}
+
+
+def boundary_batch(rng: np.random.Generator, cb: Codebook, delta_hat: float, per_kind: int):
+    """Blocks on every boundary the meter simulation branches on.
+
+    Codevectors themselves, points on the delta0/2, delta_hat and 2 * delta_hat
+    shells, pair midpoints, the centroid (t = N once delta_hat is large) and
+    points far from every codevector (t = 0).
+    """
+    k = cb.k
+    rows = [cb.vectors[rng.integers(0, cb.n, size=per_kind)]]
+    for radius in (cb.delta0 / 2.0, delta_hat, 2.0 * delta_hat):
+        direction = rng.normal(size=(per_kind, k))
+        direction *= radius / np.linalg.norm(direction, axis=1, keepdims=True)
+        rows.append(cb.vectors[rng.integers(0, cb.n, size=per_kind)] + direction)
+    pairs = rng.integers(0, cb.n, size=(per_kind, 2))
+    rows.append((cb.vectors[pairs[:, 0]] + cb.vectors[pairs[:, 1]]) / 2)
+    rows.append(np.tile(cb.vectors.mean(axis=0), (per_kind, 1)))
+    rows.append(cb.vectors[rng.integers(0, cb.n, size=per_kind)] + 1e3 * (1.0 + cb.delta0 + delta_hat))
+    rows = np.vstack(rows)
+    return rows[rng.permutation(rows.shape[0])]
+
+
+@settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(seed=0, k=3, n=2, factor=1.0, master_seed=0)
+@example(seed=1, k=1, n=3, factor=50.0, master_seed=1)
+@example(seed=2, k=2, n=3, factor=1.0, master_seed=2)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    n=st.sampled_from([2, 3, 5, 16, 64]),
+    factor=st.sampled_from([1.0, 1.25, 2.0, 3.0, 50.0]),
+    master_seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_equals_per_block_reference(seed, k, n, factor, master_seed):
+    # the lockstep batch and the per-block walk read the same slot draws, so
+    # every block's (index, path, meter) must agree, on every boundary
+    rng = np.random.default_rng(seed)
+    cb = Codebook(rng.normal(size=(n, k)))
+    if n == 2:
+        midpoint_cb, midpoint = rounded_midpoint(rng, k)
+        if marked_count(midpoint, midpoint_cb, midpoint_cb.delta0 / 2) == 2:
+            cb = midpoint_cb  # the t_s = 2 case below gets a rounded midpoint
+    delta_hat = factor * cb.delta0 / 2.0
+    table = build_neighborhoods(cb, delta_hat)
+    rows = boundary_batch(rng, cb, delta_hat, 6)
+    cfg = EncoderConfig(delta_hat=delta_hat, master_seed=master_seed)
+    indices, _, outcomes = encode_vectors(rows, cb, table, cfg)
+    draw = seeded_draws(master_seed, rows.shape[0])
+    for ordinal, x in enumerate(rows):
+        want = reference_encode(distances_to_codebook(x, cb), cb, table, block_draws(draw, ordinal))
+        assert outcomes[ordinal] == want
+    assert indices.tolist() == [o.index for o in outcomes]
+
+
+class TestBatch:
+    def test_prefix_gives_the_same_outcomes(self):
+        # a block's draws are keyed by (seed, slot, ordinal), never by M
+        cb = grid_codebook(64)
+        delta_hat = 0.6 * cb.delta0
+        table = build_neighborhoods(cb, delta_hat)
+        rows = clustered_dataset(cb, delta_hat, 400, seed=3)
+        cfg = EncoderConfig(delta_hat=delta_hat, master_seed=21)
+        _, _, whole = encode_vectors(rows, cb, table, cfg)
+        for k in (1, kernels.TILE - 1, kernels.TILE, kernels.TILE + 1, 399):
+            _, _, prefix = encode_vectors(rows[:k], cb, table, cfg)
+            assert prefix == whole[:k]
+
+    def test_index_is_nearest_many_including_ties(self):
+        # grid points and the exact midpoints between them: on a midpoint two
+        # or four codevectors tie, and both rules take the smallest index
+        cb = grid_codebook(64)
+        table = build_neighborhoods(cb, 0.6 * cb.delta0)
+        rng = np.random.default_rng(31)
+        ties = cb.vectors[rng.integers(0, 64, size=(300, 2))].mean(axis=1)
+        rows = np.vstack([ties, rng.uniform(-5, 75, size=(300, 2)), cb.vectors])
+        cfg = EncoderConfig(delta_hat=table.delta_hat, master_seed=4)
+        indices, _, outcomes = encode_vectors(rows, cb, table, cfg)
+        oracle, _ = kernels.nearest_many(rows, cb.vectors)
+        assert indices.tolist() == oracle.tolist() == [o.index for o in outcomes]
+        dists = np.array([distances_to_codebook(x, cb) for x in rows])
+        assert np.count_nonzero((dists == dists.min(axis=1, keepdims=True)).sum(axis=1) > 1) > 100
 
 
 class TestClassifyRegion:
@@ -361,3 +445,11 @@ class TestConfig:
         cfg = EncoderConfig(delta_hat=1.0)
         assert cfg.master_seed == 0
         assert sub2_budget(64) == 24  # ceil(3 * sqrt(64))
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "1", None, True], ids=repr)
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            EncoderConfig(delta_hat=1.0, master_seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert EncoderConfig(delta_hat=1.0, master_seed=np.int64(7)).master_seed == 7

@@ -235,6 +235,20 @@ class TestEncodeVectors:
         with pytest.raises(ValueError, match=r"\(M, k\)"):
             encode_vectors(vectors, cb, table, cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_component_rejected(self, bad):
+        cb, table, cfg = grid64_setup()
+        rows = np.array([[0.0, 0.0], [31.0, 9.0], [5.0, 5.0]])
+        rows[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            encode_vectors(rows, cb, table, cfg)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_dimension_mismatch_rejected(self, k):
+        cb, table, cfg = grid64_setup()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            encode_vectors(np.zeros((4, k)), cb, table, cfg)
+
 
 class TestReport:
     def make_stats(self, mean_grover):
