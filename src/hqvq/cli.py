@@ -91,8 +91,11 @@ def cmd_stats(args) -> int:
     geom = BlockGeometry(block_w=args.block_w, block_h=args.block_h)
     vectors = blockify(img, geom)
     codebook.check_dim(vectors[0])
-    # one nearest-codevector pass feeds both the threshold and the fractions
-    _, nearest = kernels.nearest_many(vectors, codebook.vectors)
+    # one nearest-codevector pass, over the distinct blocks, feeds both the
+    # threshold and the fractions
+    distinct, inverse = kernels.distinct_rows(vectors)
+    _, nearest = kernels.nearest_many(distinct, codebook.vectors)
+    nearest = nearest[inverse]
     delta_hat = args.delta_hat
     if delta_hat is None:
         delta_hat = delta_hat_from_nearest(nearest, codebook.delta0, args.delta_hat_percentile)

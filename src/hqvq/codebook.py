@@ -90,7 +90,9 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
     Initialization draws N distinct sample rows; empty cells are reseeded
     from the most distorted points; duplicate centroids get a tiny
     data-scaled jitter so the resulting codebook always has delta0 > 0.
-    Deterministic for a fixed seed.
+    Each assignment runs over the distinct rows and is gathered back to every
+    sample; each centroid is the mean of all its cell's samples.  At least
+    one iteration runs (``max_iter >= 1``).  Deterministic for a fixed seed.
     """
     data = np.asarray(samples, dtype=np.float64)
     if data.ndim != 2:
@@ -100,9 +102,11 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
     m = data.shape[0]
     if n_codevectors < 2:
         raise ValueError("need at least 2 codevectors")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     if m < n_codevectors:
         raise ValueError(f"need at least {n_codevectors} samples, got {m}")
-    uniq = np.unique(data, axis=0)
+    uniq, inverse = kernels.distinct_rows(data)
     if uniq.shape[0] < n_codevectors:
         raise ValueError(
             f"only {uniq.shape[0]} distinct samples for {n_codevectors} codevectors"
@@ -113,7 +117,8 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
 
     prev_assign = None
     for _ in range(max_iter):
-        assign, dist = kernels.nearest_many(data, centroids)
+        uniq_assign, uniq_dist = kernels.nearest_many(uniq, centroids)
+        assign, dist = uniq_assign[inverse], uniq_dist[inverse]
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign

@@ -11,8 +11,9 @@ Anything else falls back to the exhaustive classical search.  The index is
 the distance row's argmin; the stages only simulate and charge the search,
 so randomness never affects the index.  This module alone charges the meter.
 
-``encode`` works on a batch.  One tiled pass over the distance rows reduces
-each block to a few facts (``BlockFacts``).  A measured index passes its
+``encode`` works on a batch.  One tiled pass over the distinct blocks'
+distance rows reduces each block to a few facts (``BlockFacts``); equal
+blocks share the pass but keep their own draws.  A measured index passes its
 classical check exactly when it is marked, so every search round is a coin
 with the closed-form success probability, and stage 1 and the stage-2 rounds
 run for all blocks at once on those facts.
@@ -23,6 +24,8 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,25 +112,37 @@ class BlockFacts:
     pick_size: np.ndarray  # list size of the marked index a stage-2 hit measures; 0 if t == 0
 
 
-@dataclass(frozen=True)
-class EncodeBatch:
-    """Result of one batch encode, block by block in input order."""
+@dataclass(frozen=True, eq=False)
+class EncodeBatch(Sequence):
+    """Result of one batch encode, block by block in input order.
+
+    A read-only sequence of ``EncodeOutcome``: ``batch[b]`` and iteration
+    build block b's outcome, with plain ints, only when asked for.
+    """
 
     facts: BlockFacts
     path: np.ndarray  # int8 positions in PATHS
     meter: QueryMeter  # (M,) int64 arrays
 
-    def outcomes(self) -> list[EncodeOutcome]:
-        """One ``EncodeOutcome`` per block, with plain ints."""
-        return [
-            EncodeOutcome(i, PATHS[p], QueryMeter(g, c))
-            for i, p, g, c in zip(
-                self.facts.index.tolist(),
-                self.path.tolist(),
-                self.meter.grover_iterations.tolist(),
-                self.meter.classical_distance_evals.tolist(),
-            )
-        ]
+    def __len__(self) -> int:
+        return self.path.size
+
+    def __getitem__(self, b: int) -> EncodeOutcome:
+        b = range(len(self))[operator.index(b)]
+        return EncodeOutcome(
+            int(self.facts.index[b]),
+            PATHS[self.path[b]],
+            QueryMeter(int(self.meter.grover_iterations[b]), int(self.meter.classical_distance_evals[b])),
+        )
+
+    def __iter__(self):
+        for i, p, g, c in zip(
+            self.facts.index.tolist(),
+            self.path.tolist(),
+            self.meter.grover_iterations.tolist(),
+            self.meter.classical_distance_evals.tolist(),
+        ):
+            yield EncodeOutcome(i, PATHS[p], QueryMeter(g, c))
 
 
 def sub1_iterations(n: int) -> int:
@@ -145,23 +160,29 @@ def block_facts(
     table: NeighborhoodTable,
     pick: np.ndarray,
 ) -> BlockFacts:
-    """One tiled pass over the blocks' distance rows, kept as ``BlockFacts``.
+    """One tiled pass over the distinct blocks' distance rows, kept as ``BlockFacts``.
 
     ``vectors`` is a finite (M, k) float64 array of the codebook's dimension.
     ``pick`` holds each block's uniform draw in [0, 1) for the marked index a
     stage-2 hit measures: the one at position floor(pick * t) of the t
-    marked indices in ascending order, uniform among them.  No M x N matrix
-    is kept.
+    marked indices in ascending order, uniform among them.  The pass runs
+    over ``kernels.distinct_rows(vectors)``; equal blocks share its facts
+    but each picks with its own draw, in the tile that holds its row.  No
+    M x N matrix is kept.
     """
-    m, n = vectors.shape[0], codebook.n
+    distinct, inverse = kernels.distinct_rows(vectors)
+    u, n = distinct.shape[0], codebook.n
     half_delta0 = codebook.delta0 / 2.0
     sizes = table.sizes()
-    index = np.empty(m, dtype=np.int64)
-    nearest = np.empty(m)
-    t_s = np.empty(m, dtype=np.int64)
-    t = np.empty(m, dtype=np.int64)
-    pick_size = np.zeros(m, dtype=np.int64)
-    for start, stop, d in kernels.distance_tiles(vectors, codebook.vectors):
+    index = np.empty(u, dtype=np.int64)
+    nearest = np.empty(u)
+    t_s = np.empty(u, dtype=np.int64)
+    t = np.empty(u, dtype=np.int64)
+    pick_size = np.zeros(vectors.shape[0], dtype=np.int64)
+    # the blocks of distinct rows i..j-1 are by_row[row_first[i] : row_first[j]]
+    by_row = np.argsort(inverse)
+    row_first = np.concatenate(([0], np.cumsum(np.bincount(inverse, minlength=u))))
+    for start, stop, d in kernels.distance_tiles(distinct, codebook.vectors):
         arg = d.argmin(axis=1)
         index[start:stop] = arg
         nearest[start:stop] = d[np.arange(stop - start), arg]
@@ -169,13 +190,18 @@ def block_facts(
         marked = d < table.delta_hat
         count = np.count_nonzero(marked, axis=1)
         t[start:stop] = count
+        blocks = by_row[row_first[start] : row_first[stop]]
+        row = inverse[blocks] - start
+        block_t = count[row]
+        k = np.minimum((pick[blocks] * block_t).astype(np.int64), block_t - 1)
+        hit = block_t > 0
         # row-major flat positions list each row's marked columns in ascending order
         first = np.cumsum(count) - count
-        k = np.minimum((pick[start:stop] * count).astype(np.int64), count - 1)
-        hit = count > 0
-        h = np.flatnonzero(marked)[first[hit] + k[hit]] % n
-        pick_size[start:stop][hit] = sizes[h]
-    return BlockFacts(index=index, nearest=nearest, t_s=t_s, t=t, pick_size=pick_size)
+        h = np.flatnonzero(marked)[first[row[hit]] + k[hit]] % n
+        pick_size[blocks[hit]] = sizes[h]
+    return BlockFacts(
+        index=index[inverse], nearest=nearest[inverse], t_s=t_s[inverse], t=t[inverse], pick_size=pick_size
+    )
 
 
 def encode_sub1(facts: BlockFacts, n: int, draw, meter: QueryMeter) -> np.ndarray:
@@ -270,15 +296,19 @@ def encode(
 def choose_delta_hat(codebook: Codebook, training_sample, percentile: float = 99.0) -> float:
     """Pick the stage-2 threshold so it covers the given share of real inputs.
 
-    Runs one nearest-codevector pass over the sample and hands its distances
-    to ``delta_hat_from_nearest``.
+    Runs one nearest-codevector pass over the sample's distinct rows and
+    hands every row's distance to ``delta_hat_from_nearest``.  The sample
+    must be a finite, non-empty (M, k) array of the codebook's dimension.
     """
     sample = np.asarray(training_sample, dtype=np.float64)
     if sample.ndim != 2 or sample.shape[0] < 1:
         raise ValueError("training sample must be a non-empty (M, k) array")
     codebook.check_dim(sample[0])
-    _, nearest = kernels.nearest_many(sample, codebook.vectors)
-    return delta_hat_from_nearest(nearest, codebook.delta0, percentile)
+    if not np.all(np.isfinite(sample)):
+        raise ValueError("training sample has non-finite components")
+    distinct, inverse = kernels.distinct_rows(sample)
+    _, nearest = kernels.nearest_many(distinct, codebook.vectors)
+    return delta_hat_from_nearest(nearest[inverse], codebook.delta0, percentile)
 
 
 def delta_hat_from_nearest(nearest, delta0: float, percentile: float = 99.0) -> float:

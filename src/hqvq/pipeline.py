@@ -156,10 +156,11 @@ def encode_vectors(
     codebook: Codebook,
     table: NeighborhoodTable,
     cfg: EncoderConfig,
-) -> tuple[np.ndarray, PartitionStats, list]:
+) -> tuple[np.ndarray, PartitionStats, EncodeBatch]:
     """Encode a batch of vectors in one ``encode`` call.
 
-    Returns (indices, stats, outcomes), with one ``EncodeOutcome`` per vector.
+    Returns (indices, stats, batch).  ``batch`` is a lazy view of the run: a
+    sequence with one ``EncodeOutcome`` per vector, each built only when read.
     Block ``ordinal``'s draw for slot s is element ``ordinal`` of
     ``derive_rng(cfg.master_seed, s).random(M)``, so its outcome does not
     depend on M or on the other vectors.  The region fractions in ``stats``
@@ -187,7 +188,7 @@ def encode_vectors(
 
     batch = encode(vectors, codebook, table, draw)
     fractions = region_fractions(batch.facts.nearest, codebook.delta0, cfg.delta_hat)
-    return batch.facts.index, _build_stats(batch, fractions), batch.outcomes()
+    return batch.facts.index, _build_stats(batch, fractions), batch
 
 
 def encode_image(

@@ -70,7 +70,7 @@ def exactness_run():
                 oracle = [full_search(x, cb)[0] for x in xs]
                 dvecs = [distances_to_codebook(x, cb) for x in xs]
                 for seed in range(10):
-                    outcomes = encode(xs, cb, table, seeded_draws(seed, len(xs))).outcomes()
+                    outcomes = list(encode(xs, cb, table, seeded_draws(seed, len(xs))))
                     for oracle_i, dvec, out in zip(oracle, dvecs, outcomes):
                         encodes += 1
                         if out.index != oracle_i:

@@ -14,6 +14,7 @@ from hqvq import (
     train_codebook,
 )
 from hqvq import kernels
+from hqvq.codebook import _separate_duplicates
 
 
 def brute_nearest(x, vectors):
@@ -123,7 +124,60 @@ class TestDelta0:
         assert cb.delta0 == 5.0
 
 
+def reference_train(samples, n, seed, max_iter=60):
+    """Plain Lloyd over every sample row, cells gathered with a mask.
+
+    Returns (codebook, number of dead cells reseeded).
+    """
+    data = np.asarray(samples, dtype=np.float64)
+    uniq = np.unique(data, axis=0)
+    rng = np.random.default_rng(seed)
+    centroids = uniq[rng.choice(uniq.shape[0], size=n, replace=False)].copy()
+    prev, reseeds = None, 0
+    for _ in range(max_iter):
+        assign, dist = kernels.nearest_many(data, centroids)
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        prev = assign
+        for i in range(n):
+            members = data[assign == i]
+            if members.shape[0]:
+                centroids[i] = members.mean(axis=0)
+            else:
+                worst = int(np.argmax(dist))
+                centroids[i] = data[worst]
+                dist[worst] = 0.0
+                reseeds += 1
+    return Codebook(_separate_duplicates(centroids, rng)), reseeds
+
+
+def repeated_points(data_seed):
+    """85 rows: 80 draws from 12 points (so rows repeat) and 5 distinct outliers."""
+    rng = np.random.default_rng(data_seed)
+    points = rng.normal(size=(12, 2))
+    return np.vstack([points[rng.integers(0, 12, size=80)], 5.0 * rng.normal(size=(5, 2))])
+
+
 class TestTrainer:
+    @pytest.mark.parametrize(
+        "data_seed,seed,reseeds,max_iter",
+        [(0, 0, 0, 60), (40, 0, 1, 60), (144, 2, 2, 60), (144, 2, 0, 1), (144, 2, 1, 2)],
+    )
+    def test_equals_full_row_lloyd(self, data_seed, seed, reseeds, max_iter):
+        # assigning distinct rows and gathering them back must not change a bit,
+        # also on iterations that reseed a dead cell
+        samples = repeated_points(data_seed)
+        assert np.unique(samples, axis=0).shape[0] < samples.shape[0]
+        want, got_reseeds = reference_train(samples, 8, seed, max_iter)
+        assert got_reseeds == reseeds
+        got = train_codebook(samples, 8, seed=seed, max_iter=max_iter)
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            train_codebook(repeated_points(0), 8, seed=0, max_iter=max_iter)
+
     def test_distinct_points_are_a_fixed_point(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
         cb = train_codebook(pts, 4, seed=1)

@@ -30,7 +30,7 @@ from hqvq import (
     kernels,
 )
 from hqvq.codebook import distances_to_codebook
-from hqvq.encoder import PICK_SLOT, sub1_iterations, sub2_budget
+from hqvq.encoder import PICK_SLOT, delta_hat_from_nearest, sub1_iterations, sub2_budget
 from hqvq.grover import marked_set_from_distances
 from hqvq.pipeline import region_fractions
 
@@ -79,7 +79,7 @@ def stage2_rounds(x, cb, table, draw, ordinal) -> list:
 
 def encode_rows(rows, cb, table, seed):
     rows = np.asarray(rows, dtype=np.float64)
-    return encode(rows, cb, table, seeded_draws(seed, rows.shape[0])).outcomes()
+    return list(encode(rows, cb, table, seeded_draws(seed, rows.shape[0])))
 
 
 class TestSub1:
@@ -351,6 +351,9 @@ def test_batch_equals_per_block_reference(seed, k, n, factor, master_seed):
     delta_hat = factor * cb.delta0 / 2.0
     table = build_neighborhoods(cb, delta_hat)
     rows = boundary_batch(rng, cb, delta_hat, 6)
+    # equal blocks share one distance row but each keeps its own draws
+    repeats = rng.integers(0, rows.shape[0], size=rows.shape[0])
+    rows = np.vstack([rows, rows[rng.permutation(rows.shape[0])], rows[repeats]])
     cfg = EncoderConfig(delta_hat=delta_hat, master_seed=master_seed)
     indices, _, outcomes = encode_vectors(rows, cb, table, cfg)
     draw = seeded_draws(master_seed, rows.shape[0])
@@ -371,7 +374,7 @@ class TestBatch:
         _, _, whole = encode_vectors(rows, cb, table, cfg)
         for k in (1, kernels.TILE - 1, kernels.TILE, kernels.TILE + 1, 399):
             _, _, prefix = encode_vectors(rows[:k], cb, table, cfg)
-            assert prefix == whole[:k]
+            assert list(prefix) == list(whole)[:k]
 
     def test_index_is_nearest_many_including_ties(self):
         # grid points and the exact midpoints between them: on a midpoint two
@@ -432,6 +435,26 @@ class TestChooseDeltaHat:
         cb = Codebook([[0.0], [10.0]])
         with pytest.raises(ValueError, match="non-empty"):
             choose_delta_hat(cb, np.empty((0, 1)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        # a NaN row used to give the delta0/2 floor at percentile 100, an inf row inf
+        cb = grid_codebook(64)
+        sample = clustered_dataset(cb, 0.6 * cb.delta0, 50, seed=2)
+        sample[17, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            choose_delta_hat(cb, sample, percentile=100)
+
+    @pytest.mark.parametrize("percentile", [1, 50, 99, 100])
+    def test_equals_the_full_sample_percentile(self, percentile):
+        # the pass over distinct rows, gathered back, gives every row's distance
+        cb = grid_codebook(64)
+        rng = np.random.default_rng(8)
+        base = clustered_dataset(cb, 0.6 * cb.delta0, 300, seed=8)
+        sample = np.vstack([base, base[rng.integers(0, 300, size=900)]])[rng.permutation(1200)]
+        _, nearest = kernels.nearest_many(sample, cb.vectors)
+        want = delta_hat_from_nearest(nearest, cb.delta0, percentile)
+        assert choose_delta_hat(cb, sample, percentile=percentile) == want
 
 
 class TestConfig:

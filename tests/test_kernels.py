@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -159,3 +159,33 @@ def test_nearest_many_is_rowwise_argmin_of_dist_to_all(data):
         d = kernels.dist_to_all(q, vectors)
         assert idx[r] == int(np.argmin(d))
         assert dist[r] == d[idx[r]]
+
+
+def _float_rows(elements):
+    return arrays(np.float64, st.tuples(st.integers(1, 3 * TILE), st.integers(1, 4)), elements=elements)
+
+
+@settings(max_examples=150, deadline=None)
+@example(rows=np.array([[0.0, 1.0]]))
+@example(rows=np.array([[0.0], [-0.0], [0.0]]))
+@example(rows=np.array([[-0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, -0.0]]))
+@example(rows=np.tile(np.random.default_rng(5).normal(size=(TILE + 3, 2)), (7, 1)))  # random rows, repeated
+@given(
+    rows=st.one_of(
+        # few values: heavy duplication, and rows that differ only by the sign of zero
+        _float_rows(st.sampled_from([0.0, -0.0, 1.0, -2.5])),
+        _float_rows(st.integers(-3, 3).map(float)),
+        _float_rows(st.floats(allow_nan=False, allow_infinity=False)),
+    )
+)
+def test_distinct_rows_is_unique_with_an_inverse(rows):
+    distinct, inverse = kernels.distinct_rows(rows)
+    assert inverse.shape == (rows.shape[0],)
+    assert np.array_equal(distinct[inverse], rows)
+    # strictly increasing: at the first column where neighbours differ, the later is larger
+    lo, hi = distinct[:-1], distinct[1:]
+    differs = lo != hi
+    assert differs.any(axis=1).all()
+    col = differs.argmax(axis=1)
+    assert np.all(lo[np.arange(col.size), col] < hi[np.arange(col.size), col])
+    assert np.array_equal(distinct, np.unique(rows, axis=0))
