@@ -20,10 +20,7 @@ from .encoder import (
     QueryMeter,
     choose_delta_hat,
     encode,
-    encode_sub1,
-    encode_sub2,
 )
-from .grover import derive_rng
 from .image import BlockGeometry, blockify, deblockify, load_pgm, psnr, save_pgm
 from .neighborhood import build_neighborhoods, space_bits
 from .pipeline import (
@@ -51,12 +48,9 @@ __all__ = [
     "clustered_dataset",
     "deblockify",
     "decode_image",
-    "derive_rng",
     "distance",
     "encode",
     "encode_image",
-    "encode_sub1",
-    "encode_sub2",
     "encode_vectors",
     "full_search",
     "grid_codebook",

@@ -5,9 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import kernels
 from .codebook import load_codebook, save_codebook, train_codebook
-from .encoder import EncoderConfig, choose_delta_hat, delta_hat_from_nearest
+from .encoder import EncoderConfig, choose_delta_hat, delta_hat_from_nearest, nearest_distances
 from .image import BlockGeometry, blockify, load_pgm, psnr, save_pgm
 from .neighborhood import build_neighborhoods, dump_table, space_bits
 from .pipeline import (
@@ -89,13 +88,8 @@ def cmd_stats(args) -> int:
     img = load_pgm(args.image)
     codebook = load_codebook(args.codebook)
     geom = BlockGeometry(block_w=args.block_w, block_h=args.block_h)
-    vectors = blockify(img, geom)
-    codebook.check_dim(vectors[0])
-    # one nearest-codevector pass, over the distinct blocks, feeds both the
-    # threshold and the fractions
-    distinct, inverse = kernels.distinct_rows(vectors)
-    _, nearest = kernels.nearest_many(distinct, codebook.vectors)
-    nearest = nearest[inverse]
+    # one nearest-codevector pass feeds both the threshold and the fractions
+    nearest = nearest_distances(codebook, blockify(img, geom))
     delta_hat = args.delta_hat
     if delta_hat is None:
         delta_hat = delta_hat_from_nearest(nearest, codebook.delta0, args.delta_hat_percentile)

@@ -21,6 +21,18 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def as_rows(x, k: int | None = None) -> np.ndarray:
+    """Coerce to a finite, non-empty (M, k) float64 array; ``k=None`` takes any width."""
+    rows = np.asarray(x, dtype=np.float64)
+    if rows.ndim != 2 or 0 in rows.shape:
+        raise ValueError(f"expected a non-empty (M, k) array, got shape {rows.shape}")
+    if k is not None and rows.shape[1] != k:
+        raise ValueError(f"dimension mismatch: vector has {rows.shape[1]}, codebook has {k}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("array has non-finite components")
+    return rows
+
+
 class Codebook:
     """Ordered set of N equal-dimension codevectors with distinct entries.
 
@@ -30,16 +42,9 @@ class Codebook:
     """
 
     def __init__(self, vectors):
-        arr = np.array(vectors, dtype=np.float64)  # own copy: rows get frozen below
-        if arr.ndim != 2:
-            raise ValueError(f"expected an (N, k) array, got shape {arr.shape}")
-        n, k = arr.shape
-        if n < 2:
-            raise ValueError(f"codebook needs at least 2 codevectors, got {n}")
-        if k < 1:
-            raise ValueError("codevector dimension must be >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("codebook has non-finite components")
+        arr = np.array(as_rows(vectors))  # own copy: rows get frozen below
+        if arr.shape[0] < 2:
+            raise ValueError(f"codebook needs at least 2 codevectors, got {arr.shape[0]}")
         self.vectors = arr
         self.vectors.setflags(write=False)
         self.delta0 = float(kernels.min_pairwise(arr))
@@ -94,11 +99,7 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
     sample; each centroid is the mean of all its cell's samples.  At least
     one iteration runs (``max_iter >= 1``).  Deterministic for a fixed seed.
     """
-    data = np.asarray(samples, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError(f"expected an (M, k) sample array, got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("samples have non-finite components")
+    data = as_rows(samples)
     m = data.shape[0]
     if n_codevectors < 2:
         raise ValueError("need at least 2 codevectors")

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .codebook import Codebook, full_search  # noqa: F401 (perfbench/spans.py wraps it by name)
+from .codebook import Codebook, as_rows
+from .codebook import full_search  # noqa: F401 (perfbench/spans.py wraps it by name)
 from .grover import marked_probability
 from .grover import marked_set_from_distances, measure  # noqa: F401 (perfbench/spans.py wraps them by name)
 from .neighborhood import NeighborhoodTable
@@ -116,8 +117,8 @@ class BlockFacts:
 class EncodeBatch(Sequence):
     """Result of one batch encode, block by block in input order.
 
-    A read-only sequence of ``EncodeOutcome``: ``batch[b]`` and iteration
-    build block b's outcome, with plain ints, only when asked for.
+    A read-only sequence of ``EncodeOutcome``: ``batch[b]`` builds block b's
+    outcome, with plain ints, only when asked for; iteration goes through it.
     """
 
     facts: BlockFacts
@@ -134,15 +135,6 @@ class EncodeBatch(Sequence):
             PATHS[self.path[b]],
             QueryMeter(int(self.meter.grover_iterations[b]), int(self.meter.classical_distance_evals[b])),
         )
-
-    def __iter__(self):
-        for i, p, g, c in zip(
-            self.facts.index.tolist(),
-            self.path.tolist(),
-            self.meter.grover_iterations.tolist(),
-            self.meter.classical_distance_evals.tolist(),
-        ):
-            yield EncodeOutcome(i, PATHS[p], QueryMeter(g, c))
 
 
 def sub1_iterations(n: int) -> int:
@@ -293,22 +285,32 @@ def encode(
     return EncodeBatch(facts=facts, path=path, meter=meter)
 
 
+def nearest_distances(codebook: Codebook, sample) -> np.ndarray:
+    """Each sample row's distance to its nearest codevector, in row order.
+
+    One ``nearest_many`` pass over the sample's distinct rows, gathered back
+    to every row.  The sample must be a finite, non-empty (M, k) array of the
+    codebook's dimension.
+    """
+    distinct, inverse = kernels.distinct_rows(as_rows(sample, codebook.k))
+    _, nearest = kernels.nearest_many(distinct, codebook.vectors)
+    return nearest[inverse]
+
+
 def choose_delta_hat(codebook: Codebook, training_sample, percentile: float = 99.0) -> float:
     """Pick the stage-2 threshold so it covers the given share of real inputs.
 
-    Runs one nearest-codevector pass over the sample's distinct rows and
-    hands every row's distance to ``delta_hat_from_nearest``.  The sample
-    must be a finite, non-empty (M, k) array of the codebook's dimension.
+    Checks ``percentile`` first, then hands every sample row's
+    ``nearest_distances`` to ``delta_hat_from_nearest``.
     """
-    sample = np.asarray(training_sample, dtype=np.float64)
-    if sample.ndim != 2 or sample.shape[0] < 1:
-        raise ValueError("training sample must be a non-empty (M, k) array")
-    codebook.check_dim(sample[0])
-    if not np.all(np.isfinite(sample)):
-        raise ValueError("training sample has non-finite components")
-    distinct, inverse = kernels.distinct_rows(sample)
-    _, nearest = kernels.nearest_many(distinct, codebook.vectors)
-    return delta_hat_from_nearest(nearest[inverse], codebook.delta0, percentile)
+    _check_percentile(percentile)
+    nearest = nearest_distances(codebook, training_sample)
+    return delta_hat_from_nearest(nearest, codebook.delta0, percentile)
+
+
+def _check_percentile(percentile: float) -> None:
+    if not 0 < percentile <= 100:
+        raise ValueError("percentile must be in (0, 100]")
 
 
 def delta_hat_from_nearest(nearest, delta0: float, percentile: float = 99.0) -> float:
@@ -317,8 +319,7 @@ def delta_hat_from_nearest(nearest, delta0: float, percentile: float = 99.0) -> 
     The result is clamped to the next float above delta0/2, so the threshold
     is always valid for ``build_neighborhoods``.
     """
-    if not 0 < percentile <= 100:
-        raise ValueError("percentile must be in (0, 100]")
+    _check_percentile(percentile)
     dists = np.sort(np.asarray(nearest, dtype=np.float64))
     rank = math.ceil(percentile / 100.0 * dists.size)  # nearest-rank, 1-based
     value = float(dists[max(rank, 1) - 1])

@@ -3,14 +3,15 @@
 The search iteration (phase-flip of indices whose distance beats a threshold,
 then reflection about the uniform superposition) preserves the two-dimensional
 subspace spanned by the marked and unmarked uniform components, so the
-post-iteration measurement distribution has a closed form: every marked index
-carries sin^2((2j+1)*theta)/t with sin(theta) = sqrt(t/N).  The closed form is
-the production path: the batch encoder needs only ``marked_probability``, the
-chance that a measurement lands in the marked set, since a measured index
-passes its classical check exactly when it is marked.  ``measure`` samples one
-index per call, and an explicit statevector iteration is kept as a slow,
-size-capped cross-validation oracle.  Nothing here counts cost: the encoder
-charges every iteration it simulates.
+post-iteration measurement distribution has a closed form (Boyer, Brassard,
+Hoyer and Tapp, quant-ph/9605034): the t marked indices together carry
+sin^2((2j+1)*theta) with sin(theta) = sqrt(t/N), shared equally, and the
+unmarked ones share the rest.  ``marked_probability`` is its one
+implementation.  The batch encoder needs nothing more, since a measured index
+passes its classical check exactly when it is marked; ``measure`` samples one
+index from it per call.  An explicit statevector iteration is kept as a slow,
+size-capped oracle that the tests hold ``marked_probability`` against.
+Nothing here counts cost: the encoder charges every iteration it simulates.
 """
 
 from __future__ import annotations
@@ -25,27 +26,6 @@ STATEVECTOR_CAP = 4096
 def marked_set_from_distances(distances: np.ndarray, delta: float) -> np.ndarray:
     """Indices accepted by the search oracle, {i : distances[i] < delta}, ascending."""
     return np.flatnonzero(distances < delta)
-
-
-def grover_distribution(t: int, n: int, j: int) -> tuple[float, float]:
-    """Closed-form (p_marked_each, p_unmarked_each) after j search iterations.
-
-    t == 0 leaves the uniform state fixed (oracle is the identity); t == n is
-    uniform over the marked set (only a global phase accumulates).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= t <= n:
-        raise ValueError(f"marked count {t} out of range for n={n}")
-    if j < 0:
-        raise ValueError("iteration count must be >= 0")
-    if t == 0:
-        return 0.0, 1.0 / n
-    if t == n:
-        return 1.0 / n, 0.0
-    theta = math.asin(math.sqrt(t / n))
-    total = math.sin((2 * j + 1) * theta) ** 2
-    return total / t, (1.0 - total) / (n - t)
 
 
 def marked_probability(t, n: int, j) -> np.ndarray:
@@ -80,29 +60,19 @@ def measure(marked: np.ndarray, n: int, j: int, rng: np.random.Generator) -> int
     """Sample one index out of ``n`` from the distribution after j search iterations.
 
     ``marked`` holds the ascending marked indices, as
-    ``marked_set_from_distances`` returns them.  Sampling uses the closed form
-    directly: a biased coin picks the marked or unmarked class, then a uniform
-    draw picks within the class.  Charging the j iterations is the caller's job.
+    ``marked_set_from_distances`` returns them.  A coin with the
+    ``marked_probability`` bias picks the marked or unmarked class, then a
+    uniform draw picks within the class.  Charging the j iterations is the
+    caller's job.
     """
     t = marked.size
     if t == 0:
         return int(rng.integers(0, n))
-    if t == n:
+    if t == n or rng.random() < marked_probability(t, n, j):
         return int(marked[rng.integers(0, t)])
-    p_marked_each, _ = grover_distribution(t, n, j)
-    if rng.random() < t * p_marked_each:
-        return int(marked[rng.integers(0, t)])
-    return _nth_unmarked(marked, int(rng.integers(0, n - t)))
-
-
-def _nth_unmarked(marked: np.ndarray, r: int) -> int:
-    # r-th smallest index not in the ascending marked array
-    for v in marked:
-        if v <= r:
-            r += 1
-        else:
-            break
-    return int(r)
+    r = int(rng.integers(0, n - t))
+    # the r-th unmarked index: r plus the count of marked indices i with marked[i] - i <= r
+    return r + int(np.searchsorted(marked - np.arange(t), r, side="right"))
 
 
 def derive_rng(master_seed: int, slot: int) -> np.random.Generator:

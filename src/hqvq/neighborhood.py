@@ -44,13 +44,12 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     """O(N^2) construction of all neighbor lists with radius 2 * delta_hat.
 
     ``delta_hat`` must be at least half the codebook's minimum pairwise
-    distance; below that the fast encoding path's region structure breaks.
+    distance (NaN is rejected); below that the fast encoding path's region
+    structure breaks.
     """
     half_delta0 = codebook.delta0 / 2.0
-    if delta_hat < half_delta0:
-        raise ValueError(
-            f"delta_hat {delta_hat} is below delta0/2 = {half_delta0}"
-        )
+    if not delta_hat >= half_delta0:  # NaN fails this too
+        raise ValueError(f"delta_hat {delta_hat} is not at least delta0/2 = {half_delta0}")
     radius = 2.0 * float(delta_hat)
     lists = kernels.within_radius(codebook.vectors, radius)
     for members in lists:

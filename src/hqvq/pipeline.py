@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, distances_to_codebook  # noqa: F401 (perfbench/spans.py wraps it by name)
+from .codebook import Codebook, as_rows
+from .codebook import distances_to_codebook  # noqa: F401 (perfbench/spans.py wraps it by name)
 from .encoder import PATHS, EncodeBatch, EncodePath, EncoderConfig, encode
 from .grover import derive_rng
 from .image import BlockGeometry, blockify, deblockify
@@ -167,15 +168,14 @@ def encode_vectors(
     come from ``region_fractions`` over each vector's nearest distance,
     taken from the distance pass the simulator already needs, so they add no
     metered work.  ``vectors`` must be a finite, non-empty (M, k) array of
-    the codebook's dimension, and ``cfg.delta_hat`` the threshold ``table``
-    was built for.
+    the codebook's dimension, ``table`` must have one list per codevector,
+    and ``cfg.delta_hat`` must be the threshold ``table`` was built for.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] < 1:
-        raise ValueError(f"expected a non-empty (M, k) array of vectors, got shape {vectors.shape}")
-    codebook.check_dim(vectors[0])
-    if not np.all(np.isfinite(vectors)):
-        raise ValueError("vectors have non-finite components")
+    vectors = as_rows(vectors, codebook.k)
+    if table.n != codebook.n:
+        raise ValueError(
+            f"neighborhood table has {table.n} lists, codebook has {codebook.n} codevectors"
+        )
     if table.delta_hat != cfg.delta_hat:
         raise ValueError(
             f"neighborhood table delta_hat {table.delta_hat} does not match "

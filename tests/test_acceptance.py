@@ -31,7 +31,7 @@ from hqvq import (
     train_codebook,
 )
 from hqvq.codebook import distances_to_codebook
-from hqvq.grover import grover_distribution, marked_set_from_distances, statevector_distribution
+from hqvq.grover import marked_probability, marked_set_from_distances, statevector_distribution
 from hqvq.image import BlockGeometry, blockify, deblockify
 
 
@@ -168,14 +168,15 @@ def test_criterion_5_simulator_cross_validation():
             idx = np.sort(rng.choice(n, size=t, replace=False))
             for j in range(max_j + 1):
                 probs = statevector_distribution(idx, n, j)
-                p_marked_each, p_unmarked_each = grover_distribution(t, n, j)
-                expect = np.full(n, p_unmarked_each)
-                expect[idx] = p_marked_each
+                # the marked share splits evenly over the marked indices, the rest over the others
+                p = float(marked_probability(t, n, j))
+                expect = np.full(n, (1.0 - p) / max(n - t, 1))
+                expect[idx] = p / max(t, 1)
                 worst_gap = max(worst_gap, float(np.abs(probs - expect).max()))
                 worst_norm = max(worst_norm, abs(float(probs.sum()) - 1.0))
     _verdict(
         5,
-        "statevector matches closed form",
+        "statevector matches marked_probability",
         worst_gap <= 1e-9 and worst_norm <= 1e-12,
         f"max gap={worst_gap:.2e}, max norm err={worst_norm:.2e}",
     )

@@ -136,6 +136,16 @@ class TestErrors:
         assert main(["bench", "--sizes", "64", "--vectors", "1"]) == 1
         assert "n_vectors must be at least 5" in capsys.readouterr().err
 
+    def test_stats_nan_delta_hat(self, tmp_path, image_path, capsys):
+        # used to exit 0 and print inf_omega=0 over all-empty neighbor lists
+        cb = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(image_path), str(cb), "--delta-hat", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert "delta0/2" in captured.err
+        assert captured.out == ""
+
     def test_bad_stream_file(self, tmp_path, image_path, capsys):
         cb = tmp_path / "cb.txt"
         assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0

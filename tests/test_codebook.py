@@ -14,7 +14,7 @@ from hqvq import (
     train_codebook,
 )
 from hqvq import kernels
-from hqvq.codebook import _separate_duplicates
+from hqvq.codebook import _separate_duplicates, as_rows
 
 
 def brute_nearest(x, vectors):
@@ -92,6 +92,36 @@ class TestFullSearch:
         cb = Codebook([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="dimension"):
             full_search([1.0, 2.0, 3.0], cb)
+
+
+class TestAsRows:
+    def test_list_becomes_float_rows(self):
+        rows = as_rows([[1, 2], [3, 4]], 2)
+        assert rows.dtype == np.float64 and rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "x, k, message",
+        [
+            (np.zeros(2), 2, r"\(M, k\)"),
+            (np.zeros((1, 1, 2)), 2, r"\(M, k\)"),
+            (np.empty((0, 2)), 2, "non-empty"),
+            (np.empty((3, 0)), None, "non-empty"),
+            (np.zeros((3, 2)), 3, "dimension mismatch"),
+            (np.array([[0.0, math.nan]]), 2, "non-finite"),
+            (np.array([[math.inf, 0.0]]), None, "non-finite"),
+        ],
+    )
+    def test_rejected(self, x, k, message):
+        with pytest.raises(ValueError, match=message):
+            as_rows(x, k)
+
+    def test_codebook_and_trainer_use_it(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Codebook([[0.0, 1.0], [math.nan, 2.0]])
+        with pytest.raises(ValueError, match="non-empty"):
+            Codebook(np.empty((2, 0)))
+        with pytest.raises(ValueError, match=r"\(M, k\)"):
+            train_codebook(np.zeros(10), 2, seed=0)
 
 
 class TestDelta0:

@@ -30,7 +30,13 @@ from hqvq import (
     kernels,
 )
 from hqvq.codebook import distances_to_codebook
-from hqvq.encoder import PICK_SLOT, delta_hat_from_nearest, sub1_iterations, sub2_budget
+from hqvq.encoder import (
+    PICK_SLOT,
+    delta_hat_from_nearest,
+    nearest_distances,
+    sub1_iterations,
+    sub2_budget,
+)
 from hqvq.grover import marked_set_from_distances
 from hqvq.pipeline import region_fractions
 
@@ -444,6 +450,25 @@ class TestChooseDeltaHat:
         sample[17, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             choose_delta_hat(cb, sample, percentile=100)
+
+    @pytest.mark.parametrize("percentile", [0, -5, 100.5, math.nan])
+    def test_bad_percentile_rejected_before_the_pass(self, monkeypatch, percentile):
+        cb = grid_codebook(64)
+        sample = clustered_dataset(cb, 0.6 * cb.delta0, 50, seed=2)
+
+        def no_pass(queries, vectors):
+            raise AssertionError("nearest_many ran before the percentile check")
+
+        monkeypatch.setattr(kernels, "nearest_many", no_pass)
+        with pytest.raises(ValueError, match="percentile"):
+            choose_delta_hat(cb, sample, percentile=percentile)
+
+    def test_nearest_distances_is_every_rows_nearest(self):
+        cb = grid_codebook(64)
+        base = clustered_dataset(cb, 0.6 * cb.delta0, 100, seed=3)
+        sample = np.vstack([base, base[::-1], base[:7]])
+        want = [full_search(x, cb)[1] for x in sample]
+        assert nearest_distances(cb, sample).tolist() == want
 
     @pytest.mark.parametrize("percentile", [1, 50, 99, 100])
     def test_equals_the_full_sample_percentile(self, percentile):

@@ -12,7 +12,7 @@ from hqvq import Codebook
 from hqvq.codebook import distances_to_codebook
 from hqvq.grover import (
     STATEVECTOR_CAP,
-    grover_distribution,
+    marked_probability,
     marked_set_from_distances,
     measure,
     statevector_distribution,
@@ -23,9 +23,11 @@ P_MARKED_N256_J12 = 0.9999470421032737
 
 
 def closed_form_array(marked: np.ndarray, n: int, j: int) -> np.ndarray:
-    p_marked_each, p_unmarked_each = grover_distribution(marked.size, n, j)
-    probs = np.full(n, p_unmarked_each)
-    probs[marked] = p_marked_each
+    """Per-index distribution: the marked share split evenly over the marked indices, the rest over the others."""
+    t = marked.size
+    p = float(marked_probability(t, n, j))
+    probs = np.full(n, (1.0 - p) / max(n - t, 1))
+    probs[marked] = p / max(t, 1)
     return probs
 
 
@@ -74,49 +76,41 @@ class TestMarkedIndices:
 class TestClosedForm:
     def test_exact_quarter_case(self):
         # theta = pi/6, so one iteration rotates exactly onto the marked state
-        p_marked, p_unmarked = grover_distribution(1, 4, 1)
-        assert p_marked == pytest.approx(1.0, abs=1e-15)
-        assert p_unmarked == pytest.approx(0.0, abs=1e-15)
+        assert marked_probability(1, 4, 1) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_iterations_is_uniform(self):
-        p_marked, _ = grover_distribution(2, 8, 0)
-        assert 2 * p_marked == pytest.approx(0.25, abs=1e-15)
-        assert p_marked == pytest.approx(1 / 8, abs=1e-15)
+        assert marked_probability(2, 8, 0) == pytest.approx(0.25, abs=1e-15)
 
     def test_frozen_high_success_value(self):
-        p_marked, _ = grover_distribution(1, 256, 12)
-        assert p_marked == pytest.approx(P_MARKED_N256_J12, abs=1e-12)
+        assert marked_probability(1, 256, 12) == pytest.approx(P_MARKED_N256_J12, abs=1e-12)
 
     def test_no_solutions_uniform(self):
-        p_marked, p_unmarked = grover_distribution(0, 16, 5)
-        assert p_marked == 0.0
-        assert p_unmarked == pytest.approx(1 / 16, abs=1e-15)
+        assert marked_probability(0, 16, 5) == 0.0
+        np.testing.assert_allclose(closed_form_array(np.array([], dtype=np.int64), 16, 5), 1 / 16, atol=1e-15)
 
     def test_all_solutions_uniform(self):
-        p_marked, p_unmarked = grover_distribution(16, 16, 3)
-        assert p_marked == pytest.approx(1 / 16, abs=1e-15)
-        assert p_unmarked == 0.0
+        assert marked_probability(16, 16, 3) == 1.0
+        np.testing.assert_allclose(closed_form_array(np.arange(16), 16, 3), 1 / 16, atol=1e-15)
 
     def test_normalization_sweep(self):
+        # elementwise over t and j at once, equal to one call per pair (numpy's
+        # 0-d and array paths may round the last bit differently), and a probability
         for n in (1, 2, 7, 32):
-            for t in range(n + 1):
-                for j in range(0, 12):
-                    p_marked, p_unmarked = grover_distribution(t, n, j)
-                    total = t * p_marked + (n - t) * p_unmarked
-                    assert total == pytest.approx(1.0, abs=1e-12)
+            t = np.arange(n + 1)[:, None]
+            j = np.arange(12)[None, :]
+            p = marked_probability(t, n, j)
+            assert p.shape == (n + 1, 12)
+            assert np.all((p >= 0.0) & (p <= 1.0))
+            for ti in range(n + 1):
+                for ji in range(12):
+                    assert p[ti, ji] == pytest.approx(float(marked_probability(ti, n, ji)), abs=1e-15)
+                    probs = closed_form_array(np.arange(ti), n, ji)
+                    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_periodicity_exact_case(self):
         # t=1, n=4: theta = pi/6, period pi/theta = 6 iterations
-        for j in range(0, 8):
-            a, _ = grover_distribution(1, 4, j)
-            b, _ = grover_distribution(1, 4, j + 6)
-            assert a == pytest.approx(b, abs=1e-9)
-
-    def test_marked_count_out_of_range(self):
-        with pytest.raises(ValueError):
-            grover_distribution(5, 4, 1)
-        with pytest.raises(ValueError):
-            grover_distribution(-1, 4, 1)
+        j = np.arange(0, 8)
+        np.testing.assert_allclose(marked_probability(1, 4, j), marked_probability(1, 4, j + 6), atol=1e-9)
 
 
 class TestStatevector:
@@ -196,3 +190,23 @@ class TestMeasure:
         a = [measure(marked, 64, 4, np.random.default_rng(123)) for _ in range(1)]
         b = [measure(marked, 64, 4, np.random.default_rng(123)) for _ in range(1)]
         assert a == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        j=st.integers(0, 16),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_draw_is_a_class_coin_then_a_uniform_pick(self, n, j, seed, data):
+        # same draws, spelled out: the unmarked pick is the r-th index left after deleting the marked ones
+        marked = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+        t = marked.size
+        rng = np.random.default_rng(seed)
+        if t == 0:
+            want = rng.integers(0, n)
+        elif t == n or rng.random() < marked_probability(t, n, j):
+            want = marked[rng.integers(0, t)]
+        else:
+            want = np.delete(np.arange(n), marked)[rng.integers(0, n - t)]
+        assert measure(marked, n, j, np.random.default_rng(seed)) == want

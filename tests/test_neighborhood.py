@@ -90,6 +90,13 @@ class TestBuild:
         with pytest.raises(ValueError, match="delta0/2"):
             build_neighborhoods(cb, 4.9)
 
+    def test_nan_threshold_rejected(self):
+        # NaN fails every comparison, so a plain `delta_hat < delta0/2` check let it
+        # through and every list came out empty (inf_omega 0)
+        cb = Codebook([[0.0], [10.0]])
+        with pytest.raises(ValueError, match="delta0/2"):
+            build_neighborhoods(cb, math.nan)
+
 
 class TestSpaceBits:
     def test_four_singletons(self):

@@ -243,6 +243,16 @@ class TestEncodeVectors:
         with pytest.raises(ValueError, match="non-finite"):
             encode_vectors(rows, cb, table, cfg)
 
+    @pytest.mark.parametrize("table_n, codebook_n", [(64, 256), (256, 64)])
+    def test_table_for_another_codebook_size_rejected(self, table_n, codebook_n):
+        # a smaller table used to raise IndexError, a larger one to charge the wrong lists
+        cb = grid_codebook(codebook_n)
+        table = build_neighborhoods(grid_codebook(table_n), 0.6 * cb.delta0)
+        cfg = EncoderConfig(delta_hat=table.delta_hat, master_seed=0)
+        rows = clustered_dataset(cb, table.delta_hat, 50, seed=4)
+        with pytest.raises(ValueError, match=f"table has {table_n} lists, codebook has {codebook_n}"):
+            encode_vectors(rows, cb, table, cfg)
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_dimension_mismatch_rejected(self, k):
         cb, table, cfg = grid64_setup()
