@@ -6,7 +6,13 @@ import argparse
 import sys
 
 from .codebook import load_codebook, save_codebook, train_codebook
-from .encoder import EncoderConfig, choose_delta_hat, delta_hat_from_nearest, nearest_distances
+from .encoder import (
+    EncoderConfig,
+    check_percentile,
+    choose_delta_hat,
+    delta_hat_from_nearest,
+    nearest_distances,
+)
 from .image import BlockGeometry, blockify, load_pgm, psnr, save_pgm
 from .neighborhood import build_neighborhoods, dump_table, space_bits
 from .pipeline import (
@@ -85,6 +91,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.delta_hat is None:
+        check_percentile(args.delta_hat_percentile)
     img = load_pgm(args.image)
     codebook = load_codebook(args.codebook)
     geom = BlockGeometry(block_w=args.block_w, block_h=args.block_h)

@@ -95,9 +95,10 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
     Initialization draws N distinct sample rows; empty cells are reseeded
     from the most distorted points; duplicate centroids get a tiny
     data-scaled jitter so the resulting codebook always has delta0 > 0.
-    Each assignment runs over the distinct rows and is gathered back to every
-    sample; each centroid is the mean of all its cell's samples.  At least
-    one iteration runs (``max_iter >= 1``).  Deterministic for a fixed seed.
+    Each assignment is one ``kernels.window_nearest`` pass over the distinct
+    rows, gathered back to every sample; each centroid is the mean of all its
+    cell's samples.  At least one iteration runs (``max_iter >= 1``).
+    Deterministic for a fixed seed.
     """
     data = as_rows(samples)
     m = data.shape[0]
@@ -118,7 +119,7 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
 
     prev_assign = None
     for _ in range(max_iter):
-        uniq_assign, uniq_dist = kernels.nearest_many(uniq, centroids)
+        uniq_assign, uniq_dist = kernels.window_nearest(uniq, centroids)
         assign, dist = uniq_assign[inverse], uniq_dist[inverse]
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break

@@ -11,8 +11,8 @@ Anything else falls back to the exhaustive classical search.  The index is
 the distance row's argmin; the stages only simulate and charge the search,
 so randomness never affects the index.  This module alone charges the meter.
 
-``encode`` works on a batch.  One tiled pass over the distinct blocks'
-distance rows reduces each block to a few facts (``BlockFacts``); equal
+``encode`` works on a batch.  One projection-window pass over the distinct
+blocks' distances reduces each block to a few facts (``BlockFacts``); equal
 blocks share the pass but keep their own draws.  A measured index passes its
 classical check exactly when it is marked, so every search round is a coin
 with the closed-form success probability, and stage 1 and the stage-2 rounds
@@ -152,18 +152,20 @@ def block_facts(
     table: NeighborhoodTable,
     pick: np.ndarray,
 ) -> BlockFacts:
-    """One tiled pass over the distinct blocks' distance rows, kept as ``BlockFacts``.
+    """One window pass over the distinct blocks' distances, kept as ``BlockFacts``.
 
     ``vectors`` is a finite (M, k) float64 array of the codebook's dimension.
     ``pick`` holds each block's uniform draw in [0, 1) for the marked index a
     stage-2 hit measures: the one at position floor(pick * t) of the t
     marked indices in ascending order, uniform among them.  The pass runs
-    over ``kernels.distinct_rows(vectors)``; equal blocks share its facts
-    but each picks with its own draw, in the tile that holds its row.  No
-    M x N matrix is kept.
+    ``kernels.window_tiles`` over ``kernels.distinct_rows(vectors)`` at
+    radius delta_hat: each row's window holds every codevector within
+    max(delta_hat, its nearest distance), so the facts equal the full row's.
+    Equal blocks share their row's facts but each picks with its own draw,
+    in the tile that holds its row.  No M x N matrix is kept.
     """
     distinct, inverse = kernels.distinct_rows(vectors)
-    u, n = distinct.shape[0], codebook.n
+    u = distinct.shape[0]
     half_delta0 = codebook.delta0 / 2.0
     sizes = table.sizes()
     index = np.empty(u, dtype=np.int64)
@@ -171,25 +173,29 @@ def block_facts(
     t_s = np.empty(u, dtype=np.int64)
     t = np.empty(u, dtype=np.int64)
     pick_size = np.zeros(vectors.shape[0], dtype=np.int64)
-    # the blocks of distinct rows i..j-1 are by_row[row_first[i] : row_first[j]]
+    # the blocks of distinct row r are by_row[row_first[r] : row_first[r] + row_count[r]]
     by_row = np.argsort(inverse)
-    row_first = np.concatenate(([0], np.cumsum(np.bincount(inverse, minlength=u))))
-    for start, stop, d in kernels.distance_tiles(distinct, codebook.vectors):
+    row_count = np.bincount(inverse, minlength=u)
+    row_first = np.cumsum(row_count) - row_count
+    for rows, cols, d in kernels.window_tiles(distinct, codebook.vectors, table.delta_hat):
         arg = d.argmin(axis=1)
-        index[start:stop] = arg
-        nearest[start:stop] = d[np.arange(stop - start), arg]
-        t_s[start:stop] = np.count_nonzero(d < half_delta0, axis=1)
+        index[rows] = cols[arg]
+        nearest[rows] = d[np.arange(rows.size), arg]
+        t_s[rows] = np.count_nonzero(d < half_delta0, axis=1)
         marked = d < table.delta_hat
         count = np.count_nonzero(marked, axis=1)
-        t[start:stop] = count
-        blocks = by_row[row_first[start] : row_first[stop]]
-        row = inverse[blocks] - start
+        t[rows] = count
+        # the tile's blocks, grouped by tile row: row[b] is block b's row in d
+        per_row = row_count[rows]
+        row = np.repeat(np.arange(rows.size), per_row)
+        shift = np.repeat(row_first[rows] - (np.cumsum(per_row) - per_row), per_row)
+        blocks = by_row[shift + np.arange(row.size)]
         block_t = count[row]
         k = np.minimum((pick[blocks] * block_t).astype(np.int64), block_t - 1)
         hit = block_t > 0
         # row-major flat positions list each row's marked columns in ascending order
         first = np.cumsum(count) - count
-        h = np.flatnonzero(marked)[first[row[hit]] + k[hit]] % n
+        h = cols[np.flatnonzero(marked)[first[row[hit]] + k[hit]] % cols.size]
         pick_size[blocks[hit]] = sizes[h]
     return BlockFacts(
         index=index[inverse], nearest=nearest[inverse], t_s=t_s[inverse], t=t[inverse], pick_size=pick_size
@@ -288,12 +294,12 @@ def encode(
 def nearest_distances(codebook: Codebook, sample) -> np.ndarray:
     """Each sample row's distance to its nearest codevector, in row order.
 
-    One ``nearest_many`` pass over the sample's distinct rows, gathered back
+    One ``window_nearest`` pass over the sample's distinct rows, gathered back
     to every row.  The sample must be a finite, non-empty (M, k) array of the
     codebook's dimension.
     """
     distinct, inverse = kernels.distinct_rows(as_rows(sample, codebook.k))
-    _, nearest = kernels.nearest_many(distinct, codebook.vectors)
+    _, nearest = kernels.window_nearest(distinct, codebook.vectors)
     return nearest[inverse]
 
 
@@ -303,12 +309,13 @@ def choose_delta_hat(codebook: Codebook, training_sample, percentile: float = 99
     Checks ``percentile`` first, then hands every sample row's
     ``nearest_distances`` to ``delta_hat_from_nearest``.
     """
-    _check_percentile(percentile)
+    check_percentile(percentile)
     nearest = nearest_distances(codebook, training_sample)
     return delta_hat_from_nearest(nearest, codebook.delta0, percentile)
 
 
-def _check_percentile(percentile: float) -> None:
+def check_percentile(percentile: float) -> None:
+    """Reject a percentile outside (0, 100], NaN included."""
     if not 0 < percentile <= 100:
         raise ValueError("percentile must be in (0, 100]")
 
@@ -319,7 +326,7 @@ def delta_hat_from_nearest(nearest, delta0: float, percentile: float = 99.0) -> 
     The result is clamped to the next float above delta0/2, so the threshold
     is always valid for ``build_neighborhoods``.
     """
-    _check_percentile(percentile)
+    check_percentile(percentile)
     dists = np.sort(np.asarray(nearest, dtype=np.float64))
     rank = math.ceil(percentile / 100.0 * dists.size)  # nearest-rank, 1-based
     value = float(dists[max(rank, 1) - 1])

@@ -66,6 +66,16 @@ def run_stage(stage: int, rows, cb, table, seed: int):
     return facts, accepted, meter
 
 
+def success_chance(t: int, n: int, j: int) -> float:
+    """``marked_probability`` for one block, computed on 1-element arrays as the batch does.
+
+    numpy rounds the 0-d path differently from the array path in the last bit
+    (at (t, n, j) = (5, 7, 3)), so a scalar call could flip a coin the batch
+    does not.
+    """
+    return float(marked_probability(np.array([t]), n, np.array([j]))[0])
+
+
 def reference_encode(dvec, codebook, table, u) -> EncodeOutcome:
     """Encode one block from its distance row; ``u(slot)`` is its draw for the slot."""
     dvec = [float(d) for d in dvec]
@@ -77,7 +87,7 @@ def reference_encode(dvec, codebook, table, u) -> EncodeOutcome:
     j = sub1_iterations(n)
     meter.grover_iterations += j
     meter.classical_distance_evals += 1
-    if u(0) < marked_probability(t_s, n, j):
+    if u(0) < success_chance(t_s, n, j):
         return EncodeOutcome(index, EncodePath.SUB1, meter)
     if reference_stage2(dvec, table, u, meter):
         return EncodeOutcome(index, EncodePath.SUB2, meter)
@@ -105,7 +115,7 @@ def reference_stage2(dvec, table, u, meter: QueryMeter, rounds: list | None = No
             rounds.append(j)
         meter.grover_iterations += j
         meter.classical_distance_evals += 1
-        if u(2 * r + 3) < marked_probability(t, n, j):
+        if u(2 * r + 3) < success_chance(t, n, j):
             meter.classical_distance_evals += scan
             return True
         m = min(BBHT_GROWTH * m, math.sqrt(n))

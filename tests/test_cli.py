@@ -107,13 +107,13 @@ class TestWorkflow:
         cb = tmp_path / "cb.txt"
         assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0
         rows = []
-        nearest_many = kernels.nearest_many
+        window_nearest = kernels.window_nearest
 
         def counting(queries, vectors):
             rows.append(queries.shape[0])
-            return nearest_many(queries, vectors)
+            return window_nearest(queries, vectors)
 
-        monkeypatch.setattr(kernels, "nearest_many", counting)
+        monkeypatch.setattr(kernels, "window_nearest", counting)
         assert main(["stats", str(image_path), str(cb)] + threshold) == 0
         distinct = np.unique(blockify(load_pgm(image_path), BlockGeometry()), axis=0)
         assert 0 < distinct.shape[0] < 16 * 16 // 2  # the image repeats some 2x1 blocks
@@ -153,6 +153,24 @@ class TestErrors:
         bad.write_bytes(b"garbage!")
         assert main(["decode", str(bad), str(cb), "-o", str(tmp_path / "o.pgm")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("percentile", ["0", "-5", "100.5", "nan"])
+    def test_stats_bad_percentile_rejected_before_the_pass(
+        self, tmp_path, image_path, capsys, monkeypatch, percentile
+    ):
+        cb = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0
+        capsys.readouterr()
+
+        def no_pass(queries, vectors, radius):
+            raise AssertionError("a distance pass ran before the percentile check")
+
+        monkeypatch.setattr(kernels, "window_tiles", no_pass)
+        args = ["stats", str(image_path), str(cb), "--delta-hat-percentile", percentile]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "percentile must be in (0, 100]" in captured.err
+        assert captured.out == ""
 
     def test_delta_hat_below_valid_range(self, tmp_path, image_path, capsys):
         cb = tmp_path / "cb.txt"

@@ -378,7 +378,7 @@ class TestBatch:
         rows = clustered_dataset(cb, delta_hat, 400, seed=3)
         cfg = EncoderConfig(delta_hat=delta_hat, master_seed=21)
         _, _, whole = encode_vectors(rows, cb, table, cfg)
-        for k in (1, kernels.TILE - 1, kernels.TILE, kernels.TILE + 1, 399):
+        for k in (1, kernels.WINDOW_TILE - 1, kernels.WINDOW_TILE, kernels.WINDOW_TILE + 1, 399):
             _, _, prefix = encode_vectors(rows[:k], cb, table, cfg)
             assert list(prefix) == list(whole)[:k]
 
@@ -456,10 +456,10 @@ class TestChooseDeltaHat:
         cb = grid_codebook(64)
         sample = clustered_dataset(cb, 0.6 * cb.delta0, 50, seed=2)
 
-        def no_pass(queries, vectors):
-            raise AssertionError("nearest_many ran before the percentile check")
+        def no_pass(queries, vectors, radius):
+            raise AssertionError("a distance pass ran before the percentile check")
 
-        monkeypatch.setattr(kernels, "nearest_many", no_pass)
+        monkeypatch.setattr(kernels, "window_tiles", no_pass)
         with pytest.raises(ValueError, match="percentile"):
             choose_delta_hat(cb, sample, percentile=percentile)
 

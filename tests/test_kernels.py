@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from hqvq import Codebook, build_neighborhoods, kernels
 
 TILE = kernels.TILE
+WINDOW_TILE = kernels.WINDOW_TILE
 
 
 def ref_distance(q, v):
@@ -131,10 +132,10 @@ def test_build_neighborhoods_matches_brute_force(factor):
     assert all(l.dtype == np.int64 and not l.flags.writeable for l in table.lists)
 
 
-def _query_and_codebook(draw):
+def _query_and_codebook(draw, tile=TILE):
     k = draw(st.integers(1, 9))
     n = draw(st.integers(2, 40))
-    m = draw(st.integers(1, 2 * TILE + 2))
+    m = draw(st.integers(1, 2 * tile + 2))
     # a coarse integer grid makes exact ties common; floats cover the rest
     elements = st.one_of(
         st.integers(-3, 3).map(float),
@@ -159,6 +160,71 @@ def test_nearest_many_is_rowwise_argmin_of_dist_to_all(data):
         d = kernels.dist_to_all(q, vectors)
         assert idx[r] == int(np.argmin(d))
         assert dist[r] == d[idx[r]]
+
+
+@st.composite
+def window_cases(draw):
+    queries, vectors = _query_and_codebook(draw, WINDOW_TILE)
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    queries, vectors = queries + shift, vectors + shift
+    kind = draw(st.sampled_from(["zero", "attained", "any"]))
+    if kind == "zero":
+        radius = 0.0
+    elif kind == "attained":  # a distance that occurs: rows sit exactly on the boundary
+        i = draw(st.integers(0, queries.shape[0] - 1))
+        radius = float(kernels.dist_to_all(queries[i], vectors)[draw(st.integers(0, vectors.shape[0] - 1))])
+    else:
+        radius = draw(st.floats(0, 3e3))
+    return queries, vectors, radius
+
+
+def _grid(side):
+    """The integer points of a side x side square, row by row."""
+    return np.array([[i, j] for i in range(side) for j in range(side)], dtype=np.float64)
+
+
+@settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+# equal-distance ties across tiles: four codevectors at sqrt(0.5) from every query
+@example(case=(np.tile([[3.5, 4.5], [6.5, 1.5]], (WINDOW_TILE + 3, 1)), _grid(10), 0.0))
+# all codevectors share one projection: (a, -a)
+@example(
+    case=(
+        np.array([[0.3, -0.1], [5.0, 5.0], [-2.0, 2.5]] * WINDOW_TILE),
+        np.array([[a, -a] for a in range(-20, 21)], dtype=np.float64),
+        0.0,
+    )
+)
+# a query exactly at the window edge: (4, 5) is sqrt(2) from (3, 4), and the computed
+# projections differ by one ulp more than sqrt(2)
+@example(case=(np.tile([[3.0, 4.0], [1.0, 6.0]], (WINDOW_TILE + 1, 1)), _grid(10), math.sqrt(2.0)))
+# k = 1: ties between the integers, and radius 2.5 attained from every half-integer
+@example(case=(np.arange(-5.0, 45.0, 0.5)[:, np.newaxis], np.arange(40.0)[:, np.newaxis], 2.5))
+# magnitudes near 1e6: the rounding margin grows with the norms
+@example(case=(1e6 + _grid(12)[::-1] / 3.0, 1e6 + _grid(9) / 2.0, math.sqrt(0.5)))
+@given(case=window_cases())
+def test_window_pass_matches_full_rows(case):
+    """``window_tiles``, ``window_nearest`` and ``within_radius`` against full rows from ``dist_to_all``."""
+    queries, vectors, radius = case
+    full = np.array([kernels.dist_to_all(q, vectors) for q in queries])
+    seen = np.zeros(queries.shape[0], dtype=np.int64)
+    for rows, cols, d in kernels.window_tiles(queries, vectors, radius):
+        seen[rows] += 1
+        assert np.all(np.diff(cols) > 0)
+        assert d.tobytes() == full[rows][:, cols].tobytes()
+        # every codevector within max(radius, the row's nearest) is in the window
+        need = full[rows] <= np.maximum(radius, full[rows].min(axis=1))[:, np.newaxis]
+        need[:, cols] = False
+        assert not need.any()
+    assert seen.tolist() == [1] * queries.shape[0]
+    idx, dist = kernels.window_nearest(queries, vectors)
+    assert idx.dtype == np.int64
+    assert idx.tolist() == full.argmin(axis=1).tolist()
+    assert dist.tobytes() == full.min(axis=1).tobytes()
+    lists = kernels.within_radius(vectors, radius)
+    assert [l.tolist() for l in lists] == [
+        np.flatnonzero(kernels.dist_to_all(v, vectors) < radius).tolist() for v in vectors
+    ]
+    assert all(l.dtype == np.int64 for l in lists)
 
 
 def _float_rows(elements):
