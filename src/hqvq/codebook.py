@@ -33,12 +33,17 @@ def as_rows(x, k: int | None = None) -> np.ndarray:
     return rows
 
 
+class DuplicateCodevectors(ValueError):
+    """A codebook has two codevectors at distance 0 (delta0 == 0)."""
+
+
 class Codebook:
     """Ordered set of N equal-dimension codevectors with distinct entries.
 
     The minimum pairwise distance ``delta0`` is computed once at construction
-    and cached; duplicate codevectors (delta0 == 0) are rejected because the
-    single-solution guarantee of the fast encoding path depends on it.
+    and cached; duplicate codevectors (delta0 == 0) are rejected with
+    ``DuplicateCodevectors`` because the single-solution guarantee of the
+    fast encoding path depends on it.
     """
 
     def __init__(self, vectors):
@@ -49,7 +54,7 @@ class Codebook:
         self.vectors.setflags(write=False)
         self.delta0 = float(kernels.min_pairwise(arr))
         if self.delta0 <= 0.0:
-            raise ValueError("codebook contains duplicate codevectors (delta0 == 0)")
+            raise DuplicateCodevectors("codebook contains duplicate codevectors (delta0 == 0)")
 
     @property
     def n(self) -> int:
@@ -136,15 +141,17 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
                 centroids[i] = data[worst]
                 dist[worst] = 0.0
 
-    centroids = _separate_duplicates(centroids, rng)
-    return Codebook(centroids)
+    return _separate_duplicates(centroids, rng)
 
 
-def _separate_duplicates(centroids: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _separate_duplicates(centroids: np.ndarray, rng: np.random.Generator) -> Codebook:
+    """The codebook of ``centroids``, jittering duplicate rows until delta0 > 0."""
     scale = max(float(np.abs(centroids).max()), 1.0)
     for _ in range(100):
-        if kernels.min_pairwise(centroids) > 0.0:
-            return centroids
+        try:
+            return Codebook(centroids)
+        except DuplicateCodevectors:
+            pass
         _, first = np.unique(centroids, axis=0, return_index=True)
         dup = np.setdiff1d(np.arange(centroids.shape[0]), first)
         centroids[dup] += rng.normal(0.0, 1e-9 * scale, size=centroids[dup].shape)

@@ -12,17 +12,17 @@ in index order, ``((s_0 + s_1) + s_2) + ...``, and the callers then take
 Tiling: the batched functions process ``TILE`` (``WINDOW_TILE`` in
 ``window_tiles``) query rows at a time, so they have no per-query Python loop
 and never hold more than two tile-rows x N float64 buffers, never an M x N
-matrix.  ``nearest_many`` and ``min_pairwise`` measure every pair;
-``nearest_many`` is the plain reference the tests and the benchmark check
-against.
+matrix.  ``nearest_many`` alone measures every pair: it is the plain
+reference the tests and the benchmark check against.
 
 Projection windows: ``window_tiles`` is the one tile loop the codec's passes
-use (training's assignments, ``window_nearest``, ``within_radius`` and the
-encoder's fact pass).  It measures only the codevectors that can matter,
-after Ra and Kim's mean-ordered partial search (IEEE TCAS-II, 1993).  Let
-p(x) = x . u on the mean axis u = (1, ..., 1) / sqrt(k).  Since u is a unit
-vector, |p(x) - p(c)| <= ||x - c||, so no codevector whose projection lies
-more than R from p(x) is within R of x.  The queries and the codevectors are
+use (training's assignments, ``window_nearest``, ``within_radius``,
+``min_pairwise`` and the encoder's fact pass).  It measures only the
+codevectors that can matter, after Ra and Kim's mean-ordered partial search
+(IEEE TCAS-II, 1993).  Let p(x) = x . u on the mean axis
+u = (1, ..., 1) / sqrt(k).  Since u is a unit vector,
+|p(x) - p(c)| <= ||x - c||, so no codevector whose projection lies more
+than R from p(x) is within R of x.  The queries and the codevectors are
 sorted by projection once; each tile of consecutive queries takes the
 codevectors near its projections first, bounds each row's nearest distance
 by the smallest of those, and then widens to the contiguous run of
@@ -75,7 +75,8 @@ def _sq_dists(vcols, qcols, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
     ``vcols[d]`` is dimension d of all N codevectors, shape (N,). ``qcols[d]``
     is dimension d of the queries: a scalar for one query (``out`` of shape
-    (N,)) or a (T, 1) column for a tile (``out`` of shape (T, N)). The sum runs
+    (N,)), a (T, 1) column for a tile (``out`` of shape (T, N)), or an (N,)
+    row to pair query i with codevector i (``out`` of shape (N,)). The sum runs
     sequentially, ``((s_0 + s_1) + s_2) + ...``; ``tmp`` is scratch of
     ``out``'s shape.
     """
@@ -86,18 +87,6 @@ def _sq_dists(vcols, qcols, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         np.multiply(tmp, tmp, out=tmp)
         np.add(out, tmp, out=out)
     return out
-
-
-def _tiles(queries: np.ndarray, n: int):
-    """Yield (start, stop, qcols, out, tmp) over ``queries`` in TILE-row steps."""
-    m = queries.shape[0]
-    rows = min(TILE, m)
-    out = np.empty((rows, n))
-    tmp = np.empty((rows, n))
-    for start in range(0, m, TILE):
-        stop = min(start + TILE, m)
-        qcols = queries[start:stop].T[:, :, np.newaxis]
-        yield start, stop, qcols, out[: stop - start], tmp[: stop - start]
 
 
 def rounding_bound(k: int) -> float:
@@ -202,8 +191,13 @@ def nearest_many(queries: np.ndarray, vectors: np.ndarray):
     idx = np.empty(m, dtype=np.int64)
     dist = np.empty(m)
     vcols = np.ascontiguousarray(vectors.T)
-    for start, stop, qcols, out, tmp in _tiles(queries, vectors.shape[0]):
-        d = np.sqrt(_sq_dists(vcols, qcols, out, tmp), out=out)
+    out = np.empty((min(TILE, m), vectors.shape[0]))
+    tmp = np.empty_like(out)
+    for start in range(0, m, TILE):
+        stop = min(start + TILE, m)
+        qcols = queries[start:stop].T[:, :, np.newaxis]
+        d = _sq_dists(vcols, qcols, out[: stop - start], tmp[: stop - start])
+        d = np.sqrt(d, out=d)
         arg = d.argmin(axis=1)
         idx[start:stop] = arg
         dist[start:stop] = d[np.arange(stop - start), arg]
@@ -223,17 +217,30 @@ def window_nearest(queries: np.ndarray, vectors: np.ndarray):
 
 
 def min_pairwise(vectors: np.ndarray) -> float:
-    """Minimum Euclidean distance over all distinct row pairs (n >= 2)."""
+    """Minimum Euclidean distance over all distinct row pairs (n >= 2).
+
+    One ``window_tiles(vectors, vectors, bound)`` pass.  ``bound`` is the
+    smallest distance among the n - 1 pairs adjacent in projection order:
+    any pair's distance bounds the minimum from above, and a pair close on
+    the mean axis is a likely close pair.  Each row's window then holds every
+    codevector within ``bound`` of it, so the closest pair is measured, with
+    the same bits as a full row; each row's distance to itself is left out.
+    When every codevector shares one projection (rows (a, -a), say) or the
+    bound spans the codebook, every window holds every codevector and the
+    pass measures all pairs.
+    """
     n = vectors.shape[0]
-    vcols = np.ascontiguousarray(vectors.T)
-    best = np.inf
-    for start, stop, qcols, out, tmp in _tiles(vectors[:-1], n - 1):
-        # rows i = start..stop-1 against columns j = start+1..n-1; keep j > i
-        width = n - 1 - start
-        sq = _sq_dists(vcols[:, start + 1 :], qcols, out[:, :width], tmp[:, :width])
-        sq[np.tril_indices(stop - start, -1, width)] = np.inf
-        best = min(best, sq.min())
-    return float(np.sqrt(best))
+    # adjacent pairs in projection order, measured by the same kernel as the window
+    ordered = vectors[np.argsort(vectors.sum(axis=1), kind="stable")]
+    vcols = np.ascontiguousarray(ordered.T)
+    step = _sq_dists(vcols[:, 1:], vcols[:, :-1], np.empty(n - 1), np.empty(n - 1))
+    bound = float(np.sqrt(step.min()))
+    best = math.inf
+    for rows, cols, d in window_tiles(vectors, vectors, bound):
+        # every row's window holds the row itself: its projection is in its tile's range
+        d[np.arange(rows.size), np.searchsorted(cols, rows)] = np.inf
+        best = min(best, float(d.min()))
+    return best
 
 
 def within_radius(vectors: np.ndarray, radius: float) -> list:

@@ -178,7 +178,7 @@ def reference_train(samples, n, seed, max_iter=60):
                 centroids[i] = data[worst]
                 dist[worst] = 0.0
                 reseeds += 1
-    return Codebook(_separate_duplicates(centroids, rng)), reseeds
+    return _separate_duplicates(centroids, rng), reseeds
 
 
 def repeated_points(data_seed):
@@ -246,6 +246,36 @@ class TestTrainer:
     def test_degenerate_identical_samples(self):
         with pytest.raises(ValueError, match="distinct"):
             train_codebook(np.ones((50, 2)), 4, seed=0)
+
+    def test_delta0_computed_once(self, monkeypatch):
+        calls = []
+        real = kernels.min_pairwise
+
+        def counted(vectors):
+            calls.append(vectors.shape[0])
+            return real(vectors)
+
+        monkeypatch.setattr(kernels, "min_pairwise", counted)
+        cb = train_codebook(repeated_points(0), 8, seed=0)
+        assert calls == [8]
+        assert cb.delta0 == real(cb.vectors)
+
+    def test_duplicate_centroids_separated(self, monkeypatch):
+        calls = []
+        real = kernels.min_pairwise
+
+        def counted(vectors):
+            calls.append(real(vectors))
+            return calls[-1]
+
+        monkeypatch.setattr(kernels, "min_pairwise", counted)
+        centroids = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [3.0, 1.0], [1.0, 2.0]])
+        cb = _separate_duplicates(centroids.copy(), np.random.default_rng(0))
+        # one attempt finds delta0 == 0, the jittered second one builds the codebook
+        assert calls[0] == 0.0 and calls[1:] == [cb.delta0] and cb.delta0 > 0.0
+        # only the later copy of each duplicate moves, and only slightly
+        assert cb.vectors[[0, 1, 3]].tolist() == centroids[[0, 1, 3]].tolist()
+        assert np.all(np.abs(cb.vectors - centroids) < 1e-6)
 
 
 class TestCodebookFile:

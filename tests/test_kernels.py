@@ -227,6 +227,59 @@ def test_window_pass_matches_full_rows(case):
     assert all(l.dtype == np.int64 for l in lists)
 
 
+@st.composite
+def pairwise_cases(draw):
+    k = draw(st.integers(1, 6))
+    # a coarse integer grid makes duplicates and exact ties common; floats cover the rest
+    elements = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    vectors = draw(arrays(np.float64, (draw(st.integers(2, 40)), k), elements=elements))
+    if draw(st.booleans()):
+        # the drawn rows straddle a tile boundary in projection order, between
+        # rows far below and above them on the mean axis that fill the tiles
+        below = draw(st.integers(WINDOW_TILE + 1 - vectors.shape[0], WINDOW_TILE - 1))
+        steps = np.concatenate([-np.arange(1.0, below + 1), np.arange(1.0, draw(st.integers(0, 20)) + 1)])
+        far = np.repeat(1e4 * steps[:, np.newaxis], k, axis=1)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        vectors = rng.permutation(np.concatenate([vectors, far]))
+    return vectors + draw(st.sampled_from([0.0, 1e6]))
+
+
+def _far_closest_pair():
+    """(0, 0) and (0.5, 0.5), with codevectors far from both between them in projection order."""
+    between = [[10.0 * i, -10.0 * i + 0.05 * i] for i in range(1, 12)]
+    return np.array([[0.0, 0.0], *between, [0.5, 0.5]])
+
+
+def _edge_pair_across_tiles():
+    """(0, 1) and (3, 4) adjacent in projection order, in consecutive tiles.
+
+    They are the closest pair, 3 sqrt(2) apart, on a line along the mean axis,
+    and their computed projections lie more than their computed distance apart:
+    a window without the bound, or without the rounding margin, misses them.
+    The second tile's 20 rows keep its first look off the first tile.
+    """
+    below = [[-10.0 * i, -10.0 * i] for i in range(1, WINDOW_TILE)]
+    above = [[10.0 * i + 20.0, 10.0 * i + 20.0] for i in range(19)]
+    return np.array([*below, [0.0, 1.0], [3.0, 4.0], *above])
+
+
+@settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(vectors=np.array([[1.0, 2.0], [0.5, 0.5], [4.0, -1.0], [0.5, 0.5]]))  # duplicate rows
+@example(vectors=2.0 * np.arange(WINDOW_TILE + 1, dtype=np.float64)[::-1, np.newaxis])  # k = 1 ties
+# every codevector on one projection: each window holds every pair
+@example(vectors=np.array([[a, -a] for a in range(-20, 21)], dtype=np.float64))
+@example(vectors=_far_closest_pair())
+@example(vectors=np.array([[0.0, 0.0], [3.0, 4.0]]))
+@example(vectors=_edge_pair_across_tiles())
+@example(vectors=1e6 + np.random.default_rng(3).normal(size=(WINDOW_TILE - 1, 3)))
+@given(vectors=pairwise_cases())
+def test_min_pairwise_is_the_closest_pair(vectors):
+    assert kernels.min_pairwise(vectors) == ref_min_pairwise(vectors)
+
+
 def _float_rows(elements):
     return arrays(np.float64, st.tuples(st.integers(1, 3 * TILE), st.integers(1, 4)), elements=elements)
 
