@@ -1,7 +1,9 @@
 """Codebook handling: metric, full-search baseline, and a plain LBG trainer.
 
 The full search is intentionally the transparent O(N) loop; it doubles as the
-correctness oracle for the hybrid encoder.
+correctness oracle for the hybrid encoder.  The trainer runs Lloyd/LBG
+iterations (Linde, Buzo and Gray, 1980) in whole-array passes: a window pass
+assigns the distinct rows, and ``np.bincount`` sums every cell at once.
 """
 
 from __future__ import annotations
@@ -97,13 +99,15 @@ def full_search(x, codebook: Codebook) -> tuple[int, float]:
 def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -> Codebook:
     """Train an N-entry codebook with seeded Lloyd (k-means) iterations.
 
-    Initialization draws N distinct sample rows; empty cells are reseeded
-    from the most distorted points; duplicate centroids get a tiny
-    data-scaled jitter so the resulting codebook always has delta0 > 0.
-    Each assignment is one ``kernels.window_nearest`` pass over the distinct
-    rows, gathered back to every sample; each centroid is the mean of all its
-    cell's samples.  At least one iteration runs (``max_iter >= 1``).
-    Deterministic for a fixed seed.
+    Initialization draws N distinct sample rows; empty cells are reseeded,
+    in ascending index order, from the most distorted points; duplicate
+    centroids get a tiny data-scaled jitter so the resulting codebook always
+    has delta0 > 0.  Each assignment is one ``kernels.window_nearest`` pass
+    over the distinct rows, gathered back to every sample.  Each centroid is
+    its cell's sum over its count: one ``np.bincount`` per dimension adds a
+    cell's samples in sample order, starting from +0.0, so a cell whose
+    members are all -0.0 in a component gets +0.0 there.  At least one
+    iteration runs (``max_iter >= 1``).  Deterministic for a fixed seed.
     """
     data = as_rows(samples)
     m = data.shape[0]
@@ -122,20 +126,22 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
     rng = np.random.default_rng(seed)
     centroids = uniq[rng.choice(uniq.shape[0], size=n_codevectors, replace=False)].copy()
 
+    columns = np.ascontiguousarray(data.T)
     prev_assign = None
     for _ in range(max_iter):
         uniq_assign, uniq_dist = kernels.window_nearest(uniq, centroids)
-        assign, dist = uniq_assign[inverse], uniq_dist[inverse]
+        assign = uniq_assign[inverse]
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
-        # cell i's members, in sample order, are grouped[bounds[i]:bounds[i + 1]]
-        grouped = data[np.argsort(assign, kind="stable")]
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=n_codevectors))))
-        for i in range(n_codevectors):
-            if bounds[i + 1] > bounds[i]:
-                centroids[i] = grouped[bounds[i] : bounds[i + 1]].mean(axis=0)
-            else:
+        counts = np.bincount(assign, minlength=n_codevectors)
+        live = counts > 0
+        sums = np.stack([np.bincount(assign, weights=col, minlength=n_codevectors) for col in columns], axis=1)
+        centroids[live] = sums[live] / counts[live, np.newaxis]
+        dead = np.flatnonzero(~live)
+        if dead.size:
+            dist = uniq_dist[inverse]
+            for i in dead:
                 # dead cell: reseed at the currently worst-represented point
                 worst = int(np.argmax(dist))
                 centroids[i] = data[worst]

@@ -3,10 +3,12 @@
 Stage 1 targets inputs sitting within half the minimum codevector spacing of
 some codevector: a single fixed-length amplified search finds the (provably
 unique) solution with near-certain probability, and one classical distance
-check verifies it.  Stage 2 targets inputs within the configured threshold:
-the search is embedded in a growing-cutoff schedule for an unknown number of
-solutions; any verified hit is finished by a classical scan of that
-codevector's neighbor list, which provably contains the global optimum.
+check verifies it.  Its threshold sits a rounding margin below delta0/2
+(``sub1_radius``), so the uniqueness holds for computed distances too.
+Stage 2 targets inputs within the configured threshold: the search is
+embedded in a growing-cutoff schedule for an unknown number of solutions;
+any verified hit is finished by a classical scan of that codevector's
+neighbor list, which provably contains the global optimum.
 Anything else falls back to the exhaustive classical search.  The index is
 the distance row's argmin; the stages only simulate and charge the search,
 so randomness never affects the index.  This module alone charges the meter.
@@ -108,7 +110,7 @@ class BlockFacts:
 
     index: np.ndarray  # argmin of the row, ties to the smallest index
     nearest: np.ndarray  # the row's minimum
-    t_s: np.ndarray  # marked at delta0/2: #{i : d_i < delta0/2}
+    t_s: np.ndarray  # marked by stage 1: #{i : d_i < sub1_radius}, 0 or 1
     t: np.ndarray  # marked at delta_hat: #{i : d_i < delta_hat}
     pick_size: np.ndarray  # list size of the marked index a stage-2 hit measures; 0 if t == 0
 
@@ -142,6 +144,20 @@ def sub1_iterations(n: int) -> int:
     return math.floor(math.pi / 4.0 * math.sqrt(n))
 
 
+def sub1_radius(delta0: float, k: int) -> float:
+    """Stage 1's threshold: a computed distance below it is exactly below delta0/2.
+
+    With ``kernels.rounding_bound(k)``'s g, a computed distance d' is within
+    g * d of the exact d, and the computed delta0 is at most (1 + g) times
+    the exact one.  So d' < (delta0/2)(1 - g)/(1 + g) means d < exact
+    delta0/2, and by the triangle inequality at most one codevector is that
+    close; it is the row's argmin, since every other computed distance is
+    above the threshold.  1 - 3g lies below (1 - g)/(1 + g) by more than the
+    rounding of this product.
+    """
+    return delta0 / 2.0 * (1.0 - 3.0 * kernels.rounding_bound(k))
+
+
 def sub2_budget(n: int) -> int:
     return math.ceil(BBHT_BUDGET_FACTOR * math.sqrt(n))
 
@@ -166,7 +182,7 @@ def block_facts(
     """
     distinct, inverse = kernels.distinct_rows(vectors)
     u = distinct.shape[0]
-    half_delta0 = codebook.delta0 / 2.0
+    radius_s = sub1_radius(codebook.delta0, codebook.k)
     sizes = table.sizes()
     index = np.empty(u, dtype=np.int64)
     nearest = np.empty(u)
@@ -181,7 +197,7 @@ def block_facts(
         arg = d.argmin(axis=1)
         index[rows] = cols[arg]
         nearest[rows] = d[np.arange(rows.size), arg]
-        t_s[rows] = np.count_nonzero(d < half_delta0, axis=1)
+        t_s[rows] = np.count_nonzero(d < radius_s, axis=1)
         marked = d < table.delta_hat
         count = np.count_nonzero(marked, axis=1)
         t[rows] = count
@@ -203,12 +219,12 @@ def block_facts(
 
 
 def encode_sub1(facts: BlockFacts, n: int, draw, meter: QueryMeter) -> np.ndarray:
-    """Stage 1 for every block: one amplified search at delta0/2, then one verification.
+    """Stage 1 for every block: one amplified search below delta0/2, then one verification.
 
     ``draw(slot)`` returns one uniform draw in [0, 1) per block.  Each block
     is charged the fixed iteration count and one evaluation.  Returns the
     mask of blocks whose measured index is marked, i.e. verified strictly
-    below delta0/2 (it is then the unique global optimum).
+    below ``sub1_radius`` (it is then the unique global optimum).
     """
     j = sub1_iterations(n)
     meter.grover_iterations += j

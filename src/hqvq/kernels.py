@@ -12,8 +12,9 @@ in index order, ``((s_0 + s_1) + s_2) + ...``, and the callers then take
 Tiling: the batched functions process ``TILE`` (``WINDOW_TILE`` in
 ``window_tiles``) query rows at a time, so they have no per-query Python loop
 and never hold more than two tile-rows x N float64 buffers, never an M x N
-matrix.  ``nearest_many`` alone measures every pair: it is the plain
-reference the tests and the benchmark check against.
+matrix; ``window_tiles`` sizes its two to the widest window measured so far.
+``nearest_many`` alone measures every pair: it is the plain reference the
+tests and the benchmark check against.
 
 Projection windows: ``window_tiles`` is the one tile loop the codec's passes
 use (training's assignments, ``window_nearest``, ``within_radius``,
@@ -60,9 +61,9 @@ ACTIVE_IMPL = "numpy"
 TILE = 64
 
 # Query rows per tile of ``window_tiles``: at most WINDOW_TILE x N float64
-# distances plus one scratch buffer of the same size.  The projections of a
-# larger tile span a wider window; a smaller one pays numpy's per-call cost
-# more often.
+# distances plus one scratch buffer of the same size, each grown only as far
+# as the windows need.  The projections of a larger tile span a wider window;
+# a smaller one pays numpy's per-call cost more often.
 WINDOW_TILE = 128
 
 # The first look of ``window_tiles`` takes at least this many codevectors on
@@ -127,19 +128,36 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float):
     v_order = np.argsort(v_proj, kind="stable")
     v_sorted = v_proj[v_order]
     vcols = np.ascontiguousarray(vectors.T)
-    out = np.empty(min(WINDOW_TILE, m) * n)
-    tmp = np.empty_like(out)
+    # ``out`` and ``tmp`` hold the widest tile measured so far, rounded up to
+    # an eighth, a quarter, a half or all of a tile x N: at most three growths
+    full = min(WINDOW_TILE, m) * n
+    out = tmp = np.empty(0)
+
+    def reserve(size, keep=0):
+        """Make ``out`` hold ``size`` floats; ``out[:keep]`` carries over."""
+        nonlocal out, tmp
+        if out.size < size:
+            tmp = np.empty(0)  # scratch, regrown by ``measure``: let it go first
+            bigger = np.empty(next(c for c in (full // 8, full // 4, full // 2, full) if c >= size))
+            bigger[:keep] = out[:keep]
+            out = bigger
 
     def measure(qcols, cols, at):
-        """The tile's distances to ``vectors[cols]``: a contiguous view of ``out`` from ``at``."""
+        """The tile's distances to ``vectors[cols]``: a view of ``out`` from ``at``."""
+        nonlocal tmp
+        if tmp.size < out.size:
+            tmp = np.empty(out.size)
         shape = (qcols.shape[1], cols.size)
         d = out[at : at + math.prod(shape)].reshape(shape)
         d = _sq_dists(vcols[:, cols], qcols, d, tmp[: d.size].reshape(shape))
         return np.sqrt(d, out=d)
 
-    guess = radius  # the first look's reach: the previous tile's widest
-    for start in range(0, m, WINDOW_TILE):
-        rows = q_order[start : start + WINDOW_TILE]
+    def tile(rows, guess):
+        """The tile's (cols, d) and its widest reach; the first look reaches ``guess``.
+
+        A function, so no view of a buffer the next tile outgrows lives on
+        in the loop's variables.
+        """
         t = rows.size
         qcols = queries[rows].T[:, :, np.newaxis]
         p = q_proj[rows]
@@ -149,6 +167,7 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float):
         lo = min(np.searchsorted(v_sorted, p[0] - guess, side="left"), max(mid - FIRST_LOOK, 0))
         hi = max(np.searchsorted(v_sorted, p[-1] + guess, side="right"), min(mid + FIRST_LOOK, n))
         cols = np.sort(v_order[lo:hi])
+        reserve(t * cols.size)
         d = measure(qcols, cols, 0)
         nearest = d.min(axis=1)
         reach = np.maximum(radius, nearest)
@@ -164,6 +183,8 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float):
         if lo_all < lo or hi_all > hi:
             # widen to every row's bound: measure the rest, then merge in index order
             rest = np.sort(np.concatenate((v_order[lo_all:lo], v_order[hi:hi_all])))
+            reserve(t * (cols.size + rest.size), keep=d.size)
+            d = out[: d.size].reshape(d.shape)  # ``out`` may have grown
             e = measure(qcols, rest, d.size)
             reach = np.maximum(radius, np.minimum(nearest, e.min(axis=1)))
             both = np.sort(np.concatenate((cols, rest)))
@@ -171,7 +192,12 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float):
             merged[:, np.searchsorted(both, cols)] = d
             merged[:, np.searchsorted(both, rest)] = e
             cols, d = both, merged
-        guess = float(reach.max())
+        return cols, d, float(reach.max())
+
+    guess = radius  # the first look's reach: the previous tile's widest
+    for start in range(0, m, WINDOW_TILE):
+        rows = q_order[start : start + WINDOW_TILE]
+        cols, d, guess = tile(rows, guess)
         yield rows, cols, d
 
 

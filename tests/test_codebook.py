@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, event, example, given, settings
+from hypothesis import strategies as st
 
 from hqvq import (
     Codebook,
@@ -157,6 +159,9 @@ class TestDelta0:
 def reference_train(samples, n, seed, max_iter=60):
     """Plain Lloyd over every sample row, cells gathered with a mask.
 
+    Each centroid adds its cell's rows one at a time in sample order, from
+    +0.0, then divides by their count.  For k >= 2 that is the bits of
+    ``members.mean(axis=0)``; for k = 1 numpy's mean sums pairwise.
     Returns (codebook, number of dead cells reseeded).
     """
     data = np.asarray(samples, dtype=np.float64)
@@ -172,7 +177,10 @@ def reference_train(samples, n, seed, max_iter=60):
         for i in range(n):
             members = data[assign == i]
             if members.shape[0]:
-                centroids[i] = members.mean(axis=0)
+                total = np.zeros(data.shape[1])
+                for row in members:
+                    total = total + row
+                centroids[i] = total / members.shape[0]
             else:
                 worst = int(np.argmax(dist))
                 centroids[i] = data[worst]
@@ -186,6 +194,49 @@ def repeated_points(data_seed):
     rng = np.random.default_rng(data_seed)
     points = rng.normal(size=(12, 2))
     return np.vstack([points[rng.integers(0, 12, size=80)], 5.0 * rng.normal(size=(5, 2))])
+
+
+def lloyd_case(seed, k, n, signed_zero=False):
+    """2n distinct rows in [-1, 1)^k, each repeated a geometric number of times, shuffled.
+
+    ``signed_zero`` (k >= 2) sets component 0 of the first n // 2 + 1
+    distinct rows to -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    distinct = rng.uniform(-1.0, 1.0, size=(2 * n, k))
+    if signed_zero and k > 1:
+        distinct[: n // 2 + 1, 0] = -0.0
+    rows = np.repeat(distinct, rng.geometric(0.2, size=2 * n), axis=0)
+    return rows[rng.permutation(rows.shape[0])]
+
+
+@settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+# a cell whose members all have component 0 == -0.0: its sum starts from +0.0
+@example(seed=8, k=2, n=3, max_iter=2, signed_zero=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 3),
+    n=st.integers(2, 8),
+    max_iter=st.integers(1, 5),
+    signed_zero=st.booleans(),
+)
+def test_train_equals_reference_lloyd(seed, k, n, max_iter, signed_zero):
+    # whole-array centroid sums must add each cell's rows in sample order
+    samples = lloyd_case(seed, k, n, signed_zero)
+    want, reseeds = reference_train(samples, n, seed, max_iter)
+    event(f"reseeds: {reseeds}")
+    got = train_codebook(samples, n, seed=seed, max_iter=max_iter)
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+@pytest.mark.parametrize("seed,k,n", [(189, 1, 3), (95, 1, 8), (106, 2, 8), (170, 3, 3)])
+def test_train_equals_reference_lloyd_on_dead_cells(seed, k, n):
+    # few generated cases reseed a cell (about 1 in 200), so these do
+    samples = lloyd_case(seed, k, n)
+    want, reseeds = reference_train(samples, n, seed, 5)
+    assert reseeds > 0
+    got = train_codebook(samples, n, seed=seed, max_iter=5)
+    assert got.vectors.tobytes() == want.vectors.tobytes()
 
 
 class TestTrainer:

@@ -35,6 +35,7 @@ from hqvq.encoder import (
     delta_hat_from_nearest,
     nearest_distances,
     sub1_iterations,
+    sub1_radius,
     sub2_budget,
 )
 from hqvq.grover import marked_set_from_distances
@@ -60,7 +61,8 @@ def rounded_midpoint(rng: np.random.Generator, k: int):
     """Two-codevector codebook and the midpoint x of its pair.
 
     Draws pairs until rounding puts x strictly inside delta0/2 of both ends
-    (stage 1 then marks t = 2), or 400 pairs are spent.
+    (without ``sub1_radius``'s margin stage 1 would mark t = 2), or 400 pairs
+    are spent.
     """
     for _ in range(400):
         a, b = rng.normal(size=(2, k))
@@ -119,15 +121,9 @@ class TestSub1:
             assert index == full_search(x, cb)[0]
             assert t_s == marked_count(x, cb, cb.delta0 / 2) == 1
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="stage 1 marks both ends of a rounded midpoint as closer than delta0/2",
-    )
     def test_midpoint_stage1_accepts_only_the_full_search_index(self):
-        # encode's index is right regardless; the defect is that stage 1
-        # marks both ends (t_s = 2 = N), so it accepts the block for every
-        # seed where a rounding margin would leave it to stage 2
+        # both ends lie within rounding of delta0/2 (computed distances below
+        # it), so stage 1's margin marks neither and leaves the block to stage 2
         cb, x = midpoint_case()
         table = build_neighborhoods(cb, cb.delta0)
         accepted = [run_stage(1, [x], cb, table, seed)[1][0] for seed in range(40)]
@@ -262,7 +258,7 @@ class TestEncode:
 
     def test_midpoint_of_two_codevectors_matches_full_search(self):
         # rounding puts x = (a + b) / 2 strictly inside delta0/2 of both a and b,
-        # so stage 1 sees t = 2; the index must still be full search's
+        # so a plain delta0/2 test would see t = 2; the index must be full search's
         cb, x = midpoint_case()
         table = build_neighborhoods(cb, cb.delta0)
         oracle, _ = full_search(x, cb)
@@ -313,6 +309,37 @@ def test_index_is_full_search_for_every_seed(boundary, seed, k, n, factor):
     assert got == {oracle}
 
 
+@settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(where="midpoint", seed=0, k=3, n=2, ulps=0)  # midpoint_case()
+@given(
+    where=st.sampled_from(["midpoint", "shell"]),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    n=st.integers(2, 12),
+    ulps=st.integers(-8, 8),
+)
+def test_stage1_marks_at_most_the_full_search_index(where, seed, k, n, ulps):
+    # inputs a few ulps from the delta0/2 shell: rounded pair midpoints, whose
+    # computed distances to both ends can lie below delta0/2, and points at
+    # delta0/2 from a codevector of a larger codebook
+    rng = np.random.default_rng(seed)
+    if where == "midpoint":
+        cb, x = rounded_midpoint(rng, k)
+    else:
+        cb = Codebook(rng.normal(size=(n, k)))
+        direction = rng.normal(size=k)
+        x = cb.vectors[rng.integers(0, cb.n)] + direction * (cb.delta0 / 2.0 / np.linalg.norm(direction))
+    x = x + ulps * np.spacing(x)
+    table = build_neighborhoods(cb, cb.delta0)
+    facts, accepted, _ = run_stage(1, trials(x, 20), cb, table, seed)
+    oracle, _ = full_search(x, cb)
+    marked = np.flatnonzero(distances_to_codebook(x, cb) < sub1_radius(cb.delta0, cb.k))
+    assert marked.tolist() in ([], [oracle])
+    assert np.all(facts.t_s == marked.size)
+    assert np.all(facts.index == oracle)
+    assert not accepted.any() or marked.size == 1
+
+
 def boundary_batch(rng: np.random.Generator, cb: Codebook, delta_hat: float, per_kind: int):
     """Blocks on every boundary the meter simulation branches on.
 
@@ -353,7 +380,7 @@ def test_batch_equals_per_block_reference(seed, k, n, factor, master_seed):
     if n == 2:
         midpoint_cb, midpoint = rounded_midpoint(rng, k)
         if marked_count(midpoint, midpoint_cb, midpoint_cb.delta0 / 2) == 2:
-            cb = midpoint_cb  # the t_s = 2 case below gets a rounded midpoint
+            cb = midpoint_cb  # the batch below gets a rounded midpoint
     delta_hat = factor * cb.delta0 / 2.0
     table = build_neighborhoods(cb, delta_hat)
     rows = boundary_batch(rng, cb, delta_hat, 6)

@@ -201,6 +201,9 @@ def _grid(side):
 @example(case=(np.arange(-5.0, 45.0, 0.5)[:, np.newaxis], np.arange(40.0)[:, np.newaxis], 2.5))
 # magnitudes near 1e6: the rounding margin grows with the norms
 @example(case=(1e6 + _grid(12)[::-1] / 3.0, 1e6 + _grid(9) / 2.0, math.sqrt(0.5)))
+# buffers grow mid-pass: a tile of narrow windows, then rows far from every
+# codevector, whose first look is narrow and whose windows hold the whole codebook
+@example(case=(np.array([[0.25, 0.25]] * WINDOW_TILE + [[54.5, -45.5], [-45.5, 54.5]] * 64), _grid(10), 0.0))
 @given(case=window_cases())
 def test_window_pass_matches_full_rows(case):
     """``window_tiles``, ``window_nearest`` and ``within_radius`` against full rows from ``dist_to_all``."""
