@@ -3,7 +3,9 @@
 The full search is intentionally the transparent O(N) loop; it doubles as the
 correctness oracle for the hybrid encoder.  The trainer runs Lloyd/LBG
 iterations (Linde, Buzo and Gray, 1980) in whole-array passes: a window pass
-assigns the distinct rows, and ``np.bincount`` sums every cell at once.
+assigns the distinct rows, bounded from the second iteration on by each row's
+distance to its cell's new centroid (the upper bound of Hamerly, SDM 2010),
+and ``np.bincount`` sums every cell at once.
 """
 
 from __future__ import annotations
@@ -103,11 +105,17 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
     in ascending index order, from the most distorted points; duplicate
     centroids get a tiny data-scaled jitter so the resulting codebook always
     has delta0 > 0.  Each assignment is one ``kernels.window_nearest`` pass
-    over the distinct rows, gathered back to every sample.  Each centroid is
-    its cell's sum over its count: one ``np.bincount`` per dimension adds a
-    cell's samples in sample order, starting from +0.0, so a cell whose
-    members are all -0.0 in a component gets +0.0 there.  At least one
-    iteration runs (``max_iter >= 1``).  Deterministic for a fixed seed.
+    over the distinct rows, gathered back to every sample.  From the second
+    iteration on, the pass takes each distinct row's distance to its
+    previous cell's updated centroid as its bound (a reseed moves only dead
+    cells, which hold no row): ``kernels.paired_distances`` gives it the
+    bits the window gives that pair, so it is at least the row's computed
+    nearest distance, and each tile is measured once around it.  Each
+    centroid is its cell's sum over its count: one ``np.bincount`` per
+    dimension adds a cell's samples in sample order, starting from +0.0, so
+    a cell whose members are all -0.0 in a component gets +0.0 there.  At
+    least one iteration runs (``max_iter >= 1``).  Deterministic for a fixed
+    seed.
     """
     data = as_rows(samples)
     m = data.shape[0]
@@ -128,8 +136,9 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
 
     columns = np.ascontiguousarray(data.T)
     prev_assign = None
+    bound = None
     for _ in range(max_iter):
-        uniq_assign, uniq_dist = kernels.window_nearest(uniq, centroids)
+        uniq_assign, uniq_dist = kernels.window_nearest(uniq, centroids, bound)
         assign = uniq_assign[inverse]
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
@@ -146,6 +155,8 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
                 worst = int(np.argmax(dist))
                 centroids[i] = data[worst]
                 dist[worst] = 0.0
+        # a row's distance to its cell's new centroid bounds its next nearest distance
+        bound = kernels.paired_distances(uniq, centroids[uniq_assign])
 
     return _separate_duplicates(centroids, rng)
 

@@ -186,7 +186,6 @@ def block_facts(
     sizes = table.sizes()
     index = np.empty(u, dtype=np.int64)
     nearest = np.empty(u)
-    t_s = np.empty(u, dtype=np.int64)
     t = np.empty(u, dtype=np.int64)
     pick_size = np.zeros(vectors.shape[0], dtype=np.int64)
     # the blocks of distinct row r are by_row[row_first[r] : row_first[r] + row_count[r]]
@@ -197,7 +196,6 @@ def block_facts(
         arg = d.argmin(axis=1)
         index[rows] = cols[arg]
         nearest[rows] = d[np.arange(rows.size), arg]
-        t_s[rows] = np.count_nonzero(d < radius_s, axis=1)
         marked = d < table.delta_hat
         count = np.count_nonzero(marked, axis=1)
         t[rows] = count
@@ -213,6 +211,8 @@ def block_facts(
         first = np.cumsum(count) - count
         h = cols[np.flatnonzero(marked)[first[row[hit]] + k[hit]] % cols.size]
         pick_size[blocks[hit]] = sizes[h]
+    # below sub1_radius, the marked codevector is unique and is the argmin
+    t_s = (nearest < radius_s).astype(np.int64)
     return BlockFacts(
         index=index[inverse], nearest=nearest[inverse], t_s=t_s[inverse], t=t[inverse], pick_size=pick_size
     )

@@ -24,21 +24,33 @@ codevectors that can matter, after Ra and Kim's mean-ordered partial search
 u = (1, ..., 1) / sqrt(k).  Since u is a unit vector,
 |p(x) - p(c)| <= ||x - c||, so no codevector whose projection lies more
 than R from p(x) is within R of x.  The queries and the codevectors are
-sorted by projection once; each tile of consecutive queries takes the
-codevectors near its projections first, bounds each row's nearest distance
-by the smallest of those, and then widens to the contiguous run of
-codevectors whose projections are within R = max(radius, bound) of some
-row's.  The prune compares computed values, so it widens R by
-``rounding_bound``'s g = gamma_{k+3}: a computed distance d <= R means an
-exact one of at most R / (1 - g), and each computed projection is within
-g * s of the exact one, where s = sqrt(k) * max |x_d| bounds every norm.
-Computed projections within R + 2g * (R + s) therefore cover every such
-codevector; the window keeps those within R + 4g * (R + s), the rest of the
-margin covering the rounding of the bounds themselves, and keeps the
-boundary (<= at both ends).  Every distance in a window is
-``_sq_dists`` for that exact pair, with the same bits as a full row, and the
-window lists codevectors in ascending index order, so argmin ties still go
-to the smallest index.
+sorted by projection once, and each tile of consecutive queries is
+measured once:
+
+- The look: the contiguous run of codevectors whose projections lie within
+  the previous tile's reach of the tile's, with at least ``FIRST_LOOK`` on
+  each side of its middle row.  A row's smallest distance in the look bounds
+  its nearest distance, so its reach is at most R = max(radius, that bound).
+  The row is covered when the codevectors just outside the look lie farther
+  than R, plus the rounding margin below, on the mean axis; covered rows are
+  yielded.
+- The rows not covered are deferred with their bound.  After the last tile
+  they run through the bounded pass: tiles in projection order, each
+  measured once over the codevectors within R plus the margin of some row's
+  projection.  A caller that already holds a bound (training holds each
+  row's distance to its previous cell's new centroid) sends every row
+  straight to the bounded pass.
+
+The prune compares computed values, so it widens R by ``rounding_bound``'s
+g = gamma_{k+3}: a computed distance d <= R means an exact one of at most
+R / (1 - g), and each computed projection is within g * s of the exact one,
+where s = sqrt(k) * max |x_d| bounds every norm.  Computed projections
+within R + 2g * (R + s) therefore cover every such codevector; a window
+keeps those within R + 4g * (R + s), the rest of the margin covering the
+rounding of the bounds themselves, and keeps the boundary (<= at both
+ends).  Every distance in a window is ``_sq_dists`` for that exact pair,
+with the same bits as a full row, and the window lists codevectors in
+ascending index order, so argmin ties still go to the smallest index.
 
 Distinct rows: a block's distance row depends only on its values, so callers
 that pass image blocks run the tiles over ``distinct_rows`` and gather the
@@ -105,16 +117,34 @@ def rounding_bound(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float):
+def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=None):
     """Yield (rows, cols, d): each tile's distances to the codevectors that can matter.
 
-    ``rows`` indexes ``queries`` (WINDOW_TILE of them, in projection order),
-    ``cols`` holds ascending indices into ``vectors``, and ``d[i, j]`` is the
-    distance from ``queries[rows[i]]`` to ``vectors[cols[j]]``, the same bits
-    as ``dist_to_all`` gives.  ``cols`` contains every codevector within
-    max(``radius``, the row's nearest distance) of each of the tile's rows,
-    so argmin ties still go to the smallest index.  ``d`` is a buffer reused
-    by the next step: read it before advancing.
+    ``rows`` indexes ``queries`` (at most WINDOW_TILE of them, in projection
+    order), ``cols`` holds ascending indices into ``vectors``, and
+    ``d[i, j]`` is the distance from ``queries[rows[i]]`` to
+    ``vectors[cols[j]]``, the same bits as ``dist_to_all`` gives.  ``cols``
+    contains every codevector within max(``radius``, the row's nearest
+    distance) of each of the tile's rows, so argmin ties still go to the
+    smallest index.  Every row is yielded exactly once.  ``d`` is a buffer
+    reused by the next step: read it before advancing.
+
+    One look per tile: the codevectors whose projections lie within the
+    previous tile's widest covered reach of the tile's (its widest look
+    minimum if it covered no row), and at least FIRST_LOOK on each side of
+    its middle row.  A row is covered when the
+    codevectors just outside the look, ``v_sorted[lo - 1]`` and
+    ``v_sorted[hi]``, lie farther from its projection than its reach,
+    max(``radius``, its look minimum), plus the rounding margin.  Covered
+    rows are yielded; the others are deferred with their look minimum, a
+    computed distance and so at least their computed nearest one.  After
+    the last tile, the deferred rows run through the bounded pass: tiles in
+    projection order, each measured once over p +- (max(``radius``, bound)
+    + margin).
+
+    ``bound``, when given, is an (M,) array with ``bound[i]`` at least the
+    computed nearest distance of ``queries[i]``, such as its distance to
+    any one codevector; every row then goes straight to the bounded pass.
     """
     m, k = queries.shape
     n = vectors.shape[0]
@@ -133,72 +163,78 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float):
     full = min(WINDOW_TILE, m) * n
     out = tmp = np.empty(0)
 
-    def reserve(size, keep=0):
-        """Make ``out`` hold ``size`` floats; ``out[:keep]`` carries over."""
+    def measure(rows, lo, hi):
+        """(cols, d): the distances of ``rows`` to the codevectors at ``v_sorted[lo:hi]``, in ``out``."""
         nonlocal out, tmp
+        cols = np.sort(v_order[lo:hi])
+        shape = (rows.size, cols.size)
+        size = math.prod(shape)
         if out.size < size:
-            tmp = np.empty(0)  # scratch, regrown by ``measure``: let it go first
-            bigger = np.empty(next(c for c in (full // 8, full // 4, full // 2, full) if c >= size))
-            bigger[:keep] = out[:keep]
-            out = bigger
+            out = tmp = None  # let the old buffers go first
+            grown = next(c for c in (full // 8, full // 4, full // 2, full) if c >= size)
+            out, tmp = np.empty(grown), np.empty(grown)
+        d = out[:size].reshape(shape)
+        _sq_dists(vcols[:, cols], queries[rows].T[:, :, np.newaxis], d, tmp[:size].reshape(shape))
+        return cols, np.sqrt(d, out=d)
 
-    def measure(qcols, cols, at):
-        """The tile's distances to ``vectors[cols]``: a view of ``out`` from ``at``."""
-        nonlocal tmp
-        if tmp.size < out.size:
-            tmp = np.empty(out.size)
-        shape = (qcols.shape[1], cols.size)
-        d = out[at : at + math.prod(shape)].reshape(shape)
-        d = _sq_dists(vcols[:, cols], qcols, d, tmp[: d.size].reshape(shape))
-        return np.sqrt(d, out=d)
+    def half_width(reach):
+        """|p(x) - p(c)| <= d(x, c): the reach, widened by the rounding of both projections and the distance."""
+        return reach + margin * (reach + scale)
 
-    def tile(rows, guess):
-        """The tile's (cols, d) and its widest reach; the first look reaches ``guess``.
+    def bounded(rows, bounds):
+        """The bounded pass: each tile measured once over every row's reach."""
+        for start in range(0, rows.size, WINDOW_TILE):
+            tile = rows[start : start + WINDOW_TILE]
+            p = q_proj[tile]
+            half = half_width(np.maximum(radius, bounds[start : start + WINDOW_TILE]))
+            low, high = float((p - half).min()), float((p + half).max())
+            if math.isfinite(low) and math.isfinite(high):
+                lo = np.searchsorted(v_sorted, low, side="left")
+                hi = np.searchsorted(v_sorted, high, side="right")
+            else:  # an overflowed bound or projection sum: keep every codevector
+                lo, hi = 0, n
+            cols, d = measure(tile, lo, hi)
+            yield tile, cols, d
+            del d  # hold no view of ``out`` while the next tile may grow it
 
-        A function, so no view of a buffer the next tile outgrows lives on
-        in the loop's variables.
-        """
-        t = rows.size
-        qcols = queries[rows].T[:, :, np.newaxis]
+    def look(rows, guess):
+        """(covered rows, cols, their d, next guess): one tile's look; the rest is deferred."""
         p = q_proj[rows]
-        # first look: the codevectors within ``guess`` of the tile's projections,
-        # and at least FIRST_LOOK on each side of its middle row's
-        mid = np.searchsorted(v_sorted, p[t // 2])
+        mid = np.searchsorted(v_sorted, p[rows.size // 2])
         lo = min(np.searchsorted(v_sorted, p[0] - guess, side="left"), max(mid - FIRST_LOOK, 0))
         hi = max(np.searchsorted(v_sorted, p[-1] + guess, side="right"), min(mid + FIRST_LOOK, n))
-        cols = np.sort(v_order[lo:hi])
-        reserve(t * cols.size)
-        d = measure(qcols, cols, 0)
+        cols, d = measure(rows, lo, hi)
         nearest = d.min(axis=1)
         reach = np.maximum(radius, nearest)
-        # |p(x) - p(c)| <= d(x, c): keep every c with |p(x) - p(c)| <= reach,
-        # widened by the rounding of both projections and of the distance
-        half = reach + margin * (reach + scale)
-        low, high = float((p - half).min()), float((p + half).max())
-        if math.isfinite(low) and math.isfinite(high):
-            lo_all = min(np.searchsorted(v_sorted, low, side="left"), lo)
-            hi_all = max(np.searchsorted(v_sorted, high, side="right"), hi)
-        else:  # an overflowed distance or projection sum: keep every codevector
-            lo_all, hi_all = 0, n
-        if lo_all < lo or hi_all > hi:
-            # widen to every row's bound: measure the rest, then merge in index order
-            rest = np.sort(np.concatenate((v_order[lo_all:lo], v_order[hi:hi_all])))
-            reserve(t * (cols.size + rest.size), keep=d.size)
-            d = out[: d.size].reshape(d.shape)  # ``out`` may have grown
-            e = measure(qcols, rest, d.size)
-            reach = np.maximum(radius, np.minimum(nearest, e.min(axis=1)))
-            both = np.sort(np.concatenate((cols, rest)))
-            merged = tmp[: t * both.size].reshape(t, both.size)
-            merged[:, np.searchsorted(both, cols)] = d
-            merged[:, np.searchsorted(both, rest)] = e
-            cols, d = both, merged
-        return cols, d, float(reach.max())
+        half = half_width(reach)
+        # covered: the codevectors just outside the look lie beyond the row's reach
+        ok = np.ones(rows.size, dtype=bool)
+        if lo > 0:
+            ok &= v_sorted[lo - 1] < p - half
+        if hi < n:
+            ok &= v_sorted[hi] > p + half
+        if ok.all():
+            return rows, cols, d, float(reach.max())
+        deferred.append((rows[~ok], nearest[~ok]))
+        if not ok.any():
+            return rows[:0], cols, None, float(reach.max())
+        # the covered rows, compacted into the scratch buffer the next tile overwrites
+        kept = tmp[: np.count_nonzero(ok) * cols.size].reshape(-1, cols.size)
+        return rows[ok], cols, np.compress(ok, d, axis=0, out=kept), float(reach[ok].max())
 
-    guess = radius  # the first look's reach: the previous tile's widest
+    if bound is not None:
+        yield from bounded(q_order, np.asarray(bound, dtype=np.float64)[q_order])
+        return
+    deferred = []  # (rows, bounds) of each tile's rows that its look did not cover
+    guess = radius  # the look's reach
     for start in range(0, m, WINDOW_TILE):
-        rows = q_order[start : start + WINDOW_TILE]
-        cols, d, guess = tile(rows, guess)
-        yield rows, cols, d
+        rows, cols, d, guess = look(q_order[start : start + WINDOW_TILE], guess)
+        if rows.size:
+            yield rows, cols, d
+        del d  # hold no view of ``out`` while the next tile may grow it
+    if deferred:
+        rows, bounds = zip(*deferred)
+        yield from bounded(np.concatenate(rows), np.concatenate(bounds))
 
 
 def dist_to_all(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -230,16 +266,27 @@ def nearest_many(queries: np.ndarray, vectors: np.ndarray):
     return idx, dist
 
 
-def window_nearest(queries: np.ndarray, vectors: np.ndarray):
-    """``nearest_many``'s result from ``window_tiles``: each row's window is its nearest distance."""
+def window_nearest(queries: np.ndarray, vectors: np.ndarray, bound=None):
+    """``nearest_many``'s result from ``window_tiles``: each row's window is its nearest distance.
+
+    ``bound`` is as in ``window_tiles``: at least each row's computed nearest distance.
+    """
     m = queries.shape[0]
     idx = np.empty(m, dtype=np.int64)
     dist = np.empty(m)
-    for rows, cols, d in window_tiles(queries, vectors, 0.0):
+    for rows, cols, d in window_tiles(queries, vectors, 0.0, bound):
         arg = d.argmin(axis=1)
         idx[rows] = cols[arg]
         dist[rows] = d[np.arange(rows.size), arg]
+        del d  # a view of the pass's buffer: a growth can then free it
     return idx, dist
+
+
+def paired_distances(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Distance from ``queries[i]`` to ``vectors[i]`` for each i, the bits a window gives that pair."""
+    m = queries.shape[0]
+    out = _sq_dists(vectors.T, queries.T, np.empty(m), np.empty(m))
+    return np.sqrt(out, out=out)
 
 
 def min_pairwise(vectors: np.ndarray) -> float:
@@ -255,12 +302,9 @@ def min_pairwise(vectors: np.ndarray) -> float:
     bound spans the codebook, every window holds every codevector and the
     pass measures all pairs.
     """
-    n = vectors.shape[0]
     # adjacent pairs in projection order, measured by the same kernel as the window
     ordered = vectors[np.argsort(vectors.sum(axis=1), kind="stable")]
-    vcols = np.ascontiguousarray(ordered.T)
-    step = _sq_dists(vcols[:, 1:], vcols[:, :-1], np.empty(n - 1), np.empty(n - 1))
-    bound = float(np.sqrt(step.min()))
+    bound = float(paired_distances(ordered[:-1], ordered[1:]).min())
     best = math.inf
     for rows, cols, d in window_tiles(vectors, vectors, bound):
         # every row's window holds the row itself: its projection is in its tile's range

@@ -17,7 +17,7 @@ from .codebook import Codebook
 
 @dataclass(frozen=True)
 class NeighborhoodTable:
-    """Sorted index lists: ``lists[i]`` holds every j with d(c[i], c[j]) < 2 * delta_hat.
+    """Sorted index lists: ``lists[i]`` holds every j with d(c[i], c[j]) < ``neighbor_radius``.
 
     ``delta_hat`` is the encoder threshold the table was built for; the radius
     is positive, so each codevector is always its own neighbor (d == 0) and
@@ -40,8 +40,24 @@ class NeighborhoodTable:
         return np.array([len(l) for l in self.lists], dtype=np.int64)
 
 
+def neighbor_radius(delta_hat: float, k: int) -> float:
+    """The lists' radius: 2 * delta_hat, widened so the finishing scan holds the argmin.
+
+    Stage 2 verifies h when the computed d'(x, h) < delta_hat, and the scan
+    of h's list must hold the row's argmin j, whose d'(x, j) <= d'(x, h).
+    With ``kernels.rounding_bound(k)``'s g, a computed distance is within
+    g * d of the exact d, so the exact d(x, h) and d(x, j) are below
+    delta_hat / (1 - g), the triangle inequality puts d(h, j) below
+    2 delta_hat / (1 - g), and the computed d'(h, j) lies below
+    2 delta_hat (1 + g) / (1 - g).  Keeping j when d'(h, j) < 2 delta_hat
+    (1 + 3g) keeps every such j: 1 + 3g exceeds (1 + g) / (1 - g) by
+    g (1 - 3g) / (1 - g), more than the rounding of this product.
+    """
+    return 2.0 * float(delta_hat) * (1.0 + 3.0 * kernels.rounding_bound(k))
+
+
 def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTable:
-    """O(N^2) construction of all neighbor lists with radius 2 * delta_hat.
+    """Neighbor lists at ``neighbor_radius``: one ``kernels.within_radius`` window pass.
 
     ``delta_hat`` must be at least half the codebook's minimum pairwise
     distance (NaN is rejected); below that the fast encoding path's region
@@ -50,8 +66,7 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     half_delta0 = codebook.delta0 / 2.0
     if not delta_hat >= half_delta0:  # NaN fails this too
         raise ValueError(f"delta_hat {delta_hat} is not at least delta0/2 = {half_delta0}")
-    radius = 2.0 * float(delta_hat)
-    lists = kernels.within_radius(codebook.vectors, radius)
+    lists = kernels.within_radius(codebook.vectors, neighbor_radius(delta_hat, codebook.k))
     for members in lists:
         members.setflags(write=False)
     return NeighborhoodTable(delta_hat=float(delta_hat), lists=tuple(lists))

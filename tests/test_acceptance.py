@@ -33,6 +33,7 @@ from hqvq import (
 from hqvq.codebook import distances_to_codebook
 from hqvq.grover import marked_probability, marked_set_from_distances, statevector_distribution
 from hqvq.image import BlockGeometry, blockify, deblockify
+from hqvq.neighborhood import NeighborhoodTable
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -184,8 +185,8 @@ def test_criterion_5_simulator_cross_validation():
 
 def test_criterion_6_space_formula():
     # exact value on a constructed table with all-singleton lists
-    cb4 = Codebook(np.array([[0.0], [100.0], [200.0], [300.0]]))
-    t4 = build_neighborhoods(cb4, 50.0)  # radius 100, strict < keeps lists singleton
+    # (no valid delta_hat builds one: the closest pair is in each other's lists)
+    t4 = NeighborhoodTable(delta_hat=50.0, lists=tuple(np.array([i]) for i in range(4)))
     exact_ok = space_bits(t4) == 272
 
     # doubling N with bounded |lists|: log-log slope tracks the N*log2(N) model

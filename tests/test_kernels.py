@@ -175,7 +175,7 @@ def window_cases(draw):
         radius = float(kernels.dist_to_all(queries[i], vectors)[draw(st.integers(0, vectors.shape[0] - 1))])
     else:
         radius = draw(st.floats(0, 3e3))
-    return queries, vectors, radius
+    return queries, vectors, radius, draw(st.sampled_from([None, None, "nearest", "loose", "inf"]))
 
 
 def _grid(side):
@@ -183,34 +183,86 @@ def _grid(side):
     return np.array([[i, j] for i in range(side) for j in range(side)], dtype=np.float64)
 
 
+def _diagonal():
+    """(i, i) for i in 0..40: every codevector on the mean axis, sqrt(2) apart on it."""
+    return np.repeat(np.arange(41.0)[:, np.newaxis], 2, axis=1)
+
+
+def _across(centre, offsets):
+    """Rows (centre + a, centre - a): one projection, at sqrt(2) |a| from (centre, centre)."""
+    offsets = np.asarray(offsets, dtype=np.float64)[:, np.newaxis]
+    return np.hstack([centre + offsets, centre - offsets])
+
+
+def _first_tile_defers():
+    """128 rows on one projection, 0 to 12.7 sqrt(2) from (20, 20), then 20 near (30, 30)."""
+    return np.vstack([_across(20.0, 0.1 * np.arange(WINDOW_TILE)), _across(30.0, [0.0, 0.5] * 10)])
+
+
+def _bound(kind, full):
+    """The ``bound`` argument a case names, from its full distance rows."""
+    if kind is None:
+        return None
+    return {"nearest": full.min(axis=1), "loose": full.max(axis=1), "inf": np.full(full.shape[0], np.inf)}[kind]
+
+
 @settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 # equal-distance ties across tiles: four codevectors at sqrt(0.5) from every query
-@example(case=(np.tile([[3.5, 4.5], [6.5, 1.5]], (WINDOW_TILE + 3, 1)), _grid(10), 0.0))
+@example(case=(np.tile([[3.5, 4.5], [6.5, 1.5]], (WINDOW_TILE + 3, 1)), _grid(10), 0.0, None))
 # all codevectors share one projection: (a, -a)
 @example(
     case=(
         np.array([[0.3, -0.1], [5.0, 5.0], [-2.0, 2.5]] * WINDOW_TILE),
         np.array([[a, -a] for a in range(-20, 21)], dtype=np.float64),
         0.0,
+        None,
     )
 )
 # a query exactly at the window edge: (4, 5) is sqrt(2) from (3, 4), and the computed
 # projections differ by one ulp more than sqrt(2)
-@example(case=(np.tile([[3.0, 4.0], [1.0, 6.0]], (WINDOW_TILE + 1, 1)), _grid(10), math.sqrt(2.0)))
+@example(case=(np.tile([[3.0, 4.0], [1.0, 6.0]], (WINDOW_TILE + 1, 1)), _grid(10), math.sqrt(2.0), None))
 # k = 1: ties between the integers, and radius 2.5 attained from every half-integer
-@example(case=(np.arange(-5.0, 45.0, 0.5)[:, np.newaxis], np.arange(40.0)[:, np.newaxis], 2.5))
+@example(case=(np.arange(-5.0, 45.0, 0.5)[:, np.newaxis], np.arange(40.0)[:, np.newaxis], 2.5, None))
 # magnitudes near 1e6: the rounding margin grows with the norms
-@example(case=(1e6 + _grid(12)[::-1] / 3.0, 1e6 + _grid(9) / 2.0, math.sqrt(0.5)))
+@example(case=(1e6 + _grid(12)[::-1] / 3.0, 1e6 + _grid(9) / 2.0, math.sqrt(0.5), None))
 # buffers grow mid-pass: a tile of narrow windows, then rows far from every
-# codevector, whose first look is narrow and whose windows hold the whole codebook
-@example(case=(np.array([[0.25, 0.25]] * WINDOW_TILE + [[54.5, -45.5], [-45.5, 54.5]] * 64), _grid(10), 0.0))
+# codevector, deferred to a bounded pass whose windows hold the whole codebook
+@example(case=(np.array([[0.25, 0.25]] * WINDOW_TILE + [[54.5, -45.5], [-45.5, 54.5]] * 64), _grid(10), 0.0, None))
+# radius 0, and the first tile defers 88 of its 128 rows: they share one projection,
+# and those 4 sqrt(2) or more from (20, 20) reach past the look, (16, 16)..(23, 23)
+@example(case=(_first_tile_defers(), _diagonal(), 0.0, None))
+# one outlier row among rows on the codevectors: only it is deferred, and the next
+# tile's look stays narrow
+@example(
+    case=(
+        np.vstack([_grid(12)[: WINDOW_TILE - 1], [[54.5, -45.5]], _grid(12)[WINDOW_TILE - 1 :] + 0.25]),
+        _grid(12),
+        0.0,
+        None,
+    )
+)
+# every row deferred, in both tiles: the second's rows reach past the first's widest
+@example(
+    case=(
+        np.vstack([_across(10.0, 6.0 + np.arange(WINDOW_TILE) / 32), _across(30.0, -20.0 - np.arange(40) / 4)]),
+        _diagonal(),
+        0.0,
+        None,
+    )
+)
+# every row in the bounded pass: the bound is the computed nearest, a loose one, or inf
+@example(case=(np.tile([[3.5, 4.5], [6.5, 1.5]], (WINDOW_TILE + 3, 1)), _grid(10), 0.0, "nearest"))
+@example(case=(1e6 + _grid(12)[::-1] / 3.0, 1e6 + _grid(9) / 2.0, math.sqrt(0.5), "nearest"))
+@example(case=(_first_tile_defers(), _diagonal(), 0.0, "loose"))
+@example(case=(np.tile([[3.0, 4.0], [1.0, 6.0]], (WINDOW_TILE + 1, 1)), _grid(10), math.sqrt(2.0), "inf"))
 @given(case=window_cases())
 def test_window_pass_matches_full_rows(case):
     """``window_tiles``, ``window_nearest`` and ``within_radius`` against full rows from ``dist_to_all``."""
-    queries, vectors, radius = case
+    queries, vectors, radius, kind = case
     full = np.array([kernels.dist_to_all(q, vectors) for q in queries])
+    bound = _bound(kind, full)
     seen = np.zeros(queries.shape[0], dtype=np.int64)
-    for rows, cols, d in kernels.window_tiles(queries, vectors, radius):
+    for rows, cols, d in kernels.window_tiles(queries, vectors, radius, bound):
         seen[rows] += 1
         assert np.all(np.diff(cols) > 0)
         assert d.tobytes() == full[rows][:, cols].tobytes()
@@ -219,7 +271,7 @@ def test_window_pass_matches_full_rows(case):
         need[:, cols] = False
         assert not need.any()
     assert seen.tolist() == [1] * queries.shape[0]
-    idx, dist = kernels.window_nearest(queries, vectors)
+    idx, dist = kernels.window_nearest(queries, vectors, bound)
     assert idx.dtype == np.int64
     assert idx.tolist() == full.argmin(axis=1).tolist()
     assert dist.tobytes() == full.min(axis=1).tobytes()
@@ -228,6 +280,35 @@ def test_window_pass_matches_full_rows(case):
         np.flatnonzero(kernels.dist_to_all(v, vectors) < radius).tolist() for v in vectors
     ]
     assert all(l.dtype == np.int64 for l in lists)
+
+
+@settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.data())
+def test_window_nearest_with_a_bound_is_nearest_many(data):
+    """Any bound at least the computed nearest distance gives ``nearest_many``'s bits."""
+    queries, vectors = _query_and_codebook(data.draw, WINDOW_TILE)
+    queries, vectors = [a + data.draw(st.sampled_from([0.0, 1e6])) for a in (queries, vectors)]
+    idx, dist = kernels.nearest_many(queries, vectors)
+    kind = data.draw(st.sampled_from(["nearest", "ulps", "codevector", "inf"]))
+    if kind == "nearest":
+        bound = dist.copy()
+    elif kind == "ulps":  # a few ulps above the nearest distance
+        bound = dist + data.draw(st.integers(1, 8)) * np.spacing(dist)
+    elif kind == "codevector":  # the distance to any codevector, as a stale centroid gives
+        pick = data.draw(st.integers(0, vectors.shape[0] - 1))
+        bound = kernels.paired_distances(queries, vectors[np.full(queries.shape[0], pick)])
+    else:
+        bound = np.full(queries.shape[0], np.inf)
+    got_idx, got_dist = kernels.window_nearest(queries, vectors, bound)
+    assert got_idx.tolist() == idx.tolist()
+    assert got_dist.tobytes() == dist.tobytes()
+
+
+def test_paired_distances_are_the_window_bits(random_data):
+    queries, vectors = random_data
+    pick = np.arange(queries.shape[0]) % vectors.shape[0]
+    got = kernels.paired_distances(queries, vectors[pick])
+    assert got.tolist() == [ref_distance(q, vectors[j]) for q, j in zip(queries, pick)]
 
 
 @st.composite

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
-from hqvq import Codebook, build_neighborhoods, distance, space_bits
-from hqvq.neighborhood import dump_table
+from hqvq import Codebook, build_neighborhoods, distance, kernels, space_bits
+from hqvq.neighborhood import NeighborhoodTable, dump_table, neighbor_radius
 
 
 def brute_lists(vectors, radius):
@@ -24,12 +26,13 @@ def brute_lists(vectors, radius):
 
 
 class TestBuild:
-    def test_tight_radius_gives_singletons(self):
+    def test_tight_radius_keeps_only_the_closest_pairs(self):
         cb = Codebook([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-        # 2*delta_hat == delta0: strict < excludes every other codevector
+        # 2*delta_hat == delta0: the rounding margin keeps the pairs at exactly
+        # delta0 (10) and no farther one (sqrt(200))
         table = build_neighborhoods(cb, cb.delta0 / 2.0)
-        assert all(list(l) == [i] for i, l in enumerate(table.lists))
-        assert table.inf_omega == 1
+        assert [list(l) for l in table.lists] == [[0, 1, 2], [0, 1], [0, 2]]
+        assert table.inf_omega == 2
 
     def test_one_dimensional_example(self):
         # pairwise distances: 1, 2, 10, 1, 9, 8 against radius 3
@@ -100,9 +103,8 @@ class TestBuild:
 
 class TestSpaceBits:
     def test_four_singletons(self):
-        cb = Codebook([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
-        table = build_neighborhoods(cb, cb.delta0 / 2.0)
-        assert all(len(l) == 1 for l in table.lists)
+        # no valid delta_hat builds singleton lists: the closest pair is in each other's
+        table = NeighborhoodTable(delta_hat=50.0, lists=tuple(np.array([i]) for i in range(4)))
         assert space_bits(table) == 272  # 4 * (1+1) * (2+32)
 
     def test_two_full_lists(self):
@@ -125,3 +127,60 @@ def test_dump_format():
     lines = dump_table(table).splitlines()
     assert lines[0] == "0: 0 1 2"
     assert lines[3] == "3: 3"
+
+
+def midpoint_pair(rng: np.random.Generator, k: int):
+    """Two codevectors and their rounded midpoint x.
+
+    Draws pairs until rounding puts x strictly inside half the pair's computed
+    distance of both ends, or 400 pairs are spent.
+    """
+    for _ in range(400):
+        pair = rng.normal(size=(2, k))
+        x = pair.mean(axis=0)
+        d = kernels.dist_to_all(x, pair)
+        if np.all(d < kernels.dist_to_all(pair[0], pair[1:])[0] / 2.0):
+            break
+    return pair, x
+
+
+@settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(where="midpoint", seed=0, k=3, n=2, ulps=0)
+@given(
+    where=st.sampled_from(["midpoint", "shell"]),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    n=st.integers(2, 12),
+    ulps=st.integers(-8, 8),
+)
+def test_lists_hold_the_argmin_on_the_two_delta_hat_shell(where, seed, k, n, ulps):
+    """Every index a stage-2 hit can verify lists the row's argmin, a few ulps from 2 delta_hat.
+
+    Codevectors h and j sit 2 delta_hat apart, nudged by ``ulps``, and x lies
+    between them: a rounded midpoint of a two-codevector codebook, whose
+    computed distances to both ends can lie below delta_hat, or the midpoint
+    of two rows of a larger codebook.
+    """
+    rng = np.random.default_rng(seed)
+    if where == "midpoint":
+        vectors, x = midpoint_pair(rng, k)
+        h, j = 0, 1
+    else:
+        vectors = rng.normal(size=(n, k))
+        h, j = rng.choice(n, size=2, replace=False)
+        x = (vectors[h] + vectors[j]) / 2.0
+        x = x + ulps * np.spacing(x)
+    cb = Codebook(vectors)
+    half = distance(vectors[h], vectors[j]) / 2.0
+    delta_hat = max(half + ulps * float(np.spacing(half)), cb.delta0 / 2.0)
+    table = build_neighborhoods(cb, delta_hat)
+    row = kernels.dist_to_all(x, cb.vectors)
+    best = int(np.argmin(row))
+    for marked in np.flatnonzero(row < delta_hat):
+        assert best in table.lists[marked]
+    # the lists are the computed distances below the widened radius, a superset of 2 * delta_hat's
+    radius = neighbor_radius(delta_hat, cb.k)
+    assert radius > 2.0 * delta_hat
+    assert [l.tolist() for l in table.lists] == [
+        np.flatnonzero(kernels.dist_to_all(v, cb.vectors) < radius).tolist() for v in cb.vectors
+    ]
