@@ -232,6 +232,19 @@ def encode_sub1(facts: BlockFacts, n: int, draw, meter: QueryMeter) -> np.ndarra
     return draw(SUB1_SLOT) < marked_probability(facts.t_s, n, j)
 
 
+def success_table(levels: np.ndarray, n: int) -> np.ndarray:
+    """``marked_probability(levels[a], n, j)`` at [a, j], for every j a stage-2 round can draw.
+
+    ``levels`` holds marked counts t (int64).  A round's cutoff never exceeds
+    floor(sqrt(N)) + 1, so j runs over 0..floor(sqrt(N)).  The table is one
+    ``marked_probability`` call on flat int64 arrays, as a per-round call on
+    the live blocks would make it, and holds the same bits.
+    """
+    width = math.floor(math.sqrt(n)) + 1
+    j = np.tile(np.arange(width, dtype=np.int64), levels.size)
+    return marked_probability(np.repeat(levels, width), n, j).reshape(levels.size, width)
+
+
 def encode_sub2(
     facts: BlockFacts,
     blocks: np.ndarray,
@@ -252,29 +265,49 @@ def encode_sub2(
     round draws j >= 1 with probability at least 1/2, so the rounds end with
     probability 1.  The cutoff m is the same for every block in a round.
 
-    ``draw`` is as in ``encode_sub1``; ``blocks`` holds the ordinals of the
-    blocks that enter stage 2.  Returns the mask of accepted blocks over the
-    whole batch.
+    The rounds carry compact arrays over the live blocks only (ordinal,
+    iterations spent, table cell), shrunk by each round's leavers.  Every
+    live block has run the same r rounds, so a block's meter is written
+    once, when it hits or leaves on the budget.  The coin's bias comes from
+    ``success_table`` over the distinct t of ``blocks``, built once per call.
+
+    ``draw`` is as in ``encode_sub1``; ``blocks`` holds the distinct
+    ordinals of the blocks that enter stage 2.  Returns the mask of accepted
+    blocks over the whole batch.
     """
     sqrt_n = math.sqrt(n)
     budget = sub2_budget(n)
     accepted = np.zeros(facts.t.size, dtype=bool)
-    spent = np.zeros(facts.t.size, dtype=np.int64)
+    t = facts.t[blocks]
+    present = np.zeros(n + 1, dtype=bool)
+    present[t] = True
+    table = success_table(np.flatnonzero(present), n)
+    chance = table.ravel()
+    # each live block's row of ``chance``: its t's position among the present levels
+    cell = (np.cumsum(present) - 1)[t] * table.shape[1]
     live = blocks  # ordinals of the blocks still searching
+    spent = np.zeros(blocks.size, dtype=np.int64)
     m = 1.0
     r = 0
     while live.size:
         cutoff = math.floor(m) + 1
         j = np.minimum((draw(2 * r + 2)[live] * cutoff).astype(np.int64), cutoff - 1)
-        within = spent[live] + j <= budget
-        live, j = live[within], j[within]
-        spent[live] += j
-        meter.grover_iterations[live] += j
-        meter.classical_distance_evals[live] += 1
-        hit = draw(2 * r + 3)[live] < marked_probability(facts.t[live], n, j)
-        meter.classical_distance_evals[live[hit]] += facts.pick_size[live[hit]]
-        accepted[live[hit]] = True
-        live = live[~hit]
+        spent += j
+        over = spent > budget
+        if over.any():  # these leave unaccepted, charged the r rounds they ran
+            gone = live[over]
+            meter.grover_iterations[gone] += spent[over] - j[over]
+            meter.classical_distance_evals[gone] += r
+            stay = ~over
+            live, spent, cell, j = live[stay], spent[stay], cell[stay], j[stay]
+        hit = draw(2 * r + 3)[live] < chance[cell + j]
+        if hit.any():  # accepted after r + 1 verifications and h's list scan
+            done = live[hit]
+            meter.grover_iterations[done] += spent[hit]
+            meter.classical_distance_evals[done] += r + 1 + facts.pick_size[done]
+            accepted[done] = True
+            miss = ~hit
+            live, spent, cell = live[miss], spent[miss], cell[miss]
         m = min(BBHT_GROWTH * m, sqrt_n)
         r += 1
     return accepted

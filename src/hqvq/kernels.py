@@ -56,7 +56,11 @@ Distinct rows: a block's distance row depends only on its values, so callers
 that pass image blocks run the tiles over ``distinct_rows`` and gather the
 results back to every block through its ``inverse``.  Smooth images repeat
 most blocks: 5 366 of the 32 768 2 x 1 blocks of the benchmark's 256 x 256
-synthetic photo (seed 1) are distinct.
+synthetic photo (seed 1) are distinct.  The dedup is one stable lexsort.
+Image blocks are exact integers in [0, 255], so it sorts ``uint16`` copies of
+their columns, which numpy radix-sorts; equal keys and their order match the
+float64 ones, so the result has the same bits.  It costs little even where
+nearly every block is distinct, as on the benchmark's texture.
 """
 
 from __future__ import annotations
@@ -81,6 +85,9 @@ WINDOW_TILE = 128
 # The first look of ``window_tiles`` takes at least this many codevectors on
 # each side of the tile's middle row in projection order.
 FIRST_LOOK = 4
+
+# ``distinct_rows`` sorts uint16 keys when every entry is an integer in [0, NARROW_KEY_MAX].
+NARROW_KEY_MAX = np.iinfo(np.uint16).max
 
 
 def _sq_dists(vcols, qcols, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -314,13 +321,18 @@ def min_pairwise(vectors: np.ndarray) -> float:
 
 
 def within_radius(vectors: np.ndarray, radius: float) -> list:
-    """For each row i, the ascending indices j with d(vectors[i], vectors[j]) < radius."""
+    """For each row i, the ascending indices j with d(vectors[i], vectors[j]) < radius.
+
+    Each list is an int64 slice of one member array per window tile.
+    """
     lists = [None] * vectors.shape[0]
     for rows, cols, d in window_tiles(vectors, vectors, radius):
         r, c = np.nonzero(d < radius)
-        members = np.split(cols[c].astype(np.int64), np.searchsorted(r, np.arange(1, rows.size)))
-        for i, row in zip(rows.tolist(), members):
-            lists[i] = row
+        # one flat array per tile; tile row i's members are members[edge[i] : edge[i + 1]]
+        members = cols[c].astype(np.int64)
+        edge = np.searchsorted(r, np.arange(rows.size + 1)).tolist()
+        for i, lo, hi in zip(rows.tolist(), edge, edge[1:]):
+            lists[i] = members[lo:hi]
     return lists
 
 
@@ -330,13 +342,30 @@ def distinct_rows(rows: np.ndarray):
     Returns (distinct, inverse): ``distinct`` in ``np.unique(rows, axis=0)``
     order (lexicographic, first column first) and ``inverse`` of shape (M,)
     with ``rows == distinct[inverse]``.  Equal rows, -0.0 and 0.0 included,
-    share one entry; every kernel gives them the same distances.
+    share one entry; every kernel gives them the same distances, and the
+    entry is the group's first row in input order.
+
+    One stable ``np.lexsort``.  When every entry is an exact integer in
+    [0, ``NARROW_KEY_MAX``], as in 8-bit image blocks, it sorts ``uint16``
+    copies of the columns, which numpy radix-sorts.  Those keys are equal
+    exactly where the floats compare equal and order the same way, so the
+    stable sort gives the same permutation, and ``distinct`` and ``inverse``
+    the same bits, as float64 keys; any other input sorts those.
     """
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.empty(rows.shape[0], dtype=bool)
+    m = rows.shape[0]
+    keys = rows.T  # one sort key per column
+    # whole-array reductions: min/max along an axis cost more than the sort saved
+    if rows.size and rows.min() >= 0 and rows.max() <= NARROW_KEY_MAX:
+        narrow = keys.astype(np.uint16, order="C")
+        if (narrow == keys).all():
+            keys = narrow
+    order = np.lexsort(keys[::-1])
+    # a row is new where some column differs from the previous row's in sorted order
+    new = np.zeros(m, dtype=bool)
     new[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
-    inverse = np.empty(rows.shape[0], dtype=np.intp)
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    inverse = np.empty(m, dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
+    return rows[order[new]], inverse

@@ -12,6 +12,7 @@ from reference_encoder import (
     reference_stage2,
     run_stage,
     seeded_draws,
+    success_chance,
     trials,
 )
 
@@ -37,6 +38,7 @@ from hqvq.encoder import (
     sub1_iterations,
     sub1_radius,
     sub2_budget,
+    success_table,
 )
 from hqvq.grover import marked_set_from_distances
 from hqvq.pipeline import region_fractions
@@ -202,6 +204,37 @@ class TestSub2:
         assert facts.pick_size[0] == len(table.lists[h])
         rounds = stage2_rounds(x, cb, table, draw, 0)
         assert meter.classical_distance_evals[0] == len(rounds) + len(table.lists[h])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 255, 1024])
+    def test_success_table_is_marked_probability(self, n):
+        # every t a block can have and every j a round can draw, with the bits
+        # the per-block reference computes one block at a time
+        table = success_table(np.arange(n + 1, dtype=np.int64), n)
+        width = math.isqrt(n) + 1
+        assert table.shape == (n + 1, width)
+        want = [[success_chance(t, n, j) for j in range(width)] for t in range(n + 1)]
+        assert table.tobytes() == np.array(want).tobytes()
+
+    def test_budget_leavers_and_hits_in_one_round(self):
+        # far blocks (t = 0) run out of budget in the rounds where blocks with
+        # t = 1 still hit; every block's meter is written when it leaves
+        cb = line_codebook(64)
+        table = build_neighborhoods(cb, 6.0)
+        rows = np.array([[0.0], [1e4]] * 100)
+        facts, accepted, meter = run_stage(2, rows, cb, table, 1)
+        assert facts.t.tolist() == [1, 0] * 100
+        draw = seeded_draws(1, rows.shape[0])
+        left, hit = set(), set()
+        for ordinal, x in enumerate(rows):
+            want = QueryMeter()
+            rounds = []
+            ok = reference_stage2(distances_to_codebook(x, cb), table, block_draws(draw, ordinal), want, rounds)
+            assert accepted[ordinal] == ok
+            assert meter.grover_iterations[ordinal] == want.grover_iterations
+            assert meter.classical_distance_evals[ordinal] == want.classical_distance_evals
+            # a hit in round r ran r + 1 rounds; a leaver in round r ran r
+            (hit if ok else left).add(len(rounds) - ok)
+        assert left & hit
 
     def test_mean_iterations_within_bbht_bound(self):
         # smaller cousin of the acceptance check: t=4 solutions out of n=256

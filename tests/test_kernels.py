@@ -392,3 +392,48 @@ def test_distinct_rows_is_unique_with_an_inverse(rows):
     col = differs.argmax(axis=1)
     assert np.all(lo[np.arange(col.size), col] < hi[np.arange(col.size), col])
     assert np.array_equal(distinct, np.unique(rows, axis=0))
+
+
+def ref_distinct_rows(rows):
+    """``distinct_rows`` on float64 keys: one stable lexsort, the first row of each run of equal rows."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(rows.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+# on and across the edges of the uint16 keys: below 0, both zeros, the top and past it, fractions
+KEY_EDGES = [-1.0, -0.0, 0.0, 1.0, 65535.0, 65536.0, 0.5, 1e6]
+
+
+def _wide_rows(elements):
+    return arrays(np.float64, st.tuples(st.integers(1, 3 * TILE), st.integers(1, 16)), elements=elements)
+
+
+@settings(max_examples=150, deadline=None)
+@example(rows=np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]]))  # -0.0 first: the entry keeps its sign
+@example(rows=np.array([[0.0, 1.0], [-0.0, 1.0], [65535.0, 0.0]]))
+# an integer and a fractional column, all in [0, 65535]: (3, 0.5) and (3, 0.25) differ only in a fraction
+@example(rows=np.array([[3.0, 0.5], [1.0, 2.0], [3.0, 0.25], [3.0, 0.5], [1.0, 0.75], [-0.0, 0.25], [0.0, 0.25]]))
+@example(rows=np.array([[65535.0, 2.0], [65536.0, 1.0], [65535.0, 2.0]]))
+@example(rows=np.array([[0.0, 5.0], [-1.0, 5.0], [0.0, 5.0]]))
+@given(
+    rows=st.one_of(
+        # exact integers in [0, 65535]: the uint16 keys, with duplicates and both zeros
+        _wide_rows(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 255.0, 65534.0, 65535.0])),
+        _wide_rows(st.integers(0, 65535).map(float)),
+        _wide_rows(st.sampled_from(KEY_EDGES)),
+        # fractions inside the uint16 range: the rows take the float64 keys
+        _wide_rows(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 65535.0])),
+        _wide_rows(st.one_of(st.sampled_from(KEY_EDGES), st.integers(0, 3).map(float))),
+    )
+)
+def test_distinct_rows_is_the_float_lexsort_bit_for_bit(rows):
+    distinct, inverse = kernels.distinct_rows(rows)
+    want, want_inverse = ref_distinct_rows(rows)
+    assert distinct.dtype == np.float64 and distinct.shape == want.shape
+    assert distinct.tobytes() == want.tobytes()  # sees the sign of zero
+    assert inverse.tolist() == want_inverse.tolist()
