@@ -188,12 +188,22 @@ def save_codebook(codebook: Codebook, path) -> None:
 
 
 def load_codebook(path) -> Codebook:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """Read ``save_codebook``'s format; a malformed file is a ``ValueError`` naming it.
+
+    The file must be ASCII without '_': ``int`` and ``float`` would read
+    ``1_0`` as 10 and non-ASCII digits as numbers.
+    """
+    try:
+        with open(path, encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: codebook file is not ASCII text") from None
     if not lines:
         raise ValueError(f"{path}: empty codebook file")
+    if any("_" in ln for ln in lines):
+        raise ValueError(f"{path}: '_' in a codebook file")
     head = lines[0].split()
-    if len(head) != 4 or head[0] != "VQCB" or head[1] != "1":
+    if len(head) != 4 or head[:2] != ["VQCB", "1"] or not (head[2].isdigit() and head[3].isdigit()):
         raise ValueError(f"{path}: bad header {lines[0]!r}")
     k, n = int(head[2]), int(head[3])
     if len(lines) - 1 != n:
@@ -203,5 +213,8 @@ def load_codebook(path) -> Codebook:
         parts = ln.split()
         if len(parts) != k:
             raise ValueError(f"{path}: expected {k} components per line, got {len(parts)}")
-        rows.append([float(p) for p in parts])
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise ValueError(f"{path}: malformed codevector line {ln!r}") from None
     return Codebook(np.array(rows, dtype=np.float64))

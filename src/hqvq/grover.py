@@ -9,18 +9,14 @@ sin^2((2j+1)*theta) with sin(theta) = sqrt(t/N), shared equally, and the
 unmarked ones share the rest.  ``marked_probability`` is its one
 implementation.  The batch encoder needs nothing more, since a measured index
 passes its classical check exactly when it is marked; ``measure`` samples one
-index from it per call.  An explicit statevector iteration is kept as a slow,
-size-capped oracle that the tests hold ``marked_probability`` against.
-Nothing here counts cost: the encoder charges every iteration it simulates.
+index from it per call.  The tests hold ``marked_probability`` against an
+explicit statevector iteration (``tests/reference_grover.py``).  Nothing
+here counts cost: the encoder charges every iteration it simulates.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-STATEVECTOR_CAP = 4096
 
 
 def marked_set_from_distances(distances: np.ndarray, delta: float) -> np.ndarray:
@@ -37,23 +33,6 @@ def marked_probability(t, n: int, j) -> np.ndarray:
     t = np.asarray(t)
     p = np.sin((2 * np.asarray(j) + 1) * np.arcsin(np.sqrt(t / n))) ** 2
     return np.where(t == n, 1.0, p)
-
-
-def statevector_distribution(marked: np.ndarray, n: int, j: int) -> np.ndarray:
-    """Reference implementation: apply the iteration j times to real amplitudes.
-
-    ``marked`` holds the ascending marked indices out of ``n``.  Each iteration
-    flips the sign of the marked amplitudes and reflects about the uniform
-    vector.  O(j * n); capped because it exists only to cross-check the
-    closed form.
-    """
-    if n > STATEVECTOR_CAP:
-        raise ValueError(f"statevector size {n} exceeds cap {STATEVECTOR_CAP}")
-    amp = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(j):
-        amp[marked] *= -1.0
-        amp = 2.0 * amp.mean() - amp
-    return amp * amp
 
 
 def measure(marked: np.ndarray, n: int, j: int, rng: np.random.Generator) -> int:

@@ -57,6 +57,20 @@ def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes
     return tokens, i
 
 
+def _decimals(tokens: list[bytes], path, what: str) -> list[int]:
+    """Tokens of ASCII digits as ints; any other token is a ``ValueError`` naming the file.
+
+    ``int`` alone would also take a sign, '_' separators and non-ASCII
+    digits, and raises without the file's name on more than 4300 digits.
+    """
+    try:
+        if all(t.isdigit() for t in tokens):
+            return [int(t) for t in tokens]
+    except ValueError:
+        pass
+    raise ValueError(f"{path}: malformed {what}")
+
+
 def load_pgm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -64,10 +78,7 @@ def load_pgm(path) -> np.ndarray:
         raise ValueError(f"{path}: not an 8-bit PGM (P5/P2) file")
     binary = data[:2] == b"P5"
     tokens, pos = _read_header_tokens(data, 3, 2)
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise ValueError(f"{path}: malformed PGM header") from None
+    width, height, maxval = _decimals(tokens, path, "PGM header")
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
@@ -86,8 +97,8 @@ def load_pgm(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated pixel data")
         if len(values) > width * height:
             raise ValueError(f"{path}: trailing data after pixels")
-        ints = [int(v) for v in values]
-        if any(v < 0 or v > 255 for v in ints):
+        ints = _decimals(values, path, "pixel value")
+        if any(v > 255 for v in ints):
             raise ValueError(f"{path}: pixel value out of range")
         pixels = np.array(ints, dtype=np.uint8)
     return pixels.reshape(height, width)

@@ -9,12 +9,11 @@ Summation order: the kernel adds ``(v_d - q_d)**2`` one dimension at a time,
 in index order, ``((s_0 + s_1) + s_2) + ...``, and the callers then take
 ``sqrt``. Every caller therefore sees the same bits for the same pair.
 
-Tiling: the batched functions process ``TILE`` (``WINDOW_TILE`` in
-``window_tiles``) query rows at a time, so they have no per-query Python loop
-and never hold more than two tile-rows x N float64 buffers, never an M x N
-matrix; ``window_tiles`` sizes its two to the widest window measured so far.
-``nearest_many`` alone measures every pair: it is the plain reference the
-tests and the benchmark check against.
+Tiling: the batched functions process ``WINDOW_TILE`` query rows at a time,
+so they have no per-query Python loop and never hold an M x N matrix.  Each
+pass allocates two tile-rows x N float64 buffers once, the distances and a
+scratch, and every tile reuses them.  ``nearest_many`` alone measures every
+pair: it is the plain reference the tests and the benchmark check against.
 
 Projection windows: ``window_tiles`` is the one tile loop the codec's passes
 use (training's assignments, ``window_nearest``, ``within_radius``,
@@ -72,14 +71,9 @@ import numpy as np
 # named in run reports next to the package versions
 ACTIVE_IMPL = "numpy"
 
-# Query rows per tile of the full-row passes: a tile holds TILE x N float64
-# sums plus one scratch buffer of the same size.
-TILE = 64
-
-# Query rows per tile of ``window_tiles``: at most WINDOW_TILE x N float64
-# distances plus one scratch buffer of the same size, each grown only as far
-# as the windows need.  The projections of a larger tile span a wider window;
-# a smaller one pays numpy's per-call cost more often.
+# Query rows per tile: a pass holds WINDOW_TILE x N float64 distances plus one
+# scratch buffer of the same size.  The projections of a larger tile span a
+# wider window; a smaller one pays numpy's per-call cost more often.
 WINDOW_TILE = 128
 
 # The first look of ``window_tiles`` takes at least this many codevectors on
@@ -133,8 +127,9 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
     ``vectors[cols[j]]``, the same bits as ``dist_to_all`` gives.  ``cols``
     contains every codevector within max(``radius``, the row's nearest
     distance) of each of the tile's rows, so argmin ties still go to the
-    smallest index.  Every row is yielded exactly once.  ``d`` is a buffer
-    reused by the next step: read it before advancing.
+    smallest index.  Every row is yielded exactly once.  ``d`` is a view of
+    one of the two buffers the call allocates, each WINDOW_TILE x N floats
+    (fewer rows when M is smaller): it is valid until the next step.
 
     One look per tile: the codevectors whose projections lie within the
     previous tile's widest covered reach of the tile's (its widest look
@@ -165,21 +160,15 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
     v_order = np.argsort(v_proj, kind="stable")
     v_sorted = v_proj[v_order]
     vcols = np.ascontiguousarray(vectors.T)
-    # ``out`` and ``tmp`` hold the widest tile measured so far, rounded up to
-    # an eighth, a quarter, a half or all of a tile x N: at most three growths
+    # every tile's distances and their scratch: a window is at most a tile x N
     full = min(WINDOW_TILE, m) * n
-    out = tmp = np.empty(0)
+    out, tmp = np.empty(full), np.empty(full)
 
     def measure(rows, lo, hi):
         """(cols, d): the distances of ``rows`` to the codevectors at ``v_sorted[lo:hi]``, in ``out``."""
-        nonlocal out, tmp
         cols = np.sort(v_order[lo:hi])
         shape = (rows.size, cols.size)
         size = math.prod(shape)
-        if out.size < size:
-            out = tmp = None  # let the old buffers go first
-            grown = next(c for c in (full // 8, full // 4, full // 2, full) if c >= size)
-            out, tmp = np.empty(grown), np.empty(grown)
         d = out[:size].reshape(shape)
         _sq_dists(vcols[:, cols], queries[rows].T[:, :, np.newaxis], d, tmp[:size].reshape(shape))
         return cols, np.sqrt(d, out=d)
@@ -202,7 +191,6 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
                 lo, hi = 0, n
             cols, d = measure(tile, lo, hi)
             yield tile, cols, d
-            del d  # hold no view of ``out`` while the next tile may grow it
 
     def look(rows, guess):
         """(covered rows, cols, their d, next guess): one tile's look; the rest is deferred."""
@@ -238,7 +226,6 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
         rows, cols, d, guess = look(q_order[start : start + WINDOW_TILE], guess)
         if rows.size:
             yield rows, cols, d
-        del d  # hold no view of ``out`` while the next tile may grow it
     if deferred:
         rows, bounds = zip(*deferred)
         yield from bounded(np.concatenate(rows), np.concatenate(bounds))
@@ -260,10 +247,10 @@ def nearest_many(queries: np.ndarray, vectors: np.ndarray):
     idx = np.empty(m, dtype=np.int64)
     dist = np.empty(m)
     vcols = np.ascontiguousarray(vectors.T)
-    out = np.empty((min(TILE, m), vectors.shape[0]))
+    out = np.empty((min(WINDOW_TILE, m), vectors.shape[0]))
     tmp = np.empty_like(out)
-    for start in range(0, m, TILE):
-        stop = min(start + TILE, m)
+    for start in range(0, m, WINDOW_TILE):
+        stop = min(start + WINDOW_TILE, m)
         qcols = queries[start:stop].T[:, :, np.newaxis]
         d = _sq_dists(vcols, qcols, out[: stop - start], tmp[: stop - start])
         d = np.sqrt(d, out=d)
@@ -285,7 +272,6 @@ def window_nearest(queries: np.ndarray, vectors: np.ndarray, bound=None):
         arg = d.argmin(axis=1)
         idx[rows] = cols[arg]
         dist[rows] = d[np.arange(rows.size), arg]
-        del d  # a view of the pass's buffer: a growth can then free it
     return idx, dist
 
 
@@ -323,13 +309,14 @@ def min_pairwise(vectors: np.ndarray) -> float:
 def within_radius(vectors: np.ndarray, radius: float) -> list:
     """For each row i, the ascending indices j with d(vectors[i], vectors[j]) < radius.
 
-    Each list is an int64 slice of one member array per window tile.
+    Each list is a read-only int64 slice of one member array per window tile.
     """
     lists = [None] * vectors.shape[0]
     for rows, cols, d in window_tiles(vectors, vectors, radius):
         r, c = np.nonzero(d < radius)
         # one flat array per tile; tile row i's members are members[edge[i] : edge[i + 1]]
         members = cols[c].astype(np.int64)
+        members.setflags(write=False)  # and so every slice of it
         edge = np.searchsorted(r, np.arange(rows.size + 1)).tolist()
         for i, lo, hi in zip(rows.tolist(), edge, edge[1:]):
             lists[i] = members[lo:hi]

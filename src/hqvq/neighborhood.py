@@ -25,7 +25,7 @@ class NeighborhoodTable:
     """
 
     delta_hat: float
-    lists: tuple  # tuple of 1-D int64 arrays, each sorted ascending
+    lists: tuple  # tuple of read-only 1-D int64 arrays, each sorted ascending
 
     @property
     def n(self) -> int:
@@ -34,7 +34,7 @@ class NeighborhoodTable:
     @property
     def inf_omega(self) -> int:
         """Size of the shortest neighbor list."""
-        return min(len(l) for l in self.lists)
+        return int(self.sizes().min())
 
     def sizes(self) -> np.ndarray:
         return np.array([len(l) for l in self.lists], dtype=np.int64)
@@ -67,8 +67,6 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     if not delta_hat >= half_delta0:  # NaN fails this too
         raise ValueError(f"delta_hat {delta_hat} is not at least delta0/2 = {half_delta0}")
     lists = kernels.within_radius(codebook.vectors, neighbor_radius(delta_hat, codebook.k))
-    for members in lists:
-        members.setflags(write=False)
     return NeighborhoodTable(delta_hat=float(delta_hat), lists=tuple(lists))
 
 
@@ -79,7 +77,7 @@ def space_bits(table: NeighborhoodTable) -> int:
     counts the per-list head pointer.
     """
     bits_per_entry = max(1, (table.n - 1).bit_length()) + 32
-    return int(sum(len(l) + 1 for l in table.lists) * bits_per_entry)
+    return int((table.sizes() + 1).sum()) * bits_per_entry
 
 
 def dump_table(table: NeighborhoodTable) -> str:

@@ -307,17 +307,16 @@ def clustered_dataset(
     rows.append(centers + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)]))
 
     # shell and far points use diagonal offsets so the chosen codevector stays nearest
-    centers = codebook.vectors[rng.integers(0, codebook.n, size=n_shell)]
-    radii = rng.uniform(1.001 * half, 0.999 * delta_hat, size=n_shell)
-    dirs = diag[rng.integers(0, 4, size=n_shell)]
-    rows.append(centers + radii[:, None] * dirs)
-
-    centers = codebook.vectors[rng.integers(0, codebook.n, size=n_far)]
     far_radius = half * math.sqrt(2.0)  # cell-center distance from all four corners
     margin = 0.02 * (far_radius - delta_hat)
-    radii = rng.uniform(delta_hat + margin, far_radius - margin, size=n_far)
-    dirs = diag[rng.integers(0, 4, size=n_far)]
-    rows.append(centers + radii[:, None] * dirs)
+    for count, low, high in (
+        (n_shell, 1.001 * half, 0.999 * delta_hat),
+        (n_far, delta_hat + margin, far_radius - margin),
+    ):
+        centers = codebook.vectors[rng.integers(0, codebook.n, size=count)]
+        radii = rng.uniform(low, high, size=count)
+        dirs = diag[rng.integers(0, 4, size=count)]
+        rows.append(centers + radii[:, None] * dirs)
 
     data = np.vstack(rows)
     return data[rng.permutation(data.shape[0])]

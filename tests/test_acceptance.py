@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from reference_encoder import run_stage, seeded_draws, trials
+from reference_grover import statevector_distribution
 
 from hqvq import (
     Codebook,
@@ -31,7 +32,7 @@ from hqvq import (
     train_codebook,
 )
 from hqvq.codebook import distances_to_codebook
-from hqvq.grover import marked_probability, marked_set_from_distances, statevector_distribution
+from hqvq.grover import marked_probability, marked_set_from_distances
 from hqvq.image import BlockGeometry, blockify, deblockify
 from hqvq.neighborhood import NeighborhoodTable
 

@@ -356,3 +356,21 @@ class TestCodebookFile:
         path.write_text("VQCB 1 2 3\n0 0\n1 1\n")
         with pytest.raises(ValueError, match="codevector lines"):
             load_codebook(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(b"VQCB 1 2 2\n0 1_0\n1 1\n", id="underscore"),  # float() reads 1_0 as 10.0
+            pytest.param(b"VQCB 1 0_2 2\n0 0\n1 1\n", id="header-underscore"),
+            pytest.param(b"VQCB 1 2 +2\n0 0\n1 1\n", id="header-plus"),
+            pytest.param(b"VQCB 1 x 2\n0 0\n1 1\n", id="header-letter"),
+            pytest.param(b"VQCB 1 2 2\n0 x\n1 1\n", id="letter"),
+            pytest.param(b"VQCB 1 2 2\n0 \xd9\xa1\n1 1\n", id="non-ascii-digit"),  # ARABIC-INDIC ONE, UTF-8
+            pytest.param(b"VQCB 1 2 2\n0 \xff\n1 1\n", id="not-utf8"),
+        ],
+    )
+    def test_malformed_numbers_rejected_naming_the_file(self, tmp_path, data):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="bad.txt"):
+            load_codebook(path)

@@ -8,15 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from reference_grover import STATEVECTOR_CAP, statevector_distribution
+
 from hqvq import Codebook
 from hqvq.codebook import distances_to_codebook
-from hqvq.grover import (
-    STATEVECTOR_CAP,
-    marked_probability,
-    marked_set_from_distances,
-    measure,
-    statevector_distribution,
-)
+from hqvq.grover import marked_probability, marked_set_from_distances, measure
 
 # sin^2(25 * asin(1/16)), frozen from a 50-digit mpmath evaluation
 P_MARKED_N256_J12 = 0.9999470421032737

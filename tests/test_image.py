@@ -62,6 +62,28 @@ class TestPgm:
         with pytest.raises(ValueError, match="PGM"):
             load_pgm(p)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(b"P2 2 1 255 1_0 7", id="p2-underscore"),  # int() reads 1_0 as 10
+            pytest.param(b"P2 2 1 255 +1 7", id="p2-plus"),
+            pytest.param(b"P2 2 1 255 -0 7", id="p2-minus-zero"),
+            pytest.param(b"P2 2 1 255 x 7", id="p2-letter"),
+            pytest.param(b"P2 2 1 255 \xd9\xa1 7", id="p2-non-ascii-digit"),  # ARABIC-INDIC ONE, UTF-8
+            pytest.param(b"P2 2 1 2_55 1 7", id="p2-header-underscore"),
+            pytest.param(b"P2 +2 1 255 1 7", id="p2-header-plus"),
+            pytest.param(b"P5 2 1 25_5\n\x01\x02", id="p5-header-underscore"),
+            pytest.param(b"P5 1_0 1 255\n" + bytes(10), id="p5-width-underscore"),
+            pytest.param(b"P2 1 1 255 " + b"1" * 5000, id="p2-too-many-digits"),  # past int()'s limit
+            pytest.param(b"P2 " + b"1" * 5000 + b" 1 255 1", id="p2-header-too-many-digits"),
+        ],
+    )
+    def test_non_digit_numbers_rejected_naming_the_file(self, tmp_path, data):
+        p = tmp_path / "n.pgm"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match="n.pgm"):
+            load_pgm(p)
+
 
 class TestBlocks:
     def test_two_by_two_image_pairs(self):

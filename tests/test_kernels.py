@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from hqvq import Codebook, build_neighborhoods, kernels
 
-TILE = kernels.TILE
 WINDOW_TILE = kernels.WINDOW_TILE
+HALF_TILE = WINDOW_TILE // 2  # a row count inside one tile
 
 
 def ref_distance(q, v):
@@ -62,7 +62,15 @@ def test_active_impl_matches_numpy(random_data):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9, 16])
 @pytest.mark.parametrize(
     "m,n",
-    [(1, 2), (1, TILE + 1), (TILE, 2), (TILE + 1, 3), (2 * TILE + 5, TILE + 3)],
+    [
+        (1, 2),
+        (1, HALF_TILE + 1),
+        (HALF_TILE, 2),
+        (HALF_TILE + 1, 3),
+        (WINDOW_TILE, 2),
+        (WINDOW_TILE + 1, 3),
+        (WINDOW_TILE + 5, HALF_TILE + 3),
+    ],
 )
 def test_kernels_match_reference_bitwise(k, m, n):
     rng = np.random.default_rng(1000 * k + m + n)
@@ -101,17 +109,18 @@ def test_nearest_many_ties_take_smallest_index():
 def test_ties_take_smallest_index_in_every_tile():
     # rows 1 and 3 are both at distance 1 from the origin; so are 2 and 4 from 5
     vectors = np.array([[3.0], [1.0], [4.0], [-1.0], [6.0]])
-    queries = np.array([[0.0], [5.0]] * (TILE + 3))
+    queries = np.array([[0.0], [5.0]] * (WINDOW_TILE + 3))
     idx, dist = kernels.nearest_many(queries, vectors)
-    assert idx.tolist() == [1, 2] * (TILE + 3)
-    assert dist.tolist() == [1.0] * (2 * TILE + 6)
+    assert idx.tolist() == [1, 2] * (WINDOW_TILE + 3)
+    assert dist.tolist() == [1.0] * (2 * WINDOW_TILE + 6)
 
 
-@pytest.mark.parametrize("i", [0, TILE - 1, TILE, 2 * TILE + 3])
+@pytest.mark.parametrize("i", [0, HALF_TILE - 1, HALF_TILE, WINDOW_TILE - 1, WINDOW_TILE, WINDOW_TILE + 3])
 def test_min_pairwise_finds_the_closest_pair_in_any_tile(i):
-    # 10 apart everywhere except rows i and i + 1, which straddle a tile
-    # boundary when i == TILE - 1 and are the last pair when i == 2 * TILE + 3
-    vectors = 10.0 * np.arange(2 * TILE + 5, dtype=np.float64)[:, np.newaxis]
+    # 10 apart everywhere except rows i and i + 1, which straddle the first
+    # tile's boundary when i == WINDOW_TILE - 1, open the second tile when
+    # i == WINDOW_TILE and are the last pair when i == WINDOW_TILE + 3
+    vectors = 10.0 * np.arange(WINDOW_TILE + 5, dtype=np.float64)[:, np.newaxis]
     vectors[i + 1 :] -= 9.5
     assert kernels.min_pairwise(vectors) == 0.5
 
@@ -119,7 +128,7 @@ def test_min_pairwise_finds_the_closest_pair_in_any_tile(i):
 @pytest.mark.parametrize("factor", [0.6, 1.0, 2.5])
 def test_build_neighborhoods_matches_brute_force(factor):
     rng = np.random.default_rng(77)
-    vectors = rng.uniform(0, 10, size=(2 * TILE + 3, 2))
+    vectors = rng.uniform(0, 10, size=(WINDOW_TILE + 3, 2))
     cb = Codebook(vectors)
     delta_hat = factor * cb.delta0 * 4
     radius = 2.0 * delta_hat
@@ -132,10 +141,10 @@ def test_build_neighborhoods_matches_brute_force(factor):
     assert all(l.dtype == np.int64 and not l.flags.writeable for l in table.lists)
 
 
-def _query_and_codebook(draw, tile=TILE):
+def _query_and_codebook(draw):
     k = draw(st.integers(1, 9))
     n = draw(st.integers(2, 40))
-    m = draw(st.integers(1, 2 * tile + 2))
+    m = draw(st.integers(1, 2 * WINDOW_TILE + 2))
     # a coarse integer grid makes exact ties common; floats cover the rest
     elements = st.one_of(
         st.integers(-3, 3).map(float),
@@ -164,7 +173,7 @@ def test_nearest_many_is_rowwise_argmin_of_dist_to_all(data):
 
 @st.composite
 def window_cases(draw):
-    queries, vectors = _query_and_codebook(draw, WINDOW_TILE)
+    queries, vectors = _query_and_codebook(draw)
     shift = draw(st.sampled_from([0.0, 1e6]))
     queries, vectors = queries + shift, vectors + shift
     kind = draw(st.sampled_from(["zero", "attained", "any"]))
@@ -225,8 +234,9 @@ def _bound(kind, full):
 @example(case=(np.arange(-5.0, 45.0, 0.5)[:, np.newaxis], np.arange(40.0)[:, np.newaxis], 2.5, None))
 # magnitudes near 1e6: the rounding margin grows with the norms
 @example(case=(1e6 + _grid(12)[::-1] / 3.0, 1e6 + _grid(9) / 2.0, math.sqrt(0.5), None))
-# buffers grow mid-pass: a tile of narrow windows, then rows far from every
-# codevector, deferred to a bounded pass whose windows hold the whole codebook
+# narrow and full windows in one pass: a tile of narrow windows, then rows far from
+# every codevector, deferred to a bounded pass whose windows hold the whole codebook
+# and so fill all of a tile x N in both buffers
 @example(case=(np.array([[0.25, 0.25]] * WINDOW_TILE + [[54.5, -45.5], [-45.5, 54.5]] * 64), _grid(10), 0.0, None))
 # radius 0, and the first tile defers 88 of its 128 rows: they share one projection,
 # and those 4 sqrt(2) or more from (20, 20) reach past the look, (16, 16)..(23, 23)
@@ -286,7 +296,7 @@ def test_window_pass_matches_full_rows(case):
 @given(st.data())
 def test_window_nearest_with_a_bound_is_nearest_many(data):
     """Any bound at least the computed nearest distance gives ``nearest_many``'s bits."""
-    queries, vectors = _query_and_codebook(data.draw, WINDOW_TILE)
+    queries, vectors = _query_and_codebook(data.draw)
     queries, vectors = [a + data.draw(st.sampled_from([0.0, 1e6])) for a in (queries, vectors)]
     idx, dist = kernels.nearest_many(queries, vectors)
     kind = data.draw(st.sampled_from(["nearest", "ulps", "codevector", "inf"]))
@@ -365,14 +375,14 @@ def test_min_pairwise_is_the_closest_pair(vectors):
 
 
 def _float_rows(elements):
-    return arrays(np.float64, st.tuples(st.integers(1, 3 * TILE), st.integers(1, 4)), elements=elements)
+    return arrays(np.float64, st.tuples(st.integers(1, 200), st.integers(1, 4)), elements=elements)
 
 
 @settings(max_examples=150, deadline=None)
 @example(rows=np.array([[0.0, 1.0]]))
 @example(rows=np.array([[0.0], [-0.0], [0.0]]))
 @example(rows=np.array([[-0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, -0.0]]))
-@example(rows=np.tile(np.random.default_rng(5).normal(size=(TILE + 3, 2)), (7, 1)))  # random rows, repeated
+@example(rows=np.tile(np.random.default_rng(5).normal(size=(WINDOW_TILE + 3, 2)), (7, 1)))  # random rows, repeated
 @given(
     rows=st.one_of(
         # few values: heavy duplication, and rows that differ only by the sign of zero
@@ -410,7 +420,7 @@ KEY_EDGES = [-1.0, -0.0, 0.0, 1.0, 65535.0, 65536.0, 0.5, 1e6]
 
 
 def _wide_rows(elements):
-    return arrays(np.float64, st.tuples(st.integers(1, 3 * TILE), st.integers(1, 16)), elements=elements)
+    return arrays(np.float64, st.tuples(st.integers(1, 200), st.integers(1, 16)), elements=elements)
 
 
 @settings(max_examples=150, deadline=None)
