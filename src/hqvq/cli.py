@@ -84,7 +84,11 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     with open(args.stream, "rb") as fh:
-        stream = parse_stream(fh.read())
+        data = fh.read()
+    try:
+        stream = parse_stream(data)
+    except ValueError as exc:
+        raise ValueError(f"{args.stream}: {exc}") from None
     codebook = load_codebook(args.codebook)
     save_pgm(decode_image(stream, codebook), args.output)
     return 0

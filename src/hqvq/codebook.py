@@ -15,18 +15,11 @@ import numpy as np
 from . import kernels
 
 
-def as_vector(x) -> np.ndarray:
-    """Coerce to a finite 1-D float64 vector with k >= 1 components."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite components")
-    return v
-
-
 def as_rows(x, k: int | None = None) -> np.ndarray:
-    """Coerce to a finite, non-empty (M, k) float64 array; ``k=None`` takes any width."""
+    """Coerce to a finite, non-empty (M, k) float64 array; ``k=None`` takes any width.
+
+    A single vector ``x`` is checked as the one row of ``as_rows([x], k)``.
+    """
     rows = np.asarray(x, dtype=np.float64)
     if rows.ndim != 2 or 0 in rows.shape:
         raise ValueError(f"expected a non-empty (M, k) array, got shape {rows.shape}")
@@ -68,14 +61,10 @@ class Codebook:
     def k(self) -> int:
         return self.vectors.shape[1]
 
-    def check_dim(self, x: np.ndarray) -> None:
-        if x.shape[0] != self.k:
-            raise ValueError(f"dimension mismatch: vector has {x.shape[0]}, codebook has {self.k}")
-
 
 def distance(a, b) -> float:
     """Euclidean distance between two equal-dimension vectors."""
-    va, vb = as_vector(a), as_vector(b)
+    va, vb = as_rows([a])[0], as_rows([b])[0]
     if va.shape != vb.shape:
         raise ValueError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
     return float(kernels.dist_to_all(va, vb[np.newaxis, :])[0])
@@ -83,9 +72,7 @@ def distance(a, b) -> float:
 
 def distances_to_codebook(x, codebook: Codebook) -> np.ndarray:
     """Distances from ``x`` to every codevector, in index order."""
-    v = as_vector(x)
-    codebook.check_dim(v)
-    return kernels.dist_to_all(v, codebook.vectors)
+    return kernels.dist_to_all(as_rows([x], codebook.k)[0], codebook.vectors)
 
 
 def full_search(x, codebook: Codebook) -> tuple[int, float]:
@@ -217,4 +204,7 @@ def load_codebook(path) -> Codebook:
             rows.append([float(p) for p in parts])
         except ValueError:
             raise ValueError(f"{path}: malformed codevector line {ln!r}") from None
-    return Codebook(np.array(rows, dtype=np.float64))
+    try:
+        return Codebook(np.array(rows, dtype=np.float64))
+    except ValueError as exc:  # non-finite, duplicate or too few rows; keeps DuplicateCodevectors
+        raise type(exc)(f"{path}: {exc}") from None

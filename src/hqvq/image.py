@@ -7,6 +7,7 @@ P2 are read, canonical P5 is written, so a save/load round trip is bit-exact.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,25 +37,9 @@ class BlockGeometry:
         return math.ceil(height / self.block_h), math.ceil(width / self.block_w)
 
 
-def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:
-    # whitespace-separated tokens; '#' starts a comment running to end of line
-    tokens = []
-    i = start
-    while len(tokens) < count:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        if i >= len(data):
-            raise ValueError("truncated PGM header")
-        j = i
-        while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    return tokens, i
+# One header token, after any whitespace and '#' comments (each running to the
+# end of its line); the group is empty only at the end of the data.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
 
 
 def _decimals(tokens: list[bytes], path, what: str) -> list[int]:
@@ -77,7 +62,13 @@ def load_pgm(path) -> np.ndarray:
     if data[:2] not in (b"P5", b"P2"):
         raise ValueError(f"{path}: not an 8-bit PGM (P5/P2) file")
     binary = data[:2] == b"P5"
-    tokens, pos = _read_header_tokens(data, 3, 2)
+    tokens, pos = [], 2
+    for _ in range(3):
+        token = _HEADER_TOKEN.match(data, pos)
+        if not token[1]:
+            raise ValueError(f"{path}: truncated PGM header")
+        tokens.append(token[1])
+        pos = token.end()
     width, height, maxval = _decimals(tokens, path, "PGM header")
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad dimensions {width}x{height}")

@@ -1,13 +1,13 @@
 """Hot numeric kernels: Euclidean distances between queries and a codebook.
 
 Every distance the package computes goes through one numpy kernel,
-``_sq_dists``, so index decisions (argmin, threshold tests) are bit-consistent
+``_distances``, so index decisions (argmin, threshold tests) are bit-consistent
 across the encoder, the full-search baseline, training, the neighbor table and
 the statistics code. There is one implementation.
 
 Summation order: the kernel adds ``(v_d - q_d)**2`` one dimension at a time,
-in index order, ``((s_0 + s_1) + s_2) + ...``, and the callers then take
-``sqrt``. Every caller therefore sees the same bits for the same pair.
+in index order, ``((s_0 + s_1) + s_2) + ...``, and takes ``sqrt`` of the sum
+in place. Every caller therefore sees the same bits for the same pair.
 
 Tiling: the batched functions process ``WINDOW_TILE`` query rows at a time,
 so they have no per-query Python loop and never hold an M x N matrix.  Each
@@ -47,7 +47,7 @@ where s = sqrt(k) * max |x_d| bounds every norm.  Computed projections
 within R + 2g * (R + s) therefore cover every such codevector; a window
 keeps those within R + 4g * (R + s), the rest of the margin covering the
 rounding of the bounds themselves, and keeps the boundary (<= at both
-ends).  Every distance in a window is ``_sq_dists`` for that exact pair,
+ends).  Every distance in a window is ``_distances`` for that exact pair,
 with the same bits as a full row, and the window lists codevectors in
 ascending index order, so argmin ties still go to the smallest index.
 
@@ -84,8 +84,8 @@ FIRST_LOOK = 4
 NARROW_KEY_MAX = np.iinfo(np.uint16).max
 
 
-def _sq_dists(vcols, qcols, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the sum over d of ``(vcols[d] - qcols[d])**2``.
+def _distances(vcols, qcols, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the square root of the sum over d of ``(vcols[d] - qcols[d])**2``.
 
     ``vcols[d]`` is dimension d of all N codevectors, shape (N,). ``qcols[d]``
     is dimension d of the queries: a scalar for one query (``out`` of shape
@@ -100,13 +100,13 @@ def _sq_dists(vcols, qcols, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         np.subtract(vcols[d], qcols[d], out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         np.add(out, tmp, out=out)
-    return out
+    return np.sqrt(out, out=out)
 
 
 def rounding_bound(k: int) -> float:
     """Relative rounding bound g of the kernels' distances and projections in dimension k.
 
-    A distance the kernels compute (``_sq_dists``, then ``sqrt``) is within
+    A distance ``_distances`` computes (the sum, then ``sqrt``) is within
     g * d of the exact distance d, and x's computed projection on the mean
     axis (the sum of its components over sqrt(k)) is within g * ||x|| of the
     exact one.  g is Higham's gamma_{k+3} = (k+3)u / (1 - (k+3)u) with
@@ -170,8 +170,7 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
         shape = (rows.size, cols.size)
         size = math.prod(shape)
         d = out[:size].reshape(shape)
-        _sq_dists(vcols[:, cols], queries[rows].T[:, :, np.newaxis], d, tmp[:size].reshape(shape))
-        return cols, np.sqrt(d, out=d)
+        return cols, _distances(vcols[:, cols], queries[rows].T[:, :, np.newaxis], d, tmp[:size].reshape(shape))
 
     def half_width(reach):
         """|p(x) - p(c)| <= d(x, c): the reach, widened by the rounding of both projections and the distance."""
@@ -234,8 +233,7 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
 def dist_to_all(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Euclidean distance from ``x`` (k,) to every row of ``vectors`` (n, k)."""
     n = vectors.shape[0]
-    out = _sq_dists(vectors.T, x, np.empty(n), np.empty(n))
-    return np.sqrt(out, out=out)
+    return _distances(vectors.T, x, np.empty(n), np.empty(n))
 
 
 def nearest_many(queries: np.ndarray, vectors: np.ndarray):
@@ -252,8 +250,7 @@ def nearest_many(queries: np.ndarray, vectors: np.ndarray):
     for start in range(0, m, WINDOW_TILE):
         stop = min(start + WINDOW_TILE, m)
         qcols = queries[start:stop].T[:, :, np.newaxis]
-        d = _sq_dists(vcols, qcols, out[: stop - start], tmp[: stop - start])
-        d = np.sqrt(d, out=d)
+        d = _distances(vcols, qcols, out[: stop - start], tmp[: stop - start])
         arg = d.argmin(axis=1)
         idx[start:stop] = arg
         dist[start:stop] = d[np.arange(stop - start), arg]
@@ -278,8 +275,7 @@ def window_nearest(queries: np.ndarray, vectors: np.ndarray, bound=None):
 def paired_distances(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Distance from ``queries[i]`` to ``vectors[i]`` for each i, the bits a window gives that pair."""
     m = queries.shape[0]
-    out = _sq_dists(vectors.T, queries.T, np.empty(m), np.empty(m))
-    return np.sqrt(out, out=out)
+    return _distances(vectors.T, queries.T, np.empty(m), np.empty(m))
 
 
 def min_pairwise(vectors: np.ndarray) -> float:

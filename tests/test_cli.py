@@ -149,10 +149,15 @@ class TestErrors:
     def test_bad_stream_file(self, tmp_path, image_path, capsys):
         cb = tmp_path / "cb.txt"
         assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0
-        bad = tmp_path / "bad.vqix"
-        bad.write_bytes(b"garbage!")
-        assert main(["decode", str(bad), str(cb), "-o", str(tmp_path / "o.pgm")]) == 1
-        assert "error:" in capsys.readouterr().err
+        stream = tmp_path / "good.vqix"
+        assert main(["encode", str(image_path), str(cb), "-o", str(stream)]) == 0
+        capsys.readouterr()
+        # a bad magic, and a good stream cut inside its header
+        for name, data in [("bad.vqix", b"garbage!"), ("cut.vqix", stream.read_bytes()[:20])]:
+            bad = tmp_path / name
+            bad.write_bytes(data)
+            assert main(["decode", str(bad), str(cb), "-o", str(tmp_path / "o.pgm")]) == 1
+            assert f"error: {bad}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("percentile", ["0", "-5", "100.5", "nan"])
     def test_stats_bad_percentile_rejected_before_the_pass(

@@ -16,7 +16,7 @@ from hqvq import (
     train_codebook,
 )
 from hqvq import kernels
-from hqvq.codebook import _separate_duplicates, as_rows
+from hqvq.codebook import DuplicateCodevectors, _separate_duplicates, as_rows
 
 
 def brute_nearest(x, vectors):
@@ -27,6 +27,16 @@ def brute_nearest(x, vectors):
         if d < best_d:
             best_i, best_d = i, d
     return best_i, best_d
+
+
+# not a finite vector of dimension 2: each per-vector call rejects it
+BAD_VECTORS = [
+    pytest.param(1.0, id="scalar"),
+    pytest.param([[1.0, 2.0]], id="2-d"),
+    pytest.param([], id="empty"),
+    pytest.param([1.0, math.inf], id="non-finite"),
+    pytest.param([1.0, 2.0, 3.0], id="dimension-mismatch"),
+]
 
 
 class TestDistance:
@@ -52,6 +62,13 @@ class TestDistance:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             distance([np.nan, 0], [0, 0])
+
+    @pytest.mark.parametrize("x", BAD_VECTORS)
+    def test_bad_vector_rejected(self, x):
+        with pytest.raises(ValueError):
+            distance(x, [0.0, 0.0])
+        with pytest.raises(ValueError):
+            distance([0.0, 0.0], x)
 
     def test_triangle_inequality_many_triples(self):
         rng = np.random.default_rng(99)
@@ -94,6 +111,11 @@ class TestFullSearch:
         cb = Codebook([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="dimension"):
             full_search([1.0, 2.0, 3.0], cb)
+
+    @pytest.mark.parametrize("x", BAD_VECTORS)
+    def test_bad_vector_rejected(self, x):
+        with pytest.raises(ValueError):
+            full_search(x, Codebook([[0.0, 0.0], [1.0, 1.0]]))
 
 
 class TestAsRows:
@@ -358,19 +380,25 @@ class TestCodebookFile:
             load_codebook(path)
 
     @pytest.mark.parametrize(
-        "data",
+        "data, error",
         [
-            pytest.param(b"VQCB 1 2 2\n0 1_0\n1 1\n", id="underscore"),  # float() reads 1_0 as 10.0
-            pytest.param(b"VQCB 1 0_2 2\n0 0\n1 1\n", id="header-underscore"),
-            pytest.param(b"VQCB 1 2 +2\n0 0\n1 1\n", id="header-plus"),
-            pytest.param(b"VQCB 1 x 2\n0 0\n1 1\n", id="header-letter"),
-            pytest.param(b"VQCB 1 2 2\n0 x\n1 1\n", id="letter"),
-            pytest.param(b"VQCB 1 2 2\n0 \xd9\xa1\n1 1\n", id="non-ascii-digit"),  # ARABIC-INDIC ONE, UTF-8
-            pytest.param(b"VQCB 1 2 2\n0 \xff\n1 1\n", id="not-utf8"),
+            pytest.param(b"VQCB 1 2 2\n0 1_0\n1 1\n", ValueError, id="underscore"),  # float() reads 1_0 as 10.0
+            pytest.param(b"VQCB 1 0_2 2\n0 0\n1 1\n", ValueError, id="header-underscore"),
+            pytest.param(b"VQCB 1 2 +2\n0 0\n1 1\n", ValueError, id="header-plus"),
+            pytest.param(b"VQCB 1 x 2\n0 0\n1 1\n", ValueError, id="header-letter"),
+            pytest.param(b"VQCB 1 2 2\n0 x\n1 1\n", ValueError, id="letter"),
+            pytest.param(b"VQCB 1 2 2\n0 \xd9\xa1\n1 1\n", ValueError, id="non-ascii-digit"),  # ARABIC-INDIC ONE
+            pytest.param(b"VQCB 1 2 2\n0 \xff\n1 1\n", ValueError, id="not-utf8"),
+            # numbers that parse, in a file Codebook rejects
+            pytest.param(b"VQCB 1 2 2\n0 nan\n1 1\n", ValueError, id="nan"),
+            pytest.param(b"VQCB 1 2 2\n0 inf\n1 1\n", ValueError, id="inf"),
+            pytest.param(b"VQCB 1 2 2\n1 1\n1 1\n", DuplicateCodevectors, id="duplicate-rows"),
+            pytest.param(b"VQCB 1 2 1\n0 0\n", ValueError, id="one-row"),
         ],
     )
-    def test_malformed_numbers_rejected_naming_the_file(self, tmp_path, data):
+    def test_malformed_numbers_rejected_naming_the_file(self, tmp_path, data, error):
         path = tmp_path / "bad.txt"
         path.write_bytes(data)
-        with pytest.raises(ValueError, match="bad.txt"):
+        with pytest.raises(ValueError, match="bad.txt") as caught:
             load_codebook(path)
+        assert caught.type is error

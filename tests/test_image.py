@@ -39,10 +39,35 @@ class TestPgm:
         save_pgm(load_pgm(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_comments_in_header(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(b"P2\n# a comment\n2 1\n255\n7 9", id="comment-line"),
+            pytest.param(b"P2# after the magic\n2 1\n255\n7 9", id="comment-after-magic"),
+            pytest.param(b"P2#a\n2#b\n1 #c\n255\n7 9", id="comment-between-tokens"),
+            pytest.param(b"P5#a\n2#b\n1 #c\n255\n\x07\x09", id="p5-comment-between-tokens"),
+            pytest.param(b"P2\t2\r1\x0b255\x0c7 9", id="tab-cr-vt-ff"),
+            pytest.param(b"P5\t2\r1\x0b255\x0c\x07\x09", id="p5-tab-cr-vt-ff"),
+            pytest.param(b"P2\r\n# a comment\r\n2 1\r\n255\r\n7 9\r\n", id="crlf"),
+        ],
+    )
+    def test_comments_in_header(self, tmp_path, data):
         p = tmp_path / "c.pgm"
-        p.write_bytes(b"P2\n# a comment\n2 1\n255\n7 9")
+        p.write_bytes(data)
         np.testing.assert_array_equal(load_pgm(p), [[7, 9]])
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(b"P5", id="magic-only"),
+            pytest.param(b"P2 2 1 # a comment to the end of the file", id="comment-to-end"),
+        ],
+    )
+    def test_truncated_header_rejected_naming_the_file(self, tmp_path, data):
+        p = tmp_path / "h.pgm"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match=r"h\.pgm: truncated PGM header"):
+            load_pgm(p)
 
     def test_sixteen_bit_rejected(self, tmp_path):
         p = tmp_path / "m.pgm"
@@ -76,6 +101,7 @@ class TestPgm:
             pytest.param(b"P5 1_0 1 255\n" + bytes(10), id="p5-width-underscore"),
             pytest.param(b"P2 1 1 255 " + b"1" * 5000, id="p2-too-many-digits"),  # past int()'s limit
             pytest.param(b"P2 " + b"1" * 5000 + b" 1 255 1", id="p2-header-too-many-digits"),
+            pytest.param(b"P5\n4 4\n", id="p5-header-only"),
         ],
     )
     def test_non_digit_numbers_rejected_naming_the_file(self, tmp_path, data):
