@@ -173,48 +173,24 @@ def block_facts(
     ``vectors`` is a finite (M, k) float64 array of the codebook's dimension.
     ``pick`` holds each block's uniform draw in [0, 1) for the marked index a
     stage-2 hit measures: the one at position floor(pick * t) of the t
-    marked indices in ascending order, uniform among them.  The pass runs
-    ``kernels.window_tiles`` over ``kernels.distinct_rows(vectors)`` at
+    marked indices in ascending order, uniform among them.  The pass is one
+    ``kernels.window_marked`` call over ``kernels.distinct_rows(vectors)`` at
     radius delta_hat: each row's window holds every codevector within
     max(delta_hat, its nearest distance), so the facts equal the full row's.
-    Equal blocks share their row's facts but each picks with its own draw,
-    in the tile that holds its row.  No M x N matrix is kept.
+    Equal blocks share their row's facts and marked set, but each picks from
+    it with its own draw.  No M x N matrix is kept.
     """
     distinct, inverse = kernels.distinct_rows(vectors)
-    u = distinct.shape[0]
-    radius_s = sub1_radius(codebook.delta0, codebook.k)
-    sizes = table.sizes()
-    index = np.empty(u, dtype=np.int64)
-    nearest = np.empty(u)
-    t = np.empty(u, dtype=np.int64)
+    index, nearest, marked, start, t = kernels.window_marked(distinct, codebook.vectors, table.delta_hat)
+    block_t = t[inverse]
+    k = np.minimum((pick * block_t).astype(np.int64), block_t - 1)
+    hit = np.flatnonzero(block_t > 0)
     pick_size = np.zeros(vectors.shape[0], dtype=np.int64)
-    # the blocks of distinct row r are by_row[row_first[r] : row_first[r] + row_count[r]]
-    by_row = np.argsort(inverse)
-    row_count = np.bincount(inverse, minlength=u)
-    row_first = np.cumsum(row_count) - row_count
-    for rows, cols, d in kernels.window_tiles(distinct, codebook.vectors, table.delta_hat):
-        arg = d.argmin(axis=1)
-        index[rows] = cols[arg]
-        nearest[rows] = d[np.arange(rows.size), arg]
-        marked = d < table.delta_hat
-        count = np.count_nonzero(marked, axis=1)
-        t[rows] = count
-        # the tile's blocks, grouped by tile row: row[b] is block b's row in d
-        per_row = row_count[rows]
-        row = np.repeat(np.arange(rows.size), per_row)
-        shift = np.repeat(row_first[rows] - (np.cumsum(per_row) - per_row), per_row)
-        blocks = by_row[shift + np.arange(row.size)]
-        block_t = count[row]
-        k = np.minimum((pick[blocks] * block_t).astype(np.int64), block_t - 1)
-        hit = block_t > 0
-        # row-major flat positions list each row's marked columns in ascending order
-        first = np.cumsum(count) - count
-        h = cols[np.flatnonzero(marked)[first[row[hit]] + k[hit]] % cols.size]
-        pick_size[blocks[hit]] = sizes[h]
+    pick_size[hit] = table.sizes()[marked[start[inverse[hit]] + k[hit]]]
     # below sub1_radius, the marked codevector is unique and is the argmin
-    t_s = (nearest < radius_s).astype(np.int64)
+    t_s = (nearest < sub1_radius(codebook.delta0, codebook.k)).astype(np.int64)
     return BlockFacts(
-        index=index[inverse], nearest=nearest[inverse], t_s=t_s[inverse], t=t[inverse], pick_size=pick_size
+        index=index[inverse], nearest=nearest[inverse], t_s=t_s[inverse], t=block_t, pick_size=pick_size
     )
 
 

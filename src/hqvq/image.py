@@ -78,20 +78,18 @@ def load_pgm(path) -> np.ndarray:
         # exactly one whitespace byte separates the header from the raster
         if pos >= len(data) or not data[pos : pos + 1].isspace():
             raise ValueError(f"{path}: malformed PGM header")
-        raster = data[pos + 1 :]
-        if len(raster) < width * height:
-            raise ValueError(f"{path}: truncated pixel data")
-        pixels = np.frombuffer(raster[: width * height], dtype=np.uint8)
+        pixels = np.frombuffer(data, dtype=np.uint8, offset=pos + 1)
     else:
-        values = data[pos:].split()
-        if len(values) < width * height:
-            raise ValueError(f"{path}: truncated pixel data")
-        if len(values) > width * height:
-            raise ValueError(f"{path}: trailing data after pixels")
-        ints = _decimals(values, path, "pixel value")
+        # every token is checked before any is counted: a '#' in the raster is a malformed value
+        ints = _decimals(data[pos:].split(), path, "pixel value")
         if any(v > 255 for v in ints):
             raise ValueError(f"{path}: pixel value out of range")
         pixels = np.array(ints, dtype=np.uint8)
+    # a file holds exactly one image
+    if pixels.size < width * height:
+        raise ValueError(f"{path}: truncated pixel data")
+    if pixels.size > width * height:
+        raise ValueError(f"{path}: trailing data after pixels")
     return pixels.reshape(height, width)
 
 

@@ -16,14 +16,14 @@ scratch, and every tile reuses them.  ``nearest_many`` alone measures every
 pair: it is the plain reference the tests and the benchmark check against.
 
 Projection windows: ``window_tiles`` is the one tile loop the codec's passes
-use (training's assignments, ``window_nearest``, ``within_radius``,
-``min_pairwise`` and the encoder's fact pass).  It measures only the
-codevectors that can matter, after Ra and Kim's mean-ordered partial search
-(IEEE TCAS-II, 1993).  Let p(x) = x . u on the mean axis
-u = (1, ..., 1) / sqrt(k).  Since u is a unit vector,
-|p(x) - p(c)| <= ||x - c||, so no codevector whose projection lies more
-than R from p(x) is within R of x.  The queries and the codevectors are
-sorted by projection once, and each tile of consecutive queries is
+use: training's assignments, ``window_nearest``, ``min_pairwise`` and
+``window_marked``, whose flat marked sets serve both the neighbor table and
+the encoder's fact pass.  It measures only the codevectors that can matter,
+after Ra and Kim's mean-ordered partial search (IEEE TCAS-II, 1993).  Let
+p(x) = x . u on the mean axis u = (1, ..., 1) / sqrt(k).  Since u is a unit
+vector, |p(x) - p(c)| <= ||x - c||, so no codevector whose projection lies
+more than R from p(x) is within R of x.  The queries and the codevectors
+are sorted by projection once, and each tile of consecutive queries is
 measured once:
 
 - The look: the contiguous run of codevectors whose projections lie within
@@ -302,21 +302,34 @@ def min_pairwise(vectors: np.ndarray) -> float:
     return best
 
 
-def within_radius(vectors: np.ndarray, radius: float) -> list:
-    """For each row i, the ascending indices j with d(vectors[i], vectors[j]) < radius.
+def window_marked(queries: np.ndarray, vectors: np.ndarray, radius: float):
+    """``window_nearest``'s (index, nearest) and each row's marked set, from one window pass.
 
-    Each list is a read-only int64 slice of one member array per window tile.
+    Returns (index, nearest, marked, start, count): row i's ascending indices
+    j with d(queries[i], vectors[j]) < ``radius`` are
+    ``marked[start[i] : start[i] + count[i]]``.  ``marked`` is one read-only
+    int64 array, so every slice of it is read-only too.
     """
-    lists = [None] * vectors.shape[0]
-    for rows, cols, d in window_tiles(vectors, vectors, radius):
-        r, c = np.nonzero(d < radius)
-        # one flat array per tile; tile row i's members are members[edge[i] : edge[i + 1]]
-        members = cols[c].astype(np.int64)
-        members.setflags(write=False)  # and so every slice of it
-        edge = np.searchsorted(r, np.arange(rows.size + 1)).tolist()
-        for i, lo, hi in zip(rows.tolist(), edge, edge[1:]):
-            lists[i] = members[lo:hi]
-    return lists
+    m = queries.shape[0]
+    index = np.empty(m, dtype=np.int64)
+    nearest = np.empty(m)
+    start = np.empty(m, dtype=np.int64)
+    count = np.empty(m, dtype=np.int64)
+    parts, offset = [], 0
+    for rows, cols, d in window_tiles(queries, vectors, radius):
+        arg = d.argmin(axis=1)
+        index[rows] = cols[arg]
+        nearest[rows] = d[np.arange(rows.size), arg]
+        inside = d < radius
+        counts = np.count_nonzero(inside, axis=1)
+        count[rows] = counts
+        start[rows] = offset + np.cumsum(counts) - counts
+        # row-major flat positions list each row's marked columns in ascending order
+        parts.append(cols[np.flatnonzero(inside) % cols.size])
+        offset += parts[-1].size
+    marked = np.concatenate(parts, dtype=np.int64)
+    marked.setflags(write=False)
+    return index, nearest, marked, start, count
 
 
 def distinct_rows(rows: np.ndarray):

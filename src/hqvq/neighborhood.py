@@ -57,17 +57,20 @@ def neighbor_radius(delta_hat: float, k: int) -> float:
 
 
 def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTable:
-    """Neighbor lists at ``neighbor_radius``: one ``kernels.within_radius`` window pass.
+    """Neighbor lists at ``neighbor_radius``: one ``kernels.window_marked`` pass of the codebook over itself.
 
-    ``delta_hat`` must be at least half the codebook's minimum pairwise
-    distance (NaN is rejected); below that the fast encoding path's region
-    structure breaks.
+    Each list is a slice of the pass's flat marked array, so it is read-only
+    int64 and sorted ascending.  ``delta_hat`` must be at least half the
+    codebook's minimum pairwise distance (NaN is rejected); below that the
+    fast encoding path's region structure breaks.
     """
     half_delta0 = codebook.delta0 / 2.0
     if not delta_hat >= half_delta0:  # NaN fails this too
         raise ValueError(f"delta_hat {delta_hat} is not at least delta0/2 = {half_delta0}")
-    lists = kernels.within_radius(codebook.vectors, neighbor_radius(delta_hat, codebook.k))
-    return NeighborhoodTable(delta_hat=float(delta_hat), lists=tuple(lists))
+    radius = neighbor_radius(delta_hat, codebook.k)
+    _, _, marked, start, count = kernels.window_marked(codebook.vectors, codebook.vectors, radius)
+    lists = tuple(marked[lo:hi] for lo, hi in zip(start.tolist(), (start + count).tolist()))
+    return NeighborhoodTable(delta_hat=float(delta_hat), lists=lists)
 
 
 def space_bits(table: NeighborhoodTable) -> int:

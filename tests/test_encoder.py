@@ -395,17 +395,20 @@ def boundary_batch(rng: np.random.Generator, cb: Codebook, delta_hat: float, per
 
 
 @settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@example(seed=0, k=3, n=2, factor=1.0, master_seed=0)
-@example(seed=1, k=1, n=3, factor=50.0, master_seed=1)
-@example(seed=2, k=2, n=3, factor=1.0, master_seed=2)
+@example(seed=0, k=3, n=2, factor=1.0, master_seed=0, per_kind=6)
+@example(seed=1, k=1, n=3, factor=50.0, master_seed=1, per_kind=6)
+@example(seed=2, k=2, n=3, factor=1.0, master_seed=2, per_kind=6)
+# 320 distinct rows, more than two window tiles: three looks, which defer 11 rows to the bounded pass
+@example(seed=18, k=2, n=64, factor=3.0, master_seed=5, per_kind=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(1, 4),
     n=st.sampled_from([2, 3, 5, 16, 64]),
     factor=st.sampled_from([1.0, 1.25, 2.0, 3.0, 50.0]),
     master_seed=st.integers(0, 2**32 - 1),
+    per_kind=st.just(6),
 )
-def test_batch_equals_per_block_reference(seed, k, n, factor, master_seed):
+def test_batch_equals_per_block_reference(seed, k, n, factor, master_seed, per_kind):
     # the lockstep batch and the per-block walk read the same slot draws, so
     # every block's (index, path, meter) must agree, on every boundary
     rng = np.random.default_rng(seed)
@@ -416,7 +419,7 @@ def test_batch_equals_per_block_reference(seed, k, n, factor, master_seed):
             cb = midpoint_cb  # the batch below gets a rounded midpoint
     delta_hat = factor * cb.delta0 / 2.0
     table = build_neighborhoods(cb, delta_hat)
-    rows = boundary_batch(rng, cb, delta_hat, 6)
+    rows = boundary_batch(rng, cb, delta_hat, per_kind)
     # equal blocks share one distance row but each keeps its own draws
     repeats = rng.integers(0, rows.shape[0], size=rows.shape[0])
     rows = np.vstack([rows, rows[rng.permutation(rows.shape[0])], rows[repeats]])

@@ -90,24 +90,44 @@ class TestPgm:
     @pytest.mark.parametrize(
         "data",
         [
-            pytest.param(b"P2 2 1 255 1_0 7", id="p2-underscore"),  # int() reads 1_0 as 10
-            pytest.param(b"P2 2 1 255 +1 7", id="p2-plus"),
-            pytest.param(b"P2 2 1 255 -0 7", id="p2-minus-zero"),
-            pytest.param(b"P2 2 1 255 x 7", id="p2-letter"),
-            pytest.param(b"P2 2 1 255 \xd9\xa1 7", id="p2-non-ascii-digit"),  # ARABIC-INDIC ONE, UTF-8
-            pytest.param(b"P2 2 1 2_55 1 7", id="p2-header-underscore"),
-            pytest.param(b"P2 +2 1 255 1 7", id="p2-header-plus"),
-            pytest.param(b"P5 2 1 25_5\n\x01\x02", id="p5-header-underscore"),
-            pytest.param(b"P5 1_0 1 255\n" + bytes(10), id="p5-width-underscore"),
-            pytest.param(b"P2 1 1 255 " + b"1" * 5000, id="p2-too-many-digits"),  # past int()'s limit
-            pytest.param(b"P2 " + b"1" * 5000 + b" 1 255 1", id="p2-header-too-many-digits"),
-            pytest.param(b"P5\n4 4\n", id="p5-header-only"),
+            pytest.param(b"P5\n2 1\n255\n\x07\x09extra", id="p5-bytes"),
+            pytest.param(b"P5\n2 1\n255\n\x07\x09\n", id="p5-newline"),
+            pytest.param(b"P5\n1 1\n255\n\x07P5\n1 1\n255\n\x09", id="p5-second-image"),
+            pytest.param(b"P2\n2 1\n255\n7 9 3", id="p2-value"),
         ],
     )
-    def test_non_digit_numbers_rejected_naming_the_file(self, tmp_path, data):
+    def test_trailing_data_rejected_naming_the_file(self, tmp_path, data):
+        # a file holds exactly one image, in either format
+        p = tmp_path / "t.pgm"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match=r"t\.pgm: trailing data after pixels"):
+            load_pgm(p)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param(b"P2 2 1 255 1_0 7", "malformed pixel value", id="p2-underscore"),  # int() reads 1_0 as 10
+            pytest.param(b"P2 2 1 255 +1 7", "malformed pixel value", id="p2-plus"),
+            pytest.param(b"P2 2 1 255 -0 7", "malformed pixel value", id="p2-minus-zero"),
+            pytest.param(b"P2 2 1 255 x 7", "malformed pixel value", id="p2-letter"),
+            # ARABIC-INDIC ONE, UTF-8
+            pytest.param(b"P2 2 1 255 \xd9\xa1 7", "malformed pixel value", id="p2-non-ascii-digit"),
+            # a comment is not allowed in the raster: its tokens are malformed values, not extra ones
+            pytest.param(b"P2\n2 1\n255\n7 # c\n9", "malformed pixel value", id="p2-comment-in-raster"),
+            pytest.param(b"P2 2 1 2_55 1 7", "malformed PGM header", id="p2-header-underscore"),
+            pytest.param(b"P2 +2 1 255 1 7", "malformed PGM header", id="p2-header-plus"),
+            pytest.param(b"P5 2 1 25_5\n\x01\x02", "malformed PGM header", id="p5-header-underscore"),
+            pytest.param(b"P5 1_0 1 255\n" + bytes(10), "malformed PGM header", id="p5-width-underscore"),
+            # past int()'s limit
+            pytest.param(b"P2 1 1 255 " + b"1" * 5000, "malformed pixel value", id="p2-too-many-digits"),
+            pytest.param(b"P2 " + b"1" * 5000 + b" 1 255 1", "malformed PGM header", id="p2-header-too-many-digits"),
+            pytest.param(b"P5\n4 4\n", "truncated PGM header", id="p5-header-only"),
+        ],
+    )
+    def test_non_digit_numbers_rejected_naming_the_file(self, tmp_path, data, message):
         p = tmp_path / "n.pgm"
         p.write_bytes(data)
-        with pytest.raises(ValueError, match="n.pgm"):
+        with pytest.raises(ValueError, match=rf"n\.pgm: {message}$"):
             load_pgm(p)
 
 

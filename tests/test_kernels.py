@@ -267,7 +267,7 @@ def _bound(kind, full):
 @example(case=(np.tile([[3.0, 4.0], [1.0, 6.0]], (WINDOW_TILE + 1, 1)), _grid(10), math.sqrt(2.0), "inf"))
 @given(case=window_cases())
 def test_window_pass_matches_full_rows(case):
-    """``window_tiles``, ``window_nearest`` and ``within_radius`` against full rows from ``dist_to_all``."""
+    """``window_tiles``, ``window_nearest`` and ``window_marked`` against full rows from ``dist_to_all``."""
     queries, vectors, radius, kind = case
     full = np.array([kernels.dist_to_all(q, vectors) for q in queries])
     bound = _bound(kind, full)
@@ -285,11 +285,13 @@ def test_window_pass_matches_full_rows(case):
     assert idx.dtype == np.int64
     assert idx.tolist() == full.argmin(axis=1).tolist()
     assert dist.tobytes() == full.min(axis=1).tobytes()
-    lists = kernels.within_radius(vectors, radius)
-    assert [l.tolist() for l in lists] == [
-        np.flatnonzero(kernels.dist_to_all(v, vectors) < radius).tolist() for v in vectors
+    idx, dist, marked, start, count = kernels.window_marked(queries, vectors, radius)
+    assert idx.tolist() == full.argmin(axis=1).tolist()
+    assert dist.tobytes() == full.min(axis=1).tobytes()
+    assert marked.dtype == np.int64 and not marked.flags.writeable
+    assert [marked[s : s + c].tolist() for s, c in zip(start, count)] == [
+        np.flatnonzero(row < radius).tolist() for row in full
     ]
-    assert all(l.dtype == np.int64 for l in lists)
 
 
 @settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
