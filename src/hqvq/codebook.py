@@ -10,23 +10,37 @@ and ``np.bincount`` sums every cell at once.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kernels
+
+
+# Largest component magnitude ``as_rows`` accepts.  A squared difference of
+# two such components is at most 4 * MAX_COMPONENT**2 = 2**1002, so a sum of
+# k of them stays finite for k < 2**22, and every distance is a number.
+MAX_COMPONENT = 2.0**500
 
 
 def as_rows(x, k: int | None = None) -> np.ndarray:
     """Coerce to a finite, non-empty (M, k) float64 array; ``k=None`` takes any width.
 
     A single vector ``x`` is checked as the one row of ``as_rows([x], k)``.
+    Components beyond ``MAX_COMPONENT`` in magnitude are rejected: their
+    squared differences would overflow to inf, every distance would read
+    inf, and argmin would silently return index 0.
     """
     rows = np.asarray(x, dtype=np.float64)
     if rows.ndim != 2 or 0 in rows.shape:
         raise ValueError(f"expected a non-empty (M, k) array, got shape {rows.shape}")
     if k is not None and rows.shape[1] != k:
         raise ValueError(f"dimension mismatch: vector has {rows.shape[1]}, codebook has {k}")
-    if not np.all(np.isfinite(rows)):
+    largest = float(np.abs(rows).max())  # NaN if any component is NaN
+    if not math.isfinite(largest):
         raise ValueError("array has non-finite components")
+    if largest > MAX_COMPONENT:
+        raise ValueError("array has components beyond 2**500 in magnitude")
     return rows
 
 
@@ -37,8 +51,10 @@ class DuplicateCodevectors(ValueError):
 class Codebook:
     """Ordered set of N equal-dimension codevectors with distinct entries.
 
-    The minimum pairwise distance ``delta0`` is computed once at construction
-    and cached; duplicate codevectors (delta0 == 0) are rejected with
+    One ``kernels.nearest_other`` pass at construction gives ``nearest_other``,
+    each codevector's distance to its nearest other one (a read-only (N,)
+    array), and its minimum ``delta0``, the minimum pairwise distance.
+    Duplicate codevectors (delta0 == 0) are rejected with
     ``DuplicateCodevectors`` because the single-solution guarantee of the
     fast encoding path depends on it.
     """
@@ -49,7 +65,9 @@ class Codebook:
             raise ValueError(f"codebook needs at least 2 codevectors, got {arr.shape[0]}")
         self.vectors = arr
         self.vectors.setflags(write=False)
-        self.delta0 = float(kernels.min_pairwise(arr))
+        self.nearest_other = kernels.nearest_other(arr)
+        self.nearest_other.setflags(write=False)
+        self.delta0 = float(self.nearest_other.min())
         if self.delta0 <= 0.0:
             raise DuplicateCodevectors("codebook contains duplicate codevectors (delta0 == 0)")
 

@@ -1,10 +1,13 @@
 """Two-stage hybrid nearest-codevector encoder with full query metering.
 
-Stage 1 targets inputs sitting within half the minimum codevector spacing of
-some codevector: a single fixed-length amplified search finds the (provably
-unique) solution with near-certain probability, and one classical distance
-check verifies it.  Its threshold sits a rounding margin below delta0/2
-(``sub1_radius``), so the uniqueness holds for computed distances too.
+Stage 1 targets inputs sitting within half of some codevector's distance to
+its nearest other codevector (Orchard's half-distance test, ICASSP 1991): a
+single fixed-length amplified search finds the (provably unique) solution
+with near-certain probability, and one classical distance check verifies it.
+This generalises the paper's test at half the minimum spacing, delta0/2: no
+codevector's radius is below it, so every input that test marks is still
+marked.  Each radius sits a rounding margin below the half-distance
+(``sub1_radii``), so the uniqueness holds for computed distances too.
 Stage 2 targets inputs within the configured threshold: the search is
 embedded in a growing-cutoff schedule for an unknown number of solutions;
 any verified hit is finished by a classical scan of that codevector's
@@ -110,7 +113,7 @@ class BlockFacts:
 
     index: np.ndarray  # argmin of the row, ties to the smallest index
     nearest: np.ndarray  # the row's minimum
-    t_s: np.ndarray  # marked by stage 1: #{i : d_i < sub1_radius}, 0 or 1
+    t_s: np.ndarray  # marked by stage 1: #{i : d_i < sub1_radii[i]}, 0 or 1 (then i is the argmin)
     t: np.ndarray  # marked at delta_hat: #{i : d_i < delta_hat}
     pick_size: np.ndarray  # list size of the marked index a stage-2 hit measures; 0 if t == 0
 
@@ -144,18 +147,31 @@ def sub1_iterations(n: int) -> int:
     return math.floor(math.pi / 4.0 * math.sqrt(n))
 
 
-def sub1_radius(delta0: float, k: int) -> float:
-    """Stage 1's threshold: a computed distance below it is exactly below delta0/2.
+def sub1_radii(codebook: Codebook) -> np.ndarray:
+    """Stage 1's per-codevector thresholds: (nearest_other / 2)(1 - 3g), an (N,) array.
 
-    With ``kernels.rounding_bound(k)``'s g, a computed distance d' is within
-    g * d of the exact d, and the computed delta0 is at most (1 + g) times
-    the exact one.  So d' < (delta0/2)(1 - g)/(1 + g) means d < exact
-    delta0/2, and by the triangle inequality at most one codevector is that
-    close; it is the row's argmin, since every other computed distance is
-    above the threshold.  1 - 3g lies below (1 - g)/(1 + g) by more than the
-    rounding of this product.
+    Codevector i is marked when d(x, c_i) < r_i.  In exact arithmetic, with
+    r_i = (1/2) min_{j != i} d(c_i, c_j):
+
+    - Uniqueness: two marked i and j would need
+      d(c_i, c_j) <= d(x, c_i) + d(x, c_j) < r_i + r_j <= d(c_i, c_j).
+    - Optimality: for every j != i,
+      d(x, c_j) >= d(c_i, c_j) - d(x, c_i) >= 2 r_i - d(x, c_i) > d(x, c_i),
+      so a marked i is the unique nearest codevector.
+
+    Rounding margin: with ``kernels.rounding_bound(k)``'s g, a computed
+    distance d' is within g * d of the exact d, and the computed nearest
+    distance D'_i is at most (1 + g) times the exact 2 r_i.  Let
+    d'(x, c_i) < D'_i/2 (1 - 3g), which with the product's own rounding is
+    below r_i (1 + g)(1 - 3g + 3u) < (1 - g) r_i, u = 2**-53 <= g/4.  Then
+    for every j != i, d'(x, c_j) >= (1 - g) d(x, c_j) >= 2(1 - g) r_i
+    - (1 - g) d(x, c_i) >= 2(1 - g) r_i - d'(x, c_i) > d'(x, c_i): i is the
+    computed row's strict argmin, so no other index is marked, and
+    d(x, c_i) <= d'(x, c_i) / (1 - g) < r_i.  No radius lies below the
+    paper's stage-1 threshold delta0/2 (1 - 3g), as delta0 is the smallest
+    D'_i.
     """
-    return delta0 / 2.0 * (1.0 - 3.0 * kernels.rounding_bound(k))
+    return codebook.nearest_other / 2.0 * (1.0 - 3.0 * kernels.rounding_bound(codebook.k))
 
 
 def sub2_budget(n: int) -> int:
@@ -187,20 +203,22 @@ def block_facts(
     hit = np.flatnonzero(block_t > 0)
     pick_size = np.zeros(vectors.shape[0], dtype=np.int64)
     pick_size[hit] = table.sizes()[marked[start[inverse[hit]] + k[hit]]]
-    # below sub1_radius, the marked codevector is unique and is the argmin
-    t_s = (nearest < sub1_radius(codebook.delta0, codebook.k)).astype(np.int64)
+    # only the argmin can lie below its own radius, and then it is the one marked codevector
+    t_s = (nearest < sub1_radii(codebook)[index]).astype(np.int64)
     return BlockFacts(
         index=index[inverse], nearest=nearest[inverse], t_s=t_s[inverse], t=block_t, pick_size=pick_size
     )
 
 
 def encode_sub1(facts: BlockFacts, n: int, draw, meter: QueryMeter) -> np.ndarray:
-    """Stage 1 for every block: one amplified search below delta0/2, then one verification.
+    """Stage 1 for every block: one amplified search below each codevector's radius, then one verification.
 
-    ``draw(slot)`` returns one uniform draw in [0, 1) per block.  Each block
-    is charged the fixed iteration count and one evaluation.  Returns the
-    mask of blocks whose measured index is marked, i.e. verified strictly
-    below ``sub1_radius`` (it is then the unique global optimum).
+    The marked set is {i : d(x, c_i) < ``sub1_radii``[i]}, ``facts.t_s``
+    elements, 0 or 1.  ``draw(slot)`` returns one uniform draw in [0, 1) per
+    block.  Each block is charged the fixed iteration count and one
+    evaluation.  Returns the mask of blocks whose measured index is marked,
+    i.e. verified strictly below its own radius (it is then the unique global
+    optimum).
     """
     j = sub1_iterations(n)
     meter.grover_iterations += j

@@ -16,7 +16,8 @@ scratch, and every tile reuses them.  ``nearest_many`` alone measures every
 pair: it is the plain reference the tests and the benchmark check against.
 
 Projection windows: ``window_tiles`` is the one tile loop the codec's passes
-use: training's assignments, ``window_nearest``, ``min_pairwise`` and
+use: training's assignments, ``window_nearest``, ``nearest_other`` (each
+codevector's distance to its nearest other one, whose minimum is delta0) and
 ``window_marked``, whose flat marked sets serve both the neighbor table and
 the encoder's fact pass.  It measures only the codevectors that can matter,
 after Ra and Kim's mean-ordered partial search (IEEE TCAS-II, 1993).  Let
@@ -278,28 +279,41 @@ def paired_distances(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return _distances(vectors.T, queries.T, np.empty(m), np.empty(m))
 
 
-def min_pairwise(vectors: np.ndarray) -> float:
-    """Minimum Euclidean distance over all distinct row pairs (n >= 2).
+def nearest_other(vectors: np.ndarray) -> np.ndarray:
+    """Each row's distance to its nearest other row, as an (n,) array (n >= 2).
 
-    One ``window_tiles(vectors, vectors, bound)`` pass.  ``bound`` is the
-    smallest distance among the n - 1 pairs adjacent in projection order:
-    any pair's distance bounds the minimum from above, and a pair close on
-    the mean axis is a likely close pair.  Each row's window then holds every
-    codevector within ``bound`` of it, so the closest pair is measured, with
-    the same bits as a full row; each row's distance to itself is left out.
-    When every codevector shares one projection (rows (a, -a), say) or the
-    bound spans the codebook, every window holds every codevector and the
-    pass measures all pairs.
+    One ``window_tiles(vectors, vectors, 0.0, bound)`` pass.  Row i's
+    ``bound`` is the smaller of its two pair distances with the rows next to
+    it in projection order (one at either end of the order): any other row's
+    distance bounds the nearest one from above, and a row close on the mean
+    axis is a likely close row.  Each row's window then holds every row
+    within its bound, its nearest other row included, with the same bits as
+    a full row; the row's distance to itself is set to inf.  Pair distances
+    are symmetric to the bit, since (a - b)**2 == (b - a)**2, so the
+    minimum of the result is the closest pair's distance.  When every row
+    shares one projection (rows (a, -a), say) or a bound spans the
+    codebook, every window holds every row.
     """
-    # adjacent pairs in projection order, measured by the same kernel as the window
-    ordered = vectors[np.argsort(vectors.sum(axis=1), kind="stable")]
-    bound = float(paired_distances(ordered[:-1], ordered[1:]).min())
-    best = math.inf
-    for rows, cols, d in window_tiles(vectors, vectors, bound):
+    n = vectors.shape[0]
+    # pairs adjacent in projection order, measured by the same kernel as the window
+    order = np.argsort(vectors.sum(axis=1), kind="stable")
+    pair = paired_distances(vectors[order[:-1]], vectors[order[1:]])
+    bound = np.empty(n)
+    bound[order] = np.concatenate([pair[:1], np.minimum(pair[:-1], pair[1:]), pair[-1:]])
+    nearest = np.empty(n)
+    for rows, cols, d in window_tiles(vectors, vectors, 0.0, bound):
         # every row's window holds the row itself: its projection is in its tile's range
         d[np.arange(rows.size), np.searchsorted(cols, rows)] = np.inf
-        best = min(best, float(d.min()))
-    return best
+        nearest[rows] = d.min(axis=1)
+    return nearest
+
+
+def min_pairwise(vectors: np.ndarray) -> float:
+    """Minimum Euclidean distance over all distinct row pairs (n >= 2): ``nearest_other``'s minimum.
+
+    The codec reads delta0 off ``Codebook.nearest_other``; ``perfbench/spans.py`` wraps this by name.
+    """
+    return float(nearest_other(vectors).min())
 
 
 def window_marked(queries: np.ndarray, vectors: np.ndarray, radius: float):

@@ -110,6 +110,7 @@ class PartitionStats:
     a: float  # fraction with nearest distance < delta0/2
     b: float  # fraction in the threshold shell
     c: float  # fraction beyond the threshold
+    sub1_marked: float  # fraction stage 1 marks (t_s = 1): within its nearest codevector's radius
     count_sub1: int
     count_sub2: int
     count_fallback: int
@@ -142,6 +143,7 @@ def _build_stats(batch: EncodeBatch, fractions) -> PartitionStats:
     a, b, c = fractions
     return PartitionStats(
         n_vectors=int(batch.path.size), a=a, b=b, c=c,
+        sub1_marked=int(np.count_nonzero(batch.facts.t_s)) / batch.path.size,
         count_sub1=counts[EncodePath.SUB1],
         count_sub2=counts[EncodePath.SUB2],
         count_fallback=counts[EncodePath.CLASSICAL_FALLBACK],
@@ -233,8 +235,16 @@ PURE_QUANTUM_FACTOR = 45.0  # reported operation count of the all-quantum encode
 
 
 def report(stats: PartitionStats, n: int) -> str:
-    """Machine-readable key=value summary of one encode run."""
+    """Machine-readable key=value summary of one encode run.
+
+    ``frac_s`` is the paper's stage-1 region, nearest distance below
+    delta0/2; ``frac_sub1_marked`` is the share stage 1 marks, below the
+    nearest codevector's own radius, never smaller.  ``ops_per_block`` is
+    the mean search iterations plus the mean classical evaluations, and
+    ``ratio_ops_vs_sqrt_n`` sets it against the paper's sqrt(N) claim.
+    """
     sqrt_n = math.sqrt(n)
+    ops = stats.mean_grover_iterations + stats.mean_classical_evals
     lines = [
         f"n={n}",
         f"sqrt_n={sqrt_n!r}",
@@ -246,7 +256,10 @@ def report(stats: PartitionStats, n: int) -> str:
         f"frac_s={stats.a!r}",
         f"frac_t_minus_s={stats.b!r}",
         f"frac_i_minus_t={stats.c!r}",
+        f"frac_sub1_marked={stats.sub1_marked!r}",
         f"ratio_vs_sqrt_n={stats.mean_grover_iterations / sqrt_n!r}",
+        f"ops_per_block={ops!r}",
+        f"ratio_ops_vs_sqrt_n={ops / sqrt_n!r}",
         f"ratio_vs_pure_quantum={stats.mean_grover_iterations / (PURE_QUANTUM_FACTOR * sqrt_n)!r}",
         f"count_sub1={stats.count_sub1}",
         f"count_sub2={stats.count_sub2}",

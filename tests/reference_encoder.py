@@ -22,7 +22,7 @@ from hqvq.encoder import (
     encode_sub1,
     encode_sub2,
     sub1_iterations,
-    sub1_radius,
+    sub1_radii,
     sub2_budget,
 )
 from hqvq.grover import derive_rng, marked_probability
@@ -84,8 +84,7 @@ def reference_encode(dvec, codebook, table, u) -> EncodeOutcome:
     index = min(range(n), key=lambda i: (dvec[i], i))
     meter = QueryMeter()
 
-    radius_s = sub1_radius(codebook.delta0, codebook.k)
-    t_s = sum(1 for d in dvec if d < radius_s)
+    t_s = sum(1 for d, r in zip(dvec, sub1_radii(codebook)) if d < r)
     j = sub1_iterations(n)
     meter.grover_iterations += j
     meter.classical_distance_evals += 1

@@ -51,7 +51,8 @@ def exactness_run():
     """Shared workload for criteria 1 and 7: ~1080 instances x 10 seeds.
 
     ``encode`` takes its index from the distance row, so criterion 1 also
-    checks that every SUB1 block's only mark at delta0/2 is the oracle, and
+    checks that every SUB1 block's only mark within its codevector's own
+    half-distance (``Codebook.nearest_other`` / 2) is the oracle, and
     criterion 7 that every index marked at delta_hat of a SUB2 block lists
     the oracle among its neighbors.
     """
@@ -79,7 +80,7 @@ def exactness_run():
                             mismatches += 1
                         if out.path == EncodePath.SUB1:
                             sub1_successes += 1
-                            marks = marked_set_from_distances(dvec, cb.delta0 / 2)
+                            marks = marked_set_from_distances(dvec, cb.nearest_other / 2)
                             if marks.tolist() != [oracle_i]:
                                 sub1_wrong_candidates += 1
                         if out.path == EncodePath.SUB2:

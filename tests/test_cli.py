@@ -97,7 +97,8 @@ class TestWorkflow:
         assert main(args + ["--report", str(rep)] + threshold) == 0
 
         def fractions(text):
-            return [ln for ln in text.splitlines() if ln.startswith("frac_")]
+            # the paper's three regions; the encode report adds frac_sub1_marked
+            return [ln for ln in text.splitlines() if ln.split("=")[0] in ("frac_s", "frac_t_minus_s", "frac_i_minus_t")]
 
         assert len(fractions(stats_out)) == 3
         assert fractions(stats_out) == fractions(rep.read_text())

@@ -16,7 +16,7 @@ from hqvq import (
     train_codebook,
 )
 from hqvq import kernels
-from hqvq.codebook import DuplicateCodevectors, _separate_duplicates, as_rows
+from hqvq.codebook import MAX_COMPONENT, DuplicateCodevectors, _separate_duplicates, as_rows
 
 
 def brute_nearest(x, vectors):
@@ -36,6 +36,8 @@ BAD_VECTORS = [
     pytest.param([], id="empty"),
     pytest.param([1.0, math.inf], id="non-finite"),
     pytest.param([1.0, 2.0, 3.0], id="dimension-mismatch"),
+    # its squared distances would overflow to inf, and argmin would return 0
+    pytest.param([2e200, 1e200], id="huge"),
 ]
 
 
@@ -133,15 +135,26 @@ class TestAsRows:
             (np.zeros((3, 2)), 3, "dimension mismatch"),
             (np.array([[0.0, math.nan]]), 2, "non-finite"),
             (np.array([[math.inf, 0.0]]), None, "non-finite"),
+            (np.array([[0.0, -1e200]]), 2, r"2\*\*500"),
         ],
     )
     def test_rejected(self, x, k, message):
         with pytest.raises(ValueError, match=message):
             as_rows(x, k)
 
+    def test_largest_components_keep_distances_finite(self):
+        cb = Codebook([[-MAX_COMPONENT], [MAX_COMPONENT]])
+        assert cb.delta0 == 2.0 * MAX_COMPONENT
+        assert full_search([MAX_COMPONENT], cb) == (1, 0.0)
+        with pytest.raises(ValueError, match=r"2\*\*500"):
+            Codebook([[0.0], [np.nextafter(MAX_COMPONENT, math.inf)]])
+
     def test_codebook_and_trainer_use_it(self):
         with pytest.raises(ValueError, match="non-finite"):
             Codebook([[0.0, 1.0], [math.nan, 2.0]])
+        # every distance would overflow to inf: delta0 was inf and index 0 won every search
+        with pytest.raises(ValueError, match=r"2\*\*500"):
+            Codebook([[0.0, 0.0], [1e200, 1e200], [3e200, 0.0]])
         with pytest.raises(ValueError, match="non-empty"):
             Codebook(np.empty((2, 0)))
         with pytest.raises(ValueError, match=r"\(M, k\)"):
@@ -176,6 +189,14 @@ class TestDelta0:
     def test_cached_on_codebook(self):
         cb = Codebook([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
         assert cb.delta0 == 5.0
+
+    def test_nearest_other_per_codevector(self):
+        # (20, 0) is isolated: its nearest other, (6, 8), is sqrt(260) away
+        cb = Codebook([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [20.0, 0.0]])
+        assert cb.nearest_other.tolist() == [5.0, 5.0, 5.0, math.sqrt(260.0)]
+        assert cb.delta0 == cb.nearest_other.min()
+        with pytest.raises(ValueError, match="read-only"):
+            cb.nearest_other[0] = 1.0
 
 
 def reference_train(samples, n, seed, max_iter=60):
@@ -322,30 +343,33 @@ class TestTrainer:
 
     def test_delta0_computed_once(self, monkeypatch):
         calls = []
-        real = kernels.min_pairwise
+        real = kernels.nearest_other
 
         def counted(vectors):
             calls.append(vectors.shape[0])
             return real(vectors)
 
-        monkeypatch.setattr(kernels, "min_pairwise", counted)
+        monkeypatch.setattr(kernels, "nearest_other", counted)
         cb = train_codebook(repeated_points(0), 8, seed=0)
+        # one pass gives both the per-codevector distances and delta0
         assert calls == [8]
-        assert cb.delta0 == real(cb.vectors)
+        assert cb.nearest_other.tolist() == real(cb.vectors).tolist()
+        assert cb.delta0 == kernels.min_pairwise(cb.vectors)
 
     def test_duplicate_centroids_separated(self, monkeypatch):
         calls = []
-        real = kernels.min_pairwise
+        real = kernels.nearest_other
 
         def counted(vectors):
             calls.append(real(vectors))
             return calls[-1]
 
-        monkeypatch.setattr(kernels, "min_pairwise", counted)
+        monkeypatch.setattr(kernels, "nearest_other", counted)
         centroids = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [3.0, 1.0], [1.0, 2.0]])
         cb = _separate_duplicates(centroids.copy(), np.random.default_rng(0))
         # one attempt finds delta0 == 0, the jittered second one builds the codebook
-        assert calls[0] == 0.0 and calls[1:] == [cb.delta0] and cb.delta0 > 0.0
+        assert len(calls) == 2 and calls[0].min() == 0.0
+        assert calls[1] is cb.nearest_other and cb.delta0 == calls[1].min() > 0.0
         # only the later copy of each duplicate moves, and only slightly
         assert cb.vectors[[0, 1, 3]].tolist() == centroids[[0, 1, 3]].tolist()
         assert np.all(np.abs(cb.vectors - centroids) < 1e-6)
@@ -394,6 +418,7 @@ class TestCodebookFile:
             pytest.param(b"VQCB 1 2 2\n0 inf\n1 1\n", ValueError, id="inf"),
             pytest.param(b"VQCB 1 2 2\n1 1\n1 1\n", DuplicateCodevectors, id="duplicate-rows"),
             pytest.param(b"VQCB 1 2 1\n0 0\n", ValueError, id="one-row"),
+            pytest.param(b"VQCB 1 2 3\n0 0\n1e200 1e200\n3e200 0\n", ValueError, id="huge"),
         ],
     )
     def test_malformed_numbers_rejected_naming_the_file(self, tmp_path, data, error):

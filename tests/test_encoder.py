@@ -36,7 +36,7 @@ from hqvq.encoder import (
     delta_hat_from_nearest,
     nearest_distances,
     sub1_iterations,
-    sub1_radius,
+    sub1_radii,
     sub2_budget,
     success_table,
 )
@@ -63,7 +63,7 @@ def rounded_midpoint(rng: np.random.Generator, k: int):
     """Two-codevector codebook and the midpoint x of its pair.
 
     Draws pairs until rounding puts x strictly inside delta0/2 of both ends
-    (without ``sub1_radius``'s margin stage 1 would mark t = 2), or 400 pairs
+    (without ``sub1_radii``'s margin stage 1 would mark t = 2), or 400 pairs
     are spent.
     """
     for _ in range(400):
@@ -119,9 +119,11 @@ class TestSub1:
         table = build_neighborhoods(cb, cb.delta0)
         xs = rng.uniform(0, 100, size=(300, 2))
         facts, accepted, _ = run_stage(1, xs, cb, table, 4)
+        assert accepted.sum() > np.count_nonzero(facts.nearest[accepted] < cb.delta0 / 2)
         for x, index, t_s in zip(xs[accepted], facts.index[accepted], facts.t_s[accepted]):
             assert index == full_search(x, cb)[0]
-            assert t_s == marked_count(x, cb, cb.delta0 / 2) == 1
+            # the only codevector within its own half-distance
+            assert t_s == marked_count(x, cb, cb.nearest_other / 2) == 1
 
     def test_midpoint_stage1_accepts_only_the_full_search_index(self):
         # both ends lie within rounding of delta0/2 (computed distances below
@@ -366,26 +368,74 @@ def test_stage1_marks_at_most_the_full_search_index(where, seed, k, n, ulps):
     table = build_neighborhoods(cb, cb.delta0)
     facts, accepted, _ = run_stage(1, trials(x, 20), cb, table, seed)
     oracle, _ = full_search(x, cb)
-    marked = np.flatnonzero(distances_to_codebook(x, cb) < sub1_radius(cb.delta0, cb.k))
+    marked = np.flatnonzero(distances_to_codebook(x, cb) < sub1_radii(cb))
     assert marked.tolist() in ([], [oracle])
     assert np.all(facts.t_s == marked.size)
     assert np.all(facts.index == oracle)
     assert not accepted.any() or marked.size == 1
 
 
+def spread_codebook(rng: np.random.Generator, k: int, n: int):
+    """A codebook whose half-distances differ, and the rounded midpoint of its closest pair.
+
+    ``rounded_midpoint``'s pair sits at the origin, its midpoint usually
+    within rounding of delta0/2 of both ends; a cluster of n codevectors sits
+    at 100 on every axis, and isolated ones 10 to 40 from the cluster, whose
+    half-distances lie far above delta0/2.
+    """
+    pair, midpoint = rounded_midpoint(rng, k)
+    cluster = 100.0 + rng.normal(size=(n, k))
+    direction = rng.normal(size=(3, k))
+    direction *= rng.uniform(10.0, 40.0, size=(3, 1)) / np.linalg.norm(direction, axis=1, keepdims=True)
+    return Codebook(np.vstack([pair.vectors, cluster, 100.0 + direction])), midpoint
+
+
+@settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(seed=0, k=3, n=4, ulps=0)  # midpoint_case()'s pair
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), n=st.integers(2, 12), ulps=st.integers(-8, 8))
+def test_stage1_marks_at_most_the_full_search_index_at_every_own_radius(seed, k, n, ulps):
+    # inputs a few ulps from each codevector's own shells, its half-distance
+    # and its stage-1 radius, and at the rounded midpoints of nearest pairs
+    rng = np.random.default_rng(seed)
+    cb, midpoint = spread_codebook(rng, k, n)
+    radii = sub1_radii(cb)
+    assert radii.max() > cb.delta0 / 2.0  # the isolated codevectors' radii
+    direction = rng.normal(size=(cb.n, k))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    stretch = 1.0 + ulps * 2.0**-52
+    nearest_of = [int(np.argsort(distances_to_codebook(c, cb))[1]) for c in cb.vectors]
+    rows = np.vstack([
+        cb.vectors + direction * (cb.nearest_other / 2.0 * stretch)[:, None],
+        cb.vectors + direction * (radii * stretch)[:, None],
+        (cb.vectors + cb.vectors[nearest_of]) / 2.0,
+        [midpoint],
+    ])
+    rows = rows + ulps * np.spacing(rows)
+    table = build_neighborhoods(cb, cb.delta0)
+    facts, accepted, _ = run_stage(1, rows, cb, table, seed)
+    for x, t_s, index, hit in zip(rows, facts.t_s, facts.index, accepted):
+        oracle, _ = full_search(x, cb)
+        marked = np.flatnonzero(distances_to_codebook(x, cb) < radii)
+        assert marked.tolist() in ([], [oracle])
+        assert t_s == marked.size and index == oracle
+        assert not hit or t_s == 1
+
+
 def boundary_batch(rng: np.random.Generator, cb: Codebook, delta_hat: float, per_kind: int):
     """Blocks on every boundary the meter simulation branches on.
 
     Codevectors themselves, points on the delta0/2, delta_hat and 2 * delta_hat
-    shells, pair midpoints, the centroid (t = N once delta_hat is large) and
-    points far from every codevector (t = 0).
+    shells and on each codevector's own half-distance shell, pair midpoints,
+    the centroid (t = N once delta_hat is large) and points far from every
+    codevector (t = 0).
     """
     k = cb.k
     rows = [cb.vectors[rng.integers(0, cb.n, size=per_kind)]]
-    for radius in (cb.delta0 / 2.0, delta_hat, 2.0 * delta_hat):
+    for radius in (cb.delta0 / 2.0, delta_hat, 2.0 * delta_hat, None):
+        at = rng.integers(0, cb.n, size=per_kind)
         direction = rng.normal(size=(per_kind, k))
-        direction *= radius / np.linalg.norm(direction, axis=1, keepdims=True)
-        rows.append(cb.vectors[rng.integers(0, cb.n, size=per_kind)] + direction)
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        rows.append(cb.vectors[at] + direction * (cb.nearest_other[at, None] / 2.0 if radius is None else radius))
     pairs = rng.integers(0, cb.n, size=(per_kind, 2))
     rows.append((cb.vectors[pairs[:, 0]] + cb.vectors[pairs[:, 1]]) / 2)
     rows.append(np.tile(cb.vectors.mean(axis=0), (per_kind, 1)))

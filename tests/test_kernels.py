@@ -38,6 +38,12 @@ def ref_min_pairwise(vectors):
     return min(ref_distance(vectors[i], vectors[j]) for i in range(n) for j in range(i + 1, n))
 
 
+def ref_nearest_other(vectors):
+    """Each row's smallest ``ref_distance`` to another row, scanning every other row."""
+    n = len(vectors)
+    return [min(ref_distance(vectors[i], vectors[j]) for j in range(n) if j != i) for i in range(n)]
+
+
 @pytest.fixture(scope="module")
 def random_data():
     rng = np.random.default_rng(2024)
@@ -82,6 +88,7 @@ def test_kernels_match_reference_bitwise(k, m, n):
     assert idx.dtype == np.int64 and idx.shape == dist.shape == (m,)
     assert list(zip(idx.tolist(), dist.tolist())) == [ref_nearest(q, vectors) for q in queries]
     assert kernels.min_pairwise(vectors) == ref_min_pairwise(vectors)
+    assert kernels.nearest_other(vectors).tolist() == ref_nearest_other(vectors)
 
 
 def test_single_row_matches_batch_entry(random_data):
@@ -373,7 +380,13 @@ def _edge_pair_across_tiles():
 @example(vectors=1e6 + np.random.default_rng(3).normal(size=(WINDOW_TILE - 1, 3)))
 @given(vectors=pairwise_cases())
 def test_min_pairwise_is_the_closest_pair(vectors):
-    assert kernels.min_pairwise(vectors) == ref_min_pairwise(vectors)
+    # each row's nearest other row, bit for bit, with duplicates, ties and shared projections
+    want = ref_nearest_other(vectors)
+    assert kernels.nearest_other(vectors).tolist() == want
+    assert kernels.min_pairwise(vectors) == min(want)
+    if min(want) > 0.0:  # a codebook reads delta0 off the same pass
+        cb = Codebook(vectors)
+        assert cb.nearest_other.tolist() == want and cb.delta0 == min(want)
 
 
 def _float_rows(elements):

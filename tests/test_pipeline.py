@@ -178,6 +178,8 @@ class TestCodec:
         img, cb, table, cfg = small_setup
         _, stats = encode_image(img, cb, table, cfg)
         assert stats.a + stats.b + stats.c == pytest.approx(1.0, abs=1e-12)
+        # stage 1 marks every block below delta0/2, and more
+        assert stats.a <= stats.sub1_marked <= 1.0
         assert stats.count_sub1 + stats.count_sub2 + stats.count_fallback == stats.n_vectors
 
     def test_geometry_mismatch_rejected(self, small_setup):
@@ -243,6 +245,13 @@ class TestEncodeVectors:
         with pytest.raises(ValueError, match="non-finite"):
             encode_vectors(rows, cb, table, cfg)
 
+    def test_huge_component_rejected(self):
+        # its distances overflowed to inf, and every block got index 0
+        cb, table, cfg = grid64_setup()
+        rows = np.array([[0.0, 0.0], [31.0, 9.0], [1e200, 5.0]])
+        with pytest.raises(ValueError, match=r"2\*\*500"):
+            encode_vectors(rows, cb, table, cfg)
+
     @pytest.mark.parametrize("table_n, codebook_n", [(64, 256), (256, 64)])
     def test_table_for_another_codebook_size_rejected(self, table_n, codebook_n):
         # a smaller table used to raise IndexError, a larger one to charge the wrong lists
@@ -263,7 +272,7 @@ class TestEncodeVectors:
 class TestReport:
     def make_stats(self, mean_grover):
         return PartitionStats(
-            n_vectors=100, a=0.9, b=0.09, c=0.01,
+            n_vectors=100, a=0.9, b=0.09, c=0.01, sub1_marked=0.92,
             count_sub1=90, count_sub2=9, count_fallback=1,
             mean_grover_iterations=mean_grover, max_grover_iterations=20,
             mean_classical_evals=3.0, max_classical_evals=50,
@@ -289,8 +298,16 @@ class TestReport:
             "frac_s", "frac_t_minus_s", "frac_i_minus_t",
             "ratio_vs_sqrt_n", "ratio_vs_pure_quantum",
             "count_sub1", "count_sub2", "count_fallback",
+            "frac_sub1_marked", "ops_per_block", "ratio_ops_vs_sqrt_n",
         ):
             assert key in got
+
+    def test_operations_per_block(self):
+        # 8 iterations and 3 evaluations per block, against sqrt(256) = 16
+        got = self.parse(report(self.make_stats(8.0), 256))
+        assert float(got["ops_per_block"]) == 11.0
+        assert float(got["ratio_ops_vs_sqrt_n"]) == 11.0 / 16.0
+        assert float(got["frac_sub1_marked"]) == 0.92
 
 
 class TestSyntheticDataset:
