@@ -82,9 +82,13 @@ class EncoderConfig:
     def __post_init__(self):
         if not self.delta_hat > 0:
             raise ValueError("delta_hat must be > 0")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"master_seed must be a non-negative int, got {seed!r}")
+        check_seed(self.master_seed)
+
+
+def check_seed(seed) -> None:
+    """Reject a ``master_seed`` that is not a non-negative int (bools included)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"master_seed must be a non-negative int, got {seed!r}")
 
 
 @dataclass

@@ -321,8 +321,10 @@ def window_marked(queries: np.ndarray, vectors: np.ndarray, radius: float):
 
     Returns (index, nearest, marked, start, count): row i's ascending indices
     j with d(queries[i], vectors[j]) < ``radius`` are
-    ``marked[start[i] : start[i] + count[i]]``.  ``marked`` is one read-only
-    int64 array, so every slice of it is read-only too.
+    ``marked[start[i] : start[i] + count[i]]``.  ``marked``, ``start`` and
+    ``count`` are read-only int64 arrays, kept as they are by the neighbor
+    table (the codebook over itself) and read by the encoder's fact pass;
+    every slice of ``marked`` is read-only too.
     """
     m = queries.shape[0]
     index = np.empty(m, dtype=np.int64)
@@ -342,7 +344,8 @@ def window_marked(queries: np.ndarray, vectors: np.ndarray, radius: float):
         parts.append(cols[np.flatnonzero(inside) % cols.size])
         offset += parts[-1].size
     marked = np.concatenate(parts, dtype=np.int64)
-    marked.setflags(write=False)
+    for a in (marked, start, count):
+        a.setflags(write=False)
     return index, nearest, marked, start, count
 
 

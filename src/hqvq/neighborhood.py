@@ -2,7 +2,9 @@
 
 The table is built classically once per codebook and consulted by the
 encoder's finishing search: after a candidate codevector h is verified close
-enough to the input, only the neighbors of h need a classical scan.
+enough to the input, only the neighbors of h need a classical scan.  It keeps
+the flat arrays of one ``kernels.window_marked`` pass of the codebook over
+itself; list i is a slice of them.
 """
 
 from __future__ import annotations
@@ -15,29 +17,39 @@ from . import kernels
 from .codebook import Codebook
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborhoodTable:
-    """Sorted index lists: ``lists[i]`` holds every j with d(c[i], c[j]) < ``neighbor_radius``.
+    """Neighbor lists: list i holds every j with d(c[i], c[j]) < ``neighbor_radius``, ascending.
 
+    List i is ``members[start[i] : start[i] + count[i]]`` (``neighbors(i)``);
+    the three arrays are ``kernels.window_marked``'s, read-only int64.
     ``delta_hat`` is the encoder threshold the table was built for; the radius
     is positive, so each codevector is always its own neighbor (d == 0) and
     ``inf_omega >= 1``.
     """
 
     delta_hat: float
-    lists: tuple  # tuple of read-only 1-D int64 arrays, each sorted ascending
+    members: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.lists)
+        return self.count.size
 
     @property
     def inf_omega(self) -> int:
         """Size of the shortest neighbor list."""
-        return int(self.sizes().min())
+        return int(self.count.min())
 
     def sizes(self) -> np.ndarray:
-        return np.array([len(l) for l in self.lists], dtype=np.int64)
+        """Every list's size, as the stored (N,) ``count``."""
+        return self.count
+
+    def neighbors(self, i) -> np.ndarray:
+        """List i, a read-only slice of ``members``."""
+        lo = int(self.start[i])
+        return self.members[lo : lo + int(self.count[i])]
 
 
 def neighbor_radius(delta_hat: float, k: int) -> float:
@@ -59,18 +71,17 @@ def neighbor_radius(delta_hat: float, k: int) -> float:
 def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTable:
     """Neighbor lists at ``neighbor_radius``: one ``kernels.window_marked`` pass of the codebook over itself.
 
-    Each list is a slice of the pass's flat marked array, so it is read-only
-    int64 and sorted ascending.  ``delta_hat`` must be at least half the
-    codebook's minimum pairwise distance (NaN is rejected); below that the
-    fast encoding path's region structure breaks.
+    The table keeps the pass's flat marked array, starts and counts as they
+    are.  ``delta_hat`` must be at least half the codebook's minimum pairwise
+    distance (NaN is rejected); below that the fast encoding path's region
+    structure breaks.
     """
     half_delta0 = codebook.delta0 / 2.0
     if not delta_hat >= half_delta0:  # NaN fails this too
         raise ValueError(f"delta_hat {delta_hat} is not at least delta0/2 = {half_delta0}")
     radius = neighbor_radius(delta_hat, codebook.k)
-    _, _, marked, start, count = kernels.window_marked(codebook.vectors, codebook.vectors, radius)
-    lists = tuple(marked[lo:hi] for lo, hi in zip(start.tolist(), (start + count).tolist()))
-    return NeighborhoodTable(delta_hat=float(delta_hat), lists=lists)
+    _, _, members, start, count = kernels.window_marked(codebook.vectors, codebook.vectors, radius)
+    return NeighborhoodTable(delta_hat=float(delta_hat), members=members, start=start, count=count)
 
 
 def space_bits(table: NeighborhoodTable) -> int:
@@ -80,11 +91,11 @@ def space_bits(table: NeighborhoodTable) -> int:
     counts the per-list head pointer.
     """
     bits_per_entry = max(1, (table.n - 1).bit_length()) + 32
-    return int((table.sizes() + 1).sum()) * bits_per_entry
+    return int((table.count + 1).sum()) * bits_per_entry
 
 
 def dump_table(table: NeighborhoodTable) -> str:
     """Human-readable listing, one line per codevector: ``i: j1 j2 ... jm``."""
     return "\n".join(
-        f"{i}: " + " ".join(str(j) for j in lst) for i, lst in enumerate(table.lists)
+        f"{i}: " + " ".join(map(str, table.neighbors(i).tolist())) for i in range(table.n)
     )

@@ -269,13 +269,13 @@ def report(stats: PartitionStats, n: int) -> str:
 
 
 def grid_codebook(n: int) -> Codebook:
-    """Square-lattice codebook in 2-D with spacing 10; n must be a perfect square.
+    """Square-lattice codebook in 2-D with spacing 10; n must be a positive perfect square.
 
     Every pairwise distance is at least 10, so delta0 == 10 and all three
     encoder regions are realizable inside the lattice.
     """
-    side = round(math.sqrt(n))
-    if side * side != n:
+    side = round(math.sqrt(n)) if n > 0 else 0
+    if n <= 0 or side * side != n:
         raise ValueError(f"{n} is not a perfect square")
     coords = np.arange(side, dtype=np.float64) * 10.0
     xx, yy = np.meshgrid(coords, coords, indexing="ij")

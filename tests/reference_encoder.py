@@ -104,7 +104,7 @@ def reference_stage2(dvec, table, u, meter: QueryMeter, rounds: list | None = No
     n = len(dvec)
     marked = [i for i, d in enumerate(dvec) if d < table.delta_hat]
     t = len(marked)
-    scan = len(table.lists[marked[min(int(u(1) * t), t - 1)]]) if t else 0
+    scan = len(table.neighbors(marked[min(int(u(1) * t), t - 1)])) if t else 0
     m, spent, r = 1.0, 0, 0
     while True:
         cutoff = math.floor(m) + 1

@@ -86,7 +86,7 @@ def exactness_run():
                         if out.path == EncodePath.SUB2:
                             sub2_successes += 1
                             for h in marked_set_from_distances(dvec, table.delta_hat):
-                                if oracle_i not in set(int(v) for v in table.lists[h]):
+                                if oracle_i not in set(int(v) for v in table.neighbors(h)):
                                     soundness_violations += 1
     return {
         "encodes": encodes,
@@ -188,7 +188,9 @@ def test_criterion_5_simulator_cross_validation():
 def test_criterion_6_space_formula():
     # exact value on a constructed table with all-singleton lists
     # (no valid delta_hat builds one: the closest pair is in each other's lists)
-    t4 = NeighborhoodTable(delta_hat=50.0, lists=tuple(np.array([i]) for i in range(4)))
+    t4 = NeighborhoodTable(
+        delta_hat=50.0, members=np.arange(4), start=np.arange(4), count=np.ones(4, dtype=np.int64)
+    )
     exact_ok = space_bits(t4) == 272
 
     # doubling N with bounded |lists|: log-log slope tracks the N*log2(N) model
@@ -198,7 +200,7 @@ def test_criterion_6_space_formula():
     for n in sizes:
         cb = line_codebook(n)
         table = build_neighborhoods(cb, 7.5)  # radius 15: three-wide lists
-        assert max(len(l) for l in table.lists) == 3
+        assert max(len(table.neighbors(i)) for i in range(table.n)) == 3
         measured.append(space_bits(table))
         model.append(n * (max(1, (n - 1).bit_length()) + 32))
     slope_ok = True

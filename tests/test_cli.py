@@ -137,6 +137,11 @@ class TestErrors:
         assert main(["bench", "--sizes", "64", "--vectors", "1"]) == 1
         assert "n_vectors must be at least 5" in capsys.readouterr().err
 
+    def test_bench_bad_seed_names_master_seed(self, capsys):
+        # used to fail in the dataset's generator with "expected non-negative integer"
+        assert main(["bench", "--sizes", "4", "--seed", "-1"]) == 1
+        assert "master_seed must be a non-negative int" in capsys.readouterr().err
+
     def test_stats_nan_delta_hat(self, tmp_path, image_path, capsys):
         # used to exit 0 and print inf_omega=0 over all-empty neighbor lists
         cb = tmp_path / "cb.txt"
@@ -177,6 +182,21 @@ class TestErrors:
         captured = capsys.readouterr()
         assert "percentile must be in (0, 100]" in captured.err
         assert captured.out == ""
+
+    def test_encode_bad_seed_rejected_before_the_pass(self, tmp_path, image_path, capsys, monkeypatch):
+        # loading the codebook and choosing delta_hat used to run two window passes first
+        cb = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0
+        capsys.readouterr()
+
+        def no_pass(queries, vectors, radius, bound=None):
+            raise AssertionError("a distance pass ran before the seed check")
+
+        monkeypatch.setattr(kernels, "window_tiles", no_pass)
+        stream = tmp_path / "s.vqix"
+        assert main(["encode", str(image_path), str(cb), "-o", str(stream), "--seed", "-1"]) == 1
+        assert "master_seed must be a non-negative int" in capsys.readouterr().err
+        assert not stream.exists()
 
     def test_delta_hat_below_valid_range(self, tmp_path, image_path, capsys):
         cb = tmp_path / "cb.txt"

@@ -147,7 +147,7 @@ class TestSub2:
         # isolated codevector far from the cluster: its list is {itself}
         cb = Codebook([[0.0], [1.0], [2.0], [100.0]])
         table = build_neighborhoods(cb, 1.5)
-        assert list(table.lists[3]) == [3]
+        assert list(table.neighbors(3)) == [3]
         x = [100.6]  # inside the shell of codevector 3 only
         facts, accepted, meter = run_stage(2, trials(x, 100), cb, table, 5)
         assert np.all(facts.index == 3) and np.all(facts.t == 1)
@@ -202,10 +202,10 @@ class TestSub2:
         facts, accepted, meter = run_stage(2, [x], cb, table, 7)
         assert accepted[0]
         h = marked[int(draw(PICK_SLOT)[0] * marked.size)]  # the index the hit measures
-        assert 1 in table.lists[h]  # the optimum lies in the verified index's list
-        assert facts.pick_size[0] == len(table.lists[h])
+        assert 1 in table.neighbors(h)  # the optimum lies in the verified index's list
+        assert facts.pick_size[0] == len(table.neighbors(h))
         rounds = stage2_rounds(x, cb, table, draw, 0)
-        assert meter.classical_distance_evals[0] == len(rounds) + len(table.lists[h])
+        assert meter.classical_distance_evals[0] == len(rounds) + len(table.neighbors(h))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 255, 1024])
     def test_success_table_is_marked_probability(self, n):

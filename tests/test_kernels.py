@@ -144,8 +144,11 @@ def test_build_neighborhoods_matches_brute_force(factor):
         [j for j in range(len(vectors)) if ref_distance(vectors[i], vectors[j]) < radius]
         for i in range(len(vectors))
     ]
-    assert [l.tolist() for l in table.lists] == expect
-    assert all(l.dtype == np.int64 and not l.flags.writeable for l in table.lists)
+    assert [table.neighbors(i).tolist() for i in range(table.n)] == expect
+    for a in (table.members, table.start, table.count):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    # the stored count itself, not a copy rebuilt per call
+    assert table.sizes() is table.count and table.sizes() is table.sizes()
 
 
 def _query_and_codebook(draw):
@@ -295,7 +298,8 @@ def test_window_pass_matches_full_rows(case):
     idx, dist, marked, start, count = kernels.window_marked(queries, vectors, radius)
     assert idx.tolist() == full.argmin(axis=1).tolist()
     assert dist.tobytes() == full.min(axis=1).tobytes()
-    assert marked.dtype == np.int64 and not marked.flags.writeable
+    for a in (marked, start, count):
+        assert a.dtype == np.int64 and not a.flags.writeable
     assert [marked[s : s + c].tolist() for s, c in zip(start, count)] == [
         np.flatnonzero(row < radius).tolist() for row in full
     ]

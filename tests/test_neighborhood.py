@@ -25,20 +25,25 @@ def brute_lists(vectors, radius):
     return out
 
 
+def neighbor_lists(table):
+    """Every list of the table, in codevector order, as plain int lists."""
+    return [table.neighbors(i).tolist() for i in range(table.n)]
+
+
 class TestBuild:
     def test_tight_radius_keeps_only_the_closest_pairs(self):
         cb = Codebook([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         # 2*delta_hat == delta0: the rounding margin keeps the pairs at exactly
         # delta0 (10) and no farther one (sqrt(200))
         table = build_neighborhoods(cb, cb.delta0 / 2.0)
-        assert [list(l) for l in table.lists] == [[0, 1, 2], [0, 1], [0, 2]]
+        assert neighbor_lists(table) == [[0, 1, 2], [0, 1], [0, 2]]
         assert table.inf_omega == 2
 
     def test_one_dimensional_example(self):
         # pairwise distances: 1, 2, 10, 1, 9, 8 against radius 3
         cb = Codebook([[0.0], [1.0], [2.0], [10.0]])
         table = build_neighborhoods(cb, 1.5)
-        assert [list(l) for l in table.lists] == [[0, 1, 2], [0, 1, 2], [0, 1, 2], [3]]
+        assert neighbor_lists(table) == [[0, 1, 2], [0, 1, 2], [0, 1, 2], [3]]
         assert table.inf_omega == 1
         assert table.delta_hat == 1.5
 
@@ -49,7 +54,7 @@ class TestBuild:
         delta_hat = cb.delta0 * 1.7
         table = build_neighborhoods(cb, delta_hat)
         expect = brute_lists(vectors, 2 * delta_hat)
-        assert [list(l) for l in table.lists] == expect
+        assert neighbor_lists(table) == expect
 
     def test_completeness_exhaustive(self):
         rng = np.random.default_rng(32)
@@ -58,7 +63,7 @@ class TestBuild:
         delta_hat = cb.delta0
         table = build_neighborhoods(cb, delta_hat)
         for i in range(cb.n):
-            members = set(int(j) for j in table.lists[i])
+            members = set(int(j) for j in table.neighbors(i))
             for j in range(cb.n):
                 inside = distance(vectors[i], vectors[j]) < 2 * delta_hat
                 assert (j in members) == inside
@@ -67,7 +72,7 @@ class TestBuild:
         rng = np.random.default_rng(33)
         cb = Codebook(rng.uniform(0, 10, size=(30, 2)))
         table = build_neighborhoods(cb, cb.delta0 * 2)
-        sets = [set(int(j) for j in l) for l in table.lists]
+        sets = [set(l) for l in neighbor_lists(table)]
         for i in range(cb.n):
             for j in sets[i]:
                 assert i in sets[j]
@@ -76,8 +81,8 @@ class TestBuild:
         rng = np.random.default_rng(34)
         cb = Codebook(rng.uniform(0, 10, size=(15, 2)))
         table = build_neighborhoods(cb, cb.delta0)
-        for i, l in enumerate(table.lists):
-            assert i in set(int(j) for j in l)
+        for i, l in enumerate(neighbor_lists(table)):
+            assert i in set(l)
             assert list(l) == sorted(l)
 
     def test_monotone_in_threshold(self):
@@ -85,8 +90,8 @@ class TestBuild:
         cb = Codebook(rng.uniform(0, 10, size=(20, 2)))
         small = build_neighborhoods(cb, cb.delta0)
         large = build_neighborhoods(cb, cb.delta0 * 1.5)
-        for a, b in zip(small.lists, large.lists):
-            assert set(int(j) for j in a) <= set(int(j) for j in b)
+        for a, b in zip(neighbor_lists(small), neighbor_lists(large)):
+            assert set(a) <= set(b)
 
     def test_threshold_below_half_delta0_rejected(self):
         cb = Codebook([[0.0], [10.0]])
@@ -104,13 +109,15 @@ class TestBuild:
 class TestSpaceBits:
     def test_four_singletons(self):
         # no valid delta_hat builds singleton lists: the closest pair is in each other's
-        table = NeighborhoodTable(delta_hat=50.0, lists=tuple(np.array([i]) for i in range(4)))
+        table = NeighborhoodTable(
+            delta_hat=50.0, members=np.arange(4), start=np.arange(4), count=np.ones(4, dtype=np.int64)
+        )
         assert space_bits(table) == 272  # 4 * (1+1) * (2+32)
 
     def test_two_full_lists(self):
         cb = Codebook([[0.0], [1.0]])
         table = build_neighborhoods(cb, 1.0)  # radius 2 > 1: both lists are {0,1}
-        assert [list(l) for l in table.lists] == [[0, 1], [0, 1]]
+        assert neighbor_lists(table) == [[0, 1], [0, 1]]
         assert space_bits(table) == 198  # 2 * 3 * (1+32)
 
     def test_every_term_at_least_two_entries(self):
@@ -177,10 +184,10 @@ def test_lists_hold_the_argmin_on_the_two_delta_hat_shell(where, seed, k, n, ulp
     row = kernels.dist_to_all(x, cb.vectors)
     best = int(np.argmin(row))
     for marked in np.flatnonzero(row < delta_hat):
-        assert best in table.lists[marked]
+        assert best in table.neighbors(marked)
     # the lists are the computed distances below the widened radius, a superset of 2 * delta_hat's
     radius = neighbor_radius(delta_hat, cb.k)
     assert radius > 2.0 * delta_hat
-    assert [l.tolist() for l in table.lists] == [
+    assert neighbor_lists(table) == [
         np.flatnonzero(kernels.dist_to_all(v, cb.vectors) < radius).tolist() for v in cb.vectors
     ]

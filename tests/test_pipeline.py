@@ -351,6 +351,12 @@ class TestSyntheticDataset:
         assert stats.a == 1.0
         assert stats.count_sub1 >= 999  # 0.1% measurement-failure slack
 
+    @pytest.mark.parametrize("n", [-4, 0, 2])
+    def test_grid_size_not_a_positive_square_rejected_naming_it(self, n):
+        # -4 used to fail inside math.sqrt ("math domain error"), 0 as an empty codebook
+        with pytest.raises(ValueError, match=f"^{n} is not a perfect square$"):
+            grid_codebook(n)
+
     def test_rejects_non_grid_dimension(self):
         cb = Codebook([[0.0], [10.0]])
         with pytest.raises(ValueError, match="2-D"):
