@@ -5,11 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .codebook import load_codebook, save_codebook, train_codebook
+from .codebook import check_seed, load_codebook, save_codebook, train_codebook
 from .encoder import (
     EncoderConfig,
     check_percentile,
-    check_seed,
     choose_delta_hat,
     delta_hat_from_nearest,
     nearest_distances,
@@ -64,7 +63,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    check_seed(args.seed)
+    check_seed(args.seed, "master_seed")
     img = load_pgm(args.image)
     codebook = load_codebook(args.codebook)
     geom = BlockGeometry(block_w=args.block_w, block_h=args.block_h)
@@ -132,7 +131,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    check_seed(args.seed)
+    check_seed(args.seed, "master_seed")
     sizes = [int(s) for s in args.sizes.split(",")]
     blocks = []
     for n in sizes:

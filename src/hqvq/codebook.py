@@ -11,6 +11,7 @@ and ``np.bincount`` sums every cell at once.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -44,6 +45,12 @@ def as_rows(x, k: int | None = None) -> np.ndarray:
     return rows
 
 
+def check_seed(seed, name: str = "seed") -> None:
+    """Reject a seed that is not a non-negative int (bools included), naming it ``name``."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {seed!r}")
+
+
 class DuplicateCodevectors(ValueError):
     """A codebook has two codevectors at distance 0 (delta0 == 0)."""
 
@@ -54,6 +61,9 @@ class Codebook:
     One ``kernels.nearest_other`` pass at construction gives ``nearest_other``,
     each codevector's distance to its nearest other one (a read-only (N,)
     array), and its minimum ``delta0``, the minimum pairwise distance.
+    ``projections`` holds each codevector's ``kernels.projections``
+    coordinate on the mean axis (read-only (N,)), the order the encoder's
+    finishing walks read the codebook in.
     Duplicate codevectors (delta0 == 0) are rejected with
     ``DuplicateCodevectors`` because the single-solution guarantee of the
     fast encoding path depends on it.
@@ -67,6 +77,8 @@ class Codebook:
         self.vectors.setflags(write=False)
         self.nearest_other = kernels.nearest_other(arr)
         self.nearest_other.setflags(write=False)
+        self.projections = kernels.projections(arr)
+        self.projections.setflags(write=False)
         self.delta0 = float(self.nearest_other.min())
         if self.delta0 <= 0.0:
             raise DuplicateCodevectors("codebook contains duplicate codevectors (delta0 == 0)")
@@ -120,8 +132,9 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
     dimension adds a cell's samples in sample order, starting from +0.0, so
     a cell whose members are all -0.0 in a component gets +0.0 there.  At
     least one iteration runs (``max_iter >= 1``).  Deterministic for a fixed
-    seed.
+    seed, a non-negative int.
     """
+    check_seed(seed)
     data = as_rows(samples)
     m = data.shape[0]
     if n_codevectors < 2:

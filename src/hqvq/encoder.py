@@ -12,9 +12,21 @@ Stage 2 targets inputs within the configured threshold: the search is
 embedded in a growing-cutoff schedule for an unknown number of solutions;
 any verified hit is finished by a classical scan of that codevector's
 neighbor list, which provably contains the global optimum.
-Anything else falls back to the exhaustive classical search.  The index is
-the distance row's argmin; the stages only simulate and charge the search,
-so randomness never affects the index.  This module alone charges the meter.
+Anything else falls back to a classical search of the whole codebook.  The
+index is the distance row's argmin; the stages only simulate and charge the
+search, so randomness never affects the index.  This module alone charges
+the meter.
+
+Both finishing searches walk their list in projection order on the mean
+axis, after Ra and Kim (IEEE TCAS-II, 1993): outward from the input's
+projection, nearer side first, until each side's next entry lies farther in
+projection than ``kernels.half_width`` of the best distance so far.  The
+walk visits the same entries in whatever order it steps: those within
+half_width of the row's minimum d*, which hold the argmin (the margin's
+proof is in ``finishing_walks``).  So its charge is a count over the
+block's strip, two binary searches in the batch, not a per-block loop.  The
+paper's charges, h's whole list and all N, stay reported beside it
+(``pipeline.PartitionStats.paper_mean_classical_evals``).
 
 ``encode`` works on a batch.  One projection-window pass over the distinct
 blocks' distances reduces each block to a few facts (``BlockFacts``); equal
@@ -28,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -36,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .codebook import Codebook, as_rows
+from .codebook import Codebook, as_rows, check_seed
 from .codebook import full_search  # noqa: F401 (perfbench/spans.py wraps it by name)
 from .grover import marked_probability
 from .grover import marked_set_from_distances, measure  # noqa: F401 (perfbench/spans.py wraps them by name)
@@ -82,13 +93,7 @@ class EncoderConfig:
     def __post_init__(self):
         if not self.delta_hat > 0:
             raise ValueError("delta_hat must be > 0")
-        check_seed(self.master_seed)
-
-
-def check_seed(seed) -> None:
-    """Reject a ``master_seed`` that is not a non-negative int (bools included)."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"master_seed must be a non-negative int, got {seed!r}")
+        check_seed(self.master_seed, "master_seed")
 
 
 @dataclass
@@ -98,10 +103,14 @@ class QueryMeter:
     One search iteration = one quantum operation; every charged classical
     distance evaluation counts separately.  Marked-set enumeration inside the
     simulator is never charged (it stands in for the oracle's parallelism).
+    ``table_reads`` counts what the finishing walks read of the sorted
+    neighbor lists and codebook; it is reported beside the operations, not
+    in them.
     """
 
     grover_iterations: int = 0
     classical_distance_evals: int = 0
+    table_reads: int = 0
 
 
 @dataclass(frozen=True)
@@ -119,7 +128,8 @@ class BlockFacts:
     nearest: np.ndarray  # the row's minimum
     t_s: np.ndarray  # marked by stage 1: #{i : d_i < sub1_radii[i]}, 0 or 1 (then i is the argmin)
     t: np.ndarray  # marked at delta_hat: #{i : d_i < delta_hat}
-    pick_size: np.ndarray  # list size of the marked index a stage-2 hit measures; 0 if t == 0
+    pick: np.ndarray  # the marked index a stage-2 hit measures; -1 if t == 0
+    row: np.ndarray  # the block's row among the pass's distinct rows: equal blocks share it
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +143,7 @@ class EncodeBatch(Sequence):
     facts: BlockFacts
     path: np.ndarray  # int8 positions in PATHS
     meter: QueryMeter  # (M,) int64 arrays
+    scan: np.ndarray  # (M,) int64: the evaluations each block's finishing walk was charged, 0 on stage 1
 
     def __len__(self) -> int:
         return self.path.size
@@ -142,7 +153,11 @@ class EncodeBatch(Sequence):
         return EncodeOutcome(
             int(self.facts.index[b]),
             PATHS[self.path[b]],
-            QueryMeter(int(self.meter.grover_iterations[b]), int(self.meter.classical_distance_evals[b])),
+            QueryMeter(
+                int(self.meter.grover_iterations[b]),
+                int(self.meter.classical_distance_evals[b]),
+                int(self.meter.table_reads[b]),
+            ),
         )
 
 
@@ -186,14 +201,15 @@ def block_facts(
     vectors: np.ndarray,
     codebook: Codebook,
     table: NeighborhoodTable,
-    pick: np.ndarray,
+    pick_draw: np.ndarray,
 ) -> BlockFacts:
     """One window pass over the distinct blocks' distances, kept as ``BlockFacts``.
 
     ``vectors`` is a finite (M, k) float64 array of the codebook's dimension.
-    ``pick`` holds each block's uniform draw in [0, 1) for the marked index a
-    stage-2 hit measures: the one at position floor(pick * t) of the t
-    marked indices in ascending order, uniform among them.  The pass is one
+    ``pick_draw`` holds each block's uniform draw in [0, 1) for the marked
+    index a stage-2 hit measures, ``BlockFacts.pick``: the one at position
+    floor(pick_draw * t) of the t marked indices in ascending order, uniform
+    among them.  The pass is one
     ``kernels.window_marked`` call over ``kernels.distinct_rows(vectors)`` at
     radius delta_hat: each row's window holds every codevector within
     max(delta_hat, its nearest distance), so the facts equal the full row's.
@@ -203,14 +219,14 @@ def block_facts(
     distinct, inverse = kernels.distinct_rows(vectors)
     index, nearest, marked, start, t = kernels.window_marked(distinct, codebook.vectors, table.delta_hat)
     block_t = t[inverse]
-    k = np.minimum((pick * block_t).astype(np.int64), block_t - 1)
+    k = np.minimum((pick_draw * block_t).astype(np.int64), block_t - 1)
     hit = np.flatnonzero(block_t > 0)
-    pick_size = np.zeros(vectors.shape[0], dtype=np.int64)
-    pick_size[hit] = table.sizes()[marked[start[inverse[hit]] + k[hit]]]
+    picked = np.full(vectors.shape[0], -1, dtype=np.int64)
+    picked[hit] = marked[start[inverse[hit]] + k[hit]]
     # only the argmin can lie below its own radius, and then it is the one marked codevector
     t_s = (nearest < sub1_radii(codebook)[index]).astype(np.int64)
     return BlockFacts(
-        index=index[inverse], nearest=nearest[inverse], t_s=t_s[inverse], t=block_t, pick_size=pick_size
+        index=index[inverse], nearest=nearest[inverse], t_s=t_s[inverse], t=block_t, pick=picked, row=inverse
     )
 
 
@@ -254,10 +270,9 @@ def encode_sub2(
 
     Round r draws each live block's j uniformly from {0..floor(m)}, charges
     the j iterations and one verification, and accepts the block when its
-    coin lands on the marked set (the measured index h then verifies below
-    delta_hat).  An accepted block is charged the scan of h's neighbor list,
-    ``facts.pick_size``: by the triangle inequality any codevector outside
-    it is farther than delta_hat, so the optimum lies in h's list.  The
+    coin lands on the marked set (the measured index h, ``facts.pick``, then
+    verifies below delta_hat).  The scan that finishes an accepted block is
+    charged after the rounds, by ``finishing_walks``.  The
     budget is the only stopping rule: a block whose next draw would push its
     iteration total past it leaves unaccepted (caller falls back).  Every
     round draws j >= 1 with probability at least 1/2, so the rounds end with
@@ -299,16 +314,116 @@ def encode_sub2(
             stay = ~over
             live, spent, cell, j = live[stay], spent[stay], cell[stay], j[stay]
         hit = draw(2 * r + 3)[live] < chance[cell + j]
-        if hit.any():  # accepted after r + 1 verifications and h's list scan
+        if hit.any():  # accepted after r + 1 verifications
             done = live[hit]
             meter.grover_iterations[done] += spent[hit]
-            meter.classical_distance_evals[done] += r + 1 + facts.pick_size[done]
+            meter.classical_distance_evals[done] += r + 1
             accepted[done] = True
             miss = ~hit
             live, spent, cell = live[miss], spent[miss], cell[miss]
         m = min(BBHT_GROWTH * m, sqrt_n)
         r += 1
     return accepted
+
+
+def finishing_walks(
+    vectors: np.ndarray,
+    facts: BlockFacts,
+    codebook: Codebook,
+    table: NeighborhoodTable,
+    accepted: np.ndarray,
+    fallback: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The charges of the walks that finish stage-2 hits and fallbacks: (evals, reads), (M,) int64.
+
+    Each walk is the mean-ordered partial search of Ra and Kim (IEEE
+    TCAS-II, 1993) over a list in projection order (``kernels.projections``):
+    h's neighbor list for a block in ``accepted``, the whole codebook for one
+    in ``fallback``.  It locates p(x) by binary search, then steps outward
+    on two sides, always to the side whose next entry is nearer in
+    projection.  Each visited entry is evaluated, except h, whose distance
+    the verification gave, and the best distance so far is kept (from
+    d(x, h) after a hit, from infinity in a fallback).  A side closes at its
+    first entry outside [p(x) - w, p(x) + w], w = ``kernels.half_width``
+    (best), which no later entry on that side can be inside, as best only
+    falls.
+
+    The walk visits exactly the entries inside the strip of w* = half_width
+    (d*), d* the row's minimum ``facts.nearest``, in any order of its steps.
+    The margin: with ``kernels.rounding_bound(k)``'s g and s >= ||x||,
+    ||c|| for every c, the argmin j*'s exact gap is at most its exact
+    distance, below d* / (1 - g), and each computed projection is within
+    g s of the exact one, so j*'s computed gap is below d* (1 + 2g) + 2g s
+    up to one rounding, 2g (d* + s) inside w* = d* + 4g (d* + s).  That
+    room covers the rounding of the gaps and of the strip's ends, so every
+    entry whose computed gap is at most j*'s lies inside the strip.  Before
+    j* is visited, every visited entry is no farther in projection than j*
+    (the walk takes the nearer side, and j*'s side runs towards j*), so
+    inside the strip; j*'s side cannot close, since its entries up to j*
+    lie between p(x) and j*; once j* is visited, best is d*.  So the walk
+    reaches j*, in h's list by ``neighborhood.neighbor_radius``, and every
+    codevector at d* with it: its minimum, ties to the smallest index, is
+    the row's.  s is sqrt(k) max |c_d| + 2 best, which the walk knows at
+    every step: ||x|| <= ||c_j|| + d(x, c_j) for the j at best, and a
+    computed distance is at least half the exact one.  half_width grows
+    with best, so the argument above holds, and the final strip is the one
+    at d*.  So a block's charge depends on that block and the codebook
+    alone, never on the other blocks.
+
+    The cost is read off the block's strip: the ranks [lo, hi) of
+    ``Codebook.projections`` in it (two ``searchsorted`` calls, once per
+    distinct row, ``facts.row``), then, after a hit, h's keys in
+    [h N + lo, h N + hi) (two more), less h when h lies in the strip.  A
+    fallback walk charges hi - lo.
+
+    ``reads`` counts each walk's binary-search locate, bit_length of its
+    list's size, plus every entry it reads: those it visits, h included,
+    and the entry that closes each side, if the side has one.
+    """
+    evals = np.zeros(facts.t.size, dtype=np.int64)
+    reads = np.zeros(facts.t.size, dtype=np.int64)
+    n, k = codebook.n, codebook.k
+    walked = np.flatnonzero(accepted | fallback)
+    # a strip depends on the block's row alone: one per distinct walked row
+    rows = facts.row[walked]
+    block_of = np.full(facts.row.max(initial=-1) + 1, -1, dtype=np.int64)
+    block_of[rows] = walked
+    ids = np.flatnonzero(block_of >= 0)
+    p = kernels.projections(np.take(vectors, block_of[ids], axis=0))
+    # in projection order, each binary search below starts near the last
+    order = np.argsort(p)
+    ids, p = ids[order], p[order]
+    nearest = facts.nearest[block_of[ids]]
+    scale = math.sqrt(k) * np.abs(codebook.vectors).max() + 2.0 * nearest
+    half = kernels.half_width(nearest, k, scale)
+    low, high = p - half, p + half
+    axis = np.sort(codebook.projections)
+    lo = np.searchsorted(axis, low, side="left")
+    hi = np.searchsorted(axis, high, side="right")
+    position = np.empty_like(block_of)
+    position[ids] = np.arange(ids.size)
+    strip = position[rows]  # each walked block's strip
+    hit = accepted[walked]
+    # fallback: the whole codebook in projection order
+    miss = strip[~hit]
+    inside = hi[miss] - lo[miss]
+    evals[walked[~hit]] = inside
+    reads[walked[~hit]] = n.bit_length() + inside + (lo[miss] > 0) + (hi[miss] < n)
+    # stage-2 hit: h's list in projection order, its keys in [h * N, (h + 1) * N), searched in key order
+    keep = np.flatnonzero(hit)
+    keep = keep[np.argsort(facts.pick[walked[keep]] * n + lo[strip[keep]])]
+    walked, strip = walked[keep], strip[keep]
+    low, high, lo, hi = low[strip], high[strip], lo[strip], hi[strip]
+    h = facts.pick[walked]
+    a = np.searchsorted(table.keys, h * n + lo)
+    b = np.searchsorted(table.keys, h * n + hi)
+    size = table.count[h]
+    first = (np.cumsum(table.count) - table.count)[h]  # where h's keys begin
+    own = codebook.projections[h]
+    inside = b - a
+    evals[walked] = inside - ((low <= own) & (own <= high))
+    reads[walked] = np.frexp(size)[1] + inside + (a > first) + (b < first + size)
+    return evals, reads
 
 
 def encode(
@@ -324,18 +439,21 @@ def encode(
     in [0, 1) per block for each slot.  Stage 2 runs at the table's
     delta_hat.  Each block's index is the argmin of its distance row, ties to
     the smallest index, whichever stage accepts; the stages decide only the
-    path and what the meter is charged.
+    path and what the meter is charged.  Stage-2 hits and fallbacks are
+    then charged their ``finishing_walks``, which ``EncodeBatch.scan`` keeps
+    apart.
     """
     facts = block_facts(vectors, codebook, table, draw(PICK_SLOT))
     size = vectors.shape[0]
-    meter = QueryMeter(np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64))
+    meter = QueryMeter(*(np.zeros(size, dtype=np.int64) for _ in range(3)))
     path = np.full(size, PATHS.index(EncodePath.CLASSICAL_FALLBACK), dtype=np.int8)
     sub1 = encode_sub1(facts, codebook.n, draw, meter)
     path[sub1] = PATHS.index(EncodePath.SUB1)
     sub2 = encode_sub2(facts, np.flatnonzero(~sub1), codebook.n, draw, meter)
     path[sub2] = PATHS.index(EncodePath.SUB2)
-    meter.classical_distance_evals[~(sub1 | sub2)] += codebook.n
-    return EncodeBatch(facts=facts, path=path, meter=meter)
+    scan, meter.table_reads = finishing_walks(vectors, facts, codebook, table, sub2, ~(sub1 | sub2))
+    meter.classical_distance_evals += scan
+    return EncodeBatch(facts=facts, path=path, meter=meter, scan=scan)
 
 
 def nearest_distances(codebook: Codebook, sample) -> np.ndarray:

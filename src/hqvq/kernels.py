@@ -119,6 +119,31 @@ def rounding_bound(k: int) -> float:
     return ku / (1.0 - ku)
 
 
+def projections(rows: np.ndarray) -> np.ndarray:
+    """Each row's coordinate on the mean axis (1, ..., 1) / sqrt(k): its sum over sqrt(k).
+
+    The sum runs over the columns in index order, ``((x_0 + x_1) + x_2) + ...``,
+    as ``_distances`` sums.
+    """
+    total = rows[:, 0].copy()
+    for d in range(1, rows.shape[1]):
+        total += rows[:, d]
+    total /= math.sqrt(rows.shape[1])
+    return total
+
+
+def half_width(reach, k: int, scale):
+    """The projection gap within which every codevector within ``reach`` of a query lies.
+
+    |p(x) - p(c)| <= d(x, c), widened by the rounding of both projections and
+    the distance: reach + 4g (reach + scale), with ``rounding_bound(k)``'s g
+    and ``scale`` at least the norm of the query and of every codevector,
+    such as sqrt(k) * max |x_d| over all of them (see the module docstring).
+    Elementwise over arrays.
+    """
+    return reach + 4.0 * rounding_bound(k) * (reach + scale)
+
+
 def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=None):
     """Yield (rows, cols, d): each tile's distances to the codevectors that can matter.
 
@@ -151,12 +176,10 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
     """
     m, k = queries.shape
     n = vectors.shape[0]
-    margin = 4.0 * rounding_bound(k)
     # sqrt(k) * max |x_d| >= ||x|| for every query and codevector
     scale = math.sqrt(k) * max(np.abs(queries).max(initial=0.0), np.abs(vectors).max())
-    # coordinates on the mean axis (1, ..., 1) / sqrt(k)
-    q_proj = queries.sum(axis=1) / math.sqrt(k)
-    v_proj = vectors.sum(axis=1) / math.sqrt(k)
+    q_proj = projections(queries)
+    v_proj = projections(vectors)
     q_order = np.argsort(q_proj, kind="stable")
     v_order = np.argsort(v_proj, kind="stable")
     v_sorted = v_proj[v_order]
@@ -173,16 +196,12 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
         d = out[:size].reshape(shape)
         return cols, _distances(vcols[:, cols], queries[rows].T[:, :, np.newaxis], d, tmp[:size].reshape(shape))
 
-    def half_width(reach):
-        """|p(x) - p(c)| <= d(x, c): the reach, widened by the rounding of both projections and the distance."""
-        return reach + margin * (reach + scale)
-
     def bounded(rows, bounds):
         """The bounded pass: each tile measured once over every row's reach."""
         for start in range(0, rows.size, WINDOW_TILE):
             tile = rows[start : start + WINDOW_TILE]
             p = q_proj[tile]
-            half = half_width(np.maximum(radius, bounds[start : start + WINDOW_TILE]))
+            half = half_width(np.maximum(radius, bounds[start : start + WINDOW_TILE]), k, scale)
             low, high = float((p - half).min()), float((p + half).max())
             if math.isfinite(low) and math.isfinite(high):
                 lo = np.searchsorted(v_sorted, low, side="left")
@@ -201,7 +220,7 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
         cols, d = measure(rows, lo, hi)
         nearest = d.min(axis=1)
         reach = np.maximum(radius, nearest)
-        half = half_width(reach)
+        half = half_width(reach, k, scale)
         # covered: the codevectors just outside the look lie beyond the row's reach
         ok = np.ones(rows.size, dtype=bool)
         if lo > 0:

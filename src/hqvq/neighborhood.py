@@ -4,7 +4,9 @@ The table is built classically once per codebook and consulted by the
 encoder's finishing search: after a candidate codevector h is verified close
 enough to the input, only the neighbors of h need a classical scan.  It keeps
 the flat arrays of one ``kernels.window_marked`` pass of the codebook over
-itself; list i is a slice of them.
+itself; list i is a slice of them.  It also keeps every list in projection
+order, as one sorted key array, so the scan can walk it outward from the
+input's projection.
 """
 
 from __future__ import annotations
@@ -26,12 +28,20 @@ class NeighborhoodTable:
     ``delta_hat`` is the encoder threshold the table was built for; the radius
     is positive, so each codevector is always its own neighbor (d == 0) and
     ``inf_omega >= 1``.
+
+    ``keys`` holds i * N + rank(j) for every j in list i, ascending and
+    read-only int64, where rank is the position of j in the codebook's
+    projection order (``Codebook.projections``, stably sorted).  List i in
+    projection order is the run of keys in [i * N, (i + 1) * N), and its
+    entries whose ranks lie in [lo, hi) are the keys in [i * N + lo,
+    i * N + hi): two ``searchsorted`` calls.
     """
 
     delta_hat: float
     members: np.ndarray
     start: np.ndarray
     count: np.ndarray
+    keys: np.ndarray
 
     @property
     def n(self) -> int:
@@ -72,16 +82,24 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     """Neighbor lists at ``neighbor_radius``: one ``kernels.window_marked`` pass of the codebook over itself.
 
     The table keeps the pass's flat marked array, starts and counts as they
-    are.  ``delta_hat`` must be at least half the codebook's minimum pairwise
-    distance (NaN is rejected); below that the fast encoding path's region
-    structure breaks.
+    are, and the lists' projection-order ``keys``.  ``delta_hat`` must be at
+    least half the codebook's minimum pairwise distance (NaN is rejected);
+    below that the fast encoding path's region structure breaks.
     """
     half_delta0 = codebook.delta0 / 2.0
     if not delta_hat >= half_delta0:  # NaN fails this too
         raise ValueError(f"delta_hat {delta_hat} is not at least delta0/2 = {half_delta0}")
     radius = neighbor_radius(delta_hat, codebook.k)
     _, _, members, start, count = kernels.window_marked(codebook.vectors, codebook.vectors, radius)
-    return NeighborhoodTable(delta_hat=float(delta_hat), members=members, start=start, count=count)
+    n = codebook.n
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(codebook.projections, kind="stable")] = np.arange(n)
+    # the lists lie back to back in ``members``, in the order of their starts
+    by_start = np.argsort(start, kind="stable")
+    owner = np.repeat(by_start, count[by_start])
+    keys = np.sort(owner * n + rank[members])
+    keys.setflags(write=False)
+    return NeighborhoodTable(delta_hat=float(delta_hat), members=members, start=start, count=count, keys=keys)
 
 
 def space_bits(table: NeighborhoodTable) -> int:

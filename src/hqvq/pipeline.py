@@ -118,6 +118,8 @@ class PartitionStats:
     max_grover_iterations: int
     mean_classical_evals: float
     max_classical_evals: int
+    mean_table_reads: float  # entries and binary-search probes the finishing walks read
+    paper_mean_classical_evals: float  # the paper's scans: h's whole list after a hit, all N in a fallback
 
 
 def region_fractions(nearest, delta0: float, delta_hat: float) -> tuple[float, float, float]:
@@ -136,10 +138,18 @@ def region_fractions(nearest, delta0: float, delta_hat: float) -> tuple[float, f
     return n_s / total, (n_t - n_s) / total, (total - n_t) / total
 
 
-def _build_stats(batch: EncodeBatch, fractions) -> PartitionStats:
+def _build_stats(batch: EncodeBatch, table: NeighborhoodTable, fractions) -> PartitionStats:
     counts = dict(zip(PATHS, np.bincount(batch.path, minlength=len(PATHS)).tolist()))
     grover = batch.meter.grover_iterations
     classical = batch.meter.classical_distance_evals
+    # the paper's configuration: each finishing walk's charge replaced by the whole list it walked
+    on_sub2 = batch.path == PATHS.index(EncodePath.SUB2)
+    paper = (
+        int(classical.sum())
+        - int(batch.scan.sum())
+        + int(table.sizes()[batch.facts.pick[on_sub2]].sum())
+        + table.n * counts[EncodePath.CLASSICAL_FALLBACK]
+    )
     a, b, c = fractions
     return PartitionStats(
         n_vectors=int(batch.path.size), a=a, b=b, c=c,
@@ -151,6 +161,9 @@ def _build_stats(batch: EncodeBatch, fractions) -> PartitionStats:
         max_grover_iterations=int(grover.max()),
         mean_classical_evals=float(classical.mean()),
         max_classical_evals=int(classical.max()),
+        mean_table_reads=float(batch.meter.table_reads.mean()),
+        # an exact integer sum (below 2**53) over the count: the bits of the per-block array's mean
+        paper_mean_classical_evals=paper / batch.path.size,
     )
 
 
@@ -190,7 +203,7 @@ def encode_vectors(
 
     batch = encode(vectors, codebook, table, draw)
     fractions = region_fractions(batch.facts.nearest, codebook.delta0, cfg.delta_hat)
-    return batch.facts.index, _build_stats(batch, fractions), batch
+    return batch.facts.index, _build_stats(batch, table, fractions), batch
 
 
 def encode_image(
@@ -242,9 +255,15 @@ def report(stats: PartitionStats, n: int) -> str:
     nearest codevector's own radius, never smaller.  ``ops_per_block`` is
     the mean search iterations plus the mean classical evaluations, and
     ``ratio_ops_vs_sqrt_n`` sets it against the paper's sqrt(N) claim.
+    ``mean_table_reads`` is what the finishing walks read, beside the
+    operations rather than in them.  ``paper_mean_classical_evals`` and
+    ``paper_ops_per_block`` are the same run charged the paper's scans:
+    h's whole neighbor list after a stage-2 hit, all N codevectors in a
+    fallback.
     """
     sqrt_n = math.sqrt(n)
     ops = stats.mean_grover_iterations + stats.mean_classical_evals
+    paper_ops = stats.mean_grover_iterations + stats.paper_mean_classical_evals
     lines = [
         f"n={n}",
         f"sqrt_n={sqrt_n!r}",
@@ -260,6 +279,9 @@ def report(stats: PartitionStats, n: int) -> str:
         f"ratio_vs_sqrt_n={stats.mean_grover_iterations / sqrt_n!r}",
         f"ops_per_block={ops!r}",
         f"ratio_ops_vs_sqrt_n={ops / sqrt_n!r}",
+        f"mean_table_reads={stats.mean_table_reads!r}",
+        f"paper_mean_classical_evals={stats.paper_mean_classical_evals!r}",
+        f"paper_ops_per_block={paper_ops!r}",
         f"ratio_vs_pure_quantum={stats.mean_grover_iterations / (PURE_QUANTUM_FACTOR * sqrt_n)!r}",
         f"count_sub1={stats.count_sub1}",
         f"count_sub2={stats.count_sub2}",

@@ -3,15 +3,19 @@
 It walks one block at a time through stage 1, the stage-2 rounds and the
 fallback, reading the block's distance row and its own draw for each slot:
 slot 0 is the stage-1 coin, slot 1 the marked pick, and slots 2r+2 and 2r+3
-the iteration count j and the coin of stage-2 round r.  The batch must give
-every block the same (index, path, meter) when fed the same draws.
-``run_stage`` runs one batch stage alone on the same draws.
+the iteration count j and the coin of stage-2 round r.  A stage-2 hit and a
+fallback are finished by ``projection_walk``, a literal sequential walk.
+The batch must give every block the same (index, path, meter) when fed the
+same draws.  ``run_stage`` runs one batch stage alone on the same draws.
 """
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
+from hqvq import kernels
+from hqvq.codebook import distances_to_codebook
 from hqvq.encoder import (
     BBHT_GROWTH,
     PICK_SLOT,
@@ -77,9 +81,71 @@ def success_chance(t: int, n: int, j: int) -> float:
     return float(marked_probability(np.array([t]), n, np.array([j]))[0])
 
 
-def reference_encode(dvec, codebook, table, u) -> EncodeOutcome:
-    """Encode one block from its distance row; ``u(slot)`` is its draw for the slot."""
-    dvec = [float(d) for d in dvec]
+def projection_walk(x, codebook, entries, dvec, known=None):
+    """Ra and Kim's walk over ``entries`` outward from x's projection, one entry at a time.
+
+    ``entries`` are codevector indices; the walk sorts them into projection
+    order, locates p(x) by binary search, then always steps to the side
+    whose next entry has the smaller gap |p(x) - p(c)| (the left one on a
+    tie).  A side closes at its first entry outside p(x) -+ half_width(best),
+    best being the smallest distance so far, with the margin's scale
+    sqrt(k) max |c_d| + 2 best.  Each visited entry is
+    evaluated, except ``known``, whose distance the caller already has
+    (best then starts at it, else at infinity).  Returns (argmin, evaluations,
+    reads): the argmin over the visited entries, ties to the smallest index;
+    reads count the locate's probes, bit_length(len(entries)), and every
+    entry looked at, the two that close the sides included.
+    """
+    k = codebook.k
+    rows = np.asarray([x], dtype=np.float64)
+    p = float(kernels.projections(rows)[0])
+    scale_c = math.sqrt(k) * float(np.abs(codebook.vectors).max())
+    proj = codebook.projections
+    order = sorted(entries, key=lambda j: (float(proj[j]), j))
+    values = [float(proj[j]) for j in order]
+
+    def half(best):
+        # ||x|| <= ||c_j|| + d(x, c_j) bounds the margin's scale from any j measured so far
+        return float(kernels.half_width(np.array([best]), k, np.array([scale_c + 2.0 * best]))[0])
+
+    best, arg = (float(dvec[known]), known) if known is not None else (math.inf, None)
+    evals, reads = 0, len(order).bit_length()
+    right = bisect_left(values, p)
+    left = right - 1
+    while left >= 0 or right < len(order):
+        go_left = right >= len(order) or (left >= 0 and p - values[left] <= values[right] - p)
+        side = left if go_left else right
+        w = half(best)
+        reads += 1
+        if (values[side] < p - w) if go_left else (values[side] > p + w):
+            if go_left:  # the side closes
+                left = -1
+            else:
+                right = len(order)
+            continue
+        j = order[side]
+        if j != known:
+            evals += 1
+            d = float(dvec[j])
+            if arg is None or (d, j) < (best, arg):
+                best, arg = d, j
+        if go_left:
+            left -= 1
+        else:
+            right += 1
+    return arg, evals, reads
+
+
+def reference_pick(dvec, table, u):
+    """The marked index a stage-2 hit measures: position floor(u(1) * t) of the t marked ones; None if t == 0."""
+    marked = [i for i, d in enumerate(dvec) if d < table.delta_hat]
+    t = len(marked)
+    return marked[min(int(u(PICK_SLOT) * t), t - 1)] if t else None
+
+
+def reference_encode(x, codebook, table, u) -> EncodeOutcome:
+    """Encode one block x; ``u(slot)`` is its draw for the slot."""
+    dvec = [float(d) for d in distances_to_codebook(x, codebook)]
     n = len(dvec)
     index = min(range(n), key=lambda i: (dvec[i], i))
     meter = QueryMeter()
@@ -91,20 +157,26 @@ def reference_encode(dvec, codebook, table, u) -> EncodeOutcome:
     if u(0) < success_chance(t_s, n, j):
         return EncodeOutcome(index, EncodePath.SUB1, meter)
     if reference_stage2(dvec, table, u, meter):
-        return EncodeOutcome(index, EncodePath.SUB2, meter)
-    meter.classical_distance_evals += n
-    return EncodeOutcome(index, EncodePath.CLASSICAL_FALLBACK, meter)
+        h = reference_pick(dvec, table, u)
+        arg, evals, reads = projection_walk(x, codebook, table.neighbors(h), dvec, known=h)
+        path = EncodePath.SUB2
+    else:
+        arg, evals, reads = projection_walk(x, codebook, range(n), dvec)
+        path = EncodePath.CLASSICAL_FALLBACK
+    assert arg == index
+    meter.classical_distance_evals += evals
+    meter.table_reads += reads
+    return EncodeOutcome(index, path, meter)
 
 
 def reference_stage2(dvec, table, u, meter: QueryMeter, rounds: list | None = None) -> bool:
-    """Stage 2 alone for one block: charge ``meter``, return whether a round hit.
+    """Stage 2's rounds alone for one block: charge ``meter``, return whether a round hit.
 
     ``rounds``, when given, gets the j of every round that ran, in order.
+    The scan that finishes a hit is ``projection_walk``'s, charged apart.
     """
     n = len(dvec)
-    marked = [i for i, d in enumerate(dvec) if d < table.delta_hat]
-    t = len(marked)
-    scan = len(table.neighbors(marked[min(int(u(1) * t), t - 1)])) if t else 0
+    t = sum(1 for d in dvec if d < table.delta_hat)
     m, spent, r = 1.0, 0, 0
     while True:
         cutoff = math.floor(m) + 1
@@ -117,7 +189,6 @@ def reference_stage2(dvec, table, u, meter: QueryMeter, rounds: list | None = No
         meter.grover_iterations += j
         meter.classical_distance_evals += 1
         if u(2 * r + 3) < success_chance(t, n, j):
-            meter.classical_distance_evals += scan
             return True
         m = min(BBHT_GROWTH * m, math.sqrt(n))
         r += 1

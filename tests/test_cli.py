@@ -142,6 +142,13 @@ class TestErrors:
         assert main(["bench", "--sizes", "4", "--seed", "-1"]) == 1
         assert "master_seed must be a non-negative int" in capsys.readouterr().err
 
+    def test_train_bad_seed_names_seed(self, tmp_path, image_path, capsys):
+        # used to fail in numpy's generator with "expected non-negative integer"
+        cb = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb), "--seed", "-1"]) == 1
+        assert "seed must be a non-negative int, got -1" in capsys.readouterr().err
+        assert not cb.exists()
+
     def test_stats_nan_delta_hat(self, tmp_path, image_path, capsys):
         # used to exit 0 and print inf_omega=0 over all-empty neighbor lists
         cb = tmp_path / "cb.txt"

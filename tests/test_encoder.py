@@ -1,5 +1,6 @@
 """Hybrid encoder: stage contracts, exactness, metering, thresholds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from reference_encoder import (
     block_draws,
+    projection_walk,
     reference_encode,
     reference_stage2,
     run_stage,
@@ -33,7 +35,9 @@ from hqvq import (
 from hqvq.codebook import distances_to_codebook
 from hqvq.encoder import (
     PICK_SLOT,
+    block_facts,
     delta_hat_from_nearest,
+    finishing_walks,
     nearest_distances,
     sub1_iterations,
     sub1_radii,
@@ -149,14 +153,19 @@ class TestSub2:
         table = build_neighborhoods(cb, 1.5)
         assert list(table.neighbors(3)) == [3]
         x = [100.6]  # inside the shell of codevector 3 only
-        facts, accepted, meter = run_stage(2, trials(x, 100), cb, table, 5)
+        rows = trials(x, 100)
+        facts, accepted, meter = run_stage(2, rows, cb, table, 5)
         assert np.all(facts.index == 3) and np.all(facts.t == 1)
-        assert np.all(facts.pick_size == 1)  # a hit measures 3 and scans its list
+        assert np.all(facts.pick == 3)  # a hit measures 3, its list's only entry
         assert accepted.any()
         draw = seeded_draws(5, 100)
         for ordinal in np.flatnonzero(accepted):
             rounds = stage2_rounds(x, cb, table, draw, ordinal)
-            assert meter.classical_distance_evals[ordinal] == len(rounds) + 1
+            assert meter.classical_distance_evals[ordinal] == len(rounds)
+        # the walk reads 3 after a one-probe locate and evaluates nothing: 3's distance is known
+        evals, reads = finishing_walks(rows, facts, cb, table, accepted, np.zeros(100, dtype=bool))
+        assert evals.tolist() == [0] * 100
+        assert reads[accepted].tolist() == [2] * int(accepted.sum())
 
     def test_empty_marked_set_exhausts_budget(self):
         # the budget is stage 2's only stopping rule; small N hold the fewest
@@ -203,9 +212,13 @@ class TestSub2:
         assert accepted[0]
         h = marked[int(draw(PICK_SLOT)[0] * marked.size)]  # the index the hit measures
         assert 1 in table.neighbors(h)  # the optimum lies in the verified index's list
-        assert facts.pick_size[0] == len(table.neighbors(h))
+        assert facts.pick[0] == h
         rounds = stage2_rounds(x, cb, table, draw, 0)
-        assert meter.classical_distance_evals[0] == len(rounds) + len(table.neighbors(h))
+        assert meter.classical_distance_evals[0] == len(rounds)  # the rounds' verifications
+        # the walk visits the list's entries within half_width(0.3) of p(x) = 0.7: codevector 1 alone
+        evals, reads = finishing_walks(np.array([x]), facts, cb, table, accepted, ~accepted)
+        assert projection_walk(x, cb, table.neighbors(h), dvec, known=h) == (1, evals[0], reads[0])
+        assert evals[0] == (h != 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 255, 1024])
     def test_success_table_is_marked_probability(self, n):
@@ -279,10 +292,20 @@ class TestEncode:
 
     def test_fallback_meters_full_scan(self):
         cb, table = make_setup(16)
-        (out,) = encode_rows([[500.0, 500.0]], cb, table, 13)
+        x = [500.0, 500.0]
+        cfg = EncoderConfig(delta_hat=table.delta_hat, master_seed=13)
+        _, stats, batch = encode_vectors([x], cb, table, cfg)
+        (out,) = batch
         assert out.path == EncodePath.CLASSICAL_FALLBACK
-        # sub1 verify (1) + sub2 rounds (>=1) + fallback full scan (16)
-        assert out.meter.classical_distance_evals >= 1 + 1 + 16
+        # x - c_15 lies along the mean axis, so c_15's projection gap is d* itself:
+        # the margin keeps it in the strip, and the walk evaluates it alone.  It
+        # reads 5 probes to locate p(x) past the last of 16 entries, c_15, and
+        # the entry that closes the lower side
+        assert projection_walk(x, cb, range(16), distances_to_codebook(x, cb)) == (15, 1, 5 + 1 + 1)
+        assert batch.scan.tolist() == [1] and out.meter.table_reads == 7
+        # sub1 verify (1) + sub2 rounds (>=1) + the walk (1); the paper's full scan charges 16
+        assert out.meter.classical_distance_evals >= 1 + 1 + 1
+        assert stats.paper_mean_classical_evals == out.meter.classical_distance_evals - 1 + 16
 
     def test_total_iteration_budget(self):
         cb, table = make_setup(64)
@@ -477,9 +500,138 @@ def test_batch_equals_per_block_reference(seed, k, n, factor, master_seed, per_k
     indices, _, outcomes = encode_vectors(rows, cb, table, cfg)
     draw = seeded_draws(master_seed, rows.shape[0])
     for ordinal, x in enumerate(rows):
-        want = reference_encode(distances_to_codebook(x, cb), cb, table, block_draws(draw, ordinal))
+        want = reference_encode(x, cb, table, block_draws(draw, ordinal))
         assert outcomes[ordinal] == want
     assert indices.tolist() == [o.index for o in outcomes]
+
+
+WALK_CASES = ("mean_axis", "shared_projection", "ties", "isolated", "random")
+
+
+def walk_case(case: str, rng: np.random.Generator, k: int, n: int, factor: float):
+    """(codebook, delta_hat, rows) on one boundary of the finishing walks.
+
+    - mean_axis: x - c lies along the mean axis at the delta0/2, delta_hat and
+      2 delta_hat shells, so c's projection gap is its distance;
+    - shared_projection: integer codevectors with one sum, so one projection,
+      and blocks on that projection or near a codevector;
+    - ties: lattice codevectors and the exact midpoints between them;
+    - isolated: a far codevector whose neighbor list is itself alone, and
+      blocks within delta_hat of it;
+    - random: blocks spread over the codebook's box.
+    """
+    if case == "shared_projection":
+        k = max(k, 2)
+        head = np.column_stack([rng.permutation(np.arange(-20, 21))[:n], rng.integers(-9, 10, size=(n, k - 2))])
+        vectors = np.column_stack([head, 7 - head.sum(axis=1)]).astype(np.float64)
+    elif case == "ties":
+        vectors = 2.0 * np.unique(rng.integers(0, 4, size=(n + 2, k)), axis=0)[: max(n, 2)]
+        if vectors.shape[0] < 2:
+            vectors = np.array([np.zeros(k), np.full(k, 2.0)])
+    elif case == "isolated":
+        vectors = np.vstack([rng.normal(size=(n, k)), np.full(k, 100.0)])
+    else:
+        vectors = rng.normal(size=(n, k))
+    cb = Codebook(vectors)
+    delta_hat = factor * cb.delta0 / 2.0
+    at = cb.vectors[rng.integers(0, cb.n, size=6)]
+    direction = rng.normal(size=(6, cb.k))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    shells = np.array([cb.delta0 / 2.0, delta_hat, 2.0 * delta_hat])
+    if case == "mean_axis":
+        rows = (cb.vectors[:, None, :] + shells[None, :, None] / math.sqrt(cb.k)).reshape(-1, cb.k)
+    elif case == "shared_projection":
+        rows = np.vstack([at + 0.3 * direction, at + 0.3 * (direction - direction.mean(axis=1, keepdims=True))])
+    elif case == "ties":
+        pairs = rng.integers(0, cb.n, size=(12, 2))
+        rows = np.vstack([(cb.vectors[pairs[:, 0]] + cb.vectors[pairs[:, 1]]) / 2, cb.vectors + 1.0])
+    elif case == "isolated":
+        rows = cb.vectors[-1] + direction * rng.uniform(0.0, delta_hat, size=(6, 1))
+    else:
+        low, high = cb.vectors.min(axis=0), cb.vectors.max(axis=0)
+        rows = rng.uniform(low - delta_hat, high + delta_hat, size=(12, cb.k))
+    return cb, delta_hat, np.vstack([rows, at + direction * shells[rng.integers(0, 3, size=(6, 1))]])
+
+
+@settings(max_examples=80, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(case="mean_axis", seed=0, k=2, n=8, factor=1.0)
+@example(case="mean_axis", seed=1, k=4, n=5, factor=3.0)
+@example(case="shared_projection", seed=2, k=2, n=12, factor=2.0)
+@example(case="shared_projection", seed=3, k=3, n=6, factor=1.25)
+@example(case="ties", seed=4, k=2, n=12, factor=1.0)
+@example(case="ties", seed=5, k=1, n=3, factor=3.0)
+@example(case="isolated", seed=6, k=3, n=4, factor=2.0)
+@given(
+    case=st.sampled_from(WALK_CASES),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    n=st.integers(2, 12),
+    factor=st.sampled_from([1.0, 1.25, 2.0, 3.0]),
+)
+def test_projection_walks_find_full_search_and_batch_charges_match(case, seed, k, n, factor):
+    # the literal walk's argmin is full search's, ties to the smallest index,
+    # from every marked h's list and from the whole codebook; the batch charges
+    # what the walk evaluates and reads, whether h is j* or lies outside the strip
+    rng = np.random.default_rng(seed)
+    cb, delta_hat, rows = walk_case(case, rng, k, n, factor)
+    table = build_neighborhoods(cb, delta_hat)
+    if case == "isolated":
+        assert table.neighbors(cb.n - 1).tolist() == [cb.n - 1]
+    blocks, picks, want = [], [], []
+    for x in rows:
+        dvec = distances_to_codebook(x, cb)
+        oracle, _ = full_search(x, cb)
+        walk = projection_walk(x, cb, range(cb.n), dvec)
+        assert walk[0] == oracle
+        blocks.append(x), picks.append(-1), want.append(walk[1:])
+        for h in np.flatnonzero(dvec < delta_hat):
+            walk = projection_walk(x, cb, table.neighbors(h), dvec, known=h)
+            assert walk[0] == oracle
+            blocks.append(x), picks.append(h), want.append(walk[1:])
+    blocks = np.array(blocks)
+    facts = block_facts(blocks, cb, table, np.zeros(len(blocks)))
+    facts = dataclasses.replace(facts, pick=np.array(picks, dtype=np.int64))
+    hit = facts.pick >= 0
+    evals, reads = finishing_walks(blocks, facts, cb, table, hit, ~hit)
+    assert list(zip(evals.tolist(), reads.tolist())) == want
+
+
+def test_walk_drops_h_only_inside_the_strip():
+    # p(x) = 14 and d* = 4 (codevector 1): the strip holds codevector 1 alone
+    cb = line_codebook(4)
+    table = build_neighborhoods(cb, 9.0)  # radius 18: list 1 is {0, 1, 2}, list 2 is {1, 2, 3}
+    x = np.array([[14.0]])
+    facts = block_facts(np.repeat(x, 2, axis=0), cb, table, np.zeros(2))
+    assert facts.t.tolist() == [2, 2]  # codevectors 1 and 2 verify below 9
+    facts = dataclasses.replace(facts, pick=np.array([1, 2]))
+    evals, _ = finishing_walks(np.repeat(x, 2, axis=0), facts, cb, table, np.ones(2, dtype=bool), np.zeros(2, dtype=bool))
+    # h = 1 = j*: the strip's one entry is h, whose distance the verification gave;
+    # h = 2 lies outside the strip, and its list's entry 1 is evaluated
+    assert evals.tolist() == [0, 1]
+    dvec = distances_to_codebook(x[0], cb)
+    assert [projection_walk(x[0], cb, table.neighbors(h), dvec, known=h)[:2] for h in (1, 2)] == [(1, 0), (1, 1)]
+
+
+def test_codevectors_on_the_strip_edges_are_walked():
+    # x = 3 with d* = 3 (codevector 0); two codevectors sit exactly at the
+    # strip's ends 3 -+ half_width(3), in one dimension where p(c) = c
+    x = np.array([[3.0]])
+    half = float(kernels.half_width(3.0, 1, 100.0 + 2.0 * 3.0))  # max |c| = 100
+    low, high = 3.0 - half, 3.0 + half
+    cb = Codebook([[-100.0], [low], [0.0], [high]])
+    table = build_neighborhoods(cb, 4.0)  # low, 0 and high verify, and each one's list holds all three
+    rows = np.repeat(x, 4, axis=0)
+    facts = block_facts(rows, cb, table, np.zeros(4))
+    assert facts.index.tolist() == [2] * 4 and facts.nearest.tolist() == [3.0] * 4
+    facts = dataclasses.replace(facts, pick=np.array([-1, 1, 2, 3]))
+    hit = facts.pick >= 0
+    evals, reads = finishing_walks(rows, facts, cb, table, hit, ~hit)
+    # the fallback evaluates low, 0 and high, and -100 closes its lower side; after a
+    # hit on any of the three, the walk evaluates the other two
+    dvec = distances_to_codebook(x[0], cb)
+    assert (evals[0], reads[0]) == projection_walk(x[0], cb, range(4), dvec)[1:] == (3, 3 + 3 + 1)
+    for b, h in ((1, 1), (2, 2), (3, 3)):
+        assert (evals[b], reads[b]) == projection_walk(x[0], cb, table.neighbors(h), dvec, known=h)[1:] == (2, 2 + 3)
 
 
 class TestBatch:

@@ -110,7 +110,8 @@ class TestSpaceBits:
     def test_four_singletons(self):
         # no valid delta_hat builds singleton lists: the closest pair is in each other's
         table = NeighborhoodTable(
-            delta_hat=50.0, members=np.arange(4), start=np.arange(4), count=np.ones(4, dtype=np.int64)
+            delta_hat=50.0, members=np.arange(4), start=np.arange(4), count=np.ones(4, dtype=np.int64),
+            keys=5 * np.arange(4),
         )
         assert space_bits(table) == 272  # 4 * (1+1) * (2+32)
 

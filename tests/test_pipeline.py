@@ -24,6 +24,8 @@ from hqvq import (
     report,
     serialize_stream,
 )
+from hqvq.codebook import MAX_COMPONENT
+from hqvq.encoder import PATHS, EncodePath
 from hqvq.pipeline import PartitionStats
 
 
@@ -268,6 +270,37 @@ class TestEncodeVectors:
         with pytest.raises(ValueError, match="dimension mismatch"):
             encode_vectors(np.zeros((4, k)), cb, table, cfg)
 
+    def test_paper_charges_the_whole_list_or_codebook(self):
+        # the paper's scan is h's whole list after a stage-2 hit and all N in a
+        # fallback; the walks charge at most that, on every block
+        cb, table, cfg = grid64_setup()
+        rows = clustered_dataset(cb, table.delta_hat, 2000, seed=6)
+        _, stats, batch = encode_vectors(rows, cb, table, cfg)
+        sub2 = batch.path == PATHS.index(EncodePath.SUB2)
+        fallback = batch.path == PATHS.index(EncodePath.CLASSICAL_FALLBACK)
+        assert sub2.any() and fallback.any()
+        whole = np.zeros(rows.shape[0], dtype=np.int64)
+        whole[sub2] = table.sizes()[batch.facts.pick[sub2]]
+        whole[fallback] = cb.n
+        assert np.all(batch.scan <= whole) and np.all(batch.scan[~(sub2 | fallback)] == 0)
+        paper = batch.meter.classical_distance_evals - batch.scan + whole
+        assert stats.paper_mean_classical_evals == float(paper.mean())
+        assert stats.mean_classical_evals < stats.paper_mean_classical_evals
+        assert stats.mean_table_reads == float(batch.meter.table_reads.mean())
+        assert np.all(batch.meter.table_reads[~(sub2 | fallback)] == 0)
+
+    def test_a_blocks_charges_depend_only_on_that_block(self):
+        # one block near MAX_COMPONENT widens no other block's strip: each
+        # block's margin scale comes from that block and the codebook
+        cb, table, cfg = grid64_setup()
+        rows = clustered_dataset(cb, table.delta_hat, 400, seed=9)
+        huge = np.full((1, cb.k), MAX_COMPONENT / 2)
+        _, _, alone = encode_vectors(rows, cb, table, cfg)
+        _, _, with_huge = encode_vectors(np.vstack([rows, huge]), cb, table, cfg)
+        assert list(with_huge)[: rows.shape[0]] == list(alone)
+        np.testing.assert_array_equal(with_huge.scan[: rows.shape[0]], alone.scan)
+        assert (alone.scan > 0).any()
+
 
 class TestReport:
     def make_stats(self, mean_grover):
@@ -276,6 +309,7 @@ class TestReport:
             count_sub1=90, count_sub2=9, count_fallback=1,
             mean_grover_iterations=mean_grover, max_grover_iterations=20,
             mean_classical_evals=3.0, max_classical_evals=50,
+            mean_table_reads=7.5, paper_mean_classical_evals=12.0,
         )
 
     def parse(self, text):
@@ -299,6 +333,7 @@ class TestReport:
             "ratio_vs_sqrt_n", "ratio_vs_pure_quantum",
             "count_sub1", "count_sub2", "count_fallback",
             "frac_sub1_marked", "ops_per_block", "ratio_ops_vs_sqrt_n",
+            "mean_table_reads", "paper_mean_classical_evals", "paper_ops_per_block",
         ):
             assert key in got
 
@@ -308,6 +343,14 @@ class TestReport:
         assert float(got["ops_per_block"]) == 11.0
         assert float(got["ratio_ops_vs_sqrt_n"]) == 11.0 / 16.0
         assert float(got["frac_sub1_marked"]) == 0.92
+
+    def test_paper_operations_and_table_reads(self):
+        # the paper's scans cost 12 evaluations per block; table reads are not operations
+        got = self.parse(report(self.make_stats(8.0), 256))
+        assert float(got["paper_mean_classical_evals"]) == 12.0
+        assert float(got["paper_ops_per_block"]) == 20.0
+        assert float(got["mean_table_reads"]) == 7.5
+        assert float(got["ops_per_block"]) == 11.0
 
 
 class TestSyntheticDataset:
