@@ -132,7 +132,10 @@ def cmd_stats(args) -> int:
 
 def cmd_bench(args) -> int:
     check_seed(args.seed, "master_seed")
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ValueError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     blocks = []
     for n in sizes:
         codebook = grid_codebook(n)

@@ -370,11 +370,13 @@ def finishing_walks(
     at d*.  So a block's charge depends on that block and the codebook
     alone, never on the other blocks.
 
-    The cost is read off the block's strip: the ranks [lo, hi) of
-    ``Codebook.projections`` in it (two ``searchsorted`` calls, once per
-    distinct row, ``facts.row``), then, after a hit, h's keys in
-    [h N + lo, h N + hi) (two more), less h when h lies in the strip.  A
-    fallback walk charges hi - lo.
+    The charge depends only on the block's row and the list it walks, so
+    it is computed once per distinct (row, list) pair, a fallback's list
+    being the codebook's own projection order.  It is read off the pair's
+    strip: the ranks [lo, hi) of ``Codebook.projections`` in it (two
+    ``searchsorted`` calls); a fallback's entries are those ranks, and a
+    hit's are h's keys in [h N + lo, h N + hi) (two more), less h when h
+    lies in the strip.
 
     ``reads`` counts each walk's binary-search locate, bit_length of its
     list's size, plus every entry it reads: those it visits, h included,
@@ -384,45 +386,35 @@ def finishing_walks(
     reads = np.zeros(facts.t.size, dtype=np.int64)
     n, k = codebook.n, codebook.k
     walked = np.flatnonzero(accepted | fallback)
-    # a strip depends on the block's row alone: one per distinct walked row
-    rows = facts.row[walked]
-    block_of = np.full(facts.row.max(initial=-1) + 1, -1, dtype=np.int64)
-    block_of[rows] = walked
-    ids = np.flatnonzero(block_of >= 0)
-    p = kernels.projections(np.take(vectors, block_of[ids], axis=0))
-    # in projection order, each binary search below starts near the last
-    order = np.argsort(p)
-    ids, p = ids[order], p[order]
-    nearest = facts.nearest[block_of[ids]]
+    # the list a block walks: h's after a hit, the whole codebook (owner N) in a fallback
+    owner = np.where(accepted[walked], facts.pick[walked], n)
+    r = facts.row.max(initial=0) + 1
+    pairs, back = np.unique(owner * r + facts.row[walked], return_inverse=True)
+    # one block per pair: equal rows have equal vectors and nearest, so any one gives the charge
+    block = np.empty(pairs.size, dtype=np.int64)
+    block[back] = walked
+    nearest = facts.nearest[block]
     scale = math.sqrt(k) * np.abs(codebook.vectors).max() + 2.0 * nearest
     half = kernels.half_width(nearest, k, scale)
+    p = kernels.projections(np.take(vectors, block, axis=0))
     low, high = p - half, p + half
     axis = np.sort(codebook.projections)
-    lo = np.searchsorted(axis, low, side="left")
-    hi = np.searchsorted(axis, high, side="right")
-    position = np.empty_like(block_of)
-    position[ids] = np.arange(ids.size)
-    strip = position[rows]  # each walked block's strip
-    hit = accepted[walked]
-    # fallback: the whole codebook in projection order
-    miss = strip[~hit]
-    inside = hi[miss] - lo[miss]
-    evals[walked[~hit]] = inside
-    reads[walked[~hit]] = n.bit_length() + inside + (lo[miss] > 0) + (hi[miss] < n)
-    # stage-2 hit: h's list in projection order, its keys in [h * N, (h + 1) * N), searched in key order
-    keep = np.flatnonzero(hit)
-    keep = keep[np.argsort(facts.pick[walked[keep]] * n + lo[strip[keep]])]
-    walked, strip = walked[keep], strip[keep]
-    low, high, lo, hi = low[strip], high[strip], lo[strip], hi[strip]
-    h = facts.pick[walked]
-    a = np.searchsorted(table.keys, h * n + lo)
-    b = np.searchsorted(table.keys, h * n + hi)
-    size = table.count[h]
-    first = (np.cumsum(table.count) - table.count)[h]  # where h's keys begin
+    # a fallback's entries are the codebook's ranks in the strip [a, b)
+    a = np.searchsorted(axis, low, side="left")
+    b = np.searchsorted(axis, high, side="right")
+    first, size, known = np.zeros_like(a), np.full_like(a, n), np.zeros_like(a)
+    # a hit's are h's keys, [h * N, (h + 1) * N) in projection order, with ranks in [a, b);
+    # the pairs are sorted, so the hits' (owner h < N) come first
+    hit = slice(np.searchsorted(pairs, n * r))
+    h = pairs[hit] // r
+    a[hit] = np.searchsorted(table.keys, h * n + a[hit])
+    b[hit] = np.searchsorted(table.keys, h * n + b[hit])
+    first[hit] = (np.cumsum(table.count) - table.count)[h]  # where h's keys begin
+    size[hit] = table.count[h]
     own = codebook.projections[h]
-    inside = b - a
-    evals[walked] = inside - ((low <= own) & (own <= high))
-    reads[walked] = np.frexp(size)[1] + inside + (a > first) + (b < first + size)
+    known[hit] = (low[hit] <= own) & (own <= high[hit])
+    evals[walked] = (b - a - known)[back]
+    reads[walked] = (np.frexp(size)[1] + (b - a) + (a > first) + (b < first + size))[back]
     return evals, reads
 
 

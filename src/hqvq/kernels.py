@@ -303,7 +303,8 @@ def nearest_other(vectors: np.ndarray) -> np.ndarray:
 
     One ``window_tiles(vectors, vectors, 0.0, bound)`` pass.  Row i's
     ``bound`` is the smaller of its two pair distances with the rows next to
-    it in projection order (one at either end of the order): any other row's
+    it in projection order (``projections``, the order ``window_tiles``
+    sorts by; one at either end of the order): any other row's
     distance bounds the nearest one from above, and a row close on the mean
     axis is a likely close row.  Each row's window then holds every row
     within its bound, its nearest other row included, with the same bits as
@@ -315,7 +316,7 @@ def nearest_other(vectors: np.ndarray) -> np.ndarray:
     """
     n = vectors.shape[0]
     # pairs adjacent in projection order, measured by the same kernel as the window
-    order = np.argsort(vectors.sum(axis=1), kind="stable")
+    order = np.argsort(projections(vectors), kind="stable")
     pair = paired_distances(vectors[order[:-1]], vectors[order[1:]])
     bound = np.empty(n)
     bound[order] = np.concatenate([pair[:1], np.minimum(pair[:-1], pair[1:]), pair[-1:]])

@@ -137,6 +137,12 @@ class TestErrors:
         assert main(["bench", "--sizes", "64", "--vectors", "1"]) == 1
         assert "n_vectors must be at least 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes", ["abc", "64,,256", "1e2"])
+    def test_bench_non_integer_size_names_sizes(self, sizes, capsys):
+        # used to fail with "invalid literal for int() with base 10", naming no option
+        assert main(["bench", "--sizes", sizes]) == 1
+        assert f"--sizes must be comma-separated integers, got {sizes!r}" in capsys.readouterr().err
+
     def test_bench_bad_seed_names_master_seed(self, capsys):
         # used to fail in the dataset's generator with "expected non-negative integer"
         assert main(["bench", "--sizes", "4", "--seed", "-1"]) == 1

@@ -35,6 +35,7 @@ from hqvq import (
 from hqvq.codebook import distances_to_codebook
 from hqvq.encoder import (
     PICK_SLOT,
+    BlockFacts,
     block_facts,
     delta_hat_from_nearest,
     finishing_walks,
@@ -632,6 +633,33 @@ def test_codevectors_on_the_strip_edges_are_walked():
     assert (evals[0], reads[0]) == projection_walk(x[0], cb, range(4), dvec)[1:] == (3, 3 + 3 + 1)
     for b, h in ((1, 1), (2, 2), (3, 3)):
         assert (evals[b], reads[b]) == projection_walk(x[0], cb, table.neighbors(h), dvec, known=h)[1:] == (2, 2 + 3)
+
+
+def test_blocks_sharing_a_row_and_list_share_one_charge():
+    # x = (4, 6) walks h = 0's list, h = 1's list and the codebook, y = (5, 5) walks
+    # h = 0's and h = 1's, each pair's charge different; (x, 0) repeats between them
+    cb = grid_codebook(16)
+    table = build_neighborhoods(cb, 2.0 * cb.delta0)  # 0 and 1 verify for both inputs
+    x, y, fallback = [4.0, 6.0], [5.0, 5.0], -1
+    batch = [(x, 0), (x, 1), (x, 0), (x, fallback), (x, 0), (y, 0), (x, 0), (y, 1), (x, 0)]
+    rows = np.array([v for v, _ in batch])
+    pick = np.array([h for _, h in batch])
+    facts = dataclasses.replace(block_facts(rows, cb, table, np.zeros(len(batch))), pick=pick)
+    hit = pick >= 0
+    evals, reads = finishing_walks(rows, facts, cb, table, hit, ~hit)
+    charges = {}
+    for v, h in batch:
+        dvec = distances_to_codebook(np.array(v), cb)
+        entries = range(cb.n) if h == fallback else table.neighbors(h)
+        known = None if h == fallback else h
+        charges[tuple(v), h] = projection_walk(np.array(v), cb, entries, dvec, known=known)[1:]
+    assert list(zip(evals.tolist(), reads.tolist())) == [charges[tuple(v), h] for v, h in batch]
+    assert len(set(charges.values())) == len(charges) == 5
+    # the pairs' charges do not depend on which of a pair's blocks comes first
+    order = np.random.default_rng(8).permutation(len(batch))
+    permuted = BlockFacts(**{f.name: getattr(facts, f.name)[order] for f in dataclasses.fields(facts)})
+    again = finishing_walks(rows[order], permuted, cb, table, hit[order], ~hit[order])
+    assert again[0].tolist() == evals[order].tolist() and again[1].tolist() == reads[order].tolist()
 
 
 class TestBatch:
