@@ -28,17 +28,35 @@ from .pipeline import (
 )
 
 
+def ascii_int(text: str) -> int:
+    """``int`` by the file parsers' rule: ASCII digits, with an optional leading '-'.
+
+    ``int`` alone would also take '+', '_' separators, spaces and non-ASCII
+    digits, which ``load_pgm`` and ``load_codebook`` reject.
+    """
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer of ASCII digits: {text!r}")
+    return int(text)
+
+
+def ascii_float(text: str) -> float:
+    """``float`` by ``load_codebook``'s rule: ASCII text without '_'."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number without '_': {text!r}")
+    return float(text)
+
+
 def _add_block_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--block-w", type=int, default=2, help="block width in pixels")
-    p.add_argument("--block-h", type=int, default=1, help="block height in pixels")
+    p.add_argument("--block-w", type=ascii_int, default=2, help="block width in pixels")
+    p.add_argument("--block-h", type=ascii_int, default=1, help="block height in pixels")
 
 
 def _add_threshold_args(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--delta-hat", type=float, default=None, help="stage-2 threshold")
+    g.add_argument("--delta-hat", type=ascii_float, default=None, help="stage-2 threshold")
     g.add_argument(
         "--delta-hat-percentile",
-        type=float,
+        type=ascii_float,
         default=99.0,
         help="pick the threshold at this percentile of nearest distances",
     )
@@ -133,7 +151,7 @@ def cmd_stats(args) -> int:
 def cmd_bench(args) -> int:
     check_seed(args.seed, "master_seed")
     try:
-        sizes = [int(s) for s in args.sizes.split(",")]
+        sizes = [ascii_int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise ValueError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     blocks = []
@@ -158,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a codebook from an image's blocks")
     p.add_argument("image", help="training image (PGM)")
-    p.add_argument("-n", "--codebook-size", type=int, required=True)
+    p.add_argument("-n", "--codebook-size", type=ascii_int, required=True)
     p.add_argument("-o", "--output", required=True, help="codebook file to write")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=ascii_int, default=0)
     _add_block_args(p)
     p.set_defaults(func=cmd_train)
 
@@ -169,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("codebook", help="codebook file")
     p.add_argument("-o", "--output", required=True, help="index stream to write")
     p.add_argument("--report", default=None, help="write the stats report here instead of stdout")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=ascii_int, default=0)
     _add_block_args(p)
     _add_threshold_args(p)
     p.set_defaults(func=cmd_encode)
@@ -191,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="query-count sweep over codebook sizes")
     p.add_argument("--sizes", default="64,256,1024", help="comma-separated codebook sizes")
-    p.add_argument("--vectors", type=int, default=2000, help="synthetic vectors per size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--vectors", type=ascii_int, default=2000, help="synthetic vectors per size")
+    p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_bench)
 

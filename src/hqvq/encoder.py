@@ -236,23 +236,24 @@ def encode_sub1(facts: BlockFacts, n: int, draw, meter: QueryMeter) -> np.ndarra
     The marked set is {i : d(x, c_i) < ``sub1_radii``[i]}, ``facts.t_s``
     elements, 0 or 1.  ``draw(slot)`` returns one uniform draw in [0, 1) per
     block.  Each block is charged the fixed iteration count and one
-    evaluation.  Returns the mask of blocks whose measured index is marked,
-    i.e. verified strictly below its own radius (it is then the unique global
-    optimum).
+    evaluation.  The coin's bias is ``success_table``'s t = 1 entry: at
+    t_s = 0 it is exactly 0, which no draw lies below.  Returns the mask of
+    blocks whose measured index is marked, i.e. verified strictly below its
+    own radius (it is then the unique global optimum).
     """
     j = sub1_iterations(n)
     meter.grover_iterations += j
     meter.classical_distance_evals += 1
-    return draw(SUB1_SLOT) < marked_probability(facts.t_s, n, j)
+    return (facts.t_s == 1) & (draw(SUB1_SLOT) < success_table(np.ones(1, dtype=np.int64), n)[0, j])
 
 
 def success_table(levels: np.ndarray, n: int) -> np.ndarray:
-    """``marked_probability(levels[a], n, j)`` at [a, j], for every j a stage-2 round can draw.
+    """``marked_probability(levels[a], n, j)`` at [a, j]: the coin bias of both stages.
 
-    ``levels`` holds marked counts t (int64).  A round's cutoff never exceeds
-    floor(sqrt(N)) + 1, so j runs over 0..floor(sqrt(N)).  The table is one
-    ``marked_probability`` call on flat int64 arrays, as a per-round call on
-    the live blocks would make it, and holds the same bits.
+    ``levels`` holds marked counts t (int64); j runs over 0..floor(sqrt(N)),
+    stage 1's floor(pi/4 sqrt(N)) and every j a stage-2 round can draw.  The
+    table is one ``marked_probability`` call on flat int64 arrays, as a call
+    on the blocks' own arrays would make it, and holds the same bits.
     """
     width = math.floor(math.sqrt(n)) + 1
     j = np.tile(np.arange(width, dtype=np.int64), levels.size)
@@ -279,10 +280,10 @@ def encode_sub2(
     probability 1.  The cutoff m is the same for every block in a round.
 
     The rounds carry compact arrays over the live blocks only (ordinal,
-    iterations spent, table cell), shrunk by each round's leavers.  Every
-    live block has run the same r rounds, so a block's meter is written
-    once, when it hits or leaves on the budget.  The coin's bias comes from
-    ``success_table`` over the distinct t of ``blocks``, built once per call.
+    iterations spent, table cell).  All have run the same r rounds, so each
+    round settles in one step: a leaver is charged r verifications and its
+    iterations before this j, a hit r + 1 and all of them.  The coin's bias
+    is ``success_table``'s over the distinct t of ``blocks``.
 
     ``draw`` is as in ``encode_sub1``; ``blocks`` holds the distinct
     ordinals of the blocks that enter stage 2.  Returns the mask of accepted
@@ -291,13 +292,10 @@ def encode_sub2(
     sqrt_n = math.sqrt(n)
     budget = sub2_budget(n)
     accepted = np.zeros(facts.t.size, dtype=bool)
-    t = facts.t[blocks]
-    present = np.zeros(n + 1, dtype=bool)
-    present[t] = True
-    table = success_table(np.flatnonzero(present), n)
+    levels, row = np.unique(facts.t[blocks], return_inverse=True)
+    table = success_table(levels, n)
     chance = table.ravel()
-    # each live block's row of ``chance``: its t's position among the present levels
-    cell = (np.cumsum(present) - 1)[t] * table.shape[1]
+    cell = row * table.shape[1]  # each live block's row of ``chance``
     live = blocks  # ordinals of the blocks still searching
     spent = np.zeros(blocks.size, dtype=np.int64)
     m = 1.0
@@ -307,20 +305,16 @@ def encode_sub2(
         j = np.minimum((draw(2 * r + 2)[live] * cutoff).astype(np.int64), cutoff - 1)
         spent += j
         over = spent > budget
-        if over.any():  # these leave unaccepted, charged the r rounds they ran
-            gone = live[over]
-            meter.grover_iterations[gone] += spent[over] - j[over]
-            meter.classical_distance_evals[gone] += r
-            stay = ~over
-            live, spent, cell, j = live[stay], spent[stay], cell[stay], j[stay]
-        hit = draw(2 * r + 3)[live] < chance[cell + j]
-        if hit.any():  # accepted after r + 1 verifications
-            done = live[hit]
-            meter.grover_iterations[done] += spent[hit]
-            meter.classical_distance_evals[done] += r + 1
-            accepted[done] = True
-            miss = ~hit
-            live, spent, cell = live[miss], spent[miss], cell[miss]
+        done = over | (draw(2 * r + 3)[live] < chance[cell + j])
+        settle = np.flatnonzero(done)
+        if settle.size:
+            left = over[settle]  # the settled blocks that leave on the budget; the others hit
+            gone = live[settle]
+            meter.grover_iterations[gone] += spent[settle] - j[settle] * left
+            meter.classical_distance_evals[gone] += r + ~left
+            accepted[gone[~left]] = True
+            stay = ~done
+            live, spent, cell = live[stay], spent[stay], cell[stay]
         m = min(BBHT_GROWTH * m, sqrt_n)
         r += 1
     return accepted

@@ -54,6 +54,11 @@ def trials(x, count: int) -> np.ndarray:
     return np.tile(np.asarray(x, dtype=np.float64), (count, 1))
 
 
+def batch_meter(size: int) -> QueryMeter:
+    """A zeroed meter of three (size,) int64 arrays, as ``encode`` starts one."""
+    return QueryMeter(*(np.zeros(size, dtype=np.int64) for _ in range(3)))
+
+
 def run_stage(stage: int, rows, cb, table, seed: int):
     """Run batch stage 1 or 2 alone on every row, with the rows' draws keyed by ``seed``.
 
@@ -63,7 +68,7 @@ def run_stage(stage: int, rows, cb, table, seed: int):
     size = rows.shape[0]
     draw = seeded_draws(seed, size)
     facts = block_facts(rows, cb, table, draw(PICK_SLOT))
-    meter = QueryMeter(np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64))
+    meter = batch_meter(size)
     if stage == 1:
         accepted = encode_sub1(facts, cb.n, draw, meter)
     else:

@@ -137,11 +137,32 @@ class TestErrors:
         assert main(["bench", "--sizes", "64", "--vectors", "1"]) == 1
         assert "n_vectors must be at least 5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sizes", ["abc", "64,,256", "1e2"])
+    # '+64', '\u0666\u0664' (Arabic-Indic 64) and '1_6' used to run as 64 and 16
+    @pytest.mark.parametrize("sizes", ["abc", "64,,256", "1e2", "+64", "\u0666\u0664", "64,1_6"])
     def test_bench_non_integer_size_names_sizes(self, sizes, capsys):
         # used to fail with "invalid literal for int() with base 10", naming no option
         assert main(["bench", "--sizes", sizes]) == 1
         assert f"--sizes must be comma-separated integers, got {sizes!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["train", "i.pgm", "-o", "c", "-n", "\u0668"], "-n/--codebook-size"),
+            (["train", "i.pgm", "-o", "c", "-n", "8", "--block-w", "1_0"], "--block-w"),
+            (["train", "i.pgm", "-o", "c", "-n", "8", "--block-h", "+1"], "--block-h"),
+            (["train", "i.pgm", "-o", "c", "-n", "8", "--seed", " 3"], "--seed"),
+            (["bench", "--vectors", "2_000"], "--vectors"),
+            (["encode", "i.pgm", "c", "-o", "s", "--delta-hat", "\u0661\u0660\u0660"], "--delta-hat"),
+            (["encode", "i.pgm", "c", "-o", "s", "--delta-hat", "1_00"], "--delta-hat"),
+            (["stats", "i.pgm", "c", "--delta-hat-percentile", "9_9"], "--delta-hat-percentile"),
+        ],
+    )
+    def test_number_the_file_parsers_reject_names_its_option(self, argv, option, capsys):
+        # int and float took signs, spaces, '_' and non-ASCII digits: '\u0668' ran as N = 8, '1_00' as 100.0
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: invalid" in capsys.readouterr().err
 
     def test_bench_bad_seed_names_master_seed(self, capsys):
         # used to fail in the dataset's generator with "expected non-negative integer"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from reference_encoder import (
+    batch_meter,
     block_draws,
     projection_walk,
     reference_encode,
@@ -38,6 +39,8 @@ from hqvq.encoder import (
     BlockFacts,
     block_facts,
     delta_hat_from_nearest,
+    encode_sub1,
+    encode_sub2,
     finishing_walks,
     nearest_distances,
     sub1_iterations,
@@ -92,6 +95,13 @@ def stage2_rounds(x, cb, table, draw, ordinal) -> list:
     return rounds
 
 
+def hand_facts(t_s, t) -> BlockFacts:
+    """``BlockFacts`` for blocks of the given marked counts, all on one row; the stages read only the counts."""
+    t_s, t = np.asarray(t_s, dtype=np.int64), np.asarray(t, dtype=np.int64)
+    zero = np.zeros(t.size, dtype=np.int64)
+    return BlockFacts(index=zero, nearest=zero + 1.0, t_s=t_s, t=t, pick=np.where(t > 0, 0, -1), row=zero)
+
+
 def encode_rows(rows, cb, table, seed):
     rows = np.asarray(rows, dtype=np.float64)
     return list(encode(rows, cb, table, seeded_draws(seed, rows.shape[0])))
@@ -137,6 +147,16 @@ class TestSub1:
         table = build_neighborhoods(cb, cb.delta0)
         accepted = [run_stage(1, [x], cb, table, seed)[1][0] for seed in range(40)]
         assert not any(accepted)
+
+    def test_draw_of_zero_passes_only_a_marked_block(self):
+        # random() can return 0.0; the t = 0 bias is exactly 0.0, which 0.0 is not below
+        n = 64
+        facts = hand_facts(t_s=[0, 1], t=[0, 1])
+        meter = batch_meter(2)
+        accepted = encode_sub1(facts, n, lambda slot: np.zeros(2), meter)
+        assert accepted.tolist() == [False, True]
+        assert meter.grover_iterations.tolist() == [sub1_iterations(n)] * 2 == [6, 6]
+        assert meter.classical_distance_evals.tolist() == [1, 1]
 
     def test_marked_set_at_half_delta0_never_exceeds_one(self):
         rng = np.random.default_rng(45)
@@ -251,6 +271,27 @@ class TestSub2:
             # a hit in round r ran r + 1 rounds; a leaver in round r ran r
             (hit if ok else left).add(len(rounds) - ok)
         assert left & hit
+
+    def test_budget_boundary_with_chosen_draws(self):
+        # N = 16, t = 1: budget 12, cutoffs 2, 2, 2, 2, 3, 3, 3, 4 in rounds 0..7.
+        # Both blocks draw j = cutoff - 1 and miss until round 7, spending 10;
+        # there block 0 draws j = 2 (12, the budget) and block 1 j = 3 (13).
+        # Both coins are 0.0, below the bias at either j, so both would hit.
+        n = 16
+        assert sub2_budget(n) == 12
+
+        def draw(slot):
+            r, coin = divmod(slot - 2, 2)
+            if r < 7:
+                return np.full(2, 0.999)
+            return np.zeros(2) if coin else np.array([0.6, 0.9])
+
+        meter = batch_meter(2)
+        accepted = encode_sub2(hand_facts(t_s=[0, 0], t=[1, 1]), np.arange(2), n, draw, meter)
+        # on the budget: accepted after 8 verifications; past it: left after the 7 rounds before
+        assert accepted.tolist() == [True, False]
+        assert meter.grover_iterations.tolist() == [12, 10]
+        assert meter.classical_distance_evals.tolist() == [8, 7]
 
     def test_mean_iterations_within_bbht_bound(self):
         # smaller cousin of the acceptance check: t=4 solutions out of n=256
