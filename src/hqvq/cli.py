@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
-from .codebook import check_seed, load_codebook, save_codebook, train_codebook
+from .codebook import check_seed, decimals, load_codebook, save_codebook, train_codebook
 from .encoder import (
     EncoderConfig,
     check_percentile,
@@ -29,14 +30,9 @@ from .pipeline import (
 
 
 def ascii_int(text: str) -> int:
-    """``int`` by the file parsers' rule: ASCII digits, with an optional leading '-'.
-
-    ``int`` alone would also take '+', '_' separators, spaces and non-ASCII
-    digits, which ``load_pgm`` and ``load_codebook`` reject.
-    """
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise ValueError(f"not an integer of ASCII digits: {text!r}")
-    return int(text)
+    """``int`` by the file parsers' rule, ``decimals``, after one optional leading '-'."""
+    (value,) = decimals([text.removeprefix("-")], f"not an integer of ASCII digits: {text!r}")
+    return -value if text.startswith("-") else value
 
 
 def ascii_float(text: str) -> float:
@@ -57,7 +53,7 @@ def _add_threshold_args(p: argparse.ArgumentParser) -> None:
     g.add_argument(
         "--delta-hat-percentile",
         type=ascii_float,
-        default=99.0,
+        default=inspect.signature(choose_delta_hat).parameters["percentile"].default,
         help="pick the threshold at this percentile of nearest distances",
     )
 

@@ -45,6 +45,20 @@ def as_rows(x, k: int | None = None) -> np.ndarray:
     return rows
 
 
+def decimals(tokens, message: str) -> list[int]:
+    """Tokens of ASCII digits (str or bytes) as ints; any other token raises ``ValueError(message)``.
+
+    ``int`` alone would also take a sign, '_', spaces and non-ASCII digits,
+    and fails with its own message past its 4300-digit limit.
+    """
+    if all(t.isascii() and t.isdigit() for t in tokens):
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:  # more digits than int's limit
+            pass
+    raise ValueError(message)
+
+
 def check_seed(seed, name: str = "seed") -> None:
     """Reject a seed that is not a non-negative int (bools included), naming it ``name``."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -221,9 +235,10 @@ def load_codebook(path) -> Codebook:
     if any("_" in ln for ln in lines):
         raise ValueError(f"{path}: '_' in a codebook file")
     head = lines[0].split()
-    if len(head) != 4 or head[:2] != ["VQCB", "1"] or not (head[2].isdigit() and head[3].isdigit()):
-        raise ValueError(f"{path}: bad header {lines[0]!r}")
-    k, n = int(head[2]), int(head[3])
+    bad = f"{path}: bad header {lines[0]!r}"
+    if len(head) != 4 or head[:2] != ["VQCB", "1"]:
+        raise ValueError(bad)
+    k, n = decimals(head[2:], bad)
     if len(lines) - 1 != n:
         raise ValueError(f"{path}: expected {n} codevector lines, got {len(lines) - 1}")
     rows = []

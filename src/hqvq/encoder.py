@@ -471,7 +471,7 @@ def check_percentile(percentile: float) -> None:
         raise ValueError("percentile must be in (0, 100]")
 
 
-def delta_hat_from_nearest(nearest, delta0: float, percentile: float = 99.0) -> float:
+def delta_hat_from_nearest(nearest, delta0: float, percentile: float) -> float:
     """Nearest-rank percentile of nearest-codevector distances, kept above delta0/2.
 
     The result is clamped to the next float above delta0/2, so the threshold

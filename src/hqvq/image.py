@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codebook import decimals
+
 
 @dataclass(frozen=True)
 class BlockGeometry:
@@ -42,20 +44,6 @@ class BlockGeometry:
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
 
 
-def _decimals(tokens: list[bytes], path, what: str) -> list[int]:
-    """Tokens of ASCII digits as ints; any other token is a ``ValueError`` naming the file.
-
-    ``int`` alone would also take a sign, '_' separators and non-ASCII
-    digits, and raises without the file's name on more than 4300 digits.
-    """
-    try:
-        if all(t.isdigit() for t in tokens):
-            return [int(t) for t in tokens]
-    except ValueError:
-        pass
-    raise ValueError(f"{path}: malformed {what}")
-
-
 def load_pgm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -69,7 +57,7 @@ def load_pgm(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated PGM header")
         tokens.append(token[1])
         pos = token.end()
-    width, height, maxval = _decimals(tokens, path, "PGM header")
+    width, height, maxval = decimals(tokens, f"{path}: malformed PGM header")
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
@@ -81,7 +69,7 @@ def load_pgm(path) -> np.ndarray:
         pixels = np.frombuffer(data, dtype=np.uint8, offset=pos + 1)
     else:
         # every token is checked before any is counted: a '#' in the raster is a malformed value
-        ints = _decimals(data[pos:].split(), path, "pixel value")
+        ints = decimals(data[pos:].split(), f"{path}: malformed pixel value")
         if any(v > 255 for v in ints):
             raise ValueError(f"{path}: pixel value out of range")
         pixels = np.array(ints, dtype=np.uint8)

@@ -173,6 +173,9 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
     ``bound``, when given, is an (M,) array with ``bound[i]`` at least the
     computed nearest distance of ``queries[i]``, such as its distance to
     any one codevector; every row then goes straight to the bounded pass.
+    Both arrays lie within ``as_rows``' 2**500 bound, so every projection
+    and distance is finite and a window needs no overflow fallback; an inf
+    bound's window is the whole codebook.
     """
     m, k = queries.shape
     n = vectors.shape[0]
@@ -202,12 +205,8 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
             tile = rows[start : start + WINDOW_TILE]
             p = q_proj[tile]
             half = half_width(np.maximum(radius, bounds[start : start + WINDOW_TILE]), k, scale)
-            low, high = float((p - half).min()), float((p + half).max())
-            if math.isfinite(low) and math.isfinite(high):
-                lo = np.searchsorted(v_sorted, low, side="left")
-                hi = np.searchsorted(v_sorted, high, side="right")
-            else:  # an overflowed bound or projection sum: keep every codevector
-                lo, hi = 0, n
+            lo = np.searchsorted(v_sorted, float((p - half).min()), side="left")
+            hi = np.searchsorted(v_sorted, float((p + half).max()), side="right")
             cols, d = measure(tile, lo, hi)
             yield tile, cols, d
 

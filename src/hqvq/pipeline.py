@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, as_rows
+from .codebook import Codebook, as_rows, check_seed
 from .codebook import distances_to_codebook  # noqa: F401 (perfbench/spans.py wraps it by name)
 from .encoder import PATHS, EncodeBatch, EncodePath, EncoderConfig, encode
 from .grover import derive_rng
@@ -317,8 +317,9 @@ def clustered_dataset(
     past delta_hat from every codevector (cell centers), in a 90/9/1 mixture.
     For n_vectors > 100 the beyond-threshold count is kept strictly under 1%
     of the total; at least one such vector is always kept, so smaller sets
-    carry a larger share (5% of 20, 1% of 100).
+    carry a larger share (5% of 20, 1% of 100).  ``seed`` is a non-negative int.
     """
+    check_seed(seed)
     if codebook.k != 2:
         raise ValueError("clustered dataset generator expects a 2-D grid codebook")
     half = codebook.delta0 / 2.0

@@ -1,6 +1,8 @@
 """Codebook foundation: metric, full search, delta0, trainer, file format."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hqvq import (
     train_codebook,
 )
 from hqvq import kernels
-from hqvq.codebook import MAX_COMPONENT, DuplicateCodevectors, _separate_duplicates, as_rows
+from hqvq.codebook import MAX_COMPONENT, DuplicateCodevectors, _separate_duplicates, as_rows, decimals
 
 
 def brute_nearest(x, vectors):
@@ -159,6 +161,47 @@ class TestAsRows:
             Codebook(np.empty((2, 0)))
         with pytest.raises(ValueError, match=r"\(M, k\)"):
             train_codebook(np.zeros(10), 2, seed=0)
+
+
+# int's digit limit (0 where it is off): a longer run of digits is not a number
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
+# digits, signs, '_', a space, a tab, ARABIC-INDIC SIX, SUPERSCRIPT TWO, FULLWIDTH SIX, a letter
+TOKEN_CHARS = "0123456789+-_ \t\u0666\u00b2\uff16x"
+
+
+@st.composite
+def digit_tokens(draw):
+    """A token near the digit rule's edges, as str or as its UTF-8 bytes."""
+    short = st.text(st.sampled_from(TOKEN_CHARS), max_size=6)
+    long = st.builds(
+        lambda n, c, at: ("1" * n)[:at] + c + ("1" * n)[at:],
+        st.integers(4295, 4305),
+        st.sampled_from(["", "", "-", " ", "\u0666"]),
+        st.integers(0, 4305),
+    )
+    token = draw(st.one_of(short, long))
+    return token.encode() if draw(st.booleans()) else token
+
+
+@example(tokens=["+1"])
+@example(tokens=["1_0", b"1"])
+@example(tokens=[b"1 0"])
+@example(tokens=["\u0666"])
+@example(tokens=["\u00b2"])
+@example(tokens=["\uff16"])
+@example(tokens=["7" * 4300])
+@example(tokens=[b"7" * 4301])
+@given(tokens=st.lists(digit_tokens(), max_size=3))
+def test_decimals_reads_exactly_the_ascii_digit_tokens(tokens):
+    def ok(t):
+        pattern = rb"[0-9]+" if isinstance(t, bytes) else r"[0-9]+"
+        return re.fullmatch(pattern, t) is not None and len(t) <= INT_DIGITS
+
+    if all(ok(t) for t in tokens):
+        assert decimals(tokens, "bad") == [int(t) for t in tokens]
+    else:
+        with pytest.raises(ValueError, match="^bad$"):
+            decimals(tokens, "bad")
 
 
 class TestDelta0:
@@ -410,6 +453,9 @@ class TestCodebookFile:
             pytest.param(b"VQCB 1 0_2 2\n0 0\n1 1\n", ValueError, id="header-underscore"),
             pytest.param(b"VQCB 1 2 +2\n0 0\n1 1\n", ValueError, id="header-plus"),
             pytest.param(b"VQCB 1 x 2\n0 0\n1 1\n", ValueError, id="header-letter"),
+            # past int's 4300-digit limit, int() failed without the file's name
+            pytest.param(b"VQCB 1 " + b"2" * 5000 + b" 2\n0 0\n1 1\n", ValueError, id="header-5000-digit-k"),
+            pytest.param(b"VQCB 1 2 " + b"2" * 5000 + b"\n0 0\n1 1\n", ValueError, id="header-5000-digit-n"),
             pytest.param(b"VQCB 1 2 2\n0 x\n1 1\n", ValueError, id="letter"),
             pytest.param(b"VQCB 1 2 2\n0 \xd9\xa1\n1 1\n", ValueError, id="non-ascii-digit"),  # ARABIC-INDIC ONE
             pytest.param(b"VQCB 1 2 2\n0 \xff\n1 1\n", ValueError, id="not-utf8"),

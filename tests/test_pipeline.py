@@ -380,6 +380,13 @@ class TestSyntheticDataset:
         cb = grid_codebook(64)
         assert clustered_dataset(cb, 0.6 * cb.delta0, 5, seed=0).shape == (5, 2)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_bad_seed_rejected_naming_it(self, seed):
+        # -1 failed in numpy's generator, True ran as seed 1, and 1.5 was a TypeError
+        cb = grid_codebook(64)
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative int, got {seed!r}$"):
+            clustered_dataset(cb, 0.6 * cb.delta0, 100, seed=seed)
+
     def test_all_s_synthetic_run_stays_on_fast_path(self):
         # N=256 keeps the single-pass failure rate near 5e-5, well under 0.1%
         cb = grid_codebook(256)
