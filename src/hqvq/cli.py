@@ -17,6 +17,7 @@ from .encoder import (
 from .image import BlockGeometry, blockify, load_pgm, psnr, save_pgm
 from .neighborhood import build_neighborhoods, dump_table, space_bits
 from .pipeline import (
+    check_geometry,
     clustered_dataset,
     decode_image,
     encode_image,
@@ -81,6 +82,7 @@ def cmd_encode(args) -> int:
     img = load_pgm(args.image)
     codebook = load_codebook(args.codebook)
     geom = BlockGeometry(block_w=args.block_w, block_h=args.block_h)
+    check_geometry(geom, codebook)
     vectors = blockify(img, geom)
     delta_hat = args.delta_hat
     if delta_hat is None:
@@ -115,6 +117,7 @@ def cmd_stats(args) -> int:
     img = load_pgm(args.image)
     codebook = load_codebook(args.codebook)
     geom = BlockGeometry(block_w=args.block_w, block_h=args.block_h)
+    check_geometry(geom, codebook)
     # one nearest-codevector pass feeds both the threshold and the fractions
     nearest = nearest_distances(codebook, blockify(img, geom))
     delta_hat = args.delta_hat

@@ -3,11 +3,18 @@
 Stage 1 targets inputs sitting within half of some codevector's distance to
 its nearest other codevector (Orchard's half-distance test, ICASSP 1991): a
 single fixed-length amplified search finds the (provably unique) solution
-with near-certain probability, and one classical distance check verifies it.
-This generalises the paper's test at half the minimum spacing, delta0/2: no
+with high probability, and one classical distance check verifies it.  This
+generalises the paper's test at half the minimum spacing, delta0/2: no
 codevector's radius is below it, so every input that test marks is still
 marked.  Each radius sits a rounding margin below the half-distance
-(``sub1_radii``), so the uniqueness holds for computed distances too.
+(``sub1_radii``), so the uniqueness holds for computed distances too.  The
+search runs over the block's projection window alone, the W codevectors
+within ``sub1_half_width`` of its projection, which hold every index stage 1
+can mark (the margin's argument is ``kernels.half_width``'s): floor(pi/4
+sqrt(W)) iterations instead of the paper's floor(pi/4 sqrt(N)), a classical
+pre-filter around a quantum search as in Cerf, Grover and Williams (Phys.
+Rev. A 61, 032303, 2000).  The paper's stage 1 over all N is simulated beside
+it on the same draws and charged to ``EncodeBatch.paper``.
 Stage 2 targets inputs within the configured threshold: the search is
 embedded in a growing-cutoff schedule for an unknown number of solutions;
 any verified hit is finished by a classical scan of that codevector's
@@ -127,6 +134,7 @@ class BlockFacts:
     index: np.ndarray  # argmin of the row, ties to the smallest index
     nearest: np.ndarray  # the row's minimum
     t_s: np.ndarray  # marked by stage 1: #{i : d_i < sub1_radii[i]}, 0 or 1 (then i is the argmin)
+    domain_s: np.ndarray  # stage 1's search domain W: #{j : |p(x) - p(c_j)| <= sub1_half_width}
     t: np.ndarray  # marked at delta_hat: #{i : d_i < delta_hat}
     pick: np.ndarray  # the marked index a stage-2 hit measures; -1 if t == 0
     row: np.ndarray  # the block's row among the pass's distinct rows: equal blocks share it
@@ -138,11 +146,15 @@ class EncodeBatch(Sequence):
 
     A read-only sequence of ``EncodeOutcome``: ``batch[b]`` builds block b's
     outcome, with plain ints, only when asked for; iteration goes through it.
+    ``paper`` is the same run charged as the paper's configuration: stage 1
+    over all N, h's whole neighbor list after a stage-2 hit and all N in a
+    fallback (its ``table_reads`` are 0).
     """
 
     facts: BlockFacts
     path: np.ndarray  # int8 positions in PATHS
     meter: QueryMeter  # (M,) int64 arrays
+    paper: QueryMeter  # (M,) int64 arrays: the paper's charges
     scan: np.ndarray  # (M,) int64: the evaluations each block's finishing walk was charged, 0 on stage 1
 
     def __len__(self) -> int:
@@ -162,8 +174,27 @@ class EncodeBatch(Sequence):
 
 
 def sub1_iterations(n: int) -> int:
-    """Fixed stage-1 iteration count: floor(pi/4 * sqrt(N))."""
+    """Stage 1's iteration count over a domain of n indices: floor(pi/4 * sqrt(n)).
+
+    The paper's stage 1 searches all N codevectors; ``encode_sub1`` searches
+    each block's window of W, with ``sub1_table``'s counts for every W.
+    """
     return math.floor(math.pi / 4.0 * math.sqrt(n))
+
+
+def sub1_table(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1's (iterations, coin bias) over a window of W codevectors, at [W] for W in 0..top.
+
+    The iterations are ``sub1_iterations(W)``, j = floor(pi/4 * sqrt(W)), and
+    the bias ``marked_probability(1, W, j)``, one call on a flat int64 array
+    as ``success_table``'s.  A window of 0 holds no codevector: no search
+    runs, and both are 0.  W = 1 gives j = 0 and a bias of exactly 1.
+    """
+    width = np.arange(top + 1, dtype=np.int64)
+    iterations = np.floor(math.pi / 4.0 * np.sqrt(width)).astype(np.int64)
+    bias = np.zeros(top + 1)
+    bias[1:] = marked_probability(np.ones(top, dtype=np.int64), width[1:], iterations[1:])
+    return iterations, bias
 
 
 def sub1_radii(codebook: Codebook) -> np.ndarray:
@@ -193,6 +224,23 @@ def sub1_radii(codebook: Codebook) -> np.ndarray:
     return codebook.nearest_other / 2.0 * (1.0 - 3.0 * kernels.rounding_bound(codebook.k))
 
 
+def sub1_half_width(codebook: Codebook) -> float:
+    """Half the width of stage 1's projection window: ``kernels.half_width`` at R = max_i r_i.
+
+    A codevector i that stage 1 marks has a computed d(x, c_i) < r_i <= R
+    (``sub1_radii``), so its projection lies within half_width(R) of p(x):
+    the mean-axis bound of ``kernels.window_tiles``, margin included.  The
+    margin's scale must bound ||x||, and sqrt(k) max |c_d| + 2R does for any
+    block with a marked codevector: ||x|| <= ||c_i|| + d(x, c_i), and the
+    exact distance is below twice the computed one, as in
+    ``finishing_walks``.  Blocks with none need no bound, since their window
+    holds nothing stage 1 must find.  So one scalar serves every block.
+    """
+    radius = float(sub1_radii(codebook).max())
+    scale = math.sqrt(codebook.k) * float(np.abs(codebook.vectors).max()) + 2.0 * radius
+    return float(kernels.half_width(radius, codebook.k, scale))
+
+
 def sub2_budget(n: int) -> int:
     return math.ceil(BBHT_BUDGET_FACTOR * math.sqrt(n))
 
@@ -215,36 +263,64 @@ def block_facts(
     max(delta_hat, its nearest distance), so the facts equal the full row's.
     Equal blocks share their row's facts and marked set, but each picks from
     it with its own draw.  No M x N matrix is kept.
+
+    Each row's stage-1 domain, ``BlockFacts.domain_s``, is the run of
+    codevectors in projection order within ``sub1_half_width`` of its
+    projection, at both ends inclusive: ``kernels.strip_counts`` over the
+    distinct rows.  It holds every index stage 1 can mark.
     """
     distinct, inverse = kernels.distinct_rows(vectors)
-    index, nearest, marked, start, t = kernels.window_marked(distinct, codebook.vectors, table.delta_hat)
+    proj, order = kernels.projection_order(distinct)
+    index, nearest, marked, start, t = kernels.window_marked(distinct, codebook.vectors, table.delta_hat, (proj, order))
     block_t = t[inverse]
     k = np.minimum((pick_draw * block_t).astype(np.int64), block_t - 1)
-    hit = np.flatnonzero(block_t > 0)
     picked = np.full(vectors.shape[0], -1, dtype=np.int64)
-    picked[hit] = marked[start[inverse[hit]] + k[hit]]
+    if marked.size:  # a block with t = 0 reads a clipped position, then gets -1
+        picked = np.where(block_t > 0, marked.take(start[inverse] + k, mode="clip"), picked)
     # only the argmin can lie below its own radius, and then it is the one marked codevector
     t_s = (nearest < sub1_radii(codebook)[index]).astype(np.int64)
+    domain = kernels.strip_counts(proj, order, np.sort(codebook.projections), sub1_half_width(codebook))
     return BlockFacts(
-        index=index[inverse], nearest=nearest[inverse], t_s=t_s[inverse], t=block_t, pick=picked, row=inverse
+        index=index[inverse],
+        nearest=nearest[inverse],
+        t_s=t_s[inverse],
+        domain_s=domain[inverse],
+        t=block_t,
+        pick=picked,
+        row=inverse,
     )
 
 
-def encode_sub1(facts: BlockFacts, n: int, draw, meter: QueryMeter) -> np.ndarray:
+def encode_sub1(facts: BlockFacts, n: int, draw, meter: QueryMeter, paper: QueryMeter):
     """Stage 1 for every block: one amplified search below each codevector's radius, then one verification.
 
     The marked set is {i : d(x, c_i) < ``sub1_radii``[i]}, ``facts.t_s``
-    elements, 0 or 1.  ``draw(slot)`` returns one uniform draw in [0, 1) per
-    block.  Each block is charged the fixed iteration count and one
-    evaluation.  The coin's bias is ``success_table``'s t = 1 entry: at
-    t_s = 0 it is exactly 0, which no draw lies below.  Returns the mask of
-    blocks whose measured index is marked, i.e. verified strictly below its
-    own radius (it is then the unique global optimum).
+    elements, 0 or 1, and lies in the block's window of W =
+    ``facts.domain_s`` codevectors, so the search runs over the window
+    alone.  ``meter`` is charged ``sub1_table``'s iterations at W, one
+    evaluation when W > 0, and the window's lookup: two binary searches over
+    the N projections, 2 bit_length(N) ``table_reads``.  The paper's stage 1
+    searches all N; ``paper`` is charged its fixed floor(pi/4 sqrt(N))
+    iterations and one evaluation.  ``draw(slot)`` returns one uniform draw
+    in [0, 1) per block, and both coins read the same SUB1_SLOT draw.  The
+    window's bias is ``sub1_table``'s, the paper's ``success_table``'s t = 1
+    entry; at t_s = 0 no draw passes either.  Returns (accepted over the
+    window, accepted over N): the masks of blocks whose measured index is
+    marked, i.e. verified strictly below its own radius (it is then the
+    unique global optimum).
     """
+    u = draw(SUB1_SLOT)
+    marked = facts.t_s == 1
     j = sub1_iterations(n)
-    meter.grover_iterations += j
-    meter.classical_distance_evals += 1
-    return (facts.t_s == 1) & (draw(SUB1_SLOT) < success_table(np.ones(1, dtype=np.int64), n)[0, j])
+    paper.grover_iterations += j
+    paper.classical_distance_evals += 1
+    paper_hit = marked & (u < success_table(np.ones(1, dtype=np.int64), n)[0, j])
+    width = facts.domain_s
+    iterations, bias = sub1_table(int(width.max(initial=0)))
+    meter.grover_iterations += iterations.take(width)
+    meter.classical_distance_evals += np.minimum(width, 1)
+    meter.table_reads += 2 * int(n).bit_length()
+    return marked & (u < bias.take(width)), paper_hit
 
 
 def success_table(levels: np.ndarray, n: int) -> np.ndarray:
@@ -428,18 +504,39 @@ def encode(
     path and what the meter is charged.  Stage-2 hits and fallbacks are
     then charged their ``finishing_walks``, which ``EncodeBatch.scan`` keeps
     apart.
+
+    The paper's configuration is simulated beside it on the same draws
+    (``EncodeBatch.paper``).  Its stage 1 can pass a block that the window's
+    fails, or the other way round, so stage 2 runs once over the blocks that
+    either sends on, and each configuration is charged the rounds of its
+    own.  That is exact: a block's rounds read only its own facts and draws,
+    since the cutoff m depends only on the round.
     """
     facts = block_facts(vectors, codebook, table, draw(PICK_SLOT))
-    size = vectors.shape[0]
-    meter = QueryMeter(*(np.zeros(size, dtype=np.int64) for _ in range(3)))
-    path = np.full(size, PATHS.index(EncodePath.CLASSICAL_FALLBACK), dtype=np.int8)
-    sub1 = encode_sub1(facts, codebook.n, draw, meter)
-    path[sub1] = PATHS.index(EncodePath.SUB1)
-    sub2 = encode_sub2(facts, np.flatnonzero(~sub1), codebook.n, draw, meter)
-    path[sub2] = PATHS.index(EncodePath.SUB2)
-    scan, meter.table_reads = finishing_walks(vectors, facts, codebook, table, sub2, ~(sub1 | sub2))
+    size, n = vectors.shape[0], codebook.n
+    meter, paper = (QueryMeter(*(np.zeros(size, dtype=np.int64) for _ in range(3))) for _ in range(2))
+    sub1, paper_sub1 = encode_sub1(facts, n, draw, meter, paper)
+    sent = ~(sub1 & paper_sub1)
+    rounds = QueryMeter(np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64))
+    sub2 = encode_sub2(facts, np.flatnonzero(sent), n, draw, rounds)
+    for charged, passed in ((meter, sub1), (paper, paper_sub1)):
+        # the rounds of every block sent on, less those of the few the other configuration sent on alone
+        other = np.flatnonzero(passed & sent)
+        charged.grover_iterations += rounds.grover_iterations
+        charged.classical_distance_evals += rounds.classical_distance_evals
+        charged.grover_iterations[other] -= rounds.grover_iterations[other]
+        charged.classical_distance_evals[other] -= rounds.classical_distance_evals[other]
+    hit, fallback = sub2 & ~sub1, ~(sub1 | sub2)
+    # the masks are disjoint and cover the batch: a sum of products, far cheaper than masked assignments
+    masks = {EncodePath.SUB1: sub1, EncodePath.SUB2: hit, EncodePath.CLASSICAL_FALLBACK: fallback}
+    path = sum(masks[p].view(np.int8) * np.int8(i) for i, p in enumerate(PATHS))
+    scan, reads = finishing_walks(vectors, facts, codebook, table, hit, fallback)
     meter.classical_distance_evals += scan
-    return EncodeBatch(facts=facts, path=path, meter=meter, scan=scan)
+    meter.table_reads += reads
+    # the paper's scans: h's whole list after a stage-2 hit, all N (entry -1) in a fallback
+    whole = np.append(table.sizes(), n)[facts.pick * sub2 - ~sub2]
+    paper.classical_distance_evals += whole * ~paper_sub1
+    return EncodeBatch(facts=facts, path=path, meter=meter, paper=paper, scan=scan)
 
 
 def nearest_distances(codebook: Codebook, sample) -> np.ndarray:

@@ -144,7 +144,40 @@ def half_width(reach, k: int, scale):
     return reach + 4.0 * rounding_bound(k) * (reach + scale)
 
 
-def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=None):
+def projection_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``projections(rows)``, their argsort): the order ``window_tiles`` walks the rows in.
+
+    Any order of equal projections serves, since each row's window covers
+    its own reach, so the sort need not be stable; numpy's default sort is
+    several times faster than its stable one on float64.
+    """
+    proj = projections(rows)
+    return proj, np.argsort(proj)
+
+
+def strip_counts(centers: np.ndarray, order: np.ndarray, axis: np.ndarray, half: float) -> np.ndarray:
+    """How many entries of the ascending ``axis`` lie in [c - half, c + half], for each c in ``centers``.
+
+    ``centers[order]`` is ascending, as ``projection_order`` gives it, and
+    ``half`` is at least 0.  Each
+    count is ``searchsorted(axis, c + half, "right") - searchsorted(axis,
+    c - half, "left")``, with the same bits for the ends, but the searches
+    run the other way: each axis entry is located among the sorted ends,
+    which costs O(len(axis)) searches rather than two per center.  An entry
+    e is below c_i - half exactly when fewer than i + 1 sorted lower ends
+    are at most e, and at most c_i + half exactly when fewer than i + 1
+    upper ends are below e.  Returns an int64 array.
+    """
+    c = centers[order]  # c - half and c + half stay ascending: rounding is monotone
+    below = np.searchsorted(c - half, axis, side="right")
+    upto = np.searchsorted(c + half, axis, side="left")
+    size = c.size + 1
+    counts = np.empty(c.size, dtype=np.int64)
+    counts[order] = np.cumsum(np.bincount(upto, minlength=size) - np.bincount(below, minlength=size))[:-1]
+    return counts
+
+
+def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=None, order=None):
     """Yield (rows, cols, d): each tile's distances to the codevectors that can matter.
 
     ``rows`` indexes ``queries`` (at most WINDOW_TILE of them, in projection
@@ -173,6 +206,8 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
     ``bound``, when given, is an (M,) array with ``bound[i]`` at least the
     computed nearest distance of ``queries[i]``, such as its distance to
     any one codevector; every row then goes straight to the bounded pass.
+    ``order``, when given, is ``projection_order(queries)``, which a caller
+    that needs it too computes once.
     Both arrays lie within ``as_rows``' 2**500 bound, so every projection
     and distance is finite and a window needs no overflow fallback; an inf
     bound's window is the whole codebook.
@@ -181,9 +216,8 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
     n = vectors.shape[0]
     # sqrt(k) * max |x_d| >= ||x|| for every query and codevector
     scale = math.sqrt(k) * max(np.abs(queries).max(initial=0.0), np.abs(vectors).max())
-    q_proj = projections(queries)
+    q_proj, q_order = projection_order(queries) if order is None else order
     v_proj = projections(vectors)
-    q_order = np.argsort(q_proj, kind="stable")
     v_order = np.argsort(v_proj, kind="stable")
     v_sorted = v_proj[v_order]
     vcols = np.ascontiguousarray(vectors.T)
@@ -335,7 +369,7 @@ def min_pairwise(vectors: np.ndarray) -> float:
     return float(nearest_other(vectors).min())
 
 
-def window_marked(queries: np.ndarray, vectors: np.ndarray, radius: float):
+def window_marked(queries: np.ndarray, vectors: np.ndarray, radius: float, order=None):
     """``window_nearest``'s (index, nearest) and each row's marked set, from one window pass.
 
     Returns (index, nearest, marked, start, count): row i's ascending indices
@@ -343,7 +377,8 @@ def window_marked(queries: np.ndarray, vectors: np.ndarray, radius: float):
     ``marked[start[i] : start[i] + count[i]]``.  ``marked``, ``start`` and
     ``count`` are read-only int64 arrays, kept as they are by the neighbor
     table (the codebook over itself) and read by the encoder's fact pass;
-    every slice of ``marked`` is read-only too.
+    every slice of ``marked`` is read-only too.  ``order`` is as in
+    ``window_tiles``.
     """
     m = queries.shape[0]
     index = np.empty(m, dtype=np.int64)
@@ -351,7 +386,7 @@ def window_marked(queries: np.ndarray, vectors: np.ndarray, radius: float):
     start = np.empty(m, dtype=np.int64)
     count = np.empty(m, dtype=np.int64)
     parts, offset = [], 0
-    for rows, cols, d in window_tiles(queries, vectors, radius):
+    for rows, cols, d in window_tiles(queries, vectors, radius, order=order):
         arg = d.argmin(axis=1)
         index[rows] = cols[arg]
         nearest[rows] = d[np.arange(rows.size), arg]

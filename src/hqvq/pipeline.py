@@ -118,7 +118,9 @@ class PartitionStats:
     max_grover_iterations: int
     mean_classical_evals: float
     max_classical_evals: int
-    mean_table_reads: float  # entries and binary-search probes the finishing walks read
+    mean_table_reads: float  # binary-search probes and entries stage 1's window lookup and the walks read
+    mean_sub1_domain: float  # stage 1's search domain W, per block
+    paper_mean_grover_iterations: float  # the paper's configuration: stage 1 over all N
     paper_mean_classical_evals: float  # the paper's scans: h's whole list after a hit, all N in a fallback
 
 
@@ -138,18 +140,15 @@ def region_fractions(nearest, delta0: float, delta_hat: float) -> tuple[float, f
     return n_s / total, (n_t - n_s) / total, (total - n_t) / total
 
 
-def _build_stats(batch: EncodeBatch, table: NeighborhoodTable, fractions) -> PartitionStats:
-    counts = dict(zip(PATHS, np.bincount(batch.path, minlength=len(PATHS)).tolist()))
+def _mean(counts: np.ndarray) -> float:
+    """The mean of an int64 array, with the bits of ``counts.mean()``: its exact sum (below 2**53) over the size."""
+    return int(counts.sum()) / counts.size
+
+
+def _build_stats(batch: EncodeBatch, fractions) -> PartitionStats:
+    counts = {p: int(np.count_nonzero(batch.path == i)) for i, p in enumerate(PATHS)}
     grover = batch.meter.grover_iterations
     classical = batch.meter.classical_distance_evals
-    # the paper's configuration: each finishing walk's charge replaced by the whole list it walked
-    on_sub2 = batch.path == PATHS.index(EncodePath.SUB2)
-    paper = (
-        int(classical.sum())
-        - int(batch.scan.sum())
-        + int(table.sizes()[batch.facts.pick[on_sub2]].sum())
-        + table.n * counts[EncodePath.CLASSICAL_FALLBACK]
-    )
     a, b, c = fractions
     return PartitionStats(
         n_vectors=int(batch.path.size), a=a, b=b, c=c,
@@ -157,13 +156,14 @@ def _build_stats(batch: EncodeBatch, table: NeighborhoodTable, fractions) -> Par
         count_sub1=counts[EncodePath.SUB1],
         count_sub2=counts[EncodePath.SUB2],
         count_fallback=counts[EncodePath.CLASSICAL_FALLBACK],
-        mean_grover_iterations=float(grover.mean()),
+        mean_grover_iterations=_mean(grover),
         max_grover_iterations=int(grover.max()),
-        mean_classical_evals=float(classical.mean()),
+        mean_classical_evals=_mean(classical),
         max_classical_evals=int(classical.max()),
-        mean_table_reads=float(batch.meter.table_reads.mean()),
-        # an exact integer sum (below 2**53) over the count: the bits of the per-block array's mean
-        paper_mean_classical_evals=paper / batch.path.size,
+        mean_table_reads=_mean(batch.meter.table_reads),
+        mean_sub1_domain=_mean(batch.facts.domain_s),
+        paper_mean_grover_iterations=_mean(batch.paper.grover_iterations),
+        paper_mean_classical_evals=_mean(batch.paper.classical_distance_evals),
     )
 
 
@@ -203,7 +203,18 @@ def encode_vectors(
 
     batch = encode(vectors, codebook, table, draw)
     fractions = region_fractions(batch.facts.nearest, codebook.delta0, cfg.delta_hat)
-    return batch.facts.index, _build_stats(batch, table, fractions), batch
+    return batch.facts.index, _build_stats(batch, fractions), batch
+
+
+def check_geometry(geom: BlockGeometry, codebook: Codebook) -> None:
+    """Reject blocks whose dimension is not the codebook's, before any image is blockified.
+
+    Blockifying first would pad the image to the block size, however large.
+    """
+    if geom.k != codebook.k:
+        raise ValueError(
+            f"dimension mismatch: block geometry gives dimension {geom.k}, codebook has {codebook.k}"
+        )
 
 
 def encode_image(
@@ -213,10 +224,7 @@ def encode_image(
     cfg: EncoderConfig,
     geom: BlockGeometry = BlockGeometry(),
 ) -> tuple[IndexStream, PartitionStats]:
-    if geom.k != codebook.k:
-        raise ValueError(
-            f"block geometry gives dimension {geom.k}, codebook has {codebook.k}"
-        )
+    check_geometry(geom, codebook)
     vectors = blockify(img, geom)
     indices, stats, _ = encode_vectors(vectors, codebook, table, cfg)
     h, w = np.asarray(img).shape
@@ -255,15 +263,17 @@ def report(stats: PartitionStats, n: int) -> str:
     nearest codevector's own radius, never smaller.  ``ops_per_block`` is
     the mean search iterations plus the mean classical evaluations, and
     ``ratio_ops_vs_sqrt_n`` sets it against the paper's sqrt(N) claim.
-    ``mean_table_reads`` is what the finishing walks read, beside the
-    operations rather than in them.  ``paper_mean_classical_evals`` and
-    ``paper_ops_per_block`` are the same run charged the paper's scans:
-    h's whole neighbor list after a stage-2 hit, all N codevectors in a
-    fallback.
+    ``mean_table_reads`` is what stage 1's window lookup and the finishing
+    walks read, beside the operations rather than in them, and
+    ``mean_sub1_domain`` the mean size W of stage 1's window.  The
+    ``paper_`` keys are the same run charged as the paper's configuration:
+    stage 1 over all N, h's whole neighbor list after a stage-2 hit, all N
+    codevectors in a fallback; ``paper_ops_per_block`` is its iterations
+    plus its evaluations.
     """
     sqrt_n = math.sqrt(n)
     ops = stats.mean_grover_iterations + stats.mean_classical_evals
-    paper_ops = stats.mean_grover_iterations + stats.paper_mean_classical_evals
+    paper_ops = stats.paper_mean_grover_iterations + stats.paper_mean_classical_evals
     lines = [
         f"n={n}",
         f"sqrt_n={sqrt_n!r}",
@@ -280,6 +290,8 @@ def report(stats: PartitionStats, n: int) -> str:
         f"ops_per_block={ops!r}",
         f"ratio_ops_vs_sqrt_n={ops / sqrt_n!r}",
         f"mean_table_reads={stats.mean_table_reads!r}",
+        f"mean_sub1_domain={stats.mean_sub1_domain!r}",
+        f"paper_mean_grover_iters={stats.paper_mean_grover_iterations!r}",
         f"paper_mean_classical_evals={stats.paper_mean_classical_evals!r}",
         f"paper_ops_per_block={paper_ops!r}",
         f"ratio_vs_pure_quantum={stats.mean_grover_iterations / (PURE_QUANTUM_FACTOR * sqrt_n)!r}",

@@ -3,10 +3,13 @@
 It walks one block at a time through stage 1, the stage-2 rounds and the
 fallback, reading the block's distance row and its own draw for each slot:
 slot 0 is the stage-1 coin, slot 1 the marked pick, and slots 2r+2 and 2r+3
-the iteration count j and the coin of stage-2 round r.  A stage-2 hit and a
-fallback are finished by ``projection_walk``, a literal sequential walk.
-The batch must give every block the same (index, path, meter) when fed the
-same draws.  ``run_stage`` runs one batch stage alone on the same draws.
+the iteration count j and the coin of stage-2 round r.  Stage 1 searches
+the block's window, found by a literal scan of the projections
+(``reference_window``).  A stage-2 hit and a fallback are finished by
+``projection_walk``, a literal sequential walk.  The batch must give every
+block the same (index, path, meter) when fed the same draws, and the same
+meter as ``reference_encode(..., paper=True)`` for its paper's meter.
+``run_stage`` runs one batch stage alone on the same draws.
 """
 
 import math
@@ -25,6 +28,7 @@ from hqvq.encoder import (
     block_facts,
     encode_sub1,
     encode_sub2,
+    sub1_half_width,
     sub1_iterations,
     sub1_radii,
     sub2_budget,
@@ -59,10 +63,12 @@ def batch_meter(size: int) -> QueryMeter:
     return QueryMeter(*(np.zeros(size, dtype=np.int64) for _ in range(3)))
 
 
-def run_stage(stage: int, rows, cb, table, seed: int):
+def run_stage(stage: int, rows, cb, table, seed: int, paper: bool = False):
     """Run batch stage 1 or 2 alone on every row, with the rows' draws keyed by ``seed``.
 
     Returns (facts, accepted mask, meter with only that stage's charges).
+    Stage 1 searches each row's window; with ``paper`` it returns the
+    paper's stage 1 over all N instead, from the same draws.
     """
     rows = np.asarray(rows, dtype=np.float64)
     size = rows.shape[0]
@@ -70,7 +76,10 @@ def run_stage(stage: int, rows, cb, table, seed: int):
     facts = block_facts(rows, cb, table, draw(PICK_SLOT))
     meter = batch_meter(size)
     if stage == 1:
-        accepted = encode_sub1(facts, cb.n, draw, meter)
+        paper_meter = batch_meter(size)
+        accepted, paper_accepted = encode_sub1(facts, cb.n, draw, meter, paper_meter)
+        if paper:
+            return facts, paper_accepted, paper_meter
     else:
         accepted = encode_sub2(facts, np.arange(size), cb.n, draw, meter)
     return facts, accepted, meter
@@ -148,25 +157,53 @@ def reference_pick(dvec, table, u):
     return marked[min(int(u(PICK_SLOT) * t), t - 1)] if t else None
 
 
-def reference_encode(x, codebook, table, u) -> EncodeOutcome:
-    """Encode one block x; ``u(slot)`` is its draw for the slot."""
+def reference_window(x, codebook) -> int:
+    """Stage 1's domain for x: the codevectors whose projections lie within ``sub1_half_width`` of p(x).
+
+    A literal scan over ``Codebook.projections``, both ends inclusive.
+    """
+    p = float(kernels.projections(np.asarray([x], dtype=np.float64))[0])
+    half = sub1_half_width(codebook)
+    return sum(1 for c in codebook.projections.tolist() if p - half <= c <= p + half)
+
+
+def reference_encode(x, codebook, table, u, paper: bool = False) -> EncodeOutcome:
+    """Encode one block x; ``u(slot)`` is its draw for the slot.
+
+    Stage 1 searches x's window of ``reference_window`` codevectors, and a
+    stage-2 hit or a fallback is finished by ``projection_walk``.  With
+    ``paper`` the block is charged as the paper's configuration instead:
+    stage 1 over all N, h's whole list after a hit, all N in a fallback,
+    and no table reads.
+    """
     dvec = [float(d) for d in distances_to_codebook(x, codebook)]
     n = len(dvec)
     index = min(range(n), key=lambda i: (dvec[i], i))
     meter = QueryMeter()
 
     t_s = sum(1 for d, r in zip(dvec, sub1_radii(codebook)) if d < r)
-    j = sub1_iterations(n)
-    meter.grover_iterations += j
-    meter.classical_distance_evals += 1
-    if u(0) < success_chance(t_s, n, j):
-        return EncodeOutcome(index, EncodePath.SUB1, meter)
+    if paper:
+        domain = n
+    else:
+        domain = reference_window(x, codebook)
+        assert t_s == 0 or domain > 0  # the window holds every index stage 1 can mark
+        meter.table_reads += 2 * n.bit_length()  # the window's two binary searches
+    if domain:  # an empty window holds nothing to search
+        j = sub1_iterations(domain)
+        meter.grover_iterations += j
+        meter.classical_distance_evals += 1
+        if u(0) < success_chance(t_s, domain, j):
+            return EncodeOutcome(index, EncodePath.SUB1, meter)
     if reference_stage2(dvec, table, u, meter):
         h = reference_pick(dvec, table, u)
         arg, evals, reads = projection_walk(x, codebook, table.neighbors(h), dvec, known=h)
+        if paper:
+            evals, reads = len(table.neighbors(h)), 0
         path = EncodePath.SUB2
     else:
         arg, evals, reads = projection_walk(x, codebook, range(n), dvec)
+        if paper:
+            evals, reads = n, 0
         path = EncodePath.CLASSICAL_FALLBACK
     assert arg == index
     meter.classical_distance_evals += evals

@@ -119,7 +119,8 @@ def test_criterion_2_sub1_success_rate():
     x = cb.vectors[40] + np.array([0.013, -0.009])
     assert full_search(x, cb)[0] == 40
     count = 10_000
-    _, accepted, _ = run_stage(1, trials(x, count), cb, table, 77)
+    # the paper's stage 1, over all N
+    _, accepted, _ = run_stage(1, trials(x, count), cb, table, 77, paper=True)
     freq = int(np.count_nonzero(accepted)) / count
     # closed form: sin^2(25 asin(1/16)) ~ 0.99995
     _verdict(2, "stage-1 success rate at N=256", freq >= 0.999, f"freq={freq}")

@@ -244,6 +244,25 @@ class TestErrors:
         assert code == 1
         assert "delta0/2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["stats", "encode"])
+    def test_huge_blocks_rejected_before_blockify(self, tmp_path, image_path, capsys, monkeypatch, command):
+        # blockify pads the image to the block size: 10**9 x 10**9 blocks ended in numpy's
+        # _ArrayMemoryError before the block dimension was compared with the codebook's
+        cb = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0
+        capsys.readouterr()
+
+        def no_blockify(img, geom):
+            raise AssertionError("blockify ran before the dimension check")
+
+        monkeypatch.setattr("hqvq.cli.blockify", no_blockify)
+        out = ["-o", str(tmp_path / "s.vqix")] if command == "encode" else []
+        huge = ["--block-w", "1000000000", "--block-h", "1000000000"]
+        assert main([command, str(image_path), str(cb)] + out + huge) == 1
+        err = capsys.readouterr().err
+        assert "block geometry gives dimension 1000000000000000000, codebook has 2" in err
+        assert not (tmp_path / "s.vqix").exists()
+
     @pytest.mark.parametrize("block", [["2", "2"], ["1", "1"]])
     @pytest.mark.parametrize("threshold", [[], ["--delta-hat", "1e9"]])
     def test_stats_block_dimension_mismatch(self, tmp_path, image_path, capsys, block, threshold):

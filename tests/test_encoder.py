@@ -13,6 +13,7 @@ from reference_encoder import (
     projection_walk,
     reference_encode,
     reference_stage2,
+    reference_window,
     run_stage,
     seeded_draws,
     success_chance,
@@ -43,8 +44,10 @@ from hqvq.encoder import (
     encode_sub2,
     finishing_walks,
     nearest_distances,
+    sub1_half_width,
     sub1_iterations,
     sub1_radii,
+    sub1_table,
     sub2_budget,
     success_table,
 )
@@ -95,11 +98,23 @@ def stage2_rounds(x, cb, table, draw, ordinal) -> list:
     return rounds
 
 
-def hand_facts(t_s, t) -> BlockFacts:
-    """``BlockFacts`` for blocks of the given marked counts, all on one row; the stages read only the counts."""
+def hand_facts(t_s, t, domain_s=None) -> BlockFacts:
+    """``BlockFacts`` for blocks of the given marked counts and stage-1 windows (default 1), all on one row.
+
+    The stages read only the counts and the windows.
+    """
     t_s, t = np.asarray(t_s, dtype=np.int64), np.asarray(t, dtype=np.int64)
     zero = np.zeros(t.size, dtype=np.int64)
-    return BlockFacts(index=zero, nearest=zero + 1.0, t_s=t_s, t=t, pick=np.where(t > 0, 0, -1), row=zero)
+    domain_s = zero + 1 if domain_s is None else np.asarray(domain_s, dtype=np.int64)
+    return BlockFacts(
+        index=zero, nearest=zero + 1.0, t_s=t_s, domain_s=domain_s, t=t, pick=np.where(t > 0, 0, -1), row=zero
+    )
+
+
+def paper_meter(batch, b: int) -> QueryMeter:
+    """Block b's charges in the batch's paper's meter, as plain ints."""
+    paper = batch.paper
+    return QueryMeter(*(int(a[b]) for a in (paper.grover_iterations, paper.classical_distance_evals, paper.table_reads)))
 
 
 def encode_rows(rows, cb, table, seed):
@@ -111,22 +126,57 @@ class TestSub1:
     def test_near_codevector_found_with_high_frequency(self):
         cb, table = make_setup(256)
         x = cb.vectors[5] + np.array([0.01, -0.02])
-        facts, accepted, _ = run_stage(1, trials(x, 10_000), cb, table, 1)
+        facts, accepted, _ = run_stage(1, trials(x, 10_000), cb, table, 1, paper=True)
         assert np.all(facts.index == 5)
-        assert accepted.mean() >= 0.999  # closed form: ~0.99995
+        assert accepted.mean() >= 0.999  # the paper's stage 1 over N: closed form ~0.99995
+        # the window: (0, 50) and the 5 other codevectors on its anti-diagonal, j = 1
+        assert reference_window(x, cb) == 6 and np.all(facts.domain_s == 6)
+        _, accepted, meter = run_stage(1, trials(x, 10_000), cb, table, 1)
+        chance = success_chance(1, 6, 1)  # sin^2(3 asin(1/sqrt(6))) ~ 0.907
+        assert abs(accepted.mean() - chance) < 4 * math.sqrt(chance * (1 - chance) / 10_000)
+        assert np.all(meter.grover_iterations == 1)
 
     def test_far_input_never_found(self):
         cb, table = make_setup(16)
         x = cb.vectors[0] + np.array([4.9, 4.9])  # min distance > delta0/2 = 5
-        _, accepted, _ = run_stage(1, trials(x, 200), cb, table, 2)
-        assert not accepted.any()
+        for paper in (False, True):
+            _, accepted, _ = run_stage(1, trials(x, 200), cb, table, 2, paper=paper)
+            assert not accepted.any()
 
     def test_meter_contract(self):
         cb, table = make_setup(64)
-        _, _, meter = run_stage(1, cb.vectors[3:4], cb, table, 3)
-        assert meter.grover_iterations.tolist() == [sub1_iterations(64)]
+        x = cb.vectors[3]  # (0, 30): its anti-diagonal holds 4 codevectors
+        _, _, paper = run_stage(1, [x], cb, table, 3, paper=True)
+        assert paper.grover_iterations.tolist() == [sub1_iterations(64)]
         assert sub1_iterations(64) == math.floor(math.pi / 4 * 8)
+        assert paper.classical_distance_evals.tolist() == [1]
+        assert paper.table_reads.tolist() == [0]
+        facts, _, meter = run_stage(1, [x], cb, table, 3)
+        width = reference_window(x, cb)
+        assert width == 4 and facts.domain_s.tolist() == [width]
+        assert meter.grover_iterations.tolist() == [math.floor(math.pi / 4 * math.sqrt(width))] == [1]
         assert meter.classical_distance_evals.tolist() == [1]
+        assert meter.table_reads.tolist() == [2 * 7]  # two binary searches over 64 projections
+
+    def test_empty_window_is_charged_nothing(self):
+        # x lies beyond every codevector's projection: W = 0, no search and no verification
+        cb, table = make_setup(16)
+        x = np.array([500.0, 500.0])
+        facts, accepted, meter = run_stage(1, trials(x, 20), cb, table, 4)
+        assert reference_window(x, cb) == 0 and np.all(facts.domain_s == 0) and np.all(facts.t_s == 0)
+        assert not accepted.any()
+        assert np.all(meter.grover_iterations == 0) and np.all(meter.classical_distance_evals == 0)
+        assert np.all(meter.table_reads == 2 * 5)  # the lookup still runs
+
+    def test_window_of_one_always_succeeds(self):
+        # (0, 0) is alone on its anti-diagonal: W = 1, j = 0, and the one index is the marked one
+        cb, table = make_setup(64)
+        x = cb.vectors[0] + np.array([0.3, -0.3])  # p(x) = p(c_0) = 0
+        facts, accepted, meter = run_stage(1, trials(x, 500), cb, table, 5)
+        assert reference_window(x, cb) == 1 and np.all(facts.domain_s == 1) and np.all(facts.t_s == 1)
+        assert sub1_table(1)[1][1] == 1.0
+        assert accepted.all()
+        assert np.all(meter.grover_iterations == 0) and np.all(meter.classical_distance_evals == 1)
 
     def test_returned_index_is_unique_optimum(self):
         rng = np.random.default_rng(44)
@@ -151,12 +201,32 @@ class TestSub1:
     def test_draw_of_zero_passes_only_a_marked_block(self):
         # random() can return 0.0; the t = 0 bias is exactly 0.0, which 0.0 is not below
         n = 64
-        facts = hand_facts(t_s=[0, 1], t=[0, 1])
-        meter = batch_meter(2)
-        accepted = encode_sub1(facts, n, lambda slot: np.zeros(2), meter)
-        assert accepted.tolist() == [False, True]
-        assert meter.grover_iterations.tolist() == [sub1_iterations(n)] * 2 == [6, 6]
-        assert meter.classical_distance_evals.tolist() == [1, 1]
+        facts = hand_facts(t_s=[0, 1], t=[0, 1], domain_s=[9, 9])
+        meter, paper = batch_meter(2), batch_meter(2)
+        accepted, paper_accepted = encode_sub1(facts, n, lambda slot: np.zeros(2), meter, paper)
+        assert accepted.tolist() == paper_accepted.tolist() == [False, True]
+        assert paper.grover_iterations.tolist() == [sub1_iterations(n)] * 2 == [6, 6]
+        assert meter.grover_iterations.tolist() == [sub1_iterations(9)] * 2 == [2, 2]
+        assert meter.classical_distance_evals.tolist() == paper.classical_distance_evals.tolist() == [1, 1]
+
+    def test_one_draw_two_coins(self):
+        # W = 2 (j = 1) succeeds with sin^2(3 pi / 4) = 1/2; over N = 64 (j = 6) with ~0.9966.
+        # A draw between the two biases passes the paper's stage 1 and fails the window's
+        facts = hand_facts(t_s=[1, 1, 1], t=[1, 1, 1], domain_s=[2, 2, 2])
+        low, high = success_chance(1, 2, 1), success_chance(1, 64, 6)
+        assert abs(low - 0.5) < 1e-15 and high > 0.99
+        draws = np.array([low / 2, (low + high) / 2, (high + 1) / 2])
+        accepted, paper_accepted = encode_sub1(facts, 64, lambda slot: draws, batch_meter(3), batch_meter(3))
+        assert accepted.tolist() == [True, False, False]
+        assert paper_accepted.tolist() == [True, True, False]
+
+    def test_window_table_is_sub1_iterations_and_marked_probability(self):
+        # every W up to 1100, with the bits the per-block reference computes one block at a time
+        iterations, bias = sub1_table(1100)
+        assert iterations.tolist() == [sub1_iterations(w) for w in range(1101)]
+        assert bias[0] == 0.0 and bias[1] == 1.0
+        want = [0.0] + [success_chance(1, w, sub1_iterations(w)) for w in range(1, 1101)]
+        assert bias.tobytes() == np.array(want).tobytes()
 
     def test_marked_set_at_half_delta0_never_exceeds_one(self):
         rng = np.random.default_rng(45)
@@ -307,9 +377,17 @@ class TestSub2:
 
 class TestEncode:
     def test_exact_codevector_hits_sub1(self):
+        # c_7 = (0, 70) shares its anti-diagonal with 7 others: W = 8, j = 2, success ~0.944;
+        # c_0 = (0, 0) has its own: W = 1, success exactly 1
         cb, table = make_setup(64)
-        (out,) = encode_rows(cb.vectors[7:8], cb, table, 10)
-        assert out.index == 7
+        outs = encode_rows(trials(cb.vectors[7], 4000), cb, table, 10)
+        assert {out.index for out in outs} == {7}
+        share = sum(out.path == EncodePath.SUB1 for out in outs) / 4000
+        chance = success_chance(1, 8, 2)
+        assert reference_window(cb.vectors[7], cb) == 8
+        assert abs(share - chance) < 4 * math.sqrt(chance * (1 - chance) / 4000)
+        (out,) = encode_rows(cb.vectors[0:1], cb, table, 10)
+        assert out.index == 0
         assert out.path == EncodePath.SUB1
 
     def test_exactness_over_random_instances(self):
@@ -344,17 +422,26 @@ class TestEncode:
         # reads 5 probes to locate p(x) past the last of 16 entries, c_15, and
         # the entry that closes the lower side
         assert projection_walk(x, cb, range(16), distances_to_codebook(x, cb)) == (15, 1, 5 + 1 + 1)
-        assert batch.scan.tolist() == [1] and out.meter.table_reads == 7
-        # sub1 verify (1) + sub2 rounds (>=1) + the walk (1); the paper's full scan charges 16
-        assert out.meter.classical_distance_evals >= 1 + 1 + 1
-        assert stats.paper_mean_classical_evals == out.meter.classical_distance_evals - 1 + 16
+        # the walk's 7 reads and stage 1's window lookup, 2 bit_length(16)
+        assert batch.scan.tolist() == [1] and out.meter.table_reads == 7 + 10
+        # stage 1's window is empty (W = 0), so no verification: sub2 rounds (>=1) + the walk (1)
+        assert batch.facts.domain_s.tolist() == [0]
+        assert out.meter.classical_distance_evals >= 1 + 1
+        # the paper's stage 1 verifies once, and its full scan charges 16
+        assert stats.paper_mean_classical_evals == out.meter.classical_distance_evals + 1 - 1 + 16
+        assert batch.paper.classical_distance_evals.tolist() == [out.meter.classical_distance_evals + 16]
 
     def test_total_iteration_budget(self):
         cb, table = make_setup(64)
         cap = sub1_iterations(64) + sub2_budget(64)
         xs = np.random.default_rng(51).uniform(-20, 100, size=(300, 2))
-        for out in encode_rows(xs, cb, table, 14):
+        batch = encode(xs, cb, table, seeded_draws(14, 300))
+        for out in batch:
             assert out.meter.grover_iterations <= cap
+        assert np.all(batch.paper.grover_iterations <= cap)
+        # the window's stage 1 never costs more than the paper's; a block only it sends on
+        # to stage 2 adds at most the budget
+        assert np.all(batch.meter.grover_iterations <= batch.paper.grover_iterations + sub2_budget(64))
 
     def test_midpoint_of_two_codevectors_matches_full_search(self):
         # rounding puts x = (a + b) / 2 strictly inside delta0/2 of both a and b,
@@ -544,7 +631,99 @@ def test_batch_equals_per_block_reference(seed, k, n, factor, master_seed, per_k
     for ordinal, x in enumerate(rows):
         want = reference_encode(x, cb, table, block_draws(draw, ordinal))
         assert outcomes[ordinal] == want
+        # the paper's meter: stage 1 over all N and the paper's scans, on the same draws
+        want = reference_encode(x, cb, table, block_draws(draw, ordinal), paper=True)
+        assert paper_meter(outcomes, ordinal) == want.meter
     assert indices.tolist() == [o.index for o in outcomes]
+
+
+WINDOW_CASES = ("gap_at_radius", "shared_projection", "alone", "empty")
+
+
+def window_case(case: str, rng: np.random.Generator, k: int, n: int):
+    """(codebook, rows) on one boundary of stage 1's projection window.
+
+    - gap_at_radius: x - c along the mean axis at c's radius r_c = R =
+      max_i r_i, a few ulps either way, so a marked c sits at a projection
+      gap of R, the window's reach; and x on p(c') -+ the half-width;
+    - shared_projection: integer codevectors with one sum, as on the grid's
+      anti-diagonals, so one projection and W = N, and blocks near them;
+    - alone: codevectors 10 apart along the mean axis, each alone in its
+      window: W = 1 near each;
+    - empty: blocks beyond every projection: W = 0.
+    """
+    u = np.ones(k) / math.sqrt(k)
+    if case == "shared_projection":
+        k = max(k, 2)
+        head = np.column_stack([rng.permutation(np.arange(-20, 21))[:n], rng.integers(-9, 10, size=(n, k - 2))])
+        cb = Codebook(np.column_stack([head, 7 - head.sum(axis=1)]).astype(np.float64))
+    elif case == "alone":
+        cb = Codebook(10.0 * np.arange(n)[:, None] * u + rng.normal(size=k) * 3.0)
+    else:
+        cb = Codebook(rng.normal(size=(n, k)))
+    radii = sub1_radii(cb)
+    direction = rng.normal(size=(8, cb.k))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    at = cb.vectors[rng.integers(0, cb.n, size=8)]
+    if case == "gap_at_radius":
+        c = cb.vectors[np.argmax(radii)]
+        stretch = 1.0 + np.arange(-6, 3)[:, None] * 2.0**-52
+        rows = np.vstack([c + radii.max() * stretch * u, c - radii.max() * stretch * u])
+        half = sub1_half_width(cb)
+        rows = np.vstack([rows, at + half * u, at - half * u, at + direction * radii.max() / 2])
+    elif case == "empty":
+        rows = at + (1e3 + 10.0 * np.abs(cb.vectors).max()) * u
+    else:
+        rows = np.vstack([at, at + direction * (radii.min() * rng.uniform(0.0, 0.9, size=(8, 1)))])
+    ulps = rng.integers(-3, 4, size=rows.shape)
+    return cb, rows + ulps * np.spacing(rows)
+
+
+@settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(case="gap_at_radius", seed=0, k=2, n=5, master_seed=0)
+@example(case="gap_at_radius", seed=1, k=1, n=3, master_seed=1)
+# a marked codevector whose computed projection gap exceeds R: only the margin keeps it in the window
+@example(case="gap_at_radius", seed=1, k=3, n=5, master_seed=5)
+@example(case="shared_projection", seed=2, k=2, n=12, master_seed=2)
+@example(case="alone", seed=3, k=3, n=6, master_seed=3)
+@example(case="empty", seed=4, k=2, n=4, master_seed=4)
+@given(
+    case=st.sampled_from(WINDOW_CASES),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    n=st.integers(2, 12),
+    master_seed=st.integers(0, 2**32 - 1),
+)
+def test_stage1_window_holds_every_index_it_can_mark(case, seed, k, n, master_seed):
+    # the window is the literal count of projections within sub1_half_width of
+    # p(x); a marked index lies in it; full search is the oracle, and every
+    # block's charges and its paper's charges match the per-block reference
+    rng = np.random.default_rng(seed)
+    cb, rows = window_case(case, rng, k, n)
+    table = build_neighborhoods(cb, cb.delta0)
+    cfg = EncoderConfig(delta_hat=table.delta_hat, master_seed=master_seed)
+    indices, _, batch = encode_vectors(rows, cb, table, cfg)
+    draw = seeded_draws(master_seed, rows.shape[0])
+    half = sub1_half_width(cb)
+    for ordinal, x in enumerate(rows):
+        oracle, _ = full_search(x, cb)
+        assert indices[ordinal] == oracle
+        width = int(batch.facts.domain_s[ordinal])
+        assert width == reference_window(x, cb)
+        p = kernels.projections(x[None])[0]
+        if batch.facts.t_s[ordinal]:
+            assert p - half <= cb.projections[oracle] <= p + half
+        if case == "shared_projection":
+            assert width == cb.n
+        elif case == "alone" and batch.facts.t_s[ordinal]:
+            assert width == 1 and batch[ordinal].path == EncodePath.SUB1
+        elif case == "empty":
+            assert width == 0
+        u = block_draws(draw, ordinal)
+        assert batch[ordinal] == reference_encode(x, cb, table, u)
+        assert paper_meter(batch, ordinal) == reference_encode(x, cb, table, u, paper=True).meter
+    if case == "alone":
+        assert batch.facts.t_s.any()
 
 
 WALK_CASES = ("mean_axis", "shared_projection", "ties", "isolated", "random")

@@ -466,3 +466,27 @@ def test_distinct_rows_is_the_float_lexsort_bit_for_bit(rows):
     assert distinct.dtype == np.float64 and distinct.shape == want.shape
     assert distinct.tobytes() == want.tobytes()  # sees the sign of zero
     assert inverse.tolist() == want_inverse.tolist()
+
+
+@settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(steps=[0, 0, 0, 4, 4, 9], picks=[0, 3, 5], shifts=[-1, 0, 1], half_step=2, ulps=0)
+@given(
+    steps=st.lists(st.integers(-12, 12), min_size=1, max_size=30),
+    picks=st.lists(st.integers(0, 40), min_size=1, max_size=40),
+    shifts=st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=40),
+    half_step=st.integers(0, 6),
+    ulps=st.integers(-3, 3),
+)
+def test_strip_counts_is_two_binary_searches(steps, picks, shifts, half_step, ulps):
+    # axis entries on a coarse lattice, many tied; centers on entries and on the
+    # ends c -+ half of entries, a few ulps either way, so ends land on entries
+    axis = np.sort(np.array(steps, dtype=np.float64) * 0.75)
+    half = abs(half_step * 0.75 + ulps * 2.0**-50)  # a width: never negative
+    centers = axis[np.array(picks) % axis.size] + np.resize(np.array(shifts, dtype=np.float64), len(picks)) * half
+    centers = np.concatenate([centers, centers + np.spacing(centers), centers - np.spacing(centers)])
+    proj, order = centers, np.argsort(centers)
+    want = np.searchsorted(axis, centers + half, side="right") - np.searchsorted(axis, centers - half, side="left")
+    literal = [sum(1 for a in axis.tolist() if c - half <= a <= c + half) for c in centers.tolist()]
+    got = kernels.strip_counts(proj, order, axis, half)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist() == literal

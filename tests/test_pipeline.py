@@ -25,7 +25,7 @@ from hqvq import (
     serialize_stream,
 )
 from hqvq.codebook import MAX_COMPONENT
-from hqvq.encoder import PATHS, EncodePath
+from hqvq.encoder import PATHS, EncodePath, sub1_table
 from hqvq.pipeline import PartitionStats
 
 
@@ -283,11 +283,24 @@ class TestEncodeVectors:
         whole[sub2] = table.sizes()[batch.facts.pick[sub2]]
         whole[fallback] = cb.n
         assert np.all(batch.scan <= whole) and np.all(batch.scan[~(sub2 | fallback)] == 0)
-        paper = batch.meter.classical_distance_evals - batch.scan + whole
-        assert stats.paper_mean_classical_evals == float(paper.mean())
+        # every block the paper's stage 1 passes is charged floor(pi/4 * 8) = 6 and 1, and no more
+        paper = batch.paper
+        passed = paper.classical_distance_evals == 1
+        assert np.all(paper.grover_iterations[passed] == 6) and np.all(paper.grover_iterations >= 6)
+        # a block both stage 1s send on is charged the same rounds, then its own scan
+        both = (sub2 | fallback) & ~passed
+        rounds = batch.meter.classical_distance_evals - np.minimum(batch.facts.domain_s, 1) - batch.scan
+        assert np.array_equal(paper.classical_distance_evals[both], 1 + rounds[both] + whole[both])
+        assert stats.paper_mean_classical_evals == float(paper.classical_distance_evals.mean())
+        assert stats.paper_mean_grover_iterations == float(paper.grover_iterations.mean())
         assert stats.mean_classical_evals < stats.paper_mean_classical_evals
+        assert stats.mean_grover_iterations < stats.paper_mean_grover_iterations
         assert stats.mean_table_reads == float(batch.meter.table_reads.mean())
-        assert np.all(batch.meter.table_reads[~(sub2 | fallback)] == 0)
+        assert stats.mean_sub1_domain == float(batch.facts.domain_s.mean())
+        # stage 1 reads two binary searches' worth, 2 bit_length(64); the walks read more
+        assert np.all(batch.meter.table_reads[~(sub2 | fallback)] == 14)
+        assert np.all(batch.meter.table_reads[sub2 | fallback] > 14)
+        assert np.all(paper.table_reads == 0)
 
     def test_a_blocks_charges_depend_only_on_that_block(self):
         # one block near MAX_COMPONENT widens no other block's strip: each
@@ -309,7 +322,8 @@ class TestReport:
             count_sub1=90, count_sub2=9, count_fallback=1,
             mean_grover_iterations=mean_grover, max_grover_iterations=20,
             mean_classical_evals=3.0, max_classical_evals=50,
-            mean_table_reads=7.5, paper_mean_classical_evals=12.0,
+            mean_table_reads=7.5, mean_sub1_domain=21.0,
+            paper_mean_grover_iterations=14.0, paper_mean_classical_evals=12.0,
         )
 
     def parse(self, text):
@@ -334,6 +348,7 @@ class TestReport:
             "count_sub1", "count_sub2", "count_fallback",
             "frac_sub1_marked", "ops_per_block", "ratio_ops_vs_sqrt_n",
             "mean_table_reads", "paper_mean_classical_evals", "paper_ops_per_block",
+            "mean_sub1_domain", "paper_mean_grover_iters",
         ):
             assert key in got
 
@@ -345,11 +360,14 @@ class TestReport:
         assert float(got["frac_sub1_marked"]) == 0.92
 
     def test_paper_operations_and_table_reads(self):
-        # the paper's scans cost 12 evaluations per block; table reads are not operations
+        # the paper's configuration costs 14 iterations and 12 evaluations per block,
+        # its own on both counts; table reads are not operations
         got = self.parse(report(self.make_stats(8.0), 256))
+        assert float(got["paper_mean_grover_iters"]) == 14.0
         assert float(got["paper_mean_classical_evals"]) == 12.0
-        assert float(got["paper_ops_per_block"]) == 20.0
+        assert float(got["paper_ops_per_block"]) == 26.0
         assert float(got["mean_table_reads"]) == 7.5
+        assert float(got["mean_sub1_domain"]) == 21.0
         assert float(got["ops_per_block"]) == 11.0
 
 
@@ -397,9 +415,17 @@ class TestSyntheticDataset:
         data = centers + offsets  # all well within delta0/2 = 5
         cfg = EncoderConfig(delta_hat=delta_hat, master_seed=2)
         table = build_neighborhoods(cb, delta_hat)
-        _, stats, _ = encode_vectors(data, cb, table, cfg)
+        _, stats, batch = encode_vectors(data, cb, table, cfg)
         assert stats.a == 1.0
-        assert stats.count_sub1 >= 999  # 0.1% measurement-failure slack
+        # the paper's stage 1 over N: charged one verification, no more, when it passes
+        assert np.count_nonzero(batch.paper.classical_distance_evals == 1) >= 999  # 0.1% slack
+        # the window's: W is a few codevectors on x's anti-diagonal, each block's success
+        # sin^2((2j+1) theta) with sin(theta) = 1/sqrt(W), lower than over N; the rest go on exactly
+        _, bias = sub1_table(int(batch.facts.domain_s.max()))
+        chance = bias[batch.facts.domain_s]
+        mean, spread = chance.sum(), math.sqrt((chance * (1 - chance)).sum())
+        assert abs(stats.count_sub1 - mean) < 4 * spread
+        assert stats.count_sub1 + stats.count_sub2 + stats.count_fallback == 1000
 
     @pytest.mark.parametrize("n", [-4, 0, 2])
     def test_grid_size_not_a_positive_square_rejected_naming_it(self, n):
