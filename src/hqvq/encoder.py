@@ -13,8 +13,9 @@ within ``sub1_half_width`` of its projection, which hold every index stage 1
 can mark (the margin's argument is ``kernels.half_width``'s): floor(pi/4
 sqrt(W)) iterations instead of the paper's floor(pi/4 sqrt(N)), a classical
 pre-filter around a quantum search as in Cerf, Grover and Williams (Phys.
-Rev. A 61, 032303, 2000).  The paper's stage 1 over all N is simulated beside
-it on the same draws and charged to ``EncodeBatch.paper``.
+Rev. A 61, 032303, 2000).  The paper's stage 1 is the same search at W = N:
+one ``encode_sub1`` and one ``sub1_table`` serve both, on the same draws, and
+the paper's charges go to ``EncodeBatch.paper``.
 Stage 2 targets inputs within the configured threshold: the search is
 embedded in a growing-cutoff schedule for an unknown number of solutions;
 any verified hit is finished by a classical scan of that codevector's
@@ -155,7 +156,6 @@ class EncodeBatch(Sequence):
     path: np.ndarray  # int8 positions in PATHS
     meter: QueryMeter  # (M,) int64 arrays
     paper: QueryMeter  # (M,) int64 arrays: the paper's charges
-    scan: np.ndarray  # (M,) int64: the evaluations each block's finishing walk was charged, 0 on stage 1
 
     def __len__(self) -> int:
         return self.path.size
@@ -173,22 +173,15 @@ class EncodeBatch(Sequence):
         )
 
 
-def sub1_iterations(n: int) -> int:
-    """Stage 1's iteration count over a domain of n indices: floor(pi/4 * sqrt(n)).
-
-    The paper's stage 1 searches all N codevectors; ``encode_sub1`` searches
-    each block's window of W, with ``sub1_table``'s counts for every W.
-    """
-    return math.floor(math.pi / 4.0 * math.sqrt(n))
-
-
 def sub1_table(top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 1's (iterations, coin bias) over a window of W codevectors, at [W] for W in 0..top.
+    """Stage 1's (iterations, coin bias) over a domain of W codevectors, at [W] for W in 0..top.
 
-    The iterations are ``sub1_iterations(W)``, j = floor(pi/4 * sqrt(W)), and
-    the bias ``marked_probability(1, W, j)``, one call on a flat int64 array
-    as ``success_table``'s.  A window of 0 holds no codevector: no search
-    runs, and both are 0.  W = 1 gives j = 0 and a bias of exactly 1.
+    The iterations are j = floor(pi/4 * sqrt(W)) and the bias
+    ``marked_probability(1, W, j)``, one call on flat int64 arrays.  The
+    paper's stage 1 reads the entry at W = N, a block's window the entry at
+    its W <= N, so ``sub1_table(N)`` serves both.  A domain of 0 holds no
+    codevector: no search runs, and both are 0.  W = 1 gives j = 0 and a
+    bias of exactly 1.
     """
     width = np.arange(top + 1, dtype=np.int64)
     iterations = np.floor(math.pi / 4.0 * np.sqrt(width)).astype(np.int64)
@@ -224,21 +217,30 @@ def sub1_radii(codebook: Codebook) -> np.ndarray:
     return codebook.nearest_other / 2.0 * (1.0 - 3.0 * kernels.rounding_bound(codebook.k))
 
 
+def strip_half_width(reach, codebook: Codebook):
+    """``kernels.half_width(reach)`` for a block with a codevector within computed distance ``reach``.
+
+    The margin's scale must bound ||x|| and every ||c||.  sqrt(k) max |c_d|
+    bounds every ||c||, and sqrt(k) max |c_d| + 2 reach bounds ||x||:
+    ||x|| <= ||c_j|| + d(x, c_j) for the codevector j at computed distance
+    at most ``reach``, and a computed distance is at least half the exact
+    one.  Elementwise over an array ``reach``.
+    """
+    scale = math.sqrt(codebook.k) * float(np.abs(codebook.vectors).max()) + 2.0 * reach
+    return kernels.half_width(reach, codebook.k, scale)
+
+
 def sub1_half_width(codebook: Codebook) -> float:
-    """Half the width of stage 1's projection window: ``kernels.half_width`` at R = max_i r_i.
+    """Half the width of stage 1's projection window: ``strip_half_width`` at R = max_i r_i.
 
     A codevector i that stage 1 marks has a computed d(x, c_i) < r_i <= R
-    (``sub1_radii``), so its projection lies within half_width(R) of p(x):
-    the mean-axis bound of ``kernels.window_tiles``, margin included.  The
-    margin's scale must bound ||x||, and sqrt(k) max |c_d| + 2R does for any
-    block with a marked codevector: ||x|| <= ||c_i|| + d(x, c_i), and the
-    exact distance is below twice the computed one, as in
-    ``finishing_walks``.  Blocks with none need no bound, since their window
-    holds nothing stage 1 must find.  So one scalar serves every block.
+    (``sub1_radii``), so its projection lies within the strip's half-width
+    of p(x): the mean-axis bound of ``kernels.window_tiles``, margin
+    included.  Blocks with no marked codevector need no bound, since their
+    window holds nothing stage 1 must find.  So one scalar serves every
+    block.
     """
-    radius = float(sub1_radii(codebook).max())
-    scale = math.sqrt(codebook.k) * float(np.abs(codebook.vectors).max()) + 2.0 * radius
-    return float(kernels.half_width(radius, codebook.k, scale))
+    return float(strip_half_width(float(sub1_radii(codebook).max()), codebook))
 
 
 def sub2_budget(n: int) -> int:
@@ -291,45 +293,33 @@ def block_facts(
     )
 
 
-def encode_sub1(facts: BlockFacts, n: int, draw, meter: QueryMeter, paper: QueryMeter):
+def encode_sub1(t_s: np.ndarray, domain, u: np.ndarray, table, meter: QueryMeter) -> np.ndarray:
     """Stage 1 for every block: one amplified search below each codevector's radius, then one verification.
 
-    The marked set is {i : d(x, c_i) < ``sub1_radii``[i]}, ``facts.t_s``
-    elements, 0 or 1, and lies in the block's window of W =
-    ``facts.domain_s`` codevectors, so the search runs over the window
-    alone.  ``meter`` is charged ``sub1_table``'s iterations at W, one
-    evaluation when W > 0, and the window's lookup: two binary searches over
-    the N projections, 2 bit_length(N) ``table_reads``.  The paper's stage 1
-    searches all N; ``paper`` is charged its fixed floor(pi/4 sqrt(N))
-    iterations and one evaluation.  ``draw(slot)`` returns one uniform draw
-    in [0, 1) per block, and both coins read the same SUB1_SLOT draw.  The
-    window's bias is ``sub1_table``'s, the paper's ``success_table``'s t = 1
-    entry; at t_s = 0 no draw passes either.  Returns (accepted over the
-    window, accepted over N): the masks of blocks whose measured index is
-    marked, i.e. verified strictly below its own radius (it is then the
-    unique global optimum).
+    The marked set is {i : d(x, c_i) < ``sub1_radii``[i]}, ``t_s``
+    elements per block, 0 or 1, and the search runs over a domain of
+    ``domain`` codevectors that holds it: each block's window (W, an (M,)
+    array) or all N (one int).  ``u`` is each block's SUB1_SLOT draw and
+    ``table`` is ``sub1_table``'s (iterations, bias), long enough for every
+    domain.  ``meter`` is charged the table's iterations at the domain and
+    one evaluation when the domain is not empty.  Returns the mask of
+    blocks whose measured index is marked, i.e. verified strictly below its
+    own radius (it is then the unique global optimum); at t_s = 0 no draw
+    passes.
     """
-    u = draw(SUB1_SLOT)
-    marked = facts.t_s == 1
-    j = sub1_iterations(n)
-    paper.grover_iterations += j
-    paper.classical_distance_evals += 1
-    paper_hit = marked & (u < success_table(np.ones(1, dtype=np.int64), n)[0, j])
-    width = facts.domain_s
-    iterations, bias = sub1_table(int(width.max(initial=0)))
-    meter.grover_iterations += iterations.take(width)
-    meter.classical_distance_evals += np.minimum(width, 1)
-    meter.table_reads += 2 * int(n).bit_length()
-    return marked & (u < bias.take(width)), paper_hit
+    iterations, bias = table
+    meter.grover_iterations += iterations.take(domain)
+    meter.classical_distance_evals += np.minimum(domain, 1)
+    return (t_s == 1) & (u < bias.take(domain))
 
 
 def success_table(levels: np.ndarray, n: int) -> np.ndarray:
-    """``marked_probability(levels[a], n, j)`` at [a, j]: the coin bias of both stages.
+    """``marked_probability(levels[a], n, j)`` at [a, j]: the coin bias of stage 2's rounds.
 
     ``levels`` holds marked counts t (int64); j runs over 0..floor(sqrt(N)),
-    stage 1's floor(pi/4 sqrt(N)) and every j a stage-2 round can draw.  The
-    table is one ``marked_probability`` call on flat int64 arrays, as a call
-    on the blocks' own arrays would make it, and holds the same bits.
+    every j a stage-2 round can draw.  The table is one
+    ``marked_probability`` call on flat int64 arrays, as a call on the
+    blocks' own arrays would make it, and holds the same bits.
     """
     width = math.floor(math.sqrt(n)) + 1
     j = np.tile(np.arange(width, dtype=np.int64), levels.size)
@@ -361,9 +351,9 @@ def encode_sub2(
     iterations before this j, a hit r + 1 and all of them.  The coin's bias
     is ``success_table``'s over the distinct t of ``blocks``.
 
-    ``draw`` is as in ``encode_sub1``; ``blocks`` holds the distinct
-    ordinals of the blocks that enter stage 2.  Returns the mask of accepted
-    blocks over the whole batch.
+    ``draw(slot)`` returns one uniform draw in [0, 1) per block of the
+    batch; ``blocks`` holds the distinct ordinals of the blocks that enter
+    stage 2.  Returns the mask of accepted blocks over the whole batch.
     """
     sqrt_n = math.sqrt(n)
     budget = sub2_budget(n)
@@ -414,7 +404,7 @@ def finishing_walks(
     projection.  Each visited entry is evaluated, except h, whose distance
     the verification gave, and the best distance so far is kept (from
     d(x, h) after a hit, from infinity in a fallback).  A side closes at its
-    first entry outside [p(x) - w, p(x) + w], w = ``kernels.half_width``
+    first entry outside [p(x) - w, p(x) + w], w = ``strip_half_width``
     (best), which no later entry on that side can be inside, as best only
     falls.
 
@@ -433,12 +423,11 @@ def finishing_walks(
     lie between p(x) and j*; once j* is visited, best is d*.  So the walk
     reaches j*, in h's list by ``neighborhood.neighbor_radius``, and every
     codevector at d* with it: its minimum, ties to the smallest index, is
-    the row's.  s is sqrt(k) max |c_d| + 2 best, which the walk knows at
-    every step: ||x|| <= ||c_j|| + d(x, c_j) for the j at best, and a
-    computed distance is at least half the exact one.  half_width grows
-    with best, so the argument above holds, and the final strip is the one
-    at d*.  So a block's charge depends on that block and the codebook
-    alone, never on the other blocks.
+    the row's.  s is ``strip_half_width``'s scale at best, which the walk
+    knows at every step, best being a visited codevector's computed
+    distance.  The half-width grows with best, so the argument above holds,
+    and the final strip is the one at d*.  So a block's charge depends on
+    that block and the codebook alone, never on the other blocks.
 
     The charge depends only on the block's row and the list it walks, so
     it is computed once per distinct (row, list) pair, a fallback's list
@@ -454,7 +443,7 @@ def finishing_walks(
     """
     evals = np.zeros(facts.t.size, dtype=np.int64)
     reads = np.zeros(facts.t.size, dtype=np.int64)
-    n, k = codebook.n, codebook.k
+    n = codebook.n
     walked = np.flatnonzero(accepted | fallback)
     # the list a block walks: h's after a hit, the whole codebook (owner N) in a fallback
     owner = np.where(accepted[walked], facts.pick[walked], n)
@@ -463,9 +452,7 @@ def finishing_walks(
     # one block per pair: equal rows have equal vectors and nearest, so any one gives the charge
     block = np.empty(pairs.size, dtype=np.int64)
     block[back] = walked
-    nearest = facts.nearest[block]
-    scale = math.sqrt(k) * np.abs(codebook.vectors).max() + 2.0 * nearest
-    half = kernels.half_width(nearest, k, scale)
+    half = strip_half_width(facts.nearest[block], codebook)
     p = kernels.projections(np.take(vectors, block, axis=0))
     low, high = p - half, p + half
     axis = np.sort(codebook.projections)
@@ -502,41 +489,42 @@ def encode(
     delta_hat.  Each block's index is the argmin of its distance row, ties to
     the smallest index, whichever stage accepts; the stages decide only the
     path and what the meter is charged.  Stage-2 hits and fallbacks are
-    then charged their ``finishing_walks``, which ``EncodeBatch.scan`` keeps
-    apart.
+    then charged their ``finishing_walks``.
 
     The paper's configuration is simulated beside it on the same draws
-    (``EncodeBatch.paper``).  Its stage 1 can pass a block that the window's
-    fails, or the other way round, so stage 2 runs once over the blocks that
-    either sends on, and each configuration is charged the rounds of its
-    own.  That is exact: a block's rounds read only its own facts and draws,
-    since the cutoff m depends only on the round.
+    (``EncodeBatch.paper``): ``encode_sub1`` runs once over each block's
+    window and once over all N, reading one ``sub1_table(N)`` with the same
+    SUB1_SLOT draw.  Either stage 1 can pass a block that the other fails,
+    so stage 2 runs once over the blocks that either sends on, and each
+    configuration is charged the rounds of the blocks its own stage 1 did
+    not pass.  That is exact: a block's rounds read only its own facts and
+    draws, since the cutoff m depends only on the round, and every block
+    that either stage 1 fails is among those sent on.
     """
     facts = block_facts(vectors, codebook, table, draw(PICK_SLOT))
     size, n = vectors.shape[0], codebook.n
     meter, paper = (QueryMeter(*(np.zeros(size, dtype=np.int64) for _ in range(3))) for _ in range(2))
-    sub1, paper_sub1 = encode_sub1(facts, n, draw, meter, paper)
+    u, coins = draw(SUB1_SLOT), sub1_table(n)
+    sub1 = encode_sub1(facts.t_s, facts.domain_s, u, coins, meter)
+    meter.table_reads += 2 * n.bit_length()  # the window's lookup: two binary searches over N projections
+    paper_sub1 = encode_sub1(facts.t_s, n, u, coins, paper)
     sent = ~(sub1 & paper_sub1)
     rounds = QueryMeter(np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64))
     sub2 = encode_sub2(facts, np.flatnonzero(sent), n, draw, rounds)
     for charged, passed in ((meter, sub1), (paper, paper_sub1)):
-        # the rounds of every block sent on, less those of the few the other configuration sent on alone
-        other = np.flatnonzero(passed & sent)
-        charged.grover_iterations += rounds.grover_iterations
-        charged.classical_distance_evals += rounds.classical_distance_evals
-        charged.grover_iterations[other] -= rounds.grover_iterations[other]
-        charged.classical_distance_evals[other] -= rounds.classical_distance_evals[other]
+        charged.grover_iterations += rounds.grover_iterations * ~passed
+        charged.classical_distance_evals += rounds.classical_distance_evals * ~passed
     hit, fallback = sub2 & ~sub1, ~(sub1 | sub2)
     # the masks are disjoint and cover the batch: a sum of products, far cheaper than masked assignments
     masks = {EncodePath.SUB1: sub1, EncodePath.SUB2: hit, EncodePath.CLASSICAL_FALLBACK: fallback}
     path = sum(masks[p].view(np.int8) * np.int8(i) for i, p in enumerate(PATHS))
-    scan, reads = finishing_walks(vectors, facts, codebook, table, hit, fallback)
-    meter.classical_distance_evals += scan
+    evals, reads = finishing_walks(vectors, facts, codebook, table, hit, fallback)
+    meter.classical_distance_evals += evals
     meter.table_reads += reads
     # the paper's scans: h's whole list after a stage-2 hit, all N (entry -1) in a fallback
     whole = np.append(table.sizes(), n)[facts.pick * sub2 - ~sub2]
     paper.classical_distance_evals += whole * ~paper_sub1
-    return EncodeBatch(facts=facts, path=path, meter=meter, paper=paper, scan=scan)
+    return EncodeBatch(facts=facts, path=path, meter=meter, paper=paper)
 
 
 def nearest_distances(codebook: Codebook, sample) -> np.ndarray:

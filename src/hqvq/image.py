@@ -86,6 +86,8 @@ def save_pgm(img: np.ndarray, path) -> None:
     if arr.ndim != 2 or arr.dtype != np.uint8:
         raise ValueError("image must be a 2-D uint8 array")
     h, w = arr.shape
+    if w < 1 or h < 1:  # load_pgm would reject the file
+        raise ValueError(f"{path}: bad dimensions {w}x{h}")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(arr.tobytes())
@@ -143,11 +145,13 @@ def deblockify(vectors: np.ndarray, geom: BlockGeometry, width: int, height: int
 
 
 def psnr(original: np.ndarray, decoded: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB; identical images give math.inf."""
+    """Peak signal-to-noise ratio in dB; identical images give math.inf, empty ones a ValueError."""
     a = np.asarray(original, dtype=np.float64)
     b = np.asarray(decoded, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise ValueError(f"psnr of empty images, shape {a.shape}")
     mse = float(((a - b) ** 2).mean())
     if mse == 0.0:
         return math.inf

@@ -22,6 +22,7 @@ from hqvq.codebook import distances_to_codebook
 from hqvq.encoder import (
     BBHT_GROWTH,
     PICK_SLOT,
+    SUB1_SLOT,
     EncodeOutcome,
     EncodePath,
     QueryMeter,
@@ -29,8 +30,8 @@ from hqvq.encoder import (
     encode_sub1,
     encode_sub2,
     sub1_half_width,
-    sub1_iterations,
     sub1_radii,
+    sub1_table,
     sub2_budget,
 )
 from hqvq.grover import derive_rng, marked_probability
@@ -63,12 +64,18 @@ def batch_meter(size: int) -> QueryMeter:
     return QueryMeter(*(np.zeros(size, dtype=np.int64) for _ in range(3)))
 
 
+def sub1_iterations(w: int) -> int:
+    """Stage 1's iteration count over a domain of w codevectors: floor(pi/4 * sqrt(w))."""
+    return math.floor(math.pi / 4.0 * math.sqrt(w))
+
+
 def run_stage(stage: int, rows, cb, table, seed: int, paper: bool = False):
     """Run batch stage 1 or 2 alone on every row, with the rows' draws keyed by ``seed``.
 
     Returns (facts, accepted mask, meter with only that stage's charges).
-    Stage 1 searches each row's window; with ``paper`` it returns the
-    paper's stage 1 over all N instead, from the same draws.
+    Stage 1 runs as ``encode`` runs it, over each row's window (charged its
+    lookup's reads) and over all N, on one table and the same draws; it
+    returns the window's, or with ``paper`` the paper's over all N.
     """
     rows = np.asarray(rows, dtype=np.float64)
     size = rows.shape[0]
@@ -77,7 +84,10 @@ def run_stage(stage: int, rows, cb, table, seed: int, paper: bool = False):
     meter = batch_meter(size)
     if stage == 1:
         paper_meter = batch_meter(size)
-        accepted, paper_accepted = encode_sub1(facts, cb.n, draw, meter, paper_meter)
+        u, coins = draw(SUB1_SLOT), sub1_table(cb.n)
+        accepted = encode_sub1(facts.t_s, facts.domain_s, u, coins, meter)
+        meter.table_reads += 2 * cb.n.bit_length()
+        paper_accepted = encode_sub1(facts.t_s, cb.n, u, coins, paper_meter)
         if paper:
             return facts, paper_accepted, paper_meter
     else:

@@ -6,6 +6,58 @@ import pytest
 from hqvq import BlockGeometry, blockify, kernels, load_codebook, load_pgm, save_pgm
 from hqvq.cli import main
 
+# `hqvq bench --sizes 64,256 --vectors 500 --seed 3`, byte for byte: refactors that
+# must not change an index, a path or a charge keep this text
+BENCH_64_256_SEED_3 = """\
+n=64
+sqrt_n=8.0
+vectors=500
+mean_grover_iters=2.758
+max_grover_iters=26
+mean_classical_evals=2.396
+max_classical_evals=28
+frac_s=0.9
+frac_t_minus_s=0.092
+frac_i_minus_t=0.008
+frac_sub1_marked=0.9
+ratio_vs_sqrt_n=0.34475
+ops_per_block=5.154
+ratio_ops_vs_sqrt_n=0.64425
+mean_table_reads=15.236
+mean_sub1_domain=6.774
+paper_mean_grover_iters=6.784
+paper_mean_classical_evals=2.68
+paper_ops_per_block=9.464
+ratio_vs_pure_quantum=0.007661111111111111
+count_sub1=409
+count_sub2=87
+count_fallback=4
+
+n=256
+sqrt_n=16.0
+vectors=500
+mean_grover_iters=4.836
+max_grover_iters=50
+mean_classical_evals=2.814
+max_classical_evals=46
+frac_s=0.9
+frac_t_minus_s=0.092
+frac_i_minus_t=0.008
+frac_sub1_marked=0.9
+ratio_vs_sqrt_n=0.30225
+ops_per_block=7.65
+ratio_ops_vs_sqrt_n=0.478125
+mean_table_reads=19.074
+mean_sub1_domain=13.636
+paper_mean_grover_iters=13.89
+paper_mean_classical_evals=4.624
+paper_ops_per_block=18.514
+ratio_vs_pure_quantum=0.006716666666666667
+count_sub1=432
+count_sub2=64
+count_fallback=4
+"""
+
 
 @pytest.fixture()
 def image_path(tmp_path):
@@ -119,6 +171,10 @@ class TestWorkflow:
         distinct = np.unique(blockify(load_pgm(image_path), BlockGeometry()), axis=0)
         assert 0 < distinct.shape[0] < 16 * 16 // 2  # the image repeats some 2x1 blocks
         assert rows == [distinct.shape[0]]  # one pass, one row per distinct block
+
+    def test_bench_report_is_pinned(self, capsys):
+        assert main(["bench", "--sizes", "64,256", "--vectors", "500", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == BENCH_64_256_SEED_3
 
     def test_bench_command(self, tmp_path, capsys):
         assert main(["bench", "--sizes", "16,64", "--vectors", "400", "--seed", "1"]) == 0

@@ -16,6 +16,7 @@ from reference_encoder import (
     reference_window,
     run_stage,
     seeded_draws,
+    sub1_iterations,
     success_chance,
     trials,
 )
@@ -45,7 +46,6 @@ from hqvq.encoder import (
     finishing_walks,
     nearest_distances,
     sub1_half_width,
-    sub1_iterations,
     sub1_radii,
     sub1_table,
     sub2_budget,
@@ -98,16 +98,15 @@ def stage2_rounds(x, cb, table, draw, ordinal) -> list:
     return rounds
 
 
-def hand_facts(t_s, t, domain_s=None) -> BlockFacts:
-    """``BlockFacts`` for blocks of the given marked counts and stage-1 windows (default 1), all on one row.
+def hand_facts(t) -> BlockFacts:
+    """``BlockFacts`` for blocks of the given marked counts at delta_hat, none marked by stage 1, all on one row.
 
-    The stages read only the counts and the windows.
+    Stage 2 reads only the counts.
     """
-    t_s, t = np.asarray(t_s, dtype=np.int64), np.asarray(t, dtype=np.int64)
+    t = np.asarray(t, dtype=np.int64)
     zero = np.zeros(t.size, dtype=np.int64)
-    domain_s = zero + 1 if domain_s is None else np.asarray(domain_s, dtype=np.int64)
     return BlockFacts(
-        index=zero, nearest=zero + 1.0, t_s=t_s, domain_s=domain_s, t=t, pick=np.where(t > 0, 0, -1), row=zero
+        index=zero, nearest=zero + 1.0, t_s=zero, domain_s=zero + 1, t=t, pick=np.where(t > 0, 0, -1), row=zero
     )
 
 
@@ -200,10 +199,10 @@ class TestSub1:
 
     def test_draw_of_zero_passes_only_a_marked_block(self):
         # random() can return 0.0; the t = 0 bias is exactly 0.0, which 0.0 is not below
-        n = 64
-        facts = hand_facts(t_s=[0, 1], t=[0, 1], domain_s=[9, 9])
+        n, t_s, u, coins = 64, np.array([0, 1]), np.zeros(2), sub1_table(64)
         meter, paper = batch_meter(2), batch_meter(2)
-        accepted, paper_accepted = encode_sub1(facts, n, lambda slot: np.zeros(2), meter, paper)
+        accepted = encode_sub1(t_s, np.array([9, 9]), u, coins, meter)
+        paper_accepted = encode_sub1(t_s, n, u, coins, paper)
         assert accepted.tolist() == paper_accepted.tolist() == [False, True]
         assert paper.grover_iterations.tolist() == [sub1_iterations(n)] * 2 == [6, 6]
         assert meter.grover_iterations.tolist() == [sub1_iterations(9)] * 2 == [2, 2]
@@ -212,11 +211,12 @@ class TestSub1:
     def test_one_draw_two_coins(self):
         # W = 2 (j = 1) succeeds with sin^2(3 pi / 4) = 1/2; over N = 64 (j = 6) with ~0.9966.
         # A draw between the two biases passes the paper's stage 1 and fails the window's
-        facts = hand_facts(t_s=[1, 1, 1], t=[1, 1, 1], domain_s=[2, 2, 2])
+        t_s, coins = np.ones(3, dtype=np.int64), sub1_table(64)
         low, high = success_chance(1, 2, 1), success_chance(1, 64, 6)
         assert abs(low - 0.5) < 1e-15 and high > 0.99
         draws = np.array([low / 2, (low + high) / 2, (high + 1) / 2])
-        accepted, paper_accepted = encode_sub1(facts, 64, lambda slot: draws, batch_meter(3), batch_meter(3))
+        accepted = encode_sub1(t_s, np.full(3, 2), draws, coins, batch_meter(3))
+        paper_accepted = encode_sub1(t_s, 64, draws, coins, batch_meter(3))
         assert accepted.tolist() == [True, False, False]
         assert paper_accepted.tolist() == [True, True, False]
 
@@ -227,6 +227,13 @@ class TestSub1:
         assert bias[0] == 0.0 and bias[1] == 1.0
         want = [0.0] + [success_chance(1, w, sub1_iterations(w)) for w in range(1, 1101)]
         assert bias.tobytes() == np.array(want).tobytes()
+        # the paper's stage 1 reads the entry at N, up to the stream format's 65 536 codevectors,
+        # with the bits of the t = 1 row of stage 2's table, which it read before
+        for n in (4096, 65_536):
+            iterations, bias = sub1_table(n)
+            j = sub1_iterations(n)
+            assert iterations[n] == j == (50 if n == 4096 else 201)
+            assert bias[n] == success_chance(1, n, j) == success_table(np.ones(1, dtype=np.int64), n)[0, j]
 
     def test_marked_set_at_half_delta0_never_exceeds_one(self):
         rng = np.random.default_rng(45)
@@ -357,7 +364,7 @@ class TestSub2:
             return np.zeros(2) if coin else np.array([0.6, 0.9])
 
         meter = batch_meter(2)
-        accepted = encode_sub2(hand_facts(t_s=[0, 0], t=[1, 1]), np.arange(2), n, draw, meter)
+        accepted = encode_sub2(hand_facts(t=[1, 1]), np.arange(2), n, draw, meter)
         # on the budget: accepted after 8 verifications; past it: left after the 7 rounds before
         assert accepted.tolist() == [True, False]
         assert meter.grover_iterations.tolist() == [12, 10]
@@ -423,7 +430,8 @@ class TestEncode:
         # the entry that closes the lower side
         assert projection_walk(x, cb, range(16), distances_to_codebook(x, cb)) == (15, 1, 5 + 1 + 1)
         # the walk's 7 reads and stage 1's window lookup, 2 bit_length(16)
-        assert batch.scan.tolist() == [1] and out.meter.table_reads == 7 + 10
+        walk = finishing_walks(np.array([x]), batch.facts, cb, table, np.array([False]), np.array([True]))
+        assert walk[0].tolist() == [1] and out.meter.table_reads == 7 + 10
         # stage 1's window is empty (W = 0), so no verification: sub2 rounds (>=1) + the walk (1)
         assert batch.facts.domain_s.tolist() == [0]
         assert out.meter.classical_distance_evals >= 1 + 1

@@ -31,6 +31,15 @@ class TestPgm:
         save_pgm(img, p)
         assert p.read_bytes() == b"P5\n2 2\n255\n\x01\x02\x03\x04"
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)], ids=lambda shape: "x".join(map(str, shape)))
+    def test_save_rejects_what_load_rejects(self, tmp_path, shape):
+        # an empty image used to be written, then refused by load_pgm with "bad dimensions"
+        p = tmp_path / "e.pgm"
+        h, w = shape
+        with pytest.raises(ValueError, match=f"bad dimensions {w}x{h}"):
+            save_pgm(np.zeros(shape, np.uint8), p)
+        assert not p.exists()
+
     def test_file_bytes_stable_across_round_trip(self, tmp_path):
         rng = np.random.default_rng(62)
         img = rng.integers(0, 256, size=(5, 9), dtype=np.uint8)
@@ -193,3 +202,9 @@ class TestPsnr:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             psnr(np.zeros((2, 2), np.uint8), np.zeros((3, 2), np.uint8))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (3, 0)], ids=lambda shape: "x".join(map(str, shape)))
+    def test_empty_images_rejected(self, shape):
+        # the mean over no pixels used to return nan after two RuntimeWarnings
+        with pytest.raises(ValueError, match="empty"):
+            psnr(np.zeros(shape, np.uint8), np.zeros(shape, np.uint8))

@@ -25,7 +25,7 @@ from hqvq import (
     serialize_stream,
 )
 from hqvq.codebook import MAX_COMPONENT
-from hqvq.encoder import PATHS, EncodePath, sub1_table
+from hqvq.encoder import PATHS, EncodePath, finishing_walks, sub1_table
 from hqvq.pipeline import PartitionStats
 
 
@@ -282,14 +282,15 @@ class TestEncodeVectors:
         whole = np.zeros(rows.shape[0], dtype=np.int64)
         whole[sub2] = table.sizes()[batch.facts.pick[sub2]]
         whole[fallback] = cb.n
-        assert np.all(batch.scan <= whole) and np.all(batch.scan[~(sub2 | fallback)] == 0)
+        walks, _ = finishing_walks(rows, batch.facts, cb, table, sub2, fallback)
+        assert np.all(walks <= whole) and np.all(walks[~(sub2 | fallback)] == 0)
         # every block the paper's stage 1 passes is charged floor(pi/4 * 8) = 6 and 1, and no more
         paper = batch.paper
         passed = paper.classical_distance_evals == 1
         assert np.all(paper.grover_iterations[passed] == 6) and np.all(paper.grover_iterations >= 6)
         # a block both stage 1s send on is charged the same rounds, then its own scan
         both = (sub2 | fallback) & ~passed
-        rounds = batch.meter.classical_distance_evals - np.minimum(batch.facts.domain_s, 1) - batch.scan
+        rounds = batch.meter.classical_distance_evals - np.minimum(batch.facts.domain_s, 1) - walks
         assert np.array_equal(paper.classical_distance_evals[both], 1 + rounds[both] + whole[both])
         assert stats.paper_mean_classical_evals == float(paper.classical_distance_evals.mean())
         assert stats.paper_mean_grover_iterations == float(paper.grover_iterations.mean())
@@ -311,8 +312,13 @@ class TestEncodeVectors:
         _, _, alone = encode_vectors(rows, cb, table, cfg)
         _, _, with_huge = encode_vectors(np.vstack([rows, huge]), cb, table, cfg)
         assert list(with_huge)[: rows.shape[0]] == list(alone)
-        np.testing.assert_array_equal(with_huge.scan[: rows.shape[0]], alone.scan)
-        assert (alone.scan > 0).any()
+        # the walks' charges alone, as the batches' paths give them
+        size = rows.shape[0]
+        hit, fallback = (with_huge.path == PATHS.index(p) for p in (EncodePath.SUB2, EncodePath.CLASSICAL_FALLBACK))
+        walks, _ = finishing_walks(rows, alone.facts, cb, table, hit[:size], fallback[:size])
+        wide, _ = finishing_walks(np.vstack([rows, huge]), with_huge.facts, cb, table, hit, fallback)
+        np.testing.assert_array_equal(wide[:size], walks)
+        assert (walks > 0).any()
 
 
 class TestReport:
