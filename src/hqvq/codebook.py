@@ -76,8 +76,8 @@ class Codebook:
     each codevector's distance to its nearest other one (a read-only (N,)
     array), and its minimum ``delta0``, the minimum pairwise distance.
     ``projections`` holds each codevector's ``kernels.projections``
-    coordinate on the mean axis (read-only (N,)), the order the encoder's
-    finishing walks read the codebook in.
+    coordinate on the mean axis, and ``axis`` the same values ascending,
+    sorted once for the encoder's window, walks and table (both read-only).
     Duplicate codevectors (delta0 == 0) are rejected with
     ``DuplicateCodevectors`` because the single-solution guarantee of the
     fast encoding path depends on it.
@@ -93,6 +93,8 @@ class Codebook:
         self.nearest_other.setflags(write=False)
         self.projections = kernels.projections(arr)
         self.projections.setflags(write=False)
+        self.axis = np.sort(self.projections)
+        self.axis.setflags(write=False)
         self.delta0 = float(self.nearest_other.min())
         if self.delta0 <= 0.0:
             raise DuplicateCodevectors("codebook contains duplicate codevectors (delta0 == 0)")

@@ -268,8 +268,8 @@ def block_facts(
 
     Each row's stage-1 domain, ``BlockFacts.domain_s``, is the run of
     codevectors in projection order within ``sub1_half_width`` of its
-    projection, at both ends inclusive: ``kernels.strip_counts`` over the
-    distinct rows.  It holds every index stage 1 can mark.
+    projection, at both ends inclusive: ``kernels.strip_counts`` of the
+    rows on ``Codebook.axis``.  It holds every index stage 1 can mark.
     """
     distinct, inverse = kernels.distinct_rows(vectors)
     proj, order = kernels.projection_order(distinct)
@@ -281,7 +281,7 @@ def block_facts(
         picked = np.where(block_t > 0, marked.take(start[inverse] + k, mode="clip"), picked)
     # only the argmin can lie below its own radius, and then it is the one marked codevector
     t_s = (nearest < sub1_radii(codebook)[index]).astype(np.int64)
-    domain = kernels.strip_counts(proj, order, np.sort(codebook.projections), sub1_half_width(codebook))
+    domain = kernels.strip_counts(proj, order, codebook.axis, sub1_half_width(codebook))
     return BlockFacts(
         index=index[inverse],
         nearest=nearest[inverse],
@@ -432,10 +432,11 @@ def finishing_walks(
     The charge depends only on the block's row and the list it walks, so
     it is computed once per distinct (row, list) pair, a fallback's list
     being the codebook's own projection order.  It is read off the pair's
-    strip: the ranks [lo, hi) of ``Codebook.projections`` in it (two
+    strip: the positions [lo, hi) of ``Codebook.axis`` in it (two
     ``searchsorted`` calls); a fallback's entries are those ranks, and a
     hit's are h's keys in [h N + lo, h N + hi) (two more), less h when h
-    lies in the strip.
+    lies in the strip.  Tied projections share a key rank and all lie in
+    the strip or none does.
 
     ``reads`` counts each walk's binary-search locate, bit_length of its
     list's size, plus every entry it reads: those it visits, h included,
@@ -455,10 +456,9 @@ def finishing_walks(
     half = strip_half_width(facts.nearest[block], codebook)
     p = kernels.projections(np.take(vectors, block, axis=0))
     low, high = p - half, p + half
-    axis = np.sort(codebook.projections)
     # a fallback's entries are the codebook's ranks in the strip [a, b)
-    a = np.searchsorted(axis, low, side="left")
-    b = np.searchsorted(axis, high, side="right")
+    a = np.searchsorted(codebook.axis, low, side="left")
+    b = np.searchsorted(codebook.axis, high, side="right")
     first, size, known = np.zeros_like(a), np.full_like(a, n), np.zeros_like(a)
     # a hit's are h's keys, [h * N, (h + 1) * N) in projection order, with ranks in [a, b);
     # the pairs are sorted, so the hits' (owner h < N) come first
@@ -483,13 +483,13 @@ def encode(
 ) -> EncodeBatch:
     """Full hybrid encode of a batch: stage 1, then stage 2, then classical fallback.
 
-    ``vectors`` is a finite (M, k) float64 array of the codebook's dimension
-    (``encode_vectors`` checks it).  ``draw(slot)`` returns one uniform draw
-    in [0, 1) per block for each slot.  Stage 2 runs at the table's
-    delta_hat.  Each block's index is the argmin of its distance row, ties to
-    the smallest index, whichever stage accepts; the stages decide only the
-    path and what the meter is charged.  Stage-2 hits and fallbacks are
-    then charged their ``finishing_walks``.
+    ``vectors`` must pass ``as_rows`` at the codebook's dimension and
+    ``table`` hold one list per codevector, both checked before any draw.
+    ``draw(slot)`` returns one uniform draw in [0, 1) per block for each
+    slot.  Stage 2 runs at the table's delta_hat.  Each block's index is the
+    argmin of its distance row, ties to the smallest index, whichever stage
+    accepts; the stages decide only the path and what the meter is charged.
+    Stage-2 hits and fallbacks are then charged their ``finishing_walks``.
 
     The paper's configuration is simulated beside it on the same draws
     (``EncodeBatch.paper``): ``encode_sub1`` runs once over each block's
@@ -501,6 +501,9 @@ def encode(
     draws, since the cutoff m depends only on the round, and every block
     that either stage 1 fails is among those sent on.
     """
+    vectors = as_rows(vectors, codebook.k)
+    if table.n != codebook.n:
+        raise ValueError(f"neighborhood table has {table.n} lists, codebook has {codebook.n} codevectors")
     facts = block_facts(vectors, codebook, table, draw(PICK_SLOT))
     size, n = vectors.shape[0], codebook.n
     meter, paper = (QueryMeter(*(np.zeros(size, dtype=np.int64) for _ in range(3))) for _ in range(2))

@@ -29,12 +29,13 @@ class NeighborhoodTable:
     is positive, so each codevector is always its own neighbor (d == 0) and
     ``inf_omega >= 1``.
 
-    ``keys`` holds i * N + rank(j) for every j in list i, ascending and
-    read-only int64, where rank is the position of j in the codebook's
-    projection order (``Codebook.projections``, stably sorted).  List i in
-    projection order is the run of keys in [i * N, (i + 1) * N), and its
+    ``keys`` holds i * N + rank(j) for every j in list i, non-decreasing
+    and read-only int64, where rank(j) is the first position of j's
+    projection on ``Codebook.axis`` (tied projections share it).  List i
+    in projection order is the run of keys in [i * N, (i + 1) * N), and its
     entries whose ranks lie in [lo, hi) are the keys in [i * N + lo,
-    i * N + hi): two ``searchsorted`` calls.
+    i * N + hi): two ``searchsorted`` calls.  A tie lies wholly inside or
+    outside the ranks of a strip found on the axis.
     """
 
     delta_hat: float
@@ -82,7 +83,7 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     """Neighbor lists at ``neighbor_radius``: one ``kernels.window_marked`` pass of the codebook over itself.
 
     The table keeps the pass's flat marked array, starts and counts as they
-    are, and the lists' projection-order ``keys``.  ``delta_hat`` must be at
+    are, and ``keys``, ranked on ``Codebook.axis``.  ``delta_hat`` must be at
     least half the codebook's minimum pairwise distance (NaN is rejected);
     below that the fast encoding path's region structure breaks.
     """
@@ -92,8 +93,7 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     radius = neighbor_radius(delta_hat, codebook.k)
     _, _, members, start, count = kernels.window_marked(codebook.vectors, codebook.vectors, radius)
     n = codebook.n
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(codebook.projections, kind="stable")] = np.arange(n)
+    rank = np.searchsorted(codebook.axis, codebook.projections)  # tied projections share the first rank
     # the lists lie back to back in ``members``, in the order of their starts
     by_start = np.argsort(start, kind="stable")
     owner = np.repeat(by_start, count[by_start])

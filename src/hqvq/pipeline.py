@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, as_rows, check_seed
+from .codebook import Codebook, check_seed
 from .codebook import distances_to_codebook  # noqa: F401 (perfbench/spans.py wraps it by name)
 from .encoder import PATHS, EncodeBatch, EncodePath, EncoderConfig, encode
 from .grover import derive_rng
@@ -182,24 +182,18 @@ def encode_vectors(
     depend on M or on the other vectors.  The region fractions in ``stats``
     come from ``region_fractions`` over each vector's nearest distance,
     taken from the distance pass the simulator already needs, so they add no
-    metered work.  ``vectors`` must be a finite, non-empty (M, k) array of
-    the codebook's dimension, ``table`` must have one list per codevector,
-    and ``cfg.delta_hat`` must be the threshold ``table`` was built for.
+    metered work.  It checks only that ``cfg.delta_hat`` is the threshold
+    ``table`` was built for, the one rule that reads ``cfg``; ``encode``
+    checks ``vectors`` and the table's size.
     """
-    vectors = as_rows(vectors, codebook.k)
-    if table.n != codebook.n:
-        raise ValueError(
-            f"neighborhood table has {table.n} lists, codebook has {codebook.n} codevectors"
-        )
     if table.delta_hat != cfg.delta_hat:
         raise ValueError(
             f"neighborhood table delta_hat {table.delta_hat} does not match "
             f"the encoder's delta_hat {cfg.delta_hat}"
         )
-    size = vectors.shape[0]
 
-    def draw(slot: int) -> np.ndarray:
-        return derive_rng(cfg.master_seed, slot).random(size)
+    def draw(slot: int) -> np.ndarray:  # encode calls it only once the rows are checked
+        return derive_rng(cfg.master_seed, slot).random(len(vectors))
 
     batch = encode(vectors, codebook, table, draw)
     fractions = region_fractions(batch.facts.nearest, codebook.delta0, cfg.delta_hat)
@@ -207,9 +201,9 @@ def encode_vectors(
 
 
 def check_geometry(geom: BlockGeometry, codebook: Codebook) -> None:
-    """Reject blocks whose dimension is not the codebook's, before any image is blockified.
+    """Reject blocks whose dimension is not the codebook's, naming both: the one check for encode and decode.
 
-    Blockifying first would pad the image to the block size, however large.
+    Encoding checks before blockifying, which would pad the image to the block size, however large.
     """
     if geom.k != codebook.k:
         raise ValueError(
@@ -240,14 +234,14 @@ def encode_image(
 
 
 def decode_image(stream: IndexStream, codebook: Codebook) -> np.ndarray:
+    """The image ``stream`` encodes: the codebook must have its N and, by ``check_geometry``, its block dimension."""
     if stream.n_codevectors != codebook.n:
         raise ValueError(
             f"stream was encoded with {stream.n_codevectors} codevectors, "
             f"codebook has {codebook.n}"
         )
     geom = stream.geometry
-    if geom.k != codebook.k:
-        raise ValueError("stream block geometry does not match codebook dimension")
+    check_geometry(geom, codebook)
     vectors = codebook.vectors[stream.indices]
     return deblockify(vectors, geom, stream.width, stream.height)
 

@@ -6,10 +6,12 @@ slot 0 is the stage-1 coin, slot 1 the marked pick, and slots 2r+2 and 2r+3
 the iteration count j and the coin of stage-2 round r.  Stage 1 searches
 the block's window, found by a literal scan of the projections
 (``reference_window``).  A stage-2 hit and a fallback are finished by
-``projection_walk``, a literal sequential walk.  The batch must give every
-block the same (index, path, meter) when fed the same draws, and the same
-meter as ``reference_encode(..., paper=True)`` for its paper's meter.
-``run_stage`` runs one batch stage alone on the same draws.
+``projection_walk``, a literal sequential walk.  ``reference_encode``
+returns plain ints, and the batch must give every block the same ones
+(``batch_rows``) when fed the same draws, and the same charges as
+``reference_encode(..., paper=True)`` in its paper's meter
+(``meter_rows``).  ``run_stage`` runs one batch stage alone on the same
+draws.
 """
 
 import math
@@ -22,8 +24,8 @@ from hqvq.codebook import distances_to_codebook
 from hqvq.encoder import (
     BBHT_GROWTH,
     PICK_SLOT,
+    PATHS,
     SUB1_SLOT,
-    EncodeOutcome,
     EncodePath,
     QueryMeter,
     block_facts,
@@ -62,6 +64,18 @@ def trials(x, count: int) -> np.ndarray:
 def batch_meter(size: int) -> QueryMeter:
     """A zeroed meter of three (size,) int64 arrays, as ``encode`` starts one."""
     return QueryMeter(*(np.zeros(size, dtype=np.int64) for _ in range(3)))
+
+
+def meter_rows(meter: QueryMeter) -> list[tuple[int, int, int]]:
+    """A batch meter's (iterations, evaluations, reads) for each block, as plain ints."""
+    counters = (meter.grover_iterations, meter.classical_distance_evals, meter.table_reads)
+    return list(zip(*(c.tolist() for c in counters)))
+
+
+def batch_rows(batch) -> list[tuple[int, int, int, int, int]]:
+    """Each block's (index, path position, iterations, evaluations, reads), as ``reference_encode`` returns it."""
+    heads = zip(batch.facts.index.tolist(), batch.path.tolist())
+    return [head + charges for head, charges in zip(heads, meter_rows(batch.meter))]
 
 
 def sub1_iterations(w: int) -> int:
@@ -177,14 +191,15 @@ def reference_window(x, codebook) -> int:
     return sum(1 for c in codebook.projections.tolist() if p - half <= c <= p + half)
 
 
-def reference_encode(x, codebook, table, u, paper: bool = False) -> EncodeOutcome:
+def reference_encode(x, codebook, table, u, paper: bool = False) -> tuple[int, int, int, int, int]:
     """Encode one block x; ``u(slot)`` is its draw for the slot.
 
-    Stage 1 searches x's window of ``reference_window`` codevectors, and a
-    stage-2 hit or a fallback is finished by ``projection_walk``.  With
-    ``paper`` the block is charged as the paper's configuration instead:
-    stage 1 over all N, h's whole list after a hit, all N in a fallback,
-    and no table reads.
+    Returns (index, path, iterations, evaluations, reads), plain ints, the
+    path as its position in ``PATHS``.  Stage 1 searches x's window of
+    ``reference_window`` codevectors, and a stage-2 hit or a fallback is
+    finished by ``projection_walk``.  With ``paper`` the block is charged
+    as the paper's configuration instead: stage 1 over all N, h's whole
+    list after a hit, all N in a fallback, and no table reads.
     """
     dvec = [float(d) for d in distances_to_codebook(x, codebook)]
     n = len(dvec)
@@ -203,7 +218,7 @@ def reference_encode(x, codebook, table, u, paper: bool = False) -> EncodeOutcom
         meter.grover_iterations += j
         meter.classical_distance_evals += 1
         if u(0) < success_chance(t_s, domain, j):
-            return EncodeOutcome(index, EncodePath.SUB1, meter)
+            return plain(index, EncodePath.SUB1, meter)
     if reference_stage2(dvec, table, u, meter):
         h = reference_pick(dvec, table, u)
         arg, evals, reads = projection_walk(x, codebook, table.neighbors(h), dvec, known=h)
@@ -218,7 +233,12 @@ def reference_encode(x, codebook, table, u, paper: bool = False) -> EncodeOutcom
     assert arg == index
     meter.classical_distance_evals += evals
     meter.table_reads += reads
-    return EncodeOutcome(index, path, meter)
+    return plain(index, path, meter)
+
+
+def plain(index: int, path: EncodePath, meter: QueryMeter) -> tuple[int, int, int, int, int]:
+    """``reference_encode``'s result: the index, the path's position in ``PATHS`` and the three counters."""
+    return (index, PATHS.index(path), meter.grover_iterations, meter.classical_distance_evals, meter.table_reads)
 
 
 def reference_stage2(dvec, table, u, meter: QueryMeter, rounds: list | None = None) -> bool:

@@ -32,6 +32,7 @@ from hqvq import (
     train_codebook,
 )
 from hqvq.codebook import distances_to_codebook
+from hqvq.encoder import PATHS
 from hqvq.grover import marked_probability, marked_set_from_distances
 from hqvq.image import BlockGeometry, blockify, deblockify
 from hqvq.neighborhood import NeighborhoodTable
@@ -73,17 +74,17 @@ def exactness_run():
                 oracle = [full_search(x, cb)[0] for x in xs]
                 dvecs = [distances_to_codebook(x, cb) for x in xs]
                 for seed in range(10):
-                    outcomes = list(encode(xs, cb, table, seeded_draws(seed, len(xs))))
-                    for oracle_i, dvec, out in zip(oracle, dvecs, outcomes):
+                    batch = encode(xs, cb, table, seeded_draws(seed, len(xs)))
+                    for oracle_i, dvec, index, path in zip(oracle, dvecs, batch.facts.index, batch.path):
                         encodes += 1
-                        if out.index != oracle_i:
+                        if index != oracle_i:
                             mismatches += 1
-                        if out.path == EncodePath.SUB1:
+                        if PATHS[path] == EncodePath.SUB1:
                             sub1_successes += 1
                             marks = marked_set_from_distances(dvec, cb.nearest_other / 2)
                             if marks.tolist() != [oracle_i]:
                                 sub1_wrong_candidates += 1
-                        if out.path == EncodePath.SUB2:
+                        if PATHS[path] == EncodePath.SUB2:
                             sub2_successes += 1
                             for h in marked_set_from_distances(dvec, table.delta_hat):
                                 if oracle_i not in set(int(v) for v in table.neighbors(h)):

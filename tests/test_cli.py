@@ -1,9 +1,15 @@
-"""Command-line workflow: train -> encode -> decode -> stats -> bench."""
+"""Command-line workflow: train -> encode -> decode -> stats -> bench.
+
+It needs only numpy and pytest, so it also runs where the test extras
+hypothesis and scipy are not installed.
+"""
+
+import re
 
 import numpy as np
 import pytest
 
-from hqvq import BlockGeometry, blockify, kernels, load_codebook, load_pgm, save_pgm
+from hqvq import BlockGeometry, IndexStream, blockify, kernels, load_codebook, load_pgm, save_pgm, serialize_stream
 from hqvq.cli import main
 
 # `hqvq bench --sizes 64,256 --vectors 500 --seed 3`, byte for byte: refactors that
@@ -57,6 +63,69 @@ count_sub1=432
 count_sub2=64
 count_fallback=4
 """
+
+# `hqvq encode --report` of the ``image_path`` image with the codebook of
+# `hqvq train -n 8 --seed 3`, at --seed 3 and --seed 7, byte for byte
+ENCODE_SEED_3 = """\
+n=8
+sqrt_n=2.8284271247461903
+vectors=128
+mean_grover_iters=1.359375
+max_grover_iters=10
+mean_classical_evals=2.65625
+max_classical_evals=15
+frac_s=0.328125
+frac_t_minus_s=0.65625
+frac_i_minus_t=0.015625
+frac_sub1_marked=0.6171875
+ratio_vs_sqrt_n=0.48061164033773146
+ops_per_block=4.015625
+ratio_ops_vs_sqrt_n=1.4197378341011149
+mean_table_reads=11.015625
+mean_sub1_domain=2.2890625
+paper_mean_grover_iters=2.5703125
+paper_mean_classical_evals=3.7109375
+paper_ops_per_block=6.28125
+ratio_vs_pure_quantum=0.010680258674171812
+count_sub1=67
+count_sub2=59
+count_fallback=2
+delta_hat=16.066614287850317
+psnr=34.93372616634963
+"""
+
+ENCODE_SEED_7 = """\
+n=8
+sqrt_n=2.8284271247461903
+vectors=128
+mean_grover_iters=1.3359375
+max_grover_iters=10
+mean_classical_evals=2.796875
+max_classical_evals=17
+frac_s=0.328125
+frac_t_minus_s=0.65625
+frac_i_minus_t=0.015625
+frac_sub1_marked=0.6171875
+ratio_vs_sqrt_n=0.47232523274570165
+ops_per_block=4.1328125
+ratio_ops_vs_sqrt_n=1.461169872061264
+mean_table_reads=11.0703125
+mean_sub1_domain=2.2890625
+paper_mean_grover_iters=2.5546875
+paper_mean_classical_evals=3.640625
+paper_ops_per_block=6.1953125
+ratio_vs_pure_quantum=0.010496116283237815
+count_sub1=66
+count_sub2=60
+count_fallback=2
+delta_hat=16.066614287850317
+psnr=34.93372616634963
+"""
+
+
+def report_values(text: str) -> dict:
+    """A report's key=value lines as a dict of strings."""
+    return dict(ln.split("=", 1) for ln in text.splitlines())
 
 
 @pytest.fixture()
@@ -130,7 +199,8 @@ class TestWorkflow:
         assert "inf_omega=" in out
         assert "space_bits=" in out
         assert "frac_s=" in out
-        assert "0:" in out
+        # one line per codevector, each listing at least the codevector itself
+        assert len(re.findall(r"^[0-9]+:( [0-9]+)+$", out, flags=re.MULTILINE)) == 8
 
     @pytest.mark.parametrize("explicit_delta_hat", [False, True])
     def test_stats_and_encode_report_same_region_fractions(
@@ -175,6 +245,28 @@ class TestWorkflow:
     def test_bench_report_is_pinned(self, capsys):
         assert main(["bench", "--sizes", "64,256", "--vectors", "500", "--seed", "3"]) == 0
         assert capsys.readouterr().out == BENCH_64_256_SEED_3
+        # a property that must hold whatever figures a later change pins:
+        # stage 1 searches each block's window, the paper's stage 1 all N
+        for size in BENCH_64_256_SEED_3.split("\n\n"):
+            r = report_values(size)
+            assert float(r["mean_grover_iters"]) < float(r["paper_mean_grover_iters"])
+
+    def test_image_encode_report_is_pinned(self, tmp_path, image_path):
+        # the image path: trained float codebook, uint8 blocks and choose_delta_hat
+        cb = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb), "--seed", "3"]) == 0
+        for seed, pinned in (("3", ENCODE_SEED_3), ("7", ENCODE_SEED_7)):
+            args = ["encode", str(image_path), str(cb), "-o", str(tmp_path / f"s{seed}.vqix")]
+            assert main(args + ["--report", str(tmp_path / f"r{seed}.txt"), "--seed", seed]) == 0
+            assert (tmp_path / f"r{seed}.txt").read_text() == pinned
+            r = report_values(pinned)
+            # properties that hold whatever figures a later change pins:
+            # stage 1 marks every block the paper's delta0/2 test marks, and more
+            assert float(r["frac_sub1_marked"]) >= float(r["frac_s"])
+            # the walks visit a subset of h's list, or of the codebook in a fallback
+            assert float(r["mean_classical_evals"]) <= float(r["paper_mean_classical_evals"])
+        # the seed drives only the simulated search's cost, never an index
+        assert (tmp_path / "s3.vqix").read_bytes() == (tmp_path / "s7.vqix").read_bytes()
 
     def test_bench_command(self, tmp_path, capsys):
         assert main(["bench", "--sizes", "16,64", "--vectors", "400", "--seed", "1"]) == 0
@@ -220,6 +312,11 @@ class TestErrors:
         assert exc.value.code == 2
         assert f"argument {option}: invalid" in capsys.readouterr().err
 
+    def test_bench_negative_size_names_it(self, capsys):
+        # -4 used to fail inside math.sqrt with "math domain error"
+        assert main(["bench", "--sizes", "-4"]) == 1
+        assert "-4 is not a perfect square" in capsys.readouterr().err
+
     def test_bench_bad_seed_names_master_seed(self, capsys):
         # used to fail in the dataset's generator with "expected non-negative integer"
         assert main(["bench", "--sizes", "4", "--seed", "-1"]) == 1
@@ -254,6 +351,50 @@ class TestErrors:
             bad.write_bytes(data)
             assert main(["decode", str(bad), str(cb), "-o", str(tmp_path / "o.pgm")]) == 1
             assert f"error: {bad}: " in capsys.readouterr().err
+
+    def test_codebook_header_of_5000_digits_names_the_file(self, tmp_path, image_path, capsys):
+        # past int's 4300-digit limit, int() failed with its own message and no file name
+        cb = tmp_path / "cb.txt"
+        stream = tmp_path / "s.vqix"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0
+        assert main(["encode", str(image_path), str(cb), "-o", str(stream)]) == 0
+        capsys.readouterr()
+        long = tmp_path / "long.cb"
+        long.write_text("VQCB 1 2 " + "2" * 5000 + "\n0 0\n1 1\n")
+        assert main(["decode", str(stream), str(long), "-o", str(tmp_path / "o.pgm")]) == 1
+        assert f"error: {long}: bad header" in capsys.readouterr().err
+
+    def test_codebook_component_beyond_max_names_the_file(self, tmp_path, image_path, capsys):
+        # its squared distances would overflow to inf and every block would get index 0
+        huge = tmp_path / "huge.cb"
+        huge.write_text("VQCB 1 2 2\n0 0\n1e200 1e200\n")
+        stream = tmp_path / "s.vqix"
+        assert main(["encode", str(image_path), str(huge), "-o", str(stream)]) == 1
+        assert f"error: {huge}: array has components beyond 2**500" in capsys.readouterr().err
+        assert not stream.exists()
+
+    def test_p5_bytes_after_the_raster_name_the_file(self, tmp_path, image_path, capsys):
+        cb = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0
+        capsys.readouterr()
+        tail = tmp_path / "tail.pgm"
+        tail.write_bytes(b"P5\n2 1\n255\n\x07\x09extra")
+        assert main(["stats", str(tail), str(cb)]) == 1
+        assert f"error: {tail}: trailing data after pixels" in capsys.readouterr().err
+
+    def test_decode_block_dimension_mismatch_names_both(self, tmp_path, image_path, capsys):
+        # used to print "stream block geometry does not match codebook dimension"
+        cb = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb)]) == 0
+        capsys.readouterr()
+        stream = tmp_path / "2x2.vqix"
+        blocks = IndexStream(n_codevectors=8, block_w=2, block_h=2, width=4, height=4, indices=np.zeros(4, dtype=int))
+        stream.write_bytes(serialize_stream(blocks))
+        out = tmp_path / "o.pgm"
+        assert main(["decode", str(stream), str(cb), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "dimension mismatch: block geometry gives dimension 4, codebook has 2" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("percentile", ["0", "-5", "100.5", "nan"])
     def test_stats_bad_percentile_rejected_before_the_pass(

@@ -241,6 +241,14 @@ class TestDelta0:
         with pytest.raises(ValueError, match="read-only"):
             cb.nearest_other[0] = 1.0
 
+    def test_axis_is_the_sorted_projections(self):
+        # sorted once at construction: stage 1's window, the walks and the table's ranks read it
+        cb = Codebook(np.random.default_rng(9).normal(size=(40, 3)) * [1.0, 1e-3, 1e3])
+        assert cb.axis.tobytes() == np.sort(cb.projections).tobytes()
+        assert cb.axis.tobytes() == np.sort(kernels.projections(cb.vectors)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            cb.axis[0] = 0.0
+
 
 def reference_train(samples, n, seed, max_iter=60):
     """Plain Lloyd over every sample row, cells gathered with a mask.

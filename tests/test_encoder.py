@@ -9,7 +9,9 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from reference_encoder import (
     batch_meter,
+    batch_rows,
     block_draws,
+    meter_rows,
     projection_walk,
     reference_encode,
     reference_stage2,
@@ -37,8 +39,10 @@ from hqvq import (
 )
 from hqvq.codebook import distances_to_codebook
 from hqvq.encoder import (
+    PATHS,
     PICK_SLOT,
     BlockFacts,
+    EncodeOutcome,
     block_facts,
     delta_hat_from_nearest,
     encode_sub1,
@@ -53,6 +57,9 @@ from hqvq.encoder import (
 )
 from hqvq.grover import marked_set_from_distances
 from hqvq.pipeline import region_fractions
+
+# positions in EncodeBatch.path
+SUB1, FALLBACK = PATHS.index(EncodePath.SUB1), PATHS.index(EncodePath.CLASSICAL_FALLBACK)
 
 
 def make_setup(n=64, delta_hat_factor=1.2):
@@ -110,15 +117,9 @@ def hand_facts(t) -> BlockFacts:
     )
 
 
-def paper_meter(batch, b: int) -> QueryMeter:
-    """Block b's charges in the batch's paper's meter, as plain ints."""
-    paper = batch.paper
-    return QueryMeter(*(int(a[b]) for a in (paper.grover_iterations, paper.classical_distance_evals, paper.table_reads)))
-
-
 def encode_rows(rows, cb, table, seed):
     rows = np.asarray(rows, dtype=np.float64)
-    return list(encode(rows, cb, table, seeded_draws(seed, rows.shape[0])))
+    return encode(rows, cb, table, seeded_draws(seed, rows.shape[0]))
 
 
 class TestSub1:
@@ -387,15 +388,14 @@ class TestEncode:
         # c_7 = (0, 70) shares its anti-diagonal with 7 others: W = 8, j = 2, success ~0.944;
         # c_0 = (0, 0) has its own: W = 1, success exactly 1
         cb, table = make_setup(64)
-        outs = encode_rows(trials(cb.vectors[7], 4000), cb, table, 10)
-        assert {out.index for out in outs} == {7}
-        share = sum(out.path == EncodePath.SUB1 for out in outs) / 4000
+        batch = encode_rows(trials(cb.vectors[7], 4000), cb, table, 10)
+        assert np.all(batch.facts.index == 7)
+        share = np.count_nonzero(batch.path == SUB1) / 4000
         chance = success_chance(1, 8, 2)
         assert reference_window(cb.vectors[7], cb) == 8
         assert abs(share - chance) < 4 * math.sqrt(chance * (1 - chance) / 4000)
-        (out,) = encode_rows(cb.vectors[0:1], cb, table, 10)
-        assert out.index == 0
-        assert out.path == EncodePath.SUB1
+        ((index, path, *_),) = batch_rows(encode_rows(cb.vectors[0:1], cb, table, 10))
+        assert (index, path) == (0, SUB1)
 
     def test_exactness_over_random_instances(self):
         rng = np.random.default_rng(50)
@@ -405,25 +405,25 @@ class TestEncode:
                 delta_hat = cb.delta0 / 2 * rng.uniform(1.0, 3.0)
                 table = build_neighborhoods(cb, delta_hat)
                 xs = rng.uniform(-10, 60, size=(20, 2))
-                for x, out in zip(xs, encode_rows(xs, cb, table, 11)):
-                    assert out.index == full_search(x, cb)[0]
+                indices = encode_rows(xs, cb, table, 11).facts.index
+                assert indices.tolist() == [full_search(x, cb)[0] for x in xs]
 
     def test_shell_input_never_wrong(self):
         cb, table = make_setup(64)
         # place x in the shell: between delta0/2 and delta_hat of its nearest
         offset = np.array([1.0, 1.0]) / math.sqrt(2.0)
         x = cb.vectors[20] + offset * (cb.delta0 / 2.0) * 1.1
-        for out in encode_rows(trials(x, 200), cb, table, 12):
-            assert out.path in (EncodePath.SUB2, EncodePath.CLASSICAL_FALLBACK)
-            assert out.index == full_search(x, cb)[0]
+        batch = encode_rows(trials(x, 200), cb, table, 12)
+        assert np.all(batch.path != SUB1)
+        assert np.all(batch.facts.index == full_search(x, cb)[0])
 
     def test_fallback_meters_full_scan(self):
         cb, table = make_setup(16)
         x = [500.0, 500.0]
         cfg = EncoderConfig(delta_hat=table.delta_hat, master_seed=13)
         _, stats, batch = encode_vectors([x], cb, table, cfg)
-        (out,) = batch
-        assert out.path == EncodePath.CLASSICAL_FALLBACK
+        ((_, path, _, evals, reads),) = batch_rows(batch)
+        assert path == FALLBACK
         # x - c_15 lies along the mean axis, so c_15's projection gap is d* itself:
         # the margin keeps it in the strip, and the walk evaluates it alone.  It
         # reads 5 probes to locate p(x) past the last of 16 entries, c_15, and
@@ -431,21 +431,20 @@ class TestEncode:
         assert projection_walk(x, cb, range(16), distances_to_codebook(x, cb)) == (15, 1, 5 + 1 + 1)
         # the walk's 7 reads and stage 1's window lookup, 2 bit_length(16)
         walk = finishing_walks(np.array([x]), batch.facts, cb, table, np.array([False]), np.array([True]))
-        assert walk[0].tolist() == [1] and out.meter.table_reads == 7 + 10
+        assert walk[0].tolist() == [1] and reads == 7 + 10
         # stage 1's window is empty (W = 0), so no verification: sub2 rounds (>=1) + the walk (1)
         assert batch.facts.domain_s.tolist() == [0]
-        assert out.meter.classical_distance_evals >= 1 + 1
+        assert evals >= 1 + 1
         # the paper's stage 1 verifies once, and its full scan charges 16
-        assert stats.paper_mean_classical_evals == out.meter.classical_distance_evals + 1 - 1 + 16
-        assert batch.paper.classical_distance_evals.tolist() == [out.meter.classical_distance_evals + 16]
+        assert stats.paper_mean_classical_evals == evals + 1 - 1 + 16
+        assert batch.paper.classical_distance_evals.tolist() == [evals + 16]
 
     def test_total_iteration_budget(self):
         cb, table = make_setup(64)
         cap = sub1_iterations(64) + sub2_budget(64)
         xs = np.random.default_rng(51).uniform(-20, 100, size=(300, 2))
         batch = encode(xs, cb, table, seeded_draws(14, 300))
-        for out in batch:
-            assert out.meter.grover_iterations <= cap
+        assert np.all(batch.meter.grover_iterations <= cap)
         assert np.all(batch.paper.grover_iterations <= cap)
         # the window's stage 1 never costs more than the paper's; a block only it sends on
         # to stage 2 adds at most the budget
@@ -457,7 +456,7 @@ class TestEncode:
         cb, x = midpoint_case()
         table = build_neighborhoods(cb, cb.delta0)
         oracle, _ = full_search(x, cb)
-        got = {encode_rows([x], cb, table, seed)[0].index for seed in range(40)}
+        got = {int(encode_rows([x], cb, table, seed).facts.index[0]) for seed in range(40)}
         assert got == {oracle}
 
     def test_deterministic_for_seed(self):
@@ -465,7 +464,46 @@ class TestEncode:
         xs = np.random.default_rng(52).uniform(0, 80, size=(50, 2))
         a = encode_rows(xs, cb, table, 99)
         b = encode_rows(xs, cb, table, 99)
-        assert a == b
+        assert batch_rows(a) == batch_rows(b)
+        assert meter_rows(a.paper) == meter_rows(b.paper)
+
+
+def no_draw(slot):
+    raise AssertionError("a draw was made before the input check")
+
+
+class TestEncodeChecksItsInput:
+    # hqvq.encode is public: it checks what it reads before its first draw,
+    # as encode_vectors, which calls it, used to check for it
+    def test_rows_of_another_dimension_rejected(self):
+        # read as their first two components, these encoded to [1 4]
+        cb, table = make_setup(16)
+        with pytest.raises(ValueError, match="dimension mismatch: vector has 3, codebook has 2"):
+            encode(np.array([[0.0, 10.0, 5.0], [10.0, 0.0, 5.0]]), cb, table, no_draw)
+
+    def test_nan_row_rejected(self):
+        # used to fail inside numpy with "attempt to get argmin of an empty sequence"
+        cb, table = make_setup(16)
+        with pytest.raises(ValueError, match="non-finite"):
+            encode(np.array([[np.nan, np.nan]]), cb, table, no_draw)
+
+    def test_row_beyond_max_component_rejected(self):
+        # its distances overflowed to inf with a RuntimeWarning, and it got index 0
+        cb, table = make_setup(16)
+        with pytest.raises(ValueError, match=r"beyond 2\*\*500"):
+            encode(np.array([[3e200, 0.0]]), cb, table, no_draw)
+
+    def test_table_for_another_codebook_size_rejected(self):
+        # grid_codebook(16) used to encode with grid_codebook(25)'s table and be charged its walks
+        cb, _ = make_setup(16)
+        table = build_neighborhoods(grid_codebook(25), 0.6 * cb.delta0)
+        with pytest.raises(ValueError, match="table has 25 lists, codebook has 16 codevectors"):
+            encode(np.array([[0.0, 0.0], [31.0, 9.0]]), cb, table, no_draw)
+
+    def test_nested_list_encodes_like_an_array(self):
+        cb, table = make_setup(16)
+        rows = [[0.0, 0.0], [31.0, 9.0]]
+        assert batch_rows(encode(rows, cb, table, seeded_draws(3, 2))) == batch_rows(encode_rows(rows, cb, table, 3))
 
 
 BOUNDARIES = ("midpoint", "half_delta0", "delta_hat", "two_delta_hat")
@@ -500,7 +538,7 @@ def test_index_is_full_search_for_every_seed(boundary, seed, k, n, factor):
         x = cb.vectors[rng.integers(0, cb.n)] + direction
     table = build_neighborhoods(cb, delta_hat)
     oracle, _ = full_search(x, cb)
-    got = {encode_rows([x], cb, table, s)[0].index for s in range(5)}
+    got = {int(encode_rows([x], cb, table, s).facts.index[0]) for s in range(5)}
     assert got == {oracle}
 
 
@@ -634,15 +672,14 @@ def test_batch_equals_per_block_reference(seed, k, n, factor, master_seed, per_k
     repeats = rng.integers(0, rows.shape[0], size=rows.shape[0])
     rows = np.vstack([rows, rows[rng.permutation(rows.shape[0])], rows[repeats]])
     cfg = EncoderConfig(delta_hat=delta_hat, master_seed=master_seed)
-    indices, _, outcomes = encode_vectors(rows, cb, table, cfg)
+    indices, _, batch = encode_vectors(rows, cb, table, cfg)
     draw = seeded_draws(master_seed, rows.shape[0])
-    for ordinal, x in enumerate(rows):
-        want = reference_encode(x, cb, table, block_draws(draw, ordinal))
-        assert outcomes[ordinal] == want
-        # the paper's meter: stage 1 over all N and the paper's scans, on the same draws
-        want = reference_encode(x, cb, table, block_draws(draw, ordinal), paper=True)
-        assert paper_meter(outcomes, ordinal) == want.meter
-    assert indices.tolist() == [o.index for o in outcomes]
+    want = [reference_encode(x, cb, table, block_draws(draw, ordinal)) for ordinal, x in enumerate(rows)]
+    assert batch_rows(batch) == want
+    # the paper's meter: stage 1 over all N and the paper's scans, on the same draws
+    paper = [reference_encode(x, cb, table, block_draws(draw, ordinal), paper=True) for ordinal, x in enumerate(rows)]
+    assert meter_rows(batch.paper) == [charges[2:] for charges in paper]
+    assert indices.tolist() == [index for index, *_ in want]
 
 
 WINDOW_CASES = ("gap_at_radius", "shared_projection", "alone", "empty")
@@ -713,6 +750,7 @@ def test_stage1_window_holds_every_index_it_can_mark(case, seed, k, n, master_se
     indices, _, batch = encode_vectors(rows, cb, table, cfg)
     draw = seeded_draws(master_seed, rows.shape[0])
     half = sub1_half_width(cb)
+    got, paper = batch_rows(batch), meter_rows(batch.paper)
     for ordinal, x in enumerate(rows):
         oracle, _ = full_search(x, cb)
         assert indices[ordinal] == oracle
@@ -724,12 +762,12 @@ def test_stage1_window_holds_every_index_it_can_mark(case, seed, k, n, master_se
         if case == "shared_projection":
             assert width == cb.n
         elif case == "alone" and batch.facts.t_s[ordinal]:
-            assert width == 1 and batch[ordinal].path == EncodePath.SUB1
+            assert width == 1 and batch.path[ordinal] == SUB1
         elif case == "empty":
             assert width == 0
         u = block_draws(draw, ordinal)
-        assert batch[ordinal] == reference_encode(x, cb, table, u)
-        assert paper_meter(batch, ordinal) == reference_encode(x, cb, table, u, paper=True).meter
+        assert got[ordinal] == reference_encode(x, cb, table, u)
+        assert paper[ordinal] == reference_encode(x, cb, table, u, paper=True)[2:]
     if case == "alone":
         assert batch.facts.t_s.any()
 
@@ -901,7 +939,22 @@ class TestBatch:
         _, _, whole = encode_vectors(rows, cb, table, cfg)
         for k in (1, kernels.WINDOW_TILE - 1, kernels.WINDOW_TILE, kernels.WINDOW_TILE + 1, 399):
             _, _, prefix = encode_vectors(rows[:k], cb, table, cfg)
-            assert list(prefix) == list(whole)[:k]
+            assert batch_rows(prefix) == batch_rows(whole)[:k]
+            assert meter_rows(prefix.paper) == meter_rows(whole.paper)[:k]
+
+    def test_getitem_builds_each_blocks_outcome(self):
+        # the batch is a read-only sequence of EncodeOutcome, plain ints, built from its arrays
+        cb = grid_codebook(64)
+        table = build_neighborhoods(cb, 0.6 * cb.delta0)
+        rows = clustered_dataset(cb, table.delta_hat, 200, seed=5)
+        batch = encode_rows(rows, cb, table, 6)
+        assert len(batch) == 200 and {PATHS[p] for p in batch.path.tolist()} == set(EncodePath)
+        want = [EncodeOutcome(index, PATHS[path], QueryMeter(*charges)) for index, path, *charges in batch_rows(batch)]
+        assert list(batch) == want
+        assert batch[-1] == batch[199] == want[199]
+        assert all(type(v) is int for v in (batch[0].index, *dataclasses.astuple(batch[0].meter)))
+        with pytest.raises(IndexError):
+            batch[200]
 
     def test_index_is_nearest_many_including_ties(self):
         # grid points and the exact midpoints between them: on a midpoint two
@@ -912,9 +965,9 @@ class TestBatch:
         ties = cb.vectors[rng.integers(0, 64, size=(300, 2))].mean(axis=1)
         rows = np.vstack([ties, rng.uniform(-5, 75, size=(300, 2)), cb.vectors])
         cfg = EncoderConfig(delta_hat=table.delta_hat, master_seed=4)
-        indices, _, outcomes = encode_vectors(rows, cb, table, cfg)
+        indices, _, batch = encode_vectors(rows, cb, table, cfg)
         oracle, _ = kernels.nearest_many(rows, cb.vectors)
-        assert indices.tolist() == oracle.tolist() == [o.index for o in outcomes]
+        assert indices.tolist() == oracle.tolist() == batch.facts.index.tolist()
         dists = np.array([distances_to_codebook(x, cb) for x in rows])
         assert np.count_nonzero((dists == dists.min(axis=1, keepdims=True)).sum(axis=1) > 1) > 100
 

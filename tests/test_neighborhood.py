@@ -137,6 +137,20 @@ def test_dump_format():
     assert lines[3] == "3: 3"
 
 
+def test_keys_rank_each_member_on_the_axis_ties_first():
+    # a square lattice: each anti-diagonal's codevectors share one projection
+    side = 5
+    cb = Codebook([[10.0 * i, 10.0 * j] for i in range(side) for j in range(side)])
+    table = build_neighborhoods(cb, 0.8 * cb.delta0)
+    axis = cb.axis.tolist()
+    rank = [axis.index(p) for p in cb.projections.tolist()]  # first position of each projection
+    assert len(set(rank)) == 2 * side - 1
+    want = sorted(i * cb.n + rank[j] for i in range(cb.n) for j in table.neighbors(i).tolist())
+    assert table.keys.tolist() == want
+    assert len(set(want)) < len(want)  # some lists hold two codevectors of one projection
+    assert not table.keys.flags.writeable
+
+
 def midpoint_pair(rng: np.random.Generator, k: int):
     """Two codevectors and their rounded midpoint x.
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_encoder import batch_rows
 
 from hqvq import (
     BlockGeometry,
@@ -311,7 +312,7 @@ class TestEncodeVectors:
         huge = np.full((1, cb.k), MAX_COMPONENT / 2)
         _, _, alone = encode_vectors(rows, cb, table, cfg)
         _, _, with_huge = encode_vectors(np.vstack([rows, huge]), cb, table, cfg)
-        assert list(with_huge)[: rows.shape[0]] == list(alone)
+        assert batch_rows(with_huge)[: rows.shape[0]] == batch_rows(alone)
         # the walks' charges alone, as the batches' paths give them
         size = rows.shape[0]
         hit, fallback = (with_huge.path == PATHS.index(p) for p in (EncodePath.SUB2, EncodePath.CLASSICAL_FALLBACK))
