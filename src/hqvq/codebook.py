@@ -77,7 +77,9 @@ class Codebook:
     array), and its minimum ``delta0``, the minimum pairwise distance.
     ``projections`` holds each codevector's ``kernels.projections``
     coordinate on the mean axis, and ``axis`` the same values ascending,
-    sorted once for the encoder's window, walks and table (both read-only).
+    sorted once for the encoder's windows, walks and table (both read-only).
+    ``norm_scale``, sqrt(k) max |c_d|, bounds every codevector's norm: the
+    scale of the encoder's projection margins (``encoder.strip_half_width``).
     Duplicate codevectors (delta0 == 0) are rejected with
     ``DuplicateCodevectors`` because the single-solution guarantee of the
     fast encoding path depends on it.
@@ -95,6 +97,7 @@ class Codebook:
         self.projections.setflags(write=False)
         self.axis = np.sort(self.projections)
         self.axis.setflags(write=False)
+        self.norm_scale = math.sqrt(arr.shape[1]) * float(np.abs(arr).max())
         self.delta0 = float(self.nearest_other.min())
         if self.delta0 <= 0.0:
             raise DuplicateCodevectors("codebook contains duplicate codevectors (delta0 == 0)")

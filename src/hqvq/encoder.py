@@ -17,9 +17,17 @@ Rev. A 61, 032303, 2000).  The paper's stage 1 is the same search at W = N:
 one ``encode_sub1`` and one ``sub1_table`` serve both, on the same draws, and
 the paper's charges go to ``EncodeBatch.paper``.
 Stage 2 targets inputs within the configured threshold: the search is
-embedded in a growing-cutoff schedule for an unknown number of solutions;
-any verified hit is finished by a classical scan of that codevector's
-neighbor list, which provably contains the global optimum.
+embedded in a growing-cutoff schedule for an unknown number of solutions
+(Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034); any verified hit is
+finished by a classical scan of that codevector's neighbor list, which
+provably contains the global optimum.  It too searches the block's own
+projection window, the W_t codevectors within ``strip_half_width(delta_hat)``
+of its projection, which hold every index marked at delta_hat, padded with
+W_t dummies the oracle never marks: a register of D = 2 W_t, so the marked
+share t/D is at most 1/2, inside the bound's t <= 3D/4.  Each block's cutoff
+grows to sqrt(D) and its budget is ceil(3 sqrt(D)), not the paper's sqrt(N)
+and ceil(3 sqrt(N)).  The paper's stage 2 over N runs beside it on the same
+draws, in the same ``encode_sub2`` call.
 Anything else falls back to a classical search of the whole codebook.  The
 index is the distance row's argmin; the stages only simulate and charge the
 search, so randomness never affects the index.  This module alone charges
@@ -41,7 +49,8 @@ blocks' distances reduces each block to a few facts (``BlockFacts``); equal
 blocks share the pass but keep their own draws.  A measured index passes its
 classical check exactly when it is marked, so every search round is a coin
 with the closed-form success probability, and stage 1 and the stage-2 rounds
-run for all blocks at once on those facts.
+run for all blocks at once on those facts.  ``EncodeBatch.meter`` holds this
+encoder's charges and ``EncodeBatch.paper`` the paper's configuration's.
 """
 
 from __future__ import annotations
@@ -65,8 +74,9 @@ from .neighborhood import NeighborhoodTable
 # (Boyer, Brassard, Hoyer and Tapp's lambda, any value in (1, 4/3) works).
 BBHT_GROWTH = 6.0 / 5.0
 
-# Stage 2 spends at most ceil(BBHT_BUDGET_FACTOR * sqrt(N)) search iterations
-# per vector; the schedule alone has no stopping rule when no solution exists.
+# Stage 2 spends at most ceil(BBHT_BUDGET_FACTOR * sqrt(D)) search iterations
+# per vector over a register of D indices (D = 2 W_t, or N in the paper's
+# configuration); the schedule alone has no stopping rule when no solution exists.
 BBHT_BUDGET_FACTOR = 3.0
 
 # Draw slots (see ``grover.derive_rng``): the stage-1 coin, the marked index a
@@ -136,6 +146,7 @@ class BlockFacts:
     nearest: np.ndarray  # the row's minimum
     t_s: np.ndarray  # marked by stage 1: #{i : d_i < sub1_radii[i]}, 0 or 1 (then i is the argmin)
     domain_s: np.ndarray  # stage 1's search domain W: #{j : |p(x) - p(c_j)| <= sub1_half_width}
+    domain_t: np.ndarray  # stage 2's window W_t: #{j : |p(x) - p(c_j)| <= strip_half_width(delta_hat)}
     t: np.ndarray  # marked at delta_hat: #{i : d_i < delta_hat}
     pick: np.ndarray  # the marked index a stage-2 hit measures; -1 if t == 0
     row: np.ndarray  # the block's row among the pass's distinct rows: equal blocks share it
@@ -148,8 +159,8 @@ class EncodeBatch(Sequence):
     A read-only sequence of ``EncodeOutcome``: ``batch[b]`` builds block b's
     outcome, with plain ints, only when asked for; iteration goes through it.
     ``paper`` is the same run charged as the paper's configuration: stage 1
-    over all N, h's whole neighbor list after a stage-2 hit and all N in a
-    fallback (its ``table_reads`` are 0).
+    and stage 2 over all N, h's whole neighbor list after the paper's
+    stage-2 hit and all N in its fallback (its ``table_reads`` are 0).
     """
 
     facts: BlockFacts
@@ -220,31 +231,33 @@ def sub1_radii(codebook: Codebook) -> np.ndarray:
 def strip_half_width(reach, codebook: Codebook):
     """``kernels.half_width(reach)`` for a block with a codevector within computed distance ``reach``.
 
-    The margin's scale must bound ||x|| and every ||c||.  sqrt(k) max |c_d|
-    bounds every ||c||, and sqrt(k) max |c_d| + 2 reach bounds ||x||:
-    ||x|| <= ||c_j|| + d(x, c_j) for the codevector j at computed distance
-    at most ``reach``, and a computed distance is at least half the exact
-    one.  Elementwise over an array ``reach``.
+    The margin's scale must bound ||x|| and every ||c||.
+    ``Codebook.norm_scale``, sqrt(k) max |c_d|, bounds every ||c||, and
+    sqrt(k) max |c_d| + 2 reach bounds ||x||: ||x|| <= ||c_j|| + d(x, c_j)
+    for the codevector j at computed distance at most ``reach``, and a
+    computed distance is at least half the exact one.  Elementwise over an
+    array ``reach``.
     """
-    scale = math.sqrt(codebook.k) * float(np.abs(codebook.vectors).max()) + 2.0 * reach
+    scale = codebook.norm_scale + 2.0 * reach
     return kernels.half_width(reach, codebook.k, scale)
 
 
-def sub1_half_width(codebook: Codebook) -> float:
+def sub1_half_width(radii: np.ndarray, codebook: Codebook) -> float:
     """Half the width of stage 1's projection window: ``strip_half_width`` at R = max_i r_i.
 
-    A codevector i that stage 1 marks has a computed d(x, c_i) < r_i <= R
-    (``sub1_radii``), so its projection lies within the strip's half-width
-    of p(x): the mean-axis bound of ``kernels.window_tiles``, margin
-    included.  Blocks with no marked codevector need no bound, since their
-    window holds nothing stage 1 must find.  So one scalar serves every
-    block.
+    ``radii`` is ``sub1_radii(codebook)``.  A codevector i that stage 1
+    marks has a computed d(x, c_i) < r_i <= R (``sub1_radii``), so its
+    projection lies within the strip's half-width of p(x): the mean-axis
+    bound of ``kernels.window_tiles``, margin included.  Blocks with no
+    marked codevector need no bound, since their window holds nothing stage
+    1 must find.  So one scalar serves every block.
     """
-    return float(strip_half_width(float(sub1_radii(codebook).max()), codebook))
+    return float(strip_half_width(float(radii.max()), codebook))
 
 
-def sub2_budget(n: int) -> int:
-    return math.ceil(BBHT_BUDGET_FACTOR * math.sqrt(n))
+def sub2_budget(n):
+    """Stage 2's iteration budget over a domain of n: ceil(BBHT_BUDGET_FACTOR * sqrt(n)), elementwise, int64."""
+    return np.ceil(BBHT_BUDGET_FACTOR * np.sqrt(n)).astype(np.int64)
 
 
 def block_facts(
@@ -266,10 +279,14 @@ def block_facts(
     Equal blocks share their row's facts and marked set, but each picks from
     it with its own draw.  No M x N matrix is kept.
 
-    Each row's stage-1 domain, ``BlockFacts.domain_s``, is the run of
-    codevectors in projection order within ``sub1_half_width`` of its
-    projection, at both ends inclusive: ``kernels.strip_counts`` of the
-    rows on ``Codebook.axis``.  It holds every index stage 1 can mark.
+    Each row's two search domains are runs of codevectors in projection
+    order around its projection, both ends inclusive: ``kernels.strip_counts``
+    of the rows on ``Codebook.axis``.  Stage 1's, ``BlockFacts.domain_s``,
+    reaches ``sub1_half_width`` and holds every index stage 1 can mark.
+    Stage 2's, ``BlockFacts.domain_t``, reaches ``strip_half_width(delta_hat)``
+    and holds every index marked at delta_hat: a marked index has a computed
+    distance below delta_hat, so a block with one has a codevector within
+    that reach, the case ``strip_half_width``'s margin covers.
     """
     distinct, inverse = kernels.distinct_rows(vectors)
     proj, order = kernels.projection_order(distinct)
@@ -279,14 +296,17 @@ def block_facts(
     picked = np.full(vectors.shape[0], -1, dtype=np.int64)
     if marked.size:  # a block with t = 0 reads a clipped position, then gets -1
         picked = np.where(block_t > 0, marked.take(start[inverse] + k, mode="clip"), picked)
+    radii = sub1_radii(codebook)
     # only the argmin can lie below its own radius, and then it is the one marked codevector
-    t_s = (nearest < sub1_radii(codebook)[index]).astype(np.int64)
-    domain = kernels.strip_counts(proj, order, codebook.axis, sub1_half_width(codebook))
+    t_s = (nearest < radii[index]).astype(np.int64)
+    domain_s = kernels.strip_counts(proj, order, codebook.axis, sub1_half_width(radii, codebook))
+    domain_t = kernels.strip_counts(proj, order, codebook.axis, strip_half_width(table.delta_hat, codebook))
     return BlockFacts(
         index=index[inverse],
         nearest=nearest[inverse],
         t_s=t_s[inverse],
-        domain_s=domain[inverse],
+        domain_s=domain_s[inverse],
+        domain_t=domain_t[inverse],
         t=block_t,
         pick=picked,
         row=inverse,
@@ -313,77 +333,97 @@ def encode_sub1(t_s: np.ndarray, domain, u: np.ndarray, table, meter: QueryMeter
     return (t_s == 1) & (u < bias.take(domain))
 
 
-def success_table(levels: np.ndarray, n: int) -> np.ndarray:
-    """``marked_probability(levels[a], n, j)`` at [a, j]: the coin bias of stage 2's rounds.
+def success_table(levels: np.ndarray, domains) -> np.ndarray:
+    """``marked_probability(levels[a], domains[a], j)`` at [a, j]: the coin bias of stage 2's rounds.
 
-    ``levels`` holds marked counts t (int64); j runs over 0..floor(sqrt(N)),
-    every j a stage-2 round can draw.  The table is one
-    ``marked_probability`` call on flat int64 arrays, as a call on the
-    blocks' own arrays would make it, and holds the same bits.
+    ``levels`` holds marked counts t and ``domains`` search domains D >= 1
+    (int64 arrays of one shape, or one int D for every level); j runs over
+    0..floor(sqrt(max D)), every j a stage-2 round can draw.  The table is
+    one ``marked_probability`` call, t and D as a column against j as a
+    row, elementwise as a call on the blocks' own arrays would make it, and
+    holds the same bits.
     """
-    width = math.floor(math.sqrt(n)) + 1
-    j = np.tile(np.arange(width, dtype=np.int64), levels.size)
-    return marked_probability(np.repeat(levels, width), n, j).reshape(levels.size, width)
+    levels, domains = np.broadcast_arrays(levels, np.asarray(domains, dtype=np.int64))
+    width = math.isqrt(int(domains.max())) + 1
+    return marked_probability(levels[:, None], domains[:, None], np.arange(width, dtype=np.int64))
 
 
-def encode_sub2(
-    facts: BlockFacts,
-    blocks: np.ndarray,
-    n: int,
-    draw,
-    meter: QueryMeter,
-) -> np.ndarray:
-    """Randomized-cutoff search rounds for ``blocks``, all in lockstep.
+def encode_sub2(t: np.ndarray, searches, draw) -> list[np.ndarray]:
+    """Randomized-cutoff search rounds for every search in ``searches``, all in lockstep.
 
-    Round r draws each live block's j uniformly from {0..floor(m)}, charges
-    the j iterations and one verification, and accepts the block when its
-    coin lands on the marked set (the measured index h, ``facts.pick``, then
-    verifies below delta_hat).  The scan that finishes an accepted block is
-    charged after the rounds, by ``finishing_walks``.  The
-    budget is the only stopping rule: a block whose next draw would push its
-    iteration total past it leaves unaccepted (caller falls back).  Every
-    round draws j >= 1 with probability at least 1/2, so the rounds end with
-    probability 1.  The cutoff m is the same for every block in a round.
+    Each search is a triple (blocks, domain, meter): the distinct ordinals
+    of the blocks it runs for, the size D >= 1 of each one's search register
+    (an array aligned with ``blocks``, or one int for all of them), and the
+    ``QueryMeter`` it charges.  ``t`` holds every block's marked count at
+    delta_hat; the register holds the t marked indices and D - t unmarked
+    ones.
 
-    The rounds carry compact arrays over the live blocks only (ordinal,
-    iterations spent, table cell).  All have run the same r rounds, so each
-    round settles in one step: a leaver is charged r verifications and its
-    iterations before this j, a hit r + 1 and all of them.  The coin's bias
-    is ``success_table``'s over the distinct t of ``blocks``.
+    Round r draws each live block's j uniformly from {0..floor(m)}, with
+    m = min(BBHT_GROWTH**r, sqrt(D)) for its own D, charges the j
+    iterations and one verification, and accepts the block when its coin
+    lands on the marked set (the measured index h, ``BlockFacts.pick``,
+    then verifies below delta_hat).  The scan that finishes an accepted
+    block is charged after the rounds, by ``finishing_walks``.  The budget,
+    ``sub2_budget(D)``, is the only stopping rule: a block whose next draw
+    would push its iteration total past it leaves unaccepted (caller falls
+    back).  Every round draws j >= 1 with probability at least 1/2, so the
+    rounds end with probability 1.
 
-    ``draw(slot)`` returns one uniform draw in [0, 1) per block of the
-    batch; ``blocks`` holds the distinct ordinals of the blocks that enter
-    stage 2.  Returns the mask of accepted blocks over the whole batch.
+    All searches read round r's two draw slots, 2r + 2 for j and 2r + 3 for
+    the coin, from one ``draw`` call each: ``draw(slot)`` returns one
+    uniform draw in [0, 1) per block of the batch.  A block in two searches
+    reads the same draws in both.  The rounds carry compact arrays over the
+    live (search, block) pairs only.  All have run the same r rounds, so
+    each round settles in one step: a leaver is charged r verifications and
+    its iterations before this j, a hit r + 1 and all of them.  The coin's
+    bias is ``success_table``'s over the searches' distinct (D, t) pairs.
+    Returns each search's mask of accepted blocks over the whole batch.
     """
-    sqrt_n = math.sqrt(n)
-    budget = sub2_budget(n)
-    accepted = np.zeros(facts.t.size, dtype=bool)
-    levels, row = np.unique(facts.t[blocks], return_inverse=True)
-    table = success_table(levels, n)
-    chance = table.ravel()
-    cell = row * table.shape[1]  # each live block's row of ``chance``
-    live = blocks  # ordinals of the blocks still searching
-    spent = np.zeros(blocks.size, dtype=np.int64)
-    m = 1.0
+    parts = [np.asarray(blocks, dtype=np.int64) for blocks, _, _ in searches]
+    block = np.concatenate(parts)  # each live pair's block
+    if not block.size:
+        return [np.zeros(t.size, dtype=bool) for _ in searches]
+    search = np.repeat(np.arange(len(parts), dtype=np.int8), [b.size for b in parts])  # and its search
+    domain = np.concatenate([np.broadcast_to(np.int64(d), b.shape) for b, (_, d, _) in zip(parts, searches)])
+    span = int(t.max()) + 1
+    keys, row = np.unique(domain * span + t[block], return_inverse=True)
+    domains = keys // span
+    table = success_table(keys % span, domains)
+    chance, cell = table.ravel(), row * table.shape[1]  # each live pair's row of ``chance``
+    top = np.floor(np.sqrt(domains)).astype(np.int64) + 1  # floor(sqrt(D)) + 1: the cutoff's cap
+    cap, budget, ceiling = top[row], sub2_budget(domains)[row], math.sqrt(int(domains[-1]))
+    spent = np.zeros(block.size, dtype=np.int64)
+    settled = []  # each round's settled pairs: (block, search, iterations, verifications, hit)
+    m = 1.0  # BBHT_GROWTH**r up to the largest sqrt(D), as floor(min(m, sqrt D)) = min(floor(m), floor(sqrt D))
     r = 0
-    while live.size:
-        cutoff = math.floor(m) + 1
-        j = np.minimum((draw(2 * r + 2)[live] * cutoff).astype(np.int64), cutoff - 1)
+    while block.size:
+        cutoff = np.minimum(cap, math.floor(m) + 1)
+        # u < 1 keeps floor(u * cutoff) below cutoff in floating point too, so j <= cutoff - 1
+        j = (draw(2 * r + 2).take(block) * cutoff).astype(np.int64)
         spent += j
         over = spent > budget
-        done = over | (draw(2 * r + 3)[live] < chance[cell + j])
+        done = draw(2 * r + 3).take(block) < chance.take(cell + j)
+        done |= over
         settle = np.flatnonzero(done)
         if settle.size:
-            left = over[settle]  # the settled blocks that leave on the budget; the others hit
-            gone = live[settle]
-            meter.grover_iterations[gone] += spent[settle] - j[settle] * left
-            meter.classical_distance_evals[gone] += r + ~left
-            accepted[gone[~left]] = True
-            stay = ~done
-            live, spent, cell = live[stay], spent[stay], cell[stay]
-        m = min(BBHT_GROWTH * m, sqrt_n)
+            left = over[settle]  # the settled pairs that leave on the budget; the others hit
+            settled.append((block[settle], search[settle], spent[settle] - j[settle] * left, r + ~left, ~left))
+            stay = np.flatnonzero(~done)
+            live = (block, search, spent, cell, cap, budget)
+            block, search, spent, cell, cap, budget = (a.take(stay) for a in live)
+        m = min(BBHT_GROWTH * m, ceiling)
         r += 1
-    return accepted
+    block, search, iterations, evals, hit = (np.concatenate(column) for column in zip(*settled))
+    masks = []
+    for s, (_, _, meter) in enumerate(searches):
+        mine = search == s
+        gone = block[mine]  # a search's blocks are distinct, so each is written once
+        meter.grover_iterations[gone] += iterations[mine]
+        meter.classical_distance_evals[gone] += evals[mine]
+        accepted = np.zeros(t.size, dtype=bool)
+        accepted[gone[hit[mine]]] = True
+        masks.append(accepted)
+    return masks
 
 
 def finishing_walks(
@@ -491,15 +531,20 @@ def encode(
     accepts; the stages decide only the path and what the meter is charged.
     Stage-2 hits and fallbacks are then charged their ``finishing_walks``.
 
+    Stage 2 searches each block's window of W_t codevectors
+    (``BlockFacts.domain_t``), which holds its t marked indices, padded with
+    W_t dummies the oracle never marks: a register of D = 2 W_t, so that
+    t/D <= 1/2, inside the t <= 3D/4 that Boyer, Brassard, Hoyer and Tapp's
+    bound assumes.  The window's lookup is charged 2 bit_length(N) reads for
+    each block that enters stage 2, as stage 1's is.  A block with W_t = 0
+    has t = 0: it skips the rounds and falls back.
+
     The paper's configuration is simulated beside it on the same draws
     (``EncodeBatch.paper``): ``encode_sub1`` runs once over each block's
     window and once over all N, reading one ``sub1_table(N)`` with the same
-    SUB1_SLOT draw.  Either stage 1 can pass a block that the other fails,
-    so stage 2 runs once over the blocks that either sends on, and each
-    configuration is charged the rounds of the blocks its own stage 1 did
-    not pass.  That is exact: a block's rounds read only its own facts and
-    draws, since the cutoff m depends only on the round, and every block
-    that either stage 1 fails is among those sent on.
+    SUB1_SLOT draw, and the paper's stage 2 searches all N for the blocks
+    its own stage 1 did not pass.  One ``encode_sub2`` call runs both
+    configurations' rounds, on the same round draws.
     """
     vectors = as_rows(vectors, codebook.k)
     if table.n != codebook.n:
@@ -509,23 +554,25 @@ def encode(
     meter, paper = (QueryMeter(*(np.zeros(size, dtype=np.int64) for _ in range(3))) for _ in range(2))
     u, coins = draw(SUB1_SLOT), sub1_table(n)
     sub1 = encode_sub1(facts.t_s, facts.domain_s, u, coins, meter)
-    meter.table_reads += 2 * n.bit_length()  # the window's lookup: two binary searches over N projections
     paper_sub1 = encode_sub1(facts.t_s, n, u, coins, paper)
-    sent = ~(sub1 & paper_sub1)
-    rounds = QueryMeter(np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64))
-    sub2 = encode_sub2(facts, np.flatnonzero(sent), n, draw, rounds)
-    for charged, passed in ((meter, sub1), (paper, paper_sub1)):
-        charged.grover_iterations += rounds.grover_iterations * ~passed
-        charged.classical_distance_evals += rounds.classical_distance_evals * ~passed
-    hit, fallback = sub2 & ~sub1, ~(sub1 | sub2)
+    # each window's lookup is two binary searches over N projections: stage 1's for every block,
+    # stage 2's for every block that enters it
+    meter.table_reads += 2 * n.bit_length() * (1 + ~sub1)
+    searched = np.flatnonzero(~sub1 & (facts.domain_t > 0))
+    sub2, paper_sub2 = encode_sub2(
+        facts.t,
+        ((searched, 2 * facts.domain_t[searched], meter), (np.flatnonzero(~paper_sub1), n, paper)),
+        draw,
+    )
+    fallback = ~(sub1 | sub2)
     # the masks are disjoint and cover the batch: a sum of products, far cheaper than masked assignments
-    masks = {EncodePath.SUB1: sub1, EncodePath.SUB2: hit, EncodePath.CLASSICAL_FALLBACK: fallback}
+    masks = {EncodePath.SUB1: sub1, EncodePath.SUB2: sub2, EncodePath.CLASSICAL_FALLBACK: fallback}
     path = sum(masks[p].view(np.int8) * np.int8(i) for i, p in enumerate(PATHS))
-    evals, reads = finishing_walks(vectors, facts, codebook, table, hit, fallback)
+    evals, reads = finishing_walks(vectors, facts, codebook, table, sub2, fallback)
     meter.classical_distance_evals += evals
     meter.table_reads += reads
     # the paper's scans: h's whole list after a stage-2 hit, all N (entry -1) in a fallback
-    whole = np.append(table.sizes(), n)[facts.pick * sub2 - ~sub2]
+    whole = np.append(table.sizes(), n)[facts.pick * paper_sub2 - ~paper_sub2]
     paper.classical_distance_evals += whole * ~paper_sub1
     return EncodeBatch(facts=facts, path=path, meter=meter, paper=paper)
 

@@ -24,10 +24,10 @@ def marked_set_from_distances(distances: np.ndarray, delta: float) -> np.ndarray
     return np.flatnonzero(distances < delta)
 
 
-def marked_probability(t, n: int, j) -> np.ndarray:
-    """Chance that the measurement after j search iterations is one of t marked indices.
+def marked_probability(t, n, j) -> np.ndarray:
+    """Chance that the measurement after j search iterations over n indices is one of t marked ones.
 
-    Elementwise over arrays ``t`` and ``j``: sin^2((2j+1)*theta) with
+    Elementwise over arrays ``t``, ``n`` and ``j``: sin^2((2j+1)*theta) with
     sin(theta) = sqrt(t/n).  It is 0 when t == 0 and exactly 1 when t == n.
     """
     t = np.asarray(t)

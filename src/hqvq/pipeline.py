@@ -118,8 +118,9 @@ class PartitionStats:
     max_grover_iterations: int
     mean_classical_evals: float
     max_classical_evals: int
-    mean_table_reads: float  # binary-search probes and entries stage 1's window lookup and the walks read
+    mean_table_reads: float  # binary-search probes and entries the window lookups and the walks read
     mean_sub1_domain: float  # stage 1's search domain W, per block
+    mean_sub2_domain: float  # stage 2's window W_t, per block (its register holds 2 W_t)
     paper_mean_grover_iterations: float  # the paper's configuration: stage 1 over all N
     paper_mean_classical_evals: float  # the paper's scans: h's whole list after a hit, all N in a fallback
 
@@ -162,6 +163,7 @@ def _build_stats(batch: EncodeBatch, fractions) -> PartitionStats:
         max_classical_evals=int(classical.max()),
         mean_table_reads=_mean(batch.meter.table_reads),
         mean_sub1_domain=_mean(batch.facts.domain_s),
+        mean_sub2_domain=_mean(batch.facts.domain_t),
         paper_mean_grover_iterations=_mean(batch.paper.grover_iterations),
         paper_mean_classical_evals=_mean(batch.paper.classical_distance_evals),
     )
@@ -257,11 +259,12 @@ def report(stats: PartitionStats, n: int) -> str:
     nearest codevector's own radius, never smaller.  ``ops_per_block`` is
     the mean search iterations plus the mean classical evaluations, and
     ``ratio_ops_vs_sqrt_n`` sets it against the paper's sqrt(N) claim.
-    ``mean_table_reads`` is what stage 1's window lookup and the finishing
-    walks read, beside the operations rather than in them, and
-    ``mean_sub1_domain`` the mean size W of stage 1's window.  The
-    ``paper_`` keys are the same run charged as the paper's configuration:
-    stage 1 over all N, h's whole neighbor list after a stage-2 hit, all N
+    ``mean_table_reads`` is what the two stages' window lookups and the
+    finishing walks read, beside the operations rather than in them,
+    ``mean_sub1_domain`` the mean size W of stage 1's window and
+    ``mean_sub2_domain`` the mean size W_t of stage 2's.  The ``paper_``
+    keys are the same run charged as the paper's configuration: both stages
+    over all N, h's whole neighbor list after a stage-2 hit, all N
     codevectors in a fallback; ``paper_ops_per_block`` is its iterations
     plus its evaluations.
     """
@@ -285,6 +288,7 @@ def report(stats: PartitionStats, n: int) -> str:
         f"ratio_ops_vs_sqrt_n={ops / sqrt_n!r}",
         f"mean_table_reads={stats.mean_table_reads!r}",
         f"mean_sub1_domain={stats.mean_sub1_domain!r}",
+        f"mean_sub2_domain={stats.mean_sub2_domain!r}",
         f"paper_mean_grover_iters={stats.paper_mean_grover_iterations!r}",
         f"paper_mean_classical_evals={stats.paper_mean_classical_evals!r}",
         f"paper_ops_per_block={paper_ops!r}",

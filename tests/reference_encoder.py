@@ -4,8 +4,9 @@ It walks one block at a time through stage 1, the stage-2 rounds and the
 fallback, reading the block's distance row and its own draw for each slot:
 slot 0 is the stage-1 coin, slot 1 the marked pick, and slots 2r+2 and 2r+3
 the iteration count j and the coin of stage-2 round r.  Stage 1 searches
-the block's window, found by a literal scan of the projections
-(``reference_window``).  A stage-2 hit and a fallback are finished by
+the block's window and stage 2 a register of twice its own window, each
+found by a literal scan of the projections (``reference_window``).  A
+stage-2 hit and a fallback are finished by
 ``projection_walk``, a literal sequential walk.  ``reference_encode``
 returns plain ints, and the batch must give every block the same ones
 (``batch_rows``) when fed the same draws, and the same charges as
@@ -31,6 +32,7 @@ from hqvq.encoder import (
     block_facts,
     encode_sub1,
     encode_sub2,
+    strip_half_width,
     sub1_half_width,
     sub1_radii,
     sub1_table,
@@ -87,25 +89,30 @@ def run_stage(stage: int, rows, cb, table, seed: int, paper: bool = False):
     """Run batch stage 1 or 2 alone on every row, with the rows' draws keyed by ``seed``.
 
     Returns (facts, accepted mask, meter with only that stage's charges).
-    Stage 1 runs as ``encode`` runs it, over each row's window (charged its
-    lookup's reads) and over all N, on one table and the same draws; it
-    returns the window's, or with ``paper`` the paper's over all N.
+    Each stage runs as ``encode`` runs it, over each row's window (charged
+    its lookup's reads) and over all N, on the same draws; it returns the
+    window's, or with ``paper`` the paper's over all N.  Stage 2 searches
+    every row, not only those stage 1 fails, and its window's register is
+    twice the window, W_t = 0 running no round.
     """
     rows = np.asarray(rows, dtype=np.float64)
     size = rows.shape[0]
     draw = seeded_draws(seed, size)
     facts = block_facts(rows, cb, table, draw(PICK_SLOT))
-    meter = batch_meter(size)
+    meter, paper_meter = batch_meter(size), batch_meter(size)
     if stage == 1:
-        paper_meter = batch_meter(size)
         u, coins = draw(SUB1_SLOT), sub1_table(cb.n)
         accepted = encode_sub1(facts.t_s, facts.domain_s, u, coins, meter)
         meter.table_reads += 2 * cb.n.bit_length()
         paper_accepted = encode_sub1(facts.t_s, cb.n, u, coins, paper_meter)
-        if paper:
-            return facts, paper_accepted, paper_meter
     else:
-        accepted = encode_sub2(facts, np.arange(size), cb.n, draw, meter)
+        searched = np.flatnonzero(facts.domain_t > 0)
+        meter.table_reads += 2 * cb.n.bit_length()
+        accepted, paper_accepted = encode_sub2(
+            facts.t, ((searched, 2 * facts.domain_t[searched], meter), (np.arange(size), cb.n, paper_meter)), draw
+        )
+    if paper:
+        return facts, paper_accepted, paper_meter
     return facts, accepted, meter
 
 
@@ -181,14 +188,22 @@ def reference_pick(dvec, table, u):
     return marked[min(int(u(PICK_SLOT) * t), t - 1)] if t else None
 
 
-def reference_window(x, codebook) -> int:
-    """Stage 1's domain for x: the codevectors whose projections lie within ``sub1_half_width`` of p(x).
+def reference_window(x, codebook, half=None) -> int:
+    """The codevectors whose projections lie within ``half`` of p(x); stage 1's window by default.
 
     A literal scan over ``Codebook.projections``, both ends inclusive.
+    Stage 1's half-width is ``sub1_half_width``, stage 2's
+    ``strip_half_width(delta_hat)`` (``stage2_window``).
     """
     p = float(kernels.projections(np.asarray([x], dtype=np.float64))[0])
-    half = sub1_half_width(codebook)
+    if half is None:
+        half = sub1_half_width(sub1_radii(codebook), codebook)
     return sum(1 for c in codebook.projections.tolist() if p - half <= c <= p + half)
+
+
+def stage2_window(x, codebook, table) -> int:
+    """Stage 2's window W_t for x: ``reference_window`` at ``strip_half_width(delta_hat)``."""
+    return reference_window(x, codebook, strip_half_width(table.delta_hat, codebook))
 
 
 def reference_encode(x, codebook, table, u, paper: bool = False) -> tuple[int, int, int, int, int]:
@@ -196,10 +211,12 @@ def reference_encode(x, codebook, table, u, paper: bool = False) -> tuple[int, i
 
     Returns (index, path, iterations, evaluations, reads), plain ints, the
     path as its position in ``PATHS``.  Stage 1 searches x's window of
-    ``reference_window`` codevectors, and a stage-2 hit or a fallback is
-    finished by ``projection_walk``.  With ``paper`` the block is charged
-    as the paper's configuration instead: stage 1 over all N, h's whole
-    list after a hit, all N in a fallback, and no table reads.
+    ``reference_window`` codevectors, stage 2 a register of twice its
+    ``stage2_window`` (no round when that is empty), and a stage-2 hit or a
+    fallback is finished by ``projection_walk``.  Each window's lookup reads
+    2 bit_length(N) entries.  With ``paper`` the block is charged as the
+    paper's configuration instead: both stages over all N, h's whole list
+    after a hit, all N in a fallback, and no table reads.
     """
     dvec = [float(d) for d in distances_to_codebook(x, codebook)]
     n = len(dvec)
@@ -219,7 +236,13 @@ def reference_encode(x, codebook, table, u, paper: bool = False) -> tuple[int, i
         meter.classical_distance_evals += 1
         if u(0) < success_chance(t_s, domain, j):
             return plain(index, EncodePath.SUB1, meter)
-    if reference_stage2(dvec, table, u, meter):
+    if paper:
+        domain = n
+    else:
+        meter.table_reads += 2 * n.bit_length()
+        domain = 2 * stage2_window(x, codebook, table)
+        assert domain >= 2 * sum(1 for d in dvec if d < table.delta_hat)  # the window holds every marked index
+    if domain and reference_stage2(dvec, table, u, meter, domain):
         h = reference_pick(dvec, table, u)
         arg, evals, reads = projection_walk(x, codebook, table.neighbors(h), dvec, known=h)
         if paper:
@@ -241,13 +264,14 @@ def plain(index: int, path: EncodePath, meter: QueryMeter) -> tuple[int, int, in
     return (index, PATHS.index(path), meter.grover_iterations, meter.classical_distance_evals, meter.table_reads)
 
 
-def reference_stage2(dvec, table, u, meter: QueryMeter, rounds: list | None = None) -> bool:
-    """Stage 2's rounds alone for one block: charge ``meter``, return whether a round hit.
+def reference_stage2(dvec, table, u, meter: QueryMeter, n: int, rounds: list | None = None) -> bool:
+    """Stage 2's rounds alone for one block over a register of n indices: charge ``meter``, return whether one hit.
 
-    ``rounds``, when given, gets the j of every round that ran, in order.
-    The scan that finishes a hit is ``projection_walk``'s, charged apart.
+    The register holds the block's t marked indices: n is N, or twice the
+    block's window, whose other entries are never marked.  ``rounds``, when
+    given, gets the j of every round that ran, in order.  The scan that
+    finishes a hit is ``projection_walk``'s, charged apart.
     """
-    n = len(dvec)
     t = sum(1 for d in dvec if d < table.delta_hat)
     m, spent, r = 1.0, 0, 0
     while True:

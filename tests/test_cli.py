@@ -18,23 +18,24 @@ BENCH_64_256_SEED_3 = """\
 n=64
 sqrt_n=8.0
 vectors=500
-mean_grover_iters=2.758
-max_grover_iters=26
-mean_classical_evals=2.396
-max_classical_evals=28
+mean_grover_iters=1.94
+max_grover_iters=12
+mean_classical_evals=1.81
+max_classical_evals=27
 frac_s=0.9
 frac_t_minus_s=0.092
 frac_i_minus_t=0.008
 frac_sub1_marked=0.9
-ratio_vs_sqrt_n=0.34475
-ops_per_block=5.154
-ratio_ops_vs_sqrt_n=0.64425
-mean_table_reads=15.236
+ratio_vs_sqrt_n=0.2425
+ops_per_block=3.75
+ratio_ops_vs_sqrt_n=0.46875
+mean_table_reads=17.784
 mean_sub1_domain=6.774
+mean_sub2_domain=8.108
 paper_mean_grover_iters=6.784
 paper_mean_classical_evals=2.68
 paper_ops_per_block=9.464
-ratio_vs_pure_quantum=0.007661111111111111
+ratio_vs_pure_quantum=0.005388888888888888
 count_sub1=409
 count_sub2=87
 count_fallback=4
@@ -42,23 +43,24 @@ count_fallback=4
 n=256
 sqrt_n=16.0
 vectors=500
-mean_grover_iters=4.836
-max_grover_iters=50
-mean_classical_evals=2.814
-max_classical_evals=46
+mean_grover_iters=2.852
+max_grover_iters=19
+mean_classical_evals=1.938
+max_classical_evals=40
 frac_s=0.9
 frac_t_minus_s=0.092
 frac_i_minus_t=0.008
 frac_sub1_marked=0.9
-ratio_vs_sqrt_n=0.30225
-ops_per_block=7.65
-ratio_ops_vs_sqrt_n=0.478125
-mean_table_reads=19.074
+ratio_vs_sqrt_n=0.17825
+ops_per_block=4.79
+ratio_ops_vs_sqrt_n=0.299375
+mean_table_reads=21.522
 mean_sub1_domain=13.636
+mean_sub2_domain=16.428
 paper_mean_grover_iters=13.89
 paper_mean_classical_evals=4.624
 paper_ops_per_block=18.514
-ratio_vs_pure_quantum=0.006716666666666667
+ratio_vs_pure_quantum=0.0039611111111111106
 count_sub1=432
 count_sub2=64
 count_fallback=4
@@ -70,7 +72,7 @@ ENCODE_SEED_3 = """\
 n=8
 sqrt_n=2.8284271247461903
 vectors=128
-mean_grover_iters=1.359375
+mean_grover_iters=1.3515625
 max_grover_iters=10
 mean_classical_evals=2.65625
 max_classical_evals=15
@@ -78,15 +80,16 @@ frac_s=0.328125
 frac_t_minus_s=0.65625
 frac_i_minus_t=0.015625
 frac_sub1_marked=0.6171875
-ratio_vs_sqrt_n=0.48061164033773146
-ops_per_block=4.015625
-ratio_ops_vs_sqrt_n=1.4197378341011149
-mean_table_reads=11.015625
+ratio_vs_sqrt_n=0.47784950447372154
+ops_per_block=4.0078125
+ratio_ops_vs_sqrt_n=1.416975698237105
+mean_table_reads=14.828125
 mean_sub1_domain=2.2890625
+mean_sub2_domain=3.3984375
 paper_mean_grover_iters=2.5703125
 paper_mean_classical_evals=3.7109375
 paper_ops_per_block=6.28125
-ratio_vs_pure_quantum=0.010680258674171812
+ratio_vs_pure_quantum=0.010618877877193813
 count_sub1=67
 count_sub2=59
 count_fallback=2
@@ -100,17 +103,18 @@ sqrt_n=2.8284271247461903
 vectors=128
 mean_grover_iters=1.3359375
 max_grover_iters=10
-mean_classical_evals=2.796875
+mean_classical_evals=2.8359375
 max_classical_evals=17
 frac_s=0.328125
 frac_t_minus_s=0.65625
 frac_i_minus_t=0.015625
 frac_sub1_marked=0.6171875
 ratio_vs_sqrt_n=0.47232523274570165
-ops_per_block=4.1328125
-ratio_ops_vs_sqrt_n=1.461169872061264
-mean_table_reads=11.0703125
+ops_per_block=4.171875
+ratio_ops_vs_sqrt_n=1.474980551381314
+mean_table_reads=14.9453125
 mean_sub1_domain=2.2890625
+mean_sub2_domain=3.3984375
 paper_mean_grover_iters=2.5546875
 paper_mean_classical_evals=3.640625
 paper_ops_per_block=6.1953125
@@ -246,10 +250,11 @@ class TestWorkflow:
         assert main(["bench", "--sizes", "64,256", "--vectors", "500", "--seed", "3"]) == 0
         assert capsys.readouterr().out == BENCH_64_256_SEED_3
         # a property that must hold whatever figures a later change pins:
-        # stage 1 searches each block's window, the paper's stage 1 all N
+        # each stage searches each block's window, the paper's stages all N
         for size in BENCH_64_256_SEED_3.split("\n\n"):
             r = report_values(size)
             assert float(r["mean_grover_iters"]) < float(r["paper_mean_grover_iters"])
+            assert float(r["mean_sub2_domain"]) <= int(r["n"])
 
     def test_image_encode_report_is_pinned(self, tmp_path, image_path):
         # the image path: trained float codebook, uint8 blocks and choose_delta_hat

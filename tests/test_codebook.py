@@ -249,6 +249,13 @@ class TestDelta0:
         with pytest.raises(ValueError, match="read-only"):
             cb.axis[0] = 0.0
 
+    def test_norm_scale_bounds_every_norm(self):
+        # computed once at construction, with the bits strip_half_width's margins took on every call;
+        # the largest magnitude is a negative component here
+        cb = Codebook(np.random.default_rng(10).normal(size=(40, 3)) * [1.0, -1e3, 1e-3] - [0.0, 5e3, 0.0])
+        assert cb.norm_scale == math.sqrt(3) * float(np.abs(cb.vectors).max())
+        assert np.all(np.linalg.norm(cb.vectors, axis=1) <= cb.norm_scale)
+
 
 def reference_train(samples, n, seed, max_iter=60):
     """Plain Lloyd over every sample row, cells gathered with a mask.

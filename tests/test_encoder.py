@@ -18,6 +18,7 @@ from reference_encoder import (
     reference_window,
     run_stage,
     seeded_draws,
+    stage2_window,
     sub1_iterations,
     success_chance,
     trials,
@@ -49,6 +50,7 @@ from hqvq.encoder import (
     encode_sub2,
     finishing_walks,
     nearest_distances,
+    strip_half_width,
     sub1_half_width,
     sub1_radii,
     sub1_table,
@@ -98,23 +100,17 @@ def midpoint_case():
     return rounded_midpoint(np.random.default_rng(0), 3)
 
 
-def stage2_rounds(x, cb, table, draw, ordinal) -> list:
-    """The j of every stage-2 round the per-block reference runs for this block."""
-    rounds = []
-    reference_stage2(distances_to_codebook(x, cb), table, block_draws(draw, ordinal), QueryMeter(), rounds)
-    return rounds
+def stage2_rounds(x, cb, table, draw, ordinal, paper=False) -> list:
+    """The j of every stage-2 round the per-block reference runs for this block.
 
-
-def hand_facts(t) -> BlockFacts:
-    """``BlockFacts`` for blocks of the given marked counts at delta_hat, none marked by stage 1, all on one row.
-
-    Stage 2 reads only the counts.
+    Over twice its window, or with ``paper`` over all N; an empty window runs none.
     """
-    t = np.asarray(t, dtype=np.int64)
-    zero = np.zeros(t.size, dtype=np.int64)
-    return BlockFacts(
-        index=zero, nearest=zero + 1.0, t_s=zero, domain_s=zero + 1, t=t, pick=np.where(t > 0, 0, -1), row=zero
-    )
+    domain = cb.n if paper else 2 * stage2_window(x, cb, table)
+    rounds = []
+    if domain:
+        dvec = distances_to_codebook(x, cb)
+        reference_stage2(dvec, table, block_draws(draw, ordinal), QueryMeter(), domain, rounds)
+    return rounds
 
 
 def encode_rows(rows, cb, table, seed):
@@ -246,6 +242,9 @@ class TestSub1:
 
 
 class TestSub2:
+    # run_stage(2, ...) gives the window's stage 2, a register of 2 W_t, and with paper=True
+    # the paper's over all N: each test keeps its N-based expectation on the paper's
+
     def test_singleton_neighborhood_returns_it(self):
         # isolated codevector far from the cluster: its list is {itself}
         cb = Codebook([[0.0], [1.0], [2.0], [100.0]])
@@ -253,14 +252,16 @@ class TestSub2:
         assert list(table.neighbors(3)) == [3]
         x = [100.6]  # inside the shell of codevector 3 only
         rows = trials(x, 100)
-        facts, accepted, meter = run_stage(2, rows, cb, table, 5)
-        assert np.all(facts.index == 3) and np.all(facts.t == 1)
-        assert np.all(facts.pick == 3)  # a hit measures 3, its list's only entry
-        assert accepted.any()
         draw = seeded_draws(5, 100)
-        for ordinal in np.flatnonzero(accepted):
-            rounds = stage2_rounds(x, cb, table, draw, ordinal)
-            assert meter.classical_distance_evals[ordinal] == len(rounds)
+        for paper in (False, True):
+            facts, accepted, meter = run_stage(2, rows, cb, table, 5, paper=paper)
+            assert np.all(facts.index == 3) and np.all(facts.t == 1)
+            assert np.all(facts.domain_t == 1)  # the window holds 3 alone: a register of 2, t/D = 1/2
+            assert np.all(facts.pick == 3)  # a hit measures 3, its list's only entry
+            assert accepted.any()
+            for ordinal in np.flatnonzero(accepted):
+                rounds = stage2_rounds(x, cb, table, draw, ordinal, paper)
+                assert meter.classical_distance_evals[ordinal] == len(rounds)
         # the walk reads 3 after a one-probe locate and evaluates nothing: 3's distance is known
         evals, reads = finishing_walks(rows, facts, cb, table, accepted, np.zeros(100, dtype=bool))
         assert evals.tolist() == [0] * 100
@@ -276,29 +277,44 @@ class TestSub2:
             x = np.full(cb.k, 305.0)  # far beyond every codevector's threshold
             assert marked_count(x, cb, delta_hat) == 0
             budget = sub2_budget(n)
-            _, accepted, meter = run_stage(2, trials(x, 200), cb, table, 6)
+            _, accepted, meter = run_stage(2, trials(x, 200), cb, table, 6, paper=True)
             assert not accepted.any()
             assert np.all(meter.grover_iterations <= budget)
             draw = seeded_draws(6, 200)
             for ordinal in range(200):
-                rounds = stage2_rounds(x, cb, table, draw, ordinal)
+                rounds = stage2_rounds(x, cb, table, draw, ordinal, paper=True)
                 assert meter.classical_distance_evals[ordinal] == len(rounds)
+            # x's window is empty as well: the window's stage 2 runs no round
+            facts, accepted, meter = run_stage(2, trials(x, 200), cb, table, 6)
+            assert np.all(facts.domain_t == 0) and not accepted.any()
+            assert not meter.grover_iterations.any() and not meter.classical_distance_evals.any()
+        # (305, -305) projects onto (0, 0), alone on its anti-diagonal, and marks nothing:
+        # a register of 2 with t = 0 and a budget of ceil(3 sqrt 2) = 5
+        x = np.array([305.0, -305.0])
+        facts, accepted, meter = run_stage(2, trials(x, 200), cb, table, 6)
+        assert np.all(facts.domain_t == 1) and np.all(facts.t == 0) and sub2_budget(2) == 5
+        assert not accepted.any() and np.all(meter.grover_iterations <= 5)
+        for ordinal in range(200):
+            rounds = stage2_rounds(x, cb, table, draw, ordinal)
+            assert meter.grover_iterations[ordinal] == sum(rounds)
+            assert meter.classical_distance_evals[ordinal] == len(rounds)
 
     def test_meter_charges_every_drawn_iteration(self):
         # encode_sub2 is the only place stage-2 iterations are charged: the
         # meter equals the sum of the drawn j, which never exceeds the budget
         cb, table = make_setup(64)
-        budget = sub2_budget(64)
         rng = np.random.default_rng(53)
         shell = cb.vectors[20] + (cb.delta0 / 2.0) * 1.1 / math.sqrt(2.0)
         points = [shell, np.array([305.0, 305.0]), *rng.uniform(-20, 100, size=(8, 2))]
         rows = np.repeat(np.array(points), 50, axis=0)
-        _, _, meter = run_stage(2, rows, cb, table, 15)
         draw = seeded_draws(15, rows.shape[0])
-        for ordinal, x in enumerate(rows):
-            rounds = stage2_rounds(x, cb, table, draw, ordinal)
-            assert meter.grover_iterations[ordinal] == sum(rounds)
-        assert np.all(meter.grover_iterations <= budget)
+        for paper in (False, True):
+            facts, _, meter = run_stage(2, rows, cb, table, 15, paper=paper)
+            for ordinal, x in enumerate(rows):
+                rounds = stage2_rounds(x, cb, table, draw, ordinal, paper)
+                assert meter.grover_iterations[ordinal] == sum(rounds)
+            budget = sub2_budget(64) if paper else np.where(facts.domain_t > 0, sub2_budget(2 * facts.domain_t), 0)
+            assert np.all(meter.grover_iterations <= budget)
 
     def test_success_charges_neighborhood_scan(self):
         cb = Codebook([[0.0], [1.0], [2.0], [100.0]])
@@ -307,13 +323,14 @@ class TestSub2:
         dvec = distances_to_codebook(x, cb)
         marked = marked_set_from_distances(dvec, table.delta_hat)
         draw = seeded_draws(7, 1)
-        facts, accepted, meter = run_stage(2, [x], cb, table, 7)
-        assert accepted[0]
-        h = marked[int(draw(PICK_SLOT)[0] * marked.size)]  # the index the hit measures
-        assert 1 in table.neighbors(h)  # the optimum lies in the verified index's list
-        assert facts.pick[0] == h
-        rounds = stage2_rounds(x, cb, table, draw, 0)
-        assert meter.classical_distance_evals[0] == len(rounds)  # the rounds' verifications
+        for paper in (False, True):
+            facts, accepted, meter = run_stage(2, [x], cb, table, 7, paper=paper)
+            assert accepted[0]
+            h = marked[int(draw(PICK_SLOT)[0] * marked.size)]  # the index the hit measures
+            assert 1 in table.neighbors(h)  # the optimum lies in the verified index's list
+            assert facts.pick[0] == h
+            rounds = stage2_rounds(x, cb, table, draw, 0, paper)
+            assert meter.classical_distance_evals[0] == len(rounds)  # the rounds' verifications
         # the walk visits the list's entries within half_width(0.3) of p(x) = 0.7: codevector 1 alone
         evals, reads = finishing_walks(np.array([x]), facts, cb, table, accepted, ~accepted)
         assert projection_walk(x, cb, table.neighbors(h), dvec, known=h) == (1, evals[0], reads[0])
@@ -322,33 +339,52 @@ class TestSub2:
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 255, 1024])
     def test_success_table_is_marked_probability(self, n):
         # every t a block can have and every j a round can draw, with the bits
-        # the per-block reference computes one block at a time
+        # the per-block reference computes one block at a time: over one N
         table = success_table(np.arange(n + 1, dtype=np.int64), n)
         width = math.isqrt(n) + 1
         assert table.shape == (n + 1, width)
         want = [[success_chance(t, n, j) for j in range(width)] for t in range(n + 1)]
         assert table.tobytes() == np.array(want).tobytes()
+        # and over each level's own register of 2 W_t, t <= W_t <= n, as the window's rounds read it:
+        # every pair up to n = 16, 300 drawn pairs beyond
+        levels, domains = np.divmod(np.arange((n + 1) ** 2, dtype=np.int64), n + 1)
+        keep = np.flatnonzero((levels <= domains) & (domains > 0))
+        if keep.size > 300:
+            keep = np.random.default_rng(n).choice(keep, size=300, replace=False)
+        levels, domains = levels[keep], 2 * domains[keep]
+        table = success_table(levels, domains)
+        width = math.isqrt(int(domains.max())) + 1
+        want = [[success_chance(t, d, j) for j in range(width)] for t, d in zip(levels.tolist(), domains.tolist())]
+        assert table.tobytes() == np.array(want).tobytes()
 
     def test_budget_leavers_and_hits_in_one_round(self):
         # far blocks (t = 0) run out of budget in the rounds where blocks with
-        # t = 1 still hit; every block's meter is written when it leaves
-        cb = line_codebook(64)
-        table = build_neighborhoods(cb, 6.0)
-        rows = np.array([[0.0], [1e4]] * 100)
-        facts, accepted, meter = run_stage(2, rows, cb, table, 1)
-        assert facts.t.tolist() == [1, 0] * 100
-        draw = seeded_draws(1, rows.shape[0])
-        left, hit = set(), set()
-        for ordinal, x in enumerate(rows):
-            want = QueryMeter()
-            rounds = []
-            ok = reference_stage2(distances_to_codebook(x, cb), table, block_draws(draw, ordinal), want, rounds)
-            assert accepted[ordinal] == ok
-            assert meter.grover_iterations[ordinal] == want.grover_iterations
-            assert meter.classical_distance_evals[ordinal] == want.classical_distance_evals
-            # a hit in round r ran r + 1 rounds; a leaver in round r ran r
-            (hit if ok else left).add(len(rounds) - ok)
-        assert left & hit
+        # t = 1 still hit; every block's meter is written when it leaves.  Over N
+        # the blocks sit on a line; the window's far block needs a non-empty window,
+        # so it projects onto (0, 0), alone on its anti-diagonal of the grid
+        line = line_codebook(64)
+        grid, grid_table = make_setup(64)
+        for paper, cb, table, rows in (
+            (True, line, build_neighborhoods(line, 6.0), np.array([[0.0], [1e4]] * 100)),
+            (False, grid, grid_table, np.array([[0.3, -0.3], [305.0, -305.0]] * 100)),
+        ):
+            facts, accepted, meter = run_stage(2, rows, cb, table, 1, paper=paper)
+            assert facts.t.tolist() == [1, 0] * 100
+            assert paper or facts.domain_t.tolist() == [1, 1] * 100
+            draw = seeded_draws(1, rows.shape[0])
+            left, hit = set(), set()
+            for ordinal, x in enumerate(rows):
+                want = QueryMeter()
+                rounds = []
+                domain = cb.n if paper else 2 * stage2_window(x, cb, table)
+                dvec = distances_to_codebook(x, cb)
+                ok = reference_stage2(dvec, table, block_draws(draw, ordinal), want, domain, rounds)
+                assert accepted[ordinal] == ok
+                assert meter.grover_iterations[ordinal] == want.grover_iterations
+                assert meter.classical_distance_evals[ordinal] == want.classical_distance_evals
+                # a hit in round r ran r + 1 rounds; a leaver in round r ran r
+                (hit if ok else left).add(len(rounds) - ok)
+            assert left & hit
 
     def test_budget_boundary_with_chosen_draws(self):
         # N = 16, t = 1: budget 12, cutoffs 2, 2, 2, 2, 3, 3, 3, 4 in rounds 0..7.
@@ -365,22 +401,71 @@ class TestSub2:
             return np.zeros(2) if coin else np.array([0.6, 0.9])
 
         meter = batch_meter(2)
-        accepted = encode_sub2(hand_facts(t=[1, 1]), np.arange(2), n, draw, meter)
+        (accepted,) = encode_sub2(np.array([1, 1]), ((np.arange(2), n, meter),), draw)
         # on the budget: accepted after 8 verifications; past it: left after the 7 rounds before
         assert accepted.tolist() == [True, False]
         assert meter.grover_iterations.tolist() == [12, 10]
         assert meter.classical_distance_evals.tolist() == [8, 7]
+        # D = 8 on the same draws: budget ceil(3 sqrt 8) = 9, cutoffs 2, 2, 2, 2, 3, 3, 3, 3,
+        # capped at floor(sqrt 8) + 1.  Both spend 10 > 9 by round 6 (1 + 1 + 1 + 1 + 2 + 2 + 2)
+        # and leave there, charged the 6 rounds before and their 8 iterations
+        assert sub2_budget(8) == 9
+        window, paper = batch_meter(2), batch_meter(2)
+        both = encode_sub2(np.array([1, 1]), ((np.arange(2), 8, window), (np.arange(2), n, paper)), draw)
+        assert [mask.tolist() for mask in both] == [[False, False], [True, False]]
+        assert window.grover_iterations.tolist() == [8, 8]
+        assert window.classical_distance_evals.tolist() == [6, 6]
+        assert meter_rows(paper) == meter_rows(meter)
+
+    def test_no_live_block_draws_nothing(self):
+        # a batch whose every block stage 1 passed, or whose windows are all empty, runs no round
+        meter = batch_meter(3)
+        masks = encode_sub2(np.array([1, 0, 2]), ((np.zeros(0, dtype=np.int64), 64, meter),) * 2, no_draw)
+        assert [mask.tolist() for mask in masks] == [[False] * 3] * 2
+        assert meter_rows(meter) == [(0, 0, 0)] * 3
+
+    def test_two_searches_read_each_round_draw_once(self):
+        # one call runs a window search (a register per block) and an N search on one
+        # draw function; each slot is drawn once, and each search equals its reference
+        cb, table = make_setup(64)
+        rows = clustered_dataset(cb, table.delta_hat, 300, seed=9)
+        draw = seeded_draws(4, rows.shape[0])
+        drawn = []
+
+        def counted(slot):
+            drawn.append(slot)
+            return draw(slot)
+
+        facts = block_facts(rows, cb, table, draw(PICK_SLOT))
+        window, paper = batch_meter(rows.shape[0]), batch_meter(rows.shape[0])
+        searched = np.flatnonzero(facts.domain_t > 0)
+        everyone = np.arange(rows.shape[0])
+        searches = ((searched, 2 * facts.domain_t[searched], window), (everyone, cb.n, paper))
+        accepted, paper_accepted = encode_sub2(facts.t, searches, counted)
+        assert len(drawn) == len(set(drawn)) and sorted(drawn) == list(range(2, 2 + len(drawn)))
+        for ordinal, x in enumerate(rows):
+            dvec = distances_to_codebook(x, cb)
+            domains = (2 * stage2_window(x, cb, table), cb.n)
+            for meter, mask, domain in zip((window, paper), (accepted, paper_accepted), domains):
+                want = QueryMeter()
+                ok = bool(domain) and reference_stage2(dvec, table, block_draws(draw, ordinal), want, domain)
+                assert mask[ordinal] == ok
+                assert meter_rows(meter)[ordinal] == (want.grover_iterations, want.classical_distance_evals, 0)
 
     def test_mean_iterations_within_bbht_bound(self):
-        # smaller cousin of the acceptance check: t=4 solutions out of n=256
+        # smaller cousin of the acceptance check: t=4 solutions out of n=256, and
+        # out of the window's register of 2 W_t = 2t
         n, t = 256, 4
         cb = line_codebook(n)
         delta_hat = 10.0 * t - 5.0  # marks exactly the first t codevectors of x=0
         table = build_neighborhoods(cb, delta_hat)
         x = np.array([0.0])
         assert marked_count(x, cb, delta_hat) == t
-        _, _, meter = run_stage(2, trials(x, 400), cb, table, 9)
+        _, _, meter = run_stage(2, trials(x, 400), cb, table, 9, paper=True)
         assert np.mean(meter.grover_iterations) <= 1.1 * 2.25 * math.sqrt(n / t)
+        facts, _, meter = run_stage(2, trials(x, 400), cb, table, 9)
+        assert np.all(facts.domain_t == t)
+        assert np.mean(meter.grover_iterations) <= 1.1 * 2.25 * math.sqrt(2 * t / t)
 
 
 class TestEncode:
@@ -422,32 +507,39 @@ class TestEncode:
         x = [500.0, 500.0]
         cfg = EncoderConfig(delta_hat=table.delta_hat, master_seed=13)
         _, stats, batch = encode_vectors([x], cb, table, cfg)
-        ((_, path, _, evals, reads),) = batch_rows(batch)
+        ((_, path, iterations, evals, reads),) = batch_rows(batch)
         assert path == FALLBACK
         # x - c_15 lies along the mean axis, so c_15's projection gap is d* itself:
         # the margin keeps it in the strip, and the walk evaluates it alone.  It
         # reads 5 probes to locate p(x) past the last of 16 entries, c_15, and
         # the entry that closes the lower side
         assert projection_walk(x, cb, range(16), distances_to_codebook(x, cb)) == (15, 1, 5 + 1 + 1)
-        # the walk's 7 reads and stage 1's window lookup, 2 bit_length(16)
+        # the walk's 7 reads and the two windows' lookups, 2 bit_length(16) each
         walk = finishing_walks(np.array([x]), batch.facts, cb, table, np.array([False]), np.array([True]))
-        assert walk[0].tolist() == [1] and reads == 7 + 10
-        # stage 1's window is empty (W = 0), so no verification: sub2 rounds (>=1) + the walk (1)
-        assert batch.facts.domain_s.tolist() == [0]
-        assert evals >= 1 + 1
-        # the paper's stage 1 verifies once, and its full scan charges 16
-        assert stats.paper_mean_classical_evals == evals + 1 - 1 + 16
-        assert batch.paper.classical_distance_evals.tolist() == [evals + 16]
+        assert walk[0].tolist() == [1] and reads == 7 + 10 + 10
+        # both windows are empty (W = W_t = 0): no verification and no stage-2 round, the walk's 1 alone
+        assert batch.facts.domain_s.tolist() == batch.facts.domain_t.tolist() == [0]
+        assert (iterations, evals) == (0, 1)
+        # the paper's stage 1 verifies once, its rounds over N verify each (>= 1), and its full scan charges 16
+        rounds = stage2_rounds(np.array(x), cb, table, seeded_draws(13, 1), 0, paper=True)
+        assert len(rounds) >= 1
+        assert batch.paper.classical_distance_evals.tolist() == [1 + len(rounds) + 16]
+        assert stats.paper_mean_classical_evals == 1 + len(rounds) + 16
 
     def test_total_iteration_budget(self):
         cb, table = make_setup(64)
         cap = sub1_iterations(64) + sub2_budget(64)
         xs = np.random.default_rng(51).uniform(-20, 100, size=(300, 2))
         batch = encode(xs, cb, table, seeded_draws(14, 300))
-        assert np.all(batch.meter.grover_iterations <= cap)
         assert np.all(batch.paper.grover_iterations <= cap)
-        # the window's stage 1 never costs more than the paper's; a block only it sends on
-        # to stage 2 adds at most the budget
+        # each block's own cap: stage 1 over its window, and stage 2's budget over its register of 2 W_t
+        facts = batch.facts
+        own = sub1_table(64)[0][facts.domain_s] + np.where(facts.domain_t > 0, sub2_budget(2 * facts.domain_t), 0)
+        assert np.all(batch.meter.grover_iterations <= own)
+        assert np.all(own <= cap) and np.any(own < cap)
+        # the window's stage 1 never costs more than the paper's; its stage 2 adds at most
+        # its budget, here within the paper's, as no window holds more than N/2 codevectors
+        assert np.all(2 * facts.domain_t <= 64)
         assert np.all(batch.meter.grover_iterations <= batch.paper.grover_iterations + sub2_budget(64))
 
     def test_midpoint_of_two_codevectors_matches_full_search(self):
@@ -714,7 +806,7 @@ def window_case(case: str, rng: np.random.Generator, k: int, n: int):
         c = cb.vectors[np.argmax(radii)]
         stretch = 1.0 + np.arange(-6, 3)[:, None] * 2.0**-52
         rows = np.vstack([c + radii.max() * stretch * u, c - radii.max() * stretch * u])
-        half = sub1_half_width(cb)
+        half = sub1_half_width(sub1_radii(cb), cb)
         rows = np.vstack([rows, at + half * u, at - half * u, at + direction * radii.max() / 2])
     elif case == "empty":
         rows = at + (1e3 + 10.0 * np.abs(cb.vectors).max()) * u
@@ -749,7 +841,7 @@ def test_stage1_window_holds_every_index_it_can_mark(case, seed, k, n, master_se
     cfg = EncoderConfig(delta_hat=table.delta_hat, master_seed=master_seed)
     indices, _, batch = encode_vectors(rows, cb, table, cfg)
     draw = seeded_draws(master_seed, rows.shape[0])
-    half = sub1_half_width(cb)
+    half = sub1_half_width(sub1_radii(cb), cb)
     got, paper = batch_rows(batch), meter_rows(batch.paper)
     for ordinal, x in enumerate(rows):
         oracle, _ = full_search(x, cb)
@@ -770,6 +862,112 @@ def test_stage1_window_holds_every_index_it_can_mark(case, seed, k, n, master_se
         assert paper[ordinal] == reference_encode(x, cb, table, u, paper=True)[2:]
     if case == "alone":
         assert batch.facts.t_s.any()
+
+
+STAGE2_WINDOW_CASES = ("edge", "shared_projection", "full", "empty")
+
+
+def stage2_window_case(case: str, rng: np.random.Generator, k: int, n: int, factor: float):
+    """(codebook, delta_hat, rows) on one boundary of stage 2's projection window.
+
+    - edge: x - c along the mean axis at delta_hat, a few ulps either way,
+      so a marked c sits at a projection gap of delta_hat, the window's reach
+      less its margin; and x on p(c') -+ ``strip_half_width(delta_hat)``,
+      the window's edges;
+    - shared_projection: integer codevectors with one sum, so one projection
+      and W_t = N, and blocks within 0.9 delta_hat of them;
+    - full: codevectors 10 apart along the mean axis and blocks on that
+      axis, each a gap of 0.5 to 1.5 from a codevector and at least 1 from
+      each shell: every codevector in the window is marked, W_t = t;
+    - empty: blocks beyond every projection, W_t = 0, and blocks between
+      stage 2's half-width and stage 1's from a codevector, where stage 1's
+      window can hold codevectors that stage 2's does not.
+    """
+    u = np.ones(k) / math.sqrt(k)
+    if case == "shared_projection":
+        k = max(k, 2)
+        head = np.column_stack([rng.permutation(np.arange(-20, 21))[:n], rng.integers(-9, 10, size=(n, k - 2))])
+        cb = Codebook(np.column_stack([head, 7 - head.sum(axis=1)]).astype(np.float64))
+    elif case == "full":
+        cb = Codebook(10.0 * np.arange(n)[:, None] * u + rng.normal(size=k) * 3.0)
+    else:
+        cb = Codebook(rng.normal(size=(n, k)))
+    delta_hat = factor * cb.delta0 / 2.0
+    half = strip_half_width(delta_hat, cb)
+    u = np.ones(cb.k) / math.sqrt(cb.k)
+    at = cb.vectors[rng.integers(0, cb.n, size=8)]
+    direction = rng.normal(size=(8, cb.k))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    if case == "edge":
+        c = cb.vectors[rng.integers(0, cb.n)]
+        stretch = 1.0 + np.arange(-6, 3)[:, None] * 2.0**-52
+        rows = np.vstack([c + delta_hat * stretch * u, c - delta_hat * stretch * u, at + half * u, at - half * u])
+    elif case == "shared_projection":
+        rows = np.vstack([at, at + direction * (delta_hat * rng.uniform(0.0, 0.9, size=(8, 1)))])
+    elif case == "full":
+        gap = rng.uniform(0.5, 1.5, size=(8, 1)) * rng.choice([-1.0, 1.0], size=(8, 1))
+        return cb, delta_hat, at + gap * u
+    else:
+        reach = max(sub1_half_width(sub1_radii(cb), cb), half)
+        beyond = at + (1e3 + 10.0 * np.abs(cb.vectors).max()) * u
+        rows = np.vstack([beyond, at + (half + reach) / 2 * u, at - (half + reach) / 2 * u])
+    ulps = rng.integers(-3, 4, size=rows.shape)
+    return cb, delta_hat, rows + ulps * np.spacing(rows)
+
+
+@settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(case="edge", seed=0, k=2, n=5, factor=1.0, master_seed=0)
+@example(case="edge", seed=1, k=1, n=3, factor=3.0, master_seed=1)
+@example(case="shared_projection", seed=2, k=2, n=12, factor=1.25, master_seed=2)
+@example(case="full", seed=3, k=3, n=6, factor=2.0, master_seed=3)
+@example(case="full", seed=4, k=1, n=4, factor=3.0, master_seed=4)
+@example(case="empty", seed=5, k=2, n=4, factor=1.0, master_seed=5)
+@given(
+    case=st.sampled_from(STAGE2_WINDOW_CASES),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    n=st.integers(2, 12),
+    factor=st.sampled_from([1.0, 1.25, 2.0, 3.0]),
+    master_seed=st.integers(0, 2**32 - 1),
+)
+def test_stage2_window_holds_every_marked_index(case, seed, k, n, factor, master_seed):
+    # W_t is the literal count of projections within strip_half_width(delta_hat)
+    # of p(x); every index marked at delta_hat lies in it, so t <= W_t; full
+    # search is the oracle, and every block's charges and its paper's charges
+    # match the per-block reference.  A block with W_t = 0 runs no round, is
+    # charged nothing by stage 2 and falls back unless stage 1 passed it
+    rng = np.random.default_rng(seed)
+    cb, delta_hat, rows = stage2_window_case(case, rng, k, n, factor)
+    table = build_neighborhoods(cb, delta_hat)
+    cfg = EncoderConfig(delta_hat=delta_hat, master_seed=master_seed)
+    indices, _, batch = encode_vectors(rows, cb, table, cfg)
+    draw = seeded_draws(master_seed, rows.shape[0])
+    half = strip_half_width(delta_hat, cb)
+    facts = batch.facts
+    got, paper = batch_rows(batch), meter_rows(batch.paper)
+    for ordinal, x in enumerate(rows):
+        assert indices[ordinal] == full_search(x, cb)[0]
+        width = int(facts.domain_t[ordinal])
+        assert width == stage2_window(x, cb, table)
+        p = kernels.projections(x[None])[0]
+        marked = marked_set_from_distances(distances_to_codebook(x, cb), delta_hat)
+        assert marked.size == facts.t[ordinal] <= width
+        assert np.all((p - half <= cb.projections[marked]) & (cb.projections[marked] <= p + half))
+        u = block_draws(draw, ordinal)
+        assert got[ordinal] == reference_encode(x, cb, table, u)
+        assert paper[ordinal] == reference_encode(x, cb, table, u, paper=True)[2:]
+    if case == "shared_projection":
+        assert np.all(facts.domain_t == cb.n)
+    elif case == "full":
+        assert np.all(facts.domain_t == facts.t) and np.all(facts.t >= 1)
+    elif case == "empty":
+        assert np.any(facts.domain_t == 0)
+    # stage 2 alone: a block with an empty window is not searched and is charged nothing
+    _, accepted, meter = run_stage(2, rows, cb, table, master_seed)
+    empty = facts.domain_t == 0
+    assert not accepted[empty].any() and np.all(batch.path[empty] != PATHS.index(EncodePath.SUB2))
+    assert not meter.grover_iterations[empty].any() and not meter.classical_distance_evals[empty].any()
+    assert np.all(meter.table_reads == 2 * cb.n.bit_length())
 
 
 WALK_CASES = ("mean_axis", "shared_projection", "ties", "isolated", "random")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from reference_encoder import batch_rows
+from reference_encoder import batch_meter, batch_rows, seeded_draws
 
 from hqvq import (
     BlockGeometry,
@@ -26,7 +26,7 @@ from hqvq import (
     serialize_stream,
 )
 from hqvq.codebook import MAX_COMPONENT
-from hqvq.encoder import PATHS, EncodePath, finishing_walks, sub1_table
+from hqvq.encoder import PATHS, EncodePath, encode_sub2, finishing_walks, sub1_table
 from hqvq.pipeline import PartitionStats
 
 
@@ -289,19 +289,25 @@ class TestEncodeVectors:
         paper = batch.paper
         passed = paper.classical_distance_evals == 1
         assert np.all(paper.grover_iterations[passed] == 6) and np.all(paper.grover_iterations >= 6)
-        # a block both stage 1s send on is charged the same rounds, then its own scan
-        both = (sub2 | fallback) & ~passed
-        rounds = batch.meter.classical_distance_evals - np.minimum(batch.facts.domain_s, 1) - walks
-        assert np.array_equal(paper.classical_distance_evals[both], 1 + rounds[both] + whole[both])
+        # a block the paper's stage 1 sends on is charged the paper's own rounds over N, as they
+        # run alone on the same draws, then its own scan: h's whole list after its hit, else all N
+        rounds = batch_meter(rows.shape[0])
+        sent = np.flatnonzero(~passed)
+        (hit,) = encode_sub2(batch.facts.t, ((sent, cb.n, rounds),), seeded_draws(cfg.master_seed, rows.shape[0]))
+        scan = np.where(hit, np.append(table.sizes(), 0)[batch.facts.pick], cb.n)
+        assert np.array_equal(paper.grover_iterations, 6 + rounds.grover_iterations)
+        assert np.array_equal(paper.classical_distance_evals[sent], (1 + rounds.classical_distance_evals + scan)[sent])
         assert stats.paper_mean_classical_evals == float(paper.classical_distance_evals.mean())
         assert stats.paper_mean_grover_iterations == float(paper.grover_iterations.mean())
         assert stats.mean_classical_evals < stats.paper_mean_classical_evals
         assert stats.mean_grover_iterations < stats.paper_mean_grover_iterations
         assert stats.mean_table_reads == float(batch.meter.table_reads.mean())
         assert stats.mean_sub1_domain == float(batch.facts.domain_s.mean())
-        # stage 1 reads two binary searches' worth, 2 bit_length(64); the walks read more
+        assert stats.mean_sub2_domain == float(batch.facts.domain_t.mean())
+        # each window's lookup reads two binary searches' worth, 2 bit_length(64): stage 1's
+        # for every block, stage 2's for every block that enters it; the walks read more
         assert np.all(batch.meter.table_reads[~(sub2 | fallback)] == 14)
-        assert np.all(batch.meter.table_reads[sub2 | fallback] > 14)
+        assert np.all(batch.meter.table_reads[sub2 | fallback] > 28)
         assert np.all(paper.table_reads == 0)
 
     def test_a_blocks_charges_depend_only_on_that_block(self):
@@ -329,7 +335,7 @@ class TestReport:
             count_sub1=90, count_sub2=9, count_fallback=1,
             mean_grover_iterations=mean_grover, max_grover_iterations=20,
             mean_classical_evals=3.0, max_classical_evals=50,
-            mean_table_reads=7.5, mean_sub1_domain=21.0,
+            mean_table_reads=7.5, mean_sub1_domain=21.0, mean_sub2_domain=17.5,
             paper_mean_grover_iterations=14.0, paper_mean_classical_evals=12.0,
         )
 
@@ -355,7 +361,7 @@ class TestReport:
             "count_sub1", "count_sub2", "count_fallback",
             "frac_sub1_marked", "ops_per_block", "ratio_ops_vs_sqrt_n",
             "mean_table_reads", "paper_mean_classical_evals", "paper_ops_per_block",
-            "mean_sub1_domain", "paper_mean_grover_iters",
+            "mean_sub1_domain", "mean_sub2_domain", "paper_mean_grover_iters",
         ):
             assert key in got
 
@@ -375,7 +381,11 @@ class TestReport:
         assert float(got["paper_ops_per_block"]) == 26.0
         assert float(got["mean_table_reads"]) == 7.5
         assert float(got["mean_sub1_domain"]) == 21.0
+        assert float(got["mean_sub2_domain"]) == 17.5
         assert float(got["ops_per_block"]) == 11.0
+        # the two windows' sizes sit side by side
+        keys = list(got)
+        assert keys.index("mean_sub2_domain") == keys.index("mean_sub1_domain") + 1
 
 
 class TestSyntheticDataset:
