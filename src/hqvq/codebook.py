@@ -76,8 +76,11 @@ class Codebook:
     each codevector's distance to its nearest other one (a read-only (N,)
     array), and its minimum ``delta0``, the minimum pairwise distance.
     ``projections`` holds each codevector's ``kernels.projections``
-    coordinate on the mean axis, and ``axis`` the same values ascending,
-    sorted once for the encoder's windows, walks and table (both read-only).
+    coordinate on the mean axis, ``order`` its stable argsort and ``axis``
+    the projections in that order, ascending: sorted once for the encoder's
+    windows, walks and table (all three read-only).  A codevector's position
+    on the axis is its place in ``order``, so ``order[p]`` is the codevector
+    at position p.
     ``norm_scale``, sqrt(k) max |c_d|, bounds every codevector's norm: the
     scale of the encoder's projection margins (``encoder.strip_half_width``).
     Duplicate codevectors (delta0 == 0) are rejected with
@@ -95,7 +98,9 @@ class Codebook:
         self.nearest_other.setflags(write=False)
         self.projections = kernels.projections(arr)
         self.projections.setflags(write=False)
-        self.axis = np.sort(self.projections)
+        self.order = np.argsort(self.projections, kind="stable")
+        self.order.setflags(write=False)
+        self.axis = self.projections[self.order]
         self.axis.setflags(write=False)
         self.norm_scale = math.sqrt(arr.shape[1]) * float(np.abs(arr).max())
         self.delta0 = float(self.nearest_other.min())

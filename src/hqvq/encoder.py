@@ -473,10 +473,9 @@ def finishing_walks(
     it is computed once per distinct (row, list) pair, a fallback's list
     being the codebook's own projection order.  It is read off the pair's
     strip: the positions [lo, hi) of ``Codebook.axis`` in it (two
-    ``searchsorted`` calls); a fallback's entries are those ranks, and a
+    ``searchsorted`` calls); a fallback's entries are those positions, and a
     hit's are h's keys in [h N + lo, h N + hi) (two more), less h when h
-    lies in the strip.  Tied projections share a key rank and all lie in
-    the strip or none does.
+    lies in the strip, since each key ranks its member by its axis position.
 
     ``reads`` counts each walk's binary-search locate, bit_length of its
     list's size, plus every entry it reads: those it visits, h included,
@@ -496,11 +495,11 @@ def finishing_walks(
     half = strip_half_width(facts.nearest[block], codebook)
     p = kernels.projections(np.take(vectors, block, axis=0))
     low, high = p - half, p + half
-    # a fallback's entries are the codebook's ranks in the strip [a, b)
+    # a fallback's entries are the codebook's positions in the strip [a, b)
     a = np.searchsorted(codebook.axis, low, side="left")
     b = np.searchsorted(codebook.axis, high, side="right")
     first, size, known = np.zeros_like(a), np.full_like(a, n), np.zeros_like(a)
-    # a hit's are h's keys, [h * N, (h + 1) * N) in projection order, with ranks in [a, b);
+    # a hit's are h's keys, [h * N, (h + 1) * N) in projection order, with positions in [a, b);
     # the pairs are sorted, so the hits' (owner h < N) come first
     hit = slice(np.searchsorted(pairs, n * r))
     h = pairs[hit] // r
@@ -511,6 +510,7 @@ def finishing_walks(
     own = codebook.projections[h]
     known[hit] = (low[hit] <= own) & (own <= high[hit])
     evals[walked] = (b - a - known)[back]
+    # a binary search over L sorted entries reads bit_length(L) of them, frexp(L)[1]
     reads[walked] = (np.frexp(size)[1] + (b - a) + (a > first) + (b < first + size))[back]
     return evals, reads
 
@@ -555,9 +555,9 @@ def encode(
     u, coins = draw(SUB1_SLOT), sub1_table(n)
     sub1 = encode_sub1(facts.t_s, facts.domain_s, u, coins, meter)
     paper_sub1 = encode_sub1(facts.t_s, n, u, coins, paper)
-    # each window's lookup is two binary searches over N projections: stage 1's for every block,
-    # stage 2's for every block that enters it
-    meter.table_reads += 2 * n.bit_length() * (1 + ~sub1)
+    # each window's lookup is two binary searches over N projections, charged as a walk's locate:
+    # stage 1's for every block, stage 2's for every block that enters it
+    meter.table_reads += 2 * np.frexp(n)[1] * (1 + ~sub1)
     searched = np.flatnonzero(~sub1 & (facts.domain_t > 0))
     sub2, paper_sub2 = encode_sub2(
         facts.t,

@@ -375,10 +375,10 @@ def window_marked(queries: np.ndarray, vectors: np.ndarray, radius: float, order
     Returns (index, nearest, marked, start, count): row i's ascending indices
     j with d(queries[i], vectors[j]) < ``radius`` are
     ``marked[start[i] : start[i] + count[i]]``.  ``marked``, ``start`` and
-    ``count`` are read-only int64 arrays, kept as they are by the neighbor
-    table (the codebook over itself) and read by the encoder's fact pass;
-    every slice of ``marked`` is read-only too.  ``order`` is as in
-    ``window_tiles``.
+    ``count`` are read-only int64 arrays, read by the encoder's fact pass
+    and by the neighbor table (the codebook over itself), which keeps
+    ``count`` as it is and rewrites the other two as its keys; every slice
+    of ``marked`` is read-only too.  ``order`` is as in ``window_tiles``.
     """
     m = queries.shape[0]
     index = np.empty(m, dtype=np.int64)

@@ -3,10 +3,9 @@
 The table is built classically once per codebook and consulted by the
 encoder's finishing search: after a candidate codevector h is verified close
 enough to the input, only the neighbors of h need a classical scan.  It keeps
-the flat arrays of one ``kernels.window_marked`` pass of the codebook over
-itself; list i is a slice of them.  It also keeps every list in projection
-order, as one sorted key array, so the scan can walk it outward from the
-input's projection.
+every list once, in projection order, as one sorted key array built from one
+``kernels.window_marked`` pass of the codebook over itself, so the scan can
+walk a list outward from the input's projection.
 """
 
 from __future__ import annotations
@@ -21,28 +20,24 @@ from .codebook import Codebook
 
 @dataclass(frozen=True, eq=False)
 class NeighborhoodTable:
-    """Neighbor lists: list i holds every j with d(c[i], c[j]) < ``neighbor_radius``, ascending.
+    """Neighbor lists: list i holds every j with d(c[i], c[j]) < ``neighbor_radius``.
 
-    List i is ``members[start[i] : start[i] + count[i]]`` (``neighbors(i)``);
-    the three arrays are ``kernels.window_marked``'s, read-only int64.
+    ``keys`` holds i * N + pos(j) for every j in list i, strictly ascending,
+    where pos(j) is j's position on ``Codebook.axis``; ``order`` is the
+    codebook's ``Codebook.order``, so ``order[key - i * N]`` is the member.
+    List i in projection order is the run of keys in [i * N, (i + 1) * N),
+    and its entries whose positions lie in [lo, hi) are the keys in
+    [i * N + lo, i * N + hi): two ``searchsorted`` calls.  ``count`` holds
+    each list's size.  The three arrays are read-only int64.
     ``delta_hat`` is the encoder threshold the table was built for; the radius
     is positive, so each codevector is always its own neighbor (d == 0) and
     ``inf_omega >= 1``.
-
-    ``keys`` holds i * N + rank(j) for every j in list i, non-decreasing
-    and read-only int64, where rank(j) is the first position of j's
-    projection on ``Codebook.axis`` (tied projections share it).  List i
-    in projection order is the run of keys in [i * N, (i + 1) * N), and its
-    entries whose ranks lie in [lo, hi) are the keys in [i * N + lo,
-    i * N + hi): two ``searchsorted`` calls.  A tie lies wholly inside or
-    outside the ranks of a strip found on the axis.
     """
 
     delta_hat: float
-    members: np.ndarray
-    start: np.ndarray
     count: np.ndarray
     keys: np.ndarray
+    order: np.ndarray
 
     @property
     def n(self) -> int:
@@ -58,9 +53,11 @@ class NeighborhoodTable:
         return self.count
 
     def neighbors(self, i) -> np.ndarray:
-        """List i, a read-only slice of ``members``."""
-        lo = int(self.start[i])
-        return self.members[lo : lo + int(self.count[i])]
+        """List i in ascending index order, read off its keys; a negative i counts from the end."""
+        n = self.n
+        i = range(n)[i]  # IndexError outside [-N, N)
+        lo, hi = np.searchsorted(self.keys, (i * n, (i + 1) * n))
+        return np.sort(self.order[self.keys[lo:hi] - i * n])
 
 
 def neighbor_radius(delta_hat: float, k: int) -> float:
@@ -82,8 +79,8 @@ def neighbor_radius(delta_hat: float, k: int) -> float:
 def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTable:
     """Neighbor lists at ``neighbor_radius``: one ``kernels.window_marked`` pass of the codebook over itself.
 
-    The table keeps the pass's flat marked array, starts and counts as they
-    are, and ``keys``, ranked on ``Codebook.axis``.  ``delta_hat`` must be at
+    The table keeps the pass's counts and ``keys``, each member ranked by
+    its position on ``Codebook.axis``.  ``delta_hat`` must be at
     least half the codebook's minimum pairwise distance (NaN is rejected);
     below that the fast encoding path's region structure breaks.
     """
@@ -91,15 +88,16 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     if not delta_hat >= half_delta0:  # NaN fails this too
         raise ValueError(f"delta_hat {delta_hat} is not at least delta0/2 = {half_delta0}")
     radius = neighbor_radius(delta_hat, codebook.k)
-    _, _, members, start, count = kernels.window_marked(codebook.vectors, codebook.vectors, radius)
+    _, _, marked, start, count = kernels.window_marked(codebook.vectors, codebook.vectors, radius)
     n = codebook.n
-    rank = np.searchsorted(codebook.axis, codebook.projections)  # tied projections share the first rank
-    # the lists lie back to back in ``members``, in the order of their starts
+    pos = np.empty(n, dtype=np.int64)
+    pos[codebook.order] = np.arange(n)  # each codevector's position on the axis
+    # the lists lie back to back in ``marked``, in the order of their starts
     by_start = np.argsort(start, kind="stable")
     owner = np.repeat(by_start, count[by_start])
-    keys = np.sort(owner * n + rank[members])
+    keys = np.sort(owner * n + pos[marked])
     keys.setflags(write=False)
-    return NeighborhoodTable(delta_hat=float(delta_hat), members=members, start=start, count=count, keys=keys)
+    return NeighborhoodTable(delta_hat=float(delta_hat), count=count, keys=keys, order=codebook.order)
 
 
 def space_bits(table: NeighborhoodTable) -> int:

@@ -196,8 +196,7 @@ def test_criterion_6_space_formula():
     # exact value on a constructed table with all-singleton lists
     # (no valid delta_hat builds one: the closest pair is in each other's lists)
     t4 = NeighborhoodTable(
-        delta_hat=50.0, members=np.arange(4), start=np.arange(4), count=np.ones(4, dtype=np.int64),
-        keys=5 * np.arange(4),
+        delta_hat=50.0, count=np.ones(4, dtype=np.int64), keys=5 * np.arange(4), order=np.arange(4)
     )
     exact_ok = space_bits(t4) == 272
 

@@ -4,12 +4,13 @@ It needs only numpy and pytest, so it also runs where the test extras
 hypothesis and scipy are not installed.
 """
 
-import re
-
 import numpy as np
 import pytest
 
-from hqvq import BlockGeometry, IndexStream, blockify, kernels, load_codebook, load_pgm, save_pgm, serialize_stream
+from hqvq import (
+    BlockGeometry, Codebook, IndexStream, blockify, kernels, load_codebook, load_pgm, save_codebook, save_pgm,
+    serialize_stream,
+)
 from hqvq.cli import main
 
 # `hqvq bench --sizes 64,256 --vectors 500 --seed 3`, byte for byte: refactors that
@@ -127,6 +128,74 @@ psnr=34.93372616634963
 """
 
 
+# `hqvq stats --dump-neighbors` of the ``image_path`` image, byte for byte: with the
+# codebook of `hqvq train -n 8` (default seed), and with the 5x5 lattice of spacing 50
+# at --delta-hat 40, whose lists hold codevectors of equal projection (each
+# anti-diagonal's); the lists are derived from the table's keys and must stay in index order
+STATS_TRAINED = """\
+n=8
+k=2
+vectors=128
+delta0=5.147815070493501
+delta_hat=16.003744396569946
+frac_s=0.2421875
+frac_t_minus_s=0.7421875
+frac_i_minus_t=0.015625
+inf_omega=3
+max_omega=5
+mean_omega=4.25
+space_bits=1470
+0: 0 3 7
+1: 1 2 4 5 6
+2: 1 2 4 5 6
+3: 0 3 7
+4: 1 2 4 5 6
+5: 1 2 4 5 6
+6: 1 2 4 5 6
+7: 0 3 7
+"""
+
+STATS_LATTICE = """\
+n=25
+k=2
+vectors=128
+delta0=50.0
+delta_hat=40.0
+frac_s=0.6171875
+frac_t_minus_s=0.3828125
+frac_i_minus_t=0.0
+inf_omega=4
+max_omega=9
+mean_omega=6.76
+space_bits=7178
+0: 0 1 5 6
+1: 0 1 2 5 6 7
+2: 1 2 3 6 7 8
+3: 2 3 4 7 8 9
+4: 3 4 8 9
+5: 0 1 5 6 10 11
+6: 0 1 2 5 6 7 10 11 12
+7: 1 2 3 6 7 8 11 12 13
+8: 2 3 4 7 8 9 12 13 14
+9: 3 4 8 9 13 14
+10: 5 6 10 11 15 16
+11: 5 6 7 10 11 12 15 16 17
+12: 6 7 8 11 12 13 16 17 18
+13: 7 8 9 12 13 14 17 18 19
+14: 8 9 13 14 18 19
+15: 10 11 15 16 20 21
+16: 10 11 12 15 16 17 20 21 22
+17: 11 12 13 16 17 18 21 22 23
+18: 12 13 14 17 18 19 22 23 24
+19: 13 14 18 19 23 24
+20: 15 16 20 21
+21: 15 16 17 20 21 22
+22: 16 17 18 21 22 23
+23: 17 18 19 22 23 24
+24: 18 19 23 24
+"""
+
+
 def report_values(text: str) -> dict:
     """A report's key=value lines as a dict of strings."""
     return dict(ln.split("=", 1) for ln in text.splitlines())
@@ -200,11 +269,13 @@ class TestWorkflow:
         capsys.readouterr()
         assert main(["stats", str(image_path), str(cb), "--dump-neighbors"]) == 0
         out = capsys.readouterr().out
-        assert "inf_omega=" in out
-        assert "space_bits=" in out
-        assert "frac_s=" in out
-        # one line per codevector, each listing at least the codevector itself
-        assert len(re.findall(r"^[0-9]+:( [0-9]+)+$", out, flags=re.MULTILINE)) == 8
+        assert out == STATS_TRAINED
+
+    def test_stats_dump_of_a_lattice_with_tied_projections_is_pinned(self, tmp_path, image_path, capsys):
+        cb = tmp_path / "lattice.txt"
+        save_codebook(Codebook([[50.0 * i, 50.0 * j] for i in range(5) for j in range(5)]), cb)
+        assert main(["stats", str(image_path), str(cb), "--dump-neighbors", "--delta-hat", "40"]) == 0
+        assert capsys.readouterr().out == STATS_LATTICE
 
     @pytest.mark.parametrize("explicit_delta_hat", [False, True])
     def test_stats_and_encode_report_same_region_fractions(

@@ -249,6 +249,17 @@ class TestDelta0:
         with pytest.raises(ValueError, match="read-only"):
             cb.axis[0] = 0.0
 
+    def test_order_is_the_stable_argsort_of_the_projections(self):
+        # a lattice: each anti-diagonal's codevectors tie, and keep their index order on the axis
+        cb = Codebook([[10.0 * i, 10.0 * j] for i in range(5) for j in range(5)])
+        assert len(set(cb.projections.tolist())) < cb.n
+        assert cb.order.tolist() == np.argsort(cb.projections, kind="stable").tolist()
+        assert cb.order.dtype == np.int64
+        assert cb.axis.tobytes() == cb.projections[cb.order].tobytes()
+        for a in (cb.order, cb.axis):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
     def test_norm_scale_bounds_every_norm(self):
         # computed once at construction, with the bits strip_half_width's margins took on every call;
         # the largest magnitude is a negative component here

@@ -145,7 +145,7 @@ def test_build_neighborhoods_matches_brute_force(factor):
         for i in range(len(vectors))
     ]
     assert [table.neighbors(i).tolist() for i in range(table.n)] == expect
-    for a in (table.members, table.start, table.count):
+    for a in (table.keys, table.count, table.order):
         assert a.dtype == np.int64 and not a.flags.writeable
     # the stored count itself, not a copy rebuilt per call
     assert table.sizes() is table.count and table.sizes() is table.sizes()

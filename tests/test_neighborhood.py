@@ -1,5 +1,6 @@
 """Neighbor-list construction and storage accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -110,8 +111,7 @@ class TestSpaceBits:
     def test_four_singletons(self):
         # no valid delta_hat builds singleton lists: the closest pair is in each other's
         table = NeighborhoodTable(
-            delta_hat=50.0, members=np.arange(4), start=np.arange(4), count=np.ones(4, dtype=np.int64),
-            keys=5 * np.arange(4),
+            delta_hat=50.0, count=np.ones(4, dtype=np.int64), keys=5 * np.arange(4), order=np.arange(4)
         )
         assert space_bits(table) == 272  # 4 * (1+1) * (2+32)
 
@@ -137,18 +137,37 @@ def test_dump_format():
     assert lines[3] == "3: 3"
 
 
-def test_keys_rank_each_member_on_the_axis_ties_first():
-    # a square lattice: each anti-diagonal's codevectors share one projection
+def test_keys_name_each_member_by_its_axis_position():
+    # a square lattice: each anti-diagonal's codevectors share one projection, and some
+    # lists hold two of them, yet each member keeps its own position on the axis
     side = 5
     cb = Codebook([[10.0 * i, 10.0 * j] for i in range(side) for j in range(side)])
     table = build_neighborhoods(cb, 0.8 * cb.delta0)
-    axis = cb.axis.tolist()
-    rank = [axis.index(p) for p in cb.projections.tolist()]  # first position of each projection
-    assert len(set(rank)) == 2 * side - 1
-    want = sorted(i * cb.n + rank[j] for i in range(cb.n) for j in table.neighbors(i).tolist())
-    assert table.keys.tolist() == want
-    assert len(set(want)) < len(want)  # some lists hold two codevectors of one projection
+    assert len(set(cb.projections.tolist())) == 2 * side - 1
+    keys = table.keys.tolist()
+    assert all(a < b for a, b in zip(keys, keys[1:]))  # strictly ascending: no two keys name one member
+    assert table.order is cb.order
+    lists = brute_lists(cb.vectors.tolist(), 2 * table.delta_hat)
+    assert any(len(set(cb.projections[l].tolist())) < len(l) for l in lists)
+    for i, want in enumerate(lists):
+        mine = [key - i * cb.n for key in keys if i * cb.n <= key < (i + 1) * cb.n]
+        assert sorted(table.order[mine].tolist()) == want
+        assert table.neighbors(i).tolist() == want
     assert not table.keys.flags.writeable
+
+
+def test_neighbors_past_either_end_raise_index_error():
+    cb = Codebook([[0.0], [1.0], [2.0], [10.0]])
+    table = build_neighborhoods(cb, 1.5)
+    assert table.neighbors(-1).tolist() == table.neighbors(cb.n - 1).tolist() == [3]
+    assert table.neighbors(-cb.n).tolist() == [0, 1, 2]
+    for i in (cb.n, cb.n + 1, -cb.n - 1):
+        with pytest.raises(IndexError):
+            table.neighbors(i)
+
+
+def test_table_fields_hold_each_list_once():
+    assert [f.name for f in dataclasses.fields(NeighborhoodTable)] == ["delta_hat", "count", "keys", "order"]
 
 
 def midpoint_pair(rng: np.random.Generator, k: int):
