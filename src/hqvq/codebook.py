@@ -82,7 +82,7 @@ class Codebook:
     on the axis is its place in ``order``, so ``order[p]`` is the codevector
     at position p.
     ``norm_scale``, sqrt(k) max |c_d|, bounds every codevector's norm: the
-    scale of the encoder's projection margins (``encoder.strip_half_width``).
+    norm the encoder's strips pass to ``kernels.half_width``.
     Duplicate codevectors (delta0 == 0) are rejected with
     ``DuplicateCodevectors`` because the single-solution guarantee of the
     fast encoding path depends on it.

@@ -21,7 +21,7 @@ embedded in a growing-cutoff schedule for an unknown number of solutions
 (Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034); any verified hit is
 finished by a classical scan of that codevector's neighbor list, which
 provably contains the global optimum.  It too searches the block's own
-projection window, the W_t codevectors within ``strip_half_width(delta_hat)``
+projection window, the W_t codevectors within ``kernels.half_width(delta_hat)``
 of its projection, which hold every index marked at delta_hat, padded with
 W_t dummies the oracle never marks: a register of D = 2 W_t, so the marked
 share t/D is at most 1/2, inside the bound's t <= 3D/4.  Each block's cutoff
@@ -38,7 +38,7 @@ axis, after Ra and Kim (IEEE TCAS-II, 1993): outward from the input's
 projection, nearer side first, until each side's next entry lies farther in
 projection than ``kernels.half_width`` of the best distance so far.  The
 walk visits the same entries in whatever order it steps: those within
-half_width of the row's minimum d*, which hold the argmin (the margin's
+half_width of the row's minimum d*, which hold the argmin (the walk's
 proof is in ``finishing_walks``).  So its charge is a count over the
 block's strip, two binary searches in the batch, not a per-block loop.  The
 paper's charges, h's whole list and all N, stay reported beside it
@@ -146,7 +146,7 @@ class BlockFacts:
     nearest: np.ndarray  # the row's minimum
     t_s: np.ndarray  # marked by stage 1: #{i : d_i < sub1_radii[i]}, 0 or 1 (then i is the argmin)
     domain_s: np.ndarray  # stage 1's search domain W: #{j : |p(x) - p(c_j)| <= sub1_half_width}
-    domain_t: np.ndarray  # stage 2's window W_t: #{j : |p(x) - p(c_j)| <= strip_half_width(delta_hat)}
+    domain_t: np.ndarray  # stage 2's window W_t: #{j : |p(x) - p(c_j)| <= kernels.half_width(delta_hat)}
     t: np.ndarray  # marked at delta_hat: #{i : d_i < delta_hat}
     pick: np.ndarray  # the marked index a stage-2 hit measures; -1 if t == 0
     row: np.ndarray  # the block's row among the pass's distinct rows: equal blocks share it
@@ -228,31 +228,17 @@ def sub1_radii(codebook: Codebook) -> np.ndarray:
     return codebook.nearest_other / 2.0 * (1.0 - 3.0 * kernels.rounding_bound(codebook.k))
 
 
-def strip_half_width(reach, codebook: Codebook):
-    """``kernels.half_width(reach)`` for a block with a codevector within computed distance ``reach``.
-
-    The margin's scale must bound ||x|| and every ||c||.
-    ``Codebook.norm_scale``, sqrt(k) max |c_d|, bounds every ||c||, and
-    sqrt(k) max |c_d| + 2 reach bounds ||x||: ||x|| <= ||c_j|| + d(x, c_j)
-    for the codevector j at computed distance at most ``reach``, and a
-    computed distance is at least half the exact one.  Elementwise over an
-    array ``reach``.
-    """
-    scale = codebook.norm_scale + 2.0 * reach
-    return kernels.half_width(reach, codebook.k, scale)
-
-
 def sub1_half_width(radii: np.ndarray, codebook: Codebook) -> float:
-    """Half the width of stage 1's projection window: ``strip_half_width`` at R = max_i r_i.
+    """Half the width of stage 1's projection window: ``kernels.half_width`` at R = max_i r_i.
 
     ``radii`` is ``sub1_radii(codebook)``.  A codevector i that stage 1
-    marks has a computed d(x, c_i) < r_i <= R (``sub1_radii``), so its
-    projection lies within the strip's half-width of p(x): the mean-axis
-    bound of ``kernels.window_tiles``, margin included.  Blocks with no
-    marked codevector need no bound, since their window holds nothing stage
-    1 must find.  So one scalar serves every block.
+    marks has a computed d(x, c_i) < r_i <= R (``sub1_radii``), so R is at
+    least the block's computed distance to a codevector, and i's projection
+    lies within the half-width of p(x) by ``kernels.half_width``'s proof.
+    Blocks with no marked codevector need no bound, since their window
+    holds nothing stage 1 must find.  So one scalar serves every block.
     """
-    return float(strip_half_width(float(radii.max()), codebook))
+    return float(kernels.half_width(float(radii.max()), codebook.k, codebook.norm_scale))
 
 
 def sub2_budget(n):
@@ -283,10 +269,10 @@ def block_facts(
     order around its projection, both ends inclusive: ``kernels.strip_counts``
     of the rows on ``Codebook.axis``.  Stage 1's, ``BlockFacts.domain_s``,
     reaches ``sub1_half_width`` and holds every index stage 1 can mark.
-    Stage 2's, ``BlockFacts.domain_t``, reaches ``strip_half_width(delta_hat)``
-    and holds every index marked at delta_hat: a marked index has a computed
-    distance below delta_hat, so a block with one has a codevector within
-    that reach, the case ``strip_half_width``'s margin covers.
+    Stage 2's, ``BlockFacts.domain_t``, reaches ``kernels.half_width`` of
+    delta_hat and holds every index marked at delta_hat: a marked index has
+    a computed distance below delta_hat, so a block with one has a
+    codevector within that reach, the case ``half_width``'s proof covers.
     """
     distinct, inverse = kernels.distinct_rows(vectors)
     proj, order = kernels.projection_order(distinct)
@@ -300,7 +286,9 @@ def block_facts(
     # only the argmin can lie below its own radius, and then it is the one marked codevector
     t_s = (nearest < radii[index]).astype(np.int64)
     domain_s = kernels.strip_counts(proj, order, codebook.axis, sub1_half_width(radii, codebook))
-    domain_t = kernels.strip_counts(proj, order, codebook.axis, strip_half_width(table.delta_hat, codebook))
+    domain_t = kernels.strip_counts(
+        proj, order, codebook.axis, kernels.half_width(table.delta_hat, codebook.k, codebook.norm_scale)
+    )
     return BlockFacts(
         index=index[inverse],
         nearest=nearest[inverse],
@@ -444,30 +432,26 @@ def finishing_walks(
     projection.  Each visited entry is evaluated, except h, whose distance
     the verification gave, and the best distance so far is kept (from
     d(x, h) after a hit, from infinity in a fallback).  A side closes at its
-    first entry outside [p(x) - w, p(x) + w], w = ``strip_half_width``
-    (best), which no later entry on that side can be inside, as best only
-    falls.
+    first entry outside [p(x) - w, p(x) + w], w = ``kernels.half_width``
+    (best) with ``Codebook.norm_scale`` for its norm, which no later entry
+    on that side can be inside, as best only falls.
 
     The walk visits exactly the entries inside the strip of w* = half_width
     (d*), d* the row's minimum ``facts.nearest``, in any order of its steps.
-    The margin: with ``kernels.rounding_bound(k)``'s g and s >= ||x||,
-    ||c|| for every c, the argmin j*'s exact gap is at most its exact
-    distance, below d* / (1 - g), and each computed projection is within
-    g s of the exact one, so j*'s computed gap is below d* (1 + 2g) + 2g s
-    up to one rounding, 2g (d* + s) inside w* = d* + 4g (d* + s).  That
-    room covers the rounding of the gaps and of the strip's ends, so every
-    entry whose computed gap is at most j*'s lies inside the strip.  Before
+    By ``half_width``'s proof, the argmin j*'s computed gap lies 2g (d* + s)
+    inside w*, room for the rounding of the strip's ends, so every entry
+    whose computed gap is at most j*'s lies inside the strip.  Before
     j* is visited, every visited entry is no farther in projection than j*
     (the walk takes the nearer side, and j*'s side runs towards j*), so
     inside the strip; j*'s side cannot close, since its entries up to j*
     lie between p(x) and j*; once j* is visited, best is d*.  So the walk
     reaches j*, in h's list by ``neighborhood.neighbor_radius``, and every
     codevector at d* with it: its minimum, ties to the smallest index, is
-    the row's.  s is ``strip_half_width``'s scale at best, which the walk
-    knows at every step, best being a visited codevector's computed
-    distance.  The half-width grows with best, so the argument above holds,
-    and the final strip is the one at d*.  So a block's charge depends on
-    that block and the codebook alone, never on the other blocks.
+    the row's.  At every step best is a visited codevector's computed
+    distance, as the proof needs, and the half-width grows with best, so
+    the argument above holds, and the final strip is the one at d*.  So a
+    block's charge depends on that block and the codebook alone, never on
+    the other blocks.
 
     The charge depends only on the block's row and the list it walks, so
     it is computed once per distinct (row, list) pair, a fallback's list
@@ -492,7 +476,7 @@ def finishing_walks(
     # one block per pair: equal rows have equal vectors and nearest, so any one gives the charge
     block = np.empty(pairs.size, dtype=np.int64)
     block[back] = walked
-    half = strip_half_width(facts.nearest[block], codebook)
+    half = kernels.half_width(facts.nearest[block], codebook.k, codebook.norm_scale)
     p = kernels.projections(np.take(vectors, block, axis=0))
     low, high = p - half, p + half
     # a fallback's entries are the codebook's positions in the strip [a, b)

@@ -32,25 +32,22 @@ measured once:
   each side of its middle row.  A row's smallest distance in the look bounds
   its nearest distance, so its reach is at most R = max(radius, that bound).
   The row is covered when the codevectors just outside the look lie farther
-  than R, plus the rounding margin below, on the mean axis; covered rows are
-  yielded.
+  than ``half_width(R)`` (below) on the mean axis; covered rows are yielded.
 - The rows not covered are deferred with their bound.  After the last tile
   they run through the bounded pass: tiles in projection order, each
-  measured once over the codevectors within R plus the margin of some row's
+  measured once over the codevectors within ``half_width(R)`` of some row's
   projection.  A caller that already holds a bound (training holds each
   row's distance to its previous cell's new centroid) sends every row
   straight to the bounded pass.
 
-The prune compares computed values, so it widens R by ``rounding_bound``'s
-g = gamma_{k+3}: a computed distance d <= R means an exact one of at most
-R / (1 - g), and each computed projection is within g * s of the exact one,
-where s = sqrt(k) * max |x_d| bounds every norm.  Computed projections
-within R + 2g * (R + s) therefore cover every such codevector; a window
-keeps those within R + 4g * (R + s), the rest of the margin covering the
-rounding of the bounds themselves, and keeps the boundary (<= at both
-ends).  Every distance in a window is ``_distances`` for that exact pair,
-with the same bits as a full row, and the window lists codevectors in
-ascending index order, so argmin ties still go to the smallest index.
+The prune compares computed values, so every window reaches
+``half_width`` of its row's reach R, whose docstring holds the margin's
+proof: R is at least the row's computed distance to some codevector, and
+the codevectors' own norms bound the rest.  A window keeps its boundary
+(<= at both ends).  Every distance in a window is ``_distances`` for that
+exact pair, with the same bits as a full row, and the window lists
+codevectors in ascending index order, so argmin ties still go to the
+smallest index.
 
 Distinct rows: a block's distance row depends only on its values, so callers
 that pass image blocks run the tiles over ``distinct_rows`` and gather the
@@ -132,16 +129,25 @@ def projections(rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def half_width(reach, k: int, scale):
+def half_width(reach, k: int, norm):
     """The projection gap within which every codevector within ``reach`` of a query lies.
 
-    |p(x) - p(c)| <= d(x, c), widened by the rounding of both projections and
-    the distance: reach + 4g (reach + scale), with ``rounding_bound(k)``'s g
-    and ``scale`` at least the norm of the query and of every codevector,
-    such as sqrt(k) * max |x_d| over all of them (see the module docstring).
-    Elementwise over arrays.
+    reach + 4g (reach + (norm + 2 reach)), with ``rounding_bound(k)``'s g,
+    elementwise over arrays; inf at an inf reach.  ``reach`` must be at
+    least the query's computed distance to some codevector, and ``norm``
+    must bound every codevector's norm (``Codebook.norm_scale``,
+    sqrt(k) max |c_d|).  Every strip on the mean axis takes this margin.
+
+    Proof: s = norm + 2 reach bounds ||x|| and every ||c||, since
+    ||x|| <= ||c|| + d(x, c) for a codevector c at computed distance at most
+    reach, and a computed distance is at least half the exact one.  A
+    codevector c' at computed distance at most reach lies at an exact one
+    of at most reach / (1 - g), which bounds |p(x) - p(c')| on the unit mean
+    axis, and each computed projection is within g s of the exact one.  So
+    c''s computed gap is below reach (1 + 2g) + 2g s up to one rounding; the
+    other 2g (reach + s) covers the rounding of the gap and the strip's ends.
     """
-    return reach + 4.0 * rounding_bound(k) * (reach + scale)
+    return reach + 4.0 * rounding_bound(k) * (reach + (norm + 2.0 * reach))
 
 
 def projection_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,15 +199,16 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
     One look per tile: the codevectors whose projections lie within the
     previous tile's widest covered reach of the tile's (its widest look
     minimum if it covered no row), and at least FIRST_LOOK on each side of
-    its middle row.  A row is covered when the
-    codevectors just outside the look, ``v_sorted[lo - 1]`` and
-    ``v_sorted[hi]``, lie farther from its projection than its reach,
-    max(``radius``, its look minimum), plus the rounding margin.  Covered
-    rows are yielded; the others are deferred with their look minimum, a
-    computed distance and so at least their computed nearest one.  After
-    the last tile, the deferred rows run through the bounded pass: tiles in
-    projection order, each measured once over p +- (max(``radius``, bound)
-    + margin).
+    its middle row.  A row is covered when the codevectors just outside the
+    look, ``v_sorted[lo - 1]`` and ``v_sorted[hi]``, lie farther from its
+    projection than ``half_width`` of its reach, max(``radius``, its look
+    minimum).  Covered rows are yielded; the others are deferred with their
+    look minimum, at least their computed nearest distance.  After the last
+    tile, they run through the bounded pass: tiles in projection order,
+    each measured once over p +- ``half_width``(max(``radius``, bound)).  A
+    look minimum or a bound is at least the row's computed distance to some
+    codevector, as ``half_width`` needs, and its norm is the codevectors',
+    so no row widens another's margin.
 
     ``bound``, when given, is an (M,) array with ``bound[i]`` at least the
     computed nearest distance of ``queries[i]``, such as its distance to
@@ -214,8 +221,8 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
     """
     m, k = queries.shape
     n = vectors.shape[0]
-    # sqrt(k) * max |x_d| >= ||x|| for every query and codevector
-    scale = math.sqrt(k) * max(np.abs(queries).max(initial=0.0), np.abs(vectors).max())
+    # bounds every codevector's norm, as Codebook.norm_scale does
+    norm = math.sqrt(k) * float(np.abs(vectors).max())
     q_proj, q_order = projection_order(queries) if order is None else order
     v_proj = projections(vectors)
     v_order = np.argsort(v_proj, kind="stable")
@@ -238,7 +245,7 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
         for start in range(0, rows.size, WINDOW_TILE):
             tile = rows[start : start + WINDOW_TILE]
             p = q_proj[tile]
-            half = half_width(np.maximum(radius, bounds[start : start + WINDOW_TILE]), k, scale)
+            half = half_width(np.maximum(radius, bounds[start : start + WINDOW_TILE]), k, norm)
             lo = np.searchsorted(v_sorted, float((p - half).min()), side="left")
             hi = np.searchsorted(v_sorted, float((p + half).max()), side="right")
             cols, d = measure(tile, lo, hi)
@@ -253,7 +260,7 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
         cols, d = measure(rows, lo, hi)
         nearest = d.min(axis=1)
         reach = np.maximum(radius, nearest)
-        half = half_width(reach, k, scale)
+        half = half_width(reach, k, norm)
         # covered: the codevectors just outside the look lie beyond the row's reach
         ok = np.ones(rows.size, dtype=bool)
         if lo > 0:
@@ -349,12 +356,13 @@ def nearest_other(vectors: np.ndarray) -> np.ndarray:
     """
     n = vectors.shape[0]
     # pairs adjacent in projection order, measured by the same kernel as the window
-    order = np.argsort(projections(vectors), kind="stable")
+    proj = projections(vectors)
+    order = np.argsort(proj, kind="stable")
     pair = paired_distances(vectors[order[:-1]], vectors[order[1:]])
     bound = np.empty(n)
     bound[order] = np.concatenate([pair[:1], np.minimum(pair[:-1], pair[1:]), pair[-1:]])
     nearest = np.empty(n)
-    for rows, cols, d in window_tiles(vectors, vectors, 0.0, bound):
+    for rows, cols, d in window_tiles(vectors, vectors, 0.0, bound, (proj, order)):
         # every row's window holds the row itself: its projection is in its tile's range
         d[np.arange(rows.size), np.searchsorted(cols, rows)] = np.inf
         nearest[rows] = d.min(axis=1)

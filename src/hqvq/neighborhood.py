@@ -88,7 +88,9 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     if not delta_hat >= half_delta0:  # NaN fails this too
         raise ValueError(f"delta_hat {delta_hat} is not at least delta0/2 = {half_delta0}")
     radius = neighbor_radius(delta_hat, codebook.k)
-    _, _, marked, start, count = kernels.window_marked(codebook.vectors, codebook.vectors, radius)
+    # the queries are the codebook, whose projections are sorted already
+    order = (codebook.projections, codebook.order)
+    _, _, marked, start, count = kernels.window_marked(codebook.vectors, codebook.vectors, radius, order)
     n = codebook.n
     pos = np.empty(n, dtype=np.int64)
     pos[codebook.order] = np.arange(n)  # each codevector's position on the axis

@@ -32,8 +32,6 @@ from hqvq.encoder import (
     block_facts,
     encode_sub1,
     encode_sub2,
-    strip_half_width,
-    sub1_half_width,
     sub1_radii,
     sub1_table,
     sub2_budget,
@@ -126,33 +124,37 @@ def success_chance(t: int, n: int, j: int) -> float:
     return float(marked_probability(np.array([t]), n, np.array([j]))[0])
 
 
+def reference_half_width(reach: float, codebook) -> float:
+    """The strip margin reach + 4g (reach + (norm + 2 reach)), written out apart from ``kernels.half_width``.
+
+    g is ``kernels.rounding_bound(k)`` and norm ``Codebook.norm_scale``; a
+    window or walk whose reach is a computed distance to some codevector
+    holds every codevector within that reach.
+    """
+    g = kernels.rounding_bound(codebook.k)
+    return reach + 4.0 * g * (reach + (codebook.norm_scale + 2.0 * reach))
+
+
 def projection_walk(x, codebook, entries, dvec, known=None):
     """Ra and Kim's walk over ``entries`` outward from x's projection, one entry at a time.
 
     ``entries`` are codevector indices; the walk sorts them into projection
     order, locates p(x) by binary search, then always steps to the side
     whose next entry has the smaller gap |p(x) - p(c)| (the left one on a
-    tie).  A side closes at its first entry outside p(x) -+ half_width(best),
-    best being the smallest distance so far, with the margin's scale
-    sqrt(k) max |c_d| + 2 best.  Each visited entry is
-    evaluated, except ``known``, whose distance the caller already has
-    (best then starts at it, else at infinity).  Returns (argmin, evaluations,
-    reads): the argmin over the visited entries, ties to the smallest index;
-    reads count the locate's probes, bit_length(len(entries)), and every
-    entry looked at, the two that close the sides included.
+    tie).  A side closes at its first entry outside
+    p(x) -+ ``reference_half_width(best)``, best being the smallest distance
+    so far.  Each visited entry is evaluated, except ``known``, whose
+    distance the caller already has (best then starts at it, else at
+    infinity).  Returns (argmin, evaluations, reads): the argmin over the
+    visited entries, ties to the smallest index; reads count the locate's
+    probes, bit_length(len(entries)), and every entry looked at, the two
+    that close the sides included.
     """
-    k = codebook.k
     rows = np.asarray([x], dtype=np.float64)
     p = float(kernels.projections(rows)[0])
-    scale_c = math.sqrt(k) * float(np.abs(codebook.vectors).max())
     proj = codebook.projections
     order = sorted(entries, key=lambda j: (float(proj[j]), j))
     values = [float(proj[j]) for j in order]
-
-    def half(best):
-        # ||x|| <= ||c_j|| + d(x, c_j) bounds the margin's scale from any j measured so far
-        return float(kernels.half_width(np.array([best]), k, np.array([scale_c + 2.0 * best]))[0])
-
     best, arg = (float(dvec[known]), known) if known is not None else (math.inf, None)
     evals, reads = 0, len(order).bit_length()
     right = bisect_left(values, p)
@@ -160,7 +162,7 @@ def projection_walk(x, codebook, entries, dvec, known=None):
     while left >= 0 or right < len(order):
         go_left = right >= len(order) or (left >= 0 and p - values[left] <= values[right] - p)
         side = left if go_left else right
-        w = half(best)
+        w = reference_half_width(best, codebook)
         reads += 1
         if (values[side] < p - w) if go_left else (values[side] > p + w):
             if go_left:  # the side closes
@@ -192,18 +194,18 @@ def reference_window(x, codebook, half=None) -> int:
     """The codevectors whose projections lie within ``half`` of p(x); stage 1's window by default.
 
     A literal scan over ``Codebook.projections``, both ends inclusive.
-    Stage 1's half-width is ``sub1_half_width``, stage 2's
-    ``strip_half_width(delta_hat)`` (``stage2_window``).
+    Stage 1's half-width is ``reference_half_width`` at the largest
+    ``sub1_radii``, stage 2's at delta_hat (``stage2_window``).
     """
     p = float(kernels.projections(np.asarray([x], dtype=np.float64))[0])
     if half is None:
-        half = sub1_half_width(sub1_radii(codebook), codebook)
+        half = reference_half_width(float(sub1_radii(codebook).max()), codebook)
     return sum(1 for c in codebook.projections.tolist() if p - half <= c <= p + half)
 
 
 def stage2_window(x, codebook, table) -> int:
-    """Stage 2's window W_t for x: ``reference_window`` at ``strip_half_width(delta_hat)``."""
-    return reference_window(x, codebook, strip_half_width(table.delta_hat, codebook))
+    """Stage 2's window W_t for x: ``reference_window`` at ``reference_half_width(delta_hat)``."""
+    return reference_window(x, codebook, reference_half_width(table.delta_hat, codebook))
 
 
 def reference_encode(x, codebook, table, u, paper: bool = False) -> tuple[int, int, int, int, int]:

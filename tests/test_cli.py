@@ -4,11 +4,14 @@ It needs only numpy and pytest, so it also runs where the test extras
 hypothesis and scipy are not installed.
 """
 
+from hashlib import sha256
+
 import numpy as np
 import pytest
 
 from hqvq import (
-    BlockGeometry, Codebook, IndexStream, blockify, kernels, load_codebook, load_pgm, save_codebook, save_pgm,
+    BlockGeometry, Codebook, EncoderConfig, IndexStream, blockify, build_neighborhoods, choose_delta_hat,
+    clustered_dataset, encode_vectors, grid_codebook, kernels, load_codebook, load_pgm, save_codebook, save_pgm,
     serialize_stream,
 )
 from hqvq.cli import main
@@ -195,6 +198,32 @@ space_bits=7178
 24: 18 19 23 24
 """
 
+# ``batch_digest`` of ``encode_vectors`` at master seeds 1 and 2: "bench" is the
+# `hqvq bench --vectors 500` grid at N = 256, its vectors drawn with the same seed;
+# "image" is the ``image_path`` image's 2 x 1 blocks with the codebook of
+# `hqvq train -n 8 --seed 3` at ``choose_delta_hat``.  Per-block facts and charges,
+# so a refactor that must keep every block's bits keeps these
+ENCODE_DIGESTS = {
+    ("bench", 1): "1100c48190a37749601150f94c7a1136255c93e46f862deff54e631384e4be5d",
+    ("bench", 2): "24b2deda44ff1515d36fd489fddf2a52f1fb518f83f8f2246ebc9665d5f88564",
+    ("image", 1): "c93c1b8450c19e6f64e98641871d60860797d8c4ed072c77923e66bf14ab1c9e",
+    ("image", 2): "b76f5b28321354ea8a7b1c0b547a3c2c84115f17cb6a596afd748b50d64e8072",
+}
+
+
+def batch_digest(indices, batch) -> str:
+    """SHA-256 over each block's index, path, both meters' counters and its facts, as int64."""
+    f, m, p = batch.facts, batch.meter, batch.paper
+    h = sha256()
+    for a in (
+        indices, batch.path,
+        m.grover_iterations, m.classical_distance_evals, m.table_reads,
+        p.grover_iterations, p.classical_distance_evals, p.table_reads,
+        f.domain_s, f.domain_t, f.t, f.pick,
+    ):
+        h.update(np.asarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
 
 def report_values(text: str) -> dict:
     """A report's key=value lines as a dict of strings."""
@@ -343,6 +372,26 @@ class TestWorkflow:
             assert float(r["mean_classical_evals"]) <= float(r["paper_mean_classical_evals"])
         # the seed drives only the simulated search's cost, never an index
         assert (tmp_path / "s3.vqix").read_bytes() == (tmp_path / "s7.vqix").read_bytes()
+
+    def test_encode_digests_are_pinned(self, tmp_path, image_path):
+        # the pinned reports hold means; these pin every block's index, path, charges and facts
+        cb = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb), "--seed", "3"]) == 0
+        trained = load_codebook(cb)
+        blocks = blockify(load_pgm(image_path), BlockGeometry())
+        grid = grid_codebook(256)
+        got = {}
+        for seed in (1, 2):
+            bench = clustered_dataset(grid, 0.6 * grid.delta0, 500, seed=seed)
+            for name, codebook, delta_hat, vectors in (
+                ("bench", grid, 0.6 * grid.delta0, bench),
+                ("image", trained, choose_delta_hat(trained, blocks), blocks),
+            ):
+                table = build_neighborhoods(codebook, delta_hat)
+                cfg = EncoderConfig(delta_hat=delta_hat, master_seed=seed)
+                indices, _, batch = encode_vectors(vectors, codebook, table, cfg)
+                got[name, seed] = batch_digest(indices, batch)
+        assert got == ENCODE_DIGESTS
 
     def test_bench_command(self, tmp_path, capsys):
         assert main(["bench", "--sizes", "16,64", "--vectors", "400", "--seed", "1"]) == 0

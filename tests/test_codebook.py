@@ -261,7 +261,7 @@ class TestDelta0:
                 a[0] = 0
 
     def test_norm_scale_bounds_every_norm(self):
-        # computed once at construction, with the bits strip_half_width's margins took on every call;
+        # computed once at construction, with the expression window_tiles uses for its margin's norm;
         # the largest magnitude is a negative component here
         cb = Codebook(np.random.default_rng(10).normal(size=(40, 3)) * [1.0, -1e3, 1e-3] - [0.0, 5e3, 0.0])
         assert cb.norm_scale == math.sqrt(3) * float(np.abs(cb.vectors).max())

@@ -50,7 +50,6 @@ from hqvq.encoder import (
     encode_sub2,
     finishing_walks,
     nearest_distances,
-    strip_half_width,
     sub1_half_width,
     sub1_radii,
     sub1_table,
@@ -872,7 +871,7 @@ def stage2_window_case(case: str, rng: np.random.Generator, k: int, n: int, fact
 
     - edge: x - c along the mean axis at delta_hat, a few ulps either way,
       so a marked c sits at a projection gap of delta_hat, the window's reach
-      less its margin; and x on p(c') -+ ``strip_half_width(delta_hat)``,
+      less its margin; and x on p(c') -+ ``kernels.half_width(delta_hat)``,
       the window's edges;
     - shared_projection: integer codevectors with one sum, so one projection
       and W_t = N, and blocks within 0.9 delta_hat of them;
@@ -893,7 +892,7 @@ def stage2_window_case(case: str, rng: np.random.Generator, k: int, n: int, fact
     else:
         cb = Codebook(rng.normal(size=(n, k)))
     delta_hat = factor * cb.delta0 / 2.0
-    half = strip_half_width(delta_hat, cb)
+    half = kernels.half_width(delta_hat, cb.k, cb.norm_scale)
     u = np.ones(cb.k) / math.sqrt(cb.k)
     at = cb.vectors[rng.integers(0, cb.n, size=8)]
     direction = rng.normal(size=(8, cb.k))
@@ -931,7 +930,7 @@ def stage2_window_case(case: str, rng: np.random.Generator, k: int, n: int, fact
     master_seed=st.integers(0, 2**32 - 1),
 )
 def test_stage2_window_holds_every_marked_index(case, seed, k, n, factor, master_seed):
-    # W_t is the literal count of projections within strip_half_width(delta_hat)
+    # W_t is the literal count of projections within kernels.half_width(delta_hat)
     # of p(x); every index marked at delta_hat lies in it, so t <= W_t; full
     # search is the oracle, and every block's charges and its paper's charges
     # match the per-block reference.  A block with W_t = 0 runs no round, is
@@ -942,7 +941,7 @@ def test_stage2_window_holds_every_marked_index(case, seed, k, n, factor, master
     cfg = EncoderConfig(delta_hat=delta_hat, master_seed=master_seed)
     indices, _, batch = encode_vectors(rows, cb, table, cfg)
     draw = seeded_draws(master_seed, rows.shape[0])
-    half = strip_half_width(delta_hat, cb)
+    half = kernels.half_width(delta_hat, cb.k, cb.norm_scale)
     facts = batch.facts
     got, paper = batch_rows(batch), meter_rows(batch.paper)
     for ordinal, x in enumerate(rows):
@@ -1081,7 +1080,7 @@ def test_codevectors_on_the_strip_edges_are_walked():
     # x = 3 with d* = 3 (codevector 0); two codevectors sit exactly at the
     # strip's ends 3 -+ half_width(3), in one dimension where p(c) = c
     x = np.array([[3.0]])
-    half = float(kernels.half_width(3.0, 1, 100.0 + 2.0 * 3.0))  # max |c| = 100
+    half = float(kernels.half_width(3.0, 1, 100.0))  # max |c| = 100
     low, high = 3.0 - half, 3.0 + half
     cb = Codebook([[-100.0], [low], [0.0], [high]])
     table = build_neighborhoods(cb, 4.0)  # low, 0 and high verify, and each one's list holds all three
@@ -1124,6 +1123,42 @@ def test_blocks_sharing_a_row_and_list_share_one_charge():
     permuted = BlockFacts(**{f.name: getattr(facts, f.name)[order] for f in dataclasses.fields(facts)})
     again = finishing_walks(rows[order], permuted, cb, table, hit[order], ~hit[order])
     assert again[0].tolist() == evals[order].tolist() and again[1].tolist() == reads[order].tolist()
+
+
+def test_one_far_block_widens_only_its_own_window(monkeypatch):
+    # a block at (1e100, -1e100) projects to 0, beside the grid's corner, but its reach
+    # is about 1.4e100: its own bounded tile measures the whole codebook, and every
+    # other row keeps the margin of its own reach, since the margin's norm is the codebook's
+    cb = grid_codebook(256)
+    delta_hat = 0.6 * cb.delta0
+    table = build_neighborhoods(cb, delta_hat)
+    clean = clustered_dataset(cb, delta_hat, 2000, seed=1)
+    far = np.vstack([clean, [[1e100, -1e100]]])
+    computed = [0]
+    window_tiles = kernels.window_tiles
+
+    def counting(*args, **kwargs):
+        for rows, cols, d in window_tiles(*args, **kwargs):
+            computed[0] += d.size
+            yield rows, cols, d
+
+    monkeypatch.setattr(kernels, "window_tiles", counting)
+
+    def passes(vectors):
+        """(facts, nearest, distances computed by block_facts, by nearest_distances)."""
+        computed[0] = 0
+        facts = block_facts(vectors, cb, table, np.zeros(vectors.shape[0]))
+        in_facts = computed[0]
+        nearest = nearest_distances(cb, vectors)
+        return facts, nearest, in_facts, computed[0] - in_facts
+
+    _, _, clean_facts, clean_nearest = passes(clean)
+    facts, nearest, far_facts, far_nearest = passes(far)
+    assert far_facts <= clean_facts + kernels.WINDOW_TILE * cb.n
+    assert far_nearest <= clean_nearest + kernels.WINDOW_TILE * cb.n
+    idx, dist = kernels.nearest_many(far, cb.vectors)
+    assert facts.index.tolist() == idx.tolist()
+    assert facts.nearest.tobytes() == nearest.tobytes() == dist.tobytes()
 
 
 class TestBatch:

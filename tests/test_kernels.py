@@ -275,6 +275,10 @@ def _bound(kind, full):
 @example(case=(1e6 + _grid(12)[::-1] / 3.0, 1e6 + _grid(9) / 2.0, math.sqrt(0.5), "nearest"))
 @example(case=(_first_tile_defers(), _diagonal(), 0.0, "loose"))
 @example(case=(np.tile([[3.0, 4.0], [1.0, 6.0]], (WINDOW_TILE + 1, 1)), _grid(10), math.sqrt(2.0), "inf"))
+# one row at (1e100, -1e100) projects to 0, among grid rows, but reaches about 1.4e100:
+# its window is the whole codebook, and the other rows' margins stay those of their own reach
+@example(case=(np.vstack([_grid(12) + 0.25, [[1e100, -1e100]], _grid(12)]), _grid(10), 0.0, None))
+@example(case=(np.vstack([_grid(12) + 0.25, [[1e100, -1e100]], _grid(12)]), _grid(10), 0.0, "nearest"))
 @given(case=window_cases())
 def test_window_pass_matches_full_rows(case):
     """``window_tiles``, ``window_nearest`` and ``window_marked`` against full rows from ``dist_to_all``."""
@@ -490,3 +494,20 @@ def test_strip_counts_is_two_binary_searches(steps, picks, shifts, half_step, ul
     got = kernels.strip_counts(proj, order, axis, half)
     assert got.dtype == np.int64
     assert got.tolist() == want.tolist() == literal
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+def test_half_width_is_the_one_strip_margin(k):
+    # reach + 4g (reach + (norm + 2 reach)) bit for bit, scalars and arrays alike
+    g = kernels.rounding_bound(k)
+    pairs = [(0.0, 0.0), (0.3, 100.0), (3.0, 100.0), (2.5e-7, 1e6), (1e6, 2.5), (1.4e100, 255.0)]
+    want = [reach + 4.0 * g * (reach + (norm + 2.0 * reach)) for reach, norm in pairs]
+    assert [kernels.half_width(reach, k, norm) for reach, norm in pairs] == want
+    reach, norm = np.array(pairs).T
+    got = kernels.half_width(reach, k, norm)
+    assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+    got = kernels.half_width(reach, k, 7.0)  # one norm for every reach, as the encoder passes it
+    assert got.tobytes() == np.array([r + 4.0 * g * (r + (7.0 + 2.0 * r)) for r in reach.tolist()]).tobytes()
+    # an inf reach's strip is the whole axis
+    assert kernels.half_width(math.inf, k, 100.0) == math.inf
+    assert kernels.half_width(np.array([1.0, math.inf]), k, 100.0)[1] == math.inf
