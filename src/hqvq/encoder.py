@@ -2,20 +2,23 @@
 
 Stage 1 targets inputs sitting within half of some codevector's distance to
 its nearest other codevector (Orchard's half-distance test, ICASSP 1991): a
-single fixed-length amplified search finds the (provably unique) solution
-with high probability, and one classical distance check verifies it.  This
-generalises the paper's test at half the minimum spacing, delta0/2: no
-codevector's radius is below it, so every input that test marks is still
-marked.  Each radius sits a rounding margin below the half-distance
-(``sub1_radii``), so the uniqueness holds for computed distances too.  The
-search runs over the block's projection window alone, the W codevectors
-within ``sub1_half_width`` of its projection, which hold every index stage 1
-can mark (the margin's argument is ``kernels.half_width``'s): floor(pi/4
-sqrt(W)) iterations instead of the paper's floor(pi/4 sqrt(N)), a classical
-pre-filter around a quantum search as in Cerf, Grover and Williams (Phys.
-Rev. A 61, 032303, 2000).  The paper's stage 1 is the same search at W = N:
-one ``encode_sub1`` and one ``sub1_table`` serve both, on the same draws, and
-the paper's charges go to ``EncodeBatch.paper``.
+single fixed-length amplified search finds the (provably unique) solution,
+and one classical distance check verifies it.  This generalises the paper's
+test at half the minimum spacing, delta0/2: no codevector's radius is below
+it, so every input that test marks is still marked.  Each radius r_i sits a
+rounding margin below the half-distance (``sub1_radii``), so the uniqueness
+holds for computed distances too.  The search runs over S(x) alone, the
+codevectors whose own radius can reach the block: those within
+``kernels.half_width`` of r_i of its projection, which hold every index
+stage 1 can mark (the margin's argument is ``half_width``'s, applied to
+each i).  That is floor(pi/4 sqrt(|S(x)|)) iterations instead of the
+paper's floor(pi/4 sqrt(N)), a classical pre-filter around a quantum search
+as in Cerf, Grover and Williams (Phys. Rev. A 61, 032303, 2000).  Where a
+phase-matched search (G. L. Long, Phys. Rev. A 64, 022307, 2001) of as many
+iterations exists, the search is that one and finds the marked index with
+certainty (``sub1_table``).  The paper's stage 1 is the plain search at
+W = N: one ``encode_sub1`` and one ``sub1_table`` serve both, on the same
+draws, and the paper's charges go to ``EncodeBatch.paper``.
 Stage 2 targets inputs within the configured threshold: the search is
 embedded in a growing-cutoff schedule for an unknown number of solutions
 (Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034); any verified hit is
@@ -68,7 +71,7 @@ from .codebook import Codebook, as_rows, check_seed
 from .codebook import full_search  # noqa: F401 (perfbench/spans.py wraps it by name)
 from .grover import marked_probability
 from .grover import marked_set_from_distances, measure  # noqa: F401 (perfbench/spans.py wraps them by name)
-from .neighborhood import NeighborhoodTable
+from .neighborhood import NeighborhoodTable, sub1_radii
 
 # Factor that grows the stage-2 iteration cutoff m after each failed round
 # (Boyer, Brassard, Hoyer and Tapp's lambda, any value in (1, 4/3) works).
@@ -83,6 +86,11 @@ BBHT_BUDGET_FACTOR = 3.0
 # stage-2 hit measures, then stage-2 round r's j at slot 2r+2 and coin at 2r+3.
 SUB1_SLOT = 0
 PICK_SLOT = 1
+
+# ``sub1_table`` takes a domain of W as phase-matched when W sin^2(pi/(4j + 2)) lies
+# this far below 1; the product's rounding is near 1e-15, and no W up to 2**20
+# but W = 1 and W = 4, where it is exactly 1, lies within 1e-9 of 1
+PHASE_MATCH_MARGIN = 1e-12
 
 
 class EncodePath(enum.Enum):
@@ -145,7 +153,7 @@ class BlockFacts:
     index: np.ndarray  # argmin of the row, ties to the smallest index
     nearest: np.ndarray  # the row's minimum
     t_s: np.ndarray  # marked by stage 1: #{i : d_i < sub1_radii[i]}, 0 or 1 (then i is the argmin)
-    domain_s: np.ndarray  # stage 1's search domain W: #{j : |p(x) - p(c_j)| <= sub1_half_width}
+    domain_s: np.ndarray  # stage 1's search domain |S(x)|: #{i : |p(x) - p(c_i)| <= half_width(sub1_radii[i])}
     domain_t: np.ndarray  # stage 2's window W_t: #{j : |p(x) - p(c_j)| <= kernels.half_width(delta_hat)}
     t: np.ndarray  # marked at delta_hat: #{i : d_i < delta_hat}
     pick: np.ndarray  # the marked index a stage-2 hit measures; -1 if t == 0
@@ -184,61 +192,32 @@ class EncodeBatch(Sequence):
         )
 
 
-def sub1_table(top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 1's (iterations, coin bias) over a domain of W codevectors, at [W] for W in 0..top.
+def sub1_table(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage 1's (iterations, bias, paper's bias) over a domain of W codevectors, at [W] for W in 0..top.
 
-    The iterations are j = floor(pi/4 * sqrt(W)) and the bias
-    ``marked_probability(1, W, j)``, one call on flat int64 arrays.  The
-    paper's stage 1 reads the entry at W = N, a block's window the entry at
-    its W <= N, so ``sub1_table(N)`` serves both.  A domain of 0 holds no
-    codevector: no search runs, and both are 0.  W = 1 gives j = 0 and a
-    bias of exactly 1.
+    Both searches run j = floor(pi/4 * sqrt(W)) iterations.  The paper's
+    bias is the plain search's, ``marked_probability(1, W, j)``, one call on
+    flat int64 arrays.  The codec's is exactly 1.0 wherever a phase-matched
+    search (G. L. Long, Phys. Rev. A 64, 022307, 2001) of the same j
+    iterations finds the one marked index with certainty, and the paper's
+    elsewhere.  Long's search takes K = floor((pi/2 - beta)/(2 beta)) + 1
+    iterations, sin(beta) = 1/sqrt(W), with oracle and diffusion phases
+    phi = 2 asin(sin(pi/(4K + 2))/sin(beta)), and succeeds with certainty.
+    K = j exactly when (2j + 1) beta > pi/2, that is when
+    W sin^2(pi/(4j + 2)) < 1: there the exact search costs no extra
+    iteration.  The table decides it with ``PHASE_MATCH_MARGIN`` below 1,
+    far beyond the rounding of that product, so the bias of 1.0 is the
+    proof's, not a float's.  The paper's stage 1 reads its bias at W = N
+    and a block's domain the codec's at its W <= N, so ``sub1_table(N)``
+    serves both.  A domain of 0 holds no codevector: no search runs, and
+    all three are 0.  W = 1 gives j = 0 and a bias of exactly 1 in both.
     """
     width = np.arange(top + 1, dtype=np.int64)
     iterations = np.floor(math.pi / 4.0 * np.sqrt(width)).astype(np.int64)
-    bias = np.zeros(top + 1)
-    bias[1:] = marked_probability(np.ones(top, dtype=np.int64), width[1:], iterations[1:])
-    return iterations, bias
-
-
-def sub1_radii(codebook: Codebook) -> np.ndarray:
-    """Stage 1's per-codevector thresholds: (nearest_other / 2)(1 - 3g), an (N,) array.
-
-    Codevector i is marked when d(x, c_i) < r_i.  In exact arithmetic, with
-    r_i = (1/2) min_{j != i} d(c_i, c_j):
-
-    - Uniqueness: two marked i and j would need
-      d(c_i, c_j) <= d(x, c_i) + d(x, c_j) < r_i + r_j <= d(c_i, c_j).
-    - Optimality: for every j != i,
-      d(x, c_j) >= d(c_i, c_j) - d(x, c_i) >= 2 r_i - d(x, c_i) > d(x, c_i),
-      so a marked i is the unique nearest codevector.
-
-    Rounding margin: with ``kernels.rounding_bound(k)``'s g, a computed
-    distance d' is within g * d of the exact d, and the computed nearest
-    distance D'_i is at most (1 + g) times the exact 2 r_i.  Let
-    d'(x, c_i) < D'_i/2 (1 - 3g), which with the product's own rounding is
-    below r_i (1 + g)(1 - 3g + 3u) < (1 - g) r_i, u = 2**-53 <= g/4.  Then
-    for every j != i, d'(x, c_j) >= (1 - g) d(x, c_j) >= 2(1 - g) r_i
-    - (1 - g) d(x, c_i) >= 2(1 - g) r_i - d'(x, c_i) > d'(x, c_i): i is the
-    computed row's strict argmin, so no other index is marked, and
-    d(x, c_i) <= d'(x, c_i) / (1 - g) < r_i.  No radius lies below the
-    paper's stage-1 threshold delta0/2 (1 - 3g), as delta0 is the smallest
-    D'_i.
-    """
-    return codebook.nearest_other / 2.0 * (1.0 - 3.0 * kernels.rounding_bound(codebook.k))
-
-
-def sub1_half_width(radii: np.ndarray, codebook: Codebook) -> float:
-    """Half the width of stage 1's projection window: ``kernels.half_width`` at R = max_i r_i.
-
-    ``radii`` is ``sub1_radii(codebook)``.  A codevector i that stage 1
-    marks has a computed d(x, c_i) < r_i <= R (``sub1_radii``), so R is at
-    least the block's computed distance to a codevector, and i's projection
-    lies within the half-width of p(x) by ``kernels.half_width``'s proof.
-    Blocks with no marked codevector need no bound, since their window
-    holds nothing stage 1 must find.  So one scalar serves every block.
-    """
-    return float(kernels.half_width(float(radii.max()), codebook.k, codebook.norm_scale))
+    paper = np.zeros(top + 1)
+    paper[1:] = marked_probability(np.ones(top, dtype=np.int64), width[1:], iterations[1:])
+    matched = (width > 0) & (width * np.sin(np.pi / (4 * iterations + 2)) ** 2 < 1.0 - PHASE_MATCH_MARGIN)
+    return iterations, np.where(matched, 1.0, paper), paper
 
 
 def sub2_budget(n):
@@ -265,14 +244,18 @@ def block_facts(
     Equal blocks share their row's facts and marked set, but each picks from
     it with its own draw.  No M x N matrix is kept.
 
-    Each row's two search domains are runs of codevectors in projection
-    order around its projection, both ends inclusive: ``kernels.strip_counts``
-    of the rows on ``Codebook.axis``.  Stage 1's, ``BlockFacts.domain_s``,
-    reaches ``sub1_half_width`` and holds every index stage 1 can mark.
-    Stage 2's, ``BlockFacts.domain_t``, reaches ``kernels.half_width`` of
-    delta_hat and holds every index marked at delta_hat: a marked index has
-    a computed distance below delta_hat, so a block with one has a
-    codevector within that reach, the case ``half_width``'s proof covers.
+    Each row's two search domains are counted on ``Codebook.axis`` by
+    ``kernels.strip_counts``, both ends inclusive.  Stage 1's,
+    ``BlockFacts.domain_s``, is S(x), the codevectors whose own stage-1
+    interval holds p(x): |p(x) - p(c_i)| <= ``NeighborhoodTable.sub1_half``,
+    ``kernels.half_width`` of r_i = ``sub1_radii``[i].  It holds every index
+    stage 1 can mark: a marked i has a computed d(x, c_i) < r_i, so r_i is
+    at least the block's computed distance to a codevector, the case
+    ``half_width``'s proof covers, applied to each i.  Stage 2's,
+    ``BlockFacts.domain_t``, is the run of codevectors within
+    ``kernels.half_width`` of delta_hat around p(x) and holds every index
+    marked at delta_hat by the same proof: a marked index has a computed
+    distance below delta_hat.
     """
     distinct, inverse = kernels.distinct_rows(vectors)
     proj, order = kernels.projection_order(distinct)
@@ -285,7 +268,7 @@ def block_facts(
     radii = sub1_radii(codebook)
     # only the argmin can lie below its own radius, and then it is the one marked codevector
     t_s = (nearest < radii[index]).astype(np.int64)
-    domain_s = kernels.strip_counts(proj, order, codebook.axis, sub1_half_width(radii, codebook))
+    domain_s = kernels.strip_counts(proj, order, codebook.axis, table.sub1_half)
     domain_t = kernels.strip_counts(
         proj, order, codebook.axis, kernels.half_width(table.delta_hat, codebook.k, codebook.norm_scale)
     )
@@ -306,14 +289,16 @@ def encode_sub1(t_s: np.ndarray, domain, u: np.ndarray, table, meter: QueryMeter
 
     The marked set is {i : d(x, c_i) < ``sub1_radii``[i]}, ``t_s``
     elements per block, 0 or 1, and the search runs over a domain of
-    ``domain`` codevectors that holds it: each block's window (W, an (M,)
-    array) or all N (one int).  ``u`` is each block's SUB1_SLOT draw and
-    ``table`` is ``sub1_table``'s (iterations, bias), long enough for every
-    domain.  ``meter`` is charged the table's iterations at the domain and
-    one evaluation when the domain is not empty.  Returns the mask of
-    blocks whose measured index is marked, i.e. verified strictly below its
-    own radius (it is then the unique global optimum); at t_s = 0 no draw
-    passes.
+    ``domain`` codevectors that holds it: each block's S(x) (an (M,) array
+    of ``BlockFacts.domain_s``) or all N (one int).  ``u`` is each block's
+    SUB1_SLOT draw and ``table`` is two of ``sub1_table``'s columns,
+    (iterations, bias) with the codec's bias or (iterations, paper's bias),
+    long enough for every domain.  ``meter`` is charged the table's
+    iterations at the domain and one evaluation when the domain is not
+    empty.  Returns the mask of blocks whose measured index is marked, i.e.
+    verified strictly below its own radius (it is then the unique global
+    optimum); at t_s = 0 no draw passes, and at a bias of 1.0 every marked
+    block does.
     """
     iterations, bias = table
     meter.grover_iterations += iterations.take(domain)
@@ -515,20 +500,27 @@ def encode(
     accepts; the stages decide only the path and what the meter is charged.
     Stage-2 hits and fallbacks are then charged their ``finishing_walks``.
 
+    Stage 1 searches each block's S(x) (``BlockFacts.domain_s``).  Its
+    lookup is charged bit_length(2N) + 1 reads: the N intervals' 2N sorted
+    ends cut the mean axis into 2N + 1 pieces, on each of which S(x) is one
+    set (``neighborhood.space_bits`` counts that table), so one binary
+    search over the ends and one read of the piece's count find it.
     Stage 2 searches each block's window of W_t codevectors
     (``BlockFacts.domain_t``), which holds its t marked indices, padded with
     W_t dummies the oracle never marks: a register of D = 2 W_t, so that
     t/D <= 1/2, inside the t <= 3D/4 that Boyer, Brassard, Hoyer and Tapp's
-    bound assumes.  The window's lookup is charged 2 bit_length(N) reads for
-    each block that enters stage 2, as stage 1's is.  A block with W_t = 0
-    has t = 0: it skips the rounds and falls back.
+    bound assumes.  The window's lookup is charged 2 bit_length(N) reads,
+    two binary searches over the N projections, for each block that enters
+    stage 2.  A block with W_t = 0 has t = 0: it skips the rounds and falls
+    back.
 
     The paper's configuration is simulated beside it on the same draws
     (``EncodeBatch.paper``): ``encode_sub1`` runs once over each block's
-    window and once over all N, reading one ``sub1_table(N)`` with the same
-    SUB1_SLOT draw, and the paper's stage 2 searches all N for the blocks
-    its own stage 1 did not pass.  One ``encode_sub2`` call runs both
-    configurations' rounds, on the same round draws.
+    S(x) with the codec's bias and once over all N with the paper's,
+    reading one ``sub1_table(N)`` with the same SUB1_SLOT draw, and the
+    paper's stage 2 searches all N for the blocks its own stage 1 did not
+    pass.  One ``encode_sub2`` call runs both configurations' rounds, on
+    the same round draws.
     """
     vectors = as_rows(vectors, codebook.k)
     if table.n != codebook.n:
@@ -536,12 +528,12 @@ def encode(
     facts = block_facts(vectors, codebook, table, draw(PICK_SLOT))
     size, n = vectors.shape[0], codebook.n
     meter, paper = (QueryMeter(*(np.zeros(size, dtype=np.int64) for _ in range(3))) for _ in range(2))
-    u, coins = draw(SUB1_SLOT), sub1_table(n)
-    sub1 = encode_sub1(facts.t_s, facts.domain_s, u, coins, meter)
-    paper_sub1 = encode_sub1(facts.t_s, n, u, coins, paper)
-    # each window's lookup is two binary searches over N projections, charged as a walk's locate:
-    # stage 1's for every block, stage 2's for every block that enters it
-    meter.table_reads += 2 * np.frexp(n)[1] * (1 + ~sub1)
+    u, (iterations, bias, paper_bias) = draw(SUB1_SLOT), sub1_table(n)
+    sub1 = encode_sub1(facts.t_s, facts.domain_s, u, (iterations, bias), meter)
+    paper_sub1 = encode_sub1(facts.t_s, n, u, (iterations, paper_bias), paper)
+    # lookups, charged as a walk's locate: stage 1's for every block, one binary search over the
+    # 2N interval ends and the piece's count; stage 2's for every block that enters it, two over N
+    meter.table_reads += np.frexp(2 * n)[1] + 1 + 2 * np.frexp(n)[1] * ~sub1
     searched = np.flatnonzero(~sub1 & (facts.domain_t > 0))
     sub2, paper_sub2 = encode_sub2(
         facts.t,

@@ -161,22 +161,33 @@ def projection_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return proj, np.argsort(proj)
 
 
-def strip_counts(centers: np.ndarray, order: np.ndarray, axis: np.ndarray, half: float) -> np.ndarray:
-    """How many entries of the ascending ``axis`` lie in [c - half, c + half], for each c in ``centers``.
+def strip_counts(centers: np.ndarray, order: np.ndarray, axis: np.ndarray, half) -> np.ndarray:
+    """How many entries of the ascending ``axis`` each c in ``centers`` counts in its strip.
 
     ``centers[order]`` is ascending, as ``projection_order`` gives it, and
-    ``half`` is at least 0.  Each
-    count is ``searchsorted(axis, c + half, "right") - searchsorted(axis,
-    c - half, "left")``, with the same bits for the ends, but the searches
-    run the other way: each axis entry is located among the sorted ends,
-    which costs O(len(axis)) searches rather than two per center.  An entry
-    e is below c_i - half exactly when fewer than i + 1 sorted lower ends
-    are at most e, and at most c_i + half exactly when fewer than i + 1
-    upper ends are below e.  Returns an int64 array.
+    ``half`` is at least 0: one float, or one per axis entry.
+
+    - One float: the strip is the center's, [c - half, c + half], and each
+      count is ``searchsorted(axis, c + half, "right") - searchsorted(axis,
+      c - half, "left")``, with the same bits for the ends.
+    - An array: the strips are the entries' own, and c counts entry e when
+      e - half[e] <= c <= e + half[e]: an interval-stabbing count,
+      #{lower ends <= c} - #{upper ends < c}.
+
+    Either way the searches run the other way: each axis entry is located
+    among the sorted centers, or their sorted ends, which costs O(len(axis))
+    searches rather than two per center.  The centers i that count e form
+    the run [upto_e, below_e) of sorted positions, so one ``bincount`` of
+    each end and one ``cumsum`` give every count.  Returns an int64 array.
     """
-    c = centers[order]  # c - half and c + half stay ascending: rounding is monotone
-    below = np.searchsorted(c - half, axis, side="right")
-    upto = np.searchsorted(c + half, axis, side="left")
+    c = centers[order]
+    if np.ndim(half) == 0:
+        # c - half and c + half stay ascending: rounding is monotone
+        below = np.searchsorted(c - half, axis, side="right")
+        upto = np.searchsorted(c + half, axis, side="left")
+    else:
+        below = np.searchsorted(c, axis + half, side="right")
+        upto = np.searchsorted(c, axis - half, side="left")
     size = c.size + 1
     counts = np.empty(c.size, dtype=np.int64)
     counts[order] = np.cumsum(np.bincount(upto, minlength=size) - np.bincount(below, minlength=size))[:-1]

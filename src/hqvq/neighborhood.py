@@ -1,11 +1,14 @@
-"""Per-codevector neighbor lists under a radius threshold, plus space accounting.
+"""Per-codevector neighbor lists under a radius threshold, stage 1's widths, plus space accounting.
 
 The table is built classically once per codebook and consulted by the
 encoder's finishing search: after a candidate codevector h is verified close
 enough to the input, only the neighbors of h need a classical scan.  It keeps
 every list once, in projection order, as one sorted key array built from one
 ``kernels.window_marked`` pass of the codebook over itself, so the scan can
-walk a list outward from the input's projection.
+walk a list outward from the input's projection.  It also keeps each
+codevector's stage-1 half-width on the mean axis, which decides the
+codevectors stage 1 searches for a block (``encoder.block_facts``).
+``space_bits`` counts both.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ class NeighborhoodTable:
     and its entries whose positions lie in [lo, hi) are the keys in
     [i * N + lo, i * N + hi): two ``searchsorted`` calls.  ``count`` holds
     each list's size.  The three arrays are read-only int64.
+    ``axis`` is ``Codebook.axis`` and ``sub1_half`` holds, at each axis
+    position, that codevector's stage-1 half-width ``kernels.half_width`` of
+    its ``sub1_radii``: stage 1 searches codevector ``order[q]`` for a block
+    x when |p(x) - axis[q]| <= sub1_half[q].  Both are read-only float64.
     ``delta_hat`` is the encoder threshold the table was built for; the radius
     is positive, so each codevector is always its own neighbor (d == 0) and
     ``inf_omega >= 1``.
@@ -38,6 +45,8 @@ class NeighborhoodTable:
     count: np.ndarray
     keys: np.ndarray
     order: np.ndarray
+    axis: np.ndarray
+    sub1_half: np.ndarray
 
     @property
     def n(self) -> int:
@@ -76,13 +85,42 @@ def neighbor_radius(delta_hat: float, k: int) -> float:
     return 2.0 * float(delta_hat) * (1.0 + 3.0 * kernels.rounding_bound(k))
 
 
+def sub1_radii(codebook: Codebook) -> np.ndarray:
+    """Stage 1's per-codevector thresholds: (nearest_other / 2)(1 - 3g), an (N,) array.
+
+    Codevector i is marked when d(x, c_i) < r_i.  In exact arithmetic, with
+    r_i = (1/2) min_{j != i} d(c_i, c_j):
+
+    - Uniqueness: two marked i and j would need
+      d(c_i, c_j) <= d(x, c_i) + d(x, c_j) < r_i + r_j <= d(c_i, c_j).
+    - Optimality: for every j != i,
+      d(x, c_j) >= d(c_i, c_j) - d(x, c_i) >= 2 r_i - d(x, c_i) > d(x, c_i),
+      so a marked i is the unique nearest codevector.
+
+    Rounding margin: with ``kernels.rounding_bound(k)``'s g, a computed
+    distance d' is within g * d of the exact d, and the computed nearest
+    distance D'_i is at most (1 + g) times the exact 2 r_i.  Let
+    d'(x, c_i) < D'_i/2 (1 - 3g), which with the product's own rounding is
+    below r_i (1 + g)(1 - 3g + 3u) < (1 - g) r_i, u = 2**-53 <= g/4.  Then
+    for every j != i, d'(x, c_j) >= (1 - g) d(x, c_j) >= 2(1 - g) r_i
+    - (1 - g) d(x, c_i) >= 2(1 - g) r_i - d'(x, c_i) > d'(x, c_i): i is the
+    computed row's strict argmin, so no other index is marked, and
+    d(x, c_i) <= d'(x, c_i) / (1 - g) < r_i.  No radius lies below the
+    paper's stage-1 threshold delta0/2 (1 - 3g), as delta0 is the smallest
+    D'_i.
+    """
+    return codebook.nearest_other / 2.0 * (1.0 - 3.0 * kernels.rounding_bound(codebook.k))
+
+
 def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTable:
     """Neighbor lists at ``neighbor_radius``: one ``kernels.window_marked`` pass of the codebook over itself.
 
     The table keeps the pass's counts and ``keys``, each member ranked by
-    its position on ``Codebook.axis``.  ``delta_hat`` must be at
-    least half the codebook's minimum pairwise distance (NaN is rejected);
-    below that the fast encoding path's region structure breaks.
+    its position on ``Codebook.axis``, and each codevector's stage-1
+    half-width, ``kernels.half_width`` of its ``sub1_radii``, in axis order.
+    ``delta_hat`` must be at least half the codebook's minimum pairwise
+    distance (NaN is rejected); below that the fast encoding path's region
+    structure breaks.
     """
     half_delta0 = codebook.delta0 / 2.0
     if not delta_hat >= half_delta0:  # NaN fails this too
@@ -99,17 +137,33 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     owner = np.repeat(by_start, count[by_start])
     keys = np.sort(owner * n + pos[marked])
     keys.setflags(write=False)
-    return NeighborhoodTable(delta_hat=float(delta_hat), count=count, keys=keys, order=codebook.order)
+    half = kernels.half_width(sub1_radii(codebook)[codebook.order], codebook.k, codebook.norm_scale)
+    half.setflags(write=False)
+    return NeighborhoodTable(
+        delta_hat=float(delta_hat), count=count, keys=keys, order=codebook.order, axis=codebook.axis, sub1_half=half
+    )
 
 
 def space_bits(table: NeighborhoodTable) -> int:
-    """Exact storage accounting: sum of (|list|+1) * (ceil(log2 N) + 32) bits.
+    """Exact storage accounting in bits: entries * (ceil(log2 N) + 32).
 
-    Each entry carries a ceil(log2 N)-bit index plus a 4-byte payload; the +1
-    counts the per-list head pointer.
+    entries = sum_i (|list_i| + 1) + 2N + sum_q (|S_q| + 1), over the N
+    neighbor lists and the 2N + 1 pieces q below.  Each entry carries a
+    ceil(log2 N)-bit index plus a 4-byte payload; the +1 counts the per-list
+    head pointer.  The other terms are the table a register over stage 1's
+    domain would read.  Codevector i's interval
+    [axis_i - sub1_half_i, axis_i + sub1_half_i] has two ends, and the 2N
+    sorted ends cut the mean axis into 2N + 1 pieces (an upper end closes
+    its interval at the next float), on each of which the domain is one set
+    S_q, stored with its head pointer.  |S_q| is the encoder's count at the
+    piece's first float, ``kernels.strip_counts`` of the ends; the piece
+    below every end holds nothing.
     """
     bits_per_entry = max(1, (table.n - 1).bit_length()) + 32
-    return int((table.count + 1).sum()) * bits_per_entry
+    starts = np.concatenate([table.axis - table.sub1_half, np.nextafter(table.axis + table.sub1_half, np.inf)])
+    members = kernels.strip_counts(starts, np.argsort(starts), table.axis, table.sub1_half)
+    pieces = int(members.sum()) + 2 * table.n + 1
+    return (int((table.count + 1).sum()) + 2 * table.n + pieces) * bits_per_entry
 
 
 def dump_table(table: NeighborhoodTable) -> str:

@@ -118,8 +118,8 @@ class PartitionStats:
     max_grover_iterations: int
     mean_classical_evals: float
     max_classical_evals: int
-    mean_table_reads: float  # binary-search probes and entries the window lookups and the walks read
-    mean_sub1_domain: float  # stage 1's search domain W, per block
+    mean_table_reads: float  # binary-search probes and entries the two stages' lookups and the walks read
+    mean_sub1_domain: float  # the size of stage 1's search domain S(x), per block
     mean_sub2_domain: float  # stage 2's window W_t, per block (its register holds 2 W_t)
     paper_mean_grover_iterations: float  # the paper's configuration: stage 1 over all N
     paper_mean_classical_evals: float  # the paper's scans: h's whole list after a hit, all N in a fallback
@@ -259,9 +259,9 @@ def report(stats: PartitionStats, n: int) -> str:
     nearest codevector's own radius, never smaller.  ``ops_per_block`` is
     the mean search iterations plus the mean classical evaluations, and
     ``ratio_ops_vs_sqrt_n`` sets it against the paper's sqrt(N) claim.
-    ``mean_table_reads`` is what the two stages' window lookups and the
-    finishing walks read, beside the operations rather than in them,
-    ``mean_sub1_domain`` the mean size W of stage 1's window and
+    ``mean_table_reads`` is what the two stages' lookups and the finishing
+    walks read, beside the operations rather than in them,
+    ``mean_sub1_domain`` the mean size of stage 1's domain S(x) and
     ``mean_sub2_domain`` the mean size W_t of stage 2's.  The ``paper_``
     keys are the same run charged as the paper's configuration: both stages
     over all N, h's whole neighbor list after a stage-2 hit, all N

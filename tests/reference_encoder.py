@@ -4,8 +4,11 @@ It walks one block at a time through stage 1, the stage-2 rounds and the
 fallback, reading the block's distance row and its own draw for each slot:
 slot 0 is the stage-1 coin, slot 1 the marked pick, and slots 2r+2 and 2r+3
 the iteration count j and the coin of stage-2 round r.  Stage 1 searches
-the block's window and stage 2 a register of twice its own window, each
-found by a literal scan of the projections (``reference_window``).  A
+S(x), the codevectors whose own interval holds the block's projection
+(``stage1_domain``, a literal scan of every codevector), with the certain
+coin of the phase-matched search wherever Long's iteration count is the
+plain one (``stage1_chance``).  Stage 2 searches a register of twice its
+window, found by a literal scan of the projections (``stage2_window``).  A
 stage-2 hit and a fallback are finished by
 ``projection_walk``, a literal sequential walk.  ``reference_encode``
 returns plain ints, and the batch must give every block the same ones
@@ -87,9 +90,9 @@ def run_stage(stage: int, rows, cb, table, seed: int, paper: bool = False):
     """Run batch stage 1 or 2 alone on every row, with the rows' draws keyed by ``seed``.
 
     Returns (facts, accepted mask, meter with only that stage's charges).
-    Each stage runs as ``encode`` runs it, over each row's window (charged
-    its lookup's reads) and over all N, on the same draws; it returns the
-    window's, or with ``paper`` the paper's over all N.  Stage 2 searches
+    Each stage runs as ``encode`` runs it, over each row's own domain
+    (charged its lookup's reads) and over all N, on the same draws; it
+    returns the codec's, or with ``paper`` the paper's over all N.  Stage 2 searches
     every row, not only those stage 1 fails, and its window's register is
     twice the window, W_t = 0 running no round.
     """
@@ -99,10 +102,10 @@ def run_stage(stage: int, rows, cb, table, seed: int, paper: bool = False):
     facts = block_facts(rows, cb, table, draw(PICK_SLOT))
     meter, paper_meter = batch_meter(size), batch_meter(size)
     if stage == 1:
-        u, coins = draw(SUB1_SLOT), sub1_table(cb.n)
-        accepted = encode_sub1(facts.t_s, facts.domain_s, u, coins, meter)
-        meter.table_reads += 2 * cb.n.bit_length()
-        paper_accepted = encode_sub1(facts.t_s, cb.n, u, coins, paper_meter)
+        u, (iterations, bias, paper_bias) = draw(SUB1_SLOT), sub1_table(cb.n)
+        accepted = encode_sub1(facts.t_s, facts.domain_s, u, (iterations, bias), meter)
+        meter.table_reads += stage1_reads(cb.n)
+        paper_accepted = encode_sub1(facts.t_s, cb.n, u, (iterations, paper_bias), paper_meter)
     else:
         searched = np.flatnonzero(facts.domain_t > 0)
         meter.table_reads += 2 * cb.n.bit_length()
@@ -112,6 +115,29 @@ def run_stage(stage: int, rows, cb, table, seed: int, paper: bool = False):
     if paper:
         return facts, paper_accepted, paper_meter
     return facts, accepted, meter
+
+
+def stage1_reads(n: int) -> int:
+    """Stage 1's lookup: one binary search over the 2N sorted interval ends, bit_length(2N), and the piece's count."""
+    return (2 * n).bit_length() + 1
+
+
+def long_iterations(w: int) -> int:
+    """Long's phase-matched iteration count over w >= 2 indices, one marked: floor((pi/2 - beta)/(2 beta)) + 1.
+
+    sin(beta) = 1/sqrt(w); with oracle and diffusion phases
+    2 asin(sin(pi/(4K + 2))/sin(beta)) the search finds the marked index
+    with certainty (G. L. Long, Phys. Rev. A 64, 022307, 2001).
+    """
+    beta = math.asin(1.0 / math.sqrt(w))
+    return math.floor((math.pi / 2.0 - beta) / (2.0 * beta)) + 1
+
+
+def stage1_chance(t_s: int, w: int, j: int) -> float:
+    """Stage 1's coin over a domain of w: 1 for a marked block where Long's count is j, else ``success_chance``."""
+    if t_s == 1 and w >= 2 and long_iterations(w) == j:
+        return 1.0
+    return success_chance(t_s, w, j)
 
 
 def success_chance(t: int, n: int, j: int) -> float:
@@ -190,17 +216,30 @@ def reference_pick(dvec, table, u):
     return marked[min(int(u(PICK_SLOT) * t), t - 1)] if t else None
 
 
-def reference_window(x, codebook, half=None) -> int:
-    """The codevectors whose projections lie within ``half`` of p(x); stage 1's window by default.
+def reference_window(x, codebook, half: float) -> int:
+    """How many codevectors' projections lie within ``half`` of p(x): a literal scan, both ends inclusive.
 
-    A literal scan over ``Codebook.projections``, both ends inclusive.
-    Stage 1's half-width is ``reference_half_width`` at the largest
-    ``sub1_radii``, stage 2's at delta_hat (``stage2_window``).
+    Stage 2's window is the one at ``reference_half_width(delta_hat)``
+    (``stage2_window``); at the largest ``sub1_radii`` it is the one strip
+    that bounds every S(x).
     """
     p = float(kernels.projections(np.asarray([x], dtype=np.float64))[0])
-    if half is None:
-        half = reference_half_width(float(sub1_radii(codebook).max()), codebook)
     return sum(1 for c in codebook.projections.tolist() if p - half <= c <= p + half)
+
+
+def stage1_domain(x, codebook) -> list[int]:
+    """S(x): the ascending i with p(c_i) - w_i <= p(x) <= p(c_i) + w_i, w_i = ``reference_half_width(r_i)``.
+
+    r_i is ``sub1_radii``[i]: each codevector's interval on the mean axis
+    is its own, found by a literal scan of every codevector.
+    """
+    p = float(kernels.projections(np.asarray([x], dtype=np.float64))[0])
+    members = []
+    for i, (c, r) in enumerate(zip(codebook.projections.tolist(), sub1_radii(codebook).tolist())):
+        w = reference_half_width(r, codebook)
+        if c - w <= p <= c + w:
+            members.append(i)
+    return members
 
 
 def stage2_window(x, codebook, table) -> int:
@@ -212,13 +251,15 @@ def reference_encode(x, codebook, table, u, paper: bool = False) -> tuple[int, i
     """Encode one block x; ``u(slot)`` is its draw for the slot.
 
     Returns (index, path, iterations, evaluations, reads), plain ints, the
-    path as its position in ``PATHS``.  Stage 1 searches x's window of
-    ``reference_window`` codevectors, stage 2 a register of twice its
-    ``stage2_window`` (no round when that is empty), and a stage-2 hit or a
-    fallback is finished by ``projection_walk``.  Each window's lookup reads
-    2 bit_length(N) entries.  With ``paper`` the block is charged as the
-    paper's configuration instead: both stages over all N, h's whole list
-    after a hit, all N in a fallback, and no table reads.
+    path as its position in ``PATHS``.  Stage 1 searches x's
+    ``stage1_domain`` with ``stage1_chance``'s coin, stage 2 a register of
+    twice its ``stage2_window`` (no round when that is empty), and a
+    stage-2 hit or a fallback is finished by ``projection_walk``.  Stage
+    1's lookup reads ``stage1_reads`` entries, stage 2's window's
+    2 bit_length(N).  With ``paper`` the block is charged as the paper's
+    configuration instead: both stages over all N with the plain search's
+    coin, h's whole list after a hit, all N in a fallback, and no table
+    reads.
     """
     dvec = [float(d) for d in distances_to_codebook(x, codebook)]
     n = len(dvec)
@@ -229,14 +270,15 @@ def reference_encode(x, codebook, table, u, paper: bool = False) -> tuple[int, i
     if paper:
         domain = n
     else:
-        domain = reference_window(x, codebook)
-        assert t_s == 0 or domain > 0  # the window holds every index stage 1 can mark
-        meter.table_reads += 2 * n.bit_length()  # the window's two binary searches
-    if domain:  # an empty window holds nothing to search
+        members = stage1_domain(x, codebook)
+        assert t_s == 0 or index in members  # S(x) holds every index stage 1 can mark
+        domain = len(members)
+        meter.table_reads += stage1_reads(n)
+    if domain:  # an empty domain holds nothing to search
         j = sub1_iterations(domain)
         meter.grover_iterations += j
         meter.classical_distance_evals += 1
-        if u(0) < success_chance(t_s, domain, j):
+        if u(0) < (success_chance(t_s, domain, j) if paper else stage1_chance(t_s, domain, j)):
             return plain(index, EncodePath.SUB1, meter)
     if paper:
         domain = n

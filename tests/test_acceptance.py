@@ -196,9 +196,10 @@ def test_criterion_6_space_formula():
     # exact value on a constructed table with all-singleton lists
     # (no valid delta_hat builds one: the closest pair is in each other's lists)
     t4 = NeighborhoodTable(
-        delta_hat=50.0, count=np.ones(4, dtype=np.int64), keys=5 * np.arange(4), order=np.arange(4)
+        delta_hat=50.0, count=np.ones(4, dtype=np.int64), keys=5 * np.arange(4), order=np.arange(4),
+        axis=10.0 * np.arange(4), sub1_half=np.ones(4),
     )
-    exact_ok = space_bits(t4) == 272
+    exact_ok = space_bits(t4) == 986  # lists 8, stage 1's 8 ends and 4 + 9 piece entries, 34 bits each
 
     # doubling N with bounded |lists|: log-log slope tracks the N*log2(N) model
     sizes = [64, 128, 256, 512, 1024]

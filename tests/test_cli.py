@@ -22,51 +22,51 @@ BENCH_64_256_SEED_3 = """\
 n=64
 sqrt_n=8.0
 vectors=500
-mean_grover_iters=1.94
+mean_grover_iters=1.852
 max_grover_iters=12
-mean_classical_evals=1.81
+mean_classical_evals=1.688
 max_classical_evals=27
 frac_s=0.9
 frac_t_minus_s=0.092
 frac_i_minus_t=0.008
 frac_sub1_marked=0.9
-ratio_vs_sqrt_n=0.2425
-ops_per_block=3.75
-ratio_ops_vs_sqrt_n=0.46875
-mean_table_reads=17.784
+ratio_vs_sqrt_n=0.2315
+ops_per_block=3.54
+ratio_ops_vs_sqrt_n=0.4425
+mean_table_reads=11.586
 mean_sub1_domain=6.774
 mean_sub2_domain=8.108
 paper_mean_grover_iters=6.784
 paper_mean_classical_evals=2.68
 paper_ops_per_block=9.464
-ratio_vs_pure_quantum=0.005388888888888888
-count_sub1=409
-count_sub2=87
+ratio_vs_pure_quantum=0.0051444444444444445
+count_sub1=439
+count_sub2=57
 count_fallback=4
 
 n=256
 sqrt_n=16.0
 vectors=500
-mean_grover_iters=2.852
+mean_grover_iters=2.81
 max_grover_iters=19
-mean_classical_evals=1.938
+mean_classical_evals=1.868
 max_classical_evals=40
 frac_s=0.9
 frac_t_minus_s=0.092
 frac_i_minus_t=0.008
 frac_sub1_marked=0.9
-ratio_vs_sqrt_n=0.17825
-ops_per_block=4.79
-ratio_ops_vs_sqrt_n=0.299375
-mean_table_reads=21.522
+ratio_vs_sqrt_n=0.175625
+ops_per_block=4.678
+ratio_ops_vs_sqrt_n=0.292375
+mean_table_reads=13.946
 mean_sub1_domain=13.636
 mean_sub2_domain=16.428
 paper_mean_grover_iters=13.89
 paper_mean_classical_evals=4.624
 paper_ops_per_block=18.514
-ratio_vs_pure_quantum=0.0039611111111111106
-count_sub1=432
-count_sub2=64
+ratio_vs_pure_quantum=0.003902777777777778
+count_sub1=444
+count_sub2=52
 count_fallback=4
 """
 
@@ -76,26 +76,26 @@ ENCODE_SEED_3 = """\
 n=8
 sqrt_n=2.8284271247461903
 vectors=128
-mean_grover_iters=1.3515625
+mean_grover_iters=1.1328125
 max_grover_iters=10
-mean_classical_evals=2.65625
+mean_classical_evals=2.40625
 max_classical_evals=15
 frac_s=0.328125
 frac_t_minus_s=0.65625
 frac_i_minus_t=0.015625
 frac_sub1_marked=0.6171875
-ratio_vs_sqrt_n=0.47784950447372154
-ops_per_block=4.0078125
-ratio_ops_vs_sqrt_n=1.416975698237105
-mean_table_reads=14.828125
-mean_sub1_domain=2.2890625
+ratio_vs_sqrt_n=0.4005097002814429
+ops_per_block=3.5390625
+ratio_ops_vs_sqrt_n=1.2512475463965078
+mean_table_reads=11.4921875
+mean_sub1_domain=1.6796875
 mean_sub2_domain=3.3984375
 paper_mean_grover_iters=2.5703125
 paper_mean_classical_evals=3.7109375
 paper_ops_per_block=6.28125
-ratio_vs_pure_quantum=0.010618877877193813
-count_sub1=67
-count_sub2=59
+ratio_vs_pure_quantum=0.008900215561809843
+count_sub1=79
+count_sub2=47
 count_fallback=2
 delta_hat=16.066614287850317
 psnr=34.93372616634963
@@ -105,26 +105,26 @@ ENCODE_SEED_7 = """\
 n=8
 sqrt_n=2.8284271247461903
 vectors=128
-mean_grover_iters=1.3359375
+mean_grover_iters=1.109375
 max_grover_iters=10
-mean_classical_evals=2.8359375
+mean_classical_evals=2.4453125
 max_classical_evals=17
 frac_s=0.328125
 frac_t_minus_s=0.65625
 frac_i_minus_t=0.015625
 frac_sub1_marked=0.6171875
-ratio_vs_sqrt_n=0.47232523274570165
-ops_per_block=4.171875
-ratio_ops_vs_sqrt_n=1.474980551381314
-mean_table_reads=14.9453125
-mean_sub1_domain=2.2890625
+ratio_vs_sqrt_n=0.39222329268941303
+ops_per_block=3.5546875
+ratio_ops_vs_sqrt_n=1.2567718181245278
+mean_table_reads=11.4921875
+mean_sub1_domain=1.6796875
 mean_sub2_domain=3.3984375
 paper_mean_grover_iters=2.5546875
 paper_mean_classical_evals=3.640625
 paper_ops_per_block=6.1953125
-ratio_vs_pure_quantum=0.010496116283237815
-count_sub1=66
-count_sub2=60
+ratio_vs_pure_quantum=0.008716073170875846
+count_sub1=79
+count_sub2=47
 count_fallback=2
 delta_hat=16.066614287850317
 psnr=34.93372616634963
@@ -147,7 +147,7 @@ frac_i_minus_t=0.015625
 inf_omega=3
 max_omega=5
 mean_omega=4.25
-space_bits=1470
+space_bits=3535
 0: 0 3 7
 1: 1 2 4 5 6
 2: 1 2 4 5 6
@@ -170,7 +170,7 @@ frac_i_minus_t=0.0
 inf_omega=4
 max_omega=9
 mean_omega=6.76
-space_bits=7178
+space_bits=19980
 0: 0 1 5 6
 1: 0 1 2 5 6 7
 2: 1 2 3 6 7 8
@@ -204,10 +204,10 @@ space_bits=7178
 # `hqvq train -n 8 --seed 3` at ``choose_delta_hat``.  Per-block facts and charges,
 # so a refactor that must keep every block's bits keeps these
 ENCODE_DIGESTS = {
-    ("bench", 1): "1100c48190a37749601150f94c7a1136255c93e46f862deff54e631384e4be5d",
-    ("bench", 2): "24b2deda44ff1515d36fd489fddf2a52f1fb518f83f8f2246ebc9665d5f88564",
-    ("image", 1): "c93c1b8450c19e6f64e98641871d60860797d8c4ed072c77923e66bf14ab1c9e",
-    ("image", 2): "b76f5b28321354ea8a7b1c0b547a3c2c84115f17cb6a596afd748b50d64e8072",
+    ("bench", 1): "879aa33604c91edeb3493ff97fe6ea15aa57002b37b78b1b8ee966faef9c952e",
+    ("bench", 2): "f7240ca254e7fb4a12ab199ee85a757e5a5c4067620dfc293df2d6511c51651b",
+    ("image", 1): "7bbfd8d39aae714e01dca5c3a803b7dafdc47927590b083be73269183143b17e",
+    ("image", 2): "f868aa907881bed908759cbd278ac6a2c7ae5c6e324996a8da2972cd456ce5fc",
 }
 
 

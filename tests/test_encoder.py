@@ -11,13 +11,18 @@ from reference_encoder import (
     batch_meter,
     batch_rows,
     block_draws,
+    long_iterations,
     meter_rows,
     projection_walk,
     reference_encode,
     reference_stage2,
+    reference_half_width,
     reference_window,
     run_stage,
     seeded_draws,
+    stage1_chance,
+    stage1_domain,
+    stage1_reads,
     stage2_window,
     sub1_iterations,
     success_chance,
@@ -50,13 +55,12 @@ from hqvq.encoder import (
     encode_sub2,
     finishing_walks,
     nearest_distances,
-    sub1_half_width,
     sub1_radii,
     sub1_table,
     sub2_budget,
     success_table,
 )
-from hqvq.grover import marked_set_from_distances
+from hqvq.grover import marked_probability, marked_set_from_distances
 from hqvq.pipeline import region_fractions
 
 # positions in EncodeBatch.path
@@ -124,8 +128,8 @@ class TestSub1:
         facts, accepted, _ = run_stage(1, trials(x, 10_000), cb, table, 1, paper=True)
         assert np.all(facts.index == 5)
         assert accepted.mean() >= 0.999  # the paper's stage 1 over N: closed form ~0.99995
-        # the window: (0, 50) and the 5 other codevectors on its anti-diagonal, j = 1
-        assert reference_window(x, cb) == 6 and np.all(facts.domain_s == 6)
+        # S(x): (0, 50) and the 5 other codevectors on its anti-diagonal, j = 1, not phase-matched
+        assert len(stage1_domain(x, cb)) == 6 and np.all(facts.domain_s == 6)
         _, accepted, meter = run_stage(1, trials(x, 10_000), cb, table, 1)
         chance = success_chance(1, 6, 1)  # sin^2(3 asin(1/sqrt(6))) ~ 0.907
         assert abs(accepted.mean() - chance) < 4 * math.sqrt(chance * (1 - chance) / 10_000)
@@ -147,29 +151,30 @@ class TestSub1:
         assert paper.classical_distance_evals.tolist() == [1]
         assert paper.table_reads.tolist() == [0]
         facts, _, meter = run_stage(1, [x], cb, table, 3)
-        width = reference_window(x, cb)
+        width = len(stage1_domain(x, cb))
         assert width == 4 and facts.domain_s.tolist() == [width]
         assert meter.grover_iterations.tolist() == [math.floor(math.pi / 4 * math.sqrt(width))] == [1]
         assert meter.classical_distance_evals.tolist() == [1]
-        assert meter.table_reads.tolist() == [2 * 7]  # two binary searches over 64 projections
+        # one binary search over the 128 interval ends, bit_length(128), and the piece's count
+        assert meter.table_reads.tolist() == [stage1_reads(64)] == [8 + 1]
 
     def test_empty_window_is_charged_nothing(self):
         # x lies beyond every codevector's projection: W = 0, no search and no verification
         cb, table = make_setup(16)
         x = np.array([500.0, 500.0])
         facts, accepted, meter = run_stage(1, trials(x, 20), cb, table, 4)
-        assert reference_window(x, cb) == 0 and np.all(facts.domain_s == 0) and np.all(facts.t_s == 0)
+        assert stage1_domain(x, cb) == [] and np.all(facts.domain_s == 0) and np.all(facts.t_s == 0)
         assert not accepted.any()
         assert np.all(meter.grover_iterations == 0) and np.all(meter.classical_distance_evals == 0)
-        assert np.all(meter.table_reads == 2 * 5)  # the lookup still runs
+        assert np.all(meter.table_reads == 6 + 1)  # the lookup still runs
 
     def test_window_of_one_always_succeeds(self):
         # (0, 0) is alone on its anti-diagonal: W = 1, j = 0, and the one index is the marked one
         cb, table = make_setup(64)
         x = cb.vectors[0] + np.array([0.3, -0.3])  # p(x) = p(c_0) = 0
         facts, accepted, meter = run_stage(1, trials(x, 500), cb, table, 5)
-        assert reference_window(x, cb) == 1 and np.all(facts.domain_s == 1) and np.all(facts.t_s == 1)
-        assert sub1_table(1)[1][1] == 1.0
+        assert stage1_domain(x, cb) == [0] and np.all(facts.domain_s == 1) and np.all(facts.t_s == 1)
+        assert sub1_table(1)[1][1] == sub1_table(1)[2][1] == 1.0
         assert accepted.all()
         assert np.all(meter.grover_iterations == 0) and np.all(meter.classical_distance_evals == 1)
 
@@ -195,41 +200,82 @@ class TestSub1:
 
     def test_draw_of_zero_passes_only_a_marked_block(self):
         # random() can return 0.0; the t = 0 bias is exactly 0.0, which 0.0 is not below
-        n, t_s, u, coins = 64, np.array([0, 1]), np.zeros(2), sub1_table(64)
+        n, t_s, u, (iterations, bias, paper_bias) = 64, np.array([0, 1]), np.zeros(2), sub1_table(64)
         meter, paper = batch_meter(2), batch_meter(2)
-        accepted = encode_sub1(t_s, np.array([9, 9]), u, coins, meter)
-        paper_accepted = encode_sub1(t_s, n, u, coins, paper)
+        accepted = encode_sub1(t_s, np.array([9, 9]), u, (iterations, bias), meter)
+        paper_accepted = encode_sub1(t_s, n, u, (iterations, paper_bias), paper)
         assert accepted.tolist() == paper_accepted.tolist() == [False, True]
         assert paper.grover_iterations.tolist() == [sub1_iterations(n)] * 2 == [6, 6]
         assert meter.grover_iterations.tolist() == [sub1_iterations(9)] * 2 == [2, 2]
         assert meter.classical_distance_evals.tolist() == paper.classical_distance_evals.tolist() == [1, 1]
 
     def test_one_draw_two_coins(self):
-        # W = 2 (j = 1) succeeds with sin^2(3 pi / 4) = 1/2; over N = 64 (j = 6) with ~0.9966.
-        # A draw between the two biases passes the paper's stage 1 and fails the window's
-        t_s, coins = np.ones(3, dtype=np.int64), sub1_table(64)
-        low, high = success_chance(1, 2, 1), success_chance(1, 64, 6)
-        assert abs(low - 0.5) < 1e-15 and high > 0.99
+        # W = 6 (j = 1, not phase-matched) succeeds with sin^2(3 asin(1/sqrt(6))) ~ 0.907; over
+        # N = 64 (j = 6) with ~0.9966.  A draw between the two biases passes the paper's stage 1
+        # and fails the codec's; at W = 2 (j = 1, phase-matched) the codec's passes every draw,
+        # where the plain search would succeed with sin^2(3 pi / 4) = 1/2
+        t_s, (iterations, bias, paper_bias) = np.ones(3, dtype=np.int64), sub1_table(64)
+        low, high = success_chance(1, 6, 1), success_chance(1, 64, 6)
+        assert 0.9 < low < high and high > 0.99
         draws = np.array([low / 2, (low + high) / 2, (high + 1) / 2])
-        accepted = encode_sub1(t_s, np.full(3, 2), draws, coins, batch_meter(3))
-        paper_accepted = encode_sub1(t_s, 64, draws, coins, batch_meter(3))
+        accepted = encode_sub1(t_s, np.full(3, 6), draws, (iterations, bias), batch_meter(3))
+        paper_accepted = encode_sub1(t_s, 64, draws, (iterations, paper_bias), batch_meter(3))
         assert accepted.tolist() == [True, False, False]
         assert paper_accepted.tolist() == [True, True, False]
+        assert abs(paper_bias[2] - 0.5) < 1e-15 and bias[2] == 1.0
+        assert encode_sub1(t_s, np.full(3, 2), draws, (iterations, bias), batch_meter(3)).all()
 
     def test_window_table_is_sub1_iterations_and_marked_probability(self):
-        # every W up to 1100, with the bits the per-block reference computes one block at a time
-        iterations, bias = sub1_table(1100)
+        # every W up to 1100, with the bits the per-block reference computes one block at a time:
+        # the paper's column is the plain search's, the codec's is 1.0 where Long's count is j
+        iterations, bias, paper_bias = sub1_table(1100)
         assert iterations.tolist() == [sub1_iterations(w) for w in range(1101)]
-        assert bias[0] == 0.0 and bias[1] == 1.0
+        assert paper_bias[0] == bias[0] == 0.0 and paper_bias[1] == bias[1] == 1.0
         want = [0.0] + [success_chance(1, w, sub1_iterations(w)) for w in range(1, 1101)]
+        assert paper_bias.tobytes() == np.array(want).tobytes()
+        want = [0.0] + [stage1_chance(1, w, sub1_iterations(w)) for w in range(1, 1101)]
         assert bias.tobytes() == np.array(want).tobytes()
         # the paper's stage 1 reads the entry at N, up to the stream format's 65 536 codevectors,
         # with the bits of the t = 1 row of stage 2's table, which it read before
         for n in (4096, 65_536):
-            iterations, bias = sub1_table(n)
+            iterations, _, paper_bias = sub1_table(n)
             j = sub1_iterations(n)
             assert iterations[n] == j == (50 if n == 4096 else 201)
-            assert bias[n] == success_chance(1, n, j) == success_table(np.ones(1, dtype=np.int64), n)[0, j]
+            assert paper_bias[n] == success_chance(1, n, j) == success_table(np.ones(1, dtype=np.int64), n)[0, j]
+
+    def test_codec_bias_is_exactly_one_where_phase_matched(self):
+        # up to the stream format's 65 536 codevectors: where Long's count is floor(pi/4 sqrt(W)),
+        # the codec's bias is exactly 1.0, elsewhere the plain search's; the paper's column is
+        # the plain search's everywhere, one marked_probability call as before
+        top = 65_536
+        iterations, bias, paper_bias = sub1_table(top)
+        width = np.arange(top + 1)
+        plain = marked_probability(np.ones(top, dtype=np.int64), width[1:], iterations[1:])
+        assert paper_bias[1:].tobytes() == plain.tobytes()
+        counts = [long_iterations(w) for w in range(2, top + 1)]
+        matched = np.concatenate([[False, False], np.array(counts) == iterations[2:]])
+        assert np.all(bias[matched] == 1.0)
+        assert bias[~matched].tobytes() == paper_bias[~matched].tobytes()
+        # the table decides on W sin^2(pi/(4j + 2)) < 1 - PHASE_MATCH_MARGIN, and no W but 1 and 4,
+        # whose plain search is exact, lies within 1e-9 of 1, so rounding cannot flip a decision
+        product = width * np.sin(np.pi / (4 * iterations + 2)) ** 2
+        near = np.flatnonzero(np.abs(product - 1.0) <= 1e-9)
+        assert near.tolist() == [1, 4] and paper_bias[1] == paper_bias[4] == 1.0
+        assert np.array_equal(matched[5:], product[5:] < 1.0)
+
+    def test_a_marked_block_in_a_matched_domain_takes_sub1_under_every_seed(self):
+        # on the 8 x 8 grid, c_i = (0, 10 i) shares its anti-diagonal with i others, and a block
+        # near it has that anti-diagonal as S(x): W = 2, 3, 7 and 8, all phase-matched, where the
+        # plain search would fail with 1/2, 0.074, 0.092 and 0.055
+        cb, table = make_setup(64)
+        rows = cb.vectors[[1, 2, 6, 7]] + np.array([0.2, -0.1])
+        _, bias, paper_bias = sub1_table(64)
+        assert bias[[2, 3, 7, 8]].tolist() == [1.0] * 4 and np.all(paper_bias[[2, 3, 7, 8]] < 0.95)
+        for seed in range(200):
+            batch = encode_rows(rows, cb, table, seed)
+            assert batch.facts.domain_s.tolist() == [2, 3, 7, 8] and np.all(batch.facts.t_s == 1)
+            assert np.all(batch.path == SUB1)
+            assert batch.meter.grover_iterations.tolist() == [1, 1, 2, 2]
 
     def test_marked_set_at_half_delta0_never_exceeds_one(self):
         rng = np.random.default_rng(45)
@@ -469,15 +515,14 @@ class TestSub2:
 
 class TestEncode:
     def test_exact_codevector_hits_sub1(self):
-        # c_7 = (0, 70) shares its anti-diagonal with 7 others: W = 8, j = 2, success ~0.944;
+        # c_7 = (0, 70) shares its anti-diagonal with 7 others: |S(x)| = 8, j = 2, where the plain
+        # search succeeds with ~0.945 and the phase-matched one with certainty;
         # c_0 = (0, 0) has its own: W = 1, success exactly 1
         cb, table = make_setup(64)
         batch = encode_rows(trials(cb.vectors[7], 4000), cb, table, 10)
         assert np.all(batch.facts.index == 7)
-        share = np.count_nonzero(batch.path == SUB1) / 4000
-        chance = success_chance(1, 8, 2)
-        assert reference_window(cb.vectors[7], cb) == 8
-        assert abs(share - chance) < 4 * math.sqrt(chance * (1 - chance) / 4000)
+        assert len(stage1_domain(cb.vectors[7], cb)) == 8 and long_iterations(8) == sub1_iterations(8) == 2
+        assert np.all(batch.path == SUB1) and np.all(batch.meter.grover_iterations == 2)
         ((index, path, *_),) = batch_rows(encode_rows(cb.vectors[0:1], cb, table, 10))
         assert (index, path) == (0, SUB1)
 
@@ -513,10 +558,10 @@ class TestEncode:
         # reads 5 probes to locate p(x) past the last of 16 entries, c_15, and
         # the entry that closes the lower side
         assert projection_walk(x, cb, range(16), distances_to_codebook(x, cb)) == (15, 1, 5 + 1 + 1)
-        # the walk's 7 reads and the two windows' lookups, 2 bit_length(16) each
+        # the walk's 7 reads, stage 1's lookup, bit_length(32) + 1, and stage 2's window's, 2 bit_length(16)
         walk = finishing_walks(np.array([x]), batch.facts, cb, table, np.array([False]), np.array([True]))
-        assert walk[0].tolist() == [1] and reads == 7 + 10 + 10
-        # both windows are empty (W = W_t = 0): no verification and no stage-2 round, the walk's 1 alone
+        assert walk[0].tolist() == [1] and reads == 7 + 7 + 10
+        # both domains are empty (|S(x)| = W_t = 0): no verification and no stage-2 round, the walk's 1 alone
         assert batch.facts.domain_s.tolist() == batch.facts.domain_t.tolist() == [0]
         assert (iterations, evals) == (0, 1)
         # the paper's stage 1 verifies once, its rounds over N verify each (>= 1), and its full scan charges 16
@@ -773,23 +818,48 @@ def test_batch_equals_per_block_reference(seed, k, n, factor, master_seed, per_k
     assert indices.tolist() == [index for index, *_ in want]
 
 
-WINDOW_CASES = ("gap_at_radius", "shared_projection", "alone", "empty")
+WINDOW_CASES = ("interval_ends", "gap_at_radius", "shared_projection", "alone", "empty")
+
+
+def on_projection(targets: np.ndarray, k: int) -> np.ndarray:
+    """Rows on the mean axis whose computed projection is each target, where a step of x_0 reaches it.
+
+    Each row starts at target * (1, ..., 1) / sqrt(k) and moves its first
+    component by up to 256 ulps to the first step whose ``kernels.projections``
+    is the target, or to the nearest one when none is.  In one dimension
+    the projection is the row itself.
+    """
+    rows = targets[:, None] * (np.ones(k) / math.sqrt(k))
+    steps = np.arange(-256, 257)
+    tries = np.repeat(rows[:, None, :], steps.size, axis=1)
+    tries[:, :, 0] += steps * np.spacing(rows[:, :1])
+    p = kernels.projections(tries.reshape(-1, k)).reshape(targets.size, steps.size)
+    hit = p == targets[:, None]
+    best = np.where(hit.any(axis=1), hit.argmax(axis=1), np.abs(p - targets[:, None]).argmin(axis=1))
+    return tries[np.arange(targets.size), best]
 
 
 def window_case(case: str, rng: np.random.Generator, k: int, n: int):
-    """(codebook, rows) on one boundary of stage 1's projection window.
+    """(codebook, rows) on one boundary of stage 1's domain S(x).
 
-    - gap_at_radius: x - c along the mean axis at c's radius r_c = R =
-      max_i r_i, a few ulps either way, so a marked c sits at a projection
-      gap of R, the window's reach; and x on p(c') -+ the half-width;
+    - interval_ends: a codebook whose radii differ (``spread_codebook``),
+      and blocks on the mean axis whose projections are 4 codevectors'
+      interval ends p(c_i) -+ ``reference_half_width(r_i)``, exactly and
+      up to 3 ulps either way;
+    - gap_at_radius: x - c along the mean axis at c's own radius r_c, a
+      few ulps either way, for 4 codevectors c of such a codebook, so a
+      marked c sits at a projection gap of r_c, its interval's reach less
+      its margin;
     - shared_projection: integer codevectors with one sum, as on the grid's
-      anti-diagonals, so one projection and W = N, and blocks near them;
+      anti-diagonals, so one projection and |S(x)| = N, and blocks near them;
     - alone: codevectors 10 apart along the mean axis, each alone in its
-      window: W = 1 near each;
-    - empty: blocks beyond every projection: W = 0.
+      interval: |S(x)| = 1 near each;
+    - empty: blocks beyond every projection: |S(x)| = 0.
     """
     u = np.ones(k) / math.sqrt(k)
-    if case == "shared_projection":
+    if case in ("interval_ends", "gap_at_radius"):
+        cb, _ = spread_codebook(rng, k, n)
+    elif case == "shared_projection":
         k = max(k, 2)
         head = np.column_stack([rng.permutation(np.arange(-20, 21))[:n], rng.integers(-9, 10, size=(n, k - 2))])
         cb = Codebook(np.column_stack([head, 7 - head.sum(axis=1)]).astype(np.float64))
@@ -798,15 +868,18 @@ def window_case(case: str, rng: np.random.Generator, k: int, n: int):
     else:
         cb = Codebook(rng.normal(size=(n, k)))
     radii = sub1_radii(cb)
+    picked = rng.choice(cb.n, size=min(4, cb.n), replace=False)
+    if case == "interval_ends":
+        half = np.array([reference_half_width(r, cb) for r in radii[picked].tolist()])
+        ends = np.concatenate([cb.projections[picked] - half, cb.projections[picked] + half])
+        return cb, on_projection((ends[:, None] + np.arange(-3, 4) * np.spacing(ends)[:, None]).ravel(), cb.k)
     direction = rng.normal(size=(8, cb.k))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     at = cb.vectors[rng.integers(0, cb.n, size=8)]
     if case == "gap_at_radius":
-        c = cb.vectors[np.argmax(radii)]
-        stretch = 1.0 + np.arange(-6, 3)[:, None] * 2.0**-52
-        rows = np.vstack([c + radii.max() * stretch * u, c - radii.max() * stretch * u])
-        half = sub1_half_width(sub1_radii(cb), cb)
-        rows = np.vstack([rows, at + half * u, at - half * u, at + direction * radii.max() / 2])
+        stretch = (1.0 + np.arange(-6, 3) * 2.0**-52)[:, None, None]
+        gap = (radii[picked, None] * u) * stretch
+        rows = np.vstack([(cb.vectors[picked] + gap).reshape(-1, cb.k), (cb.vectors[picked] - gap).reshape(-1, cb.k)])
     elif case == "empty":
         rows = at + (1e3 + 10.0 * np.abs(cb.vectors).max()) * u
     else:
@@ -816,9 +889,10 @@ def window_case(case: str, rng: np.random.Generator, k: int, n: int):
 
 
 @settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(case="interval_ends", seed=0, k=1, n=3, master_seed=0)
+@example(case="interval_ends", seed=1, k=3, n=5, master_seed=1)
 @example(case="gap_at_radius", seed=0, k=2, n=5, master_seed=0)
 @example(case="gap_at_radius", seed=1, k=1, n=3, master_seed=1)
-# a marked codevector whose computed projection gap exceeds R: only the margin keeps it in the window
 @example(case="gap_at_radius", seed=1, k=3, n=5, master_seed=5)
 @example(case="shared_projection", seed=2, k=2, n=12, master_seed=2)
 @example(case="alone", seed=3, k=3, n=6, master_seed=3)
@@ -831,25 +905,31 @@ def window_case(case: str, rng: np.random.Generator, k: int, n: int):
     master_seed=st.integers(0, 2**32 - 1),
 )
 def test_stage1_window_holds_every_index_it_can_mark(case, seed, k, n, master_seed):
-    # the window is the literal count of projections within sub1_half_width of
-    # p(x); a marked index lies in it; full search is the oracle, and every
-    # block's charges and its paper's charges match the per-block reference
+    # |S(x)| is the brute-force count of codevectors whose own interval
+    # p(c_i) -+ half_width(r_i) holds p(x), ends included; a marked index lies
+    # in S(x); S(x) never exceeds the one strip at the largest radius; full
+    # search is the oracle, and every block's charges and its paper's charges
+    # match the per-block reference
     rng = np.random.default_rng(seed)
     cb, rows = window_case(case, rng, k, n)
     table = build_neighborhoods(cb, cb.delta0)
     cfg = EncoderConfig(delta_hat=table.delta_hat, master_seed=master_seed)
     indices, _, batch = encode_vectors(rows, cb, table, cfg)
     draw = seeded_draws(master_seed, rows.shape[0])
-    half = sub1_half_width(sub1_radii(cb), cb)
+    strip = reference_half_width(float(sub1_radii(cb).max()), cb)
+    lower, upper = table.axis - table.sub1_half, table.axis + table.sub1_half
     got, paper = batch_rows(batch), meter_rows(batch.paper)
+    on_an_end = 0
     for ordinal, x in enumerate(rows):
         oracle, _ = full_search(x, cb)
         assert indices[ordinal] == oracle
+        members = stage1_domain(x, cb)
         width = int(batch.facts.domain_s[ordinal])
-        assert width == reference_window(x, cb)
-        p = kernels.projections(x[None])[0]
+        assert width == len(members) <= reference_window(x, cb, strip)
         if batch.facts.t_s[ordinal]:
-            assert p - half <= cb.projections[oracle] <= p + half
+            assert oracle in members
+        p = kernels.projections(x[None])[0]
+        on_an_end += np.count_nonzero((lower == p) | (upper == p))
         if case == "shared_projection":
             assert width == cb.n
         elif case == "alone" and batch.facts.t_s[ordinal]:
@@ -861,6 +941,8 @@ def test_stage1_window_holds_every_index_it_can_mark(case, seed, k, n, master_se
         assert paper[ordinal] == reference_encode(x, cb, table, u, paper=True)[2:]
     if case == "alone":
         assert batch.facts.t_s.any()
+    elif case == "interval_ends":
+        assert on_an_end >= 8 if cb.k == 1 else on_an_end > 0
 
 
 STAGE2_WINDOW_CASES = ("edge", "shared_projection", "full", "empty")
@@ -907,7 +989,7 @@ def stage2_window_case(case: str, rng: np.random.Generator, k: int, n: int, fact
         gap = rng.uniform(0.5, 1.5, size=(8, 1)) * rng.choice([-1.0, 1.0], size=(8, 1))
         return cb, delta_hat, at + gap * u
     else:
-        reach = max(sub1_half_width(sub1_radii(cb), cb), half)
+        reach = max(reference_half_width(float(sub1_radii(cb).max()), cb), half)
         beyond = at + (1e3 + 10.0 * np.abs(cb.vectors).max()) * u
         rows = np.vstack([beyond, at + (half + reach) / 2 * u, at - (half + reach) / 2 * u])
     ulps = rng.integers(-3, 4, size=rows.shape)

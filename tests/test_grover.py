@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from reference_grover import STATEVECTOR_CAP, statevector_distribution
+from reference_encoder import long_iterations, sub1_iterations
+from reference_grover import (
+    STATEVECTOR_CAP,
+    phase_matched_distribution,
+    phase_matched_success,
+    statevector_distribution,
+)
 
 from hqvq import Codebook
 from hqvq.codebook import distances_to_codebook
@@ -143,6 +149,36 @@ class TestStatevector:
         assert np.ptp(probs[marked]) < 1e-12
         unmarked = np.delete(probs, marked)
         assert np.ptp(unmarked) < 1e-12
+
+
+class TestPhaseMatched:
+    def test_a_phase_of_pi_is_the_plain_iteration(self):
+        for n, marked, j in ((10, [3], 2), (17, [0, 5, 16], 3), (64, [40], 6)):
+            got = phase_matched_distribution(np.array(marked), n, j, math.pi)
+            np.testing.assert_allclose(got, statevector_distribution(np.array(marked), n, j), atol=1e-13)
+            got = phase_matched_success(np.array([n]), np.array([j]), np.array([math.pi]))
+            if len(marked) == 1:
+                assert abs(got[0] - float(marked_probability(1, n, j))) < 1e-13
+
+    def test_matched_search_finds_the_one_marked_index_with_certainty(self):
+        # every W up to the cap where Long's count K = floor((pi/2 - beta)/(2 beta)) + 1,
+        # sin(beta) = 1/sqrt(W), is the plain search's floor(pi/4 sqrt(W)): K iterations with
+        # oracle and diffusion phases 2 asin(sin(pi/(4K + 2))/sin(beta)) succeed with 1 within
+        # 1e-12, on the full statevector up to W = 64 and on the exact 2-D reduction above
+        width = np.arange(2, STATEVECTOR_CAP + 1)
+        count = np.array([long_iterations(w) for w in width.tolist()])
+        matched = count == np.array([sub1_iterations(w) for w in width.tolist()])
+        assert 0.45 < matched.mean() < 0.55  # about every other W, from W = 2 on
+        width, count = width[matched], count[matched]
+        phase = 2.0 * np.arcsin(np.sin(np.pi / (4 * count + 2)) * np.sqrt(width))
+        small = width <= 64
+        for w, k, phi in zip(width[small].tolist(), count[small].tolist(), phase[small].tolist()):
+            marked = w // 3
+            probs = phase_matched_distribution(np.array([marked]), w, k, phi)
+            assert abs(probs[marked] - 1.0) < 1e-12
+            assert abs(probs.sum() - 1.0) < 1e-12
+        success = phase_matched_success(width[~small], count[~small], phase[~small])
+        assert np.all(np.abs(success - 1.0) < 1e-12)
 
 
 class TestMeasure:

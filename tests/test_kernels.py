@@ -496,6 +496,32 @@ def test_strip_counts_is_two_binary_searches(steps, picks, shifts, half_step, ul
     assert got.tolist() == want.tolist() == literal
 
 
+@settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(steps=[0, 0, 0, 4, 4, 9], widths=[0, 1, 2], picks=[0, 3, 5], sides=[-1, 0, 1], ulps=0)
+@given(
+    steps=st.lists(st.integers(-12, 12), min_size=1, max_size=30),
+    widths=st.lists(st.integers(0, 6), min_size=1, max_size=30),
+    picks=st.lists(st.integers(0, 40), min_size=1, max_size=40),
+    sides=st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=40),
+    ulps=st.integers(-3, 3),
+)
+def test_strip_counts_per_entry_is_an_interval_stabbing_count(steps, widths, picks, sides, ulps):
+    # axis entries on a coarse lattice, many tied, each with its own half-width; centers on
+    # entries and exactly on their own interval ends, and a few ulps either way
+    axis = np.sort(np.array(steps, dtype=np.float64) * 0.75)
+    half = np.abs(np.resize(np.array(widths, dtype=np.float64), axis.size) * 0.75 + ulps * 2.0**-50)
+    at = np.array(picks) % axis.size
+    centers = axis[at] + np.resize(np.array(sides, dtype=np.float64), len(picks)) * half[at]
+    centers = np.concatenate([centers, centers + np.spacing(centers), centers - np.spacing(centers)])
+    lower, upper = np.sort(axis - half), np.sort(axis + half)
+    want = np.searchsorted(lower, centers, side="right") - np.searchsorted(upper, centers, side="left")
+    pairs = list(zip(axis.tolist(), half.tolist()))
+    literal = [sum(1 for a, h in pairs if a - h <= c <= a + h) for c in centers.tolist()]
+    got = kernels.strip_counts(centers, np.argsort(centers), axis, half)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist() == literal
+
+
 @pytest.mark.parametrize("k", [1, 2, 4, 16])
 def test_half_width_is_the_one_strip_margin(k):
     # reach + 4g (reach + (norm + 2 reach)) bit for bit, scalars and arrays alike

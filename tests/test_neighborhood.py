@@ -111,15 +111,20 @@ class TestSpaceBits:
     def test_four_singletons(self):
         # no valid delta_hat builds singleton lists: the closest pair is in each other's
         table = NeighborhoodTable(
-            delta_hat=50.0, count=np.ones(4, dtype=np.int64), keys=5 * np.arange(4), order=np.arange(4)
+            delta_hat=50.0, count=np.ones(4, dtype=np.int64), keys=5 * np.arange(4), order=np.arange(4),
+            axis=10.0 * np.arange(4), sub1_half=np.ones(4),
         )
-        assert space_bits(table) == 272  # 4 * (1+1) * (2+32)
+        # lists 4 * (1+1), stage 1's 8 disjoint interval ends and 9 pieces, 4 of them
+        # inside an interval: 8 + 8 + (4 + 9) entries of (2+32) bits
+        assert space_bits(table) == 986
 
     def test_two_full_lists(self):
         cb = Codebook([[0.0], [1.0]])
         table = build_neighborhoods(cb, 1.0)  # radius 2 > 1: both lists are {0,1}
         assert neighbor_lists(table) == [[0, 1], [0, 1]]
-        assert space_bits(table) == 198  # 2 * 3 * (1+32)
+        # lists 2 * 3; stage 1's intervals 0 -+ 0.5+ and 1 -+ 0.5+ overlap near 0.5, so the 5 pieces
+        # hold 0, 1, 2, 1 and 0 members: 6 + 4 + (4 + 5) entries of (1+32) bits
+        assert space_bits(table) == 627
 
     def test_every_term_at_least_two_entries(self):
         rng = np.random.default_rng(36)
@@ -127,6 +132,26 @@ class TestSpaceBits:
         table = build_neighborhoods(cb, cb.delta0)
         bits_per = max(1, (8 - 1).bit_length()) + 32
         assert space_bits(table) >= 8 * 2 * bits_per
+
+
+def test_stage1_widths_and_pieces():
+    # each codevector's stage-1 half-width, in axis order, and the 2N + 1 pieces its
+    # intervals cut the axis into: on each, the encoder's |S(x)| is the piece's count
+    rng = np.random.default_rng(37)
+    cb = Codebook(np.vstack([rng.uniform(0, 30, size=(10, 2)), [[80.0, 90.0]]]))  # one isolated codevector
+    table = build_neighborhoods(cb, cb.delta0)
+    radii = cb.nearest_other / 2.0 * (1.0 - 3.0 * kernels.rounding_bound(2))
+    assert table.axis is cb.axis
+    assert table.sub1_half.tobytes() == kernels.half_width(radii[cb.order], 2, cb.norm_scale).tobytes()
+    assert not table.sub1_half.flags.writeable
+    ends = np.sort(np.concatenate([table.axis - table.sub1_half, np.nextafter(table.axis + table.sub1_half, np.inf)]))
+    # a block at each piece's first float, and one just below it, counted one codevector at a time
+    x = np.concatenate([ends, np.nextafter(ends, -np.inf)])
+    literal = [sum(1 for a, h in zip(table.axis, table.sub1_half) if a - h <= p <= a + h) for p in x]
+    assert kernels.strip_counts(x, np.argsort(x), table.axis, table.sub1_half).tolist() == literal
+    lists = int((table.count + 1).sum())
+    entries = lists + 2 * cb.n + sum(literal[: ends.size]) + 2 * cb.n + 1
+    assert space_bits(table) == entries * (4 + 32)
 
 
 def test_dump_format():
@@ -167,7 +192,9 @@ def test_neighbors_past_either_end_raise_index_error():
 
 
 def test_table_fields_hold_each_list_once():
-    assert [f.name for f in dataclasses.fields(NeighborhoodTable)] == ["delta_hat", "count", "keys", "order"]
+    assert [f.name for f in dataclasses.fields(NeighborhoodTable)] == [
+        "delta_hat", "count", "keys", "order", "axis", "sub1_half"
+    ]
 
 
 def midpoint_pair(rng: np.random.Generator, k: int):

@@ -304,10 +304,11 @@ class TestEncodeVectors:
         assert stats.mean_table_reads == float(batch.meter.table_reads.mean())
         assert stats.mean_sub1_domain == float(batch.facts.domain_s.mean())
         assert stats.mean_sub2_domain == float(batch.facts.domain_t.mean())
-        # each window's lookup reads two binary searches' worth, 2 bit_length(64): stage 1's
-        # for every block, stage 2's for every block that enters it; the walks read more
-        assert np.all(batch.meter.table_reads[~(sub2 | fallback)] == 14)
-        assert np.all(batch.meter.table_reads[sub2 | fallback] > 28)
+        # stage 1's lookup reads one binary search over the 128 interval ends and the piece's
+        # count, bit_length(128) + 1, for every block; stage 2's window two binary searches,
+        # 2 bit_length(64), for every block that enters it; the walks read more
+        assert np.all(batch.meter.table_reads[~(sub2 | fallback)] == 9)
+        assert np.all(batch.meter.table_reads[sub2 | fallback] > 9 + 14)
         assert np.all(paper.table_reads == 0)
 
     def test_a_blocks_charges_depend_only_on_that_block(self):
@@ -438,7 +439,7 @@ class TestSyntheticDataset:
         assert np.count_nonzero(batch.paper.classical_distance_evals == 1) >= 999  # 0.1% slack
         # the window's: W is a few codevectors on x's anti-diagonal, each block's success
         # sin^2((2j+1) theta) with sin(theta) = 1/sqrt(W), lower than over N; the rest go on exactly
-        _, bias = sub1_table(int(batch.facts.domain_s.max()))
+        _, bias, _ = sub1_table(int(batch.facts.domain_s.max()))
         chance = bias[batch.facts.domain_s]
         mean, spread = chance.sum(), math.sqrt((chance * (1 - chance)).sum())
         assert abs(stats.count_sub1 - mean) < 4 * spread
