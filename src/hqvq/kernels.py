@@ -105,12 +105,15 @@ def rounding_bound(k: int) -> float:
     """Relative rounding bound g of the kernels' distances and projections in dimension k.
 
     A distance ``_distances`` computes (the sum, then ``sqrt``) is within
-    g * d of the exact distance d, and x's computed projection on the mean
-    axis (the sum of its components over sqrt(k)) is within g * ||x|| of the
-    exact one.  g is Higham's gamma_{k+3} = (k+3)u / (1 - (k+3)u) with
-    u = 2**-53: a squared difference carries 3 roundings, the sum k - 1 more
-    and ``sqrt`` one; the projection's sum carries k - 1 in any order and the
-    division by sqrt(k) two.
+    g * d of the exact distance d, and x's computed coordinate on the mean
+    axis (``projections``) or on the split axis (``split_projections``) is
+    within g * ||x|| of the exact one.  g is Higham's gamma_{k+3} =
+    (k+3)u / (1 - (k+3)u) with u = 2**-53: a squared difference carries 3
+    roundings, the sum k - 1 more and ``sqrt`` one.  A coordinate is a sum
+    of k' <= k signed components, k' - 1 roundings in any order, within
+    gamma_{k'-1} of the sum of their magnitudes, at most sqrt(k') ||x||;
+    dividing by sqrt(k') adds two (the root and the quotient).  So it is
+    within gamma_{k'+1} ||x|| <= g ||x|| of the exact one.
     """
     ku = (k + 3) * 2.0**-53
     return ku / (1.0 - ku)
@@ -129,25 +132,56 @@ def projections(rows: np.ndarray) -> np.ndarray:
     return total
 
 
+def split_projections(rows: np.ndarray) -> np.ndarray:
+    """Each row's coordinate on the split axis, for k >= 2: its first half less its second half, over sqrt(k').
+
+    The axis weighs the first k // 2 components +1 and the last k // 2 -1,
+    over sqrt(k') with k' = 2 (k // 2); for odd k the middle component
+    weighs 0.  It is a unit vector orthogonal to the mean axis, so with
+    ``projections`` it spans a plane on which the block's distance to a
+    codevector bounds their offset.  For a row-major 2 x 2 block it is
+    (top - bottom) / 2, the first Haar detail of Lee and Chen's mean
+    pyramid (IEEE Trans. Commun., 1995).  The sum runs in index order,
+    ``((x_0 + x_1) - x_2) - ...``, as ``projections`` sums.
+    """
+    half = rows.shape[1] // 2
+    total = rows[:, 0].copy()
+    for d in range(1, half):
+        total += rows[:, d]
+    for d in range(rows.shape[1] - half, rows.shape[1]):
+        total -= rows[:, d]
+    total /= math.sqrt(2 * half)
+    return total
+
+
 def half_width(reach, k: int, norm):
     """The projection gap within which every codevector within ``reach`` of a query lies.
 
     reach + 4g (reach + (norm + 2 reach)), with ``rounding_bound(k)``'s g,
-    elementwise over arrays; inf at an inf reach.  ``reach`` must be at
-    least the query's computed distance to some codevector, and ``norm``
-    must bound every codevector's norm (``Codebook.norm_scale``,
-    sqrt(k) max |c_d|).  Every strip on the mean axis takes this margin.
+    elementwise over arrays; inf at an inf reach, and at a finite reach
+    whose margin overflows (beyond about 1e307), with no warning.
+    ``reach`` must be at least the query's computed distance to some
+    codevector, and ``norm`` must bound every codevector's norm
+    (``Codebook.norm_scale``, sqrt(k) max |c_d|).  Every strip on the mean
+    axis takes this margin, and so does every disc on the plane of the mean
+    and split axes (``neighborhood.DiscGrid``).
 
     Proof: s = norm + 2 reach bounds ||x|| and every ||c||, since
     ||x|| <= ||c|| + d(x, c) for a codevector c at computed distance at most
     reach, and a computed distance is at least half the exact one.  A
     codevector c' at computed distance at most reach lies at an exact one
-    of at most reach / (1 - g), which bounds |p(x) - p(c')| on the unit mean
-    axis, and each computed projection is within g s of the exact one.  So
-    c''s computed gap is below reach (1 + 2g) + 2g s up to one rounding; the
-    other 2g (reach + s) covers the rounding of the gap and the strip's ends.
+    of at most reach / (1 - g), which bounds its exact offset from x on the
+    unit mean axis, and on any two orthonormal axes its exact offset on
+    their plane, a projection of x - c'.  Each computed coordinate, on the
+    mean axis or the split axis, is within g s of the exact one
+    (``rounding_bound``), so each computed offset is within 2g s of the
+    exact one on one axis, and within 2 sqrt(2) g s < 3g s on the plane.
+    So c''s computed gap, or its computed offset on the plane, is below
+    reach (1 + 2g) + 3g s up to one rounding; the remaining 2g reach + g s
+    covers the rounding of the gap and the strip's ends, or the disc test's.
     """
-    return reach + 4.0 * rounding_bound(k) * (reach + (norm + 2.0 * reach))
+    with np.errstate(over="ignore"):
+        return reach + 4.0 * rounding_bound(k) * (reach + (norm + 2.0 * reach))
 
 
 def projection_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

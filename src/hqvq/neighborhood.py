@@ -1,24 +1,183 @@
-"""Per-codevector neighbor lists under a radius threshold, stage 1's widths, plus space accounting.
+"""Per-codevector neighbor lists under a radius threshold, both stages' search domains, plus space accounting.
 
 The table is built classically once per codebook and consulted by the
 encoder's finishing search: after a candidate codevector h is verified close
 enough to the input, only the neighbors of h need a classical scan.  It keeps
 every list once, in projection order, as one sorted key array built from one
 ``kernels.window_marked`` pass of the codebook over itself, so the scan can
-walk a list outward from the input's projection.  It also keeps each
-codevector's stage-1 half-width on the mean axis, which decides the
-codevectors stage 1 searches for a block (``encoder.block_facts``).
-``space_bits`` counts both.
+walk a list outward from the input's projection.  It also keeps what decides
+the codevectors each stage searches for a block (``encoder.block_facts``):
+each codevector's stage-1 half-width on the mean axis and, for k >= 3, a
+``DiscGrid`` whose cells hold both stages' domain sizes on the plane of the
+mean and split axes.  ``space_bits`` counts all of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .codebook import Codebook
+
+
+# For k >= 3 the grid's cell side is half_width(delta_hat) / GRID_SIDE_DIVISOR.
+# texture-2x2 at seed 1 (N = 512): 2.751 / 2.991 / 3.584 search iterations per
+# block at 16 / 8 / 4, over 29 422 / 7 536 / 1 975 cells whose two lists hold
+# 504 k / 138 k / 41 k entries (the neighbor lists hold 56 k); the exact
+# discs, a per-block test, would give 2.489.
+GRID_SIDE_DIVISOR = 8
+
+# The grid holds at most GRID_CELL_CAP * N cells: its side doubles until it
+# does, so its memory is O(N) whatever the codebook's extent.  texture-2x2's
+# grid at seed 1 holds 7 536 cells, 14.7 N, so the cap binds only where a far
+# codevector, or a few isolated ones in a small codebook, stretch the plane.
+GRID_CELL_CAP = 64
+
+
+@dataclass(frozen=True, eq=False)
+class DiscGrid:
+    """Both stages' domain sizes for k >= 3, read off a bucket grid on the (p, q) plane.
+
+    p and q are a row's ``kernels.projections`` and
+    ``kernels.split_projections``, coordinates on two orthonormal axes, so
+    d(x, c)^2 >= (p(x) - p(c))^2 + (q(x) - q(c))^2: every codevector within
+    R of x lies in x's disc of radius ``kernels.half_width(R)`` on the plane,
+    by ``half_width``'s proof.  A point's cell coordinates are
+    ``cell_coordinates`` of p and of q, and its cell is their floor,
+    (column, row).  The grid holds columns low_p ..
+    low_p + cols - 1 and rows low_q .. low_q + rows - 1, with (cols, rows)
+    the shape of ``sub1`` and ``sub2`` (read-only int64):
+
+    - ``sub1[a, b]`` counts the codevectors i whose stage-1 disc, of radius
+      half_width(r_i), r_i = ``sub1_radii``[i], meets cell (low_p + a, low_q + b);
+    - ``sub2[a, b]`` counts those whose stage-2 disc, of radius
+      half_width(delta_hat), meets it.
+
+    A block outside the grid counts 0 in both.  A disc that holds a block
+    meets the block's cell (``disc_grid`` holds the proof), so a block's
+    stage-1 count holds every index stage 1 can mark, and its stage-2 count
+    every index marked at delta_hat.  One cell of infinite side, holding all
+    N in both counts, stands for a plane whose extent overflows.
+    """
+
+    origin_p: float
+    origin_q: float
+    side: float
+    low_p: int
+    low_q: int
+    sub1: np.ndarray
+    sub2: np.ndarray
+
+    def domains(self, p, q) -> tuple[np.ndarray, np.ndarray]:
+        """(stage 1's count, stage 2's count) of the cell of each point (p[i], q[i]): two int64 arrays."""
+        cols, rows = self.sub1.shape
+        a = np.floor(cell_coordinates(p, self.origin_p, self.side)) - self.low_p
+        b = np.floor(cell_coordinates(q, self.origin_q, self.side)) - self.low_q
+        inside = (a >= 0) & (a < cols) & (b >= 0) & (b < rows)
+        # outside cells, inf included, read cell 0 and count 0
+        cell = (np.where(inside, a, 0) * rows + np.where(inside, b, 0)).astype(np.int64)
+        return self.sub1.ravel().take(cell) * inside, self.sub2.ravel().take(cell) * inside
+
+
+def cell_coordinates(values, origin: float, side: float):
+    """Coordinates in cells on one axis of the grid: (values - origin) / side, for blocks and disc centres alike."""
+    return (values - origin) / side
+
+
+def disc_counts(centers_p, centers_q, radii: np.ndarray, low_p: int, low_q: int, shape) -> np.ndarray:
+    """How many discs of each set meet each cell of a (cols, rows) grid, in cell coordinates: (sets, cols, rows) int64.
+
+    Disc i of set s is centered at (``centers_p[i]``, ``centers_q[i]``)
+    with radius ``radii[s, i]``, and spans the columns floor(c_p - R) ..
+    floor(c_p + R).  In column a it meets the rows floor(c_q - h) ..
+    floor(c_q + h), with h = sqrt(R^2 - gap^2) and gap the distance from c_p
+    to [a, a + 1]: one run of rows, added to its set's column-interval
+    difference array (+1 at its first row, -1 past its last), whose running
+    sum down each column gives the counts.  Discs go in groups of about
+    ``cols * rows`` (column, disc) pairs, so the pass's memory stays that of
+    the grid.
+    """
+    sets, n = radii.shape
+    cols, rows = shape
+    width = rows + 1
+    size = cols * width
+    cp, cq, radius = np.tile(centers_p, sets), np.tile(centers_q, sets), radii.ravel()
+    base = np.repeat(np.arange(sets) * size, n)  # where each disc's set begins in ``diff``
+    first = np.floor(cp - radius)
+    span = (np.floor(cp + radius) - first).astype(np.int64) + 1
+    ends = np.cumsum(span)
+    diff = np.zeros(sets * size, dtype=np.int64)
+    for group in np.split(np.arange(span.size), np.searchsorted(ends, np.arange(cols * rows, ends[-1], cols * rows))):
+        spans = span[group]
+        disc = np.repeat(group, spans)
+        # each (column, disc) pair's column: the disc's first plus the pair's place in its run
+        a = first[disc] + (np.arange(disc.size) - np.repeat(np.cumsum(spans) - spans, spans))
+        c, r = cp[disc], radius[disc]
+        gap = np.maximum(np.maximum(a - c, c - (a + 1.0)), 0.0)
+        chord = np.sqrt(np.maximum(r * r - gap * gap, 0.0))
+        # a chord's ends lie inside the grid's rows up to rounding
+        bottom = np.clip(np.floor(cq[disc] - chord) - low_q, 0, rows - 1).astype(np.int64)
+        top = np.clip(np.floor(cq[disc] + chord) - low_q, 0, rows - 1).astype(np.int64)
+        at = base[disc] + (a - low_p).astype(np.int64) * width
+        diff += np.bincount(at + bottom, minlength=diff.size)
+        diff -= np.bincount(at + top + 1, minlength=diff.size)
+    counts = np.cumsum(diff.reshape(sets, cols, width), axis=2)[:, :, :rows]
+    counts.setflags(write=False)
+    return counts
+
+
+def disc_grid(codebook: Codebook, sub1_half: np.ndarray, sub2_half: float) -> DiscGrid:
+    """The ``DiscGrid`` of a k >= 3 codebook, its discs' radii ``sub1_half`` (stage 1, index order) and ``sub2_half``.
+
+    The cells are squares of side ``sub2_half`` / ``GRID_SIDE_DIVISOR`` over
+    the codevectors' (p, q) bounding box, widened by the largest disc
+    radius; the side doubles until the grid holds at most
+    ``GRID_CELL_CAP`` * N cells.  A box whose extent is not finite, as at an
+    overflowing or infinite ``sub2_half``, gives one cell of infinite side
+    holding all N in both counts.  The origin is the box's lower corner
+    before widening, each axis's smallest codevector coordinate.
+
+    The cell test keeps every disc that holds a block in the cell the floor
+    of its coordinates gives, rounding included.  Radii are in cells,
+    fl(w / side) + pad, with pad = 32u B, u = 2**-53, B the largest centre
+    coordinate plus the largest radius plus 2.  B bounds every coordinate of
+    a cell in the grid and of a centre, so each computed coordinate, two
+    roundings from its exact value, lies within 3u B of it.  A block within
+    w of codevector c on the plane lies, by ``kernels.half_width``'s proof,
+    within w less 2g reach + g s of it; in computed cell coordinates, within
+    w / side + 9u B.  The block's cell holds its coordinates, so it meets
+    c's padded disc, as tested in cell coordinates: the test's subtractions
+    and floors round by u (B + R) each, and the chord's root by at most 6u R
+    where R^2 - gap^2 nears 0 (R the padded radius), all within the rest of
+    pad.
+    """
+    n = codebook.n
+    p, q = codebook.projections, codebook.split_projections
+    origin_p, origin_q = float(p.min()), float(q.min())
+    extent = max(float(p.max()) - origin_p, float(q.max()) - origin_q) + 2.0 * max(sub2_half, float(sub1_half.max()))
+    if not math.isfinite(extent):
+        whole = np.full((1, 1), n, dtype=np.int64)
+        whole.setflags(write=False)
+        return DiscGrid(origin_p, origin_q, math.inf, 0, 0, whole, whole)
+    cap = GRID_CELL_CAP * n
+    # a grid of side s spans at least extent / s cells along its longer axis
+    side = max(sub2_half / GRID_SIDE_DIVISOR, extent / cap)
+    while True:
+        centers = cell_coordinates(p, origin_p, side), cell_coordinates(q, origin_q, side)
+        sub1, sub2 = sub1_half / side, sub2_half / side
+        bound = max(float(centers[0].max()), float(centers[1].max())) + max(float(sub1.max()), sub2) + 2.0
+        pad = 32.0 * 2.0**-53 * bound
+        radii = np.stack([sub1 + pad, np.full(n, sub2 + pad)])
+        widest = radii.max(axis=0)
+        low = [int(np.floor((c - widest).min())) for c in centers]
+        shape = tuple(int(np.floor((c + widest).max())) - lo + 1 for c, lo in zip(centers, low))
+        if shape[0] * shape[1] <= cap:
+            break
+        side *= 2.0
+    return DiscGrid(origin_p, origin_q, side, low[0], low[1], *disc_counts(*centers, radii, *low, shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +195,10 @@ class NeighborhoodTable:
     position, that codevector's stage-1 half-width ``kernels.half_width`` of
     its ``sub1_radii``: stage 1 searches codevector ``order[q]`` for a block
     x when |p(x) - axis[q]| <= sub1_half[q].  Both are read-only float64.
+    For k >= 3, ``grid`` is the ``DiscGrid`` whose cells give both stages'
+    domains instead, discs on the plane of the mean and split axes; it is
+    None for k <= 2, where the disc would be the ball itself and the
+    domains stay strips.
     ``delta_hat`` is the encoder threshold the table was built for; the radius
     is positive, so each codevector is always its own neighbor (d == 0) and
     ``inf_omega >= 1``.
@@ -47,6 +210,7 @@ class NeighborhoodTable:
     order: np.ndarray
     axis: np.ndarray
     sub1_half: np.ndarray
+    grid: DiscGrid | None = None
 
     @property
     def n(self) -> int:
@@ -118,6 +282,8 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     The table keeps the pass's counts and ``keys``, each member ranked by
     its position on ``Codebook.axis``, and each codevector's stage-1
     half-width, ``kernels.half_width`` of its ``sub1_radii``, in axis order.
+    For k >= 3 it also builds the ``disc_grid`` of those half-widths and
+    of ``kernels.half_width(delta_hat)``.
     ``delta_hat`` must be at least half the codebook's minimum pairwise
     distance (NaN is rejected); below that the fast encoding path's region
     structure breaks.
@@ -137,33 +303,51 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     owner = np.repeat(by_start, count[by_start])
     keys = np.sort(owner * n + pos[marked])
     keys.setflags(write=False)
-    half = kernels.half_width(sub1_radii(codebook)[codebook.order], codebook.k, codebook.norm_scale)
+    half = kernels.half_width(sub1_radii(codebook), codebook.k, codebook.norm_scale)
+    grid = None
+    if codebook.k >= 3:
+        grid = disc_grid(codebook, half, kernels.half_width(float(delta_hat), codebook.k, codebook.norm_scale))
+    half = half[codebook.order]
     half.setflags(write=False)
     return NeighborhoodTable(
-        delta_hat=float(delta_hat), count=count, keys=keys, order=codebook.order, axis=codebook.axis, sub1_half=half
+        delta_hat=float(delta_hat),
+        count=count,
+        keys=keys,
+        order=codebook.order,
+        axis=codebook.axis,
+        sub1_half=half,
+        grid=grid,
     )
 
 
 def space_bits(table: NeighborhoodTable) -> int:
     """Exact storage accounting in bits: entries * (ceil(log2 N) + 32).
 
-    entries = sum_i (|list_i| + 1) + 2N + sum_q (|S_q| + 1), over the N
-    neighbor lists and the 2N + 1 pieces q below.  Each entry carries a
-    ceil(log2 N)-bit index plus a 4-byte payload; the +1 counts the per-list
-    head pointer.  The other terms are the table a register over stage 1's
-    domain would read.  Codevector i's interval
-    [axis_i - sub1_half_i, axis_i + sub1_half_i] has two ends, and the 2N
-    sorted ends cut the mean axis into 2N + 1 pieces (an upper end closes
-    its interval at the next float), on each of which the domain is one set
-    S_q, stored with its head pointer.  |S_q| is the encoder's count at the
-    piece's first float, ``kernels.strip_counts`` of the ends; the piece
-    below every end holds nothing.
+    entries = sum_i (|list_i| + 1) over the N neighbor lists, plus the table
+    each block's domain lookup reads.  Each entry carries a ceil(log2 N)-bit
+    index plus a 4-byte payload; the +1 counts the per-list head pointer.
+
+    - k <= 2: 2N + sum_q (|S_q| + 1), over stage 1's 2N + 1 pieces q.
+      Codevector i's interval [axis_i - sub1_half_i, axis_i + sub1_half_i]
+      has two ends, and the 2N sorted ends cut the mean axis into 2N + 1
+      pieces (an upper end closes its interval at the next float), on each
+      of which the domain is one set S_q, stored with its head pointer.
+      |S_q| is the encoder's count at the piece's first float,
+      ``kernels.strip_counts`` of the ends; the piece below every end holds
+      nothing.  Stage 2's window is a run of the axis, two binary searches.
+    - k >= 3: sum_c (|S_c| + |T_c| + 1) over the grid's cells c: each
+      cell's two lists, the codevectors whose stage-1 and stage-2 discs meet
+      it (``DiscGrid.sub1`` and ``sub2``), behind one head pointer.
     """
     bits_per_entry = max(1, (table.n - 1).bit_length()) + 32
+    lists = int((table.count + 1).sum())
+    if table.grid is not None:
+        grid = table.grid
+        return (lists + int(grid.sub1.sum()) + int(grid.sub2.sum()) + grid.sub1.size) * bits_per_entry
     starts = np.concatenate([table.axis - table.sub1_half, np.nextafter(table.axis + table.sub1_half, np.inf)])
     members = kernels.strip_counts(starts, np.argsort(starts), table.axis, table.sub1_half)
     pieces = int(members.sum()) + 2 * table.n + 1
-    return (int((table.count + 1).sum()) + 2 * table.n + pieces) * bits_per_entry
+    return (lists + 2 * table.n + pieces) * bits_per_entry
 
 
 def dump_table(table: NeighborhoodTable) -> str:

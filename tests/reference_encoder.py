@@ -8,7 +8,10 @@ S(x), the codevectors whose own interval holds the block's projection
 (``stage1_domain``, a literal scan of every codevector), with the certain
 coin of the phase-matched search wherever Long's iteration count is the
 plain one (``stage1_chance``).  Stage 2 searches a register of twice its
-window, found by a literal scan of the projections (``stage2_window``).  A
+window, found by a literal scan of the projections (``stage2_window``).
+For k >= 3 both domains are the codevectors whose discs meet the block's
+grid cell instead, found by a literal scan of every codevector against
+that one cell (``grid_members``).  A
 stage-2 hit and a fallback are finished by
 ``projection_walk``, a literal sequential walk.  ``reference_encode``
 returns plain ints, and the batch must give every block the same ones
@@ -104,11 +107,11 @@ def run_stage(stage: int, rows, cb, table, seed: int, paper: bool = False):
     if stage == 1:
         u, (iterations, bias, paper_bias) = draw(SUB1_SLOT), sub1_table(cb.n)
         accepted = encode_sub1(facts.t_s, facts.domain_s, u, (iterations, bias), meter)
-        meter.table_reads += stage1_reads(cb.n)
+        meter.table_reads += lookup_reads(table)[0]
         paper_accepted = encode_sub1(facts.t_s, cb.n, u, (iterations, paper_bias), paper_meter)
     else:
         searched = np.flatnonzero(facts.domain_t > 0)
-        meter.table_reads += 2 * cb.n.bit_length()
+        meter.table_reads += lookup_reads(table)[1]
         accepted, paper_accepted = encode_sub2(
             facts.t, ((searched, 2 * facts.domain_t[searched], meter), (np.arange(size), cb.n, paper_meter)), draw
         )
@@ -118,8 +121,19 @@ def run_stage(stage: int, rows, cb, table, seed: int, paper: bool = False):
 
 
 def stage1_reads(n: int) -> int:
-    """Stage 1's lookup: one binary search over the 2N sorted interval ends, bit_length(2N), and the piece's count."""
+    """Stage 1's lookup for k <= 2: a binary search over the 2N sorted interval ends, bit_length(2N), and a count."""
     return (2 * n).bit_length() + 1
+
+
+def lookup_reads(table) -> tuple[int, int]:
+    """(stage 1's, stage 2's) lookup reads: one read of the block's grid cell each for k >= 3.
+
+    For k <= 2 they are ``stage1_reads`` and two binary searches over the N
+    projections, 2 bit_length(N).
+    """
+    if table.grid is not None:
+        return 1, 1
+    return stage1_reads(table.n), 2 * table.n.bit_length()
 
 
 def long_iterations(w: int) -> int:
@@ -242,6 +256,96 @@ def stage1_domain(x, codebook) -> list[int]:
     return members
 
 
+def grid_pad(codebook, table) -> float:
+    """The radius pad of ``table.grid``'s cell test, in cells: 32u B, written out apart from ``disc_grid``.
+
+    u = 2**-53 and B is the largest disc centre's cell coordinate, on
+    either axis, plus the largest disc radius in cells, plus 2.
+    """
+    grid = table.grid
+    centers = [(c - origin) / grid.side for values, origin in grid_points(codebook, grid) for c in values]
+    sub1 = max(reference_half_width(r, codebook) for r in sub1_radii(codebook).tolist()) / grid.side
+    sub2 = reference_half_width(table.delta_hat, codebook) / grid.side
+    return 32.0 * 2.0**-53 * (max(centers) + max(sub1, sub2) + 2.0)
+
+
+def grid_points(codebook, grid):
+    """Each axis's codevector coordinates as floats, with the grid's origin on that axis."""
+    return (
+        (codebook.projections.tolist(), grid.origin_p),
+        (codebook.split_projections.tolist(), grid.origin_q),
+    )
+
+
+def grid_members(x, codebook, table) -> tuple[list[int], list[int]]:
+    """The ascending codevectors counted in x's cell of ``table.grid``: (stage 1's, stage 2's), for k >= 3.
+
+    x's cell is the floor of its cell coordinates, (p(x) - origin) / side on
+    each axis (``cell_members`` lists it); outside the grid nothing counts.
+    """
+    grid = table.grid
+    rows = np.asarray([x], dtype=np.float64)
+    coordinates = (kernels.projections(rows)[0], grid.origin_p), (kernels.split_projections(rows)[0], grid.origin_q)
+    cell = [(float(v) - origin) / grid.side for v, origin in coordinates]
+    if not all(math.isfinite(c) for c in cell):
+        return [], []
+    a, b = math.floor(cell[0]), math.floor(cell[1])
+    cols, height = grid.sub1.shape
+    if not (grid.low_p <= a < grid.low_p + cols and grid.low_q <= b < grid.low_q + height):
+        return [], []
+    return cell_members(a, b, codebook, table)
+
+
+def cell_members(a: int, b: int, codebook, table) -> tuple[list[int], list[int]]:
+    """The ascending codevectors whose stage-1 and stage-2 discs meet cell (a, b) of ``table.grid``.
+
+    Codevector i's disc is centred at its own cell coordinates with radius
+    ``reference_half_width`` of r_i (stage 1) or of delta_hat (stage 2)
+    over the side, plus ``grid_pad``, and meets the cell as the grid's test
+    has it: its columns run from floor(c_p - R) to floor(c_p + R), and in
+    column a its rows from floor(c_q - h) to floor(c_q + h),
+    h = sqrt(R^2 - gap^2) with gap the distance from c_p to [a, a + 1].  A
+    literal scan of every codevector against one cell, the brute-force form
+    of the grid's column-interval difference arrays.
+    """
+    grid = table.grid
+    pad = grid_pad(codebook, table)
+    (ps, origin_p), (qs, origin_q) = grid_points(codebook, grid)
+    reaches = (sub1_radii(codebook).tolist(), [table.delta_hat] * codebook.n)
+    members = ([], [])
+    for i, (p, q) in enumerate(zip(ps, qs)):
+        cp, cq = (p - origin_p) / grid.side, (q - origin_q) / grid.side
+        for stage, reach in enumerate(reaches):
+            r = reference_half_width(reach[i], codebook) / grid.side + pad
+            if not math.floor(cp - r) <= a <= math.floor(cp + r):
+                continue
+            gap = max(max(a - cp, cp - (a + 1.0)), 0.0)
+            chord = math.sqrt(max(r * r - gap * gap, 0.0))
+            if math.floor(cq - chord) <= b <= math.floor(cq + chord):
+                members[stage].append(i)
+    return members
+
+
+def grid_strips(x, codebook, table) -> tuple[int, int]:
+    """Bounds of x's two ``grid_members`` counts: strips on the mean axis one cell side wider than each stage's.
+
+    The codevectors whose projection lies within ``reference_half_width``
+    of r_i (stage 1) or of delta_hat (stage 2), plus 1.001 sides, of p(x):
+    a disc counted in x's cell has its column run reach x's column, so
+    its centre lies less than its radius plus one side from p(x), up to
+    the pad.  A strip of today's width alone can count fewer: the cell
+    reaches past the block.
+    """
+    side = 1.001 * table.grid.side
+    p = float(kernels.projections(np.asarray([x], dtype=np.float64))[0])
+    sub1 = sum(
+        1
+        for c, r in zip(codebook.projections.tolist(), sub1_radii(codebook).tolist())
+        if abs(p - c) <= reference_half_width(r, codebook) + side
+    )
+    return sub1, reference_window(x, codebook, reference_half_width(table.delta_hat, codebook) + side)
+
+
 def stage2_window(x, codebook, table) -> int:
     """Stage 2's window W_t for x: ``reference_window`` at ``reference_half_width(delta_hat)``."""
     return reference_window(x, codebook, reference_half_width(table.delta_hat, codebook))
@@ -253,10 +357,10 @@ def reference_encode(x, codebook, table, u, paper: bool = False) -> tuple[int, i
     Returns (index, path, iterations, evaluations, reads), plain ints, the
     path as its position in ``PATHS``.  Stage 1 searches x's
     ``stage1_domain`` with ``stage1_chance``'s coin, stage 2 a register of
-    twice its ``stage2_window`` (no round when that is empty), and a
-    stage-2 hit or a fallback is finished by ``projection_walk``.  Stage
-    1's lookup reads ``stage1_reads`` entries, stage 2's window's
-    2 bit_length(N).  With ``paper`` the block is charged as the paper's
+    twice its ``stage2_window`` (no round when that is empty), or for
+    k >= 3 the two lists of ``grid_members``, and a stage-2 hit or a
+    fallback is finished by ``projection_walk``.  The lookups read
+    ``lookup_reads`` entries.  With ``paper`` the block is charged as the paper's
     configuration instead: both stages over all N with the plain search's
     coin, h's whole list after a hit, all N in a fallback, and no table
     reads.
@@ -267,13 +371,19 @@ def reference_encode(x, codebook, table, u, paper: bool = False) -> tuple[int, i
     meter = QueryMeter()
 
     t_s = sum(1 for d, r in zip(dvec, sub1_radii(codebook)) if d < r)
+    marked = [i for i, d in enumerate(dvec) if d < table.delta_hat]
+    if table.grid is None:
+        members = stage1_domain(x, codebook), stage2_window(x, codebook, table)
+    else:
+        members = grid_members(x, codebook, table)
+        assert set(marked) <= set(members[1])  # the stage-2 list holds every marked index
+        members = members[0], len(members[1])
     if paper:
         domain = n
     else:
-        members = stage1_domain(x, codebook)
-        assert t_s == 0 or index in members  # S(x) holds every index stage 1 can mark
-        domain = len(members)
-        meter.table_reads += stage1_reads(n)
+        assert t_s == 0 or index in members[0]  # S(x) holds every index stage 1 can mark
+        domain = len(members[0])
+        meter.table_reads += lookup_reads(table)[0]
     if domain:  # an empty domain holds nothing to search
         j = sub1_iterations(domain)
         meter.grover_iterations += j
@@ -283,9 +393,9 @@ def reference_encode(x, codebook, table, u, paper: bool = False) -> tuple[int, i
     if paper:
         domain = n
     else:
-        meter.table_reads += 2 * n.bit_length()
-        domain = 2 * stage2_window(x, codebook, table)
-        assert domain >= 2 * sum(1 for d in dvec if d < table.delta_hat)  # the window holds every marked index
+        meter.table_reads += lookup_reads(table)[1]
+        domain = 2 * members[1]
+        assert domain >= 2 * len(marked)  # the window holds every marked index
     if domain and reference_stage2(dvec, table, u, meter, domain):
         h = reference_pick(dvec, table, u)
         arg, evals, reads = projection_walk(x, codebook, table.neighbors(h), dvec, known=h)

@@ -11,8 +11,8 @@ import pytest
 
 from hqvq import (
     BlockGeometry, Codebook, EncoderConfig, IndexStream, blockify, build_neighborhoods, choose_delta_hat,
-    clustered_dataset, encode_vectors, grid_codebook, kernels, load_codebook, load_pgm, save_codebook, save_pgm,
-    serialize_stream,
+    clustered_dataset, encode_vectors, grid_codebook, kernels, load_codebook, load_pgm, parse_stream, save_codebook,
+    save_pgm, serialize_stream,
 )
 from hqvq.cli import main
 
@@ -210,6 +210,24 @@ ENCODE_DIGESTS = {
     ("image", 2): "f868aa907881bed908759cbd278ac6a2c7ae5c6e324996a8da2972cd456ce5fc",
 }
 
+# ``paper_digest`` of ``encode_vectors`` on the ``image_path`` image's 2 x 2 blocks (k = 4)
+# with the codebook of `hqvq train -n 16 --block-w 2 --block-h 2 --seed 3` at
+# ``choose_delta_hat``, at master seeds 1 and 2: the indices, t, pick and the paper's
+# three counters, which a change to the k >= 3 search domains must keep
+PAPER_DIGESTS_2X2 = {
+    1: "3c1001f702364fb7f6035c988a46f7aed3906347b1ca83f1862c5afee087e659",
+    2: "77f1960f2fb4ba2109081e4c6fb86a8600c9e53763014012f15f8b2e854169d0",
+}
+
+
+def paper_digest(indices, batch) -> str:
+    """SHA-256 over each block's index, t and pick and the paper's three counters, as int64."""
+    f, p = batch.facts, batch.paper
+    h = sha256()
+    for a in (indices, f.t, f.pick, p.grover_iterations, p.classical_distance_evals, p.table_reads):
+        h.update(np.asarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
 
 def batch_digest(indices, batch) -> str:
     """SHA-256 over each block's index, path, both meters' counters and its facts, as int64."""
@@ -392,6 +410,42 @@ class TestWorkflow:
                 indices, _, batch = encode_vectors(vectors, codebook, table, cfg)
                 got[name, seed] = batch_digest(indices, batch)
         assert got == ENCODE_DIGESTS
+
+    def test_k4_paper_digests_are_pinned(self, tmp_path, image_path):
+        # the 2 x 2 blocks' indices and the paper's charges do not depend on the codec's domains
+        cb = tmp_path / "cb.txt"
+        geometry = ["--block-w", "2", "--block-h", "2"]
+        assert main(["train", str(image_path), "-n", "16", "-o", str(cb), "--seed", "3"] + geometry) == 0
+        trained = load_codebook(cb)
+        blocks = blockify(load_pgm(image_path), BlockGeometry(block_w=2, block_h=2))
+        delta_hat = choose_delta_hat(trained, blocks)
+        table = build_neighborhoods(trained, delta_hat)
+        got = {}
+        for seed in (1, 2):
+            cfg = EncoderConfig(delta_hat=delta_hat, master_seed=seed)
+            indices, _, batch = encode_vectors(blocks, trained, table, cfg)
+            got[seed] = paper_digest(indices, batch)
+        assert got == PAPER_DIGESTS_2X2
+
+    @pytest.mark.parametrize("block", [("2", "1"), ("2", "2")])
+    @pytest.mark.parametrize("delta_hat", ["1e308", "inf"])
+    def test_huge_delta_hat_saturates_the_margins_silently(self, tmp_path, image_path, block, delta_hat):
+        # half_width(1e308) overflowed with numpy's RuntimeWarning, an error under this suite's
+        # filterwarnings; every margin saturates to inf as at inf.  For 2 x 2 blocks the grid is
+        # one cell holding every codevector, so both mean domains are N
+        cb, stream, rep = tmp_path / "cb.txt", tmp_path / "s.vqix", tmp_path / "r.txt"
+        geometry = ["--block-w", block[0], "--block-h", block[1]]
+        assert main(["train", str(image_path), "-n", "8", "-o", str(cb), "--seed", "3"] + geometry) == 0
+        args = ["encode", str(image_path), str(cb), "-o", str(stream), "--report", str(rep), "--delta-hat", delta_hat]
+        assert main(args + geometry) == 0
+        r = report_values(rep.read_text())
+        assert r["delta_hat"] == repr(float(delta_hat))
+        if block == ("2", "2"):
+            assert r["mean_sub1_domain"] == r["mean_sub2_domain"] == "8.0"
+        assert main(["decode", str(stream), str(cb), "-o", str(tmp_path / "d.pgm")]) == 0
+        geom = BlockGeometry(block_w=int(block[0]), block_h=int(block[1]))
+        nearest, _ = kernels.nearest_many(blockify(load_pgm(image_path), geom), load_codebook(cb).vectors)
+        assert parse_stream(stream.read_bytes()).indices.tolist() == nearest.tolist()
 
     def test_bench_command(self, tmp_path, capsys):
         assert main(["bench", "--sizes", "16,64", "--vectors", "400", "--seed", "1"]) == 0

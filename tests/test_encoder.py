@@ -11,7 +11,11 @@ from reference_encoder import (
     batch_meter,
     batch_rows,
     block_draws,
+    cell_members,
+    grid_members,
+    grid_strips,
     long_iterations,
+    lookup_reads,
     meter_rows,
     projection_walk,
     reference_encode,
@@ -61,6 +65,7 @@ from hqvq.encoder import (
     success_table,
 )
 from hqvq.grover import marked_probability, marked_set_from_distances
+from hqvq.neighborhood import GRID_CELL_CAP, cell_coordinates
 from hqvq.pipeline import region_fractions
 
 # positions in EncodeBatch.path
@@ -909,7 +914,9 @@ def test_stage1_window_holds_every_index_it_can_mark(case, seed, k, n, master_se
     # p(c_i) -+ half_width(r_i) holds p(x), ends included; a marked index lies
     # in S(x); S(x) never exceeds the one strip at the largest radius; full
     # search is the oracle, and every block's charges and its paper's charges
-    # match the per-block reference
+    # match the per-block reference.  For k >= 3, S(x) is the brute-force
+    # list of the stage-1 discs that meet x's grid cell, bounded by the
+    # strips one cell side wider, and the cases' exact widths are the strips'
     rng = np.random.default_rng(seed)
     cb, rows = window_case(case, rng, k, n)
     table = build_neighborhoods(cb, cb.delta0)
@@ -923,16 +930,21 @@ def test_stage1_window_holds_every_index_it_can_mark(case, seed, k, n, master_se
     for ordinal, x in enumerate(rows):
         oracle, _ = full_search(x, cb)
         assert indices[ordinal] == oracle
-        members = stage1_domain(x, cb)
         width = int(batch.facts.domain_s[ordinal])
-        assert width == len(members) <= reference_window(x, cb, strip)
+        if table.grid is None:
+            members = stage1_domain(x, cb)
+            assert width == len(members) <= reference_window(x, cb, strip)
+        else:
+            members = grid_members(x, cb, table)[0]
+            assert width == len(members) <= grid_strips(x, cb, table)[0]
         if batch.facts.t_s[ordinal]:
             assert oracle in members
         p = kernels.projections(x[None])[0]
         on_an_end += np.count_nonzero((lower == p) | (upper == p))
-        if case == "shared_projection":
+        # the exact widths are the strips'; a grid cell can reach past them
+        if case == "shared_projection" and table.grid is None:
             assert width == cb.n
-        elif case == "alone" and batch.facts.t_s[ordinal]:
+        elif case == "alone" and batch.facts.t_s[ordinal] and table.grid is None:
             assert width == 1 and batch.path[ordinal] == SUB1
         elif case == "empty":
             assert width == 0
@@ -1013,7 +1025,8 @@ def stage2_window_case(case: str, rng: np.random.Generator, k: int, n: int, fact
 )
 def test_stage2_window_holds_every_marked_index(case, seed, k, n, factor, master_seed):
     # W_t is the literal count of projections within kernels.half_width(delta_hat)
-    # of p(x); every index marked at delta_hat lies in it, so t <= W_t; full
+    # of p(x), or for k >= 3 of the stage-2 discs that meet x's grid cell;
+    # every index marked at delta_hat lies in it, so t <= W_t; full
     # search is the oracle, and every block's charges and its paper's charges
     # match the per-block reference.  A block with W_t = 0 runs no round, is
     # charged nothing by stage 2 and falls back unless stage 1 passed it
@@ -1029,17 +1042,23 @@ def test_stage2_window_holds_every_marked_index(case, seed, k, n, factor, master
     for ordinal, x in enumerate(rows):
         assert indices[ordinal] == full_search(x, cb)[0]
         width = int(facts.domain_t[ordinal])
-        assert width == stage2_window(x, cb, table)
         p = kernels.projections(x[None])[0]
         marked = marked_set_from_distances(distances_to_codebook(x, cb), delta_hat)
+        if table.grid is None:
+            assert width == stage2_window(x, cb, table)
+        else:
+            members = grid_members(x, cb, table)[1]
+            assert width == len(members) <= grid_strips(x, cb, table)[1]
+            assert set(marked.tolist()) <= set(members)
         assert marked.size == facts.t[ordinal] <= width
         assert np.all((p - half <= cb.projections[marked]) & (cb.projections[marked] <= p + half))
         u = block_draws(draw, ordinal)
         assert got[ordinal] == reference_encode(x, cb, table, u)
         assert paper[ordinal] == reference_encode(x, cb, table, u, paper=True)[2:]
-    if case == "shared_projection":
+    # the exact widths are the strips'; a grid cell can reach past them
+    if case == "shared_projection" and table.grid is None:
         assert np.all(facts.domain_t == cb.n)
-    elif case == "full":
+    elif case == "full" and table.grid is None:
         assert np.all(facts.domain_t == facts.t) and np.all(facts.t >= 1)
     elif case == "empty":
         assert np.any(facts.domain_t == 0)
@@ -1048,7 +1067,186 @@ def test_stage2_window_holds_every_marked_index(case, seed, k, n, factor, master
     empty = facts.domain_t == 0
     assert not accepted[empty].any() and np.all(batch.path[empty] != PATHS.index(EncodePath.SUB2))
     assert not meter.grover_iterations[empty].any() and not meter.classical_distance_evals[empty].any()
-    assert np.all(meter.table_reads == 2 * cb.n.bit_length())
+    assert np.all(meter.table_reads == lookup_reads(table)[1])
+
+
+GRID_CASES = ("cell_edges", "corner_rim", "shells", "far")
+
+
+def split_axis(k: int) -> np.ndarray:
+    """The unit split axis: +1 over the first k // 2 components, -1 over the last k // 2, over sqrt(k')."""
+    half = k // 2
+    return np.concatenate([np.ones(half), np.zeros(k % 2), -np.ones(half)]) / math.sqrt(2 * half)
+
+
+def on_plane(targets: np.ndarray, k: int) -> np.ndarray:
+    """Rows whose computed (p, q) is each target (p, q), or the nearest that 40 ulps of two components reach.
+
+    Each row starts at p u + q v on the mean and split axes and moves its
+    first and last components, each by -40..40 ulps, to the step whose
+    ``kernels.projections`` and ``kernels.split_projections`` lie fewest
+    ulps from the target, exactly when some step hits it.
+    """
+    rows = targets[:, :1] * (np.ones(k) / math.sqrt(k)) + targets[:, 1:] * split_axis(k)
+    steps = np.arange(-40, 41)
+    tries = np.repeat(rows[:, None, :], steps.size**2, axis=1)
+    tries[:, :, 0] += np.repeat(steps, steps.size) * np.spacing(rows[:, :1])
+    tries[:, :, -1] += np.tile(steps, steps.size) * np.spacing(rows[:, -1:])
+    flat = tries.reshape(-1, k)
+    got = np.stack([kernels.projections(flat), kernels.split_projections(flat)], axis=1)
+    got = got.reshape(targets.shape[0], -1, 2)
+    miss = (np.abs(got - targets[:, None, :]) / np.spacing(np.abs(targets))[:, None, :]).sum(axis=2)
+    return tries[np.arange(targets.shape[0]), miss.argmin(axis=1)]
+
+
+def cell_edges(grid, axis: int, index: np.ndarray) -> np.ndarray:
+    """The first float of each column (axis 0) or row (axis 1) ``index``: where its coordinate's floor turns."""
+    origin = (grid.origin_p, grid.origin_q)[axis]
+    edge = origin + index * grid.side
+    for _ in range(64):  # step down while still inside, then up while below: a few ulps each way
+        inside = np.floor(cell_coordinates(np.nextafter(edge, -np.inf), origin, grid.side)) >= index
+        edge = np.where(inside, np.nextafter(edge, -np.inf), edge)
+    for _ in range(64):
+        below = np.floor(cell_coordinates(edge, origin, grid.side)) < index
+        edge = np.where(below, np.nextafter(edge, np.inf), edge)
+    return edge
+
+
+def grid_case(case: str, rng: np.random.Generator, k: int, n: int, factor: float):
+    """(codebook, delta_hat, rows, points) on one boundary of the k >= 3 grid's domains.
+
+    ``points`` are (p, q) pairs looked up in the grid directly.
+    - cell_edges: points on cells' first floats in p, in q and in both, and
+      3 ulps either way; blocks whose computed (p, q) are those points
+      (``on_plane``) or within a few ulps of them;
+    - corner_rim: a codevector moved so its (p, q) lies the stage-2 disc's
+      radius from a cell corner, and points and blocks at that corner;
+    - shells: blocks on the delta0/2, delta_hat and own half-distance shells
+      of codevectors, codevectors themselves and pair midpoints;
+    - far: those shells with one far codevector at 1e100, whose grid the
+      64 N cap stretches.
+    """
+    cb = Codebook(rng.normal(size=(n, k)) * rng.choice([1.0, 30.0], size=(n, 1)))
+    if case == "far":
+        cb = Codebook(np.vstack([cb.vectors, np.full((1, k), 1e100)]))
+    delta_hat = factor * cb.delta0 / 2.0
+    table = build_neighborhoods(cb, delta_hat)
+    grid = table.grid
+    ulps = np.arange(-3, 4)
+    if case == "corner_rim":
+        # move codevector j onto a circle of radius half_width(delta_hat) around a corner of its
+        # cell; where the move keeps the grid's origin, norm and delta_hat valid, the corner stays
+        j = int(np.argsort(cb.projections)[n // 2])
+        corner = np.floor(np.array([
+            cell_coordinates(cb.projections[j], grid.origin_p, grid.side),
+            cell_coordinates(cb.split_projections[j], grid.origin_q, grid.side),
+        ]))
+        angle = rng.uniform(0, 2 * math.pi)
+        rim = np.array([grid.origin_p, grid.origin_q]) + corner * grid.side
+        rim += kernels.half_width(delta_hat, k, cb.norm_scale) * np.array([math.cos(angle), math.sin(angle)])
+        vectors = cb.vectors.copy()
+        vectors[j] = on_plane(rim[None], k)[0]
+        moved = Codebook(vectors)
+        kept = (moved.norm_scale, moved.projections.min(), moved.split_projections.min())
+        if kept == (cb.norm_scale, cb.projections.min(), cb.split_projections.min()) and moved.delta0 <= 2 * delta_hat:
+            cb = moved
+            grid = build_neighborhoods(cb, delta_hat).grid
+        around = np.arange(-1, 3)
+        p = cell_edges(grid, 0, np.floor(cell_coordinates(cb.projections[j], grid.origin_p, grid.side)) + around)
+        q = cell_edges(grid, 1, np.floor(cell_coordinates(cb.split_projections[j], grid.origin_q, grid.side)) + around)
+        points = np.stack(np.meshgrid(p, q), axis=-1).reshape(-1, 2)
+    elif case == "cell_edges":
+        cols, rows = grid.sub1.shape
+        a = (grid.low_p + rng.integers(0, cols + 1, size=4)).astype(np.float64)
+        b = (grid.low_q + rng.integers(0, rows + 1, size=4)).astype(np.float64)
+        p, q = cell_edges(grid, 0, a), cell_edges(grid, 1, b)
+        middle_p, middle_q = grid.origin_p + (a + 0.5) * grid.side, grid.origin_q + (b + 0.5) * grid.side
+        points = np.vstack([np.column_stack([p, q]), np.column_stack([p, middle_q]), np.column_stack([middle_p, q])])
+    if case in ("corner_rim", "cell_edges"):
+        nudged = points[:, None, :] + ulps[None, :, None] * np.spacing(points)[:, None, :]
+        p_only = np.stack([nudged[:, :, 0].ravel(), points[:, 1].repeat(ulps.size)], axis=1)
+        points = np.vstack([points, nudged.reshape(-1, 2), p_only])
+        rows = on_plane(points[:: max(1, points.shape[0] // 40)], k)
+        rows = np.vstack([rows, rows + rng.integers(-3, 4, size=rows.shape) * np.spacing(rows)])
+        return cb, delta_hat, rows, points
+    rows = boundary_batch(rng, Codebook(cb.vectors[:n]), delta_hat, 4)
+    radii = sub1_radii(cb)[:n]
+    direction = rng.normal(size=(n, k))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    stretch = 1.0 + rng.integers(-4, 5, size=(n, 1)) * 2.0**-52
+    rows = np.vstack([rows, cb.vectors[:n] + direction * radii[:, None] * stretch])
+    points = np.stack([kernels.projections(rows), kernels.split_projections(rows)], axis=1)
+    return cb, delta_hat, rows, points
+
+
+@settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(case="cell_edges", seed=0, k=3, n=6, factor=1.0, master_seed=0)
+@example(case="cell_edges", seed=1, k=4, n=10, factor=3.0, master_seed=1)
+@example(case="corner_rim", seed=2, k=4, n=8, factor=1.25, master_seed=2)
+@example(case="corner_rim", seed=3, k=5, n=9, factor=2.0, master_seed=3)
+@example(case="shells", seed=4, k=3, n=12, factor=1.0, master_seed=4)
+@example(case="far", seed=5, k=5, n=7, factor=3.0, master_seed=5)
+@given(
+    case=st.sampled_from(GRID_CASES),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(3, 5),
+    n=st.integers(3, 12),
+    factor=st.sampled_from([1.0, 1.25, 2.0, 3.0]),
+    master_seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_domains_hold_every_index_either_stage_can_mark(case, seed, k, n, factor, master_seed):
+    # for k >= 3 a block's two domains are its grid cell's counts: the brute-force
+    # lists of the discs that meet the cell (reference_encoder.grid_members); stage 1's
+    # holds the index it can mark and stage 2's every index marked at delta_hat, with
+    # full search and nearest_many as the oracle; each count lies between the exact disc
+    # count and the strips one cell side wider; a (p, q) point on a cell's first float,
+    # or a few ulps from it, reads the cell the floor of its coordinates gives; every
+    # block's charges match the per-block reference
+    rng = np.random.default_rng(seed)
+    cb, delta_hat, rows, points = grid_case(case, rng, k, n, factor)
+    table = build_neighborhoods(cb, delta_hat)
+    grid = table.grid
+    assert grid.sub1.size <= GRID_CELL_CAP * cb.n
+    w1 = kernels.half_width(sub1_radii(cb), k, cb.norm_scale)
+    w2 = kernels.half_width(delta_hat, k, cb.norm_scale)
+    got = grid.domains(points[:, 0], points[:, 1])
+    for (p, q), s, t in zip(points.tolist(), *got):
+        a = math.floor((p - grid.origin_p) / grid.side)
+        b = math.floor((q - grid.origin_q) / grid.side)
+        cols, height = grid.sub1.shape
+        inside = grid.low_p <= a < grid.low_p + cols and grid.low_q <= b < grid.low_q + height
+        lists = cell_members(a, b, cb, table) if inside else ([], [])
+        assert (s, t) == tuple(map(len, lists))
+        gap = (p - cb.projections) ** 2 + (q - cb.split_projections) ** 2
+        assert set(np.flatnonzero(gap <= w1 * w1).tolist()) <= set(lists[0])
+        assert set(np.flatnonzero(gap <= w2 * w2).tolist()) <= set(lists[1])
+    cfg = EncoderConfig(delta_hat=delta_hat, master_seed=master_seed)
+    indices, _, batch = encode_vectors(rows, cb, table, cfg)
+    oracle, _ = kernels.nearest_many(rows, cb.vectors)
+    assert indices.tolist() == oracle.tolist()
+    facts = batch.facts
+    draw = seeded_draws(master_seed, rows.shape[0])
+    charges, paper = batch_rows(batch), meter_rows(batch.paper)
+    for ordinal, x in enumerate(rows):
+        sub1, sub2 = grid_members(x, cb, table)
+        assert (facts.domain_s[ordinal], facts.domain_t[ordinal]) == (len(sub1), len(sub2))
+        dvec = distances_to_codebook(x, cb)
+        if facts.t_s[ordinal]:
+            assert oracle[ordinal] in sub1 and dvec[oracle[ordinal]] < sub1_radii(cb)[oracle[ordinal]]
+        assert set(np.flatnonzero(dvec < delta_hat).tolist()) <= set(sub2)
+        p, q = kernels.projections(x[None])[0], kernels.split_projections(x[None])[0]
+        gap = (p - cb.projections) ** 2 + (q - cb.split_projections) ** 2
+        wide = grid_strips(x, cb, table)
+        assert np.count_nonzero(gap <= w1 * w1) <= len(sub1) <= wide[0]
+        assert np.count_nonzero(gap <= w2 * w2) <= len(sub2) <= wide[1]
+        u = block_draws(draw, ordinal)
+        assert charges[ordinal] == reference_encode(x, cb, table, u)
+        assert paper[ordinal] == reference_encode(x, cb, table, u, paper=True)[2:]
+    if case == "cell_edges":
+        # some point sits on a cell's first float: one ulp lower reads the cell below
+        first = np.floor(cell_coordinates(points[:, 0], grid.origin_p, grid.side))
+        lower = np.floor(cell_coordinates(np.nextafter(points[:, 0], -np.inf), grid.origin_p, grid.side))
+        assert np.any(lower < first)
 
 
 WALK_CASES = ("mean_axis", "shared_projection", "ties", "isolated", "random")

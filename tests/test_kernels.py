@@ -1,6 +1,7 @@
 """The distance kernel against a sequential pure-Python reference, bit for bit."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -537,3 +538,59 @@ def test_half_width_is_the_one_strip_margin(k):
     # an inf reach's strip is the whole axis
     assert kernels.half_width(math.inf, k, 100.0) == math.inf
     assert kernels.half_width(np.array([1.0, math.inf]), k, 100.0)[1] == math.inf
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_half_width_saturates_silently_at_a_huge_reach(k):
+    # 2 * reach overflowed at reach ~ 9e307 with numpy's RuntimeWarning, an error under
+    # this suite's filterwarnings; the margin saturates to inf, as at an inf reach
+    assert kernels.half_width(1e308, k, 100.0) == math.inf
+    assert kernels.half_width(np.float64(1e308), k, 100.0) == math.inf
+    got = kernels.half_width(np.array([1.0, 1e308, 4e307]), k, 100.0)
+    assert got[1] == math.inf and math.isfinite(got[0]) and math.isfinite(got[2])
+    assert got[2] == 4e307 + 4.0 * kernels.rounding_bound(k) * (4e307 + (100.0 + 2.0 * 4e307))
+
+
+def ref_split_projection(row) -> float:
+    """The split axis's coordinate: +x_d over the first k // 2, -x_d over the last k // 2, in index order."""
+    k = len(row)
+    half = k // 2
+    total = float(row[0])
+    for d in range(1, half):
+        total += float(row[d])
+    for d in range(k - half, k):
+        total -= float(row[d])
+    return total / math.sqrt(2 * half)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(2, 9),
+    m=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 255.0, 1e100]),
+)
+def test_split_projections_sum_in_index_order_within_rounding_bound(k, m, seed, scale):
+    # bit for bit the sequential sum, over sqrt(k'); a unit axis orthogonal to the mean
+    # axis (the middle component weighs 0 at odd k); within g ||x|| of the exact value
+    rows = np.random.default_rng(seed).normal(size=(m, k)) * scale
+    got = kernels.split_projections(rows)
+    assert got.tolist() == [ref_split_projection(r) for r in rows.tolist()]
+    half = k // 2
+    axis = np.concatenate([np.ones(half), np.zeros(k % 2), -np.ones(half)]) / math.sqrt(2 * half)
+    assert abs(float(axis @ axis) - 1.0) < 1e-15 and abs(float(axis.sum())) < 1e-15
+    g = kernels.rounding_bound(k)
+    for row, value in zip(rows.tolist(), got.tolist()):
+        # the signed sum in rational arithmetic; rounding it, the root and the quotient
+        # cost the reference itself at most 3u |exact|
+        plus, minus = sum(map(Fraction, row[:half])), sum(map(Fraction, row[k - half :]))
+        exact = float(plus - minus) / math.sqrt(2 * half)
+        norm = math.sqrt(math.fsum(v * v for v in row))
+        assert abs(value - exact) <= g * norm * (1 + 1e-6) + 3 * 2.0**-53 * abs(exact)
+
+
+def test_split_projection_of_a_2x2_block_is_its_first_haar_detail():
+    # a row-major 2 x 2 block (top-left, top-right, bottom-left, bottom-right): (top - bottom) / 2
+    rows = np.array([[10.0, 20.0, 30.0, 60.0], [1.0, 1.0, 1.0, 1.0], [255.0, 0.0, 0.0, 255.0]])
+    assert kernels.split_projections(rows).tolist() == [-30.0, 0.0, 0.0]
+    assert kernels.split_projections(np.array([[1.0, 5.0, 3.0]])).tolist() == [(1.0 - 3.0) / math.sqrt(2)]

@@ -9,7 +9,8 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from hqvq import Codebook, build_neighborhoods, distance, kernels, space_bits
-from hqvq.neighborhood import NeighborhoodTable, dump_table, neighbor_radius
+from hqvq.neighborhood import GRID_CELL_CAP, GRID_SIDE_DIVISOR, NeighborhoodTable, dump_table, neighbor_radius
+from reference_encoder import cell_members
 
 
 def brute_lists(vectors, radius):
@@ -193,7 +194,7 @@ def test_neighbors_past_either_end_raise_index_error():
 
 def test_table_fields_hold_each_list_once():
     assert [f.name for f in dataclasses.fields(NeighborhoodTable)] == [
-        "delta_hat", "count", "keys", "order", "axis", "sub1_half"
+        "delta_hat", "count", "keys", "order", "axis", "sub1_half", "grid"
     ]
 
 
@@ -252,3 +253,86 @@ def test_lists_hold_the_argmin_on_the_two_delta_hat_shell(where, seed, k, n, ulp
     assert neighbor_lists(table) == [
         np.flatnonzero(kernels.dist_to_all(v, cb.vectors) < radius).tolist() for v in cb.vectors
     ]
+
+
+def plane_codebook(rng: np.random.Generator, k: int, n: int, spread: str) -> Codebook:
+    """A k >= 3 codebook: normal rows, or rows whose half-distances differ, or one far codevector."""
+    rows = rng.normal(size=(n, k))
+    if spread == "isolated":
+        rows[: max(1, n // 3)] *= 20.0  # large and small stage-1 radii side by side
+    elif spread == "far":
+        rows[0] = 1e100  # one codevector stretches the plane
+    return Codebook(rows)
+
+
+@settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@example(seed=0, k=3, n=5, factor=1.0, spread="normal")
+@example(seed=1, k=4, n=12, factor=3.0, spread="isolated")
+@example(seed=2, k=5, n=7, factor=1.25, spread="far")
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(3, 5),
+    n=st.integers(2, 12),
+    factor=st.sampled_from([1.0, 1.25, 3.0, 20.0]),
+    spread=st.sampled_from(["normal", "isolated", "far"]),
+)
+def test_disc_grid_counts_every_cell_by_brute_force(seed, k, n, factor, spread):
+    # every cell's two counts are the literal scan of every codevector's disc against that
+    # cell (reference_encoder.cell_members); the side is at least half_width(delta_hat) / 8
+    # and the grid holds at most 64 N cells; the grid covers every disc
+    rng = np.random.default_rng(seed)
+    cb = plane_codebook(rng, k, n, spread)
+    table = build_neighborhoods(cb, factor * cb.delta0 / 2.0)
+    grid = table.grid
+    cols, rows = grid.sub1.shape
+    assert grid.sub2.shape == (cols, rows) and cols * rows <= GRID_CELL_CAP * cb.n
+    side = kernels.half_width(table.delta_hat, k, cb.norm_scale) / GRID_SIDE_DIVISOR
+    assert grid.side >= side
+    assert not grid.sub1.flags.writeable and not grid.sub2.flags.writeable
+    for a in range(cols):
+        for b in range(rows):
+            sub1, sub2 = cell_members(grid.low_p + a, grid.low_q + b, cb, table)
+            assert (grid.sub1[a, b], grid.sub2[a, b]) == (len(sub1), len(sub2))
+    # every codevector's own cell counts it in both lists: the grid covers its discs
+    s, t = grid.domains(cb.projections, cb.split_projections)
+    assert np.all(s >= 1) and np.all(t >= 1)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("delta_hat", [1e308, math.inf])
+def test_an_overflowing_plane_is_one_cell_holding_every_codevector(k, delta_hat):
+    # half_width(delta_hat) saturates to inf: the grid is one cell of infinite side, and
+    # every block, near or far, counts all N in both stages
+    cb = Codebook(np.random.default_rng(38).normal(size=(6, k)))
+    table = build_neighborhoods(cb, delta_hat)
+    grid = table.grid
+    assert grid.side == math.inf and grid.sub1.tolist() == grid.sub2.tolist() == [[6]]
+    p = np.array([-1e300, 0.0, 3.0, 1e300])
+    s, t = grid.domains(p, p[::-1].copy())
+    assert s.tolist() == t.tolist() == [6] * 4
+    lists = int((table.count + 1).sum())
+    assert space_bits(table) == (lists + 6 + 6 + 1) * (3 + 32)
+
+
+def test_grid_space_bits_count_both_lists_and_a_head_per_cell():
+    # k >= 3: the neighbor lists plus each cell's two lists behind one head pointer,
+    # in place of stage 1's 2N interval ends and 2N + 1 pieces
+    cb = Codebook(np.random.default_rng(39).uniform(0, 50, size=(10, 4)))
+    table = build_neighborhoods(cb, cb.delta0)
+    grid = table.grid
+    entries = int((table.count + 1).sum()) + int(grid.sub1.sum()) + int(grid.sub2.sum()) + grid.sub1.size
+    assert space_bits(table) == entries * (4 + 32)
+    assert build_neighborhoods(Codebook(cb.vectors[:, :2]), cb.delta0).grid is None
+
+
+def test_one_far_codevector_keeps_the_grid_within_its_cap():
+    # a codevector at 1e100 widens the box to ~1e100: the side doubles until the grid
+    # holds at most 64 N cells, and the near codevectors share a cell or two
+    rng = np.random.default_rng(40)
+    cb = Codebook(np.vstack([rng.normal(size=(20, 4)), np.full((1, 4), 1e100)]))
+    table = build_neighborhoods(cb, cb.delta0)
+    grid = table.grid
+    assert grid.sub1.size <= GRID_CELL_CAP * cb.n
+    assert grid.side > 1e97 and math.isfinite(grid.side)
+    s, t = grid.domains(cb.projections[:20], cb.split_projections[:20])
+    assert np.all(s >= 1) and np.all(t >= 1)
