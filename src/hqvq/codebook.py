@@ -80,12 +80,7 @@ class Codebook:
     the projections in that order, ascending: sorted once for the encoder's
     windows, walks and table (all three read-only).  A codevector's position
     on the axis is its place in ``order``, so ``order[p]`` is the codevector
-    at position p.  For k >= 3, ``split_projections`` holds each
-    codevector's ``kernels.split_projections`` coordinate on the split axis,
-    orthogonal to the mean axis (read-only): with ``projections`` it places
-    the codevectors on the plane whose discs bound both search domains
-    (``neighborhood.DiscGrid``).  It is None for k <= 2, whose domains stay
-    strips on the mean axis.
+    at position p.
     ``norm_scale``, sqrt(k) max |c_d|, bounds every codevector's norm: the
     norm the encoder's strips and discs pass to ``kernels.half_width``.
     Duplicate codevectors (delta0 == 0) are rejected with
@@ -107,9 +102,6 @@ class Codebook:
         self.order.setflags(write=False)
         self.axis = self.projections[self.order]
         self.axis.setflags(write=False)
-        self.split_projections = kernels.split_projections(arr) if arr.shape[1] >= 3 else None
-        if self.split_projections is not None:
-            self.split_projections.setflags(write=False)
         self.norm_scale = math.sqrt(arr.shape[1]) * float(np.abs(arr).max())
         self.delta0 = float(self.nearest_other.min())
         if self.delta0 <= 0.0:

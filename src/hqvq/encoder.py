@@ -35,7 +35,8 @@ from strips to discs on the plane of the mean axis and the split axis
 (``kernels.split_projections``; for 2 x 2 blocks, the first Haar detail of
 Lee and Chen's mean pyramid, IEEE Trans. Commun., 1995), with the same
 radii, read off a bucket grid built with the neighbor table
-(``neighborhood.DiscGrid``).
+(``neighborhood.DiscGrid``; ``neighborhood.StripDomains`` holds the
+strips).
 Anything else falls back to a classical search of the whole codebook.  The
 index is the distance row's argmin; the stages only simulate and charge the
 search, so randomness never affects the index.  This module alone charges
@@ -158,8 +159,8 @@ class BlockFacts:
     index: np.ndarray  # argmin of the row, ties to the smallest index
     nearest: np.ndarray  # the row's minimum
     t_s: np.ndarray  # marked by stage 1: #{i : d_i < sub1_radii[i]}, 0 or 1 (then i is the argmin)
-    domain_s: np.ndarray  # stage 1's search domain |S(x)|: its strip, or for k >= 3 its grid cell's stage-1 count
-    domain_t: np.ndarray  # stage 2's window W_t: its strip, or for k >= 3 its grid cell's stage-2 count
+    domain_s: np.ndarray  # stage 1's search domain |S(x)|, from ``NeighborhoodTable.domains``
+    domain_t: np.ndarray  # stage 2's window W_t, from ``NeighborhoodTable.domains``
     t: np.ndarray  # marked at delta_hat: #{i : d_i < delta_hat}
     pick: np.ndarray  # the marked index a stage-2 hit measures; -1 if t == 0
     row: np.ndarray  # the block's row among the pass's distinct rows: equal blocks share it
@@ -249,25 +250,10 @@ def block_facts(
     Equal blocks share their row's facts and marked set, but each picks from
     it with its own draw.  No M x N matrix is kept.
 
-    For k <= 2 each row's two search domains are counted on
-    ``Codebook.axis`` by ``kernels.strip_counts``, both ends inclusive.
-    Stage 1's, ``BlockFacts.domain_s``, is S(x), the codevectors whose own
-    stage-1 interval holds p(x): |p(x) - p(c_i)| <=
-    ``NeighborhoodTable.sub1_half``, ``kernels.half_width`` of r_i =
-    ``sub1_radii``[i].  It holds every index stage 1 can mark: a marked i
-    has a computed d(x, c_i) < r_i, so r_i is at least the block's computed
-    distance to a codevector, the case ``half_width``'s proof covers,
-    applied to each i.  Stage 2's, ``BlockFacts.domain_t``, is the run of
-    codevectors within ``kernels.half_width`` of delta_hat around p(x) and
-    holds every index marked at delta_hat by the same proof: a marked index
-    has a computed distance below delta_hat.
-    For k >= 3 both are read off the row's cell of ``NeighborhoodTable.grid``
-    at (p(x), ``kernels.split_projections``(x)): the codevectors whose
-    stage-1 disc, or whose stage-2 disc, meets the cell.  The same two
-    radii and the same proof, on the plane of two orthonormal axes, put
-    every index either stage can mark in its disc around the block, and
-    ``neighborhood.disc_grid``'s cell test keeps that disc in the block's
-    cell.
+    Each row's two search domains, stage 1's S(x) (``BlockFacts.domain_s``)
+    and stage 2's window (``BlockFacts.domain_t``), are one call of the
+    table's ``NeighborhoodTable.domains``, strips or disc-grid cells, whose
+    class holds the proof that they hold every index either stage can mark.
     """
     distinct, inverse = kernels.distinct_rows(vectors)
     proj, order = kernels.projection_order(distinct)
@@ -280,13 +266,7 @@ def block_facts(
     radii = sub1_radii(codebook)
     # only the argmin can lie below its own radius, and then it is the one marked codevector
     t_s = (nearest < radii[index]).astype(np.int64)
-    if table.grid is None:
-        domain_s = kernels.strip_counts(proj, order, codebook.axis, table.sub1_half)
-        domain_t = kernels.strip_counts(
-            proj, order, codebook.axis, kernels.half_width(table.delta_hat, codebook.k, codebook.norm_scale)
-        )
-    else:
-        domain_s, domain_t = table.grid.domains(proj, kernels.split_projections(distinct))
+    domain_s, domain_t = table.domains.counts(distinct, proj, order)
     return BlockFacts(
         index=index[inverse],
         nearest=nearest[inverse],
@@ -522,17 +502,8 @@ def encode(
     t/D <= 1/2, inside the t <= 3D/4 that Boyer, Brassard, Hoyer and Tapp's
     bound assumes.  A block with W_t = 0 has t = 0: it skips the rounds and
     falls back.  Stage 1's lookup is charged for every block, and stage 2's
-    for each block that enters stage 2 (``neighborhood.space_bits`` counts
-    the tables they read):
-
-    - k <= 2: stage 1's costs bit_length(2N) + 1 reads, since the N
-      intervals' 2N sorted ends cut the mean axis into 2N + 1 pieces, on
-      each of which S(x) is one set, so one binary search over the ends and
-      one read of the piece's count find it; stage 2's costs
-      2 bit_length(N), two binary searches over the N projections.
-    - k >= 3: each costs one read, of the block's cell in
-      ``NeighborhoodTable.grid``, whose coordinates are arithmetic on the
-      block.
+    for each block that enters stage 2: ``NeighborhoodTable.domains``' reads
+    (``neighborhood.space_bits`` counts the entries they read).
 
     The paper's configuration is simulated beside it on the same draws
     (``EncodeBatch.paper``): ``encode_sub1`` runs once over each block's
@@ -551,12 +522,7 @@ def encode(
     u, (iterations, bias, paper_bias) = draw(SUB1_SLOT), sub1_table(n)
     sub1 = encode_sub1(facts.t_s, facts.domain_s, u, (iterations, bias), meter)
     paper_sub1 = encode_sub1(facts.t_s, n, u, (iterations, paper_bias), paper)
-    # lookups: stage 1's for every block, stage 2's for every block that enters it
-    if table.grid is None:
-        # one binary search over the 2N interval ends and the piece's count; two over N
-        meter.table_reads += np.frexp(2 * n)[1] + 1 + 2 * np.frexp(n)[1] * ~sub1
-    else:
-        meter.table_reads += 1 + ~sub1  # one read of the block's cell each
+    meter.table_reads += table.domains.reads(~sub1)
     searched = np.flatnonzero(~sub1 & (facts.domain_t > 0))
     sub2, paper_sub2 = encode_sub2(
         facts.t,

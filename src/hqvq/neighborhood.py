@@ -5,11 +5,10 @@ encoder's finishing search: after a candidate codevector h is verified close
 enough to the input, only the neighbors of h need a classical scan.  It keeps
 every list once, in projection order, as one sorted key array built from one
 ``kernels.window_marked`` pass of the codebook over itself, so the scan can
-walk a list outward from the input's projection.  It also keeps what decides
-the codevectors each stage searches for a block (``encoder.block_facts``):
-each codevector's stage-1 half-width on the mean axis and, for k >= 3, a
-``DiscGrid`` whose cells hold both stages' domain sizes on the plane of the
-mean and split axes.  ``space_bits`` counts all of it.
+walk a list outward from the input's projection.  It also keeps the rule
+that gives each block's two search domains, ``StripDomains`` on the mean
+axis or a ``DiscGrid`` on the plane of the mean and split axes, which
+counts them, charges their lookups and sizes them for ``space_bits``.
 """
 
 from __future__ import annotations
@@ -38,8 +37,48 @@ GRID_CELL_CAP = 64
 
 
 @dataclass(frozen=True, eq=False)
+class StripDomains:
+    """Both stages' search domains as strips on the mean axis: for k <= 2, and where the plane's extent overflows.
+
+    ``axis`` is ``Codebook.axis`` and ``sub1_half`` holds, at each axis
+    position, that codevector's ``kernels.half_width`` of its ``sub1_radii``
+    (both read-only float64); ``sub2_half`` is ``half_width(delta_hat)``.
+    Stage 1 searches S(x), the codevectors whose own interval holds p(x),
+    |p(x) - axis[q]| <= sub1_half[q]: an interval-stabbing count.  It holds
+    every index stage 1 can mark, since a marked i has a computed
+    d(x, c_i) < r_i, the case ``half_width``'s proof covers, applied to each
+    i.  Stage 2 searches the run of the axis within ``sub2_half`` of p(x),
+    which holds every index marked at delta_hat by the same proof.
+    The 2N sorted interval ends cut the axis into 2N + 1 pieces (an upper
+    end closes its interval at the next float), on each of which S(x) is one
+    set S_q, stored with its head pointer: stage 1's lookup reads
+    bit_length(2N) + 1 entries, a binary search over the ends and the
+    piece's count, and stage 2's 2 bit_length(N), two over the axis.
+    """
+
+    axis: np.ndarray
+    sub1_half: np.ndarray
+    sub2_half: float
+
+    def counts(self, rows, proj, order) -> tuple[np.ndarray, np.ndarray]:
+        """(|S(x)|, W_t) of each row, its ``proj`` and ``order`` from ``kernels.projection_order``: two int64 arrays."""
+        return tuple(kernels.strip_counts(proj, order, self.axis, half) for half in (self.sub1_half, self.sub2_half))
+
+    def reads(self, entered):
+        """One block's lookup reads: stage 1's, plus stage 2's where ``entered`` (a bool or bool array)."""
+        n = self.axis.size
+        return (2 * n).bit_length() + 1 + 2 * n.bit_length() * entered
+
+    def entries(self) -> int:
+        """The 2N ends, plus sum_q (|S_q| + 1) over the pieces, |S_q| counted at each piece's first float."""
+        starts = np.concatenate([self.axis - self.sub1_half, np.nextafter(self.axis + self.sub1_half, np.inf)])
+        members = kernels.strip_counts(starts, np.argsort(starts), self.axis, self.sub1_half)
+        return 2 * starts.size + 1 + int(members.sum())
+
+
+@dataclass(frozen=True, eq=False)
 class DiscGrid:
-    """Both stages' domain sizes for k >= 3, read off a bucket grid on the (p, q) plane.
+    """Both stages' search domains for k >= 3, read off a bucket grid on the (p, q) plane.
 
     p and q are a row's ``kernels.projections`` and
     ``kernels.split_projections``, coordinates on two orthonormal axes, so
@@ -59,8 +98,9 @@ class DiscGrid:
     A block outside the grid counts 0 in both.  A disc that holds a block
     meets the block's cell (``disc_grid`` holds the proof), so a block's
     stage-1 count holds every index stage 1 can mark, and its stage-2 count
-    every index marked at delta_hat.  One cell of infinite side, holding all
-    N in both counts, stands for a plane whose extent overflows.
+    every index marked at delta_hat.  Each cell stores its two lists behind
+    one head pointer, and a block's cell is arithmetic on the block, so each
+    stage's lookup reads one entry.
     """
 
     origin_p: float
@@ -71,7 +111,19 @@ class DiscGrid:
     sub1: np.ndarray
     sub2: np.ndarray
 
-    def domains(self, p, q) -> tuple[np.ndarray, np.ndarray]:
+    def counts(self, rows, proj, order) -> tuple[np.ndarray, np.ndarray]:
+        """``lookup`` at each row's (``proj``, ``kernels.split_projections``), as ``StripDomains.counts``."""
+        return self.lookup(proj, kernels.split_projections(rows))
+
+    def reads(self, entered):
+        """One block's lookup reads: one cell, plus one where ``entered``, as ``StripDomains.reads``."""
+        return 1 + entered
+
+    def entries(self) -> int:
+        """sum_c (|S_c| + |T_c| + 1) over the cells."""
+        return int(self.sub1.sum()) + int(self.sub2.sum()) + self.sub1.size
+
+    def lookup(self, p, q) -> tuple[np.ndarray, np.ndarray]:
         """(stage 1's count, stage 2's count) of the cell of each point (p[i], q[i]): two int64 arrays."""
         cols, rows = self.sub1.shape
         a = np.floor(cell_coordinates(p, self.origin_p, self.side)) - self.low_p
@@ -129,16 +181,16 @@ def disc_counts(centers_p, centers_q, radii: np.ndarray, low_p: int, low_q: int,
     return counts
 
 
-def disc_grid(codebook: Codebook, sub1_half: np.ndarray, sub2_half: float) -> DiscGrid:
+def disc_grid(codebook: Codebook, sub1_half: np.ndarray, sub2_half: float) -> DiscGrid | None:
     """The ``DiscGrid`` of a k >= 3 codebook, its discs' radii ``sub1_half`` (stage 1, index order) and ``sub2_half``.
 
     The cells are squares of side ``sub2_half`` / ``GRID_SIDE_DIVISOR`` over
     the codevectors' (p, q) bounding box, widened by the largest disc
     radius; the side doubles until the grid holds at most
     ``GRID_CELL_CAP`` * N cells.  A box whose extent is not finite, as at an
-    overflowing or infinite ``sub2_half``, gives one cell of infinite side
-    holding all N in both counts.  The origin is the box's lower corner
-    before widening, each axis's smallest codevector coordinate.
+    overflowing or infinite ``sub2_half``, has no grid: None.  The origin
+    is the box's lower corner before widening, each axis's smallest
+    codevector coordinate, q being ``kernels.split_projections``.
 
     The cell test keeps every disc that holds a block in the cell the floor
     of its coordinates gives, rounding included.  Radii are in cells,
@@ -155,13 +207,11 @@ def disc_grid(codebook: Codebook, sub1_half: np.ndarray, sub2_half: float) -> Di
     pad.
     """
     n = codebook.n
-    p, q = codebook.projections, codebook.split_projections
+    p, q = codebook.projections, kernels.split_projections(codebook.vectors)
     origin_p, origin_q = float(p.min()), float(q.min())
     extent = max(float(p.max()) - origin_p, float(q.max()) - origin_q) + 2.0 * max(sub2_half, float(sub1_half.max()))
     if not math.isfinite(extent):
-        whole = np.full((1, 1), n, dtype=np.int64)
-        whole.setflags(write=False)
-        return DiscGrid(origin_p, origin_q, math.inf, 0, 0, whole, whole)
+        return None
     cap = GRID_CELL_CAP * n
     # a grid of side s spans at least extent / s cells along its longer axis
     side = max(sub2_half / GRID_SIDE_DIVISOR, extent / cap)
@@ -191,14 +241,7 @@ class NeighborhoodTable:
     and its entries whose positions lie in [lo, hi) are the keys in
     [i * N + lo, i * N + hi): two ``searchsorted`` calls.  ``count`` holds
     each list's size.  The three arrays are read-only int64.
-    ``axis`` is ``Codebook.axis`` and ``sub1_half`` holds, at each axis
-    position, that codevector's stage-1 half-width ``kernels.half_width`` of
-    its ``sub1_radii``: stage 1 searches codevector ``order[q]`` for a block
-    x when |p(x) - axis[q]| <= sub1_half[q].  Both are read-only float64.
-    For k >= 3, ``grid`` is the ``DiscGrid`` whose cells give both stages'
-    domains instead, discs on the plane of the mean and split axes; it is
-    None for k <= 2, where the disc would be the ball itself and the
-    domains stay strips.
+    ``domains``, a ``StripDomains`` or ``DiscGrid``, gives both stages' search domains.
     ``delta_hat`` is the encoder threshold the table was built for; the radius
     is positive, so each codevector is always its own neighbor (d == 0) and
     ``inf_omega >= 1``.
@@ -208,9 +251,7 @@ class NeighborhoodTable:
     count: np.ndarray
     keys: np.ndarray
     order: np.ndarray
-    axis: np.ndarray
-    sub1_half: np.ndarray
-    grid: DiscGrid | None = None
+    domains: StripDomains | DiscGrid
 
     @property
     def n(self) -> int:
@@ -280,10 +321,9 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     """Neighbor lists at ``neighbor_radius``: one ``kernels.window_marked`` pass of the codebook over itself.
 
     The table keeps the pass's counts and ``keys``, each member ranked by
-    its position on ``Codebook.axis``, and each codevector's stage-1
-    half-width, ``kernels.half_width`` of its ``sub1_radii``, in axis order.
-    For k >= 3 it also builds the ``disc_grid`` of those half-widths and
-    of ``kernels.half_width(delta_hat)``.
+    its position on ``Codebook.axis``.  Its domains, at the half-widths
+    ``kernels.half_width`` of ``sub1_radii`` and of delta_hat, are the
+    ``disc_grid`` for k >= 3 where the plane is finite, else strips.
     ``delta_hat`` must be at least half the codebook's minimum pairwise
     distance (NaN is rejected); below that the fast encoding path's region
     structure breaks.
@@ -303,51 +343,24 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     owner = np.repeat(by_start, count[by_start])
     keys = np.sort(owner * n + pos[marked])
     keys.setflags(write=False)
-    half = kernels.half_width(sub1_radii(codebook), codebook.k, codebook.norm_scale)
-    grid = None
-    if codebook.k >= 3:
-        grid = disc_grid(codebook, half, kernels.half_width(float(delta_hat), codebook.k, codebook.norm_scale))
-    half = half[codebook.order]
-    half.setflags(write=False)
-    return NeighborhoodTable(
-        delta_hat=float(delta_hat),
-        count=count,
-        keys=keys,
-        order=codebook.order,
-        axis=codebook.axis,
-        sub1_half=half,
-        grid=grid,
-    )
+    sub1_half = kernels.half_width(sub1_radii(codebook), codebook.k, codebook.norm_scale)
+    sub2_half = kernels.half_width(float(delta_hat), codebook.k, codebook.norm_scale)
+    domains = disc_grid(codebook, sub1_half, sub2_half) if codebook.k >= 3 else None
+    if domains is None:
+        sub1_half = sub1_half[codebook.order]
+        sub1_half.setflags(write=False)
+        domains = StripDomains(codebook.axis, sub1_half, sub2_half)
+    return NeighborhoodTable(delta_hat=float(delta_hat), count=count, keys=keys, order=codebook.order, domains=domains)
 
 
 def space_bits(table: NeighborhoodTable) -> int:
     """Exact storage accounting in bits: entries * (ceil(log2 N) + 32).
 
-    entries = sum_i (|list_i| + 1) over the N neighbor lists, plus the table
-    each block's domain lookup reads.  Each entry carries a ceil(log2 N)-bit
-    index plus a 4-byte payload; the +1 counts the per-list head pointer.
-
-    - k <= 2: 2N + sum_q (|S_q| + 1), over stage 1's 2N + 1 pieces q.
-      Codevector i's interval [axis_i - sub1_half_i, axis_i + sub1_half_i]
-      has two ends, and the 2N sorted ends cut the mean axis into 2N + 1
-      pieces (an upper end closes its interval at the next float), on each
-      of which the domain is one set S_q, stored with its head pointer.
-      |S_q| is the encoder's count at the piece's first float,
-      ``kernels.strip_counts`` of the ends; the piece below every end holds
-      nothing.  Stage 2's window is a run of the axis, two binary searches.
-    - k >= 3: sum_c (|S_c| + |T_c| + 1) over the grid's cells c: each
-      cell's two lists, the codevectors whose stage-1 and stage-2 discs meet
-      it (``DiscGrid.sub1`` and ``sub2``), behind one head pointer.
+    entries = sum_i (|list_i| + 1) over the N neighbor lists, plus the
+    domains' ``entries``.  Each entry carries a ceil(log2 N)-bit index plus
+    a 4-byte payload; the +1 counts the per-list head pointer.
     """
-    bits_per_entry = max(1, (table.n - 1).bit_length()) + 32
-    lists = int((table.count + 1).sum())
-    if table.grid is not None:
-        grid = table.grid
-        return (lists + int(grid.sub1.sum()) + int(grid.sub2.sum()) + grid.sub1.size) * bits_per_entry
-    starts = np.concatenate([table.axis - table.sub1_half, np.nextafter(table.axis + table.sub1_half, np.inf)])
-    members = kernels.strip_counts(starts, np.argsort(starts), table.axis, table.sub1_half)
-    pieces = int(members.sum()) + 2 * table.n + 1
-    return (lists + 2 * table.n + pieces) * bits_per_entry
+    return (int((table.count + 1).sum()) + table.domains.entries()) * (max(1, (table.n - 1).bit_length()) + 32)
 
 
 def dump_table(table: NeighborhoodTable) -> str:

@@ -9,10 +9,10 @@ S(x), the codevectors whose own interval holds the block's projection
 coin of the phase-matched search wherever Long's iteration count is the
 plain one (``stage1_chance``).  Stage 2 searches a register of twice its
 window, found by a literal scan of the projections (``stage2_window``).
-For k >= 3 both domains are the codevectors whose discs meet the block's
-grid cell instead, found by a literal scan of every codevector against
-that one cell (``grid_members``).  A
-stage-2 hit and a fallback are finished by
+Where the table's domains are a ``DiscGrid`` (k >= 3 on a finite plane),
+both are the codevectors whose discs meet the block's grid cell instead,
+found by a literal scan of every codevector against that one cell
+(``grid_members``).  A stage-2 hit and a fallback are finished by
 ``projection_walk``, a literal sequential walk.  ``reference_encode``
 returns plain ints, and the batch must give every block the same ones
 (``batch_rows``) when fed the same draws, and the same charges as
@@ -43,6 +43,7 @@ from hqvq.encoder import (
     sub2_budget,
 )
 from hqvq.grover import derive_rng, marked_probability
+from hqvq.neighborhood import DiscGrid
 
 
 def seeded_draws(master_seed: int, size: int):
@@ -126,12 +127,12 @@ def stage1_reads(n: int) -> int:
 
 
 def lookup_reads(table) -> tuple[int, int]:
-    """(stage 1's, stage 2's) lookup reads: one read of the block's grid cell each for k >= 3.
+    """(stage 1's, stage 2's) lookup reads: one read of the block's cell each in a ``DiscGrid``.
 
-    For k <= 2 they are ``stage1_reads`` and two binary searches over the N
+    On strips they are ``stage1_reads`` and two binary searches over the N
     projections, 2 bit_length(N).
     """
-    if table.grid is not None:
+    if isinstance(table.domains, DiscGrid):
         return 1, 1
     return stage1_reads(table.n), 2 * table.n.bit_length()
 
@@ -257,12 +258,12 @@ def stage1_domain(x, codebook) -> list[int]:
 
 
 def grid_pad(codebook, table) -> float:
-    """The radius pad of ``table.grid``'s cell test, in cells: 32u B, written out apart from ``disc_grid``.
+    """The radius pad of ``table.domains``' cell test, in cells: 32u B, written out apart from ``disc_grid``.
 
     u = 2**-53 and B is the largest disc centre's cell coordinate, on
     either axis, plus the largest disc radius in cells, plus 2.
     """
-    grid = table.grid
+    grid = table.domains
     centers = [(c - origin) / grid.side for values, origin in grid_points(codebook, grid) for c in values]
     sub1 = max(reference_half_width(r, codebook) for r in sub1_radii(codebook).tolist()) / grid.side
     sub2 = reference_half_width(table.delta_hat, codebook) / grid.side
@@ -273,17 +274,17 @@ def grid_points(codebook, grid):
     """Each axis's codevector coordinates as floats, with the grid's origin on that axis."""
     return (
         (codebook.projections.tolist(), grid.origin_p),
-        (codebook.split_projections.tolist(), grid.origin_q),
+        (kernels.split_projections(codebook.vectors).tolist(), grid.origin_q),
     )
 
 
 def grid_members(x, codebook, table) -> tuple[list[int], list[int]]:
-    """The ascending codevectors counted in x's cell of ``table.grid``: (stage 1's, stage 2's), for k >= 3.
+    """The ascending codevectors counted in x's cell of the table's ``DiscGrid``: (stage 1's, stage 2's).
 
     x's cell is the floor of its cell coordinates, (p(x) - origin) / side on
     each axis (``cell_members`` lists it); outside the grid nothing counts.
     """
-    grid = table.grid
+    grid = table.domains
     rows = np.asarray([x], dtype=np.float64)
     coordinates = (kernels.projections(rows)[0], grid.origin_p), (kernels.split_projections(rows)[0], grid.origin_q)
     cell = [(float(v) - origin) / grid.side for v, origin in coordinates]
@@ -297,7 +298,7 @@ def grid_members(x, codebook, table) -> tuple[list[int], list[int]]:
 
 
 def cell_members(a: int, b: int, codebook, table) -> tuple[list[int], list[int]]:
-    """The ascending codevectors whose stage-1 and stage-2 discs meet cell (a, b) of ``table.grid``.
+    """The ascending codevectors whose stage-1 and stage-2 discs meet cell (a, b) of the table's ``DiscGrid``.
 
     Codevector i's disc is centred at its own cell coordinates with radius
     ``reference_half_width`` of r_i (stage 1) or of delta_hat (stage 2)
@@ -308,7 +309,7 @@ def cell_members(a: int, b: int, codebook, table) -> tuple[list[int], list[int]]
     literal scan of every codevector against one cell, the brute-force form
     of the grid's column-interval difference arrays.
     """
-    grid = table.grid
+    grid = table.domains
     pad = grid_pad(codebook, table)
     (ps, origin_p), (qs, origin_q) = grid_points(codebook, grid)
     reaches = (sub1_radii(codebook).tolist(), [table.delta_hat] * codebook.n)
@@ -336,7 +337,7 @@ def grid_strips(x, codebook, table) -> tuple[int, int]:
     the pad.  A strip of today's width alone can count fewer: the cell
     reaches past the block.
     """
-    side = 1.001 * table.grid.side
+    side = 1.001 * table.domains.side
     p = float(kernels.projections(np.asarray([x], dtype=np.float64))[0])
     sub1 = sum(
         1
@@ -357,8 +358,8 @@ def reference_encode(x, codebook, table, u, paper: bool = False) -> tuple[int, i
     Returns (index, path, iterations, evaluations, reads), plain ints, the
     path as its position in ``PATHS``.  Stage 1 searches x's
     ``stage1_domain`` with ``stage1_chance``'s coin, stage 2 a register of
-    twice its ``stage2_window`` (no round when that is empty), or for
-    k >= 3 the two lists of ``grid_members``, and a stage-2 hit or a
+    twice its ``stage2_window`` (no round when that is empty), or on a
+    ``DiscGrid`` the two lists of ``grid_members``, and a stage-2 hit or a
     fallback is finished by ``projection_walk``.  The lookups read
     ``lookup_reads`` entries.  With ``paper`` the block is charged as the paper's
     configuration instead: both stages over all N with the plain search's
@@ -372,12 +373,12 @@ def reference_encode(x, codebook, table, u, paper: bool = False) -> tuple[int, i
 
     t_s = sum(1 for d, r in zip(dvec, sub1_radii(codebook)) if d < r)
     marked = [i for i, d in enumerate(dvec) if d < table.delta_hat]
-    if table.grid is None:
-        members = stage1_domain(x, codebook), stage2_window(x, codebook, table)
-    else:
+    if isinstance(table.domains, DiscGrid):
         members = grid_members(x, codebook, table)
         assert set(marked) <= set(members[1])  # the stage-2 list holds every marked index
         members = members[0], len(members[1])
+    else:
+        members = stage1_domain(x, codebook), stage2_window(x, codebook, table)
     if paper:
         domain = n
     else:

@@ -35,7 +35,7 @@ from hqvq.codebook import distances_to_codebook
 from hqvq.encoder import PATHS
 from hqvq.grover import marked_probability, marked_set_from_distances
 from hqvq.image import BlockGeometry, blockify, deblockify
-from hqvq.neighborhood import NeighborhoodTable
+from hqvq.neighborhood import NeighborhoodTable, StripDomains
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -197,7 +197,7 @@ def test_criterion_6_space_formula():
     # (no valid delta_hat builds one: the closest pair is in each other's lists)
     t4 = NeighborhoodTable(
         delta_hat=50.0, count=np.ones(4, dtype=np.int64), keys=5 * np.arange(4), order=np.arange(4),
-        axis=10.0 * np.arange(4), sub1_half=np.ones(4),
+        domains=StripDomains(axis=10.0 * np.arange(4), sub1_half=np.ones(4), sub2_half=50.0),
     )
     exact_ok = space_bits(t4) == 986  # lists 8, stage 1's 8 ends and 4 + 9 piece entries, 34 bits each
 

@@ -12,9 +12,10 @@ import pytest
 from hqvq import (
     BlockGeometry, Codebook, EncoderConfig, IndexStream, blockify, build_neighborhoods, choose_delta_hat,
     clustered_dataset, encode_vectors, grid_codebook, kernels, load_codebook, load_pgm, parse_stream, save_codebook,
-    save_pgm, serialize_stream,
+    save_pgm, serialize_stream, space_bits,
 )
 from hqvq.cli import main
+from reference_encoder import stage1_domain
 
 # `hqvq bench --sizes 64,256 --vectors 500 --seed 3`, byte for byte: refactors that
 # must not change an index, a path or a charge keep this text
@@ -220,6 +221,20 @@ PAPER_DIGESTS_2X2 = {
 }
 
 
+# ``codec_digest`` of ``encode_vectors`` on the ``image_path`` image's blocks with the codebook
+# of `hqvq train -n 16 --block-w W --block-h H --seed 3` at ``choose_delta_hat``, at master
+# seeds 1 and 2: 2 x 2 blocks (k = 4, the ``PAPER_DIGESTS_2X2`` codebook) and 3 x 1 blocks
+# (k = 3, whose split axis weights the middle component 0).  Each block's path, the codec's
+# three counters and both search domains, then ``space_bits`` of the table: a change to how
+# the k >= 3 domains are held or charged, that must not move a count, keeps these
+CODEC_DIGESTS_K3_K4 = {
+    ("2x2", 1): "01e23b2565ace23664787de2c8fc5694e892e81b812bd8384413996d38ed7580",
+    ("2x2", 2): "3e8090a5c3b5e394e4d4b6e8bdc49634a630a1bdcade2c6630c1b39afe4ff8ad",
+    ("3x1", 1): "93ab7e25a46de040666b086e6af4967dacaf8388551878671b0349e2d30d4e2a",
+    ("3x1", 2): "ca312dae41749a7b253e585dea28304bb25f80f3ee897955f723f79ca3461f7c",
+}
+
+
 def paper_digest(indices, batch) -> str:
     """SHA-256 over each block's index, t and pick and the paper's three counters, as int64."""
     f, p = batch.facts, batch.paper
@@ -240,6 +255,16 @@ def batch_digest(indices, batch) -> str:
         f.domain_s, f.domain_t, f.t, f.pick,
     ):
         h.update(np.asarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def codec_digest(batch, bits: int) -> str:
+    """SHA-256 over each block's path, the codec's three counters and both domains, as int64, then ``bits``."""
+    f, m = batch.facts, batch.meter
+    h = sha256()
+    for a in (batch.path, m.grover_iterations, m.classical_distance_evals, m.table_reads, f.domain_s, f.domain_t):
+        h.update(np.asarray(a, dtype=np.int64).tobytes())
+    h.update(str(bits).encode())
     return h.hexdigest()
 
 
@@ -427,12 +452,30 @@ class TestWorkflow:
             got[seed] = paper_digest(indices, batch)
         assert got == PAPER_DIGESTS_2X2
 
+    def test_k3_k4_codec_digests_are_pinned(self, tmp_path, image_path):
+        # the k >= 3 blocks' paths, codec charges, domains and table size, at a finite plane
+        got = {}
+        for name, (w, h) in (("2x2", (2, 2)), ("3x1", (3, 1))):
+            cb = tmp_path / f"cb{name}.txt"
+            geometry = ["--block-w", str(w), "--block-h", str(h)]
+            assert main(["train", str(image_path), "-n", "16", "-o", str(cb), "--seed", "3"] + geometry) == 0
+            trained = load_codebook(cb)
+            blocks = blockify(load_pgm(image_path), BlockGeometry(block_w=w, block_h=h))
+            delta_hat = choose_delta_hat(trained, blocks)
+            table = build_neighborhoods(trained, delta_hat)
+            for seed in (1, 2):
+                cfg = EncoderConfig(delta_hat=delta_hat, master_seed=seed)
+                _, _, batch = encode_vectors(blocks, trained, table, cfg)
+                got[name, seed] = codec_digest(batch, space_bits(table))
+        assert got == CODEC_DIGESTS_K3_K4
+
     @pytest.mark.parametrize("block", [("2", "1"), ("2", "2")])
     @pytest.mark.parametrize("delta_hat", ["1e308", "inf"])
     def test_huge_delta_hat_saturates_the_margins_silently(self, tmp_path, image_path, block, delta_hat):
         # half_width(1e308) overflowed with numpy's RuntimeWarning, an error under this suite's
-        # filterwarnings; every margin saturates to inf as at inf.  For 2 x 2 blocks the grid is
-        # one cell holding every codevector, so both mean domains are N
+        # filterwarnings; every margin saturates to inf as at inf.  For 2 x 2 blocks the plane
+        # then has no finite grid and the table takes the strips: stage 1 searches each block's
+        # S(x), the brute-force count, and stage 2 all N
         cb, stream, rep = tmp_path / "cb.txt", tmp_path / "s.vqix", tmp_path / "r.txt"
         geometry = ["--block-w", block[0], "--block-h", block[1]]
         assert main(["train", str(image_path), "-n", "8", "-o", str(cb), "--seed", "3"] + geometry) == 0
@@ -440,11 +483,13 @@ class TestWorkflow:
         assert main(args + geometry) == 0
         r = report_values(rep.read_text())
         assert r["delta_hat"] == repr(float(delta_hat))
-        if block == ("2", "2"):
-            assert r["mean_sub1_domain"] == r["mean_sub2_domain"] == "8.0"
-        assert main(["decode", str(stream), str(cb), "-o", str(tmp_path / "d.pgm")]) == 0
         geom = BlockGeometry(block_w=int(block[0]), block_h=int(block[1]))
-        nearest, _ = kernels.nearest_many(blockify(load_pgm(image_path), geom), load_codebook(cb).vectors)
+        blocks, codebook = blockify(load_pgm(image_path), geom), load_codebook(cb)
+        if block == ("2", "2"):
+            assert r["mean_sub2_domain"] == "8.0"
+            assert float(r["mean_sub1_domain"]) == np.mean([len(stage1_domain(x, codebook)) for x in blocks])
+        assert main(["decode", str(stream), str(cb), "-o", str(tmp_path / "d.pgm")]) == 0
+        nearest, _ = kernels.nearest_many(blocks, codebook.vectors)
         assert parse_stream(stream.read_bytes()).indices.tolist() == nearest.tolist()
 
     def test_bench_command(self, tmp_path, capsys):

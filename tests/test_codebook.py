@@ -249,17 +249,6 @@ class TestDelta0:
         with pytest.raises(ValueError, match="read-only"):
             cb.axis[0] = 0.0
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_split_projections_are_held_for_k_at_least_3(self, k):
-        # the disc grid's second axis, computed once at construction; k <= 2 keeps the strips
-        cb = Codebook(np.random.default_rng(10).normal(size=(12, k)))
-        if k < 3:
-            assert cb.split_projections is None
-            return
-        assert cb.split_projections.tobytes() == kernels.split_projections(cb.vectors).tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            cb.split_projections[0] = 0.0
-
     def test_order_is_the_stable_argsort_of_the_projections(self):
         # a lattice: each anti-diagonal's codevectors tie, and keep their index order on the axis
         cb = Codebook([[10.0 * i, 10.0 * j] for i in range(5) for j in range(5)])

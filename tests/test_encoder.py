@@ -65,7 +65,7 @@ from hqvq.encoder import (
     success_table,
 )
 from hqvq.grover import marked_probability, marked_set_from_distances
-from hqvq.neighborhood import GRID_CELL_CAP, cell_coordinates
+from hqvq.neighborhood import GRID_CELL_CAP, DiscGrid, cell_coordinates
 from hqvq.pipeline import region_fractions
 
 # positions in EncodeBatch.path
@@ -789,26 +789,29 @@ def boundary_batch(rng: np.random.Generator, cb: Codebook, delta_hat: float, per
 @example(seed=2, k=2, n=3, factor=1.0, master_seed=2, per_kind=6)
 # 320 distinct rows, more than two window tiles: three looks, which defer 11 rows to the bounded pass
 @example(seed=18, k=2, n=64, factor=3.0, master_seed=5, per_kind=60)
+# delta_hat 1e308: the plane overflows, so the k = 4 table takes the strips
+@example(seed=3, k=4, n=16, factor=math.inf, master_seed=3, per_kind=6)
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(1, 4),
     n=st.sampled_from([2, 3, 5, 16, 64]),
-    factor=st.sampled_from([1.0, 1.25, 2.0, 3.0, 50.0]),
+    factor=st.sampled_from([1.0, 1.25, 2.0, 3.0, 50.0, math.inf]),
     master_seed=st.integers(0, 2**32 - 1),
     per_kind=st.just(6),
 )
 def test_batch_equals_per_block_reference(seed, k, n, factor, master_seed, per_kind):
     # the lockstep batch and the per-block walk read the same slot draws, so
-    # every block's (index, path, meter) must agree, on every boundary
+    # every block's (index, path, meter) must agree, on every boundary; an inf
+    # factor stands for delta_hat 1e308, whose blocks sit on the 50 factor's shells
     rng = np.random.default_rng(seed)
     cb = Codebook(rng.normal(size=(n, k)))
     if n == 2:
         midpoint_cb, midpoint = rounded_midpoint(rng, k)
         if marked_count(midpoint, midpoint_cb, midpoint_cb.delta0 / 2) == 2:
             cb = midpoint_cb  # the batch below gets a rounded midpoint
-    delta_hat = factor * cb.delta0 / 2.0
+    delta_hat = 1e308 if factor == math.inf else factor * cb.delta0 / 2.0
     table = build_neighborhoods(cb, delta_hat)
-    rows = boundary_batch(rng, cb, delta_hat, per_kind)
+    rows = boundary_batch(rng, cb, min(delta_hat, 25.0 * cb.delta0), per_kind)
     # equal blocks share one distance row but each keeps its own draws
     repeats = rng.integers(0, rows.shape[0], size=rows.shape[0])
     rows = np.vstack([rows, rows[rng.permutation(rows.shape[0])], rows[repeats]])
@@ -914,9 +917,9 @@ def test_stage1_window_holds_every_index_it_can_mark(case, seed, k, n, master_se
     # p(c_i) -+ half_width(r_i) holds p(x), ends included; a marked index lies
     # in S(x); S(x) never exceeds the one strip at the largest radius; full
     # search is the oracle, and every block's charges and its paper's charges
-    # match the per-block reference.  For k >= 3, S(x) is the brute-force
-    # list of the stage-1 discs that meet x's grid cell, bounded by the
-    # strips one cell side wider, and the cases' exact widths are the strips'
+    # match the per-block reference.  On a disc grid (k >= 3), S(x) is the
+    # brute-force list of the stage-1 discs that meet x's grid cell, bounded by
+    # the strips one cell side wider, and the cases' exact widths are the strips'
     rng = np.random.default_rng(seed)
     cb, rows = window_case(case, rng, k, n)
     table = build_neighborhoods(cb, cb.delta0)
@@ -924,27 +927,29 @@ def test_stage1_window_holds_every_index_it_can_mark(case, seed, k, n, master_se
     indices, _, batch = encode_vectors(rows, cb, table, cfg)
     draw = seeded_draws(master_seed, rows.shape[0])
     strip = reference_half_width(float(sub1_radii(cb).max()), cb)
-    lower, upper = table.axis - table.sub1_half, table.axis + table.sub1_half
+    half = kernels.half_width(sub1_radii(cb), cb.k, cb.norm_scale)[cb.order]
+    lower, upper = cb.axis - half, cb.axis + half
+    grid = isinstance(table.domains, DiscGrid)
     got, paper = batch_rows(batch), meter_rows(batch.paper)
     on_an_end = 0
     for ordinal, x in enumerate(rows):
         oracle, _ = full_search(x, cb)
         assert indices[ordinal] == oracle
         width = int(batch.facts.domain_s[ordinal])
-        if table.grid is None:
-            members = stage1_domain(x, cb)
-            assert width == len(members) <= reference_window(x, cb, strip)
-        else:
+        if grid:
             members = grid_members(x, cb, table)[0]
             assert width == len(members) <= grid_strips(x, cb, table)[0]
+        else:
+            members = stage1_domain(x, cb)
+            assert width == len(members) <= reference_window(x, cb, strip)
         if batch.facts.t_s[ordinal]:
             assert oracle in members
         p = kernels.projections(x[None])[0]
         on_an_end += np.count_nonzero((lower == p) | (upper == p))
         # the exact widths are the strips'; a grid cell can reach past them
-        if case == "shared_projection" and table.grid is None:
+        if case == "shared_projection" and not grid:
             assert width == cb.n
-        elif case == "alone" and batch.facts.t_s[ordinal] and table.grid is None:
+        elif case == "alone" and batch.facts.t_s[ordinal] and not grid:
             assert width == 1 and batch.path[ordinal] == SUB1
         elif case == "empty":
             assert width == 0
@@ -1025,7 +1030,7 @@ def stage2_window_case(case: str, rng: np.random.Generator, k: int, n: int, fact
 )
 def test_stage2_window_holds_every_marked_index(case, seed, k, n, factor, master_seed):
     # W_t is the literal count of projections within kernels.half_width(delta_hat)
-    # of p(x), or for k >= 3 of the stage-2 discs that meet x's grid cell;
+    # of p(x), or on a disc grid (k >= 3) of the stage-2 discs that meet x's cell;
     # every index marked at delta_hat lies in it, so t <= W_t; full
     # search is the oracle, and every block's charges and its paper's charges
     # match the per-block reference.  A block with W_t = 0 runs no round, is
@@ -1038,27 +1043,28 @@ def test_stage2_window_holds_every_marked_index(case, seed, k, n, factor, master
     draw = seeded_draws(master_seed, rows.shape[0])
     half = kernels.half_width(delta_hat, cb.k, cb.norm_scale)
     facts = batch.facts
+    grid = isinstance(table.domains, DiscGrid)
     got, paper = batch_rows(batch), meter_rows(batch.paper)
     for ordinal, x in enumerate(rows):
         assert indices[ordinal] == full_search(x, cb)[0]
         width = int(facts.domain_t[ordinal])
         p = kernels.projections(x[None])[0]
         marked = marked_set_from_distances(distances_to_codebook(x, cb), delta_hat)
-        if table.grid is None:
-            assert width == stage2_window(x, cb, table)
-        else:
+        if grid:
             members = grid_members(x, cb, table)[1]
             assert width == len(members) <= grid_strips(x, cb, table)[1]
             assert set(marked.tolist()) <= set(members)
+        else:
+            assert width == stage2_window(x, cb, table)
         assert marked.size == facts.t[ordinal] <= width
         assert np.all((p - half <= cb.projections[marked]) & (cb.projections[marked] <= p + half))
         u = block_draws(draw, ordinal)
         assert got[ordinal] == reference_encode(x, cb, table, u)
         assert paper[ordinal] == reference_encode(x, cb, table, u, paper=True)[2:]
     # the exact widths are the strips'; a grid cell can reach past them
-    if case == "shared_projection" and table.grid is None:
+    if case == "shared_projection" and not grid:
         assert np.all(facts.domain_t == cb.n)
-    elif case == "full" and table.grid is None:
+    elif case == "full" and not grid:
         assert np.all(facts.domain_t == facts.t) and np.all(facts.t >= 1)
     elif case == "empty":
         assert np.any(facts.domain_t == 0)
@@ -1130,8 +1136,7 @@ def grid_case(case: str, rng: np.random.Generator, k: int, n: int, factor: float
     if case == "far":
         cb = Codebook(np.vstack([cb.vectors, np.full((1, k), 1e100)]))
     delta_hat = factor * cb.delta0 / 2.0
-    table = build_neighborhoods(cb, delta_hat)
-    grid = table.grid
+    grid = build_neighborhoods(cb, delta_hat).domains
     ulps = np.arange(-3, 4)
     if case == "corner_rim":
         # move codevector j onto a circle of radius half_width(delta_hat) around a corner of its
@@ -1139,7 +1144,7 @@ def grid_case(case: str, rng: np.random.Generator, k: int, n: int, factor: float
         j = int(np.argsort(cb.projections)[n // 2])
         corner = np.floor(np.array([
             cell_coordinates(cb.projections[j], grid.origin_p, grid.side),
-            cell_coordinates(cb.split_projections[j], grid.origin_q, grid.side),
+            cell_coordinates(kernels.split_projections(cb.vectors[j : j + 1])[0], grid.origin_q, grid.side),
         ]))
         angle = rng.uniform(0, 2 * math.pi)
         rim = np.array([grid.origin_p, grid.origin_q]) + corner * grid.side
@@ -1147,13 +1152,17 @@ def grid_case(case: str, rng: np.random.Generator, k: int, n: int, factor: float
         vectors = cb.vectors.copy()
         vectors[j] = on_plane(rim[None], k)[0]
         moved = Codebook(vectors)
-        kept = (moved.norm_scale, moved.projections.min(), moved.split_projections.min())
-        if kept == (cb.norm_scale, cb.projections.min(), cb.split_projections.min()) and moved.delta0 <= 2 * delta_hat:
+
+        def frame(c):  # what places the grid: the norm and each axis's smallest coordinate
+            return c.norm_scale, c.projections.min(), kernels.split_projections(c.vectors).min()
+
+        if frame(moved) == frame(cb) and moved.delta0 <= 2 * delta_hat:
             cb = moved
-            grid = build_neighborhoods(cb, delta_hat).grid
+            grid = build_neighborhoods(cb, delta_hat).domains
         around = np.arange(-1, 3)
+        q_j = kernels.split_projections(cb.vectors[j : j + 1])[0]
         p = cell_edges(grid, 0, np.floor(cell_coordinates(cb.projections[j], grid.origin_p, grid.side)) + around)
-        q = cell_edges(grid, 1, np.floor(cell_coordinates(cb.split_projections[j], grid.origin_q, grid.side)) + around)
+        q = cell_edges(grid, 1, np.floor(cell_coordinates(q_j, grid.origin_q, grid.side)) + around)
         points = np.stack(np.meshgrid(p, q), axis=-1).reshape(-1, 2)
     elif case == "cell_edges":
         cols, rows = grid.sub1.shape
@@ -1205,11 +1214,12 @@ def test_grid_domains_hold_every_index_either_stage_can_mark(case, seed, k, n, f
     rng = np.random.default_rng(seed)
     cb, delta_hat, rows, points = grid_case(case, rng, k, n, factor)
     table = build_neighborhoods(cb, delta_hat)
-    grid = table.grid
+    grid = table.domains
     assert grid.sub1.size <= GRID_CELL_CAP * cb.n
     w1 = kernels.half_width(sub1_radii(cb), k, cb.norm_scale)
     w2 = kernels.half_width(delta_hat, k, cb.norm_scale)
-    got = grid.domains(points[:, 0], points[:, 1])
+    got = grid.lookup(points[:, 0], points[:, 1])
+    split = kernels.split_projections(cb.vectors)
     for (p, q), s, t in zip(points.tolist(), *got):
         a = math.floor((p - grid.origin_p) / grid.side)
         b = math.floor((q - grid.origin_q) / grid.side)
@@ -1217,7 +1227,7 @@ def test_grid_domains_hold_every_index_either_stage_can_mark(case, seed, k, n, f
         inside = grid.low_p <= a < grid.low_p + cols and grid.low_q <= b < grid.low_q + height
         lists = cell_members(a, b, cb, table) if inside else ([], [])
         assert (s, t) == tuple(map(len, lists))
-        gap = (p - cb.projections) ** 2 + (q - cb.split_projections) ** 2
+        gap = (p - cb.projections) ** 2 + (q - split) ** 2
         assert set(np.flatnonzero(gap <= w1 * w1).tolist()) <= set(lists[0])
         assert set(np.flatnonzero(gap <= w2 * w2).tolist()) <= set(lists[1])
     cfg = EncoderConfig(delta_hat=delta_hat, master_seed=master_seed)
@@ -1235,7 +1245,7 @@ def test_grid_domains_hold_every_index_either_stage_can_mark(case, seed, k, n, f
             assert oracle[ordinal] in sub1 and dvec[oracle[ordinal]] < sub1_radii(cb)[oracle[ordinal]]
         assert set(np.flatnonzero(dvec < delta_hat).tolist()) <= set(sub2)
         p, q = kernels.projections(x[None])[0], kernels.split_projections(x[None])[0]
-        gap = (p - cb.projections) ** 2 + (q - cb.split_projections) ** 2
+        gap = (p - cb.projections) ** 2 + (q - split) ** 2
         wide = grid_strips(x, cb, table)
         assert np.count_nonzero(gap <= w1 * w1) <= len(sub1) <= wide[0]
         assert np.count_nonzero(gap <= w2 * w2) <= len(sub2) <= wide[1]

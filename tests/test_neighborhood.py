@@ -8,9 +8,13 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from hqvq import Codebook, build_neighborhoods, distance, kernels, space_bits
-from hqvq.neighborhood import GRID_CELL_CAP, GRID_SIDE_DIVISOR, NeighborhoodTable, dump_table, neighbor_radius
-from reference_encoder import cell_members
+from hqvq import (
+    Codebook, EncoderConfig, build_neighborhoods, choose_delta_hat, distance, encode_vectors, kernels, space_bits,
+)
+from hqvq.neighborhood import (
+    GRID_CELL_CAP, GRID_SIDE_DIVISOR, DiscGrid, NeighborhoodTable, StripDomains, dump_table, neighbor_radius,
+)
+from reference_encoder import cell_members, lookup_reads, stage1_domain
 
 
 def brute_lists(vectors, radius):
@@ -113,7 +117,7 @@ class TestSpaceBits:
         # no valid delta_hat builds singleton lists: the closest pair is in each other's
         table = NeighborhoodTable(
             delta_hat=50.0, count=np.ones(4, dtype=np.int64), keys=5 * np.arange(4), order=np.arange(4),
-            axis=10.0 * np.arange(4), sub1_half=np.ones(4),
+            domains=StripDomains(axis=10.0 * np.arange(4), sub1_half=np.ones(4), sub2_half=50.0),
         )
         # lists 4 * (1+1), stage 1's 8 disjoint interval ends and 9 pieces, 4 of them
         # inside an interval: 8 + 8 + (4 + 9) entries of (2+32) bits
@@ -135,21 +139,29 @@ class TestSpaceBits:
         assert space_bits(table) >= 8 * 2 * bits_per
 
 
+def strip_ends(strips):
+    """The sorted first floats of the strips' pieces: each interval's lower end and the float past its upper end."""
+    lower, upper = strips.axis - strips.sub1_half, strips.axis + strips.sub1_half
+    return np.sort(np.concatenate([lower, np.nextafter(upper, np.inf)]))
+
+
 def test_stage1_widths_and_pieces():
     # each codevector's stage-1 half-width, in axis order, and the 2N + 1 pieces its
     # intervals cut the axis into: on each, the encoder's |S(x)| is the piece's count
     rng = np.random.default_rng(37)
     cb = Codebook(np.vstack([rng.uniform(0, 30, size=(10, 2)), [[80.0, 90.0]]]))  # one isolated codevector
     table = build_neighborhoods(cb, cb.delta0)
+    strips = table.domains
     radii = cb.nearest_other / 2.0 * (1.0 - 3.0 * kernels.rounding_bound(2))
-    assert table.axis is cb.axis
-    assert table.sub1_half.tobytes() == kernels.half_width(radii[cb.order], 2, cb.norm_scale).tobytes()
-    assert not table.sub1_half.flags.writeable
-    ends = np.sort(np.concatenate([table.axis - table.sub1_half, np.nextafter(table.axis + table.sub1_half, np.inf)]))
+    assert strips.axis is cb.axis
+    assert strips.sub1_half.tobytes() == kernels.half_width(radii[cb.order], 2, cb.norm_scale).tobytes()
+    assert not strips.sub1_half.flags.writeable
+    assert strips.sub2_half == kernels.half_width(cb.delta0, 2, cb.norm_scale)
+    ends = strip_ends(strips)
     # a block at each piece's first float, and one just below it, counted one codevector at a time
     x = np.concatenate([ends, np.nextafter(ends, -np.inf)])
-    literal = [sum(1 for a, h in zip(table.axis, table.sub1_half) if a - h <= p <= a + h) for p in x]
-    assert kernels.strip_counts(x, np.argsort(x), table.axis, table.sub1_half).tolist() == literal
+    literal = [sum(1 for a, h in zip(strips.axis, strips.sub1_half) if a - h <= p <= a + h) for p in x]
+    assert kernels.strip_counts(x, np.argsort(x), strips.axis, strips.sub1_half).tolist() == literal
     lists = int((table.count + 1).sum())
     entries = lists + 2 * cb.n + sum(literal[: ends.size]) + 2 * cb.n + 1
     assert space_bits(table) == entries * (4 + 32)
@@ -194,7 +206,7 @@ def test_neighbors_past_either_end_raise_index_error():
 
 def test_table_fields_hold_each_list_once():
     assert [f.name for f in dataclasses.fields(NeighborhoodTable)] == [
-        "delta_hat", "count", "keys", "order", "axis", "sub1_half", "grid"
+        "delta_hat", "count", "keys", "order", "domains"
     ]
 
 
@@ -283,7 +295,7 @@ def test_disc_grid_counts_every_cell_by_brute_force(seed, k, n, factor, spread):
     rng = np.random.default_rng(seed)
     cb = plane_codebook(rng, k, n, spread)
     table = build_neighborhoods(cb, factor * cb.delta0 / 2.0)
-    grid = table.grid
+    grid = table.domains
     cols, rows = grid.sub1.shape
     assert grid.sub2.shape == (cols, rows) and cols * rows <= GRID_CELL_CAP * cb.n
     side = kernels.half_width(table.delta_hat, k, cb.norm_scale) / GRID_SIDE_DIVISOR
@@ -294,24 +306,50 @@ def test_disc_grid_counts_every_cell_by_brute_force(seed, k, n, factor, spread):
             sub1, sub2 = cell_members(grid.low_p + a, grid.low_q + b, cb, table)
             assert (grid.sub1[a, b], grid.sub2[a, b]) == (len(sub1), len(sub2))
     # every codevector's own cell counts it in both lists: the grid covers its discs
-    s, t = grid.domains(cb.projections, cb.split_projections)
+    s, t = grid.lookup(cb.projections, kernels.split_projections(cb.vectors))
     assert np.all(s >= 1) and np.all(t >= 1)
 
 
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("delta_hat", [1e308, math.inf])
-def test_an_overflowing_plane_is_one_cell_holding_every_codevector(k, delta_hat):
-    # half_width(delta_hat) saturates to inf: the grid is one cell of infinite side, and
-    # every block, near or far, counts all N in both stages
-    cb = Codebook(np.random.default_rng(38).normal(size=(6, k)))
+def test_an_overflowing_plane_takes_the_strips(k, delta_hat):
+    # half_width(delta_hat) saturates to inf, so the plane has no finite grid: the table
+    # takes the strips, stage 1 searches each block's S(x), not all N, and stage 2 all N
+    rng = np.random.default_rng(38)
+    cb = Codebook(rng.normal(size=(6, k)))
     table = build_neighborhoods(cb, delta_hat)
-    grid = table.grid
-    assert grid.side == math.inf and grid.sub1.tolist() == grid.sub2.tolist() == [[6]]
-    p = np.array([-1e300, 0.0, 3.0, 1e300])
-    s, t = grid.domains(p, p[::-1].copy())
-    assert s.tolist() == t.tolist() == [6] * 4
-    lists = int((table.count + 1).sum())
-    assert space_bits(table) == (lists + 6 + 6 + 1) * (3 + 32)
+    strips = table.domains
+    assert isinstance(strips, StripDomains) and strips.sub2_half == math.inf
+    rows = np.vstack([cb.vectors, rng.normal(size=(20, k)), 3.0 * rng.normal(size=(20, k)), np.full((1, k), 1e100)])
+    indices, _, batch = encode_vectors(rows, cb, table, EncoderConfig(delta_hat=delta_hat, master_seed=1))
+    assert indices.tolist() == kernels.nearest_many(rows, cb.vectors)[0].tolist()
+    s = [len(stage1_domain(x, cb)) for x in rows]
+    assert batch.facts.domain_s.tolist() == s and 0 < sum(s) < rows.shape[0] * cb.n
+    assert batch.facts.domain_t.tolist() == [cb.n] * rows.shape[0]
+    # the lists, all N, plus the strips' 2N ends and 2N + 1 pieces, each piece's S_q counted
+    # one codevector at a time at its first float
+    ends = strip_ends(strips)
+    pieces = sum(1 for p in ends for a, h in zip(strips.axis, strips.sub1_half) if a - h <= p <= a + h)
+    entries = cb.n * (cb.n + 1) + 2 * cb.n + pieces + 2 * cb.n + 1
+    assert space_bits(table) == entries * (3 + 32)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("delta_hat", ["percentile", 1e308, math.inf])
+def test_the_domain_rule_is_chosen_once(k, delta_hat):
+    # build_neighborhoods alone picks the rule: the disc grid for k >= 3 on a finite plane,
+    # the strips otherwise; each rule charges a lookup what the per-block reference charges
+    rng = np.random.default_rng(41)
+    cb = Codebook(rng.normal(size=(12, k)))
+    if delta_hat == "percentile":
+        delta_hat = choose_delta_hat(cb, rng.normal(size=(200, k)))
+    table = build_neighborhoods(cb, delta_hat)
+    grid = k >= 3 and math.isfinite(kernels.half_width(delta_hat, k, cb.norm_scale))
+    assert type(table.domains) is (DiscGrid if grid else StripDomains)
+    stage1, stage2 = lookup_reads(table)
+    entered = np.array([False, True])
+    assert table.domains.reads(False) == stage1 and table.domains.reads(True) == stage1 + stage2
+    assert table.domains.reads(entered).tolist() == [stage1, stage1 + stage2]
 
 
 def test_grid_space_bits_count_both_lists_and_a_head_per_cell():
@@ -319,10 +357,9 @@ def test_grid_space_bits_count_both_lists_and_a_head_per_cell():
     # in place of stage 1's 2N interval ends and 2N + 1 pieces
     cb = Codebook(np.random.default_rng(39).uniform(0, 50, size=(10, 4)))
     table = build_neighborhoods(cb, cb.delta0)
-    grid = table.grid
+    grid = table.domains
     entries = int((table.count + 1).sum()) + int(grid.sub1.sum()) + int(grid.sub2.sum()) + grid.sub1.size
     assert space_bits(table) == entries * (4 + 32)
-    assert build_neighborhoods(Codebook(cb.vectors[:, :2]), cb.delta0).grid is None
 
 
 def test_one_far_codevector_keeps_the_grid_within_its_cap():
@@ -331,8 +368,8 @@ def test_one_far_codevector_keeps_the_grid_within_its_cap():
     rng = np.random.default_rng(40)
     cb = Codebook(np.vstack([rng.normal(size=(20, 4)), np.full((1, 4), 1e100)]))
     table = build_neighborhoods(cb, cb.delta0)
-    grid = table.grid
+    grid = table.domains
     assert grid.sub1.size <= GRID_CELL_CAP * cb.n
     assert grid.side > 1e97 and math.isfinite(grid.side)
-    s, t = grid.domains(cb.projections[:20], cb.split_projections[:20])
+    s, t = grid.lookup(cb.projections[:20], kernels.split_projections(cb.vectors[:20]))
     assert np.all(s >= 1) and np.all(t >= 1)
