@@ -235,8 +235,7 @@ def reference_window(x, codebook, half: float) -> int:
     """How many codevectors' projections lie within ``half`` of p(x): a literal scan, both ends inclusive.
 
     Stage 2's window is the one at ``reference_half_width(delta_hat)``
-    (``stage2_window``); at the largest ``sub1_radii`` it is the one strip
-    that bounds every S(x).
+    (``stage2_window``).
     """
     p = float(kernels.projections(np.asarray([x], dtype=np.float64))[0])
     return sum(1 for c in codebook.projections.tolist() if p - half <= c <= p + half)
