@@ -665,7 +665,7 @@ class TestErrors:
         assert code == 1
         assert "delta0/2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["stats", "encode"])
+    @pytest.mark.parametrize("command", ["stats", "encode", "train"])
     def test_huge_blocks_rejected_before_blockify(self, tmp_path, image_path, capsys, monkeypatch, command):
         # blockify pads the image to the block size: 10**9 x 10**9 blocks ended in numpy's
         # _ArrayMemoryError before the block dimension was compared with the codebook's
@@ -677,12 +677,29 @@ class TestErrors:
             raise AssertionError("blockify ran before the dimension check")
 
         monkeypatch.setattr("hqvq.cli.blockify", no_blockify)
-        out = ["-o", str(tmp_path / "s.vqix")] if command == "encode" else []
+        out = tmp_path / "s.vqix"
+        args = {
+            "stats": [str(image_path), str(cb)],
+            "encode": [str(image_path), str(cb), "-o", str(out)],
+            "train": [str(image_path), "-n", "8", "-o", str(out)],
+        }[command]
         huge = ["--block-w", "1000000000", "--block-h", "1000000000"]
-        assert main([command, str(image_path), str(cb)] + out + huge) == 1
+        assert main([command] + args + huge) == 1
         err = capsys.readouterr().err
-        assert "block geometry gives dimension 1000000000000000000, codebook has 2" in err
-        assert not (tmp_path / "s.vqix").exists()
+        if command == "train":  # no codebook to compare with: the block is checked against the image
+            assert "block 1000000000x1000000000 is larger than the image 16x16" in err
+        else:
+            assert "block geometry gives dimension 1000000000000000000, codebook has 2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block", [["17", "1"], ["1", "17"]])
+    def test_train_block_larger_than_the_image_rejected(self, tmp_path, image_path, capsys, block):
+        # one side too large is enough; the 16 x 16 image is 16 blocks of 1 x 16 or 16 x 1
+        out = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", "8", "-o", str(out), "--block-w", block[0], "--block-h", block[1]]) == 1
+        assert f"block {block[0]}x{block[1]} is larger than the image 16x16" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["train", str(image_path), "-n", "8", "-o", str(out), "--block-w", "16", "--block-h", "1"]) == 0
 
     @pytest.mark.parametrize("block", [["2", "2"], ["1", "1"]])
     @pytest.mark.parametrize("threshold", [[], ["--delta-hat", "1e9"]])

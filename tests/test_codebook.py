@@ -256,7 +256,7 @@ class TestDelta0:
         assert cb.order.tolist() == np.argsort(cb.projections, kind="stable").tolist()
         assert cb.order.dtype == np.int64
         assert cb.axis.tobytes() == cb.projections[cb.order].tobytes()
-        for a in (cb.order, cb.axis):
+        for a in (cb.order, cb.axis, cb.columns):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 

@@ -332,6 +332,19 @@ def test_window_nearest_with_a_bound_is_nearest_many(data):
     assert got_dist.tobytes() == dist.tobytes()
 
 
+def test_sorted_rows_keep_the_rows_as_given():
+    # training writes its centroids in place between passes: the rows are neither copied nor frozen
+    rows = np.random.default_rng(5).normal(size=(7, 3)) * [1.0, -1e3, 1e-3]
+    side = kernels.SortedRows(rows)
+    assert side.vectors is rows and rows.flags.writeable
+    assert side.columns.flags.c_contiguous and side.columns.tobytes() == rows.T.tobytes(order="C")
+    assert side.projections.tobytes() == kernels.projections(rows).tobytes()
+    assert side.order.tolist() == np.argsort(side.projections, kind="stable").tolist()
+    assert side.axis.tobytes() == side.projections[side.order].tobytes()
+    assert side.norm_scale == math.sqrt(3) * float(np.abs(rows).max())
+    assert (side.n, side.k) == (7, 3)
+
+
 def test_paired_distances_are_the_window_bits(random_data):
     queries, vectors = random_data
     pick = np.arange(queries.shape[0]) % vectors.shape[0]

@@ -13,6 +13,7 @@ from hqvq import (
     IndexStream,
     blockify,
     build_neighborhoods,
+    choose_delta_hat,
     clustered_dataset,
     decode_image,
     deblockify,
@@ -24,7 +25,9 @@ from hqvq import (
     psnr,
     report,
     serialize_stream,
+    train_codebook,
 )
+from hqvq import kernels
 from hqvq.codebook import MAX_COMPONENT
 from hqvq.encoder import PATHS, EncodePath, encode_sub2, finishing_walks, sub1_table
 from hqvq.pipeline import PartitionStats
@@ -35,8 +38,6 @@ def small_setup():
     rng = np.random.default_rng(71)
     img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
     samples = blockify(img, BlockGeometry(2, 1))
-    from hqvq import choose_delta_hat, train_codebook
-
     cb = train_codebook(samples, 8, seed=5)
     delta_hat = choose_delta_hat(cb, samples, percentile=99)
     cfg = EncoderConfig(delta_hat=delta_hat, master_seed=11)
@@ -204,6 +205,38 @@ class TestCodec:
         s1, _ = encode_image(img, cb, table, cfg)
         s2, _ = encode_image(img, cb, table, other)
         np.testing.assert_array_equal(s1.indices, s2.indices)
+
+    def test_every_row_set_is_projected_once(self, monkeypatch):
+        # training projects its distinct rows once and its centroids once per iteration;
+        # a codebook projects its N rows at construction, and every later pass reads them;
+        # a block pass projects the distinct blocks once, and the walks read that projection
+        img = np.random.default_rng(4).integers(0, 256, size=(32, 32), dtype=np.uint8)
+        samples = blockify(img, BlockGeometry(2, 1))
+        distinct = np.unique(samples, axis=0).shape[0]
+        assert distinct == 510
+        rows = []
+        projections = kernels.projections
+
+        def counted(a):
+            rows.append(a.shape[0])
+            return projections(a)
+
+        monkeypatch.setattr(kernels, "projections", counted)
+        cb = train_codebook(samples, 16, seed=2, max_iter=5)
+        assert rows == [distinct] + [16] * 5 + [16]
+        assert sum(rows) == 606
+        rows.clear()
+        Codebook(cb.vectors)
+        assert rows == [16]
+        rows.clear()
+        delta_hat = choose_delta_hat(cb, samples)
+        assert rows == [distinct]
+        rows.clear()
+        table = build_neighborhoods(cb, delta_hat)
+        assert rows == []
+        _, stats, batch = encode_vectors(samples, cb, table, EncoderConfig(delta_hat=delta_hat, master_seed=3))
+        assert stats.count_sub2 > 0 and stats.count_fallback > 0  # both walks run
+        assert rows == [distinct]
 
 
 def grid64_setup():
