@@ -70,6 +70,10 @@ def _emit(text: str, path: str | None) -> None:
 def cmd_train(args) -> int:
     img = load_pgm(args.image)
     geom = BlockGeometry(block_w=args.block_w, block_h=args.block_h)
+    # blockify pads the image to the block size, however large: no codebook to check k against here
+    height, width = img.shape
+    if geom.block_w > width or geom.block_h > height:
+        raise ValueError(f"block {geom.block_w}x{geom.block_h} is larger than the image {width}x{height}")
     vectors = blockify(img, geom)
     codebook = train_codebook(vectors, args.codebook_size, seed=args.seed)
     save_codebook(codebook, args.output)

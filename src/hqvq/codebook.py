@@ -69,51 +69,33 @@ class DuplicateCodevectors(ValueError):
     """A codebook has two codevectors at distance 0 (delta0 == 0)."""
 
 
-class Codebook:
+class Codebook(kernels.SortedRows):
     """Ordered set of N equal-dimension codevectors with distinct entries.
 
-    One ``kernels.nearest_other`` pass at construction gives ``nearest_other``,
-    each codevector's distance to its nearest other one (a read-only (N,)
+    A ``kernels.SortedRows`` over its own copy of the rows: ``vectors``,
+    ``columns``, ``projections``, ``order``, ``axis`` and ``norm_scale`` are
+    derived once, at construction, for the encoder's windows, walks, table
+    and domains, and every array is read-only.  One ``kernels.nearest_other``
+    pass over the codebook itself then gives ``nearest_other``, each
+    codevector's distance to its nearest other one (a read-only (N,)
     array), and its minimum ``delta0``, the minimum pairwise distance.
-    ``projections`` holds each codevector's ``kernels.projections``
-    coordinate on the mean axis, ``order`` its stable argsort and ``axis``
-    the projections in that order, ascending: sorted once for the encoder's
-    windows, walks and table (all three read-only).  A codevector's position
-    on the axis is its place in ``order``, so ``order[p]`` is the codevector
-    at position p.
-    ``norm_scale``, sqrt(k) max |c_d|, bounds every codevector's norm: the
-    norm the encoder's strips and discs pass to ``kernels.half_width``.
     Duplicate codevectors (delta0 == 0) are rejected with
     ``DuplicateCodevectors`` because the single-solution guarantee of the
     fast encoding path depends on it.
     """
 
     def __init__(self, vectors):
-        arr = np.array(as_rows(vectors))  # own copy: rows get frozen below
+        arr = np.array(as_rows(vectors))  # own copy: its arrays get frozen below
         if arr.shape[0] < 2:
             raise ValueError(f"codebook needs at least 2 codevectors, got {arr.shape[0]}")
-        self.vectors = arr
-        self.vectors.setflags(write=False)
-        self.nearest_other = kernels.nearest_other(arr)
+        super().__init__(arr)
+        for a in (self.vectors, self.columns, self.projections, self.order, self.axis):
+            a.setflags(write=False)
+        self.nearest_other = kernels.nearest_other(self)
         self.nearest_other.setflags(write=False)
-        self.projections = kernels.projections(arr)
-        self.projections.setflags(write=False)
-        self.order = np.argsort(self.projections, kind="stable")
-        self.order.setflags(write=False)
-        self.axis = self.projections[self.order]
-        self.axis.setflags(write=False)
-        self.norm_scale = math.sqrt(arr.shape[1]) * float(np.abs(arr).max())
         self.delta0 = float(self.nearest_other.min())
         if self.delta0 <= 0.0:
             raise DuplicateCodevectors("codebook contains duplicate codevectors (delta0 == 0)")
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.vectors.shape[1]
 
 
 def distance(a, b) -> float:
@@ -146,8 +128,11 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
     in ascending index order, from the most distorted points; duplicate
     centroids get a tiny data-scaled jitter so the resulting codebook always
     has delta0 > 0.  Each assignment is one ``kernels.window_nearest`` pass
-    over the distinct rows, gathered back to every sample.  From the second
-    iteration on, the pass takes each distinct row's distance to its
+    over the distinct rows, gathered back to every sample.  The distinct
+    rows do not move, so their ``kernels.projection_order`` is computed once,
+    before the first iteration; the centroids move and are written in place,
+    so each pass sorts them anew, as one ``kernels.SortedRows``.  From the
+    second iteration on, the pass takes each distinct row's distance to its
     previous cell's updated centroid as its bound (a reseed moves only dead
     cells, which hold no row): ``kernels.paired_distances`` gives it the
     bits the window gives that pair, so it is at least the row's computed
@@ -177,10 +162,11 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
     centroids = uniq[rng.choice(uniq.shape[0], size=n_codevectors, replace=False)].copy()
 
     columns = np.ascontiguousarray(data.T)
+    uniq_order = kernels.projection_order(uniq)
     prev_assign = None
     bound = None
     for _ in range(max_iter):
-        uniq_assign, uniq_dist = kernels.window_nearest(uniq, centroids, bound)
+        uniq_assign, uniq_dist = kernels.window_nearest(uniq, kernels.SortedRows(centroids), bound, uniq_order)
         assign = uniq_assign[inverse]
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break

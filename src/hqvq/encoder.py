@@ -154,7 +154,12 @@ class EncodeOutcome:
 
 @dataclass(frozen=True)
 class BlockFacts:
-    """What the search simulation reads from each block's distance row, as (M,) arrays."""
+    """What the search simulation and the finishing walks read of each block, as (M,) arrays.
+
+    All but ``projection`` come from the block's distance row; ``projection``
+    is its row's coordinate on the mean axis, computed once by the fact pass
+    for its window and its domains, and read again by ``finishing_walks``.
+    """
 
     index: np.ndarray  # argmin of the row, ties to the smallest index
     nearest: np.ndarray  # the row's minimum
@@ -164,6 +169,7 @@ class BlockFacts:
     t: np.ndarray  # marked at delta_hat: #{i : d_i < delta_hat}
     pick: np.ndarray  # the marked index a stage-2 hit measures; -1 if t == 0
     row: np.ndarray  # the block's row among the pass's distinct rows: equal blocks share it
+    projection: np.ndarray  # the row's coordinate on the mean axis, from the pass's ``kernels.projection_order``
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,10 +251,13 @@ def block_facts(
     floor(pick_draw * t) of the t marked indices in ascending order, uniform
     among them.  The pass is one
     ``kernels.window_marked`` call over ``kernels.distinct_rows(vectors)`` at
-    radius delta_hat: each row's window holds every codevector within
-    max(delta_hat, its nearest distance), so the facts equal the full row's.
-    Equal blocks share their row's facts and marked set, but each picks from
-    it with its own draw.  No M x N matrix is kept.
+    radius delta_hat, its codevector side the codebook itself: each row's
+    window holds every codevector within max(delta_hat, its nearest
+    distance), so the facts equal the full row's.  The distinct rows are
+    projected once, and the pass, the domains and the finishing walks all
+    read that projection (``BlockFacts.projection``).  Equal blocks share
+    their row's facts and marked set, but each picks from it with its own
+    draw.  No M x N matrix is kept.
 
     Each row's two search domains, stage 1's S(x) (``BlockFacts.domain_s``)
     and stage 2's window (``BlockFacts.domain_t``), are one call of the
@@ -257,7 +266,7 @@ def block_facts(
     """
     distinct, inverse = kernels.distinct_rows(vectors)
     proj, order = kernels.projection_order(distinct)
-    index, nearest, marked, start, t = kernels.window_marked(distinct, codebook.vectors, table.delta_hat, (proj, order))
+    index, nearest, marked, start, t = kernels.window_marked(distinct, codebook, table.delta_hat, (proj, order))
     block_t = t[inverse]
     k = np.minimum((pick_draw * block_t).astype(np.int64), block_t - 1)
     picked = np.full(vectors.shape[0], -1, dtype=np.int64)
@@ -276,6 +285,7 @@ def block_facts(
         t=block_t,
         pick=picked,
         row=inverse,
+        projection=proj[inverse],
     )
 
 
@@ -395,7 +405,6 @@ def encode_sub2(t: np.ndarray, searches, draw) -> list[np.ndarray]:
 
 
 def finishing_walks(
-    vectors: np.ndarray,
     facts: BlockFacts,
     codebook: Codebook,
     table: NeighborhoodTable,
@@ -405,9 +414,11 @@ def finishing_walks(
     """The charges of the walks that finish stage-2 hits and fallbacks: (evals, reads), (M,) int64.
 
     Each walk is the mean-ordered partial search of Ra and Kim (IEEE
-    TCAS-II, 1993) over a list in projection order (``kernels.projections``):
+    TCAS-II, 1993) over a list in projection order (``Codebook.axis``):
     h's neighbor list for a block in ``accepted``, the whole codebook for one
-    in ``fallback``.  It locates p(x) by binary search, then steps outward
+    in ``fallback``.  p(x) is the block's ``facts.projection``, the one the
+    fact pass computed for its distinct row, so no block is projected
+    again.  The walk locates p(x) by binary search, then steps outward
     on two sides, always to the side whose next entry is nearer in
     projection.  Each visited entry is evaluated, except h, whose distance
     the verification gave, and the best distance so far is kept (from
@@ -453,11 +464,11 @@ def finishing_walks(
     owner = np.where(accepted[walked], facts.pick[walked], n)
     r = facts.row.max(initial=0) + 1
     pairs, back = np.unique(owner * r + facts.row[walked], return_inverse=True)
-    # one block per pair: equal rows have equal vectors and nearest, so any one gives the charge
+    # one block per pair: a row's blocks share its projection and nearest, so any one gives the charge
     block = np.empty(pairs.size, dtype=np.int64)
     block[back] = walked
     half = kernels.half_width(facts.nearest[block], codebook.k, codebook.norm_scale)
-    p = kernels.projections(np.take(vectors, block, axis=0))
+    p = facts.projection[block]
     low, high = p - half, p + half
     # a fallback's entries are the codebook's positions in the strip [a, b)
     a = np.searchsorted(codebook.axis, low, side="left")
@@ -533,7 +544,7 @@ def encode(
     # the masks are disjoint and cover the batch: a sum of products, far cheaper than masked assignments
     masks = {EncodePath.SUB1: sub1, EncodePath.SUB2: sub2, EncodePath.CLASSICAL_FALLBACK: fallback}
     path = sum(masks[p].view(np.int8) * np.int8(i) for i, p in enumerate(PATHS))
-    evals, reads = finishing_walks(vectors, facts, codebook, table, sub2, fallback)
+    evals, reads = finishing_walks(facts, codebook, table, sub2, fallback)
     meter.classical_distance_evals += evals
     meter.table_reads += reads
     # the paper's scans: h's whole list after a stage-2 hit, all N (entry -1) in a fallback
@@ -550,7 +561,7 @@ def nearest_distances(codebook: Codebook, sample) -> np.ndarray:
     codebook's dimension.
     """
     distinct, inverse = kernels.distinct_rows(as_rows(sample, codebook.k))
-    _, nearest = kernels.window_nearest(distinct, codebook.vectors)
+    _, nearest = kernels.window_nearest(distinct, codebook)
     return nearest[inverse]
 
 

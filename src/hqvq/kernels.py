@@ -24,8 +24,11 @@ after Ra and Kim's mean-ordered partial search (IEEE TCAS-II, 1993).  Let
 p(x) = x . u on the mean axis u = (1, ..., 1) / sqrt(k).  Since u is a unit
 vector, |p(x) - p(c)| <= ||x - c||, so no codevector whose projection lies
 more than R from p(x) is within R of x.  The queries and the codevectors
-are sorted by projection once, and each tile of consecutive queries is
-measured once:
+are sorted by projection once: every pass takes its codevectors as a
+``SortedRows``, projected and sorted when it was built (a ``Codebook`` at
+construction, training's centroids once per Lloyd iteration), and its
+queries' ``projection_order`` from a caller that holds it, or computes it
+once.  Each tile of consecutive queries is measured once:
 
 - The look: the contiguous run of codevectors whose projections lie within
   the previous tile's reach of the tile's, with at least ``FIRST_LOOK`` on
@@ -162,7 +165,7 @@ def half_width(reach, k: int, norm):
     whose margin overflows (beyond about 1e307), with no warning.
     ``reach`` must be at least the query's computed distance to some
     codevector, and ``norm`` must bound every codevector's norm
-    (``Codebook.norm_scale``, sqrt(k) max |c_d|).  Every strip on the mean
+    (``SortedRows.norm_scale``, sqrt(k) max |c_d|).  Every strip on the mean
     axis takes this margin, and so does every disc on the plane of the mean
     and split axes (``neighborhood.DiscGrid``).
 
@@ -193,6 +196,38 @@ def projection_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     proj = projections(rows)
     return proj, np.argsort(proj)
+
+
+class SortedRows:
+    """Rows projected on the mean axis and sorted once: the codevector side of every window pass.
+
+    ``vectors`` holds the rows as given, neither copied nor frozen: training
+    builds one over its centroids for each Lloyd iteration and then moves
+    them in place.  ``columns`` is their transpose, contiguous, the
+    per-dimension columns ``_distances`` reads.  ``projections`` holds each
+    row's ``projections`` coordinate on the mean axis, ``order`` its stable
+    argsort and ``axis`` the projections in that order, ascending.  A row's
+    position on the axis is its place in ``order``, so ``order[p]`` is the
+    row at position p.  ``norm_scale``, sqrt(k) max |c_d|, bounds every
+    row's norm: the norm every window, strip and disc passes to
+    ``half_width``.  A ``Codebook`` is one, with these arrays frozen.
+    """
+
+    def __init__(self, vectors: np.ndarray):
+        self.vectors = vectors
+        self.columns = np.ascontiguousarray(vectors.T)
+        self.projections = projections(vectors)
+        self.order = np.argsort(self.projections, kind="stable")
+        self.axis = self.projections[self.order]
+        self.norm_scale = math.sqrt(vectors.shape[1]) * float(np.abs(vectors).max())
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.vectors.shape[1]
 
 
 def strip_counts(centers: np.ndarray, order: np.ndarray, axis: np.ndarray, half) -> np.ndarray:
@@ -228,13 +263,15 @@ def strip_counts(centers: np.ndarray, order: np.ndarray, axis: np.ndarray, half)
     return counts
 
 
-def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=None, order=None):
+def window_tiles(queries: np.ndarray, codevectors: SortedRows, radius: float, bound=None, order=None):
     """Yield (rows, cols, d): each tile's distances to the codevectors that can matter.
 
     ``rows`` indexes ``queries`` (at most WINDOW_TILE of them, in projection
-    order), ``cols`` holds ascending indices into ``vectors``, and
-    ``d[i, j]`` is the distance from ``queries[rows[i]]`` to
-    ``vectors[cols[j]]``, the same bits as ``dist_to_all`` gives.  ``cols``
+    order), ``cols`` holds ascending indices into ``codevectors.vectors``,
+    and ``d[i, j]`` is the distance from ``queries[rows[i]]`` to
+    ``codevectors.vectors[cols[j]]``, the same bits as ``dist_to_all``
+    gives.  The pass reads the codevectors' columns, axis, order and norm
+    bound off the ``SortedRows`` it is given and derives none.  ``cols``
     contains every codevector within max(``radius``, the row's nearest
     distance) of each of the tile's rows, so argmin ties still go to the
     smallest index.  Every row is yielded exactly once.  ``d`` is a view of
@@ -245,15 +282,15 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
     previous tile's widest covered reach of the tile's (its widest look
     minimum if it covered no row), and at least FIRST_LOOK on each side of
     its middle row.  A row is covered when the codevectors just outside the
-    look, ``v_sorted[lo - 1]`` and ``v_sorted[hi]``, lie farther from its
+    look, ``axis[lo - 1]`` and ``axis[hi]``, lie farther from its
     projection than ``half_width`` of its reach, max(``radius``, its look
     minimum).  Covered rows are yielded; the others are deferred with their
     look minimum, at least their computed nearest distance.  After the last
     tile, they run through the bounded pass: tiles in projection order,
     each measured once over p +- ``half_width``(max(``radius``, bound)).  A
     look minimum or a bound is at least the row's computed distance to some
-    codevector, as ``half_width`` needs, and its norm is the codevectors',
-    so no row widens another's margin.
+    codevector, as ``half_width`` needs, and its norm is the codevectors'
+    ``norm_scale``, so no row widens another's margin.
 
     ``bound``, when given, is an (M,) array with ``bound[i]`` at least the
     computed nearest distance of ``queries[i]``, such as its distance to
@@ -265,14 +302,9 @@ def window_tiles(queries: np.ndarray, vectors: np.ndarray, radius: float, bound=
     bound's window is the whole codebook.
     """
     m, k = queries.shape
-    n = vectors.shape[0]
-    # bounds every codevector's norm, as Codebook.norm_scale does
-    norm = math.sqrt(k) * float(np.abs(vectors).max())
+    n, norm = codevectors.n, codevectors.norm_scale
+    v_order, v_sorted, vcols = codevectors.order, codevectors.axis, codevectors.columns
     q_proj, q_order = projection_order(queries) if order is None else order
-    v_proj = projections(vectors)
-    v_order = np.argsort(v_proj, kind="stable")
-    v_sorted = v_proj[v_order]
-    vcols = np.ascontiguousarray(vectors.T)
     # every tile's distances and their scratch: a window is at most a tile x N
     full = min(WINDOW_TILE, m) * n
     out, tmp = np.empty(full), np.empty(full)
@@ -362,15 +394,17 @@ def nearest_many(queries: np.ndarray, vectors: np.ndarray):
     return idx, dist
 
 
-def window_nearest(queries: np.ndarray, vectors: np.ndarray, bound=None):
-    """``nearest_many``'s result from ``window_tiles``: each row's window is its nearest distance.
+def window_nearest(queries: np.ndarray, codevectors: SortedRows, bound=None, order=None):
+    """``nearest_many``'s result over ``codevectors.vectors`` from ``window_tiles``: each row's window is its nearest distance.
 
-    ``bound`` is as in ``window_tiles``: at least each row's computed nearest distance.
+    ``bound`` and ``order`` are as in ``window_tiles``: ``bound`` at least
+    each row's computed nearest distance, ``order`` the queries'
+    ``projection_order``.
     """
     m = queries.shape[0]
     idx = np.empty(m, dtype=np.int64)
     dist = np.empty(m)
-    for rows, cols, d in window_tiles(queries, vectors, 0.0, bound):
+    for rows, cols, d in window_tiles(queries, codevectors, 0.0, bound, order):
         arg = d.argmin(axis=1)
         idx[rows] = cols[arg]
         dist[rows] = d[np.arange(rows.size), arg]
@@ -383,13 +417,13 @@ def paired_distances(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return _distances(vectors.T, queries.T, np.empty(m), np.empty(m))
 
 
-def nearest_other(vectors: np.ndarray) -> np.ndarray:
-    """Each row's distance to its nearest other row, as an (n,) array (n >= 2).
+def nearest_other(codevectors: SortedRows) -> np.ndarray:
+    """Each row's distance to its nearest other row of ``codevectors``, as an (n,) array (n >= 2).
 
-    One ``window_tiles(vectors, vectors, 0.0, bound)`` pass.  Row i's
+    One ``window_tiles`` pass of the rows over themselves, their own
+    projections and ``order`` serving as the queries' order.  Row i's
     ``bound`` is the smaller of its two pair distances with the rows next to
-    it in projection order (``projections``, the order ``window_tiles``
-    sorts by; one at either end of the order): any other row's
+    it on the axis (one at either end of the order): any other row's
     distance bounds the nearest one from above, and a row close on the mean
     axis is a likely close row.  Each row's window then holds every row
     within its bound, its nearest other row included, with the same bits as
@@ -399,15 +433,13 @@ def nearest_other(vectors: np.ndarray) -> np.ndarray:
     shares one projection (rows (a, -a), say) or a bound spans the
     codebook, every window holds every row.
     """
-    n = vectors.shape[0]
+    vectors, order = codevectors.vectors, codevectors.order
     # pairs adjacent in projection order, measured by the same kernel as the window
-    proj = projections(vectors)
-    order = np.argsort(proj, kind="stable")
     pair = paired_distances(vectors[order[:-1]], vectors[order[1:]])
-    bound = np.empty(n)
+    bound = np.empty(codevectors.n)
     bound[order] = np.concatenate([pair[:1], np.minimum(pair[:-1], pair[1:]), pair[-1:]])
-    nearest = np.empty(n)
-    for rows, cols, d in window_tiles(vectors, vectors, 0.0, bound, (proj, order)):
+    nearest = np.empty(codevectors.n)
+    for rows, cols, d in window_tiles(vectors, codevectors, 0.0, bound, (codevectors.projections, order)):
         # every row's window holds the row itself: its projection is in its tile's range
         d[np.arange(rows.size), np.searchsorted(cols, rows)] = np.inf
         nearest[rows] = d.min(axis=1)
@@ -417,16 +449,17 @@ def nearest_other(vectors: np.ndarray) -> np.ndarray:
 def min_pairwise(vectors: np.ndarray) -> float:
     """Minimum Euclidean distance over all distinct row pairs (n >= 2): ``nearest_other``'s minimum.
 
-    The codec reads delta0 off ``Codebook.nearest_other``; ``perfbench/spans.py`` wraps this by name.
+    Takes a plain array and sorts it itself.  The codec reads delta0 off
+    ``Codebook.nearest_other``; ``perfbench/spans.py`` wraps this by name.
     """
-    return float(nearest_other(vectors).min())
+    return float(nearest_other(SortedRows(vectors)).min())
 
 
-def window_marked(queries: np.ndarray, vectors: np.ndarray, radius: float, order=None):
+def window_marked(queries: np.ndarray, codevectors: SortedRows, radius: float, order=None):
     """``window_nearest``'s (index, nearest) and each row's marked set, from one window pass.
 
     Returns (index, nearest, marked, start, count): row i's ascending indices
-    j with d(queries[i], vectors[j]) < ``radius`` are
+    j with d(queries[i], codevectors.vectors[j]) < ``radius`` are
     ``marked[start[i] : start[i] + count[i]]``.  ``marked``, ``start`` and
     ``count`` are read-only int64 arrays, read by the encoder's fact pass
     and by the neighbor table (the codebook over itself), which keeps
@@ -439,7 +472,7 @@ def window_marked(queries: np.ndarray, vectors: np.ndarray, radius: float, order
     start = np.empty(m, dtype=np.int64)
     count = np.empty(m, dtype=np.int64)
     parts, offset = [], 0
-    for rows, cols, d in window_tiles(queries, vectors, radius, order=order):
+    for rows, cols, d in window_tiles(queries, codevectors, radius, order=order):
         arg = d.argmin(axis=1)
         index[rows] = cols[arg]
         nearest[rows] = d[np.arange(rows.size), arg]

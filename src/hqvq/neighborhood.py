@@ -334,7 +334,7 @@ def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTab
     radius = neighbor_radius(delta_hat, codebook.k)
     # the queries are the codebook, whose projections are sorted already
     order = (codebook.projections, codebook.order)
-    _, _, marked, start, count = kernels.window_marked(codebook.vectors, codebook.vectors, radius, order)
+    _, _, marked, start, count = kernels.window_marked(codebook.vectors, codebook, radius, order)
     n = codebook.n
     pos = np.empty(n, dtype=np.int64)
     pos[codebook.order] = np.arange(n)  # each codevector's position on the axis

@@ -261,7 +261,7 @@ class TestDelta0:
                 a[0] = 0
 
     def test_norm_scale_bounds_every_norm(self):
-        # computed once at construction, with the expression window_tiles uses for its margin's norm;
+        # computed once at construction, as SortedRows computes it: the norm every window margin takes;
         # the largest magnitude is a negative component here
         cb = Codebook(np.random.default_rng(10).normal(size=(40, 3)) * [1.0, -1e3, 1e-3] - [0.0, 5e3, 0.0])
         assert cb.norm_scale == math.sqrt(3) * float(np.abs(cb.vectors).max())
@@ -414,15 +414,15 @@ class TestTrainer:
         calls = []
         real = kernels.nearest_other
 
-        def counted(vectors):
-            calls.append(vectors.shape[0])
-            return real(vectors)
+        def counted(codevectors):
+            calls.append(codevectors.n)
+            return real(codevectors)
 
         monkeypatch.setattr(kernels, "nearest_other", counted)
         cb = train_codebook(repeated_points(0), 8, seed=0)
         # one pass gives both the per-codevector distances and delta0
         assert calls == [8]
-        assert cb.nearest_other.tolist() == real(cb.vectors).tolist()
+        assert cb.nearest_other.tolist() == real(cb).tolist()
         assert cb.delta0 == kernels.min_pairwise(cb.vectors)
 
     def test_duplicate_centroids_separated(self, monkeypatch):

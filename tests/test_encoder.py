@@ -312,7 +312,7 @@ class TestSub2:
                 rounds = stage2_rounds(x, cb, table, draw, ordinal, paper)
                 assert meter.classical_distance_evals[ordinal] == len(rounds)
         # the walk reads 3 after a one-probe locate and evaluates nothing: 3's distance is known
-        evals, reads = finishing_walks(rows, facts, cb, table, accepted, np.zeros(100, dtype=bool))
+        evals, reads = finishing_walks(facts, cb, table, accepted, np.zeros(100, dtype=bool))
         assert evals.tolist() == [0] * 100
         assert reads[accepted].tolist() == [2] * int(accepted.sum())
 
@@ -381,7 +381,7 @@ class TestSub2:
             rounds = stage2_rounds(x, cb, table, draw, 0, paper)
             assert meter.classical_distance_evals[0] == len(rounds)  # the rounds' verifications
         # the walk visits the list's entries within half_width(0.3) of p(x) = 0.7: codevector 1 alone
-        evals, reads = finishing_walks(np.array([x]), facts, cb, table, accepted, ~accepted)
+        evals, reads = finishing_walks(facts, cb, table, accepted, ~accepted)
         assert projection_walk(x, cb, table.neighbors(h), dvec, known=h) == (1, evals[0], reads[0])
         assert evals[0] == (h != 1)
 
@@ -563,7 +563,7 @@ class TestEncode:
         # the entry that closes the lower side
         assert projection_walk(x, cb, range(16), distances_to_codebook(x, cb)) == (15, 1, 5 + 1 + 1)
         # the walk's 7 reads, stage 1's lookup, bit_length(32) + 1, and stage 2's window's, 2 bit_length(16)
-        walk = finishing_walks(np.array([x]), batch.facts, cb, table, np.array([False]), np.array([True]))
+        walk = finishing_walks(batch.facts, cb, table, np.array([False]), np.array([True]))
         assert walk[0].tolist() == [1] and reads == 7 + 7 + 10
         # both domains are empty (|S(x)| = W_t = 0): no verification and no stage-2 round, the walk's 1 alone
         assert batch.facts.domain_s.tolist() == batch.facts.domain_t.tolist() == [0]
@@ -1350,7 +1350,7 @@ def test_projection_walks_find_full_search_and_batch_charges_match(case, seed, k
     facts = block_facts(blocks, cb, table, np.zeros(len(blocks)))
     facts = dataclasses.replace(facts, pick=np.array(picks, dtype=np.int64))
     hit = facts.pick >= 0
-    evals, reads = finishing_walks(blocks, facts, cb, table, hit, ~hit)
+    evals, reads = finishing_walks(facts, cb, table, hit, ~hit)
     assert list(zip(evals.tolist(), reads.tolist())) == want
 
 
@@ -1362,7 +1362,7 @@ def test_walk_drops_h_only_inside_the_strip():
     facts = block_facts(np.repeat(x, 2, axis=0), cb, table, np.zeros(2))
     assert facts.t.tolist() == [2, 2]  # codevectors 1 and 2 verify below 9
     facts = dataclasses.replace(facts, pick=np.array([1, 2]))
-    evals, _ = finishing_walks(np.repeat(x, 2, axis=0), facts, cb, table, np.ones(2, dtype=bool), np.zeros(2, dtype=bool))
+    evals, _ = finishing_walks(facts, cb, table, np.ones(2, dtype=bool), np.zeros(2, dtype=bool))
     # h = 1 = j*: the strip's one entry is h, whose distance the verification gave;
     # h = 2 lies outside the strip, and its list's entry 1 is evaluated
     assert evals.tolist() == [0, 1]
@@ -1383,7 +1383,7 @@ def test_codevectors_on_the_strip_edges_are_walked():
     assert facts.index.tolist() == [2] * 4 and facts.nearest.tolist() == [3.0] * 4
     facts = dataclasses.replace(facts, pick=np.array([-1, 1, 2, 3]))
     hit = facts.pick >= 0
-    evals, reads = finishing_walks(rows, facts, cb, table, hit, ~hit)
+    evals, reads = finishing_walks(facts, cb, table, hit, ~hit)
     # the fallback evaluates low, 0 and high, and -100 closes its lower side; after a
     # hit on any of the three, the walk evaluates the other two
     dvec = distances_to_codebook(x[0], cb)
@@ -1403,7 +1403,7 @@ def test_blocks_sharing_a_row_and_list_share_one_charge():
     pick = np.array([h for _, h in batch])
     facts = dataclasses.replace(block_facts(rows, cb, table, np.zeros(len(batch))), pick=pick)
     hit = pick >= 0
-    evals, reads = finishing_walks(rows, facts, cb, table, hit, ~hit)
+    evals, reads = finishing_walks(facts, cb, table, hit, ~hit)
     charges = {}
     for v, h in batch:
         dvec = distances_to_codebook(np.array(v), cb)
@@ -1415,8 +1415,20 @@ def test_blocks_sharing_a_row_and_list_share_one_charge():
     # the pairs' charges do not depend on which of a pair's blocks comes first
     order = np.random.default_rng(8).permutation(len(batch))
     permuted = BlockFacts(**{f.name: getattr(facts, f.name)[order] for f in dataclasses.fields(facts)})
-    again = finishing_walks(rows[order], permuted, cb, table, hit[order], ~hit[order])
+    again = finishing_walks(permuted, cb, table, hit[order], ~hit[order])
     assert again[0].tolist() == evals[order].tolist() and again[1].tolist() == reads[order].tolist()
+    # (-0.0, 0.0) and (0.0, -0.0) are one distinct row beside codevector 0 at the origin: the walks
+    # read that row's projection, and each block is charged its own walk, after a hit on 0 and in a fallback
+    zeros = np.array([[-0.0, 0.0], [0.0, -0.0]] * 2)
+    pick = np.array([0, 0, fallback, fallback])
+    facts = dataclasses.replace(block_facts(zeros, cb, table, np.zeros(4)), pick=pick)
+    assert facts.row.tolist() == [0] * 4 and facts.t.tolist() == [4] * 4
+    hit = pick >= 0
+    evals, reads = finishing_walks(facts, cb, table, hit, ~hit)
+    for b, (z, h) in enumerate(zip(zeros, pick)):
+        entries, known = (range(cb.n), None) if h == fallback else (table.neighbors(h), h)
+        walk = projection_walk(z, cb, entries, distances_to_codebook(z, cb), known=known)
+        assert walk[0] == 0 and (evals[b], reads[b]) == walk[1:]
 
 
 def test_one_far_block_widens_only_its_own_window(monkeypatch):

@@ -89,7 +89,7 @@ def test_kernels_match_reference_bitwise(k, m, n):
     assert idx.dtype == np.int64 and idx.shape == dist.shape == (m,)
     assert list(zip(idx.tolist(), dist.tolist())) == [ref_nearest(q, vectors) for q in queries]
     assert kernels.min_pairwise(vectors) == ref_min_pairwise(vectors)
-    assert kernels.nearest_other(vectors).tolist() == ref_nearest_other(vectors)
+    assert kernels.nearest_other(kernels.SortedRows(vectors)).tolist() == ref_nearest_other(vectors)
 
 
 def test_single_row_matches_batch_entry(random_data):
@@ -286,8 +286,9 @@ def test_window_pass_matches_full_rows(case):
     queries, vectors, radius, kind = case
     full = np.array([kernels.dist_to_all(q, vectors) for q in queries])
     bound = _bound(kind, full)
+    codevectors = kernels.SortedRows(vectors)
     seen = np.zeros(queries.shape[0], dtype=np.int64)
-    for rows, cols, d in kernels.window_tiles(queries, vectors, radius, bound):
+    for rows, cols, d in kernels.window_tiles(queries, codevectors, radius, bound):
         seen[rows] += 1
         assert np.all(np.diff(cols) > 0)
         assert d.tobytes() == full[rows][:, cols].tobytes()
@@ -296,11 +297,11 @@ def test_window_pass_matches_full_rows(case):
         need[:, cols] = False
         assert not need.any()
     assert seen.tolist() == [1] * queries.shape[0]
-    idx, dist = kernels.window_nearest(queries, vectors, bound)
+    idx, dist = kernels.window_nearest(queries, codevectors, bound)
     assert idx.dtype == np.int64
     assert idx.tolist() == full.argmin(axis=1).tolist()
     assert dist.tobytes() == full.min(axis=1).tobytes()
-    idx, dist, marked, start, count = kernels.window_marked(queries, vectors, radius)
+    idx, dist, marked, start, count = kernels.window_marked(queries, codevectors, radius)
     assert idx.tolist() == full.argmin(axis=1).tolist()
     assert dist.tobytes() == full.min(axis=1).tobytes()
     for a in (marked, start, count):
@@ -327,7 +328,7 @@ def test_window_nearest_with_a_bound_is_nearest_many(data):
         bound = kernels.paired_distances(queries, vectors[np.full(queries.shape[0], pick)])
     else:
         bound = np.full(queries.shape[0], np.inf)
-    got_idx, got_dist = kernels.window_nearest(queries, vectors, bound)
+    got_idx, got_dist = kernels.window_nearest(queries, kernels.SortedRows(vectors), bound)
     assert got_idx.tolist() == idx.tolist()
     assert got_dist.tobytes() == dist.tobytes()
 
@@ -404,7 +405,7 @@ def _edge_pair_across_tiles():
 def test_min_pairwise_is_the_closest_pair(vectors):
     # each row's nearest other row, bit for bit, with duplicates, ties and shared projections
     want = ref_nearest_other(vectors)
-    assert kernels.nearest_other(vectors).tolist() == want
+    assert kernels.nearest_other(kernels.SortedRows(vectors)).tolist() == want
     assert kernels.min_pairwise(vectors) == min(want)
     if min(want) > 0.0:  # a codebook reads delta0 off the same pass
         cb = Codebook(vectors)

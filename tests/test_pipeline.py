@@ -316,7 +316,7 @@ class TestEncodeVectors:
         whole = np.zeros(rows.shape[0], dtype=np.int64)
         whole[sub2] = table.sizes()[batch.facts.pick[sub2]]
         whole[fallback] = cb.n
-        walks, _ = finishing_walks(rows, batch.facts, cb, table, sub2, fallback)
+        walks, _ = finishing_walks(batch.facts, cb, table, sub2, fallback)
         assert np.all(walks <= whole) and np.all(walks[~(sub2 | fallback)] == 0)
         # every block the paper's stage 1 passes is charged floor(pi/4 * 8) = 6 and 1, and no more
         paper = batch.paper
@@ -356,8 +356,8 @@ class TestEncodeVectors:
         # the walks' charges alone, as the batches' paths give them
         size = rows.shape[0]
         hit, fallback = (with_huge.path == PATHS.index(p) for p in (EncodePath.SUB2, EncodePath.CLASSICAL_FALLBACK))
-        walks, _ = finishing_walks(rows, alone.facts, cb, table, hit[:size], fallback[:size])
-        wide, _ = finishing_walks(np.vstack([rows, huge]), with_huge.facts, cb, table, hit, fallback)
+        walks, _ = finishing_walks(alone.facts, cb, table, hit[:size], fallback[:size])
+        wide, _ = finishing_walks(with_huge.facts, cb, table, hit, fallback)
         np.testing.assert_array_equal(wide[:size], walks)
         assert (walks > 0).any()
 
