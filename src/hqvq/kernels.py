@@ -7,7 +7,10 @@ the statistics code. There is one implementation.
 
 Summation order: the kernel adds ``(v_d - q_d)**2`` one dimension at a time,
 in index order, ``((s_0 + s_1) + s_2) + ...``, and takes ``sqrt`` of the sum
-in place. Every caller therefore sees the same bits for the same pair.
+in place. Every caller therefore sees the same bits for the same pair.  A
+tile forms each dimension's differences with one K = 2 ``np.matmul`` rather
+than a broadcast subtract; ``_distances`` holds the argument that they have
+``np.subtract``'s bits, with or without FMA or subnormal flushing.
 
 Tiling: the batched functions process ``WINDOW_TILE`` query rows at a time,
 so they have no per-query Python loop and never hold an M x N matrix.  Each
@@ -88,17 +91,45 @@ NARROW_KEY_MAX = np.iinfo(np.uint16).max
 def _distances(vcols, qcols, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Fill ``out`` with the square root of the sum over d of ``(vcols[d] - qcols[d])**2``.
 
-    ``vcols[d]`` is dimension d of all N codevectors, shape (N,). ``qcols[d]``
-    is dimension d of the queries: a scalar for one query (``out`` of shape
-    (N,)), a (T, 1) column for a tile (``out`` of shape (T, N)), or an (N,)
-    row to pair query i with codevector i (``out`` of shape (N,)). The sum runs
-    sequentially, ``((s_0 + s_1) + s_2) + ...``; ``tmp`` is scratch of
-    ``out``'s shape.
+    ``vcols[d]`` is dimension d of all N codevectors, shape (N,), and ``tmp``
+    is scratch of ``out``'s shape.  ``qcols[d]`` is dimension d of the
+    queries, in one of two forms:
+
+    - Elementwise, ``out`` of shape (N,): a scalar for one query, or an (N,)
+      row to pair query i with codevector i.  Each difference is one
+      ``np.subtract``.
+    - A tile, ``out`` of shape (T, N): a (T,) row, one entry per query.  A
+      broadcast subtract of a (T, 1) column from an (N,) row runs numpy's
+      inner loop once per output row, about four times the cost of a
+      contiguous op, so each dimension's differences are one K = 2
+      ``np.matmul`` instead: the (T, 2) block of rows [1, -q_d] times the
+      (2, N) block of columns [c_d; 1], which is c_d - q_d.
+
+    The tile form has ``np.subtract``'s bits.  Negation is exact, and both
+    products multiply by 1.0, so both are exact; any evaluation order, with
+    or without FMA, then rounds the exact difference once.  Only a zero may
+    differ in sign (0 + -0.0 is 0.0), and the square erases that.  A BLAS
+    that flushes subnormals to zero changes a difference only when both
+    operands lie below 2**-968 in magnitude: the difference then lies below
+    2**-967, and its square rounds to 0 either way.  So every caller sees
+    the same bits for the same pair, whichever form computed it.
+
+    The sum runs sequentially, ``((s_0 + s_1) + s_2) + ...``, and ``sqrt``
+    is taken in place.
     """
-    np.subtract(vcols[0], qcols[0], out=out)
+    # dimension d's differences are diff(left[d], right[d])
+    diff, left, right = np.subtract, vcols, qcols
+    if out.ndim == 2:
+        k, (t, n) = len(vcols), out.shape
+        diff, left, right = np.matmul, np.empty((k, t, 2)), np.empty((k, 2, n))
+        left[:, :, 0] = 1.0
+        np.negative(qcols, out=left[:, :, 1])
+        right[:, 0] = vcols
+        right[:, 1] = 1.0
+    diff(left[0], right[0], out=out)
     np.multiply(out, out, out=out)
-    for d in range(1, len(vcols)):
-        np.subtract(vcols[d], qcols[d], out=tmp)
+    for d in range(1, len(left)):
+        diff(left[d], right[d], out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         np.add(out, tmp, out=out)
     return np.sqrt(out, out=out)
@@ -112,7 +143,9 @@ def rounding_bound(k: int) -> float:
     axis (``projections``) or on the split axis (``split_projections``) is
     within g * ||x|| of the exact one.  g is Higham's gamma_{k+3} =
     (k+3)u / (1 - (k+3)u) with u = 2**-53: a squared difference carries 3
-    roundings, the sum k - 1 more and ``sqrt`` one.  A coordinate is a sum
+    roundings, the sum k - 1 more and ``sqrt`` one.  A tile's matmul
+    difference counts as a subtract: its products are exact and its sum
+    rounds once (``_distances``).  A coordinate is a sum
     of k' <= k signed components, k' - 1 roundings in any order, within
     gamma_{k'-1} of the sum of their magnitudes, at most sqrt(k') ||x||;
     dividing by sqrt(k') adds two (the root and the quotient).  So it is
@@ -315,7 +348,7 @@ def window_tiles(queries: np.ndarray, codevectors: SortedRows, radius: float, bo
         shape = (rows.size, cols.size)
         size = math.prod(shape)
         d = out[:size].reshape(shape)
-        return cols, _distances(vcols[:, cols], queries[rows].T[:, :, np.newaxis], d, tmp[:size].reshape(shape))
+        return cols, _distances(vcols[:, cols], queries[rows].T, d, tmp[:size].reshape(shape))
 
     def bounded(rows, bounds):
         """The bounded pass: each tile measured once over every row's reach."""
@@ -386,8 +419,7 @@ def nearest_many(queries: np.ndarray, vectors: np.ndarray):
     tmp = np.empty_like(out)
     for start in range(0, m, WINDOW_TILE):
         stop = min(start + WINDOW_TILE, m)
-        qcols = queries[start:stop].T[:, :, np.newaxis]
-        d = _distances(vcols, qcols, out[: stop - start], tmp[: stop - start])
+        d = _distances(vcols, queries[start:stop].T, out[: stop - start], tmp[: stop - start])
         arg = d.argmin(axis=1)
         idx[start:stop] = arg
         dist[start:stop] = d[np.arange(stop - start), arg]

@@ -353,6 +353,56 @@ def test_paired_distances_are_the_window_bits(random_data):
     assert got.tolist() == [ref_distance(q, vectors[j]) for q, j in zip(queries, pick)]
 
 
+TINY = 2.0**-1022  # the smallest normal float64
+K_MAX = 17
+# the tile form's edge cases: both zeros, subnormals, near as_rows' 2**500 bound, ordinary floats
+TILE_ELEMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-TINY, TINY, allow_subnormal=True, exclude_min=True, exclude_max=True),
+    st.floats(2.0**499, 2.0**500).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def tile_cases(draw):
+    """(queries, vectors) of K_MAX columns: T queries against w codevectors, each 1 or more."""
+    t = draw(st.sampled_from([1, draw(st.integers(2, WINDOW_TILE))]))
+    w = draw(st.sampled_from([1, draw(st.integers(2, 48))]))
+    return tuple(draw(arrays(np.float64, (rows, K_MAX), elements=TILE_ELEMENTS)) for rows in (t, w))
+
+
+def _pinned(queries, vectors):
+    """A pinned tile case: each row's pattern repeated out to K_MAX columns."""
+    return tuple(np.array([np.resize(row, K_MAX) for row in rows]) for rows in (queries, vectors))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+# every k, each test on the first k columns; hypothesis draws the shape:
+# 1 x 1, 1 x w and T x 1 tiles go to BLAS's dot and gemv, T x w to its gemm
+@pytest.mark.parametrize("k", range(1, K_MAX + 1))
+@settings(max_examples=8, deadline=None)
+# differences below the smallest normal, from operands at and near it
+@example(case=_pinned([[1.5 * TINY, 3.0]], [[TINY, 3.0], [TINY + 2.0**-1074, -TINY / 2]]))
+@example(case=_pinned([[2.0**500, -7.25, 0.5]] * 3, [[2.0**500, -7.25, 0.5]] * 2))  # c = q
+@example(case=_pinned([[0.0, -0.0], [-0.0, 0.0]], [[-0.0, 0.0], [0.0, -0.0], [0.0, 0.0]]))  # -0.0 against 0.0
+@given(case=tile_cases())
+def test_tile_form_is_the_reference_bit_for_bit(k, case):
+    queries, vectors = (rows[:, :k] for rows in case)
+    t, w = queries.shape[0], vectors.shape[0]
+    out, tmp = np.empty((t, w)), np.empty((t, w))
+    got = kernels._distances(np.ascontiguousarray(vectors.T), queries.T, out, tmp)
+    assert got is out
+    want = [[ref_distance(q, v) for v in vectors] for q in queries]
+    assert np.array_equal(_bits(got), _bits(want))
+    # the elementwise form, pair by pair, has the same bits
+    paired = kernels.paired_distances(np.repeat(queries, w, axis=0), np.tile(vectors, (t, 1)))
+    assert np.array_equal(_bits(got).ravel(), _bits(paired))
+
+
 @st.composite
 def pairwise_cases(draw):
     k = draw(st.integers(1, 6))
