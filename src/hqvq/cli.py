@@ -17,6 +17,7 @@ from .encoder import (
 from .image import BlockGeometry, blockify, load_pgm, psnr, save_pgm
 from .neighborhood import build_neighborhoods, dump_table, space_bits
 from .pipeline import (
+    check_codebook_size,
     check_geometry,
     clustered_dataset,
     decode_image,
@@ -67,7 +68,19 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _load_codebook(path: str):
+    """``load_codebook``, then the stream format's size limit, naming the file, before any block is read."""
+    codebook = load_codebook(path)
+    try:
+        check_codebook_size(codebook.n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return codebook
+
+
 def cmd_train(args) -> int:
+    # a codebook no stream can index is refused before the image is read and trained on
+    check_codebook_size(args.codebook_size)
     img = load_pgm(args.image)
     geom = BlockGeometry(block_w=args.block_w, block_h=args.block_h)
     # blockify pads the image to the block size, however large: no codebook to check k against here
@@ -84,7 +97,7 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     check_seed(args.seed, "master_seed")
     img = load_pgm(args.image)
-    codebook = load_codebook(args.codebook)
+    codebook = _load_codebook(args.codebook)
     geom = BlockGeometry(block_w=args.block_w, block_h=args.block_h)
     check_geometry(geom, codebook)
     vectors = blockify(img, geom)
@@ -110,7 +123,7 @@ def cmd_decode(args) -> int:
         stream = parse_stream(data)
     except ValueError as exc:
         raise ValueError(f"{args.stream}: {exc}") from None
-    codebook = load_codebook(args.codebook)
+    codebook = _load_codebook(args.codebook)
     save_pgm(decode_image(stream, codebook), args.output)
     return 0
 
@@ -119,7 +132,7 @@ def cmd_stats(args) -> int:
     if args.delta_hat is None:
         check_percentile(args.delta_hat_percentile)
     img = load_pgm(args.image)
-    codebook = load_codebook(args.codebook)
+    codebook = _load_codebook(args.codebook)
     geom = BlockGeometry(block_w=args.block_w, block_h=args.block_h)
     check_geometry(geom, codebook)
     # one nearest-codevector pass feeds both the threshold and the fractions

@@ -5,6 +5,7 @@ correctness oracle for the hybrid encoder.  The trainer runs Lloyd/LBG
 iterations (Linde, Buzo and Gray, 1980) in whole-array passes: a window pass
 assigns the distinct rows, bounded from the second iteration on by each row's
 distance to its cell's new centroid (the upper bound of Hamerly, SDM 2010),
+which also settles, unmeasured, the rows within their cell's certain radius;
 and ``np.bincount`` sums every cell at once.
 """
 
@@ -132,11 +133,18 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
     rows do not move, so their ``kernels.projection_order`` is computed once,
     before the first iteration; the centroids move and are written in place,
     so each pass sorts them anew, as one ``kernels.SortedRows``.  From the
-    second iteration on, the pass takes each distinct row's distance to its
-    previous cell's updated centroid as its bound (a reseed moves only dead
-    cells, which hold no row): ``kernels.paired_distances`` gives it the
-    bits the window gives that pair, so it is at least the row's computed
-    nearest distance, and each tile is measured once around it.  Each
+    second iteration on, each distinct row has a bound, its distance to its
+    previous cell's updated centroid (a reseed moves only dead cells, which
+    hold no row): ``kernels.paired_distances`` gives it the bits the window
+    gives that pair, so it is at least the row's computed nearest distance.
+    A row whose bound lies below its cell's ``kernels.certain_radii`` is
+    settled (Elkan, ICML 2003; Hamerly, SDM 2010): the cell is its computed
+    row's strict argmin and the bound its nearest distance, the bits a
+    window would give, so it skips the pass.  The radii come from one
+    ``kernels.nearest_other`` pass over the same ``SortedRows``; duplicate
+    centroids have radius 0, and their rows never settle.  The other rows
+    run one window pass, bounded by their bounds, each tile measured once
+    around them.  Each
     centroid is its cell's sum over its count: one ``np.bincount`` per
     dimension adds a cell's samples in sample order, starting from +0.0, so
     a cell whose members are all -0.0 in a component gets +0.0 there.  At
@@ -162,11 +170,21 @@ def train_codebook(samples, n_codevectors: int, seed: int, max_iter: int = 60) -
     centroids = uniq[rng.choice(uniq.shape[0], size=n_codevectors, replace=False)].copy()
 
     columns = np.ascontiguousarray(data.T)
-    uniq_order = kernels.projection_order(uniq)
+    uniq_proj, uniq_order = kernels.projection_order(uniq)
     prev_assign = None
     bound = None
     for _ in range(max_iter):
-        uniq_assign, uniq_dist = kernels.window_nearest(uniq, kernels.SortedRows(centroids), bound, uniq_order)
+        codevectors = kernels.SortedRows(centroids)
+        if bound is None:
+            uniq_assign, uniq_dist = kernels.window_nearest(uniq, codevectors, order=(uniq_proj, uniq_order))
+        else:
+            # settled: within its cell's certain radius, so the cell is its strict argmin at the bound
+            radii = kernels.certain_radii(kernels.nearest_other(codevectors), codevectors.k)
+            settled = bound < radii[uniq_assign]
+            rows = uniq_order[~settled[uniq_order]]
+            index, nearest = kernels.window_nearest(uniq, codevectors, bound, (uniq_proj, rows))
+            index[settled], nearest[settled] = uniq_assign[settled], bound[settled]
+            uniq_assign, uniq_dist = index, nearest
         assign = uniq_assign[inverse]
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break

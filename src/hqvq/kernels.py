@@ -12,11 +12,15 @@ tile forms each dimension's differences with one K = 2 ``np.matmul`` rather
 than a broadcast subtract; ``_distances`` holds the argument that they have
 ``np.subtract``'s bits, with or without FMA or subnormal flushing.
 
-Tiling: the batched functions process ``WINDOW_TILE`` query rows at a time,
-so they have no per-query Python loop and never hold an M x N matrix.  Each
-pass allocates two tile-rows x N float64 buffers once, the distances and a
-scratch, and every tile reuses them.  ``nearest_many`` alone measures every
-pair: it is the plain reference the tests and the benchmark check against.
+Tiling: the batched functions process a tile of query rows at a time, so
+they have no per-query Python loop and never hold an M x N matrix.  Each
+pass allocates two ``WINDOW_TILE`` x N float64 buffers once, the distances
+and a scratch, and every tile reuses them.  A window pass sizes its tiles by
+its rows per codevector (``tile_rows``: ``WINDOW_TILE`` rows times about
+sqrt(M / N)), and shrinks a tile, never below ``WINDOW_TILE`` rows, until its
+rows x window fit the buffer.  ``nearest_many`` alone measures every pair in
+``WINDOW_TILE``-row tiles: it is the plain reference the tests and the
+benchmark check against.
 
 Projection windows: ``window_tiles`` is the one tile loop the codec's passes
 use: training's assignments, ``window_nearest``, ``nearest_other`` (each
@@ -44,7 +48,8 @@ once.  Each tile of consecutive queries is measured once:
   measured once over the codevectors within ``half_width(R)`` of some row's
   projection.  A caller that already holds a bound (training holds each
   row's distance to its previous cell's new centroid) sends every row
-  straight to the bounded pass.
+  straight to the bounded pass, and may list only some rows in its order
+  (training leaves out the rows its bound settles).
 
 The prune compares computed values, so every window reaches
 ``half_width`` of its row's reach R, whose docstring holds the margin's
@@ -75,9 +80,11 @@ import numpy as np
 # named in run reports next to the package versions
 ACTIVE_IMPL = "numpy"
 
-# Query rows per tile: a pass holds WINDOW_TILE x N float64 distances plus one
-# scratch buffer of the same size.  The projections of a larger tile span a
-# wider window; a smaller one pays numpy's per-call cost more often.
+# Query rows per tile of a self-pass (M = N), and the least a tile of any pass
+# takes: a pass holds WINDOW_TILE x N float64 distances plus one scratch buffer
+# of the same size, and no tile's rows x window exceed them.  A tile's
+# projections span a wider window as its rows grow; a smaller tile pays numpy's
+# per-call cost more often (``tile_rows``).
 WINDOW_TILE = 128
 
 # The first look of ``window_tiles`` takes at least this many codevectors on
@@ -153,6 +160,50 @@ def rounding_bound(k: int) -> float:
     """
     ku = (k + 3) * 2.0**-53
     return ku / (1.0 - ku)
+
+
+def certain_radii(nearest_other: np.ndarray, k: int) -> np.ndarray:
+    """Each codevector's certain radius, (nearest_other / 2)(1 - 3g), with ``rounding_bound(k)``'s g.
+
+    ``nearest_other`` holds each codevector's computed distance to its
+    nearest other one, as ``nearest_other`` gives it.  A query whose
+    computed distance to codevector i lies below r_i has i as its computed
+    row's strict argmin, and lies within r_i of it in exact arithmetic too.
+    Stage 1 of the encoder marks i on that test (``neighborhood.sub1_radii``),
+    and training keeps a row in its cell on it (``codebook.train_codebook``).
+
+    In exact arithmetic, with r_i = (1/2) min_{j != i} d(c_i, c_j):
+
+    - Uniqueness: two marked i and j would need
+      d(c_i, c_j) <= d(x, c_i) + d(x, c_j) < r_i + r_j <= d(c_i, c_j).
+    - Optimality: for every j != i,
+      d(x, c_j) >= d(c_i, c_j) - d(x, c_i) >= 2 r_i - d(x, c_i) > d(x, c_i),
+      so a marked i is the unique nearest codevector.
+
+    Rounding margin: a computed distance d' is within g * d of the exact d,
+    and the computed nearest distance D'_i is at most (1 + g) times the
+    exact 2 r_i.  Let d'(x, c_i) < D'_i/2 (1 - 3g), which with the product's
+    own rounding is below r_i (1 + g)(1 - 3g + 3u) < (1 - g) r_i,
+    u = 2**-53 <= g/4.  Then for every j != i, d'(x, c_j) >= (1 - g)
+    d(x, c_j) >= 2(1 - g) r_i - (1 - g) d(x, c_i) >= 2(1 - g) r_i -
+    d'(x, c_i) > d'(x, c_i): i is the computed row's strict argmin, and
+    d(x, c_i) <= d'(x, c_i) / (1 - g) < r_i.  A codevector with a duplicate
+    (D'_i = 0) has radius 0, which no distance lies below.
+    """
+    return nearest_other / 2.0 * (1.0 - 3.0 * rounding_bound(k))
+
+
+def tile_rows(m: int, n: int) -> int:
+    """Rows per tile of a window pass of ``m`` rows over ``n`` codevectors: WINDOW_TILE x max(1, round(sqrt(m / n))).
+
+    Per row, numpy's fixed cost per tile falls as 1 / T, while the
+    codevectors a tile's window adds for spanning its rows grow as T n / m:
+    where rows and codevectors lie alike on the mean axis, T rows span
+    about T n / m codevectors.  The best T therefore grows as
+    sqrt(m / n).  A self-pass (m = n: the neighbor table,
+    ``nearest_other``) takes WINDOW_TILE rows.
+    """
+    return WINDOW_TILE * max(1, round(math.sqrt(m / n)))
 
 
 def projections(rows: np.ndarray) -> np.ndarray:
@@ -299,17 +350,24 @@ def strip_counts(centers: np.ndarray, order: np.ndarray, axis: np.ndarray, half)
 def window_tiles(queries: np.ndarray, codevectors: SortedRows, radius: float, bound=None, order=None):
     """Yield (rows, cols, d): each tile's distances to the codevectors that can matter.
 
-    ``rows`` indexes ``queries`` (at most WINDOW_TILE of them, in projection
-    order), ``cols`` holds ascending indices into ``codevectors.vectors``,
-    and ``d[i, j]`` is the distance from ``queries[rows[i]]`` to
-    ``codevectors.vectors[cols[j]]``, the same bits as ``dist_to_all``
-    gives.  The pass reads the codevectors' columns, axis, order and norm
-    bound off the ``SortedRows`` it is given and derives none.  ``cols``
-    contains every codevector within max(``radius``, the row's nearest
-    distance) of each of the tile's rows, so argmin ties still go to the
-    smallest index.  Every row is yielded exactly once.  ``d`` is a view of
-    one of the two buffers the call allocates, each WINDOW_TILE x N floats
-    (fewer rows when M is smaller): it is valid until the next step.
+    ``rows`` indexes ``queries`` (in projection order), ``cols`` holds
+    ascending indices into ``codevectors.vectors``, and ``d[i, j]`` is the
+    distance from ``queries[rows[i]]`` to ``codevectors.vectors[cols[j]]``,
+    the same bits as ``dist_to_all`` gives.  The pass reads the
+    codevectors' columns, axis, order and norm bound off the ``SortedRows``
+    it is given and derives none.  ``cols`` contains every codevector within
+    max(``radius``, the row's nearest distance) of each of the tile's rows,
+    so argmin ties still go to the smallest index.  Every row is yielded
+    exactly once.  ``d`` is a view of one of the two buffers the call
+    allocates, each WINDOW_TILE x N floats (fewer rows when M is smaller):
+    it is valid until the next step, and no tile's rows x cols exceed it.
+
+    Tile size: a pass of M rows over N codevectors takes ``tile_rows(M,
+    N)`` rows per tile, WINDOW_TILE times the nearest integer to
+    sqrt(M / N), at least 1.  A tile whose window would overflow the buffer
+    shrinks, never below WINDOW_TILE rows, whose window, at most N, always
+    fits.  A look shrinks to the rows its width would fit until its window
+    fits; a bounded tile keeps the most rows whose window fits.
 
     One look per tile: the codevectors whose projections lie within the
     previous tile's widest covered reach of the tile's (its widest look
@@ -319,26 +377,33 @@ def window_tiles(queries: np.ndarray, codevectors: SortedRows, radius: float, bo
     projection than ``half_width`` of its reach, max(``radius``, its look
     minimum).  Covered rows are yielded; the others are deferred with their
     look minimum, at least their computed nearest distance.  After the last
-    tile, they run through the bounded pass: tiles in projection order,
-    each measured once over p +- ``half_width``(max(``radius``, bound)).  A
-    look minimum or a bound is at least the row's computed distance to some
+    tile, they run through the bounded pass: each row's window ends, the
+    axis run within ``half_width``(max(``radius``, bound)) of its
+    projection, are found once for the pass, and each tile in projection
+    order is measured once over the union of its rows' windows.  A look
+    minimum or a bound is at least the row's computed distance to some
     codevector, as ``half_width`` needs, and its norm is the codevectors'
     ``norm_scale``, so no row widens another's margin.
 
     ``bound``, when given, is an (M,) array with ``bound[i]`` at least the
     computed nearest distance of ``queries[i]``, such as its distance to
     any one codevector; every row then goes straight to the bounded pass.
-    ``order``, when given, is ``projection_order(queries)``, which a caller
-    that needs it too computes once.
+    ``order``, when given, is (``projections(queries)``, an order of some
+    of the rows by projection): ``projection_order(queries)``, which a
+    caller that needs it too computes once, or a subsequence of its order.
+    The pass then yields only the rows that order lists, and M is their
+    number.
     Both arrays lie within ``as_rows``' 2**500 bound, so every projection
     and distance is finite and a window needs no overflow fallback; an inf
     bound's window is the whole codebook.
     """
-    m, k = queries.shape
+    k = queries.shape[1]
     n, norm = codevectors.n, codevectors.norm_scale
     v_order, v_sorted, vcols = codevectors.order, codevectors.axis, codevectors.columns
     q_proj, q_order = projection_order(queries) if order is None else order
-    # every tile's distances and their scratch: a window is at most a tile x N
+    m = q_order.size
+    span = tile_rows(m, n)
+    # every tile's distances and their scratch: no tile's rows x window exceed them
     full = min(WINDOW_TILE, m) * n
     out, tmp = np.empty(full), np.empty(full)
 
@@ -352,21 +417,44 @@ def window_tiles(queries: np.ndarray, codevectors: SortedRows, radius: float, bo
 
     def bounded(rows, bounds):
         """The bounded pass: each tile measured once over every row's reach."""
-        for start in range(0, rows.size, WINDOW_TILE):
-            tile = rows[start : start + WINDOW_TILE]
-            p = q_proj[tile]
-            half = half_width(np.maximum(radius, bounds[start : start + WINDOW_TILE]), k, norm)
-            lo = np.searchsorted(v_sorted, float((p - half).min()), side="left")
-            hi = np.searchsorted(v_sorted, float((p + half).max()), side="right")
-            cols, d = measure(tile, lo, hi)
-            yield tile, cols, d
-
-    def look(rows, guess):
-        """(covered rows, cols, their d, next guess): one tile's look; the rest is deferred."""
         p = q_proj[rows]
-        mid = np.searchsorted(v_sorted, p[rows.size // 2])
+        half = half_width(np.maximum(radius, bounds), k, norm)
+        # each row's window ends; a tile's window is their union
+        row_lo = np.searchsorted(v_sorted, p - half, side="left")
+        row_hi = np.searchsorted(v_sorted, p + half, side="right")
+        start = 0
+        while start < rows.size:
+            lo, hi = row_lo[start : start + span], row_hi[start : start + span]
+            t, a, b = lo.size, lo.min(), hi.max()
+            if t * (b - a) > full:
+                # the union widens with the rows: keep the most whose window fits
+                lo, hi = np.minimum.accumulate(lo), np.maximum.accumulate(hi)
+                t = max(WINDOW_TILE, np.count_nonzero(np.arange(1, t + 1) * (hi - lo) <= full))
+                a, b = lo[t - 1], hi[t - 1]
+            tile = rows[start : start + t]
+            cols, d = measure(tile, a, b)
+            yield tile, cols, d
+            start += t
+
+    def look_ends(p, guess):
+        """(lo, hi): the look of a tile whose rows project to ``p``, ascending."""
+        mid = np.searchsorted(v_sorted, p[p.size // 2])
         lo = min(np.searchsorted(v_sorted, p[0] - guess, side="left"), max(mid - FIRST_LOOK, 0))
         hi = max(np.searchsorted(v_sorted, p[-1] + guess, side="right"), min(mid + FIRST_LOOK, n))
+        return lo, hi
+
+    def look(rows, guess):
+        """(covered rows, cols, their d, next guess, rows taken): the look of a tile at the front of ``rows``.
+
+        The tile's rows not covered are deferred.
+        """
+        p = q_proj[rows]
+        lo, hi = look_ends(p, guess)
+        while rows.size * (hi - lo) > full:
+            # fewer rows, at least WINDOW_TILE, that the last look's width would fit
+            rows = rows[: max(WINDOW_TILE, min(rows.size - 1, full // (hi - lo)))]
+            p = p[: rows.size]
+            lo, hi = look_ends(p, guess)
         cols, d = measure(rows, lo, hi)
         nearest = d.min(axis=1)
         reach = np.maximum(radius, nearest)
@@ -378,23 +466,25 @@ def window_tiles(queries: np.ndarray, codevectors: SortedRows, radius: float, bo
         if hi < n:
             ok &= v_sorted[hi] > p + half
         if ok.all():
-            return rows, cols, d, float(reach.max())
+            return rows, cols, d, float(reach.max()), rows.size
         deferred.append((rows[~ok], nearest[~ok]))
         if not ok.any():
-            return rows[:0], cols, None, float(reach.max())
+            return rows[:0], cols, None, float(reach.max()), rows.size
         # the covered rows, compacted into the scratch buffer the next tile overwrites
         kept = tmp[: np.count_nonzero(ok) * cols.size].reshape(-1, cols.size)
-        return rows[ok], cols, np.compress(ok, d, axis=0, out=kept), float(reach[ok].max())
+        return rows[ok], cols, np.compress(ok, d, axis=0, out=kept), float(reach[ok].max()), rows.size
 
     if bound is not None:
         yield from bounded(q_order, np.asarray(bound, dtype=np.float64)[q_order])
         return
     deferred = []  # (rows, bounds) of each tile's rows that its look did not cover
     guess = radius  # the look's reach
-    for start in range(0, m, WINDOW_TILE):
-        rows, cols, d, guess = look(q_order[start : start + WINDOW_TILE], guess)
+    start = 0
+    while start < m:
+        rows, cols, d, guess, taken = look(q_order[start : start + span], guess)
         if rows.size:
             yield rows, cols, d
+        start += taken
     if deferred:
         rows, bounds = zip(*deferred)
         yield from bounded(np.concatenate(rows), np.concatenate(bounds))
@@ -431,7 +521,8 @@ def window_nearest(queries: np.ndarray, codevectors: SortedRows, bound=None, ord
 
     ``bound`` and ``order`` are as in ``window_tiles``: ``bound`` at least
     each row's computed nearest distance, ``order`` the queries'
-    ``projection_order``.
+    ``projection_order`` or a subsequence of its order.  Entries of the
+    rows an order leaves out are left unset.
     """
     m = queries.shape[0]
     idx = np.empty(m, dtype=np.int64)

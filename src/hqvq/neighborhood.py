@@ -291,30 +291,15 @@ def neighbor_radius(delta_hat: float, k: int) -> float:
 
 
 def sub1_radii(codebook: Codebook) -> np.ndarray:
-    """Stage 1's per-codevector thresholds: (nearest_other / 2)(1 - 3g), an (N,) array.
+    """Stage 1's per-codevector thresholds: ``kernels.certain_radii`` of ``nearest_other``, an (N,) array.
 
-    Codevector i is marked when d(x, c_i) < r_i.  In exact arithmetic, with
-    r_i = (1/2) min_{j != i} d(c_i, c_j):
-
-    - Uniqueness: two marked i and j would need
-      d(c_i, c_j) <= d(x, c_i) + d(x, c_j) < r_i + r_j <= d(c_i, c_j).
-    - Optimality: for every j != i,
-      d(x, c_j) >= d(c_i, c_j) - d(x, c_i) >= 2 r_i - d(x, c_i) > d(x, c_i),
-      so a marked i is the unique nearest codevector.
-
-    Rounding margin: with ``kernels.rounding_bound(k)``'s g, a computed
-    distance d' is within g * d of the exact d, and the computed nearest
-    distance D'_i is at most (1 + g) times the exact 2 r_i.  Let
-    d'(x, c_i) < D'_i/2 (1 - 3g), which with the product's own rounding is
-    below r_i (1 + g)(1 - 3g + 3u) < (1 - g) r_i, u = 2**-53 <= g/4.  Then
-    for every j != i, d'(x, c_j) >= (1 - g) d(x, c_j) >= 2(1 - g) r_i
-    - (1 - g) d(x, c_i) >= 2(1 - g) r_i - d'(x, c_i) > d'(x, c_i): i is the
-    computed row's strict argmin, so no other index is marked, and
-    d(x, c_i) <= d'(x, c_i) / (1 - g) < r_i.  No radius lies below the
-    paper's stage-1 threshold delta0/2 (1 - 3g), as delta0 is the smallest
-    D'_i.
+    Codevector i is marked when d(x, c_i) < r_i = (nearest_other_i / 2)(1 - 3g).
+    ``kernels.certain_radii`` holds the proof that a marked i is the unique
+    nearest codevector, in exact arithmetic and with the rounding margin,
+    so no other index is marked.  No radius lies below the paper's stage-1
+    threshold delta0/2 (1 - 3g), as delta0 is the smallest nearest_other.
     """
-    return codebook.nearest_other / 2.0 * (1.0 - 3.0 * kernels.rounding_bound(codebook.k))
+    return kernels.certain_radii(codebook.nearest_other, codebook.k)
 
 
 def build_neighborhoods(codebook: Codebook, delta_hat: float) -> NeighborhoodTable:

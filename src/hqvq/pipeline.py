@@ -20,6 +20,12 @@ STREAM_VERSION = 1
 MAX_CODEBOOK_SIZE = 65536
 
 
+def check_codebook_size(n: int) -> None:
+    """Reject a codebook size the stream format cannot hold: 1 <= N <= MAX_CODEBOOK_SIZE."""
+    if not 1 <= n <= MAX_CODEBOOK_SIZE:
+        raise ValueError(f"codebook size {n} outside 1..{MAX_CODEBOOK_SIZE}")
+
+
 @dataclass(frozen=True, eq=False)
 class IndexStream:
     """Encoded image: one codebook index per block, plus geometry to invert it.
@@ -38,8 +44,7 @@ class IndexStream:
 
     def __post_init__(self):
         n = self.n_codevectors
-        if not 1 <= n <= MAX_CODEBOOK_SIZE:
-            raise ValueError(f"codebook size {n} outside 1..{MAX_CODEBOOK_SIZE}")
+        check_codebook_size(n)
         if self.width < 1 or self.height < 1:
             raise ValueError(f"bad image size {self.width}x{self.height}")
         rows, cols = self.geometry.grid(self.width, self.height)

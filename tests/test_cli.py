@@ -15,6 +15,7 @@ from hqvq import (
     save_pgm, serialize_stream, space_bits,
 )
 from hqvq.cli import main
+from hqvq.pipeline import MAX_CODEBOOK_SIZE
 from reference_encoder import stage1_domain
 
 # `hqvq bench --sizes 64,256 --vectors 500 --seed 3`, byte for byte: refactors that
@@ -690,6 +691,41 @@ class TestErrors:
             assert "block 1000000000x1000000000 is larger than the image 16x16" in err
         else:
             assert "block geometry gives dimension 1000000000000000000, codebook has 2" in err
+        assert not out.exists()
+
+    def test_train_codebook_beyond_the_stream_limit_rejected_before_the_image(self, tmp_path, image_path, capsys, monkeypatch):
+        # it trained a codebook that encode then refused only after a whole encode
+        def no_image(path):
+            raise AssertionError("the image was read before the codebook size check")
+
+        monkeypatch.setattr("hqvq.cli.load_pgm", no_image)
+        out = tmp_path / "cb.txt"
+        assert main(["train", str(image_path), "-n", str(MAX_CODEBOOK_SIZE + 1), "-o", str(out)]) == 1
+        assert f"error: codebook size {MAX_CODEBOOK_SIZE + 1} outside 1..{MAX_CODEBOOK_SIZE}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["encode", "stats", "decode"])
+    def test_codebook_beyond_the_stream_limit_rejected_after_loading(self, tmp_path, image_path, capsys, monkeypatch, command):
+        # encode printed the error only after choosing delta_hat, building the table and encoding
+        big = tmp_path / "big.cb"
+        save_codebook(Codebook(np.column_stack([np.arange(MAX_CODEBOOK_SIZE + 1.0), np.zeros(MAX_CODEBOOK_SIZE + 1)])), big)
+        stream = tmp_path / "s.vqix"
+        blocks = IndexStream(n_codevectors=8, block_w=2, block_h=1, width=2, height=1, indices=np.zeros(1, dtype=int))
+        stream.write_bytes(serialize_stream(blocks))
+
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("blocks were read before the codebook size check")
+
+        for name in ("blockify", "decode_image"):
+            monkeypatch.setattr(f"hqvq.cli.{name}", no_blocks)
+        out = tmp_path / "out"
+        args = {
+            "encode": [str(image_path), str(big), "-o", str(out)],
+            "stats": [str(image_path), str(big), "--report", str(out)],
+            "decode": [str(stream), str(big), "-o", str(out)],
+        }[command]
+        assert main([command] + args) == 1
+        assert f"error: {big}: codebook size {MAX_CODEBOOK_SIZE + 1} outside 1..{MAX_CODEBOOK_SIZE}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("block", [["17", "1"], ["1", "17"]])

@@ -351,6 +351,73 @@ def test_train_equals_reference_lloyd_on_dead_cells(seed, k, n):
     assert got.vectors.tobytes() == want.vectors.tobytes()
 
 
+def four_by_four_blobs(seed):
+    """800 integer points about 16 centres 20 apart on a 4 x 4 grid, sigma 2: most rows repeat."""
+    rng = np.random.default_rng(seed)
+    centres = 20.0 * np.array([[i, j] for i in range(4) for j in range(4)])
+    return np.round(centres[rng.integers(0, 16, size=800)] + rng.normal(0.0, 2.0, size=(800, 2)))
+
+
+def measured_rows(monkeypatch):
+    """Patch ``kernels.window_nearest`` to record (distinct rows, rows measured) of each training pass."""
+    log, window_nearest = [], kernels.window_nearest
+
+    def measured(queries, codevectors, bound=None, order=None):
+        log.append((queries.shape[0], order[1].size))
+        return window_nearest(queries, codevectors, bound, order)
+
+    monkeypatch.setattr(kernels, "window_nearest", measured)
+    return log
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_settled_rows_skip_the_window_pass(monkeypatch, seed):
+    # clustered samples: after the first iteration most rows lie well inside their cell,
+    # within its centroid's certain radius, and only the others are measured
+    samples = four_by_four_blobs(seed)
+    log = measured_rows(monkeypatch)
+    cb = train_codebook(samples, 16, seed=seed)
+    distinct = np.unique(samples, axis=0).shape[0]
+    assert len(log) > 2 and log[0] == (distinct, distinct)
+    later = np.array(log[1:])
+    assert np.all(later[:, 0] == distinct) and np.all(later[:, 1] < 0.75 * distinct)
+    assert later[:, 1].sum() < later[:, 0].sum() / 3
+    want, _ = reference_train(samples, 16, seed)
+    assert cb.vectors.tobytes() == want.vectors.tobytes()
+
+
+@pytest.mark.parametrize(
+    "samples,n,seed,max_iter,duplicates,reseeds",
+    [
+        # rows settle in every iteration after the first
+        (repeated_points(0), 8, 0, 60, False, 0),
+        # two centroids coincide: their radius is 0, and none of their rows settles
+        (repeated_points(144), 8, 2, 60, True, 2),
+        (lloyd_case(2090, 1, 5), 5, 2090, 5, True, 1),
+        # dead cells are reseeded
+        (lloyd_case(106, 2, 8), 8, 106, 5, False, 1),
+        (repeated_points(40), 8, 0, 60, False, 1),
+    ],
+    ids=["settled", "duplicates-2d", "duplicates-1d", "reseeds-lloyd-case", "reseeds-repeated"],
+)
+def test_train_with_settled_rows_equals_reference_lloyd(monkeypatch, samples, n, seed, max_iter, duplicates, reseeds):
+    log = measured_rows(monkeypatch)
+    radii, real = [], kernels.certain_radii
+
+    def recorded(nearest_other, k):
+        radii.append(real(nearest_other, k))
+        return radii[-1]
+
+    monkeypatch.setattr(kernels, "certain_radii", recorded)
+    got = train_codebook(samples, n, seed=seed, max_iter=max_iter)
+    want, got_reseeds = reference_train(samples, n, seed, max_iter)
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    # every pass after the first skips some rows
+    assert len(log) > 1 and all(measured < m for m, measured in log[1:])
+    assert (min(r.min() for r in radii) == 0.0) == duplicates
+    assert got_reseeds == reseeds
+
+
 class TestTrainer:
     @pytest.mark.parametrize(
         "data_seed,seed,reseeds,max_iter",
@@ -411,17 +478,26 @@ class TestTrainer:
             train_codebook(np.ones((50, 2)), 4, seed=0)
 
     def test_delta0_computed_once(self, monkeypatch):
-        calls = []
-        real = kernels.nearest_other
+        calls, passes = [], []
+        real, window_nearest = kernels.nearest_other, kernels.window_nearest
 
         def counted(codevectors):
-            calls.append(codevectors.n)
+            calls.append(codevectors)
             return real(codevectors)
 
+        def measured(queries, codevectors, bound=None, order=None):
+            passes.append(codevectors)
+            return window_nearest(queries, codevectors, bound, order)
+
         monkeypatch.setattr(kernels, "nearest_other", counted)
+        monkeypatch.setattr(kernels, "window_nearest", measured)
         cb = train_codebook(repeated_points(0), 8, seed=0)
-        # one pass gives both the per-codevector distances and delta0
-        assert calls == [8]
+        # each Lloyd iteration after the first reads its certain radii off the
+        # SortedRows its window pass takes, built once for both
+        assert len(passes) > 2 and len(calls) == len(passes)
+        assert all(c is p and not isinstance(c, Codebook) for c, p in zip(calls, passes[1:]))
+        # one pass over the returned codebook gives both the per-codevector distances and delta0
+        assert calls[-1] is cb
         assert cb.nearest_other.tolist() == real(cb).tolist()
         assert cb.delta0 == kernels.min_pairwise(cb.vectors)
 

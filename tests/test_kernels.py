@@ -283,24 +283,41 @@ def _bound(kind, full):
 @given(case=window_cases())
 def test_window_pass_matches_full_rows(case):
     """``window_tiles``, ``window_nearest`` and ``window_marked`` against full rows from ``dist_to_all``."""
-    queries, vectors, radius, kind = case
+    _check_window_pass(*case)
+
+
+def _check_window_pass(queries, vectors, radius, kind, keep=None):
+    """Check one pass's tiles, nearest and marked sets against full rows; returns each tile's row count.
+
+    ``keep``, when given, is a bool per row: the pass's order then lists
+    only the rows it keeps, and ``window_marked``, which takes no subset,
+    is checked on every row.
+    """
     full = np.array([kernels.dist_to_all(q, vectors) for q in queries])
     bound = _bound(kind, full)
     codevectors = kernels.SortedRows(vectors)
+    proj, order = kernels.projection_order(queries)
+    listed = np.ones(queries.shape[0], dtype=bool) if keep is None else keep
+    order = (proj, order[listed[order]])
+    # no tile's rows x window exceed the WINDOW_TILE x N buffer, nor a smaller pass's rows x N
+    cap = min(WINDOW_TILE, order[1].size) * vectors.shape[0]
     seen = np.zeros(queries.shape[0], dtype=np.int64)
-    for rows, cols, d in kernels.window_tiles(queries, codevectors, radius, bound):
+    tiles = []
+    for rows, cols, d in kernels.window_tiles(queries, codevectors, radius, bound, order):
         seen[rows] += 1
+        tiles.append(rows.size)
+        assert 0 < d.size <= cap
         assert np.all(np.diff(cols) > 0)
         assert d.tobytes() == full[rows][:, cols].tobytes()
         # every codevector within max(radius, the row's nearest) is in the window
         need = full[rows] <= np.maximum(radius, full[rows].min(axis=1))[:, np.newaxis]
         need[:, cols] = False
         assert not need.any()
-    assert seen.tolist() == [1] * queries.shape[0]
-    idx, dist = kernels.window_nearest(queries, codevectors, bound)
+    assert seen.tolist() == listed.astype(np.int64).tolist()
+    idx, dist = kernels.window_nearest(queries, codevectors, bound, order)
     assert idx.dtype == np.int64
-    assert idx.tolist() == full.argmin(axis=1).tolist()
-    assert dist.tobytes() == full.min(axis=1).tobytes()
+    assert idx[listed].tolist() == full[listed].argmin(axis=1).tolist()
+    assert dist[listed].tobytes() == full[listed].min(axis=1).tobytes()
     idx, dist, marked, start, count = kernels.window_marked(queries, codevectors, radius)
     assert idx.tolist() == full.argmin(axis=1).tolist()
     assert dist.tobytes() == full.min(axis=1).tobytes()
@@ -309,6 +326,103 @@ def test_window_pass_matches_full_rows(case):
     assert [marked[s : s + c].tolist() for s, c in zip(start, count)] == [
         np.flatnonzero(row < radius).tolist() for row in full
     ]
+    # the bits nearest_many gives
+    idx, dist = kernels.nearest_many(queries, vectors)
+    assert idx.tolist() == full.argmin(axis=1).tolist()
+    assert dist.tobytes() == full.min(axis=1).tobytes()
+    return tiles
+
+
+@st.composite
+def dense_window_cases(draw):
+    """Passes of many rows per codevector, M up to max(40 N, 400) and 3 000: tiles of several WINDOW_TILEs of rows.
+
+    Rows lie about the codevectors, on a coarse grid (exact ties) or not.
+    Whenever N < 128 or a window is wide (a loose or inf bound, a large
+    radius), the WINDOW_TILE x N buffer shrinks the tiles.  Half the cases
+    list a random subset of the rows in the pass's order.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([2, 5, 40, 160, 300]))
+    m = draw(st.integers(WINDOW_TILE + 1, min(max(40 * n, 400), 3000)))
+    grid = draw(st.booleans())
+    vectors = rng.uniform(-100.0, 100.0, size=(n, k))
+    queries = vectors[rng.integers(0, n, size=m)] + draw(st.sampled_from([0.0, 0.5, 5.0, 50.0])) * rng.normal(size=(m, k))
+    if grid:
+        vectors, queries = np.round(vectors), np.round(2.0 * queries) / 2.0
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    radius = draw(st.sampled_from([0.0, 0.0, 3.0, 300.0]))
+    keep = rng.random(m) < draw(st.sampled_from([1.0, 0.5, 0.05])) if draw(st.booleans()) else None
+    return queries + shift, vectors + shift, radius, draw(st.sampled_from([None, None, "nearest", "loose", "inf"])), keep
+
+
+def _along_diagonal(m, n, seed):
+    """n codevectors (i, i) and m rows within 0.3 of the diagonal between them, shuffled."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, n - 1.0, size=m)
+    return np.column_stack([t, t]) + rng.uniform(-0.3, 0.3, size=(m, 2)), np.repeat(np.arange(float(n))[:, np.newaxis], 2, axis=1)
+
+
+@settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+# density-sized tiles that fit: 3 x 256 = 768 rows, 2.3 rows per codevector apart on the axis
+@example(case=(*_along_diagonal(9 * 256, 256, 1), 0.0, None, None))
+@example(case=(*_along_diagonal(9 * 256, 256, 1), 0.0, "nearest", None))
+# every window the whole codebook: each tile shrinks to WINDOW_TILE rows
+@example(case=(*_along_diagonal(9 * 256, 256, 2), 0.0, "inf", None))
+@example(case=(*_along_diagonal(9 * 256, 256, 2), 1e3, None, None))
+# looks at radius 40: the buffer shrinks some tiles to between WINDOW_TILE and 384 rows
+@example(case=(*_along_diagonal(9 * 256, 256, 1), 40.0, None, None))
+# a subset of the rows, one in ten, listed in the order
+@example(case=(*_along_diagonal(9 * 256, 256, 3), 0.0, None, np.arange(9 * 256) % 10 == 0))
+@example(case=(*_along_diagonal(9 * 256, 256, 3), 0.0, "nearest", np.arange(9 * 256) % 10 == 3))
+@given(case=dense_window_cases())
+def test_dense_window_pass_matches_full_rows(case):
+    """Passes whose tiles take several WINDOW_TILEs of rows, shrink to the buffer or list a subset."""
+    tiles = _check_window_pass(*case)
+    queries, vectors, _, _, keep = case
+    m = queries.shape[0] if keep is None else int(keep.sum())
+    assert max(tiles, default=0) <= kernels.tile_rows(m, vectors.shape[0])
+
+
+def test_tile_rows_grow_as_the_root_of_rows_per_codevector():
+    assert [kernels.tile_rows(m, 256) for m in (1, 256, 575, 576, 2304, 5366)] == [
+        WINDOW_TILE * r for r in (1, 1, 1, 2, 3, 5)
+    ]
+    # a self-pass, the neighbor table's and nearest_other's, keeps WINDOW_TILE rows
+    assert kernels.tile_rows(1024, 1024) == WINDOW_TILE
+
+
+def test_tiles_are_sized_by_rows_per_codevector_and_shrink_to_the_buffer():
+    # 2 304 rows along 256 codevectors (i, i), 9 per codevector: tile_rows gives 384
+    queries, vectors = _along_diagonal(9 * 256, 256, 1)
+    codevectors = kernels.SortedRows(vectors)
+    want_idx, nearest = kernels.nearest_many(queries, vectors)
+    cap = WINDOW_TILE * 256
+
+    def tiles(radius, bound=None):
+        return [(rows.size, cols.size) for rows, cols, _ in kernels.window_tiles(queries, codevectors, radius, bound)]
+
+    # bounded by the nearest distance, every window fits: six tiles of 384 rows
+    assert [rows for rows, _ in tiles(0.0, nearest)] == [384] * 6
+    # an order that lists no row measures nothing
+    proj, order = kernels.projection_order(queries)
+    assert list(kernels.window_tiles(queries, codevectors, 0.0, nearest, (proj, order[:0]))) == []
+    assert list(kernels.window_tiles(queries, codevectors, 0.0, None, (proj, order[:0]))) == []
+    # windows of the whole codebook: the buffer holds WINDOW_TILE rows of them, in the bounded pass and the looks
+    assert tiles(0.0, np.full(queries.shape[0], np.inf)) == [(WINDOW_TILE, 256)] * 18
+    assert tiles(1e3) == [(WINDOW_TILE, 256)] * 18
+    # one row bounded by inf, 200th on the axis: the tile before it stops there, and its own takes WINDOW_TILE rows
+    bound = nearest.copy()
+    bound[order[200]] = np.inf
+    got = tiles(0.0, bound)
+    assert got[:3] == [(200, got[0][1]), (WINDOW_TILE, 256), (384, got[2][1])]
+    idx, dist = kernels.window_nearest(queries, codevectors, bound)
+    assert idx.tolist() == want_idx.tolist() and dist.tobytes() == nearest.tobytes()
+    # looks at radius 40 span about 95 codevectors: 384 rows would overflow the buffer, so some take fewer
+    got = tiles(40.0)
+    assert all(rows * cols <= cap for rows, cols in got)
+    assert any(WINDOW_TILE < rows < 384 for rows, _ in got)
 
 
 @settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
